@@ -21,7 +21,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -275,37 +274,9 @@ def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     return (0 if ok else 1), {"solve": trace.summary()}
 
 
-def _run_sweep(spec: ExperimentSpec, solver: SolverConfig, jobs: int,
-               failures: Optional[list] = None) -> list[FrontPoint]:
-    if jobs <= 1 or spec.start_grid[2] <= 1:
-        return pareto_sweep(spec, solver, failures=failures)
-    starts = spec.starts()
-    chunks = np.array_split(np.arange(len(starts)), jobs)
-
-    def run_chunk(idx):
-        sub_points, sub_failures = [], []
-        for i in idx:
-            sub = ExperimentSpec(instance=spec.instance, gamma_values=spec.gamma_values,
-                                 start_grid=(starts[i] - 1e-9, starts[i] + 1e-9, 1),
-                                 method=spec.method, schedule=spec.schedule, seed=spec.seed)
-            local: list = []
-            for p in pareto_sweep(sub, solver, failures=local):
-                sub_points.append(FrontPoint(p.objectives, p.x, int(i), p.norm_d))
-            sub_failures.extend((int(i), reason) for _, reason in local)
-        return sub_points, sub_failures
-
-    points: list[FrontPoint] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for part, fails in pool.map(run_chunk, chunks):
-            points.extend(part)
-            if failures is not None:
-                failures.extend(fails)
-    return nondominated_filter(points)
-
-
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     failures: list = []
-    front = _run_sweep(spec, solver, jobs, failures=failures)
+    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs)
     writer.write_csv(f"front_{spec.method}.csv", ["f_1", "f_2", "start_index"],
                      _front_rows(front))
     baseline_front = []
@@ -314,7 +285,7 @@ def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int
         base = ExperimentSpec(instance=spec.instance, gamma_values=spec.gamma_values,
                               start_grid=spec.start_grid, method="mogd",
                               schedule=spec.schedule, seed=spec.seed)
-        baseline_front = _run_sweep(base, solver, jobs, failures=failures)
+        baseline_front = pareto_sweep(base, solver, failures=failures, jobs=jobs)
         writer.write_csv("front_mogd.csv", ["f_1", "f_2", "start_index"],
                          _front_rows(baseline_front))
     writer.write_text("plot_fronts.py", PLOT_SCRIPT)
@@ -560,7 +531,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the instance seed")
     parser.add_argument("--out", default="runs/latest", help="output directory")
     parser.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    parser.add_argument("--jobs", type=int, default=1, help="pareto sweep worker processes")
     parser.add_argument("--verbose", action="store_true")
     try:
         args = parser.parse_args(argv)

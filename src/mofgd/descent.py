@@ -7,15 +7,16 @@ step for rate studies) and move to x + eta*d.
 
 Stages: a schedule of (alpha_s, beta_s, k_s) triples runs the iteration in
 segments, each continuing from the previous stage's final point.  Each stage
-induces the regularizer weight gamma_s = beta_s - (1-alpha_s)/(2-alpha_s);
-for quadratic objectives the stage direction is exactly the gradient of the
-stage-regularized merit
+induces the regularizer weight gamma_s = beta_s - (1-alpha_s)/(2-alpha_s).
+Callers pass raw objectives; the stage adds the regularizer.  For a
+quadratic f_j the stage's modified fractional gradient is exactly the
+gradient of the stage-regularized merit
 
     f_j(x) + gamma_s/2 * sum_i H_ii (x_i - c_i)^2,
 
-so the line search tests that merit (the raw objectives would reject every
-step near the stage's own attractor, where the pull term dominates).  For
-non-quadratic objectives the raw values are used.
+so the stage builds that merit once (`problems.regularized`) and takes the
+direction input, the line-search values and the fixed-step system from it.
+Non-quadratic objectives use singular-quadrature gradients and raw values.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import csv
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .direction import DirectionAccuracyError, DirectionResult, solve_direction
 from .fractional import FractionalConfig, modified_fractional_gradient
-from .problems import ObjectiveModel, QuadraticMop, quadratic_effective_gradient
+from .problems import ObjectiveModel, regularized
 
 __all__ = [
     "LineSearchError",
@@ -42,7 +43,6 @@ __all__ = [
     "armijo_step",
     "run_single_stage",
     "run_adaptive",
-    "regularized_merit",
 ]
 
 MAX_BACKTRACKS = 60
@@ -229,77 +229,13 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     )
 
 
-def _quadratic_closed_form_supplier(objectives):
-    """Effective gradients for quadratic-kind objectives via their Hessians."""
-    hessians = [np.asarray(obj.hessian(np.zeros(obj.dim)), dtype=float) for obj in objectives]
-    diags = [np.diag(H) for H in hessians]
-
-    def supply(x, frac):
-        c = np.broadcast_to(frac.terminal, x.shape)
-        pull = frac.gamma_alpha_beta * (x - c)
-        return np.array([
-            np.asarray(obj.gradient(x), dtype=float) + dj * pull
-            for obj, dj in zip(objectives, diags)
-        ])
-
-    return supply
-
-
-def _gradient_supplier(objectives, mop: Optional[QuadraticMop]):
-    """Returns supply(x, frac) -> (m, n) array of modified fractional gradients."""
-    if mop is not None:
-        def supply(x, frac):
-            return np.array([
-                quadratic_effective_gradient(mop, j, frac, x)
-                for j in range(mop.n_objectives)
-            ])
-        return supply
-    if all(obj.kind == "quadratic" for obj in objectives):
-        return _quadratic_closed_form_supplier(objectives)
-
-    def supply(x, frac):
-        return np.array([modified_fractional_gradient(obj, frac, x) for obj in objectives])
-
-    return supply
-
-
-def regularized_merit(obj: ObjectiveModel, gamma: float, terminal: np.ndarray) -> ObjectiveModel:
-    """Quadratic objective plus the stage penalty gamma/2 * sum H_ii (x_i-c_i)^2."""
-    if gamma == 0.0:
-        return obj
-    c = np.asarray(terminal, dtype=float)
-    dh = np.diag(np.asarray(obj.hessian(c), dtype=float))
-
-    def val(x):
-        return obj.value(x) + 0.5 * gamma * float(dh @ (x - c) ** 2)
-
-    def grad(x):
-        return np.asarray(obj.gradient(x), dtype=float) + gamma * dh * (x - c)
-
-    def hess(x):
-        return np.asarray(obj.hessian(x), dtype=float) + gamma * np.diag(dh)
-
-    return ObjectiveModel(val, grad, hess, kind="quadratic", dim=obj.dim, validate=False)
-
-
-def _sigma_max(objectives, mop, frac, lam) -> float:
-    """Largest singular value of the multiplier-weighted effective system matrix."""
-    gamma = frac.gamma_alpha_beta
-    if mop is not None:
-        system = sum(
-            lam[j] * (mop.gram[j] + gamma * np.diag(mop.rtilde[j] ** 2))
-            for j in range(mop.n_objectives)
-        )
-    else:
-        if not all(obj.kind == "quadratic" for obj in objectives):
-            raise ValueError("fixed-step mode needs quadratic objectives or a QuadraticMop")
-        mats = [np.asarray(obj.hessian(np.zeros(obj.dim)), dtype=float) for obj in objectives]
-        system = sum(lam[j] * (H + gamma * np.diag(np.diag(H))) for j, H in enumerate(mats))
-    return float(np.linalg.svd(system, compute_uv=False)[0])
+def _stage_merit(objectives, frac: FractionalConfig) -> list[ObjectiveModel]:
+    """The stage merit of each objective: quadratics gain the stage's pull."""
+    return [regularized(obj, frac.gamma_alpha_beta, frac.terminal)
+            if obj.kind == "quadratic" else obj for obj in objectives]
 
 
 def run_single_stage(objectives: Sequence[ObjectiveModel],
-                     mop_closed_form: Optional[QuadraticMop],
                      x0: np.ndarray,
                      cfg: SolverConfig,
                      frac: FractionalConfig,
@@ -311,22 +247,28 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                      history: Optional[list] = None) -> IterationTrace:
     """Iterate x <- x + eta*d for up to k_max steps or until ||d|| < tolerance.
 
-    objectives supply the Armijo merit values and the trace's f columns;
-    gradients come from mop_closed_form when given, else from the objectives
-    themselves (closed form for quadratic kind, singular quadrature
-    otherwise).  frozen_multipliers skips the subproblem and uses a fixed
-    convex combination (theory-check mode).  history, when given, collects
-    iterates for adaptive-terminal staging.
+    objectives are raw; the stage adds the regularizer itself.  Each
+    quadratic objective becomes its stage merit (see `_stage_merit`), whose
+    gradient is the direction input, whose values the line search tests and
+    the trace's f columns record, and whose Hessian sets the fixed step.
+    Other kinds take singular-quadrature gradients and raw values.  With an
+    adaptive terminal (frac.memory_length) the merit is rebuilt from the
+    terminal in use at every iteration.  frozen_multipliers skips the
+    subproblem and uses a fixed convex combination (theory-check mode).
+    history, when given, collects iterates for adaptive-terminal staging.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
-    supply = _gradient_supplier(objectives, mop_closed_form)
     lam = None if frozen_multipliers is None else np.asarray(frozen_multipliers, dtype=float)
+    merit = _stage_merit(objectives, frac)
 
     eta_fixed = None
     if cfg.step_mode == "fixed":
-        lam_for_sigma = lam if lam is not None else np.full(len(objectives), 1.0 / len(objectives))
-        eta_fixed = cfg.eta / _sigma_max(objectives, mop_closed_form, frac, lam_for_sigma)
+        if not all(obj.kind == "quadratic" for obj in objectives):
+            raise ValueError("fixed-step mode needs quadratic objectives")
+        weights = lam if lam is not None else np.full(len(merit), 1.0 / len(merit))
+        system = sum(w * np.asarray(m.hessian(x), dtype=float) for w, m in zip(weights, merit))
+        eta_fixed = cfg.eta / float(np.linalg.svd(system, compute_uv=False)[0])
 
     if history is not None and not history:
         history.append(x.copy())
@@ -340,9 +282,13 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             frac_k = FractionalConfig(frac.alpha, frac.beta, past,
                                       memory_length=frac.memory_length,
                                       degenerate_policy="clamp")
+            merit = _stage_merit(objectives, frac_k)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            grads = supply(x, frac_k)
+            # A quadratic's modified fractional gradient is its merit's gradient.
+            grads = np.array([m.gradient(x) if obj.kind == "quadratic"
+                              else modified_fractional_gradient(obj, frac_k, x)
+                              for obj, m in zip(objectives, merit)])
         for w in caught:
             trace.notes.append(str(w.message))
 
@@ -365,7 +311,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         norm_d = direction.norm
         trace.final_x = x.copy()
         trace.final_norm_d = norm_d
-        if norm_d < cfg.tolerance:
+        # t >= 0: the subproblem finds no descent direction to its precision,
+        # so x is critical even if ||d|| is still above the tolerance.
+        no_descent = lam is None and eta_fixed is None and not direction.t_value < 0.0
+        if norm_d < cfg.tolerance or no_descent:
             trace.termination = "tolerance"
             return trace
         if k == k_max:
@@ -376,7 +325,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             if eta_fixed is not None:
                 eta, x_next, backtracks = eta_fixed, x + eta_fixed * direction.direction, 0
             else:
-                eta, x_next, backtracks = armijo_step(objectives, x, direction, cfg)
+                eta, x_next, backtracks = armijo_step(merit, x, direction, cfg)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)
@@ -385,7 +334,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
             k=k_offset + k, stage=stage_index, x=x.copy(),
-            f_values=np.array([obj.value(x) for obj in objectives]),
+            f_values=np.array([m.value(x) for m in merit]),
             t_value=direction.t_value, norm_d=norm_d,
             eta=eta, backtracks=backtracks, wall=wall,
         ))
@@ -399,43 +348,24 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
 def run_adaptive(objectives: Sequence[ObjectiveModel],
                  x0: np.ndarray,
                  cfg: SolverConfig,
-                 schedule: StageSchedule,
-                 mop_closed_form: Optional[QuadraticMop] = None,
-                 frozen_multipliers: Optional[np.ndarray] = None,
-                 merit_mode: str = "auto") -> IterationTrace:
+                 schedule: StageSchedule) -> IterationTrace:
     """Run the stages of a schedule sequentially, chaining the iterates.
 
-    merit_mode: "raw" keeps the passed objectives for every stage;
-    "regularized" wraps quadratic objectives with the stage penalty so the
-    line search matches the stage gradients; "auto" regularizes exactly when
-    every objective is quadratic.  The terminal is the schedule's fixed c
-    (zeros when omitted) or, with memory_length L, the iterate L steps back.
+    objectives are raw; each stage adds its own regularizer.  The terminal is
+    the schedule's fixed c (zeros when omitted) or, with memory_length L, the
+    iterate L steps back.
     """
-    if merit_mode not in ("auto", "raw", "regularized"):
-        raise ValueError(f"unknown merit_mode {merit_mode!r}")
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    c = schedule.terminal if schedule.terminal is not None else np.zeros(n)
-    all_quadratic = all(obj.kind == "quadratic" for obj in objectives)
-    regularize = merit_mode == "regularized" or (merit_mode == "auto" and all_quadratic)
-
+    x = np.asarray(x0, dtype=float)
+    c = schedule.terminal if schedule.terminal is not None else np.zeros(x.size)
     trace = IterationTrace()
     history: list = []
-    x = x0
     for s, stage in enumerate(schedule.stages):
         frac = FractionalConfig(
             alpha=stage.alpha, beta=stage.beta, terminal=c,
             memory_length=schedule.memory_length, degenerate_policy="clamp",
         )
-        merit = objectives
-        if regularize and stage.gamma != 0.0:
-            merit = [regularized_merit(obj, stage.gamma, c) for obj in objectives]
-        k_offset = trace.iterations
-        run_single_stage(
-            merit, mop_closed_form, x, cfg, frac, stage.iterations,
-            frozen_multipliers=frozen_multipliers, stage_index=s,
-            trace=trace, k_offset=k_offset, history=history,
-        )
+        run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
+                         trace=trace, k_offset=trace.iterations, history=history)
         x = trace.final_x
         if trace.termination == "error":
             return trace

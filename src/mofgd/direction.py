@@ -32,7 +32,7 @@ MAX_INNER = 10_000
 
 
 class DirectionAccuracyError(RuntimeError):
-    """Inner iteration budget exhausted with duality gap above 1e-8."""
+    """Scaled duality gap or KKT residual above 1e-8; ``best`` carries the result."""
 
     def __init__(self, message: str, best: "DirectionResult"):
         super().__init__(message)
@@ -132,7 +132,7 @@ def solve_direction(gradients) -> DirectionResult:
     1/||K||, Frank-Wolfe gap target 1e-12 at the squared-gradient scale,
     10,000-iteration budget) plus an exact support polish.  Raises
     DirectionAccuracyError carrying the best iterate if the scaled gap still
-    exceeds 1e-8.
+    exceeds 1e-8 or its KKT residual exceeds 1e-8 at the gradient scale.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     if not np.all(np.isfinite(G)):
@@ -169,8 +169,9 @@ def solve_direction(gradients) -> DirectionResult:
             f"scaled duality gap {gap:.3e} above {GAP_FAIL} after {MAX_INNER} iterations",
             result,
         )
-    assert result.kkt_residual <= 1e-8 * scale, \
-        f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}"
+    if result.kkt_residual > 1e-8 * scale:
+        raise DirectionAccuracyError(
+            f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)
     return result
 
 

@@ -29,8 +29,8 @@ from .fixtures import fixture_objectives
 from .problems import (
     ObjectiveModel,
     QuadraticMop,
-    TikhonovSolution,
     condition_number,
+    regularized,
     tikhonov_solve,
 )
 
@@ -149,7 +149,7 @@ def mogd_baseline(objectives: Sequence[ObjectiveModel], x0: np.ndarray,
     frac = FractionalConfig(alpha=1.0, beta=0.0,
                             terminal=np.zeros(np.asarray(x0).size),
                             degenerate_policy="clamp")
-    return run_single_stage(list(objectives), None, x0, cfg, frac, cfg.max_iterations)
+    return run_single_stage(list(objectives), x0, cfg, frac, cfg.max_iterations)
 
 
 def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
@@ -204,9 +204,8 @@ def _frozen_fixed_run(mop: QuadraticMop, gamma: float, lam: np.ndarray,
     beta = gamma + (1.0 - alpha) / (2.0 - alpha)
     frac = FractionalConfig(alpha=alpha, beta=beta, terminal=terminal,
                             degenerate_policy="clamp")
-    merit = mop.objectives(gamma, terminal)
     return run_single_stage(
-        merit, mop, x0, cfg, frac, k_max,
+        mop.objectives(), x0, cfg, frac, k_max,
         frozen_multipliers=lam, stage_index=stage_index,
         trace=trace, k_offset=0 if trace is None else trace.iterations,
     )
@@ -376,43 +375,66 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
     return kept
 
 
-def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
-                 failures: Optional[list] = None) -> list[FrontPoint]:
-    """Run the chosen method from every start and return the sorted
-    nondominated subset of final objective vectors.
+def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
+                  indices) -> tuple[list[FrontPoint], list[tuple[int, str]]]:
+    """Run the chosen method from the starts with the given indices.
 
-    Individual run failures are recorded (appended to `failures` as
-    (start_index, reason) when a list is passed) and excluded, never fatal.
+    Returns the final points of the runs that ended without error and the
+    (start_index, reason) of those that failed, both in start order.
     """
-    cfg = cfg or SolverConfig(tolerance=1e-5, max_iterations=2000)
     objectives = spec.objectives()
-    schedule = spec.schedule
-    finals: list[FrontPoint] = []
-    for idx, x0 in enumerate(spec.starts()):
+    starts = spec.starts()
+    points, failures = [], []
+    for idx in map(int, indices):
+        x0 = starts[idx]
         try:
             if spec.method == "mogd":
                 trace = mogd_baseline(objectives, x0, cfg)
             elif spec.method == "moaocfgd":
-                if schedule is None:
+                if spec.schedule is None:
                     raise ValueError("moaocfgd sweep needs a schedule")
-                trace = run_adaptive(objectives, x0, cfg, schedule)
+                trace = run_adaptive(objectives, x0, cfg, spec.schedule)
             else:
                 if len(objectives) != 1:
                     raise ValueError("subgradient sweep needs a scalar objective")
                 trace = subgradient_baseline(objectives[0], x0, steps=cfg.max_iterations)
             if trace.termination == "error":
-                if failures is not None:
-                    failures.append((idx, trace.error or "run error"))
+                failures.append((idx, trace.error or "run error"))
                 continue
             xf = trace.final_x
             fvals = np.array([obj.value(xf) for obj in objectives])
-            finals.append(FrontPoint(objectives=fvals, x=xf, start_index=idx,
+            points.append(FrontPoint(objectives=fvals, x=xf, start_index=idx,
                                      norm_d=float(trace.final_norm_d or np.nan)))
         except Exception as exc:
-            if failures is not None:
-                failures.append((idx, str(exc)))
-            continue
-    return nondominated_filter(finals)
+            failures.append((idx, str(exc)))
+    return points, failures
+
+
+def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
+                 failures: Optional[list] = None, jobs: int = 1) -> list[FrontPoint]:
+    """Run the chosen method from every start and return the sorted
+    nondominated subset of final objective vectors.
+
+    Individual run failures are recorded (appended to `failures` as
+    (start_index, reason) when a list is passed) and excluded, never fatal.
+    jobs > 1 runs contiguous chunks of starts in worker processes and gathers
+    them in start order, so the front is the same for every jobs.
+    """
+    cfg = cfg or SolverConfig(tolerance=1e-5, max_iterations=2000)
+    indices = np.arange(spec.start_grid[2])
+    jobs = min(jobs, indices.size)
+    if jobs == 1:
+        parts = [_sweep_starts(spec, cfg, indices)]
+    else:
+        # Imported here so that importing mofgd does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = np.array_split(indices, jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_sweep_starts, [spec] * jobs, [cfg] * jobs, chunks))
+    if failures is not None:
+        failures.extend(f for _, part_failures in parts for f in part_failures)
+    return nondominated_filter([p for points, _ in parts for p in points])
 
 
 def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:
@@ -438,26 +460,6 @@ def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:
     return float(np.mean(dists))
 
 
-def _outer_regularized(mop: QuadraticMop, gamma: float, c: np.ndarray) -> list[ObjectiveModel]:
-    """Rank-one (outer-product) Tikhonov objectives used by the GD baseline."""
-    models = []
-    for j in range(mop.n_objectives):
-        A, b, r = mop.gram[j], mop.offsets[j], mop.rtilde[j]
-
-        def val(x, j=j, r=r):
-            return mop.objective_value(j, x) + 0.5 * gamma * float(r @ (x - c)) ** 2
-
-        def grad(x, A=A, b=b, r=r):
-            return A @ x + b + gamma * r * float(r @ (x - c))
-
-        def hess(x, A=A, r=r):
-            return A + gamma * np.outer(r, r)
-
-        models.append(ObjectiveModel(val, grad, hess, kind="quadratic",
-                                     dim=mop.dim, validate=False))
-    return models
-
-
 def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
                      cfg: Optional[SolverConfig] = None,
                      x0: Optional[np.ndarray] = None) -> list[dict]:
@@ -474,42 +476,31 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
     m = mop.n_objectives
     lam_uniform = np.full(m, 1.0 / m)
     c = np.zeros(mop.dim)
+    objectives = mop.objectives()
+    # Fractional method: alpha = 0.5 with beta matched to gamma.
+    alpha = 0.5
     rows = []
     for gamma in gamma_values:
-        # Classical gradient descent on the outer-product Tikhonov objectives.
-        mogd_objs = _outer_regularized(mop, gamma, c)
-        system_gd = sum(lam_uniform[j] * (mop.gram[j] + gamma * np.outer(mop.rtilde[j], mop.rtilde[j]))
-                        for j in range(m))
-        t0 = time.perf_counter()
-        trace_gd = mogd_baseline(mogd_objs, x0, cfg)
-        wall_gd = time.perf_counter() - t0
-        lam_final = _final_multipliers(mogd_objs, trace_gd, m)
-        sol_gd = tikhonov_solve(mop, gamma, lam_final, c, regularizer="outer")
-        rows.append({
-            "gamma": gamma, "method": "mogd",
-            "condition_number": condition_number(system_gd),
-            "iterations": trace_gd.iterations, "wall_seconds": wall_gd,
-            "final_error": float(np.linalg.norm(trace_gd.final_x - sol_gd.x_tik)),
-        })
-
-        # Fractional method: alpha = 0.5 with beta matched to gamma.
-        alpha = 0.5
         frac = FractionalConfig(alpha=alpha, beta=gamma + (1 - alpha) / (2 - alpha),
                                 terminal=c, degenerate_policy="clamp")
-        merit = mop.objectives(gamma, c)
-        system_fr = sum(lam_uniform[j] * (mop.gram[j] + gamma * np.diag(mop.rtilde[j] ** 2))
-                        for j in range(m))
-        t0 = time.perf_counter()
-        trace_fr = run_single_stage(merit, mop, x0, cfg, frac, cfg.max_iterations)
-        wall_fr = time.perf_counter() - t0
-        lam_final = _final_multipliers(merit, trace_fr, m)
-        sol_fr = tikhonov_solve(mop, gamma, lam_final, c, regularizer="diag")
-        rows.append({
-            "gamma": gamma, "method": "moaocfgd",
-            "condition_number": condition_number(system_fr),
-            "iterations": trace_fr.iterations, "wall_seconds": wall_fr,
-            "final_error": float(np.linalg.norm(trace_fr.final_x - sol_fr.x_tik)),
-        })
+        for method, reg in (("mogd", "outer"), ("moaocfgd", "diag")):
+            merit = [regularized(obj, gamma, c, reg) for obj in objectives]
+            system = sum(w * merit_j.hessian(c) for w, merit_j in zip(lam_uniform, merit))
+            t0 = time.perf_counter()
+            if method == "mogd":
+                # Classical gradient descent on the outer-product Tikhonov objectives.
+                trace = mogd_baseline(merit, x0, cfg)
+            else:
+                trace = run_single_stage(objectives, x0, cfg, frac, cfg.max_iterations)
+            wall = time.perf_counter() - t0
+            lam_final = _final_multipliers(merit, trace, m)
+            sol = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg)
+            rows.append({
+                "gamma": gamma, "method": method,
+                "condition_number": condition_number(system),
+                "iterations": trace.iterations, "wall_seconds": wall,
+                "final_error": float(np.linalg.norm(trace.final_x - sol.x_tik)),
+            })
     return rows
 
 

@@ -13,7 +13,8 @@ regularizer attached to objective j is the diagonal quadratic penalty
 
 whose gradient gamma * diag(diag(A_j)) (x - c) is exactly the pull term the
 fractional gradient of f_j produces; a rank-one outer-product variant
-(rtilde_j rtilde_j^T) is available behind a flag for comparison runs.
+(rtilde_j rtilde_j^T) serves comparison runs.  `regularized` attaches either
+pull to an objective model.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "QuadraticMop",
     "TikhonovSolution",
     "quadratic_objective",
+    "regularized",
     "random_quadratic_mop",
     "quadratic_effective_gradient",
     "tikhonov_solve",
@@ -118,6 +120,37 @@ def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0)
         hessian=lambda x: a_matrix,
         kind="quadratic",
         dim=b.size,
+    )
+
+
+def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> ObjectiveModel:
+    """Quadratic objective plus the Tikhonov pull gamma/2 (x-c)^T R (x-c).
+
+    R = diag(diag(H)) for reg="diag" (the pull a stage's fractional gradient
+    adds) or r r^T with r = sqrt(diag(H)) for reg="outer" (the rank-one
+    comparison form).  This is the only place a pull is attached to an
+    objective; gamma = 0 returns obj itself.
+    """
+    if reg not in ("diag", "outer"):
+        raise ValueError(f"unknown regularizer {reg!r}")
+    if obj.kind != "quadratic":
+        raise ValueError("only quadratic objectives take a Tikhonov pull")
+    if gamma == 0.0:
+        return obj
+    c = np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))
+    h = np.diag(np.asarray(obj.hessian(c), dtype=float))
+    if reg == "diag":
+        reg_matrix = np.diag(h)
+        pull, penalty = (lambda u: gamma * h * u), (lambda u: float(h @ u ** 2))
+    else:
+        r = np.sqrt(h)
+        reg_matrix = np.outer(r, r)
+        pull, penalty = (lambda u: gamma * r * float(r @ u)), (lambda u: float(r @ u) ** 2)
+    return ObjectiveModel(
+        value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
+        gradient=lambda x: np.asarray(obj.gradient(x), dtype=float) + pull(x - c),
+        hessian=lambda x: np.asarray(obj.hessian(x), dtype=float) + gamma * reg_matrix,
+        kind="quadratic", dim=obj.dim, validate=False,
     )
 
 
@@ -238,26 +271,16 @@ class QuadraticMop:
     def objective_gradient(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.gram[j] @ x + self.offsets[j]
 
-    def objectives(self, gamma: float = 0.0, terminal: Optional[np.ndarray] = None) -> list[ObjectiveModel]:
-        """ObjectiveModels of the (optionally diag-regularized) objectives."""
-        c = np.zeros(self.dim) if terminal is None else np.asarray(terminal, dtype=float)
-        models = []
-        for j in range(self.n_objectives):
-            dj = self.rtilde[j] ** 2
-            A, b = self.gram[j], self.offsets[j]
-
-            def val(x, j=j, dj=dj):
-                return self.objective_value(j, x) + 0.5 * gamma * float(dj @ (x - c) ** 2)
-
-            def grad(x, A=A, b=b, dj=dj):
-                return A @ x + b + gamma * dj * (x - c)
-
-            def hess(x, A=A, dj=dj):
-                return A + gamma * np.diag(dj)
-
-            models.append(ObjectiveModel(val, grad, hess, kind="quadratic",
-                                         dim=self.dim, validate=False))
-        return models
+    def objectives(self) -> list[ObjectiveModel]:
+        """Raw ObjectiveModels of the m objectives; a staged run adds the
+        regularizer itself (see `regularized`)."""
+        return [
+            ObjectiveModel(lambda x, j=j: self.objective_value(j, x),
+                           lambda x, j=j: self.objective_gradient(j, x),
+                           lambda x, A=A: A,
+                           kind="quadratic", dim=self.dim, validate=False)
+            for j, A in enumerate(self.gram)
+        ]
 
     def least_squares_solution(self) -> np.ndarray:
         """The stored ground truth, or the unregularized normal-equations solution."""
@@ -361,8 +384,9 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
                      else gamma * np.outer(mop.rtilde[j], mop.rtilde[j]) @ (x_tik - c)))
         for j in range(mop.n_objectives)
     )
-    assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(x_tik)), \
-        f"normal-equation residual {np.linalg.norm(residual):.3e} too large"
+    if np.linalg.norm(residual) > 1e-8 * (1.0 + np.linalg.norm(x_tik)):
+        raise SingularSystemError(
+            f"normal-equation residual {np.linalg.norm(residual):.3e} too large")
 
     sigma = np.linalg.svd(system, compute_uv=False)
     return TikhonovSolution(

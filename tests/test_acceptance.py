@@ -29,7 +29,7 @@ from mofgd import (
     verify_rate_theorem5,
     verify_staged_theorem6,
 )
-from mofgd.descent import regularized_merit
+from mofgd.problems import regularized
 from mofgd.fixtures import (
     EXAMPLE1_FRACTIONAL_ALPHA,
     EXAMPLE1_MATRIX,
@@ -260,7 +260,7 @@ def test_criterion_8_armijo_contract():
         n = int(rng.integers(2, 7))
         mop = random_quadratic_mop(n, n + 3, 2, seed=int(rng.integers(0, 10 ** 6)))
         gamma = float(rng.choice([0.0, 0.1, 0.5]))
-        merit = mop.objectives(gamma)
+        merit = [regularized(o, gamma, np.zeros(n)) for o in mop.objectives()]
         x = rng.normal(size=n) * 3.0
         grads = [m.gradient(x) for m in merit]
         one_step(merit, grads, x)

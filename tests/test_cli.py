@@ -178,6 +178,10 @@ experiment:
         assert (out / "plot_fronts.py").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert "adrs" in summary["pareto"]
+        serial = tmp_path / "pareto_serial"
+        assert run(RunManifest("pareto", str(cfg), str(serial), jobs=1)) == 0
+        for name in ("front_moaocfgd.csv", "front_mogd.csv"):
+            assert (serial / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"

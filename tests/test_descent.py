@@ -1,11 +1,15 @@
 """Tests for the Armijo line search, single-stage runs and the staged driver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mofgd.descent as descent
 from mofgd import (
     FractionalConfig,
     LineSearchError,
+    ObjectiveModel,
     SolverConfig,
     Stage,
     StageSchedule,
@@ -18,7 +22,11 @@ from mofgd import (
     solve_direction,
     tikhonov_solve,
 )
+from mofgd.cli import parse_config
 from mofgd.fixtures import default_schedule, fixture_objectives
+from mofgd.problems import regularized
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def classical_cfg(**kw):
@@ -95,7 +103,7 @@ class TestArmijoStep:
             mop = random_quadratic_mop(n, n + 3, 2, seed=int(rng.integers(0, 10 ** 6)))
             frac = FractionalConfig(alpha=0.5, beta=1.0 / 3.0 + float(rng.uniform(0, 0.5)),
                                     terminal=np.zeros(n))
-            merit = mop.objectives(frac.gamma_alpha_beta)
+            merit = [regularized(o, frac.gamma_alpha_beta, np.zeros(n)) for o in mop.objectives()]
             em = max(np.linalg.eigvalsh(m.hessian(np.zeros(n)))[-1] for m in merit)
             x = rng.normal(size=n) * 3.0
             direction = solve_direction([m.gradient(x) for m in merit])
@@ -137,7 +145,7 @@ class TestRunSingleStage:
         mop = random_quadratic_mop(3, 5, 1, seed=7)
         objs = mop.objectives()
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(objs, mop, mop.x_star, cfg, classical_cfg(n=3), 50)
+        trace = run_single_stage(objs, mop.x_star, cfg, classical_cfg(n=3), 50)
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
 
@@ -151,7 +159,7 @@ class TestRunSingleStage:
         frac = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=c)
         cfg = SolverConfig(step_mode="fixed", eta=1.0, tolerance=1e-12,
                            max_iterations=500)
-        trace = run_single_stage(mop.objectives(gamma, c), mop,
+        trace = run_single_stage(mop.objectives(),
                                  np.full(5, 3.0), cfg, frac, 500,
                                  frozen_multipliers=lam)
         assert np.linalg.norm(trace.final_x - sol.x_tik) <= 1e-6
@@ -165,7 +173,7 @@ class TestRunSingleStage:
         obj = mop.objectives()[0]
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-8)
         x0 = np.array([2.0, -1.0, 0.5])
-        trace = run_single_stage([obj], None, x0, cfg, classical_cfg(n=3), 100)
+        trace = run_single_stage([obj], x0, cfg, classical_cfg(n=3), 100)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -192,7 +200,7 @@ class TestRunSingleStage:
         objs = mop.objectives()
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-7)
         x0 = np.array([1.5, -0.5, 2.0])
-        trace = run_single_stage(objs, None, x0, cfg, classical_cfg(n=3), 200)
+        trace = run_single_stage(objs, x0, cfg, classical_cfg(n=3), 200)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -219,7 +227,7 @@ class TestRunSingleStage:
         object.__setattr__(bad, "gradient", lambda x: -1e6 * x)  # steep ascent
         object.__setattr__(bad, "hessian", lambda x: -1e6 * np.eye(2))
         cfg = SolverConfig(tolerance=1e-10)
-        trace = run_single_stage([bad], None, np.array([1.0, 1.0]), cfg,
+        trace = run_single_stage([bad], np.array([1.0, 1.0]), cfg,
                                  classical_cfg(), 50)
         assert trace.termination == "error"
         assert "halvings" in trace.error
@@ -229,7 +237,7 @@ class TestTraceExport:
     def test_csv_columns_and_reproducibility(self, tmp_path):
         mop = random_quadratic_mop(3, 5, 2, seed=3)
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(mop.objectives(), mop, np.ones(3), cfg,
+        trace = run_single_stage(mop.objectives(), np.ones(3), cfg,
                                  classical_cfg(n=3), 40)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         trace.to_csv(p1)
@@ -241,7 +249,7 @@ class TestTraceExport:
     def test_monotone_objectives_along_trace(self):
         mop = random_quadratic_mop(4, 6, 2, seed=5)
         cfg = SolverConfig(tolerance=1e-8)
-        trace = run_single_stage(mop.objectives(), mop, np.full(4, 2.0), cfg,
+        trace = run_single_stage(mop.objectives(), np.full(4, 2.0), cfg,
                                  classical_cfg(n=4), 200)
         f = np.array([r.f_values for r in trace.records])
         assert np.all(np.diff(f, axis=0) <= 1e-12)
@@ -254,7 +262,7 @@ class TestRunAdaptive:
         cfg = SolverConfig(tolerance=1e-9)
         sched = StageSchedule(stages=(Stage(1.0, 0.0, 60),), terminal=np.zeros(3))
         t1 = run_adaptive(objs, np.ones(3), cfg, sched)
-        t2 = run_single_stage(objs, None, np.ones(3), cfg, classical_cfg(n=3), 60)
+        t2 = run_single_stage(objs, np.ones(3), cfg, classical_cfg(n=3), 60)
         assert t1.iterations == t2.iterations
         np.testing.assert_allclose(t1.final_x, t2.final_x, atol=1e-12)
 
@@ -274,12 +282,55 @@ class TestRunAdaptive:
             [0.5, 0.5, 0.5, 0.5], [0.5, 0.1, 0.01, 0.0], [150, 150, 150, 300],
             terminal=np.zeros(5))
         cfg = SolverConfig(tolerance=1e-10, max_iterations=1000)
-        lam = np.array([0.5, 0.5])
-        trace = run_adaptive(mop.objectives(), np.full(5, 2.0), cfg, sched,
-                             mop_closed_form=mop, frozen_multipliers=lam,
-                             merit_mode="raw")
-        # frozen lambda + gamma -> 0: the fixed point is the least-squares truth
+        trace = run_adaptive(mop.objectives(), np.full(5, 2.0), cfg, sched)
+        # gamma -> 0: the fixed point is the least-squares truth
         assert np.linalg.norm(trace.final_x - mop.x_star) <= 1e-4
+
+    def test_no_descent_direction_is_critical_not_error(self):
+        """At tolerance 1e-10 the subproblem runs out of precision (t >= 0)
+        before ||d|| drops below the tolerance; the stage ends as critical and
+        reports the true ||d||."""
+        mop = random_quadratic_mop(5, 8, 2, seed=6)
+        sched = StageSchedule.from_gammas(
+            [0.5, 0.5, 0.5, 0.5], [0.5, 0.1, 0.01, 0.0], [150, 150, 150, 300],
+            terminal=np.zeros(5))
+        cfg = SolverConfig(tolerance=1e-10, max_iterations=1000)
+        trace = run_adaptive(mop.objectives(), np.full(5, 2.0), cfg, sched)
+        assert trace.termination == "tolerance", trace.error
+        grads = [mop.objective_gradient(j, trace.final_x) for j in range(2)]
+        assert trace.final_norm_d == solve_direction(grads).norm
+
+    def test_smooth_losses_at_tight_tolerance_do_not_error(self):
+        """Three logistic losses in n=4 at tolerance 1e-8 end without error."""
+        def logistic(features, labels, mu=0.1):
+            def margins(x):
+                return -labels * (np.asarray(x, dtype=float) @ features.T)
+
+            def gradient(x):
+                prob = 0.5 * (1.0 + np.tanh(0.5 * margins(x)))
+                return -(prob * labels) @ features / labels.size + mu * np.asarray(x, dtype=float)
+
+            def hessian(x):
+                prob = 0.5 * (1.0 + np.tanh(0.5 * margins(x)))
+                weights = prob * (1.0 - prob) / labels.size
+                return (features.T * weights[..., None, :]) @ features + mu * np.eye(4)
+
+            return ObjectiveModel(
+                lambda x: (np.logaddexp(0.0, margins(x)).mean(axis=-1)
+                           + 0.5 * mu * (np.asarray(x, dtype=float) ** 2).sum(axis=-1)),
+                gradient, hessian, kind="smooth", dim=4)
+
+        rng = np.random.default_rng(42)
+        objectives = []
+        for _ in range(3):
+            features = rng.normal(size=(16, 4))
+            truth = rng.normal(size=4)
+            noise = 0.5 * rng.normal(size=16)
+            objectives.append(logistic(features, np.where(features @ truth + noise >= 0.0, 1.0, -1.0)))
+        x0 = np.random.default_rng(0).uniform(1.01, 10.0, 4)
+        trace = run_adaptive(objectives, x0, SolverConfig(tolerance=1e-8),
+                             default_schedule(terminal=np.zeros(4)))
+        assert trace.termination != "error", trace.error
 
     def test_stage_boundaries_recorded(self):
         objs = fixture_objectives("example2")
@@ -305,11 +356,64 @@ class TestRunAdaptive:
         sched = StageSchedule.from_gammas([0.5, 0.7, 0.9], [0.1, 0.01, 0.0],
                                           [80, 80, 200], terminal=np.zeros(6))
         cfg = SolverConfig(tolerance=1e-7, max_iterations=1000)
-        trace = run_adaptive(mop.objectives(), np.full(6, 4.0), cfg, sched,
-                             mop_closed_form=mop)
+        trace = run_adaptive(mop.objectives(), np.full(6, 4.0), cfg, sched)
         assert trace.termination != "error"
         grads = np.array([mop.objective_gradient(j, trace.final_x) for j in range(2)])
         assert solve_direction(grads).norm < 1e-4
+
+
+class TestStageMerit:
+    """The stage direction is the gradient of the merit the line search tests."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (merit, x, stage gradients) for every Armijo line search."""
+        seen, checks = {}, []
+        solve, armijo = descent.solve_direction, descent.armijo_step
+
+        def spy_solve(grads):
+            seen["grads"] = np.array(grads, dtype=float)
+            return solve(grads)
+
+        def spy_armijo(merit, x, direction, cfg):
+            result = armijo(merit, x, direction, cfg)
+            checks.append((list(merit), np.array(x), seen["grads"], result[2]))
+            return result
+
+        monkeypatch.setattr(descent, "solve_direction", spy_solve)
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        return checks
+
+    @pytest.mark.parametrize("problem", ["example1", "example2", "example2_pair", "mop"])
+    def test_stage_gradients_are_merit_gradients(self, problem, monkeypatch):
+        if problem == "mop":
+            objectives = random_quadratic_mop(4, 6, 2, seed=11).objectives()
+        else:
+            objectives = fixture_objectives(problem)
+        n = objectives[0].dim
+        checks = self.spy(monkeypatch)
+        schedule = default_schedule(terminal=np.zeros(n), iterations=(1, 1, 1))
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            run_adaptive(objectives, rng.uniform(-3.0, 3.0, n), SolverConfig(tolerance=1e-12),
+                         schedule)
+        assert len(checks) == 20 * len(schedule.stages)
+        h = 1e-5
+        for merit, x, grads, _ in checks:
+            fd = np.array([[(m.value(x + h * e) - m.value(x - h * e)) / (2 * h)
+                            for e in np.eye(n)] for m in merit])
+            np.testing.assert_allclose(grads, fd, rtol=1e-6, atol=1e-6)
+
+    def test_shipped_pair_sweep_backtracks_and_terminations(self, monkeypatch):
+        """The 100-start example2_pair.yaml sweep: median backtracks <= 5 and
+        every run ends with tolerance."""
+        spec, solver, schedule = parse_config(REPO / "configs" / "example2_pair.yaml")
+        checks = self.spy(monkeypatch)
+        objectives = spec.objectives()
+        terminations = [run_adaptive(objectives, x0, solver, schedule).termination
+                        for x0 in spec.starts()]
+        assert terminations == ["tolerance"] * 100
+        assert np.median([backtracks for *_, backtracks in checks]) <= 5
 
 
 class TestMogdBaseline:

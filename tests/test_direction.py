@@ -1,9 +1,13 @@
 """Tests for the min-norm direction subproblem and its oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mofgd.direction as direction
 from mofgd import (
+    DirectionAccuracyError,
     brute_force_direction,
     solve_direction,
     solve_direction_m2_closed_form,
@@ -101,6 +105,16 @@ class TestSolveDirection:
         rc = solve_direction_m2_closed_form(g1, g2)
         assert abs(0.5 * r.norm ** 2 + r.theta - (0.5 * rc.norm ** 2 + rc.theta)) <= 1e-12
         assert r.kkt_residual <= 1e-8
+
+    def test_kkt_check_raises_typed_error(self, monkeypatch):
+        """A result failing the KKT check raises DirectionAccuracyError carrying it."""
+        exact = direction._result_from
+        monkeypatch.setattr(direction, "_result_from", lambda G, lam: dataclasses.replace(
+            exact(G, lam), kkt_residual=1e-3))
+        with pytest.raises(DirectionAccuracyError, match="KKT") as info:
+            solve_direction([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        assert info.value.best.kkt_residual == 1e-3
+        np.testing.assert_allclose(info.value.best.multipliers, [0.5, 0.5], atol=1e-9)
 
 
 class TestM2ClosedForm:

@@ -159,6 +159,14 @@ class TestTikhonovSolve:
         with pytest.raises(SingularSystemError):
             tikhonov_solve(mop, 0.0, np.array([1.0]), np.zeros(3))
 
+    def test_residual_check_raises_typed_error(self, monkeypatch):
+        """An inaccurate inner solve trips the residual check, even under -O."""
+        mop = random_quadratic_mop(4, 6, 2, seed=17)
+        exact = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: exact(a, b) + 1e-3)
+        with pytest.raises(SingularSystemError, match="residual"):
+            tikhonov_solve(mop, 0.5, np.array([0.5, 0.5]), np.zeros(4))
+
     def test_outer_variant_differs(self):
         mop = random_quadratic_mop(4, 6, 2, seed=17)
         lam = np.array([0.5, 0.5])
