@@ -6,9 +6,11 @@ The primal subproblem
 
 is solved through its dual: minimize 1/2 ||sum_j lambda_j g_j||^2 over the
 unit simplex, then d = -sum_j lambda_j g_j and t = max_j g_j^T d.  The dual
-is a tiny simplex-constrained QP handled by projected gradient descent with
-exact Euclidean simplex projection, followed by an exact active-support
-polish so degenerate instances still reach the target duality gap.
+is solved exactly for small m: m=2 is the min-norm point of a segment in
+closed form, and 3 <= m <= 6 enumerates every active support with an exact
+KKT solve on each.  Larger m runs projected gradient descent with exact
+Euclidean simplex projection, followed by an exact KKT solve on the support
+it found, so degenerate instances still reach the target duality gap.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
 GAP_TARGET = 1e-12
 GAP_FAIL = 1e-8
 MAX_INNER = 10_000
+MAX_ENUMERATE = 6
 
 
 class DirectionAccuracyError(RuntimeError):
@@ -87,24 +90,40 @@ def _dual_gap(K: np.ndarray, lam: np.ndarray) -> float:
     return float(lam @ grad - grad.min())
 
 
-def _support_polish(K: np.ndarray, lam: np.ndarray, obj: float) -> tuple[np.ndarray, float]:
-    """Try exact KKT solves on candidate supports; keep the best valid one.
+def _scaled_gram(G: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram matrix divided by the mean squared gradient norm (at least 1).
 
-    Candidates are the current support and, for small m, every support.  A
-    candidate is accepted only if it is simplex-feasible and improves the
-    dual objective.
+    The dual objective scales as ||g||^2, so the gap thresholds apply at the
+    problem's own scale; otherwise scale covariance (theta(s g) = s^2
+    theta(g)) would be unreachable in floating point for large gradients.
+    """
+    K = G @ G.T
+    scale = max(1.0, float(np.mean(np.diag(K))))
+    return K / scale, scale
+
+
+def _segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Min-norm point of the segment [g1, g2] as simplex weights.
+
+    lambda_1 = clamp(-(g1 - g2)^T g2 / ||g1 - g2||^2, 0, 1), computed on the
+    difference vector so nearly collinear gradients keep their precision;
+    g1 = g2 gives lambda_1 = 1.
+    """
+    diff = g1 - g2
+    den = float(diff @ diff)
+    lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff @ g2) / den))
+    return np.array([lam1, 1.0 - lam1])
+
+
+def _best_support(K: np.ndarray, lam: np.ndarray, supports) -> np.ndarray:
+    """Exact KKT solves on candidate supports; keep the best valid one.
+
+    A candidate is accepted only if it is simplex-feasible and improves the
+    dual objective of the best point so far, starting from lam.
     """
     m = K.shape[0]
-    candidates = [tuple(np.nonzero(lam > 1e-12)[0])]
-    if m <= 6:
-        idx = range(m)
-        candidates += [s for r in range(1, m + 1) for s in itertools.combinations(idx, r)]
-    best_lam, best_obj = lam, obj
-    seen = set()
-    for sup in candidates:
-        if not sup or sup in seen:
-            continue
-        seen.add(sup)
+    best_lam, best_obj = lam, 0.5 * float(lam @ K @ lam)
+    for sup in supports:
         sup = list(sup)
         k = len(sup)
         kkt = np.zeros((k + 1, k + 1))
@@ -122,16 +141,47 @@ def _support_polish(K: np.ndarray, lam: np.ndarray, obj: float) -> tuple[np.ndar
         val = 0.5 * float(cand @ K @ cand)
         if val < best_obj - 1e-18 or (val <= best_obj and _dual_gap(K, cand) < _dual_gap(K, best_lam)):
             best_lam, best_obj = cand, val
-    return best_lam, best_obj
+    return best_lam
+
+
+def _enumerate_supports(K: np.ndarray) -> np.ndarray:
+    """Exact dual minimizer: the best of all 2^m - 1 supports, from uniform lambda."""
+    m = K.shape[0]
+    supports = [tuple(range(m))] + [s for r in range(1, m) for s in itertools.combinations(range(m), r)]
+    return _best_support(K, np.full(m, 1.0 / m), supports)
+
+
+def _projected_gradient(K: np.ndarray) -> np.ndarray:
+    """Projected gradient on the dual simplex QP, then an exact KKT solve.
+
+    Uniform warm start, step 1/||K||, Frank-Wolfe gap target 1e-12, at most
+    10,000 iterations; the KKT solve on the support found lets degenerate
+    instances reach the gap target.
+    """
+    m = K.shape[0]
+    lam = np.full(m, 1.0 / m)
+    lipschitz = float(np.linalg.eigvalsh(K)[-1])
+    if lipschitz <= 0.0:
+        # All gradients are zero: any simplex point is optimal.
+        return lam
+    step = 1.0 / lipschitz
+    gap = _dual_gap(K, lam)
+    for _ in range(MAX_INNER):
+        if gap <= GAP_TARGET:
+            break
+        lam = _simplex_project(lam - step * (K @ lam))
+        gap = _dual_gap(K, lam)
+    return _best_support(K, lam, [tuple(np.nonzero(lam > 1e-12)[0])])
 
 
 def solve_direction(gradients) -> DirectionResult:
     """Solve the direction subproblem for a list of m gradient n-vectors.
 
-    Projected gradient on the dual simplex QP (uniform warm start, step
-    1/||K||, Frank-Wolfe gap target 1e-12 at the squared-gradient scale,
-    10,000-iteration budget) plus an exact support polish.  Raises
-    DirectionAccuracyError carrying the best iterate if the scaled gap still
+    The dual is solved by m: m=1 is d = -g; m=2 is the segment closed form;
+    3 <= m <= 6 enumerates every support exactly; m > 6 runs projected
+    gradient (Frank-Wolfe gap target 1e-12 at the squared-gradient scale,
+    10,000-iteration budget) plus an exact KKT solve on its support.
+    Raises DirectionAccuracyError carrying the result if the scaled gap
     exceeds 1e-8 or its KKT residual exceeds 1e-8 at the gradient scale.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
@@ -141,34 +191,19 @@ def solve_direction(gradients) -> DirectionResult:
     if m == 1:
         return _result_from(G, np.ones(1))
 
-    K = G @ G.T
-    # The dual objective scales as ||g||^2, so the gap thresholds apply at the
-    # problem's own scale; otherwise scale covariance (theta(s g) = s^2
-    # theta(g)) would be unreachable in floating point for large gradients.
-    scale = max(1.0, float(np.mean(np.diag(K))))
-    Kn = K / scale
-    lam = np.full(m, 1.0 / m)
-    lipschitz = float(np.linalg.eigvalsh(Kn)[-1])
-    if lipschitz <= 0.0:
-        # All gradients are zero: any simplex point is optimal.
-        return _result_from(G, lam)
-    step = 1.0 / lipschitz
-    gap = _dual_gap(Kn, lam)
-    for _ in range(MAX_INNER):
-        if gap <= GAP_TARGET:
-            break
-        lam = _simplex_project(lam - step * (Kn @ lam))
-        gap = _dual_gap(Kn, lam)
-
-    lam, _ = _support_polish(Kn, lam, 0.5 * float(lam @ Kn @ lam))
+    Kn, scale = _scaled_gram(G)
+    if m == 2:
+        lam, method = _segment_weights(G[0], G[1]), "the m=2 closed form"
+    elif m <= MAX_ENUMERATE:
+        lam, method = _enumerate_supports(Kn), f"enumerating all {2 ** m - 1} supports"
+    else:
+        lam, method = _projected_gradient(Kn), f"at most {MAX_INNER} projected-gradient iterations"
     gap = _dual_gap(Kn, lam)
 
     result = _result_from(G, lam)
     if gap > GAP_FAIL:
         raise DirectionAccuracyError(
-            f"scaled duality gap {gap:.3e} above {GAP_FAIL} after {MAX_INNER} iterations",
-            result,
-        )
+            f"scaled duality gap {gap:.3e} above {GAP_FAIL} after {method}", result)
     if result.kkt_residual > 1e-8 * scale:
         raise DirectionAccuracyError(
             f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)
@@ -183,10 +218,7 @@ def solve_direction_m2_closed_form(g1, g2) -> DirectionResult:
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
-    diff = g1 - g2
-    den = float(diff @ diff)
-    lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, float((g2 - g1) @ g2) / den))
-    return _result_from(np.vstack([g1, g2]), np.array([lam1, 1.0 - lam1]))
+    return _result_from(np.vstack([g1, g2]), _segment_weights(g1, g2))
 
 
 def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

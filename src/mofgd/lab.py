@@ -23,7 +23,7 @@ from .descent import (
     run_adaptive,
     run_single_stage,
 )
-from .direction import solve_direction
+from .direction import DirectionAccuracyError, solve_direction
 from .fractional import FractionalConfig
 from .fixtures import fixture_objectives
 from .problems import (
@@ -505,8 +505,13 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
 
 
 def _final_multipliers(objectives, trace: IterationTrace, m: int) -> np.ndarray:
+    """Subproblem multipliers at the run's final point; uniform when the final
+    gradients are not finite (a diverged run) or the subproblem misses its
+    accuracy.  Any other error propagates."""
+    grads = np.array([obj.gradient(trace.final_x) for obj in objectives])
+    if not np.all(np.isfinite(grads)):
+        return np.full(m, 1.0 / m)
     try:
-        grads = np.array([obj.gradient(trace.final_x) for obj in objectives])
         return solve_direction(grads).multipliers
-    except Exception:
+    except DirectionAccuracyError:
         return np.full(m, 1.0 / m)

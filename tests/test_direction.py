@@ -117,6 +117,53 @@ class TestSolveDirection:
         np.testing.assert_allclose(info.value.best.multipliers, [0.5, 0.5], atol=1e-9)
 
 
+class TestIndependentBranchOracles:
+    """Each exact branch of solve_direction checked by another branch."""
+
+    @staticmethod
+    def check(G, branch):
+        Kn, _ = direction._scaled_gram(G)
+        other = direction._result_from(G, branch(Kn))
+        ref = solve_direction(G)
+        assert abs(0.5 * other.norm ** 2 - 0.5 * ref.norm ** 2) <= 1e-12
+        assert other.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_enumeration_matches_m2_closed_form(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        self.check(rng.standard_normal((2, int(rng.integers(1, 6)))),
+                   direction._enumerate_supports)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_projected_gradient_matches_enumeration(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        m = 3 + seed % 4
+        self.check(rng.standard_normal((m, int(rng.integers(1, 8)))),
+                   direction._projected_gradient)
+
+
+class TestLargeM:
+    """m > 6 runs projected gradient plus the support KKT solve."""
+
+    @pytest.mark.parametrize("n", [3, 8, 30])
+    @pytest.mark.parametrize("m", [7, 10, 16])
+    def test_feasible_kkt_and_scale_covariant(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        gs = random_gradients(rng, m, n)
+        base = solve_direction(gs)
+        lam = base.multipliers
+        assert lam.min() >= 0.0
+        assert abs(lam.sum() - 1.0) <= 1e-10
+        assert base.kkt_residual <= 1e-8
+        assert base.theta <= 1e-10
+        for scale in (0.01, 250.0):
+            scaled = solve_direction([scale * g for g in gs])
+            assert scaled.theta == pytest.approx(scale ** 2 * base.theta,
+                                                 abs=1e-8 * max(1.0, scale ** 2))
+            np.testing.assert_allclose(scaled.direction, scale * base.direction,
+                                       atol=1e-6 * max(1.0, scale))
+
+
 class TestM2ClosedForm:
     def test_orthonormal(self):
         r = solve_direction_m2_closed_form(np.array([1.0, 0.0]), np.array([0.0, 1.0]))

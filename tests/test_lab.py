@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+import mofgd.lab as lab
 from mofgd import (
+    DirectionAccuracyError,
     ExperimentSpec,
     FractionalConfig,
+    IterationTrace,
     SolverConfig,
     StageSchedule,
     adrs,
     comparison_table,
     mogd_baseline,
     random_quadratic_mop,
+    solve_direction,
     subgradient_baseline,
     tikhonov_solve,
     verify_rate_theorem5,
@@ -214,6 +218,32 @@ class TestComparisonTable:
         frac_rows = [r for r in rows if r["method"] == "moaocfgd"]
         for r in frac_rows:
             assert r["final_error"] < 1e-2
+
+    def test_final_multipliers_fallback_and_propagation(self, monkeypatch):
+        """Uniform multipliers only for non-finite gradients or an inaccurate
+        subproblem; any other error propagates."""
+        objs = random_quadratic_mop(3, 5, 2, seed=4).objectives()
+        trace = IterationTrace(final_x=np.ones(3))
+        exact = lab._final_multipliers(objs, trace, 2)
+        assert exact.sum() == pytest.approx(1.0)
+        assert not np.allclose(exact, 0.5)
+
+        diverged = IterationTrace(final_x=np.full(3, np.inf))
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(lab._final_multipliers(objs, diverged, 2), [0.5, 0.5])
+
+        def inaccurate(grads):
+            raise DirectionAccuracyError("gap", solve_direction(grads))
+
+        monkeypatch.setattr(lab, "solve_direction", inaccurate)
+        np.testing.assert_array_equal(lab._final_multipliers(objs, trace, 2), [0.5, 0.5])
+
+        def broken(grads):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(lab, "solve_direction", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            lab._final_multipliers(objs, trace, 2)
 
     def test_fractional_conditioning_beats_outer_regularizer(self):
         """Diagonal regularization conditions far better at small gamma."""
