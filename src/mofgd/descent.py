@@ -160,9 +160,6 @@ class IterationTrace:
     def iterations(self) -> int:
         return len(self.records)
 
-    def iterates(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
-
     def stage_starts(self) -> list[int]:
         starts, seen = [], set()
         for idx, r in enumerate(self.records):

@@ -6,16 +6,14 @@ The primal subproblem
 
 is solved through its dual: minimize 1/2 ||sum_j lambda_j g_j||^2 over the
 unit simplex, then d = -sum_j lambda_j g_j and t = max_j g_j^T d.  The dual
-is solved exactly for small m: m=2 is the min-norm point of a segment in
-closed form, and 3 <= m <= 6 enumerates every active support with an exact
-KKT solve on each.  Larger m runs projected gradient descent with exact
-Euclidean simplex projection, followed by an exact KKT solve on the support
-it found, so degenerate instances still reach the target duality gap.
+is solved exactly for every m: m=2 is the min-norm point of a segment in
+closed form, and m >= 3 is one non-negative least-squares problem in the
+unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
+method.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +26,7 @@ __all__ = [
     "brute_force_direction",
 ]
 
-GAP_TARGET = 1e-12
 GAP_FAIL = 1e-8
-MAX_INNER = 10_000
-MAX_ENUMERATE = 6
 
 
 class DirectionAccuracyError(RuntimeError):
@@ -61,14 +56,6 @@ class DirectionResult:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.direction))
-
-
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based, exact)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
 
 
 def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
@@ -115,74 +102,53 @@ def _segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return np.array([lam1, 1.0 - lam1])
 
 
-def _best_support(K: np.ndarray, lam: np.ndarray, supports) -> np.ndarray:
-    """Exact KKT solves on candidate supports; keep the best valid one.
+def _nnls_weights(G: np.ndarray, scale: float) -> np.ndarray:
+    """Exact dual minimizer for any m, by non-negative least squares.
 
-    A candidate is accepted only if it is simplex-feasible and improves the
-    dual objective of the best point so far, starting from lam.
+    With lambda = mu / 1^T mu, the simplex dual has the minimizer of
+    min_{mu >= 0} ||A mu - e||^2, A = [G^T / sqrt(scale); 1^T], e = e_{n+1}:
+    for fixed lambda the best 1^T mu is 1 / (1 + theta), theta =
+    ||G^T lambda||^2 / scale, leaving theta / (1 + theta), which rises with
+    theta.  Solved by Lawson & Hanson's active-set method (Solving Least
+    Squares Problems, 1974, ch. 23).
     """
-    m = K.shape[0]
-    best_lam, best_obj = lam, 0.5 * float(lam @ K @ lam)
-    for sup in supports:
-        sup = list(sup)
-        k = len(sup)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = K[np.ix_(sup, sup)]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        cand = np.zeros(m)
-        cand[sup] = sol[:k]
-        if cand.min() < -1e-12:
-            continue
-        cand = _simplex_project(cand)
-        val = 0.5 * float(cand @ K @ cand)
-        if val < best_obj - 1e-18 or (val <= best_obj and _dual_gap(K, cand) < _dual_gap(K, best_lam)):
-            best_lam, best_obj = cand, val
-    return best_lam
-
-
-def _enumerate_supports(K: np.ndarray) -> np.ndarray:
-    """Exact dual minimizer: the best of all 2^m - 1 supports, from uniform lambda."""
-    m = K.shape[0]
-    supports = [tuple(range(m))] + [s for r in range(1, m) for s in itertools.combinations(range(m), r)]
-    return _best_support(K, np.full(m, 1.0 / m), supports)
-
-
-def _projected_gradient(K: np.ndarray) -> np.ndarray:
-    """Projected gradient on the dual simplex QP, then an exact KKT solve.
-
-    Uniform warm start, step 1/||K||, Frank-Wolfe gap target 1e-12, at most
-    10,000 iterations; the KKT solve on the support found lets degenerate
-    instances reach the gap target.
-    """
-    m = K.shape[0]
-    lam = np.full(m, 1.0 / m)
-    lipschitz = float(np.linalg.eigvalsh(K)[-1])
-    if lipschitz <= 0.0:
-        # All gradients are zero: any simplex point is optimal.
-        return lam
-    step = 1.0 / lipschitz
-    gap = _dual_gap(K, lam)
-    for _ in range(MAX_INNER):
-        if gap <= GAP_TARGET:
+    m, n = G.shape
+    A = np.vstack([G.T / np.sqrt(scale), np.ones(m)])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    tol = 10.0 * np.finfo(float).eps
+    mu = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    # Lawson & Hanson's usual pass limit; the caller's gap check catches a cut run.
+    for _ in range(3 * m):
+        w = A.T @ (e - A @ mu)
+        if passive.all() or w[~passive].max() <= tol:
             break
-        lam = _simplex_project(lam - step * (K @ lam))
-        gap = _dual_gap(K, lam)
-    return _best_support(K, lam, [tuple(np.nonzero(lam > 1e-12)[0])])
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros(m)
+            z[passive] = np.linalg.lstsq(A[:, passive], e, rcond=None)[0]
+            if z[passive].min() > 0.0:
+                break
+            # Step from mu towards z until the first passive variable hits zero.
+            blocked = passive & (z <= 0.0)
+            ratios = np.full(m, np.inf)
+            ratios[blocked] = mu[blocked] / (mu[blocked] - z[blocked])
+            k = int(np.argmin(ratios))
+            mu += ratios[k] * (z - mu)
+            mu[k] = 0.0
+            passive &= mu > tol
+        mu = z
+    return mu / mu.sum()
 
 
 def solve_direction(gradients) -> DirectionResult:
     """Solve the direction subproblem for a list of m gradient n-vectors.
 
-    The dual is solved by m: m=1 is d = -g; m=2 is the segment closed form;
-    3 <= m <= 6 enumerates every support exactly; m > 6 runs projected
-    gradient (Frank-Wolfe gap target 1e-12 at the squared-gradient scale,
-    10,000-iteration budget) plus an exact KKT solve on its support.
-    Raises DirectionAccuracyError carrying the result if the scaled gap
-    exceeds 1e-8 or its KKT residual exceeds 1e-8 at the gradient scale.
+    The dual is solved exactly by m: m=1 is d = -g; m=2 is the segment
+    closed form; m >= 3 is one non-negative least-squares solve.  Raises
+    DirectionAccuracyError carrying the result if the scaled gap exceeds
+    1e-8 or its KKT residual exceeds 1e-8 at the gradient scale.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     if not np.all(np.isfinite(G)):
@@ -192,18 +158,12 @@ def solve_direction(gradients) -> DirectionResult:
         return _result_from(G, np.ones(1))
 
     Kn, scale = _scaled_gram(G)
-    if m == 2:
-        lam, method = _segment_weights(G[0], G[1]), "the m=2 closed form"
-    elif m <= MAX_ENUMERATE:
-        lam, method = _enumerate_supports(Kn), f"enumerating all {2 ** m - 1} supports"
-    else:
-        lam, method = _projected_gradient(Kn), f"at most {MAX_INNER} projected-gradient iterations"
+    lam = _segment_weights(G[0], G[1]) if m == 2 else _nnls_weights(G, scale)
     gap = _dual_gap(Kn, lam)
 
     result = _result_from(G, lam)
     if gap > GAP_FAIL:
-        raise DirectionAccuracyError(
-            f"scaled duality gap {gap:.3e} above {GAP_FAIL} after {method}", result)
+        raise DirectionAccuracyError(f"scaled duality gap {gap:.3e} above {GAP_FAIL}", result)
     if result.kkt_residual > 1e-8 * scale:
         raise DirectionAccuracyError(
             f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)

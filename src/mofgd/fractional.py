@@ -125,17 +125,6 @@ class FractionalConfig:
     def clamps_degenerate(self) -> bool:
         return self.degenerate_policy == "clamp" or self.memory_length is not None
 
-    def restrict(self, i: int) -> "FractionalConfig":
-        """Config for the 1-D restriction along coordinate i."""
-        c = self.terminal if self.terminal.size == 1 else self.terminal[i : i + 1]
-        return FractionalConfig(
-            alpha=self.alpha,
-            beta=self.beta,
-            terminal=c,
-            memory_length=self.memory_length,
-            degenerate_policy=self.degenerate_policy,
-        )
-
     def terminal_for(self, i: int) -> float:
         c = self.terminal
         return float(c[0]) if c.size == 1 else float(c[i])
@@ -175,10 +164,10 @@ class UnivariateSegment:
 class UnivariateFunction:
     """A twice-differentiable (piecewise) univariate function.
 
-    value/deriv/deriv2 should accept numpy arrays; scalar-only callables
-    also work, at the cost of a per-node loop.  deriv2 falls back to a
-    central difference of deriv when omitted.  kinks lists abscissae where
-    the derivative jumps, so the quadrature can split there.
+    value/deriv/deriv2 take a numpy array and return one of its shape.
+    deriv2 falls back to a central difference of deriv when omitted.  kinks
+    lists abscissae where the derivative jumps, so the quadrature can split
+    there.
     """
 
     value: Callable
@@ -200,15 +189,12 @@ class UnivariateFunction:
 
 
 def _eval(fn: Callable, t: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to a loop for scalar callables."""
+    """Evaluate a vectorized callable on an array of abscissae."""
     t = np.asarray(t, dtype=float)
-    try:
-        out = np.asarray(fn(t), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(ti))) for ti in t.ravel()]).reshape(t.shape)
+    out = np.asarray(fn(t), dtype=float)
+    if out.shape != t.shape:
+        raise ValueError(f"callable returned shape {out.shape} for abscissae of shape {t.shape}")
+    return out
 
 
 def _order_parts(order: float) -> tuple[int, float]:
@@ -345,33 +331,32 @@ def caputo_derivative_poly(coeffs: Sequence[float], cfg: FractionalConfig,
 
 
 def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float) -> UnivariateFunction:
-    """The univariate restriction t -> f(x with coordinate i set to t)."""
+    """The univariate restriction t -> f(x with coordinate i set to t).
+
+    Its callables take an array of abscissae and evaluate f once per node,
+    in order.
+    """
+    def along(component: Callable) -> Callable:
+        def fn(t):
+            t = np.asarray(t, dtype=float)
+            out = np.empty(t.shape)
+            for k, tk in enumerate(t.flat):
+                z = np.array(x, dtype=float)
+                z[i] = tk
+                out.flat[k] = component(z)
+            return out
+        return fn
+
     grad = f.gradient
     hess = getattr(f, "hessian", None)
-
-    def val(t):
-        z = np.array(x, dtype=float)
-        z[i] = t
-        return f.value(z)
-
-    def d1(t):
-        z = np.array(x, dtype=float)
-        z[i] = t
-        return grad(z)[i]
-
-    d2 = None
-    if hess is not None:
-        def d2(t):
-            z = np.array(x, dtype=float)
-            z[i] = t
-            return hess(z)[i, i]
-
+    d2 = None if hess is None else along(lambda z: hess(z)[i, i])
     kinks: tuple[float, ...] = ()
     locator = getattr(f, "kink_locator", None)
     if locator is not None:
         _, ks = locator(x, i, lo, hi)
         kinks = tuple(ks)
-    return UnivariateFunction(value=val, deriv=d1, deriv2=d2, kinks=kinks)
+    return UnivariateFunction(value=along(f.value), deriv=along(lambda z: grad(z)[i]),
+                              deriv2=d2, kinks=kinks)
 
 
 def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:

@@ -183,6 +183,20 @@ experiment:
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
             assert (serial / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_pareto_with_every_start_failed_exits_1(self, tmp_path):
+        """A subgradient sweep of the two-objective pair fails every start; the
+        empty front is a verification failure, not a success."""
+        text = (REPO / "configs" / "example2_pair.yaml").read_text()
+        cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: subgradient"))
+        out = tmp_path / "pareto"
+        assert run(RunManifest("pareto", str(cfg), str(out))) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["exit_code"] == 1
+        assert summary["pareto"]["front_size"] == 0
+        failed = summary["pareto"]["failed_starts"]
+        assert len(failed) == 100
+        assert {f["reason"] for f in failed} == {"subgradient sweep needs a scalar objective"}
+
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"
         code = run(RunManifest("fixtures", None, str(out)))

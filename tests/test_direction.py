@@ -1,6 +1,7 @@
 """Tests for the min-norm direction subproblem and its oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ class TestSolveDirection:
                                    atol=1e-6 * max(1.0, scale))
 
     def test_nearly_collinear_gradients_still_accurate(self):
-        """Ill-conditioned duals must still hit the gap target via the polish."""
+        """Ill-conditioned duals must still hit the gap target: the m=2 closed
+        form works on the difference vector."""
         g1 = np.array([1.0, 0.0])
         g2 = g1 + np.array([1e-6, 1e-6])
         r = solve_direction([g1, g2])
@@ -117,36 +119,89 @@ class TestSolveDirection:
         np.testing.assert_allclose(info.value.best.multipliers, [0.5, 0.5], atol=1e-9)
 
 
-class TestIndependentBranchOracles:
-    """Each exact branch of solve_direction checked by another branch."""
+def scaled_gram(G):
+    """G G^T over the mean squared gradient norm (at least 1), as the solver scales it."""
+    K = G @ G.T
+    return K / max(1.0, float(np.mean(np.diag(K))))
 
-    @staticmethod
-    def check(G, branch):
-        Kn, _ = direction._scaled_gram(G)
-        other = direction._result_from(G, branch(Kn))
-        ref = solve_direction(G)
-        assert abs(0.5 * other.norm ** 2 - 0.5 * ref.norm ** 2) <= 1e-12
-        assert other.kkt_residual <= 1e-8
+
+def frank_wolfe_gap(K, lam):
+    """lam^T K lam - min_j (K lam)_j: zero exactly at a minimizer of 1/2 lam^T K lam."""
+    grad = K @ lam
+    return float(lam @ grad - grad.min())
+
+
+def enumerate_supports(K):
+    """Exact dual minimizer: the best simplex-feasible KKT point over all supports."""
+    m = K.shape[0]
+    best, best_val = None, np.inf
+    for k in range(1, m + 1):
+        for sup in itertools.combinations(range(m), k):
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = K[np.ix_(sup, sup)]
+            kkt[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            if sol.min() < -1e-12:
+                continue
+            lam = np.zeros(m)
+            lam[list(sup)] = np.maximum(sol, 0.0) / np.maximum(sol, 0.0).sum()
+            if lam @ K @ lam < best_val:
+                best, best_val = lam, float(lam @ K @ lam)
+    return best
+
+
+def simplex_project(v):
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based, exact)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+class TestIndependentBranchOracles:
+    """The m >= 3 non-negative least-squares solve against oracles that do not use it."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_enumeration_matches_m2_closed_form(self, seed):
+        """On m=2 the NNLS routine and support enumeration both reach the closed form."""
         rng = np.random.default_rng(300 + seed)
-        self.check(rng.standard_normal((2, int(rng.integers(1, 6)))),
-                   direction._enumerate_supports)
+        G = rng.standard_normal((2, int(rng.integers(1, 6))))
+        K = scaled_gram(G)
+        _, scale = direction._scaled_gram(G)
+        closed = solve_direction_m2_closed_form(G[0], G[1])
+        nnls = direction._result_from(G, direction._nnls_weights(G, scale))
+        enum = direction._result_from(G, enumerate_supports(K))
+        for other in (nnls, enum):
+            assert abs(0.5 * other.norm ** 2 - 0.5 * closed.norm ** 2) <= 1e-12
+            assert other.kkt_residual <= 1e-8
 
     @pytest.mark.parametrize("seed", range(30))
     def test_projected_gradient_matches_enumeration(self, seed):
+        """For 3 <= m <= 6 the solver's lambda is a projected-gradient fixed point
+        with zero Frank-Wolfe gap, matches support enumeration, and no lattice
+        point beats it."""
         rng = np.random.default_rng(400 + seed)
         m = 3 + seed % 4
-        self.check(rng.standard_normal((m, int(rng.integers(1, 8)))),
-                   direction._projected_gradient)
+        G = rng.standard_normal((m, int(rng.integers(1, 8))))
+        K = scaled_gram(G)
+        r = solve_direction(G)
+        lam = r.multipliers
+        assert r.kkt_residual <= 1e-8
+        assert frank_wolfe_gap(K, lam) <= 1e-12
+        assert np.abs(simplex_project(lam - K @ lam) - lam).max() <= 1e-10
+        best = enumerate_supports(K)
+        assert abs(0.5 * lam @ K @ lam - 0.5 * best @ K @ best) <= 1e-12
+        brute = brute_force_direction(G, 12)
+        assert 0.5 * brute.norm ** 2 >= 0.5 * r.norm ** 2 - 1e-12
 
 
 class TestLargeM:
-    """m > 6 runs projected gradient plus the support KKT solve."""
+    """m > 6 goes through the same non-negative least-squares solve as 3 <= m <= 6."""
 
     @pytest.mark.parametrize("n", [3, 8, 30])
-    @pytest.mark.parametrize("m", [7, 10, 16])
+    @pytest.mark.parametrize("m", [7, 10, 16, 40])
     def test_feasible_kkt_and_scale_covariant(self, m, n):
         rng = np.random.default_rng(1000 * m + n)
         gs = random_gradients(rng, m, n)
@@ -155,6 +210,7 @@ class TestLargeM:
         assert lam.min() >= 0.0
         assert abs(lam.sum() - 1.0) <= 1e-10
         assert base.kkt_residual <= 1e-8
+        assert frank_wolfe_gap(scaled_gram(np.array(gs)), lam) <= 1e-12
         assert base.theta <= 1e-10
         for scale in (0.01, 250.0):
             scaled = solve_direction([scale * g for g in gs])

@@ -97,6 +97,27 @@ class TestCaputoDerivative1d:
         with pytest.raises(UnsupportedOrderError):
             caputo_derivative_1d(monomial(1), cfg, 1.0, order)
 
+    def test_callable_error_propagates_without_retry(self):
+        """A ValueError from a vectorized callable is raised, not retried per node."""
+        calls = []
+
+        def deriv(t):
+            calls.append(np.shape(t))
+            raise ValueError("bad abscissae")
+
+        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
+        f = UnivariateFunction(value=lambda t: t, deriv=deriv)
+        with pytest.raises(ValueError, match="bad abscissae"):
+            caputo_derivative_1d(f, cfg, 1.0, 0.5)
+        assert len(calls) == 1 and calls[0] != ()
+
+    def test_scalar_only_callable_is_rejected(self):
+        """A callable returning one value for a node array fails on the shape."""
+        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
+        f = UnivariateFunction(value=lambda t: 0.0, deriv=lambda t: 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            caputo_derivative_1d(f, cfg, 1.0, 0.5)
+
     def test_undeclared_kink_raises_accuracy_error(self):
         """A derivative jump the quadrature was not told about is detected."""
         cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
