@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -107,7 +107,7 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     Sections: instance (random quadratic or named fixture), solver (sigma,
     r, epsilon, max_iterations, step_mode, eta), schedule (alphas plus betas
     or gammas, iterations, terminal, memory_length), experiment
-    (gamma_values, start_grid, method, seed).
+    (gamma_values, start_grid, method).
     """
     path = Path(path)
     if not path.exists():
@@ -187,7 +187,6 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
             start_grid=(lb, ub, count),
             method=str(exp_doc.get("method", "moaocfgd")),
             schedule=schedule,
-            seed=int(exp_doc.get("seed", 0)),
         )
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
@@ -284,10 +283,8 @@ def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int
     baseline_front = []
     if spec.method == "moaocfgd" and (not isinstance(spec.instance, str)
                                       or spec.instance != "example3_nonsmooth"):
-        base = ExperimentSpec(instance=spec.instance, gamma_values=spec.gamma_values,
-                              start_grid=spec.start_grid, method="mogd",
-                              schedule=spec.schedule, seed=spec.seed)
-        baseline_front = pareto_sweep(base, solver, failures=failures, jobs=jobs)
+        baseline_front = pareto_sweep(replace(spec, method="mogd"), solver,
+                                      failures=failures, jobs=jobs)
         writer.write_csv("front_mogd.csv", ["f_1", "f_2", "start_index"],
                          _front_rows(baseline_front))
     writer.write_text("plot_fronts.py", PLOT_SCRIPT)
@@ -489,12 +486,8 @@ def run(manifest: RunManifest) -> int:
         spec, solver, schedule = parse_config(manifest.config_path)
     if manifest.seed is not None and isinstance(spec.instance, QuadraticMop):
         mop = spec.instance
-        spec = ExperimentSpec(
-            instance=random_quadratic_mop(mop.dim, mop.factors[0].shape[1],
-                                          mop.n_objectives, manifest.seed),
-            gamma_values=spec.gamma_values, start_grid=spec.start_grid,
-            method=spec.method, schedule=spec.schedule, seed=manifest.seed,
-        )
+        spec = replace(spec, instance=random_quadratic_mop(
+            mop.dim, mop.factors[0].shape[1], mop.n_objectives, manifest.seed))
 
     writer = _Writer(out_dir)
     started = time.perf_counter()

@@ -239,9 +239,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                      k_max: int,
                      frozen_multipliers: Optional[np.ndarray] = None,
                      stage_index: int = 0,
-                     trace: Optional[IterationTrace] = None,
-                     k_offset: int = 0,
-                     history: Optional[list] = None) -> IterationTrace:
+                     trace: Optional[IterationTrace] = None) -> IterationTrace:
     """Iterate x <- x + eta*d for up to k_max steps or until ||d|| < tolerance.
 
     objectives are raw; the stage adds the regularizer itself.  Each
@@ -249,10 +247,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     gradient is the direction input, whose values the line search tests and
     the trace's f columns record, and whose Hessian sets the fixed step.
     Other kinds take singular-quadrature gradients and raw values.  With an
-    adaptive terminal (frac.memory_length) the merit is rebuilt from the
-    terminal in use at every iteration.  frozen_multipliers skips the
-    subproblem and uses a fixed convex combination (theory-check mode).
-    history, when given, collects iterates for adaptive-terminal staging.
+    adaptive terminal (frac.memory_length L) the terminal is the iterate L
+    steps back in trace.records (the earliest one, or x0, before that) and
+    the merit is rebuilt from it at every iteration.  frozen_multipliers
+    skips the subproblem and uses a fixed convex combination (theory-check
+    mode).  Records are numbered by their position in trace.records, so a
+    trace passed in continues its numbering and its iterate history.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
@@ -267,15 +267,13 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         system = sum(w * np.asarray(m.hessian(x), dtype=float) for w, m in zip(weights, merit))
         eta_fixed = cfg.eta / float(np.linalg.svd(system, compute_uv=False)[0])
 
-    if history is not None and not history:
-        history.append(x.copy())
-
     trace.termination = "max_iter"
     for k in range(k_max + 1):
         start = time.perf_counter()
         frac_k = frac
-        if frac.memory_length is not None and history:
-            past = history[max(0, len(history) - 1 - frac.memory_length)]
+        if frac.memory_length is not None:
+            records = trace.records
+            past = records[max(0, len(records) - frac.memory_length)].x if records else x
             frac_k = FractionalConfig(frac.alpha, frac.beta, past,
                                       memory_length=frac.memory_length,
                                       degenerate_policy="clamp")
@@ -330,14 +328,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
 
         wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
-            k=k_offset + k, stage=stage_index, x=x.copy(),
+            k=len(trace.records), stage=stage_index, x=x.copy(),
             f_values=np.array([m.value(x) for m in merit]),
             t_value=direction.t_value, norm_d=norm_d,
             eta=eta, backtracks=backtracks, wall=wall,
         ))
         x = x_next
-        if history is not None:
-            history.append(x.copy())
         trace.final_x = x.copy()
     return trace
 
@@ -355,14 +351,13 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
     x = np.asarray(x0, dtype=float)
     c = schedule.terminal if schedule.terminal is not None else np.zeros(x.size)
     trace = IterationTrace()
-    history: list = []
     for s, stage in enumerate(schedule.stages):
         frac = FractionalConfig(
             alpha=stage.alpha, beta=stage.beta, terminal=c,
             memory_length=schedule.memory_length, degenerate_policy="clamp",
         )
         run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
-                         trace=trace, k_offset=trace.iterations, history=history)
+                         trace=trace)
         x = trace.final_x
         if trace.termination == "error":
             return trace

@@ -69,31 +69,23 @@ def example3_objective() -> PiecewiseMaxObjective:
         lambda x: 2.0 * np.asarray(x, dtype=float),
         lambda x: 2.0 * np.eye(2),
     )
-    obj = PiecewiseMaxObjective([linear, quad], dim=2)
-    # The restriction kinks solve a quadratic equation exactly; replace the
-    # sampling locator with the closed form.
-    object.__setattr__(obj, "kink_locator", _example3_kinks(obj))
-    return obj
+    return PiecewiseMaxObjective([linear, quad], dim=2, kink_locator=_example3_kinks)
 
 
-def _example3_kinks(obj: PiecewiseMaxObjective):
-    def locate(x, i, lo, hi):
-        x = np.asarray(x, dtype=float)
-        other = x[1 - i]
-        # 5 t + other = t^2 + other^2 (i = 0) or 5 other + t = other^2 + t^2.
-        if i == 0:
-            a, b, c = 1.0, -5.0, other ** 2 - other
-        else:
-            a, b, c = 1.0, -1.0, other ** 2 - 5.0 * other
-        disc = b * b - 4.0 * a * c
-        roots = []
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            roots = sorted(((-b - r) / (2 * a), (-b + r) / (2 * a)))
-        ks = tuple(t for t in roots if lo < t < hi)
-        return obj._active(x), ks
-
-    return locate
+def _example3_kinks(x, i, lo, hi) -> tuple[float, ...]:
+    """The restriction kinks solve a quadratic equation exactly."""
+    other = float(x[1 - i])
+    # 5 t + other = t^2 + other^2 (i = 0) or 5 other + t = other^2 + t^2.
+    if i == 0:
+        a, b, c = 1.0, -5.0, other ** 2 - other
+    else:
+        a, b, c = 1.0, -1.0, other ** 2 - 5.0 * other
+    disc = b * b - 4.0 * a * c
+    roots = []
+    if disc >= 0.0:
+        r = math.sqrt(disc)
+        roots = sorted(((-b - r) / (2 * a), (-b + r) / (2 * a)))
+    return tuple(t for t in roots if lo < t < hi)
 
 
 def pareto_pair() -> list[ObjectiveModel]:

@@ -350,11 +350,8 @@ def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float) -> UnivariateFu
     grad = f.gradient
     hess = getattr(f, "hessian", None)
     d2 = None if hess is None else along(lambda z: hess(z)[i, i])
-    kinks: tuple[float, ...] = ()
     locator = getattr(f, "kink_locator", None)
-    if locator is not None:
-        _, ks = locator(x, i, lo, hi)
-        kinks = tuple(ks)
+    kinks = () if locator is None else tuple(locator(x, i, lo, hi))
     return UnivariateFunction(value=along(f.value), deriv=along(lambda z: grad(z)[i]),
                               deriv2=d2, kinks=kinks)
 

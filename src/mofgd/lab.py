@@ -55,7 +55,7 @@ DOMINANCE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: instance, regularizers, starts, method, schedule, seed.
+    """One experiment: instance, regularizers, starts, method, schedule.
 
     instance is a QuadraticMop or a named analytic fixture ("example1",
     "example2", "example2_pair", "example3_nonsmooth").  start_grid is
@@ -67,7 +67,6 @@ class ExperimentSpec:
     start_grid: tuple = ((1.01, 1.01), (10.0, 10.0), 100)
     method: str = "moaocfgd"
     schedule: Optional[StageSchedule] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("moaocfgd", "mogd", "subgradient"):
@@ -204,11 +203,8 @@ def _frozen_fixed_run(mop: QuadraticMop, gamma: float, lam: np.ndarray,
     beta = gamma + (1.0 - alpha) / (2.0 - alpha)
     frac = FractionalConfig(alpha=alpha, beta=beta, terminal=terminal,
                             degenerate_policy="clamp")
-    return run_single_stage(
-        mop.objectives(), x0, cfg, frac, k_max,
-        frozen_multipliers=lam, stage_index=stage_index,
-        trace=trace, k_offset=0 if trace is None else trace.iterations,
-    )
+    return run_single_stage(mop.objectives(), x0, cfg, frac, k_max,
+                            frozen_multipliers=lam, stage_index=stage_index, trace=trace)
 
 
 def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalConfig,
@@ -232,10 +228,8 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
     rng = np.random.default_rng(0)
     x0 = (sol.x_tik + rng.normal(0, 1.0, mop.dim)) if x0 is None else np.asarray(x0, dtype=float)
 
-    sigma = np.linalg.svd(sol.a_matrix, compute_uv=False)
-    sigma_max, kappa = float(sigma[0]), float(sigma[0] / sigma[-1])
     # Stop once the true error is below stop_error: ||d|| >= sigma_min * error.
-    tol_d = max(float(sigma[-1]) * stop_error, 1e-300)
+    tol_d = max(sol.sigma_min * stop_error, 1e-300)
     run_cfg = SolverConfig(sigma=cfg.sigma, backtrack=cfg.backtrack,
                            tolerance=tol_d, max_iterations=k_max,
                            step_mode="fixed", eta=cfg.eta)
@@ -259,7 +253,6 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
             violation = True
             break
 
-    eta_k = cfg.eta / sigma_max
     return RateReport(
         errors=errors,
         ratios=ratios,
@@ -268,11 +261,11 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
         monotone=monotone,
         geometric=bool(monotone and valid.size and ratio_std < 0.05 * max(np.mean(last), 1e-300)),
         rate_violation=violation,
-        kappa=kappa,
-        sigma_max=sigma_max,
+        kappa=sol.kappa,
+        sigma_max=sol.sigma_max,
         final_error=float(errors[-1]),
         fixed_point_gap=float(np.linalg.norm(trace.final_x - sol.x_tik)),
-        literal_growth_factor=float(1.0 + cfg.eta / kappa),
+        literal_growth_factor=float(1.0 + cfg.eta / sol.kappa),
         trace=trace,
     )
 

@@ -14,7 +14,9 @@ regularizer attached to objective j is the diagonal quadratic penalty
 whose gradient gamma * diag(diag(A_j)) (x - c) is exactly the pull term the
 fractional gradient of f_j produces; a rank-one outer-product variant
 (rtilde_j rtilde_j^T) serves comparison runs.  `regularized` attaches either
-pull to an objective model.
+pull to an objective model and is the only place a pull is built: a stage
+runs on those merits, and `tikhonov_solve` returns the critical point of
+their multiplier-weighted sum.
 """
 
 from __future__ import annotations
@@ -56,14 +58,15 @@ class ObjectiveModel:
     """One objective: value, classical gradient, optional Hessian.
 
     kind is "quadratic" (constant symmetric Hessian), "smooth", or
-    "piecewise"; piecewise objectives also carry a kink_locator with
-    signature (x, i, lo, hi) -> (active_piece_index, kink_abscissae) giving
-    the non-differentiability points of the coordinate-i restriction inside
-    (lo, hi).
+    "piecewise"; piecewise objectives must carry a kink_locator with
+    signature (x, i, lo, hi) -> kink_abscissae giving the
+    non-differentiability points of the coordinate-i restriction inside
+    (lo, hi).  The fractional gradient splits its quadrature there and has
+    no other way to find a kink.
 
     The gradient is validated against central finite differences of the
-    value at construction (10 seeded points; piecewise kinds are checked at
-    points where the active piece is locally stable).
+    value at construction (10 seeded points; piecewise kinds skip points
+    whose difference stencil contains a located kink).
     """
 
     value: Callable[[np.ndarray], float]
@@ -79,6 +82,8 @@ class ObjectiveModel:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.kind == "quadratic" and self.hessian is None:
             raise ValueError("quadratic objectives must provide a Hessian")
+        if self.kind == "piecewise" and self.kink_locator is None:
+            raise ValueError("piecewise objectives must provide a kink_locator")
         if self.validate:
             self._check_gradient()
 
@@ -93,14 +98,11 @@ class ObjectiveModel:
                 e = np.zeros(self.dim)
                 e[i] = _FD_CHECK_STEP
                 fd[i] = (self.value(x + e) - self.value(x - e)) / (2 * _FD_CHECK_STEP)
-            if self.kind == "piecewise" and self.kink_locator is not None:
-                # Skip draws whose FD stencil straddles a kink.
-                near_kink = False
-                for i in range(self.dim):
-                    _, ks = self.kink_locator(x, i, x[i] - 10 * _FD_CHECK_STEP, x[i] + 10 * _FD_CHECK_STEP)
-                    near_kink = near_kink or len(ks) > 0
-                if near_kink:
-                    continue
+            if self.kind == "piecewise" and any(
+                    len(self.kink_locator(x, i, x[i] - 10 * _FD_CHECK_STEP,
+                                          x[i] + 10 * _FD_CHECK_STEP))
+                    for i in range(self.dim)):
+                continue  # the FD stencil straddles a kink
             if not np.allclose(g, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL):
                 raise ValueError(
                     f"gradient disagrees with finite differences at x = {x}: {g} vs {fd}"
@@ -155,15 +157,16 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
 
 
 class PiecewiseMaxObjective(ObjectiveModel):
-    """max of finitely many smooth pieces, with kink discovery along lines.
+    """max of finitely many smooth pieces.
 
     Pieces are (value, gradient, hessian) triples.  The gradient/Hessian of
     the max are those of the active (largest) piece; ties pick the first.
-    Restricted kinks are found by sampling the piece gap along the segment
-    and bisecting each sign change.
+    kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
+    piece changes along coordinate i (see ObjectiveModel).
     """
 
-    def __init__(self, pieces: Sequence[tuple[Callable, Callable, Callable]], dim: int):
+    def __init__(self, pieces: Sequence[tuple[Callable, Callable, Callable]], dim: int,
+                 kink_locator: Callable):
         object.__setattr__(self, "_pieces", list(pieces))
 
         def value(x):
@@ -179,41 +182,14 @@ class PiecewiseMaxObjective(ObjectiveModel):
         def hessian(x):
             return np.asarray(self._pieces[active(x)][2](x), dtype=float)
 
-        object.__setattr__(self, "_active", active)
         super().__init__(
             value=value,
             gradient=gradient,
             hessian=hessian,
             kind="piecewise",
-            kink_locator=self._locate_kinks,
+            kink_locator=kink_locator,
             dim=dim,
         )
-
-    def _locate_kinks(self, x, i, lo, hi, samples: int = 256):
-        if hi <= lo:
-            return self._active(np.asarray(x, dtype=float)), ()
-        x = np.asarray(x, dtype=float)
-
-        def act(t):
-            z = np.array(x)
-            z[i] = t
-            return self._active(z)
-
-        ts = np.linspace(lo, hi, samples)
-        labels = [act(t) for t in ts]
-        kinks = []
-        for t0, t1, l0, l1 in zip(ts, ts[1:], labels, labels[1:]):
-            if l0 == l1:
-                continue
-            a, b = t0, t1
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                if act(mid) == l0:
-                    a = mid
-                else:
-                    b = mid
-            kinks.append(0.5 * (a + b))
-        return act(x[i]) if lo <= x[i] <= hi else act(hi), tuple(kinks)
 
 
 @dataclass(frozen=True)
@@ -296,16 +272,17 @@ class QuadraticMop:
 
 @dataclass(frozen=True)
 class TikhonovSolution:
-    """Closed-form regularized minimizer with its effective system matrix."""
+    """Critical point of the weighted stage merit, with its system matrix
+    and that matrix's extreme singular values."""
 
-    gamma: float
     x_tik: np.ndarray
     a_matrix: np.ndarray
     sigma_max: float
-    kappa: float
-    multipliers: np.ndarray
-    terminal: np.ndarray
-    regularizer: str = "diag"
+    sigma_min: float
+
+    @property
+    def kappa(self) -> float:
+        return self.sigma_max / self.sigma_min if self.sigma_min > 0 else float("inf")
 
 
 def random_quadratic_mop(n: int, m_data: int, m: int, seed: int) -> QuadraticMop:
@@ -339,66 +316,44 @@ def quadratic_effective_gradient(mop: QuadraticMop, j: int, cfg: FractionalConfi
 
 def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
                    terminal: np.ndarray, regularizer: str = "diag") -> TikhonovSolution:
-    """Closed-form solution of the multiplier-weighted regularized problem.
+    """Critical point of the multiplier-weighted stage merit.
 
-    Solves sum_j lambda_j [ (A_j + gamma * REG_j) (x - c) ] = sum_j lambda_j A_j (x* - c)
-    where REG_j = diag(rtilde_j^2) (default) or the rank-one comparison form
-    rtilde_j rtilde_j^T, and x* is the least-squares ground truth.  The
-    returned a_matrix is the weighted system matrix, with its largest
-    singular value and condition number.
+    With merit_j = regularized(f_j, gamma, c, regularizer), the weighted
+    merit sum_j lambda_j merit_j is quadratic with Hessian
+    S = sum_j lambda_j merit_j.hessian(c), so its critical point is the one
+    Newton step x_tik = c - S^{-1} sum_j lambda_j grad merit_j(c).  The
+    returned a_matrix is S, the system the fixed-step runs use, with its
+    extreme singular values.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if regularizer not in ("diag", "outer"):
-        raise ValueError(f"unknown regularizer {regularizer!r}")
     lam = np.asarray(multipliers, dtype=float)
     if lam.shape != (mop.n_objectives,) or lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError("multipliers must lie on the unit simplex")
-    c = np.asarray(terminal, dtype=float)
-    if c.size == 1:
-        c = np.full(mop.dim, float(c))
+    c = np.broadcast_to(np.asarray(terminal, dtype=float), (mop.dim,))
+    merit = [regularized(obj, gamma, c, regularizer) for obj in mop.objectives()]
 
-    system = np.zeros((mop.dim, mop.dim))
-    for j in range(mop.n_objectives):
-        if regularizer == "diag":
-            reg = np.diag(mop.rtilde[j] ** 2)
-        else:
-            reg = np.outer(mop.rtilde[j], mop.rtilde[j])
-        system += lam[j] * (mop.gram[j] + gamma * reg)
-    x_star = mop.least_squares_solution()
-    rhs = sum(lam[j] * (mop.gram[j] @ (x_star - c)) for j in range(mop.n_objectives))
+    def weighted_gradient(x):
+        return sum(w * m.gradient(x) for w, m in zip(lam, merit))
 
+    system = sum(w * m.hessian(c) for w, m in zip(lam, merit))
     try:
-        shift = np.linalg.solve(system, rhs)
+        shift = np.linalg.solve(system, weighted_gradient(c))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "regularized system is singular (gamma = 0 with rank-deficient Gram sum?)"
         ) from exc
     if not np.all(np.isfinite(shift)):
         raise SingularSystemError("regularized system solve produced non-finite values")
-    x_tik = c + shift
+    x_tik = c - shift
 
-    residual = sum(
-        lam[j] * (mop.gram[j] @ x_tik + mop.offsets[j]
-                  + (gamma * mop.rtilde[j] ** 2 * (x_tik - c) if regularizer == "diag"
-                     else gamma * np.outer(mop.rtilde[j], mop.rtilde[j]) @ (x_tik - c)))
-        for j in range(mop.n_objectives)
-    )
-    if np.linalg.norm(residual) > 1e-8 * (1.0 + np.linalg.norm(x_tik)):
-        raise SingularSystemError(
-            f"normal-equation residual {np.linalg.norm(residual):.3e} too large")
+    residual = np.linalg.norm(weighted_gradient(x_tik))
+    if residual > 1e-8 * (1.0 + np.linalg.norm(x_tik)):
+        raise SingularSystemError(f"normal-equation residual {residual:.3e} too large")
 
     sigma = np.linalg.svd(system, compute_uv=False)
-    return TikhonovSolution(
-        gamma=float(gamma),
-        x_tik=x_tik,
-        a_matrix=system,
-        sigma_max=float(sigma[0]),
-        kappa=float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf"),
-        multipliers=lam,
-        terminal=c,
-        regularizer=regularizer,
-    )
+    return TikhonovSolution(x_tik=x_tik, a_matrix=system,
+                            sigma_max=float(sigma[0]), sigma_min=float(sigma[-1]))
 
 
 def condition_number(a_matrix: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from mofgd import (
     tikhonov_solve,
 )
 from mofgd.cli import parse_config
-from mofgd.fixtures import default_schedule, fixture_objectives
+from mofgd.fixtures import default_schedule, fixture_objectives, pareto_pair
 from mofgd.problems import regularized
 
 REPO = Path(__file__).resolve().parents[1]
@@ -285,6 +285,17 @@ class TestRunAdaptive:
         t2 = run_single_stage(objs, np.ones(3), cfg, classical_cfg(n=3), 60)
         assert t1.iterations == t2.iterations
         np.testing.assert_allclose(t1.final_x, t2.final_x, atol=1e-12)
+
+        # An adaptive terminal (memory_length = 1) is honoured by a direct call too.
+        x0, cfg = np.array([1.5, -0.5]), SolverConfig()
+        sched = StageSchedule.from_gammas([0.5], [0.1], [50], terminal=np.zeros(2),
+                                          memory_length=1)
+        frac = FractionalConfig(alpha=0.5, beta=sched.stages[0].beta, terminal=np.zeros(2),
+                                memory_length=1, degenerate_policy="clamp")
+        t1 = run_adaptive(pareto_pair(), x0, cfg, sched)
+        t2 = run_single_stage(pareto_pair(), x0, cfg, frac, 50)
+        assert (t1.iterations, t1.termination) == (t2.iterations, t2.termination)
+        np.testing.assert_array_equal(t1.final_x, t2.final_x)
 
     def test_example2_staged_value(self):
         """Three alpha stages on the second quadratic reach the -2.33 optimum."""

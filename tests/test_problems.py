@@ -16,6 +16,7 @@ from mofgd import (
     save_mop,
     tikhonov_solve,
 )
+from mofgd.problems import regularized
 
 
 class TestObjectiveModel:
@@ -31,6 +32,14 @@ class TestObjectiveModel:
         with pytest.raises(ValueError, match="Hessian"):
             ObjectiveModel(value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
                            kind="quadratic")
+
+    def test_piecewise_requires_kink_locator(self):
+        """Undeclared kinks would be integrated across silently, so a
+        piecewise objective without a locator is rejected."""
+        with pytest.raises(ValueError, match="kink_locator"):
+            ObjectiveModel(value=lambda x: float(np.abs(x).max()),
+                           gradient=lambda x: np.sign(x) * (np.abs(x) == np.abs(x).max()),
+                           kind="piecewise")
 
     def test_quadratic_objective_roundtrip(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -168,11 +177,29 @@ class TestTikhonovSolve:
             tikhonov_solve(mop, 0.5, np.array([0.5, 0.5]), np.zeros(4))
 
     def test_outer_variant_differs(self):
+        """Both variants solve the stage-merit system, bit for bit."""
         mop = random_quadratic_mop(4, 6, 2, seed=17)
-        lam = np.array([0.5, 0.5])
-        diag = tikhonov_solve(mop, 0.5, lam, np.zeros(4), regularizer="diag")
-        outer = tikhonov_solve(mop, 0.5, lam, np.zeros(4), regularizer="outer")
-        assert not np.allclose(diag.x_tik, outer.x_tik)
+        lam, c = np.array([0.5, 0.5]), np.zeros(4)
+        sols = {}
+        for reg in ("diag", "outer"):
+            sols[reg] = tikhonov_solve(mop, 0.5, lam, c, regularizer=reg)
+            merit = [regularized(o, 0.5, c, reg) for o in mop.objectives()]
+            system = sum(w * m.hessian(c) for w, m in zip(lam, merit))
+            assert np.array_equal(sols[reg].a_matrix, system)
+        assert not np.allclose(sols["diag"].x_tik, sols["outer"].x_tik)
+
+    def test_critical_point_without_common_zero(self):
+        """Objectives with no common zero: x_tik is still the critical point
+        of the weighted stage merit."""
+        rng = np.random.default_rng(5)
+        mop = QuadraticMop(factors=(rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (4, 6))),
+                           targets=(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)))
+        lam, c, gamma = np.array([0.3, 0.7]), np.full(4, 0.2), 0.4
+        for reg in ("diag", "outer"):
+            sol = tikhonov_solve(mop, gamma, lam, c, regularizer=reg)
+            merit = [regularized(o, gamma, c, reg) for o in mop.objectives()]
+            residual = sum(w * m.gradient(sol.x_tik) for w, m in zip(lam, merit))
+            assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(sol.x_tik))
 
     def test_bad_multipliers_rejected(self):
         mop = random_quadratic_mop(3, 4, 2, seed=2)
