@@ -17,6 +17,11 @@ gradient of the stage-regularized merit
 so the stage builds that merit once (`problems.regularized`) and takes the
 direction input, the line-search values and the fixed-step system from it.
 Non-quadratic objectives use singular-quadrature gradients and raw values.
+
+For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
+the merit it tests, which equals the subproblem's t bit for bit for
+quadratics.  A stage whose t < 0 meets a merit slope >= 0 ends as
+"model_mismatch".
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,7 +152,12 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration history of one run. termination: tolerance | max_iter | error."""
+    """Per-iteration history of one run.
+
+    termination: tolerance (||d|| < tolerance, or t >= 0) | max_iter |
+    model_mismatch (t < 0 but the merit slope max_j grad merit_j^T d >= 0;
+    the notes give ||g - grad merit||) | error (see error).
+    """
 
     records: list[IterationRecord] = field(default_factory=list)
     termination: str = "max_iter"
@@ -246,8 +256,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     quadratic objective becomes its stage merit (see `_stage_merit`), whose
     gradient is the direction input, whose values the line search tests and
     the trace's f columns record, and whose Hessian sets the fixed step.
-    Other kinds take singular-quadrature gradients and raw values.  With an
-    adaptive terminal (frac.memory_length L) the terminal is the iterate L
+    Other kinds take singular-quadrature gradients and raw values, and the
+    Armijo slope comes from the merit gradients.  With an adaptive terminal (frac.memory_length L) the terminal is the iterate L
     steps back in trace.records (the earliest one, or x0, before that) and
     the merit is rebuilt from it at every iteration.  frozen_multipliers
     skips the subproblem and uses a fixed convex combination (theory-check
@@ -308,10 +318,23 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         trace.final_norm_d = norm_d
         # t >= 0: the subproblem finds no descent direction to its precision,
         # so x is critical even if ||d|| is still above the tolerance.
-        no_descent = lam is None and eta_fixed is None and not direction.t_value < 0.0
-        if norm_d < cfg.tolerance or no_descent:
+        live_search = lam is None and eta_fixed is None
+        if norm_d < cfg.tolerance or (live_search and not direction.t_value < 0.0):
             trace.termination = "tolerance"
             return trace
+        if eta_fixed is None:
+            # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
+            # a quadratic's direction input already is its merit gradient.
+            merit_grads = np.array([g if obj.kind == "quadratic" else m.gradient(x)
+                                    for obj, m, g in zip(objectives, merit, grads)])
+            slope = float((merit_grads @ direction.direction).max())
+            if live_search and not slope < 0.0:
+                trace.termination = "model_mismatch"
+                trace.notes.append(
+                    f"model_mismatch: merit slope {slope:.3e} >= 0 along d with t = "
+                    f"{direction.t_value:.3e}; ||g - grad merit|| = "
+                    f"{np.linalg.norm(grads - merit_grads):.3e}")
+                return trace
         if k == k_max:
             trace.termination = "max_iter"
             return trace
@@ -320,7 +343,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             if eta_fixed is not None:
                 eta, x_next, backtracks = eta_fixed, x + eta_fixed * direction.direction, 0
             else:
-                eta, x_next, backtracks = armijo_step(merit, x, direction, cfg)
+                searched = replace(direction, t_value=slope)
+                eta, x_next, backtracks = armijo_step(merit, x, searched, cfg)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import StageSchedule
-from .problems import ObjectiveModel, PiecewiseMaxObjective, quadratic_objective
+from .fractional import FractionalConfig
+from .problems import ObjectiveModel, PiecewiseMaxObjective, quadratic_objective, regularized
 
 __all__ = [
     "EXAMPLE1_MATRIX",
@@ -58,16 +59,17 @@ def example2_objective() -> ObjectiveModel:
 
 
 def example3_objective() -> PiecewiseMaxObjective:
-    """max(5 x1 + x2, x1^2 + x2^2) with analytic piece derivatives."""
+    """max(5 x1 + x2, x1^2 + x2^2) with analytic piece derivatives, each
+    taking a point or a stack of points over the last axis."""
     linear = (
-        lambda x: 5.0 * x[0] + x[1],
-        lambda x: np.array([5.0, 1.0]),
-        lambda x: np.zeros((2, 2)),
+        lambda x: 5.0 * x[..., 0] + x[..., 1],
+        lambda x: np.broadcast_to([5.0, 1.0], np.shape(x)),
+        lambda x: np.zeros(np.shape(x) + (2,)),
     )
     quad = (
-        lambda x: float(x[0] ** 2 + x[1] ** 2),
+        lambda x: x[..., 0] ** 2 + x[..., 1] ** 2,
         lambda x: 2.0 * np.asarray(x, dtype=float),
-        lambda x: 2.0 * np.eye(2),
+        lambda x: np.broadcast_to(2.0 * np.eye(2), np.shape(x)[:-1] + (2, 2)),
     )
     return PiecewiseMaxObjective([linear, quad], dim=2, kink_locator=_example3_kinks)
 
@@ -83,8 +85,9 @@ def _example3_kinks(x, i, lo, hi) -> tuple[float, ...]:
     disc = b * b - 4.0 * a * c
     roots = []
     if disc >= 0.0:
-        r = math.sqrt(disc)
-        roots = sorted(((-b - r) / (2 * a), (-b + r) / (2 * a)))
+        # b is -5 or -1, so q != 0 and neither root cancels nearly equal numbers.
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = sorted((q / a, c / q))
     return tuple(t for t in roots if lo < t < hi)
 
 
@@ -114,16 +117,16 @@ def classical_critical_point(a_matrix: np.ndarray, b: np.ndarray) -> tuple[np.nd
 
 def fractional_critical_point(a_matrix: np.ndarray, b: np.ndarray, alpha: float,
                               terminal: np.ndarray) -> np.ndarray:
-    """Root of the plain fractional gradient of a quadratic (closed form).
+    """Root of the plain (beta = 0) fractional gradient of a quadratic.
 
-    The de-scaled plain fractional gradient is
-    (A x + b) - gamma_alpha * diag(diag(A)) (x - c),  gamma_alpha = (1-a)/(2-a),
-    so the root solves (A - gamma_alpha D) x = -b - gamma_alpha D c.
+    That gradient, (A x + b) - gamma_alpha * diag(diag(A)) (x - c), is the
+    gradient of the stage merit regularized(f, -gamma_alpha, c), so the root
+    is the merit's critical point: H x = -grad merit(0).
     """
-    ga = (1.0 - alpha) / (2.0 - alpha)
-    D = np.diag(np.diag(a_matrix))
-    c = np.asarray(terminal, dtype=float)
-    return np.linalg.solve(a_matrix - ga * D, -b - ga * (D @ c))
+    frac = FractionalConfig(alpha=alpha, beta=0.0, terminal=terminal)
+    merit = regularized(quadratic_objective(a_matrix, b), frac.gamma_alpha_beta, frac.terminal)
+    zero = np.zeros(np.size(b))
+    return np.linalg.solve(merit.hessian(zero), -merit.gradient(zero))
 
 
 def recover_terminal(a_matrix: np.ndarray, b: np.ndarray, alpha: float,

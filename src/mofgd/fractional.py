@@ -5,18 +5,25 @@ The order-mu Caputo derivative of a univariate function f with lower terminal c 
     D^mu f(x) = 1/Gamma(n - mu) * int_c^x (x - tau)^(n - mu - 1) f^(n)(tau) dtau,
 
 with n = ceil(mu).  Supported orders are mu in (0,1) (n = 1, integrates f')
-and mu in (1,2) (n = 2, integrates f'').  The weakly singular kernel is
-integrated exactly with Gauss-Jacobi quadrature on the segment touching x
-and Gauss-Legendre on interior segments; declared kinks of the integrand
-split the integration range so each panel sees a smooth function.
+and mu in (1,2) (n = 2, integrates f'').  One quadrature rule (`_rule`)
+serves every integral: in the distance u = x - tau from the singular end it
+puts a Gauss-Jacobi panel, exact for the weakly singular kernel, next to x
+and Gauss-Legendre panels elsewhere, split at declared kinks of the
+integrand so each panel sees a smooth function.  Its weights are normalized
+by x - c.
 
 Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
-c_i, evaluated at x_i.
+c_i, evaluated at x_i.  The objective answers all nodes of a coordinate with
+one stacked gradient (and Hessian) call; see mofgd.problems.ObjectiveModel.
+caputo_derivative_1d and caputo_gradient run a one-level refinement check;
+modified_fractional_gradient, the solver's gradient, evaluates the base rule
+only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -65,11 +72,6 @@ class QuadratureAccuracyError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_estimate = error_estimate
-
-
-def _gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) for positive a, b, evaluated in log space."""
-    return math.exp(gammaln(a) - gammaln(b))
 
 
 @dataclass(frozen=True)
@@ -178,14 +180,16 @@ class UnivariateFunction:
     def nth_deriv(self, n: int) -> Callable:
         if n == 1:
             return self.deriv
-        if self.deriv2 is not None:
-            return self.deriv2
+        return self.deriv2 if self.deriv2 is not None else _central_difference(self.deriv)
 
-        def fd2(t):
-            t = np.asarray(t, dtype=float)
-            return (_eval(self.deriv, t + FD2_STEP) - _eval(self.deriv, t - FD2_STEP)) / (2 * FD2_STEP)
 
-        return fd2
+def _central_difference(deriv: Callable) -> Callable:
+    """Second derivative as a central difference of the first."""
+    def fd2(t):
+        t = np.asarray(t, dtype=float)
+        return (_eval(deriv, t + FD2_STEP) - _eval(deriv, t - FD2_STEP)) / (2 * FD2_STEP)
+
+    return fd2
 
 
 def _eval(fn: Callable, t: np.ndarray) -> np.ndarray:
@@ -199,75 +203,69 @@ def _eval(fn: Callable, t: np.ndarray) -> np.ndarray:
 
 def _order_parts(order: float) -> tuple[int, float]:
     """Validate order and return (n, weight exponent n - order - 1)."""
-    if 0.0 < order < 1.0:
-        n = 1
-    elif 1.0 < order < 2.0:
-        n = 2
-    else:
-        raise UnsupportedOrderError(
-            f"order must lie in (0,1) or (1,2), got {order}"
-        )
+    if not (0.0 < order < 1.0 or 1.0 < order < 2.0):
+        raise UnsupportedOrderError(f"order must lie in (0,1) or (1,2), got {order}")
+    n = math.ceil(order)
     return n, n - order - 1.0
 
 
-_rule_cache: dict[tuple[str, float, int], tuple[np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [-1, 1] for the weight (1 - t)^a_exp: Legendre for a_exp = 0."""
+    if a_exp == 0.0:
+        return roots_legendre(NODES_PER_SEGMENT)
+    return roots_jacobi(NODES_PER_SEGMENT, a_exp, 0.0)
 
 
-def _jacobi_rule(a_exp: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    key = ("jac", round(a_exp, 15), nodes)
-    if key not in _rule_cache:
-        _rule_cache[key] = roots_jacobi(nodes, a_exp, 0.0)
-    return _rule_cache[key]
+def _rule(c: float, x: float, kinks: Sequence[float], a_exp: float,
+          refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and length-normalized weights w of int_c^x (x - tau)^a_exp h(tau) dtau.
 
+    The nodes are distances u = x - tau from the singular end, and
 
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    key = ("leg", 0.0, nodes)
-    if key not in _rule_cache:
-        _rule_cache[key] = roots_legendre(nodes)
-    return _rule_cache[key]
+        int_c^x (x - tau)^a_exp h(tau) dtau  ~=  (x - c)^(a_exp + 1) * w @ h(x - u).
 
-
-def _singular_panel(h: Callable, a: float, x: float, a_exp: float, halve: bool) -> float:
-    """int_a^x (x - tau)^a_exp h(tau) dtau with the singularity at tau = x."""
-    if halve:
-        mid = 0.5 * (a + x)
-        return _plain_panel(h, a, mid, x, a_exp) + _singular_panel(h, mid, x, a_exp, False)
-    t, w = _jacobi_rule(a_exp, NODES_PER_SEGMENT)
-    half = 0.5 * (x - a)
-    tau = a + half * (t + 1.0)
-    return half ** (a_exp + 1.0) * float(w @ _eval(h, tau))
-
-
-def _plain_panel(h: Callable, a: float, b: float, x: float, a_exp: float) -> float:
-    """int_a^b (x - tau)^a_exp h(tau) dtau for b < x (kernel smooth)."""
-    t, w = _legendre_rule(NODES_PER_SEGMENT)
-    half = 0.5 * (b - a)
-    tau = 0.5 * (a + b) + half * t
-    return half * float(w @ ((x - tau) ** a_exp * _eval(h, tau)))
-
-
-def _kernel_integral(h: Callable, c: float, x: float, a_exp: float,
-                     kinks: Sequence[float], refine: bool,
-                     integrand_order: int = 1) -> float:
-    """int_c^x (x - tau)^a_exp h(tau) dtau, split at kinks.
-
-    refine=True halves every panel once (used for the accuracy estimate).
+    The panel touching u = 0 takes the Gauss-Jacobi rule, which integrates
+    the kernel exactly; the others take Gauss-Legendre.  Panels are split at
+    the distances of the kinks in (c, x).  refine=True halves every panel
+    once (the accuracy estimate).
     """
-    segment = UnivariateSegment(
-        endpoints=(c, x),
-        integrand_order=integrand_order,
-        kink_points=tuple(sorted(k for k in kinks if c < k < x)),
-    )
-    total = 0.0
-    for a, b in segment.panels():
-        if b == x:
-            total += _singular_panel(h, a, b, a_exp, refine)
-        elif refine:
-            mid = 0.5 * (a + b)
-            total += _plain_panel(h, a, mid, x, a_exp) + _plain_panel(h, mid, b, x, a_exp)
-        else:
-            total += _plain_panel(h, a, b, x, a_exp)
-    return total
+    length = x - c
+    breaks = np.concatenate(([0.0], np.sort([x - k for k in kinks if c < k < x]) / length, [1.0]))
+    if refine:
+        breaks = np.union1d(breaks, 0.5 * (breaks[:-1] + breaks[1:]))
+    t, w = _gauss_rule(a_exp)
+    half = 0.5 * breaks[1]
+    nodes, weights = [half * (1.0 - t)], [half ** (a_exp + 1.0) * w]
+    t, w = _gauss_rule(0.0)
+    for p, q in zip(breaks[1:-1], breaks[2:]):
+        half = 0.5 * (q - p)
+        s = 0.5 * (p + q) + half * t
+        nodes.append(s)
+        weights.append(half * w * s ** a_exp)
+    return length * np.concatenate(nodes), np.concatenate(weights)
+
+
+def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
+                    order: float) -> float:
+    """Caputo derivative at x from h = f^(n); one call of h answers the base
+    and the refined rule of the refinement check."""
+    n, a_exp = _order_parts(order)
+    u, w = _rule(c, x, kinks, a_exp)
+    u_fine, w_fine = _rule(c, x, kinks, a_exp, refine=True)
+    hu = _eval(h, x - np.concatenate((u, u_fine)))
+    scale = math.exp(-gammaln(n - order)) * (x - c) ** (a_exp + 1.0)
+    value = scale * float(w @ hu[:u.size])
+    check = scale * float(w_fine @ hu[u.size:])
+    err = abs(value - check)
+    if err > 1e-9 * (1.0 + abs(check)):
+        raise QuadratureAccuracyError(
+            f"quadrature refinement changed the value by {err:.3e}; "
+            "integrand may have undeclared kinks",
+            estimate=check,
+            error_estimate=err,
+        )
+    return check
 
 
 def _resolve_terminal(cfg: FractionalConfig, c: float, x: float) -> float:
@@ -293,22 +291,9 @@ def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
     estimates the error and raises QuadratureAccuracyError when it exceeds
     1e-9 * (1 + |value|), carrying the refined estimate.
     """
-    n, a_exp = _order_parts(order)
+    n, _ = _order_parts(order)
     c = _resolve_terminal(cfg, cfg.terminal_for(0), float(x))
-    h = f.nth_deriv(n)
-    base = _kernel_integral(h, c, x, a_exp, f.kinks, refine=False, integrand_order=n)
-    fine = _kernel_integral(h, c, x, a_exp, f.kinks, refine=True, integrand_order=n)
-    scale = math.exp(-gammaln(n - order))
-    value, check = scale * base, scale * fine
-    err = abs(value - check)
-    if err > 1e-9 * (1.0 + abs(check)):
-        raise QuadratureAccuracyError(
-            f"quadrature refinement changed the value by {err:.3e}; "
-            "integrand may have undeclared kinks",
-            estimate=check,
-            error_estimate=err,
-        )
-    return check
+    return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
 
 
 def caputo_derivative_poly(coeffs: Sequence[float], cfg: FractionalConfig,
@@ -326,53 +311,51 @@ def caputo_derivative_poly(coeffs: Sequence[float], cfg: FractionalConfig,
     for k, ck in enumerate(coeffs):
         if k < n or ck == 0.0:
             continue
-        total += ck * _gamma_ratio(k + 1.0, k + 1.0 - order) * xc ** (k - order)
+        total += ck * math.exp(gammaln(k + 1.0) - gammaln(k + 1.0 - order)) * xc ** (k - order)
     return total
 
 
-def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float) -> UnivariateFunction:
-    """The univariate restriction t -> f(x with coordinate i set to t).
+def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float
+                 ) -> tuple[Callable, Callable, tuple[float, ...]]:
+    """Derivatives of t -> f(x with coordinate i set to t) and its kinks in
+    (lo, hi).  A derivative answers a 1-D array of abscissae with one stacked
+    gradient (Hessian) call of f; without a Hessian, g'' is a central
+    difference of g'."""
+    def points(t):
+        z = np.repeat(x[None, :], t.size, axis=0)
+        z[:, i] = t
+        return z
 
-    Its callables take an array of abscissae and evaluate f once per node,
-    in order.
-    """
-    def along(component: Callable) -> Callable:
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            out = np.empty(t.shape)
-            for k, tk in enumerate(t.flat):
-                z = np.array(x, dtype=float)
-                z[i] = tk
-                out.flat[k] = component(z)
-            return out
-        return fn
+    def deriv(t):
+        return np.asarray(f.gradient(points(t)), dtype=float)[:, i]
 
-    grad = f.gradient
     hess = getattr(f, "hessian", None)
-    d2 = None if hess is None else along(lambda z: hess(z)[i, i])
+    if hess is None:
+        deriv2 = _central_difference(deriv)
+    else:
+        def deriv2(t):
+            return np.asarray(hess(points(t)), dtype=float)[:, i, i]
     locator = getattr(f, "kink_locator", None)
     kinks = () if locator is None else tuple(locator(x, i, lo, hi))
-    return UnivariateFunction(value=along(f.value), deriv=along(lambda z: grad(z)[i]),
-                              deriv2=d2, kinks=kinks)
+    return deriv, deriv2, kinks
 
 
 def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
     """Coordinate-wise Caputo fractional gradient of order cfg.alpha at x.
 
     f is an objective exposing value/gradient (and optionally hessian and
-    kink_locator); see mofgd.problems.ObjectiveModel.
+    kink_locator); see mofgd.problems.ObjectiveModel.  Each coordinate runs
+    the refinement check of caputo_derivative_1d.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
     if cfg.alpha == 1.0:
         return np.asarray(f.gradient(x), dtype=float)
-    out = np.empty(n)
-    for i in range(n):
+    out = np.empty(x.size)
+    for i in range(x.size):
         try:
             ci = _resolve_terminal(cfg, cfg.terminal_for(i), x[i])
-            g = _restriction(f, x, i, ci, x[i])
-            cfg_i = FractionalConfig(cfg.alpha, cfg.beta, np.array([ci]))
-            out[i] = caputo_derivative_1d(g, cfg_i, x[i], cfg.alpha)
+            deriv, _, kinks = _restriction(f, x, i, ci, x[i])
+            out[i] = _checked_caputo(deriv, ci, x[i], kinks, cfg.alpha)
         except CaputoDomainError as exc:
             raise CaputoDomainError(f"coordinate {i}: {exc}") from exc
         except QuadratureAccuracyError as exc:
@@ -380,31 +363,6 @@ def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
                 f"coordinate {i}: {exc}", exc.estimate, exc.error_estimate
             ) from exc
     return out
-
-
-def _descaled_terms(g: UnivariateFunction, c: float, x: float, alpha: float) -> tuple[float, float]:
-    """The two de-scaled quadrature terms of the modified gradient.
-
-    Returns (A, B) with
-        A = (1-alpha) (x-c)^(alpha-1) int_c^x (x-tau)^(-alpha) g'(tau) dtau
-        B = (1-alpha) (x-c)^(alpha)   int_c^x (x-tau)^(-alpha) g''(tau) dtau
-    computed so no large power of (x - c) is ever formed when there are no
-    interior kinks (the prefactor cancels against the panel scaling).
-    """
-    a_exp = -alpha
-    ks = sorted(k for k in g.kinks if c < k < x)
-    if not ks:
-        # Single singular panel: (x-c)^(alpha-1) * ((x-c)/2)^(1-alpha) = 2^(alpha-1).
-        t, w = _jacobi_rule(a_exp, NODES_PER_SEGMENT)
-        tau = c + 0.5 * (x - c) * (t + 1.0)
-        pref = (1.0 - alpha) * 2.0 ** (alpha - 1.0)
-        a_term = pref * float(w @ _eval(g.deriv, tau))
-        b_term = pref * (x - c) * float(w @ _eval(g.nth_deriv(2), tau))
-        return a_term, b_term
-    raw1 = _kernel_integral(g.deriv, c, x, a_exp, ks, refine=False, integrand_order=1)
-    raw2 = _kernel_integral(g.nth_deriv(2), c, x, a_exp, ks, refine=False, integrand_order=2)
-    pref = (1.0 - alpha) * (x - c) ** (alpha - 1.0)
-    return pref * raw1, pref * (x - c) * raw2
 
 
 def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
@@ -419,28 +377,29 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
     which is the Taylor-model fractional gradient after its diagonal scaling
     matrix is cancelled analytically.  The cancelled form is regular at
     x_i = c (it tends to g'(c)) and for a quadratic with Hessian H reduces to
-    grad f(x) + (beta - (1-alpha)/(2-alpha)) diag(diag(H)) (x - c).
+    grad f(x) + (beta - (1-alpha)/(2-alpha)) diag(diag(H)) (x - c).  The
+    length-normalized rule weights absorb (x_i-c)^(alpha-1), so no power of
+    x_i - c is formed.  A coordinate costs one stacked gradient and one
+    stacked Hessian call, and runs no refinement check.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    grad = None
-    if cfg.alpha == 1.0:
-        grad = np.asarray(f.gradient(x), dtype=float)
-        if cfg.beta == 0.0:
-            return grad
-    out = np.empty(n)
-    for i in range(n):
+    if cfg.alpha == 1.0 and cfg.beta == 0.0:
+        return np.asarray(f.gradient(x), dtype=float)
+    out = np.empty(x.size)
+    for i in range(x.size):
         ci = cfg.terminal_for(i)
         if x[i] == ci:
-            # Limit of the cancelled form: the classical restriction derivative.
-            g = _restriction(f, x, i, ci, ci)
-            out[i] = float(_eval(g.deriv, np.array([x[i]]))[0])
+            # Limit of the cancelled form: the classical partial derivative.
+            out[i] = np.asarray(f.gradient(x), dtype=float)[i]
             continue
         ci = _resolve_terminal(cfg, ci, x[i])
-        g = _restriction(f, x, i, ci, x[i])
+        deriv, deriv2, kinks = _restriction(f, x, i, ci, x[i])
         if cfg.alpha == 1.0:
-            out[i] = grad[i] + cfg.beta * (x[i] - ci) * float(_eval(g.nth_deriv(2), np.array([x[i]]))[0])
-            continue
-        a_term, b_term = _descaled_terms(g, ci, x[i], cfg.alpha)
+            tau, w, pref = x[i:i + 1], np.ones(1), 1.0
+        else:
+            u, w = _rule(ci, x[i], kinks, -cfg.alpha)
+            tau, pref = x[i] - u, 1.0 - cfg.alpha
+        a_term = pref * float(w @ _eval(deriv, tau))
+        b_term = pref * (x[i] - ci) * float(w @ _eval(deriv2, tau))
         out[i] = a_term + cfg.beta * b_term
     return out

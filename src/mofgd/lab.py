@@ -28,6 +28,7 @@ from .fractional import FractionalConfig
 from .fixtures import fixture_objectives
 from .problems import (
     ObjectiveModel,
+    PiecewiseMaxObjective,
     QuadraticMop,
     condition_number,
     regularized,
@@ -156,13 +157,12 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
                          target_gap: float = 1e-3) -> IterationTrace:
     """Scalar subgradient descent with diminishing steps a/(k+1).
 
-    At points where several pieces are within 1e-9 of the max, the
-    subgradient is their average (a convex combination).  The trace note
+    A PiecewiseMaxObjective steps along its active-set average subgradient
+    (see PiecewiseMaxObjective.subgradient).  The trace note
     "hit:K" records the first iteration with f <= f_min + target_gap.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
-    pieces = getattr(f, "_pieces", None)
     hit: Optional[int] = None
     for k in range(steps):
         start = time.perf_counter()
@@ -173,10 +173,8 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
             trace.termination = "tolerance"
             trace.final_x = x.copy()
             break
-        if pieces is not None:
-            vals = np.array([p[0](x) for p in pieces])
-            active = np.nonzero(vals >= vals.max() - 1e-9)[0]
-            g = np.mean([np.asarray(pieces[i][1](x), dtype=float) for i in active], axis=0)
+        if isinstance(f, PiecewiseMaxObjective):
+            g = f.subgradient(x)
         else:
             g = np.asarray(f.gradient(x), dtype=float)
         eta = step_scale / (k + 1.0)

@@ -57,6 +57,11 @@ class SingularSystemError(np.linalg.LinAlgError):
 class ObjectiveModel:
     """One objective: value, classical gradient, optional Hessian.
 
+    value takes one point.  gradient and hessian take one point or a (k, n)
+    stack of points and return (k, n) and (k, n, n) for a stack, row by row;
+    the fractional gradients evaluate all quadrature nodes of a coordinate
+    in one stacked call.
+
     kind is "quadratic" (constant symmetric Hessian), "smooth", or
     "piecewise"; piecewise objectives must carry a kink_locator with
     signature (x, i, lo, hi) -> kink_abscissae giving the
@@ -65,8 +70,9 @@ class ObjectiveModel:
     no other way to find a kink.
 
     The gradient is validated against central finite differences of the
-    value at construction (10 seeded points; piecewise kinds skip points
-    whose difference stencil contains a located kink).
+    value at construction, on 10 seeded points evaluated as one stack
+    (piecewise kinds skip points whose difference stencil contains a located
+    kink).
     """
 
     value: Callable[[np.ndarray], float]
@@ -89,25 +95,26 @@ class ObjectiveModel:
 
     def _check_gradient(self):
         rng = np.random.default_rng(1234)
-        checked = 0
-        while checked < 10:
+        points = []
+        while len(points) < 10:
             x = rng.uniform(-2.0, 2.0, self.dim)
-            g = np.asarray(self.gradient(x), dtype=float)
-            fd = np.empty_like(g)
-            for i in range(self.dim):
-                e = np.zeros(self.dim)
-                e[i] = _FD_CHECK_STEP
-                fd[i] = (self.value(x + e) - self.value(x - e)) / (2 * _FD_CHECK_STEP)
             if self.kind == "piecewise" and any(
                     len(self.kink_locator(x, i, x[i] - 10 * _FD_CHECK_STEP,
                                           x[i] + 10 * _FD_CHECK_STEP))
                     for i in range(self.dim)):
                 continue  # the FD stencil straddles a kink
+            points.append(x)
+        points = np.array(points)
+        grads = np.asarray(self.gradient(points), dtype=float)
+        if grads.shape != points.shape:
+            raise ValueError(f"gradient of a {points.shape} stack has shape {grads.shape}")
+        for x, g in zip(points, grads):
+            fd = np.array([self.value(x + e) - self.value(x - e)
+                           for e in _FD_CHECK_STEP * np.eye(self.dim)]) / (2 * _FD_CHECK_STEP)
             if not np.allclose(g, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL):
                 raise ValueError(
                     f"gradient disagrees with finite differences at x = {x}: {g} vs {fd}"
                 )
-            checked += 1
 
 
 def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0) -> ObjectiveModel:
@@ -116,13 +123,16 @@ def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0)
     b = np.asarray(b, dtype=float)
     if not np.allclose(a_matrix, a_matrix.T):
         raise ValueError("quadratic matrix must be symmetric")
-    return ObjectiveModel(
-        value=lambda x: float(0.5 * x @ a_matrix @ x + b @ x + const),
-        gradient=lambda x: a_matrix @ x + b,
-        hessian=lambda x: a_matrix,
-        kind="quadratic",
-        dim=b.size,
-    )
+    return ObjectiveModel(lambda x: float(0.5 * x @ a_matrix @ x + b @ x + const),
+                          *_quadratic_derivatives(a_matrix, b), kind="quadratic", dim=b.size)
+
+
+def _quadratic_derivatives(a_matrix: np.ndarray, b: np.ndarray) -> tuple[Callable, Callable]:
+    """Gradient x -> A x + b and Hessian x -> A, row by row on a stack
+    (A @ x would mix the rows of a square stack)."""
+    return (lambda x: (a_matrix @ np.asarray(x).T).T + b,
+            lambda x: a_matrix if np.ndim(x) == 1
+            else np.broadcast_to(a_matrix, np.shape(x)[:-1] + a_matrix.shape))
 
 
 def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> ObjectiveModel:
@@ -147,7 +157,7 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     else:
         r = np.sqrt(h)
         reg_matrix = np.outer(r, r)
-        pull, penalty = (lambda u: gamma * r * float(r @ u)), (lambda u: float(r @ u) ** 2)
+        pull, penalty = (lambda u: gamma * r * (u @ r)[..., None]), (lambda u: float(r @ u) ** 2)
     return ObjectiveModel(
         value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
         gradient=lambda x: np.asarray(obj.gradient(x), dtype=float) + pull(x - c),
@@ -159,8 +169,9 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
 class PiecewiseMaxObjective(ObjectiveModel):
     """max of finitely many smooth pieces.
 
-    Pieces are (value, gradient, hessian) triples.  The gradient/Hessian of
-    the max are those of the active (largest) piece; ties pick the first.
+    Pieces are (value, gradient, hessian) triples that answer a (k, n) stack
+    with (k,), (k, n) and (k, n, n).  The gradient/Hessian of the max are
+    those of the active (largest) piece, row by row; ties pick the first.
     kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
     piece changes along coordinate i (see ObjectiveModel).
     """
@@ -168,28 +179,32 @@ class PiecewiseMaxObjective(ObjectiveModel):
     def __init__(self, pieces: Sequence[tuple[Callable, Callable, Callable]], dim: int,
                  kink_locator: Callable):
         object.__setattr__(self, "_pieces", list(pieces))
-
-        def value(x):
-            return max(p[0](x) for p in self._pieces)
-
-        def active(x):
-            vals = [p[0](x) for p in self._pieces]
-            return int(np.argmax(vals))
-
-        def gradient(x):
-            return np.asarray(self._pieces[active(x)][1](x), dtype=float)
-
-        def hessian(x):
-            return np.asarray(self._pieces[active(x)][2](x), dtype=float)
-
         super().__init__(
-            value=value,
-            gradient=gradient,
-            hessian=hessian,
+            value=lambda x: max(p[0](x) for p in self._pieces),
+            gradient=lambda x: self._active(x, 1),
+            hessian=lambda x: self._active(x, 2),
             kind="piecewise",
             kink_locator=kink_locator,
             dim=dim,
         )
+
+    def _piece_values(self, x) -> np.ndarray:
+        """Values of every piece, stacked on the last axis."""
+        return np.stack([np.asarray(p[0](x), dtype=float) for p in self._pieces], axis=-1)
+
+    def _active(self, x, which: int) -> np.ndarray:
+        """Derivative `which` (1 gradient, 2 Hessian) of the first largest piece."""
+        x = np.asarray(x, dtype=float)
+        first = np.argmax(self._piece_values(x), axis=-1)
+        derivs = np.stack([np.asarray(p[which](x), dtype=float) for p in self._pieces])
+        return derivs[(first, *np.indices(first.shape))]
+
+    def subgradient(self, x: np.ndarray) -> np.ndarray:
+        """Average gradient of the pieces within 1e-9 of the max at the point x,
+        a convex combination of the active gradients."""
+        vals = self._piece_values(x)
+        active = np.nonzero(vals >= vals.max() - 1e-9)[0]
+        return np.mean([np.asarray(self._pieces[i][1](x), dtype=float) for i in active], axis=0)
 
 
 @dataclass(frozen=True)
@@ -252,10 +267,9 @@ class QuadraticMop:
         regularizer itself (see `regularized`)."""
         return [
             ObjectiveModel(lambda x, j=j: self.objective_value(j, x),
-                           lambda x, j=j: self.objective_gradient(j, x),
-                           lambda x, A=A: A,
+                           *_quadratic_derivatives(A, b),
                            kind="quadratic", dim=self.dim, validate=False)
-            for j, A in enumerate(self.gram)
+            for j, (A, b) in enumerate(zip(self.gram, self.offsets))
         ]
 
     def least_squares_solution(self) -> np.ndarray:

@@ -34,6 +34,36 @@ def classical_cfg(**kw):
     return FractionalConfig(alpha=1.0, beta=0.0, terminal=np.zeros(kw.pop("n", 2)), **kw)
 
 
+def logistic_losses():
+    """Three regularized logistic losses in n=4, vectorized over the last axis."""
+    def logistic(features, labels, mu=0.1):
+        def margins(x):
+            return -labels * (np.asarray(x, dtype=float) @ features.T)
+
+        def gradient(x):
+            prob = 0.5 * (1.0 + np.tanh(0.5 * margins(x)))
+            return -(prob * labels) @ features / labels.size + mu * np.asarray(x, dtype=float)
+
+        def hessian(x):
+            prob = 0.5 * (1.0 + np.tanh(0.5 * margins(x)))
+            weights = prob * (1.0 - prob) / labels.size
+            return (features.T * weights[..., None, :]) @ features + mu * np.eye(4)
+
+        return ObjectiveModel(
+            lambda x: (np.logaddexp(0.0, margins(x)).mean(axis=-1)
+                       + 0.5 * mu * (np.asarray(x, dtype=float) ** 2).sum(axis=-1)),
+            gradient, hessian, kind="smooth", dim=4)
+
+    rng = np.random.default_rng(42)
+    objectives = []
+    for _ in range(3):
+        features = rng.normal(size=(16, 4))
+        truth = rng.normal(size=4)
+        noise = 0.5 * rng.normal(size=16)
+        objectives.append(logistic(features, np.where(features @ truth + noise >= 0.0, 1.0, -1.0)))
+    return objectives
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(sigma=1.5), dict(sigma=0.0), dict(backtrack=1.0),
@@ -334,31 +364,7 @@ class TestRunAdaptive:
 
     def test_smooth_losses_at_tight_tolerance_do_not_error(self):
         """Three logistic losses in n=4 at tolerance 1e-8 end without error."""
-        def logistic(features, labels, mu=0.1):
-            def margins(x):
-                return -labels * (np.asarray(x, dtype=float) @ features.T)
-
-            def gradient(x):
-                prob = 0.5 * (1.0 + np.tanh(0.5 * margins(x)))
-                return -(prob * labels) @ features / labels.size + mu * np.asarray(x, dtype=float)
-
-            def hessian(x):
-                prob = 0.5 * (1.0 + np.tanh(0.5 * margins(x)))
-                weights = prob * (1.0 - prob) / labels.size
-                return (features.T * weights[..., None, :]) @ features + mu * np.eye(4)
-
-            return ObjectiveModel(
-                lambda x: (np.logaddexp(0.0, margins(x)).mean(axis=-1)
-                           + 0.5 * mu * (np.asarray(x, dtype=float) ** 2).sum(axis=-1)),
-                gradient, hessian, kind="smooth", dim=4)
-
-        rng = np.random.default_rng(42)
-        objectives = []
-        for _ in range(3):
-            features = rng.normal(size=(16, 4))
-            truth = rng.normal(size=4)
-            noise = 0.5 * rng.normal(size=16)
-            objectives.append(logistic(features, np.where(features @ truth + noise >= 0.0, 1.0, -1.0)))
+        objectives = logistic_losses()
         x0 = np.random.default_rng(0).uniform(1.01, 10.0, 4)
         trace = run_adaptive(objectives, x0, SolverConfig(tolerance=1e-8),
                              default_schedule(terminal=np.zeros(4)))
@@ -446,6 +452,98 @@ class TestStageMerit:
                         for x0 in spec.starts()]
         assert terminations == ["tolerance"] * 100
         assert np.median([backtracks for *_, backtracks in checks]) <= 5
+
+
+class TestMeritSlope:
+    """The Armijo test takes its slope from the merit it tests, for every kind."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (merit, x, direction passed to Armijo, subproblem t) for
+        every line search."""
+        checks, solved = [], {}
+        solve, armijo = descent.solve_direction, descent.armijo_step
+
+        def spy_solve(grads):
+            result = solve(grads)
+            solved["t"] = result.t_value
+            return result
+
+        def spy_armijo(merit, x, direction, cfg):
+            checks.append((list(merit), np.array(x), direction, solved["t"]))
+            return armijo(merit, x, direction, cfg)
+
+        monkeypatch.setattr(descent, "solve_direction", spy_solve)
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        return checks
+
+    @pytest.mark.parametrize("kind", ["quadratic", "smooth", "piecewise"])
+    def test_slope_is_central_difference_of_the_merit(self, kind, monkeypatch):
+        if kind == "quadratic":
+            objectives, starts = pareto_pair(), [np.array([2.0, 3.0]), np.array([-1.0, 4.0])]
+        elif kind == "smooth":
+            objectives, starts = logistic_losses(), [np.full(4, 3.0), np.array([1.0, 5.0, 2.0, 8.0])]
+        else:
+            objectives = fixture_objectives("example3_nonsmooth")
+            starts = [np.array([3.0, 2.0]), np.array([2.5, 3.5])]
+        checks = self.spy(monkeypatch)
+        schedule = default_schedule(terminal=np.full(objectives[0].dim, -1.0),
+                                    iterations=(3, 3, 3))
+        for x0 in starts:
+            run_adaptive(objectives, x0, SolverConfig(tolerance=1e-12), schedule)
+        h = 1e-6
+        compared = 0
+        for merit, x, direction, t in checks:
+            if kind == "quadratic":
+                assert direction.t_value == t  # bit for bit
+            d = direction.direction
+            ahead = [(m.value(x + h * d) - m.value(x)) / h for m in merit]
+            behind = [(m.value(x) - m.value(x - h * d)) / h for m in merit]
+            if not np.allclose(ahead, behind, rtol=1e-3, atol=1e-3):
+                continue  # the stencil straddles a kink
+            fd = max((a + b) / 2 for a, b in zip(ahead, behind))
+            assert direction.t_value == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            compared += 1
+        assert compared >= len(checks) // 2 > 0
+
+    def test_logistic_losses_take_few_backtracks(self):
+        """Median backtracks <= 5, every f_j non-increasing, no error."""
+        objectives = logistic_losses()
+        for seed in range(3):
+            x0 = np.random.default_rng(seed).uniform(1.01, 10.0, 4)
+            trace = run_adaptive(objectives, x0, SolverConfig(),
+                                 default_schedule(terminal=np.zeros(4)))
+            assert trace.termination != "error", trace.error
+            assert np.median([r.backtracks for r in trace.records]) <= 5
+            f = np.array([r.f_values for r in trace.records])
+            assert np.all(np.diff(f, axis=0) <= 0.0)
+
+    @pytest.mark.parametrize("terminal", [(-1.0, -1.0), (-0.5, 0.7), (-2.0, -3.0)])
+    def test_example3_beats_subgradient_from_off_minimizer_terminals(self, terminal):
+        from mofgd import subgradient_baseline
+        obj = fixture_objectives("example3_nonsmooth")[0]
+        x0 = np.array([3.0, 3.0])
+        trace = run_adaptive([obj], x0, SolverConfig(tolerance=1e-6, max_iterations=2000),
+                             default_schedule(terminal=np.array(terminal)))
+        xs = [r.x for r in trace.records] + [trace.final_x]
+        frac_hit = next(k for k, x in enumerate(xs) if obj.value(x) <= 1e-3)
+        sub = subgradient_baseline(obj, x0, steps=2000)
+        sub_hit = next(int(n.split(":")[1]) for n in sub.notes if n != "hit:none")
+        assert frac_hit < sub_hit
+
+    def test_uphill_merit_slope_ends_as_model_mismatch(self, monkeypatch):
+        """A direction input pointing uphill gives t < 0 but a positive merit
+        slope: the stage ends with model_mismatch and notes the mismatch."""
+        monkeypatch.setattr(descent, "modified_fractional_gradient",
+                            lambda f, frac, x: -f.gradient(x))
+        objectives = logistic_losses()
+        trace = run_single_stage(objectives, np.full(4, 2.0), SolverConfig(),
+                                 FractionalConfig(alpha=0.5, beta=1.0 / 3.0,
+                                                  terminal=np.zeros(4)), 10)
+        assert trace.termination == "model_mismatch"
+        assert trace.iterations == 0
+        assert any(n.startswith("model_mismatch") and "||g - grad merit||" in n
+                   for n in trace.notes)
 
 
 class TestMogdBaseline:

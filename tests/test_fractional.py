@@ -260,10 +260,19 @@ class TestModifiedFractionalGradient:
         """alpha -> 1, beta = 0 on a smooth non-quadratic matches central FD."""
         obj_value = lambda x: float(np.sin(x[0]) + np.exp(0.3 * x[1]) + x[0] * x[1])
         from mofgd import ObjectiveModel
+
+        def hessian(x):
+            h = np.empty(np.shape(x) + (2,))
+            h[..., 0, 0] = -np.sin(x[..., 0])
+            h[..., 0, 1] = h[..., 1, 0] = 1.0
+            h[..., 1, 1] = 0.09 * np.exp(0.3 * x[..., 1])
+            return h
+
         obj = ObjectiveModel(
             value=obj_value,
-            gradient=lambda x: np.array([np.cos(x[0]) + x[1], 0.3 * np.exp(0.3 * x[1]) + x[0]]),
-            hessian=lambda x: np.array([[-np.sin(x[0]), 1.0], [1.0, 0.09 * np.exp(0.3 * x[1])]]),
+            gradient=lambda x: np.stack([np.cos(x[..., 0]) + x[..., 1],
+                                         0.3 * np.exp(0.3 * x[..., 1]) + x[..., 0]], axis=-1),
+            hessian=hessian,
             kind="smooth",
         )
         x = np.array([0.9, 1.4])
@@ -307,3 +316,30 @@ class TestModifiedFractionalGradient:
             want = (1 - alpha) * (xi - c) ** (alpha - 1) * raw1 \
                 + cfg.beta * (1 - alpha) * (xi - c) ** alpha * raw2
             assert got[i] == pytest.approx(want, abs=1e-7)
+
+
+class TestStackedEvaluation:
+    """A coordinate's quadrature nodes cost one stacked objective call each."""
+
+    @staticmethod
+    def counted(obj, calls):
+        def wrap(name, fn):
+            def inner(x):
+                calls.append(name)
+                return fn(x)
+            return inner
+
+        from mofgd import ObjectiveModel
+        return ObjectiveModel(wrap("value", obj.value), wrap("gradient", obj.gradient),
+                              wrap("hessian", obj.hessian), kind="smooth", dim=obj.dim,
+                              validate=False)
+
+    @pytest.mark.parametrize("gradient,calls_per_coordinate", [
+        (modified_fractional_gradient, 2), (caputo_gradient, 1)])
+    def test_objective_calls_per_gradient(self, gradient, calls_per_coordinate):
+        mop = random_quadratic_mop(4, 6, 1, seed=5)
+        calls = []
+        obj = self.counted(quadratic_objective(mop.gram[0], mop.offsets[0]), calls)
+        cfg = FractionalConfig(alpha=0.5, beta=0.4, terminal=np.zeros(4))
+        gradient(obj, cfg, np.array([0.5, 1.0, 1.5, 2.0]))
+        assert len(calls) <= calls_per_coordinate * 4

@@ -16,7 +16,23 @@ from mofgd import (
     save_mop,
     tikhonov_solve,
 )
+from mofgd.fixtures import _example3_kinks, example3_objective
 from mofgd.problems import regularized
+
+
+def _stack_cases():
+    """(name, objective) for every in-repo constructor of an ObjectiveModel."""
+    mop = random_quadratic_mop(3, 5, 2, seed=4)
+    quad = quadratic_objective(mop.gram[0], mop.offsets[0])
+    c = np.array([0.5, -1.0, 2.0])
+    return [
+        ("quadratic_objective", quad),
+        ("regularized_diag", regularized(quad, 0.3, c, "diag")),
+        ("regularized_outer", regularized(quad, 0.3, c, "outer")),
+        ("mop_objectives", mop.objectives()[1]),
+        ("mop_objectives_n64", random_quadratic_mop(64, 70, 1, seed=8).objectives()[0]),
+        ("piecewise_example3", example3_objective()),
+    ]
 
 
 class TestObjectiveModel:
@@ -49,6 +65,72 @@ class TestObjectiveModel:
         assert obj.value(x) == pytest.approx(0.5 * x @ A @ x + b @ x + 2.0)
         np.testing.assert_allclose(obj.gradient(x), A @ x + b)
         np.testing.assert_allclose(obj.hessian(x), A)
+
+
+class TestStackContract:
+    """gradient/hessian answer a (k, n) stack row by row, as per-point calls do."""
+
+    @pytest.mark.parametrize("name,obj", _stack_cases(), ids=[n for n, _ in _stack_cases()])
+    def test_stacked_rows_match_per_point_calls(self, name, obj):
+        rng = np.random.default_rng(5)
+        n = obj.dim
+        for k in sorted({n, 7}):  # k == n catches A @ Z mixing the rows of a square stack
+            z = rng.uniform(-3.0, 3.0, (k, n))
+            g, h = obj.gradient(z), obj.hessian(z)
+            assert np.shape(g) == (k, n) and np.shape(h) == (k, n, n)
+            for row, gr, hr in zip(z, g, h):
+                np.testing.assert_allclose(gr, obj.gradient(row), rtol=1e-14,
+                                           atol=1e-14 * np.abs(gr).max())
+                np.testing.assert_allclose(hr, obj.hessian(row), rtol=1e-14,
+                                           atol=1e-14 * np.abs(hr).max())
+
+    def test_example3_stack_selects_the_active_piece_per_row(self):
+        obj = example3_objective()
+        z = np.array([[4.0, 3.0], [-1.0, 2.0], [0.5, 0.5]])  # quad, quad, linear
+        np.testing.assert_array_equal(obj.gradient(z), [[8.0, 6.0], [-2.0, 4.0], [5.0, 1.0]])
+        np.testing.assert_array_equal(obj.hessian(z)[2], np.zeros((2, 2)))
+
+    def test_point_only_gradient_is_rejected_at_construction(self):
+        """The finite-difference check runs on a stack, so a gradient that
+        reads x[0] as the first coordinate fails it."""
+        with pytest.raises(ValueError, match="stack"):
+            ObjectiveModel(value=lambda x: float(x[0] ** 2 + x[1] ** 2),
+                           gradient=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
+                           kind="smooth")
+
+    def test_example3_subgradient_averages_tied_pieces(self):
+        obj = example3_objective()
+        np.testing.assert_array_equal(obj.subgradient(np.zeros(2)), [2.5, 0.5])
+        x = np.array([3.0, 1.0])
+        np.testing.assert_array_equal(obj.subgradient(x), obj.gradient(x))
+
+
+class TestExample3Kinks:
+    """Kink abscissae against a 50-digit evaluation of the quadratic roots."""
+
+    @staticmethod
+    def exact_roots(x, i):
+        from decimal import Decimal, localcontext
+        with localcontext() as ctx:
+            ctx.prec = 50
+            other = Decimal(float(x[1 - i]))
+            b = Decimal(-5) if i == 0 else Decimal(-1)
+            c = other * other - other if i == 0 else other * other - 5 * other
+            r = (b * b - 4 * c).sqrt()
+            return sorted(((-b - r) / 2, (-b + r) / 2))
+
+    @pytest.mark.parametrize("x", [
+        (5.737771369140887e-13, 5.737077479750496e-13),
+        (1e-9, -2e-10), (2e-17, 7e-18), (3.0, 1.0), (0.02, 2.25), (4.5, -1.2),
+    ])
+    def test_roots_match_decimal_reference(self, x):
+        x = np.array(x)
+        for i in range(2):
+            got = _example3_kinks(x, i, -np.inf, np.inf)
+            want = self.exact_roots(x, i)
+            assert len(got) == 2
+            for g, w in zip(got, want):
+                assert abs(g - float(w)) <= 1e-12 * abs(float(w))
 
 
 class TestRandomQuadraticMop:
