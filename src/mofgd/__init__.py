@@ -33,7 +33,6 @@ from .fractional import (
     FractionalConfig,
     QuadratureAccuracyError,
     UnivariateFunction,
-    UnivariateSegment,
     UnsupportedOrderError,
     caputo_derivative_1d,
     caputo_derivative_poly,

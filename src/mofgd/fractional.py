@@ -37,7 +37,6 @@ __all__ = [
     "UnsupportedOrderError",
     "QuadratureAccuracyError",
     "FractionalConfig",
-    "UnivariateSegment",
     "UnivariateFunction",
     "caputo_derivative_1d",
     "caputo_derivative_poly",
@@ -130,36 +129,6 @@ class FractionalConfig:
     def terminal_for(self, i: int) -> float:
         c = self.terminal
         return float(c[0]) if c.size == 1 else float(c[i])
-
-
-@dataclass(frozen=True)
-class UnivariateSegment:
-    """A 1-D integration range with its interior non-smooth points.
-
-    integrand_order says which derivative of f appears under the integral
-    (1 for orders in (0,1), 2 for orders in (1,2)).
-    """
-
-    endpoints: tuple[float, float]
-    integrand_order: int
-    kink_points: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        a, b = self.endpoints
-        if not a < b:
-            raise ValueError(f"endpoints must satisfy a < b, got ({a}, {b})")
-        if self.integrand_order not in (1, 2):
-            raise ValueError(f"integrand_order must be 1 or 2, got {self.integrand_order}")
-        ks = tuple(float(k) for k in self.kink_points)
-        if any(not a < k < b for k in ks):
-            raise ValueError("kink points must lie strictly inside the endpoints")
-        if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-            raise ValueError("kink points must be strictly increasing")
-        object.__setattr__(self, "kink_points", ks)
-
-    def panels(self) -> list[tuple[float, float]]:
-        pts = [self.endpoints[0], *self.kink_points, self.endpoints[1]]
-        return list(zip(pts, pts[1:]))
 
 
 @dataclass(frozen=True)

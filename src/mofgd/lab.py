@@ -52,6 +52,7 @@ __all__ = [
 
 PAPER_GAMMA_VALUES = (0.15, 0.25, 0.5, 0.75, 1.0, 10.0)
 DOMINANCE_SLACK = 1e-9
+DUPLICATE_RTOL = 1e-5  # relative part of the duplicate test; see nondominated_filter
 
 
 @dataclass(frozen=True)
@@ -350,20 +351,35 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     ), report
 
 
-def _dominates(a: np.ndarray, b: np.ndarray, slack: float = DOMINANCE_SLACK) -> bool:
-    return bool(np.all(a <= b + slack) and np.any(a < b - slack))
-
-
 def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
-    kept: list[FrontPoint] = []
-    for p in points:
-        if any(_dominates(q.objectives, p.objectives) for q in points):
-            continue
-        if any(np.allclose(q.objectives, p.objectives, atol=DOMINANCE_SLACK) for q in kept):
-            continue
-        kept.append(p)
-    kept.sort(key=lambda p: tuple(p.objectives))
-    return kept
+    """The points no other point dominates, less near-duplicates, sorted by
+    objective vector.
+
+    q dominates p when f(q) <= f(p) + DOMINANCE_SLACK on every objective and
+    f(q) < f(p) - DOMINANCE_SLACK on some objective.  A nondominated p is a
+    duplicate of an earlier kept q when, on every objective,
+    |f(q) - f(p)| <= DOMINANCE_SLACK + DUPLICATE_RTOL |f(p)| (np.isclose).
+    The relative part merges final points of neighbouring starts that reach
+    one critical point but stop up to about 1e-6 apart.  Closeness is not
+    transitive, so duplicates are dropped greedily in input order.
+    """
+    n = len(points)
+    F = np.array([p.objectives for p in points], dtype=float)
+    # [q, p] entries, built one objective at a time so temporaries stay n x n.
+    no_worse = np.ones((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    close = np.ones((n, n), dtype=bool)
+    for col in F.T:
+        fq, fp = col[:, None], col[None, :]
+        no_worse &= fq <= fp + DOMINANCE_SLACK
+        better |= fq < fp - DOMINANCE_SLACK
+        close &= np.isclose(fq, fp, rtol=DUPLICATE_RTOL, atol=DOMINANCE_SLACK)
+    dominated = (no_worse & better).any(axis=0)
+    kept: list[int] = []
+    for i in np.flatnonzero(~dominated):
+        if not close[kept, i].any():
+            kept.append(i)
+    return sorted((points[i] for i in kept), key=lambda p: tuple(p.objectives))
 
 
 def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,

@@ -259,9 +259,6 @@ class QuadraticMop:
         r = self.factors[j].T @ x - self.targets[j]
         return float(0.5 * r @ r)
 
-    def objective_gradient(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self.gram[j] @ x + self.offsets[j]
-
     def objectives(self) -> list[ObjectiveModel]:
         """Raw ObjectiveModels of the m objectives; a staged run adds the
         regularizer itself (see `regularized`)."""

@@ -271,7 +271,7 @@ def test_criterion_8_armijo_contract():
         mop = random_quadratic_mop(n, n + 2, 2, seed=int(rng.integers(0, 10 ** 6)))
         objs = mop.objectives()
         x = rng.normal(size=n) * 2.0
-        grads = [mop.objective_gradient(j, x) for j in range(2)]
+        grads = [objs[j].gradient(x) for j in range(2)]
         one_step(objs, grads, x)
 
     # Fractional steps on the nonsmooth fixture (memory terminal at zero).

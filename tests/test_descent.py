@@ -110,7 +110,7 @@ class TestArmijoStep:
         cfg = SolverConfig(sigma=0.2)
         for _ in range(25):
             x = rng.normal(size=4) * 2.0
-            grads = [mop.objective_gradient(j, x) for j in range(2)]
+            grads = [objs[j].gradient(x) for j in range(2)]
             direction = solve_direction(grads)
             if direction.norm < 1e-9:
                 continue
@@ -236,8 +236,8 @@ class TestRunSingleStage:
         x = x0.copy()
         reference = [x.copy()]
         for _ in range(200):
-            res = solve_direction_m2_closed_form(mop.objective_gradient(0, x),
-                                                 mop.objective_gradient(1, x))
+            res = solve_direction_m2_closed_form(objs[0].gradient(x),
+                                                 objs[1].gradient(x))
             if res.norm < cfg.tolerance:
                 break
             eta = 1.0
@@ -267,7 +267,7 @@ class TestRunSingleStage:
         trace = run_single_stage(mop.objectives(), np.ones(3), cfg, classical_cfg(n=3), 40)
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
-        grads = [mop.objective_gradient(j, np.ones(3)) for j in range(2)]
+        grads = [mop.objectives()[j].gradient(np.ones(3)) for j in range(2)]
         assert trace.final_norm_d == solve(grads).norm
         assert trace.final_norm_d > cfg.tolerance
 
@@ -358,7 +358,7 @@ class TestRunAdaptive:
         cfg = SolverConfig(tolerance=1e-10, max_iterations=1000)
         trace = run_adaptive(mop.objectives(), np.full(5, 2.0), cfg, sched)
         assert trace.termination != "error", trace.error
-        grads = [mop.objective_gradient(j, trace.final_x) for j in range(2)]
+        grads = [mop.objectives()[j].gradient(trace.final_x) for j in range(2)]
         assert trace.final_norm_d == solve_direction(grads).norm
         assert trace.final_norm_d <= 4.72e-9
 
@@ -396,7 +396,7 @@ class TestRunAdaptive:
         cfg = SolverConfig(tolerance=1e-7, max_iterations=1000)
         trace = run_adaptive(mop.objectives(), np.full(6, 4.0), cfg, sched)
         assert trace.termination != "error"
-        grads = np.array([mop.objective_gradient(j, trace.final_x) for j in range(2)])
+        grads = np.array([mop.objectives()[j].gradient(trace.final_x) for j in range(2)])
         assert solve_direction(grads).norm < 1e-4
 
 

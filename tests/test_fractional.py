@@ -10,7 +10,6 @@ from mofgd import (
     FractionalConfig,
     QuadratureAccuracyError,
     UnivariateFunction,
-    UnivariateSegment,
     UnsupportedOrderError,
     caputo_derivative_1d,
     caputo_derivative_poly,
@@ -174,21 +173,6 @@ class TestCaputoPoly:
         closed = caputo_derivative_poly(coeffs, cfg, 2.0, 0.35)
         quad = caputo_derivative_1d(shifted, cfg, 2.0, 0.35)
         assert closed == pytest.approx(quad, abs=1e-9)
-
-
-class TestUnivariateSegment:
-    def test_valid_segment(self):
-        seg = UnivariateSegment(endpoints=(0.0, 1.0), integrand_order=1, kink_points=(0.3, 0.7))
-        assert seg.panels() == [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0)]
-
-    @pytest.mark.parametrize("kinks", [(0.0,), (1.0,), (0.7, 0.3)])
-    def test_invalid_kinks(self, kinks):
-        with pytest.raises(ValueError):
-            UnivariateSegment(endpoints=(0.0, 1.0), integrand_order=1, kink_points=kinks)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            UnivariateSegment(endpoints=(0.0, 1.0), integrand_order=3)
 
 
 class TestCaputoGradient:

@@ -182,6 +182,95 @@ class TestParetoSweep:
         assert all(a >= b - 1e-9 for a, b in zip(f2, f2[1:]))
 
 
+def reference_nondominated_filter(points):
+    """The pairwise loop the broadcast filter replaced: the reference it
+    must reproduce point for point and in order."""
+    def dominates(a, b, slack=1e-9):
+        return bool(np.all(a <= b + slack) and np.any(a < b - slack))
+
+    kept = []
+    for p in points:
+        if any(dominates(q.objectives, p.objectives) for q in points):
+            continue
+        if any(np.allclose(q.objectives, p.objectives, atol=1e-9) for q in kept):
+            continue
+        kept.append(p)
+    kept.sort(key=lambda p: tuple(p.objectives))
+    return kept
+
+
+def front_points(F):
+    return [lab.FrontPoint(objectives=np.array(f, dtype=float), x=np.zeros(1),
+                           start_index=i, norm_d=0.0) for i, f in enumerate(F)]
+
+
+class TestNondominatedFilter:
+    def assert_matches_reference(self, F):
+        points = front_points(F)
+        got = lab.nondominated_filter(points)
+        want = reference_nondominated_filter(points)
+        assert [p.start_index for p in got] == [p.start_index for p in want]
+        return [p.start_index for p in got]
+
+    def test_empty(self):
+        assert lab.nondominated_filter([]) == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 17, 100, 300])
+    def test_random_fronts(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        # Points on the unit sphere's positive orthant are mutually
+        # nondominated; pushing some outward makes them dominated.
+        F = np.abs(rng.normal(size=(n, m)))
+        F /= np.linalg.norm(F, axis=1, keepdims=True)
+        F *= np.where(rng.random((n, 1)) < 0.3, rng.uniform(1.0, 1.5, (n, 1)), 1.0)
+        self.assert_matches_reference(F)
+        self.assert_matches_reference(rng.uniform(0.0, 10.0, (n, m)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rounded_values_tie_exactly(self, m):
+        rng = np.random.default_rng(m)
+        F = np.round(rng.uniform(0.0, 1.0, (300, m)), 1)
+        kept = self.assert_matches_reference(F)
+        assert len(kept) == len({tuple(F[i]) for i in kept})
+
+    def test_exact_duplicates_keep_the_first_start(self):
+        F = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
+        assert self.assert_matches_reference(F) == [0, 1]
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_duplicate_bounds(self, scale, factor):
+        """Mutually nondominated pairs just inside and just outside
+        |q - p| <= 1e-9 + 1e-5 |p| on both objectives."""
+        p = np.array([scale, 2.0 * scale])
+        tol = 1e-9 + 1e-5 * np.abs(p)
+        q = p + factor * tol * np.array([1.0, -1.0])
+        kept = self.assert_matches_reference([q, p])
+        assert sorted(kept) == ([0] if factor < 1 else [0, 1])
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_dominance_slack_bound(self, factor):
+        """q better than p by just under or over the slack on one objective."""
+        p = np.array([1.0, 3.0, 5.0])
+        q = p - factor * 1e-9 * np.array([1.0, 0.0, 0.0])
+        self.assert_matches_reference([p, q])
+
+    def test_closeness_chain_is_greedy_in_start_order(self):
+        """Each point is close to its neighbours but not to the next but one."""
+        step = 0.6 * (1e-9 + 1e-5)
+        F = [[1.0 + k * step, 1.0 - k * step] for k in range(5)]
+        assert self.assert_matches_reference(F) == [0, 2, 4]
+        assert self.assert_matches_reference(F[::-1]) == [4, 2, 0]
+
+    def test_infinite_entries(self):
+        inf = np.inf
+        F = [[inf, 0.0], [0.0, inf], [inf, inf], [-inf, 1.0], [-inf, 2.0],
+             [1.0, -inf], [inf, -inf], [-inf, -inf], [0.5, 0.5], [inf, 0.0]]
+        self.assert_matches_reference(F)
+        self.assert_matches_reference(F[:3] + [[0.5, 0.5], [inf, 0.0], [1.0, inf]])
+
+
 class TestAdrs:
     def test_front_equals_reference(self):
         ref = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
