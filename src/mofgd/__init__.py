@@ -58,7 +58,6 @@ from .problems import (
     TikhonovSolution,
     condition_number,
     load_mop,
-    quadratic_effective_gradient,
     quadratic_objective,
     random_quadratic_mop,
     save_mop,

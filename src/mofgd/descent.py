@@ -15,13 +15,19 @@ gradient of the stage-regularized merit
     f_j(x) + gamma_s/2 * sum_i H_ii (x_i - c_i)^2,
 
 so the stage builds that merit once (`problems.regularized`) and takes the
-direction input, the line-search values and the fixed-step system from it.
+direction input, the line-search test and the fixed-step system from it.
 Non-quadratic objectives use singular-quadrature gradients and raw values.
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
 the merit it tests, which equals the subproblem's t bit for bit for
 quadratics.  A stage whose t < 0 meets a merit slope >= 0 ends as
-"model_mismatch".
+"model_mismatch".  A quadratic merit with curvature q_j = d^T H_j d > 0
+along d is tested on its exact expansion
+
+    eta s_j + eta^2 q_j / 2 <= sigma eta slope,   s_j = grad merit_j(x)^T d,
+
+which needs no value evaluation; every other merit is tested on its
+evaluated values.
 """
 
 from __future__ import annotations
@@ -216,20 +222,32 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 direction: DirectionResult, cfg: SolverConfig) -> tuple[float, np.ndarray, int]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
+    A quadratic f_j with curvature q_j = d^T H_j d > 0 along d is tested on
+    its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t, where
+    s_j = grad f_j(x)^T d, so its values are never evaluated.  Every other
+    objective (smooth, piecewise, or a quadratic with q_j <= 0) is tested on
+    its evaluated values, and only at trial steps that pass the expansions.
+
     Returns (eta, x_next, backtrack_count); raises LineSearchError after 60
     rejected halvings.
     """
     if not direction.t_value < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
     d, t = direction.direction, direction.t_value
-    f0 = np.array([obj.value(x) for obj in objectives])
-    eta = 1.0
+    expanded, evaluated = [], []  # (s_j, q_j) and (f_j, f_j(x))
+    for obj in objectives:
+        q = float(d @ obj.hessian(x) @ d) if obj.kind == "quadratic" else 0.0
+        if q > 0.0:
+            expanded.append((float(obj.gradient(x) @ d), q))
+        else:
+            evaluated.append((obj, obj.value(x)))
     for backtracks in range(MAX_BACKTRACKS + 1):
-        x_next = x + eta * d
-        if all(obj.value(x_next) <= f0[j] + cfg.sigma * eta * t
-               for j, obj in enumerate(objectives)):
-            return eta, x_next, backtracks
-        eta *= cfg.backtrack
+        eta = cfg.backtrack ** backtracks
+        bound = cfg.sigma * eta * t
+        if all(eta * s + 0.5 * eta ** 2 * q <= bound for s, q in expanded):
+            x_next = x + eta * d
+            if all(obj.value(x_next) <= f0 + bound for obj, f0 in evaluated):
+                return eta, x_next, backtracks
     raise LineSearchError(
         f"no acceptable step within {MAX_BACKTRACKS} halvings at x = {x} "
         "(direction is not a descent direction for the merit objectives)"
@@ -254,8 +272,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
 
     objectives are raw; the stage adds the regularizer itself.  Each
     quadratic objective becomes its stage merit (see `_stage_merit`), whose
-    gradient is the direction input, whose values the line search tests and
-    the trace's f columns record, and whose Hessian sets the fixed step.
+    gradient is the direction input, whose exact expansion the line search
+    tests, whose values the trace's f columns record, and whose Hessian sets
+    the fixed step.
     Other kinds take singular-quadrature gradients and raw values, and the
     Armijo slope comes from the merit gradients.  With an adaptive terminal (frac.memory_length L) the terminal is the iterate L
     steps back in trace.records (the earliest one, or x0, before that) and

@@ -27,8 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fractional import FractionalConfig
-
 __all__ = [
     "SingularSystemError",
     "ObjectiveModel",
@@ -38,7 +36,6 @@ __all__ = [
     "quadratic_objective",
     "regularized",
     "random_quadratic_mop",
-    "quadratic_effective_gradient",
     "tikhonov_solve",
     "condition_number",
     "save_mop",
@@ -62,17 +59,20 @@ class ObjectiveModel:
     the fractional gradients evaluate all quadrature nodes of a coordinate
     in one stacked call.
 
-    kind is "quadratic" (constant symmetric Hessian), "smooth", or
-    "piecewise"; piecewise objectives must carry a kink_locator with
-    signature (x, i, lo, hi) -> kink_abscissae giving the
-    non-differentiability points of the coordinate-i restriction inside
-    (lo, hi).  The fractional gradient splits its quadrature there and has
-    no other way to find a kink.
+    kind is "quadratic", "smooth", or "piecewise".  "quadratic" declares one
+    consistent quadratic: a constant symmetric Hessian H with
+    f(x + u) = f(x) + grad f(x)^T u + u^T H u / 2 exactly, which the Armijo
+    line search uses in place of evaluated values.  Piecewise objectives
+    must carry a kink_locator with signature (x, i, lo, hi) ->
+    kink_abscissae giving the non-differentiability points of the
+    coordinate-i restriction inside (lo, hi).  The fractional gradient
+    splits its quadrature there and has no other way to find a kink.
 
     The gradient is validated against central finite differences of the
     value at construction, on 10 seeded points evaluated as one stack
     (piecewise kinds skip points whose difference stencil contains a located
-    kink).
+    kink); a quadratic's Hessian is also validated against central
+    differences of the gradient on the same points.
     """
 
     value: Callable[[np.ndarray], float]
@@ -115,6 +115,15 @@ class ObjectiveModel:
                 raise ValueError(
                     f"gradient disagrees with finite differences at x = {x}: {g} vs {fd}"
                 )
+        if self.kind == "quadratic":
+            steps = _FD_CHECK_STEP * np.eye(self.dim)
+            ahead, behind = (np.asarray(self.gradient((points[:, None] + s).reshape(-1, self.dim)),
+                                        dtype=float) for s in (steps, -steps))
+            fd = (ahead - behind).reshape(-1, self.dim, self.dim) / (2 * _FD_CHECK_STEP)
+            hess = np.asarray(self.hessian(points), dtype=float)
+            if hess.shape != fd.shape or not np.allclose(hess, fd, atol=_FD_CHECK_TOL,
+                                                         rtol=_FD_CHECK_TOL):
+                raise ValueError("Hessian disagrees with finite differences of the gradient")
 
 
 def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0) -> ObjectiveModel:
@@ -130,8 +139,12 @@ def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0)
 def _quadratic_derivatives(a_matrix: np.ndarray, b: np.ndarray) -> tuple[Callable, Callable]:
     """Gradient x -> A x + b and Hessian x -> A, row by row on a stack
     (A @ x would mix the rows of a square stack)."""
-    return (lambda x: (a_matrix @ np.asarray(x).T).T + b,
-            lambda x: a_matrix if np.ndim(x) == 1
+    return (lambda x: (a_matrix @ np.asarray(x).T).T + b), _constant_hessian(a_matrix)
+
+
+def _constant_hessian(a_matrix: np.ndarray) -> Callable:
+    """x -> A for one point, a read-only (k, n, n) broadcast of A for a stack."""
+    return (lambda x: a_matrix if np.ndim(x) == 1
             else np.broadcast_to(a_matrix, np.shape(x)[:-1] + a_matrix.shape))
 
 
@@ -141,7 +154,8 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     R = diag(diag(H)) for reg="diag" (the pull a stage's fractional gradient
     adds) or r r^T with r = sqrt(diag(H)) for reg="outer" (the rank-one
     comparison form).  This is the only place a pull is attached to an
-    objective; gamma = 0 returns obj itself.
+    objective; gamma = 0 returns obj itself.  A quadratic's Hessian is
+    constant, so the merit's H + gamma R is built once, here.
     """
     if reg not in ("diag", "outer"):
         raise ValueError(f"unknown regularizer {reg!r}")
@@ -150,7 +164,8 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     if gamma == 0.0:
         return obj
     c = np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))
-    h = np.diag(np.asarray(obj.hessian(c), dtype=float))
+    hess = np.asarray(obj.hessian(c), dtype=float)
+    h = np.diag(hess)
     if reg == "diag":
         reg_matrix = np.diag(h)
         pull, penalty = (lambda u: gamma * h * u), (lambda u: float(h @ u ** 2))
@@ -158,10 +173,12 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
         r = np.sqrt(h)
         reg_matrix = np.outer(r, r)
         pull, penalty = (lambda u: gamma * r * (u @ r)[..., None]), (lambda u: float(r @ u) ** 2)
+    merit_hess = hess + gamma * reg_matrix
+    merit_hess.flags.writeable = False  # every call returns this one array
     return ObjectiveModel(
         value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
         gradient=lambda x: np.asarray(obj.gradient(x), dtype=float) + pull(x - c),
-        hessian=lambda x: np.asarray(obj.hessian(x), dtype=float) + gamma * reg_matrix,
+        hessian=_constant_hessian(merit_hess),
         kind="quadratic", dim=obj.dim, validate=False,
     )
 
@@ -309,20 +326,6 @@ def random_quadratic_mop(n: int, m_data: int, m: int, seed: int) -> QuadraticMop
     x_star = rng.uniform(-1.0, 1.0, n)
     ys = tuple(W.T @ x_star for W in ws)
     return QuadraticMop(factors=ws, targets=ys, x_star=x_star, seed=seed)
-
-
-def quadratic_effective_gradient(mop: QuadraticMop, j: int, cfg: FractionalConfig,
-                                 x: np.ndarray) -> np.ndarray:
-    """Closed form of the modified fractional gradient of objective j.
-
-    g_j(x) = (A_j x + b_j) + gamma_{alpha,beta} * diag(diag(A_j)) (x - c)
-    with gamma_{alpha,beta} = beta - (1-alpha)/(2-alpha) and diag(A_j) =
-    rtilde_j^2.
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.broadcast_to(cfg.terminal, x.shape)
-    pull = cfg.gamma_alpha_beta * mop.rtilde[j] ** 2 * (x - c)
-    return mop.gram[j] @ x + mop.offsets[j] + pull
 
 
 def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,

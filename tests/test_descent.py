@@ -64,6 +64,38 @@ def logistic_losses():
     return objectives
 
 
+def evaluated_armijo(objectives, x, direction, cfg):
+    """Reference line search on evaluated values: the first eta in
+    {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma eta t for all j.
+
+    Returns (eta, x_next, backtracks, margin), where margin is the smallest
+    |sigma eta t| / |f_j(x)| over the trials, so a caller can check that no
+    trial was decided by rounding.
+    """
+    d, t = direction.direction, direction.t_value
+    f0 = [obj.value(x) for obj in objectives]
+    margin = np.inf
+    for backtracks in range(descent.MAX_BACKTRACKS + 1):
+        eta = cfg.backtrack ** backtracks
+        bound = cfg.sigma * eta * t
+        margin = min(margin, min(abs(bound) / abs(f) for f in f0))
+        x_next = x + eta * d
+        if all(obj.value(x_next) <= f + bound for obj, f in zip(objectives, f0)):
+            return eta, x_next, backtracks, margin
+    raise AssertionError("the reference found no step")
+
+
+def counting_values(obj):
+    """obj with a value that counts its calls in the returned list."""
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return obj.value(x)
+
+    return dataclasses.replace(obj, value=value, validate=False), calls
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(sigma=1.5), dict(sigma=0.0), dict(backtrack=1.0),
@@ -169,6 +201,68 @@ class TestArmijoStep:
                                theta=0.0)
         with pytest.raises(LineSearchError):
             armijo_step([obj], x, fake, SolverConfig())
+
+    @pytest.mark.parametrize("reg", ["diag", "outer"])
+    @pytest.mark.parametrize("n", [2, 20, 100])
+    def test_matches_evaluated_reference(self, reg, n):
+        """Far from the minimizer every trial's sigma*eta*t is far above the
+        rounding of f, so the exact expansion accepts the same step as the
+        evaluated rule."""
+        rng = np.random.default_rng(n)
+        cfg = SolverConfig(sigma=0.1, backtrack=0.5)
+        for seed in range(5):
+            mop = random_quadratic_mop(n, n + 3, 2, seed=seed)
+            merit = [regularized(o, 0.3, np.zeros(n), reg) for o in mop.objectives()]
+            x = mop.x_star + 10.0 * rng.normal(size=n)
+            direction = solve_direction([m.gradient(x) for m in merit])
+            eta, x_next, backtracks = armijo_step(merit, x, direction, cfg)
+            ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(merit, x, direction, cfg)
+            assert margin > 1e-10
+            assert (eta, backtracks) == (ref_eta, ref_backtracks)
+            np.testing.assert_array_equal(x_next, ref_next)
+
+    def test_mixed_quadratic_and_smooth(self):
+        """A smooth objective is tested on its values; a quadratic beside it
+        on its expansion, without one value evaluation."""
+        mop = random_quadratic_mop(4, 7, 1, seed=3)
+        quad, quad_calls = counting_values(regularized(mop.objectives()[0], 0.3, np.zeros(4)))
+        smooth, smooth_calls = counting_values(ObjectiveModel(
+            lambda x: float(np.cosh(x).sum()), np.sinh,
+            lambda x: np.cosh(x)[..., None] * np.eye(4), kind="smooth", dim=4))
+        objectives = [quad, smooth]
+        cfg = SolverConfig(sigma=0.1, backtrack=0.5)
+        rng = np.random.default_rng(11)
+        backtracked = 0
+        for _ in range(10):
+            x = 3.0 * rng.normal(size=4)
+            direction = solve_direction([obj.gradient(x) for obj in objectives])
+            eta, x_next, backtracks = armijo_step(objectives, x, direction, cfg)
+            assert not quad_calls and smooth_calls
+            ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(
+                objectives, x, direction, cfg)
+            assert margin > 1e-10
+            assert (eta, backtracks) == (ref_eta, ref_backtracks)
+            np.testing.assert_array_equal(x_next, ref_next)
+            for obj in objectives:
+                assert obj.value(x_next) <= obj.value(x) + cfg.sigma * eta * direction.t_value
+            backtracked += backtracks > 0
+            quad_calls.clear()
+        assert backtracked
+
+    @pytest.mark.parametrize("backtrack", [0.5, 0.3, 0.8])
+    def test_eta_is_the_ratio_to_the_backtrack_count(self, backtrack):
+        mop = random_quadratic_mop(6, 9, 2, seed=5)
+        objectives = mop.objectives()
+        cfg = SolverConfig(sigma=0.1, backtrack=backtrack)
+        rng = np.random.default_rng(4)
+        counts = set()
+        for _ in range(10):
+            x = 4.0 * rng.normal(size=6)
+            direction = solve_direction([obj.gradient(x) for obj in objectives])
+            eta, _, backtracks = armijo_step(objectives, x, direction, cfg)
+            assert eta == backtrack ** backtracks
+            counts.add(backtracks)
+        assert max(counts) > 0
 
 
 class TestRunSingleStage:

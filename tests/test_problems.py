@@ -10,7 +10,6 @@ from mofgd import (
     SingularSystemError,
     condition_number,
     load_mop,
-    quadratic_effective_gradient,
     quadratic_objective,
     random_quadratic_mop,
     save_mop,
@@ -43,6 +42,22 @@ class TestObjectiveModel:
                 gradient=lambda x: 3.0 * x,  # wrong: should be 2x
                 kind="smooth",
             )
+
+    def test_hessian_validation_rejects_wrong_quadratic_hessian(self):
+        """The line search expands a quadratic on its Hessian, so a Hessian
+        off by a factor of 2 is rejected at construction."""
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+
+        def quadratic(hessian_matrix):
+            return ObjectiveModel(
+                value=lambda x: float(0.5 * x @ A @ x),
+                gradient=lambda x: np.asarray(x) @ A,
+                hessian=lambda x: np.broadcast_to(hessian_matrix, np.shape(x)[:-1] + A.shape),
+                kind="quadratic")
+
+        quadratic(A)
+        with pytest.raises(ValueError, match="Hessian disagrees"):
+            quadratic(2.0 * A)
 
     def test_quadratic_requires_hessian(self):
         with pytest.raises(ValueError, match="Hessian"):
@@ -103,6 +118,25 @@ class TestStackContract:
         np.testing.assert_array_equal(obj.subgradient(np.zeros(2)), [2.5, 0.5])
         x = np.array([3.0, 1.0])
         np.testing.assert_array_equal(obj.subgradient(x), obj.gradient(x))
+
+
+class TestRegularized:
+    @pytest.mark.parametrize("reg", ["diag", "outer"])
+    def test_hessian_is_built_once(self, reg):
+        """One point gets the sum H + gamma R bit for bit, the same array at
+        every point; a stack gets it in every row."""
+        mop = random_quadratic_mop(5, 8, 1, seed=6)
+        obj, gamma, c = mop.objectives()[0], 0.3, np.linspace(-1.0, 1.0, 5)
+        h = np.diag(mop.gram[0])
+        reg_matrix = np.diag(h) if reg == "diag" else np.outer(np.sqrt(h), np.sqrt(h))
+        merit = regularized(obj, gamma, c, reg)
+        x = np.array([0.3, -0.2, 1.5, 0.0, -2.0])
+        np.testing.assert_array_equal(merit.hessian(x), obj.hessian(x) + gamma * reg_matrix)
+        assert merit.hessian(x) is merit.hessian(c)
+        stack = merit.hessian(np.random.default_rng(2).normal(size=(3, 5)))
+        assert stack.shape == (3, 5, 5)
+        for row in stack:
+            np.testing.assert_array_equal(row, merit.hessian(x))
 
 
 class TestExample3Kinks:
@@ -169,6 +203,22 @@ class TestRandomQuadraticMop:
         mop = random_quadratic_mop(6, 8, 2, seed=4)
         for W, y in zip(mop.factors, mop.targets):
             np.testing.assert_allclose(W.T @ mop.x_star, y)
+
+
+def quadratic_effective_gradient(mop: QuadraticMop, j: int, cfg: FractionalConfig,
+                                 x: np.ndarray) -> np.ndarray:
+    """Independent reference: the closed form of the modified fractional
+    gradient of objective j,
+
+    g_j(x) = (A_j x + b_j) + gamma_{alpha,beta} * diag(diag(A_j)) (x - c)
+
+    with gamma_{alpha,beta} = beta - (1-alpha)/(2-alpha) and diag(A_j) =
+    rtilde_j^2.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.broadcast_to(cfg.terminal, x.shape)
+    pull = cfg.gamma_alpha_beta * mop.rtilde[j] ** 2 * (x - c)
+    return mop.gram[j] @ x + mop.offsets[j] + pull
 
 
 class TestEffectiveGradient:
