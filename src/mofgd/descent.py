@@ -26,13 +26,20 @@ along d is tested on its exact expansion
 
     eta s_j + eta^2 q_j / 2 <= sigma eta slope,   s_j = grad merit_j(x)^T d,
 
-which needs no value evaluation; every other merit is tested on its
+which needs no value evaluation and holds exactly for eta <= eta_j* =
+2 (sigma slope - s_j) / q_j, so the scan starts one step before the first
+power of r at or below min_j eta_j*; every other merit is tested on its
 evaluated values.
+
+Per iteration each merit's value and gradient at x are evaluated once: the
+stage hands them to the line search, which evaluates values only at trial
+steps, and only for merits it cannot expand.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -219,14 +226,20 @@ class IterationTrace:
 
 
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
-                direction: DirectionResult, cfg: SolverConfig) -> tuple[float, np.ndarray, int]:
+                direction: DirectionResult, cfg: SolverConfig,
+                values: Sequence[float], gradients: Sequence[np.ndarray],
+                ) -> tuple[float, np.ndarray, int]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
-    A quadratic f_j with curvature q_j = d^T H_j d > 0 along d is tested on
+    values and gradients are f_j(x) and grad f_j(x), which the caller has
+    already evaluated; the line search evaluates no value or gradient at x.  A
+    quadratic f_j with curvature q_j = d^T H_j d > 0 along d is tested on
     its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t, where
-    s_j = grad f_j(x)^T d, so its values are never evaluated.  Every other
+    s_j = gradients[j]^T d, so its values are never evaluated.  Every other
     objective (smooth, piecewise, or a quadratic with q_j <= 0) is tested on
     its evaluated values, and only at trial steps that pass the expansions.
+    The scan starts at the closed-form first trial (`_first_trial`) and
+    returns what the scan from eta = 1 returns.
 
     Returns (eta, x_next, backtrack_count); raises LineSearchError after 60
     rejected halvings.
@@ -235,13 +248,15 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
         raise ValueError("line search requires a descent direction (t < 0)")
     d, t = direction.direction, direction.t_value
     expanded, evaluated = [], []  # (s_j, q_j) and (f_j, f_j(x))
-    for obj in objectives:
+    for obj, f0, g in zip(objectives, values, gradients):
         q = float(d @ obj.hessian(x) @ d) if obj.kind == "quadratic" else 0.0
         if q > 0.0:
-            expanded.append((float(obj.gradient(x) @ d), q))
+            # One dot per row: rows of G @ d can differ in the last bit, which
+            # would move the steps that pass only by rounding.
+            expanded.append((float(g @ d), q))
         else:
-            evaluated.append((obj, obj.value(x)))
-    for backtracks in range(MAX_BACKTRACKS + 1):
+            evaluated.append((obj, f0))
+    for backtracks in range(_first_trial(expanded, cfg, t), MAX_BACKTRACKS + 1):
         eta = cfg.backtrack ** backtracks
         bound = cfg.sigma * eta * t
         if all(eta * s + 0.5 * eta ** 2 * q <= bound for s, q in expanded):
@@ -252,6 +267,28 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
         f"no acceptable step within {MAX_BACKTRACKS} halvings at x = {x} "
         "(direction is not a descent direction for the merit objectives)"
     )
+
+
+def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
+                 t: float) -> int:
+    """Backtrack count at which the Armijo scan may start without changing its result.
+
+    The expansion of merit j holds exactly for eta <= eta_j* = 2 (sigma t -
+    s_j) / q_j.  When every eta_j* is finite and positive, the scan starts
+    one step before the first power of r at or below min_j eta_j*;
+    otherwise it starts at eta = 1.  Every skipped trial is at least two
+    steps before that power, so it exceeds the smallest eta_j* by more than
+    a factor 1/r, and that merit's exact margin eta s_j + eta^2 q_j / 2 -
+    sigma eta t is more than a factor 1/r - 1 of its terms: far above their
+    rounding, so the scan from eta = 1 rejects the trial as well and both
+    return the same step, bit for bit.  The one step of slack covers the
+    trial just above the bound, which rounding may accept, and a logarithm
+    that rounds across an integer.
+    """
+    bounds = [2.0 * (cfg.sigma * t - s) / q for s, q in expanded]
+    if not bounds or not all(0.0 < b < math.inf for b in bounds):
+        return 0
+    return max(0, math.ceil(math.log(min(bounds)) / math.log(cfg.backtrack)) - 1)
 
 
 def _stage_merit(objectives, frac: FractionalConfig) -> list[ObjectiveModel]:
@@ -276,7 +313,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     tests, whose values the trace's f columns record, and whose Hessian sets
     the fixed step.
     Other kinds take singular-quadrature gradients and raw values, and the
-    Armijo slope comes from the merit gradients.  With an adaptive terminal (frac.memory_length L) the terminal is the iterate L
+    Armijo slope comes from the merit gradients.  Each iteration evaluates
+    every merit's gradient and value at x once and hands both to
+    `armijo_step`: a quadratic stage makes one gradient call per objective
+    per iteration and one value call per recorded iteration, and a smooth
+    stage one value call at each iterate besides its trial steps.  With an
+    adaptive terminal (frac.memory_length L) the terminal is the iterate L
     steps back in trace.records (the earliest one, or x0, before that) and
     the merit is rebuilt from it at every iteration.  frozen_multipliers
     skips the subproblem and uses a fixed convex combination (theory-check
@@ -358,12 +400,15 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "max_iter"
             return trace
 
+        f_values = np.array([m.value(x) for m in merit])
         try:
             if eta_fixed is not None:
                 eta, x_next, backtracks = eta_fixed, x + eta_fixed * direction.direction, 0
             else:
-                searched = replace(direction, t_value=slope)
-                eta, x_next, backtracks = armijo_step(merit, x, searched, cfg)
+                searched = (direction if slope == direction.t_value
+                            else replace(direction, t_value=slope))
+                eta, x_next, backtracks = armijo_step(merit, x, searched, cfg,
+                                                      f_values, merit_grads)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)
@@ -371,8 +416,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
 
         wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
-            k=len(trace.records), stage=stage_index, x=x.copy(),
-            f_values=np.array([m.value(x) for m in merit]),
+            k=len(trace.records), stage=stage_index, x=x.copy(), f_values=f_values,
             t_value=direction.t_value, norm_d=norm_d,
             eta=eta, backtracks=backtracks, wall=wall,
         ))

@@ -62,8 +62,9 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
     d = -G.T @ lam
     slopes = G @ d
     t = float(slopes.max())
-    feas = float(np.maximum(slopes - t, 0.0).max())
-    comp = float(np.abs(lam * (slopes - t)).max())
+    excess = slopes - t
+    feas = float(np.maximum(excess, 0.0).max())
+    comp = float(np.abs(lam * excess).max())
     simplex = max(abs(float(lam.sum()) - 1.0), float(np.maximum(-lam, 0.0).max()))
     # Stationarity d + sum lambda_j g_j = 0 holds by construction.
     kkt = max(feas, comp, simplex)
@@ -85,7 +86,7 @@ def _scaled_gram(G: np.ndarray) -> tuple[np.ndarray, float]:
     theta(g)) would be unreachable in floating point for large gradients.
     """
     K = G @ G.T
-    scale = max(1.0, float(np.mean(np.diag(K))))
+    scale = max(1.0, float(K.trace()) / K.shape[0])
     return K / scale, scale
 
 
@@ -151,7 +152,7 @@ def solve_direction(gradients) -> DirectionResult:
     1e-8 or its KKT residual exceeds 1e-8 at the gradient scale.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise ValueError("gradients must be finite")
     m = G.shape[0]
     if m == 1:

@@ -142,6 +142,14 @@ def _quadratic_derivatives(a_matrix: np.ndarray, b: np.ndarray) -> tuple[Callabl
     return (lambda x: (a_matrix @ np.asarray(x).T).T + b), _constant_hessian(a_matrix)
 
 
+def _half_squared_residual(W: np.ndarray, y: np.ndarray) -> Callable:
+    """x -> 1/2 ||W^T x - y||^2 for one point."""
+    def value(x):
+        r = W.T @ x - y
+        return float(0.5 * r @ r)
+    return value
+
+
 def _constant_hessian(a_matrix: np.ndarray) -> Callable:
     """x -> A for one point, a read-only (k, n, n) broadcast of A for a stack."""
     return (lambda x: a_matrix if np.ndim(x) == 1
@@ -168,11 +176,13 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     h = np.diag(hess)
     if reg == "diag":
         reg_matrix = np.diag(h)
-        pull, penalty = (lambda u: gamma * h * u), (lambda u: float(h @ u ** 2))
+        gamma_h = gamma * h
+        pull, penalty = (lambda u: gamma_h * u), (lambda u: float(h @ u ** 2))
     else:
         r = np.sqrt(h)
         reg_matrix = np.outer(r, r)
-        pull, penalty = (lambda u: gamma * r * (u @ r)[..., None]), (lambda u: float(r @ u) ** 2)
+        gamma_r = gamma * r
+        pull, penalty = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: float(r @ u) ** 2)
     merit_hess = hess + gamma * reg_matrix
     merit_hess.flags.writeable = False  # every call returns this one array
     return ObjectiveModel(
@@ -272,18 +282,13 @@ class QuadraticMop:
     def n_objectives(self) -> int:
         return len(self.factors)
 
-    def objective_value(self, j: int, x: np.ndarray) -> float:
-        r = self.factors[j].T @ x - self.targets[j]
-        return float(0.5 * r @ r)
-
     def objectives(self) -> list[ObjectiveModel]:
-        """Raw ObjectiveModels of the m objectives; a staged run adds the
-        regularizer itself (see `regularized`)."""
+        """Raw ObjectiveModels of the m objectives, f_j(x) = 1/2 ||W_j^T x -
+        y_j||^2; a staged run adds the regularizer itself (see `regularized`)."""
         return [
-            ObjectiveModel(lambda x, j=j: self.objective_value(j, x),
-                           *_quadratic_derivatives(A, b),
+            ObjectiveModel(_half_squared_residual(W, y), *_quadratic_derivatives(A, b),
                            kind="quadratic", dim=self.dim, validate=False)
-            for j, (A, b) in enumerate(zip(self.gram, self.offsets))
+            for W, y, A, b in zip(self.factors, self.targets, self.gram, self.offsets)
         ]
 
     def least_squares_solution(self) -> np.ndarray:

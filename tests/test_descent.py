@@ -85,15 +85,33 @@ def evaluated_armijo(objectives, x, direction, cfg):
     raise AssertionError("the reference found no step")
 
 
-def counting_values(obj):
-    """obj with a value that counts its calls in the returned list."""
+def scanned_expansions(objectives, x, direction, cfg, gradients):
+    """Reference line search on the exact expansions of quadratic merits: the
+    first eta in {1, r, r^2, ...}, tried one by one from eta = 1, with
+    eta s_j + eta^2 q_j / 2 <= sigma eta t for all j.
+
+    Returns (eta, x_next, backtracks), or None when no trial passes.
+    """
+    d, t = direction.direction, direction.t_value
+    terms = [(float(g @ d), float(d @ obj.hessian(x) @ d))
+             for obj, g in zip(objectives, gradients)]
+    for backtracks in range(descent.MAX_BACKTRACKS + 1):
+        eta = cfg.backtrack ** backtracks
+        if all(eta * s + 0.5 * eta ** 2 * q <= cfg.sigma * eta * t for s, q in terms):
+            return eta, x + eta * d, backtracks
+    return None
+
+
+def counting_calls(obj, name="value"):
+    """obj with its callable `name` counting its calls in the returned list."""
     calls = []
+    original = getattr(obj, name)
 
-    def value(x):
+    def counted(x):
         calls.append(1)
-        return obj.value(x)
+        return original(x)
 
-    return dataclasses.replace(obj, value=value, validate=False), calls
+    return dataclasses.replace(obj, **{name: counted}, validate=False), calls
 
 
 class TestSolverConfig:
@@ -130,7 +148,8 @@ class TestArmijoStep:
         x = np.array([1.0, 0.0])
         direction = solve_direction([obj.gradient(x)])
         cfg = SolverConfig(sigma=0.4)
-        eta, x_next, backtracks = armijo_step([obj], x, direction, cfg)
+        eta, x_next, backtracks = armijo_step([obj], x, direction, cfg,
+                                              [obj.value(x)], [obj.gradient(x)])
         assert eta == 1.0
         assert backtracks == 0
         np.testing.assert_allclose(x_next, [0.0, 0.0])
@@ -146,7 +165,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             if direction.norm < 1e-9:
                 continue
-            eta, x_next, _ = armijo_step(objs, x, direction, cfg)
+            eta, x_next, _ = armijo_step(objs, x, direction, cfg,
+                                         [obj.value(x) for obj in objs], grads)
             for j, obj in enumerate(objs):
                 assert obj.value(x_next) <= obj.value(x) + cfg.sigma * eta * direction.t_value + 1e-12
                 assert obj.value(x_next) <= obj.value(x)
@@ -169,10 +189,12 @@ class TestArmijoStep:
             merit = [regularized(o, frac.gamma_alpha_beta, np.zeros(n)) for o in mop.objectives()]
             em = max(np.linalg.eigvalsh(m.hessian(np.zeros(n)))[-1] for m in merit)
             x = rng.normal(size=n) * 3.0
-            direction = solve_direction([m.gradient(x) for m in merit])
+            grads = [m.gradient(x) for m in merit]
+            direction = solve_direction(grads)
             if direction.t_value >= -1e-10:
                 continue
-            eta, _, backtracks = armijo_step(merit, x, direction, cfg)
+            eta, _, backtracks = armijo_step(merit, x, direction, cfg,
+                                             [m.value(x) for m in merit], grads)
             eta_ok = 2.0 * (1 - cfg.sigma) * (-direction.t_value) / (em * direction.norm ** 2)
             bound = 0 if eta_ok >= 1 else int(np.ceil(np.log(eta_ok) / np.log(cfg.backtrack)))
             assert backtracks <= bound + 1
@@ -184,7 +206,8 @@ class TestArmijoStep:
         obj = quadratic_objective(np.eye(2), np.zeros(2))
         bad = solve_direction([np.zeros(2)])
         with pytest.raises(ValueError, match="descent"):
-            armijo_step([obj], np.ones(2), bad, SolverConfig())
+            armijo_step([obj], np.ones(2), bad, SolverConfig(),
+                        [obj.value(np.ones(2))], [obj.gradient(np.ones(2))])
 
     def test_inconsistent_direction_fails_line_search(self):
         """A steep ascent direction with a fake negative t exhausts the halvings.
@@ -200,7 +223,7 @@ class TestArmijoStep:
                                multipliers=np.array([1.0]), kkt_residual=0.0,
                                theta=0.0)
         with pytest.raises(LineSearchError):
-            armijo_step([obj], x, fake, SolverConfig())
+            armijo_step([obj], x, fake, SolverConfig(), [obj.value(x)], [obj.gradient(x)])
 
     @pytest.mark.parametrize("reg", ["diag", "outer"])
     @pytest.mark.parametrize("n", [2, 20, 100])
@@ -214,8 +237,10 @@ class TestArmijoStep:
             mop = random_quadratic_mop(n, n + 3, 2, seed=seed)
             merit = [regularized(o, 0.3, np.zeros(n), reg) for o in mop.objectives()]
             x = mop.x_star + 10.0 * rng.normal(size=n)
-            direction = solve_direction([m.gradient(x) for m in merit])
-            eta, x_next, backtracks = armijo_step(merit, x, direction, cfg)
+            grads = [m.gradient(x) for m in merit]
+            direction = solve_direction(grads)
+            eta, x_next, backtracks = armijo_step(merit, x, direction, cfg,
+                                                  [m.value(x) for m in merit], grads)
             ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(merit, x, direction, cfg)
             assert margin > 1e-10
             assert (eta, backtracks) == (ref_eta, ref_backtracks)
@@ -225,18 +250,20 @@ class TestArmijoStep:
         """A smooth objective is tested on its values; a quadratic beside it
         on its expansion, without one value evaluation."""
         mop = random_quadratic_mop(4, 7, 1, seed=3)
-        quad, quad_calls = counting_values(regularized(mop.objectives()[0], 0.3, np.zeros(4)))
-        smooth, smooth_calls = counting_values(ObjectiveModel(
+        raw = [regularized(mop.objectives()[0], 0.3, np.zeros(4)), ObjectiveModel(
             lambda x: float(np.cosh(x).sum()), np.sinh,
-            lambda x: np.cosh(x)[..., None] * np.eye(4), kind="smooth", dim=4))
+            lambda x: np.cosh(x)[..., None] * np.eye(4), kind="smooth", dim=4)]
+        (quad, quad_calls), (smooth, smooth_calls) = map(counting_calls, raw)
         objectives = [quad, smooth]
         cfg = SolverConfig(sigma=0.1, backtrack=0.5)
         rng = np.random.default_rng(11)
         backtracked = 0
         for _ in range(10):
             x = 3.0 * rng.normal(size=4)
-            direction = solve_direction([obj.gradient(x) for obj in objectives])
-            eta, x_next, backtracks = armijo_step(objectives, x, direction, cfg)
+            grads = [obj.gradient(x) for obj in objectives]
+            direction = solve_direction(grads)
+            eta, x_next, backtracks = armijo_step(objectives, x, direction, cfg,
+                                                  [obj.value(x) for obj in raw], grads)
             assert not quad_calls and smooth_calls
             ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(
                 objectives, x, direction, cfg)
@@ -258,11 +285,77 @@ class TestArmijoStep:
         counts = set()
         for _ in range(10):
             x = 4.0 * rng.normal(size=6)
-            direction = solve_direction([obj.gradient(x) for obj in objectives])
-            eta, _, backtracks = armijo_step(objectives, x, direction, cfg)
+            grads = [obj.gradient(x) for obj in objectives]
+            direction = solve_direction(grads)
+            eta, _, backtracks = armijo_step(objectives, x, direction, cfg,
+                                             [obj.value(x) for obj in objectives], grads)
             assert eta == backtrack ** backtracks
             counts.add(backtracks)
         assert max(counts) > 0
+
+
+    @pytest.mark.parametrize("backtrack", [0.5, 0.3, 0.8])
+    @pytest.mark.parametrize("distance", [10.0, 1e-6])
+    def test_closed_form_start_matches_the_scan_from_one(self, backtrack, distance):
+        """Starting at the closed-form first trial returns the step of the
+        scan from eta = 1, bit for bit, and leaves at most two trials: far
+        from x* and within 1e-6 of it, on raw and regularized merits."""
+        cfg = SolverConfig(sigma=0.1, backtrack=backtrack)
+        rng = np.random.default_rng(17)
+        compared = 0
+        for seed in range(12):
+            n = (2, 20, 100)[seed % 3]
+            mop = random_quadratic_mop(n, n + 3, 2, seed=seed)
+            merit = [regularized(o, 0.3 * (seed % 2), np.zeros(n)) for o in mop.objectives()]
+            unit = rng.normal(size=n)
+            x = mop.x_star + distance * unit / np.linalg.norm(unit)
+            grads = [m.gradient(x) for m in merit]
+            direction = solve_direction(grads)
+            if not direction.t_value < 0.0:
+                continue
+            eta, x_next, backtracks = armijo_step(merit, x, direction, cfg,
+                                                  [m.value(x) for m in merit], grads)
+            ref_eta, ref_next, ref_backtracks = scanned_expansions(merit, x, direction, cfg,
+                                                                   grads)
+            assert (eta, backtracks) == (ref_eta, ref_backtracks)
+            np.testing.assert_array_equal(x_next, ref_next)
+            d = direction.direction
+            start = descent._first_trial(
+                [(float(g @ d), float(d @ m.hessian(x) @ d)) for m, g in zip(merit, grads)],
+                cfg, direction.t_value)
+            assert backtracks - 1 <= start <= backtracks
+            compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("s, q, t, backtrack, sigma, accepted", [
+        # bound 2 (sigma t - s) / q = 0: the scan starts at eta = 1, and
+        # the expansion passes only by rounding, at eta = 2^-54
+        (-0.5, 1.0, -1.0, 0.5, 0.5, 54),
+        # an ascent direction, bound < 0: no step passes
+        (0.5, 1.0, -1.0, 0.5, 0.5, None),
+        # bound 0.7 - 2e-16: the trial eta = 0.7 just above it passes by rounding
+        (-0.769875021791665, 2.0415444471067565, -0.553344653043004, 0.7, 0.1, 1),
+    ])
+    def test_trials_decided_by_rounding(self, s, q, t, backtrack, sigma, accepted):
+        """Steps that pass only by rounding are found as the scan from eta = 1
+        finds them: f = q x^2 / 2 + s x at x = 0 along d = 1, so s_j = s and
+        q_j = q."""
+        from mofgd.direction import DirectionResult
+        obj = quadratic_objective(np.array([[q]]), np.array([s]))
+        x = np.zeros(1)
+        cfg = SolverConfig(sigma=sigma, backtrack=backtrack)
+        direction = DirectionResult(t_value=t, direction=np.ones(1),
+                                    multipliers=np.ones(1), kkt_residual=0.0, theta=0.0)
+        values, gradients = [obj.value(x)], [obj.gradient(x)]
+        reference = scanned_expansions([obj], x, direction, cfg, gradients)
+        if accepted is None:
+            assert reference is None
+            with pytest.raises(LineSearchError):
+                armijo_step([obj], x, direction, cfg, values, gradients)
+            return
+        eta, x_next, backtracks = armijo_step([obj], x, direction, cfg, values, gradients)
+        assert (eta, x_next.tolist(), backtracks) == (reference[0], reference[1].tolist(),
+                                                      accepted)
 
 
 class TestRunSingleStage:
@@ -375,6 +468,61 @@ class TestRunSingleStage:
                                  classical_cfg(), 50)
         assert trace.termination == "error"
         assert "halvings" in trace.error
+
+
+    @pytest.mark.parametrize("frac, k_max", [
+        (classical_cfg(n=5), 500),
+        (FractionalConfig(alpha=0.5, beta=0.3 + 1.0 / 3.0, terminal=np.zeros(5)), 500),
+        (FractionalConfig(alpha=0.5, beta=0.3 + 1.0 / 3.0, terminal=np.zeros(5)), 7),
+    ])
+    def test_quadratic_stage_evaluates_each_merit_once(self, frac, k_max):
+        """One gradient call per objective per iteration (the final check at
+        the last iterate included), one value call per recorded iteration."""
+        counted = []
+        for obj in random_quadratic_mop(5, 8, 2, seed=21).objectives():
+            obj, values = counting_calls(obj, "value")
+            obj, grads = counting_calls(obj, "gradient")
+            counted.append((obj, values, grads))
+        trace = run_single_stage([obj for obj, *_ in counted], np.full(5, 3.0),
+                                 SolverConfig(tolerance=1e-8), frac, k_max)
+        assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
+        assert trace.iterations > 0
+        for _, values, grads in counted:
+            assert len(grads) == trace.iterations + 1
+            assert len(values) == trace.iterations
+
+    def test_smooth_stage_evaluates_each_value_once_per_iterate(self, monkeypatch):
+        """A smooth merit's value is evaluated once at each iterate, by the
+        stage, and the line search evaluates it only at its trial steps."""
+        calls, searching_from = [], []  # (j, x, start of the running line search)
+        armijo = descent.armijo_step
+
+        def spy_armijo(merit, x, *args):
+            searching_from.append(np.array(x))
+            try:
+                return armijo(merit, x, *args)
+            finally:
+                searching_from.pop()
+
+        def counted(j, obj):
+            def value(x):
+                calls.append((j, np.array(x), searching_from[-1] if searching_from else None))
+                return obj.value(x)
+            return dataclasses.replace(obj, value=value, validate=False)
+
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        objectives = [counted(j, obj) for j, obj in enumerate(logistic_losses())]
+        frac = FractionalConfig(alpha=0.5, beta=0.1 + 1.0 / 3.0, terminal=np.zeros(4),
+                                degenerate_policy="clamp")
+        trace = run_single_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
+                                 frac, 30)
+        assert trace.iterations > 0
+        for j in range(len(objectives)):
+            at_iterates = [x for i, x, start in calls if i == j and start is None]
+            np.testing.assert_array_equal(at_iterates, [r.x for r in trace.records])
+        trials = [(x, start) for _, x, start in calls if start is not None]
+        assert len(trials) >= trace.iterations
+        assert not any(np.array_equal(x, start) for x, start in trials)
 
 
 class TestTraceExport:
@@ -507,8 +655,8 @@ class TestStageMerit:
             seen["grads"] = np.array(grads, dtype=float)
             return solve(grads)
 
-        def spy_armijo(merit, x, direction, cfg):
-            result = armijo(merit, x, direction, cfg)
+        def spy_armijo(merit, x, direction, cfg, values, gradients):
+            result = armijo(merit, x, direction, cfg, values, gradients)
             checks.append((list(merit), np.array(x), seen["grads"], result[2]))
             return result
 
@@ -563,9 +711,9 @@ class TestMeritSlope:
             solved["t"] = result.t_value
             return result
 
-        def spy_armijo(merit, x, direction, cfg):
+        def spy_armijo(merit, x, direction, cfg, values, gradients):
             checks.append((list(merit), np.array(x), direction, solved["t"]))
-            return armijo(merit, x, direction, cfg)
+            return armijo(merit, x, direction, cfg, values, gradients)
 
         monkeypatch.setattr(descent, "solve_direction", spy_solve)
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
