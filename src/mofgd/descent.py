@@ -33,7 +33,13 @@ evaluated values.
 
 Per iteration each merit's value and gradient at x are evaluated once: the
 stage hands them to the line search, which evaluates values only at trial
-steps, and only for merits it cannot expand.
+steps, and only for merits it cannot expand.  The line search returns the
+values it evaluated at the accepted step, and the next iteration of the
+stage reuses them while the merit is the same object, so a merit that is
+not rebuilt is evaluated once per point.  In an all-quadratic stage the merit gradients are the direction
+inputs and the slope is t, so neither is formed a second time.  Only the
+modified fractional gradients run under a warning recorder, which moves
+their RuntimeWarnings into the trace notes.
 """
 
 from __future__ import annotations
@@ -228,7 +234,7 @@ class IterationTrace:
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 direction: DirectionResult, cfg: SolverConfig,
                 values: Sequence[float], gradients: Sequence[np.ndarray],
-                ) -> tuple[float, np.ndarray, int]:
+                ) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     values and gradients are f_j(x) and grad f_j(x), which the caller has
@@ -241,28 +247,35 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     The scan starts at the closed-form first trial (`_first_trial`) and
     returns what the scan from eta = 1 returns.
 
-    Returns (eta, x_next, backtrack_count); raises LineSearchError after 60
+    Returns (eta, x_next, backtrack_count, trial_values), where
+    trial_values[j] is f_j(x_next) for an objective tested on its values and
+    None for one tested on its expansion; raises LineSearchError after 60
     rejected halvings.
     """
     if not direction.t_value < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
     d, t = direction.direction, direction.t_value
-    expanded, evaluated = [], []  # (s_j, q_j) and (f_j, f_j(x))
-    for obj, f0, g in zip(objectives, values, gradients):
+    expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
+    for j, (obj, f0, g) in enumerate(zip(objectives, values, gradients)):
         q = float(d @ obj.hessian(x) @ d) if obj.kind == "quadratic" else 0.0
         if q > 0.0:
             # One dot per row: rows of G @ d can differ in the last bit, which
             # would move the steps that pass only by rounding.
             expanded.append((float(g @ d), q))
         else:
-            evaluated.append((obj, f0))
+            evaluated.append((j, obj, f0))
     for backtracks in range(_first_trial(expanded, cfg, t), MAX_BACKTRACKS + 1):
         eta = cfg.backtrack ** backtracks
         bound = cfg.sigma * eta * t
         if all(eta * s + 0.5 * eta ** 2 * q <= bound for s, q in expanded):
             x_next = x + eta * d
-            if all(obj.value(x_next) <= f0 + bound for obj, f0 in evaluated):
-                return eta, x_next, backtracks
+            trial_values = [None] * len(values)
+            for j, obj, f0 in evaluated:
+                trial_values[j] = obj.value(x_next)
+                if not trial_values[j] <= f0 + bound:
+                    break
+            else:
+                return eta, x_next, backtracks, trial_values
     raise LineSearchError(
         f"no acceptable step within {MAX_BACKTRACKS} halvings at x = {x} "
         "(direction is not a descent direction for the merit objectives)"
@@ -311,33 +324,44 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     quadratic objective becomes its stage merit (see `_stage_merit`), whose
     gradient is the direction input, whose exact expansion the line search
     tests, whose values the trace's f columns record, and whose Hessian sets
-    the fixed step.
-    Other kinds take singular-quadrature gradients and raw values, and the
-    Armijo slope comes from the merit gradients.  Each iteration evaluates
-    every merit's gradient and value at x once and hands both to
-    `armijo_step`: a quadratic stage makes one gradient call per objective
-    per iteration and one value call per recorded iteration, and a smooth
-    stage one value call at each iterate besides its trial steps.  With an
-    adaptive terminal (frac.memory_length L) the terminal is the iterate L
-    steps back in trace.records (the earliest one, or x0, before that) and
-    the merit is rebuilt from it at every iteration.  frozen_multipliers
-    skips the subproblem and uses a fixed convex combination (theory-check
-    mode).  Records are numbered by their position in trace.records, so a
-    trace passed in continues its numbering and its iterate history.
+    the fixed step; in an all-quadratic stage the Armijo slope is therefore
+    the subproblem's t, bit for bit.  Other kinds take singular-quadrature
+    gradients and raw values, and the Armijo slope comes from the merit
+    gradients.  Each iteration evaluates every merit's gradient and value at
+    x once and hands both to `armijo_step`, and takes the values that the
+    previous line search evaluated at its accepted step instead of
+    evaluating them again: a quadratic stage makes one gradient call per
+    objective per iteration and one value call per recorded iteration, and
+    a smooth stage evaluates each value once per point.  With an adaptive
+    terminal (frac.memory_length L) the terminal is the iterate L steps back
+    in trace.records (the earliest one, or x0, before that) and the merit is
+    rebuilt from it at every iteration, so a rebuilt merit's values are
+    evaluated again.  frozen_multipliers skips the subproblem and uses a
+    fixed convex combination (theory-check mode).  Records are numbered by
+    their position in trace.records, so a trace passed in continues its
+    numbering and its iterate history.
+
+    Only the modified fractional gradients run under a warning recorder,
+    whose RuntimeWarnings (the terminal clamp) go to trace.notes; any other
+    warning, such as an overflowing quadratic matvec, reaches the caller's
+    filters.  Every iterate is a new array that nothing writes into, so the
+    records and trace.final_x hold the iterates themselves, not copies.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
     lam = None if frozen_multipliers is None else np.asarray(frozen_multipliers, dtype=float)
     merit = _stage_merit(objectives, frac)
+    quadratic = all(obj.kind == "quadratic" for obj in objectives)
 
     eta_fixed = None
     if cfg.step_mode == "fixed":
-        if not all(obj.kind == "quadratic" for obj in objectives):
+        if not quadratic:
             raise ValueError("fixed-step mode needs quadratic objectives")
         weights = lam if lam is not None else np.full(len(merit), 1.0 / len(merit))
         system = sum(w * np.asarray(m.hessian(x), dtype=float) for w, m in zip(weights, merit))
         eta_fixed = cfg.eta / float(np.linalg.svd(system, compute_uv=False)[0])
 
+    trial_values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
     for k in range(k_max + 1):
         start = time.perf_counter()
@@ -348,15 +372,21 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             frac_k = FractionalConfig(frac.alpha, frac.beta, past,
                                       memory_length=frac.memory_length,
                                       degenerate_policy="clamp")
-            merit = _stage_merit(objectives, frac_k)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            # A quadratic's modified fractional gradient is its merit's gradient.
-            grads = np.array([m.gradient(x) if obj.kind == "quadratic"
-                              else modified_fractional_gradient(obj, frac_k, x)
-                              for obj, m in zip(objectives, merit)])
-        for w in caught:
-            trace.notes.append(str(w.message))
+            rebuilt = _stage_merit(objectives, frac_k)
+            trial_values = [v if new is old else None
+                            for v, new, old in zip(trial_values, rebuilt, merit)]
+            merit = rebuilt
+        # A quadratic's modified fractional gradient is its merit's gradient;
+        # the others run under the recorder of the terminal clamp's warnings.
+        grads = [m.gradient(x) if obj.kind == "quadratic" else None
+                 for obj, m in zip(objectives, merit)]
+        if not quadratic:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                grads = [modified_fractional_gradient(obj, frac_k, x) if g is None else g
+                         for obj, g in zip(objectives, grads)]
+            trace.notes.extend(str(w.message) for w in caught)
+        grads = np.array(grads)
 
         if lam is None:
             try:
@@ -364,18 +394,16 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             except DirectionAccuracyError as exc:
                 trace.termination = "error"
                 trace.error = str(exc)
-                trace.final_x = x.copy()
+                trace.final_x = x
                 return trace
         else:
             d = -grads.T @ lam
-            slopes = grads @ d
-            direction = DirectionResult(
-                t_value=float(slopes.max()), direction=d, multipliers=lam,
-                kkt_residual=float("nan"), theta=float(slopes.max()) + 0.5 * float(d @ d),
-            )
+            t = float((grads @ d).max())
+            direction = DirectionResult(t_value=t, direction=d, multipliers=lam,
+                                        kkt_residual=float("nan"), theta=t + 0.5 * float(d @ d))
 
         norm_d = direction.norm
-        trace.final_x = x.copy()
+        trace.final_x = x
         trace.final_norm_d = norm_d
         # t >= 0: the subproblem finds no descent direction to its precision,
         # so x is critical even if ||d|| is still above the tolerance.
@@ -386,9 +414,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         if eta_fixed is None:
             # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
             # a quadratic's direction input already is its merit gradient.
-            merit_grads = np.array([g if obj.kind == "quadratic" else m.gradient(x)
-                                    for obj, m, g in zip(objectives, merit, grads)])
-            slope = float((merit_grads @ direction.direction).max())
+            if quadratic:
+                merit_grads, slope = grads, direction.t_value
+            else:
+                merit_grads = np.array([g if obj.kind == "quadratic" else m.gradient(x)
+                                        for obj, m, g in zip(objectives, merit, grads)])
+                slope = float((merit_grads @ direction.direction).max())
             if live_search and not slope < 0.0:
                 trace.termination = "model_mismatch"
                 trace.notes.append(
@@ -400,15 +431,16 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "max_iter"
             return trace
 
-        f_values = np.array([m.value(x) for m in merit])
+        f_values = np.array([m.value(x) if v is None else v
+                             for m, v in zip(merit, trial_values)])
         try:
             if eta_fixed is not None:
                 eta, x_next, backtracks = eta_fixed, x + eta_fixed * direction.direction, 0
             else:
                 searched = (direction if slope == direction.t_value
                             else replace(direction, t_value=slope))
-                eta, x_next, backtracks = armijo_step(merit, x, searched, cfg,
-                                                      f_values, merit_grads)
+                eta, x_next, backtracks, trial_values = armijo_step(
+                    merit, x, searched, cfg, f_values, merit_grads)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)
@@ -416,12 +448,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
 
         wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
-            k=len(trace.records), stage=stage_index, x=x.copy(), f_values=f_values,
+            k=len(trace.records), stage=stage_index, x=x, f_values=f_values,
             t_value=direction.t_value, norm_d=norm_d,
             eta=eta, backtracks=backtracks, wall=wall,
         ))
         x = x_next
-        trace.final_x = x.copy()
+        trace.final_x = x
     return trace
 
 

@@ -14,6 +14,7 @@ method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ GAP_FAIL = 1e-8
 
 
 class DirectionAccuracyError(RuntimeError):
-    """Scaled duality gap or KKT residual above 1e-8; ``best`` carries the result."""
+    """Gradient scale, scaled duality gap or KKT residual not finite or above
+    its bound; ``best`` carries the result."""
 
     def __init__(self, message: str, best: "DirectionResult"):
         super().__init__(message)
@@ -55,39 +57,47 @@ class DirectionResult:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.direction))
+        # np.linalg.norm of a contiguous vector is sqrt(x.dot(x)): same bits.
+        return math.sqrt(self.direction @ self.direction)
 
 
 def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
+    """(t, d, lambda) for the weights lam, with its KKT residual and theta.
+
+    The m slopes and weights are few, so the residual is computed on Python
+    floats.  Stationarity d + sum lambda_j g_j = 0 and feasibility
+    g_j^T d <= t hold by construction (t is the largest slope), which leaves
+    complementary slackness and the simplex constraints.
+    """
     d = -G.T @ lam
-    slopes = G @ d
-    t = float(slopes.max())
-    excess = slopes - t
-    feas = float(np.maximum(excess, 0.0).max())
-    comp = float(np.abs(lam * excess).max())
-    simplex = max(abs(float(lam.sum()) - 1.0), float(np.maximum(-lam, 0.0).max()))
-    # Stationarity d + sum lambda_j g_j = 0 holds by construction.
-    kkt = max(feas, comp, simplex)
+    slopes = (G @ d).tolist()
+    weights = lam.tolist()
+    t = max(slopes)
+    comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
+    simplex = max(abs(sum(weights) - 1.0), -min(weights))
     theta = t + 0.5 * float(d @ d)
     return DirectionResult(t_value=t, direction=d, multipliers=lam,
-                           kkt_residual=kkt, theta=theta)
+                           kkt_residual=max(comp, simplex), theta=theta)
 
 
-def _dual_gap(K: np.ndarray, lam: np.ndarray) -> float:
-    grad = K @ lam
-    return float(lam @ grad - grad.min())
+def _dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
+    """Frank-Wolfe gap lam^T Kn lam - min_j (Kn lam)_j of Kn = gram / scale,
+    zero exactly at a dual minimizer."""
+    weights = lam.tolist()
+    grad = [sum(k * w for k, w in zip(row, weights)) / scale for row in gram]
+    return sum(w * g for w, g in zip(weights, grad)) - min(grad)
 
 
-def _scaled_gram(G: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gram matrix divided by the mean squared gradient norm (at least 1).
+def _gram_scale(G: np.ndarray) -> tuple[list[list[float]], float]:
+    """Gram matrix G G^T as nested floats, and the mean squared gradient norm
+    (at least 1) that scales it.
 
     The dual objective scales as ||g||^2, so the gap thresholds apply at the
     problem's own scale; otherwise scale covariance (theta(s g) = s^2
     theta(g)) would be unreachable in floating point for large gradients.
     """
     K = G @ G.T
-    scale = max(1.0, float(K.trace()) / K.shape[0])
-    return K / scale, scale
+    return K.tolist(), max(1.0, float(K.trace()) / K.shape[0])
 
 
 def _segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -148,24 +158,28 @@ def solve_direction(gradients) -> DirectionResult:
 
     The dual is solved exactly by m: m=1 is d = -g; m=2 is the segment
     closed form; m >= 3 is one non-negative least-squares solve.  Raises
-    DirectionAccuracyError carrying the result if the scaled gap exceeds
-    1e-8 or its KKT residual exceeds 1e-8 at the gradient scale.
+    DirectionAccuracyError carrying the result if the gradient scale is not
+    finite (a squared gradient norm overflowed), the scaled gap is not at
+    most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
+    scale; a NaN fails every bound.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     if not np.isfinite(G).all():
         raise ValueError("gradients must be finite")
     m = G.shape[0]
+    gram, scale = _gram_scale(G)
     if m == 1:
-        return _result_from(G, np.ones(1))
-
-    Kn, scale = _scaled_gram(G)
-    lam = _segment_weights(G[0], G[1]) if m == 2 else _nnls_weights(G, scale)
-    gap = _dual_gap(Kn, lam)
+        lam = np.ones(1)
+    else:
+        lam = _segment_weights(G[0], G[1]) if m == 2 else _nnls_weights(G, scale)
+    gap = _dual_gap(gram, scale, lam)
 
     result = _result_from(G, lam)
-    if gap > GAP_FAIL:
+    if not math.isfinite(scale):
+        raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite", result)
+    if not gap <= GAP_FAIL:
         raise DirectionAccuracyError(f"scaled duality gap {gap:.3e} above {GAP_FAIL}", result)
-    if result.kkt_residual > 1e-8 * scale:
+    if not result.kkt_residual <= 1e-8 * scale:
         raise DirectionAccuracyError(
             f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)
     return result

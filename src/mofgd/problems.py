@@ -139,7 +139,11 @@ def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0)
 def _quadratic_derivatives(a_matrix: np.ndarray, b: np.ndarray) -> tuple[Callable, Callable]:
     """Gradient x -> A x + b and Hessian x -> A, row by row on a stack
     (A @ x would mix the rows of a square stack)."""
-    return (lambda x: (a_matrix @ np.asarray(x).T).T + b), _constant_hessian(a_matrix)
+    def gradient(x):
+        if getattr(x, "ndim", None) == 1:
+            return a_matrix @ x + b
+        return (a_matrix @ np.asarray(x).T).T + b
+    return gradient, _constant_hessian(a_matrix)
 
 
 def _half_squared_residual(W: np.ndarray, y: np.ndarray) -> Callable:
@@ -177,17 +181,26 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     if reg == "diag":
         reg_matrix = np.diag(h)
         gamma_h = gamma * h
-        pull, penalty = (lambda u: gamma_h * u), (lambda u: float(h @ u ** 2))
+        pull = point_pull = lambda u: gamma_h * u
+        penalty = lambda u: float(h @ u ** 2)
     else:
         r = np.sqrt(h)
         reg_matrix = np.outer(r, r)
         gamma_r = gamma * r
-        pull, penalty = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: float(r @ u) ** 2)
+        # One point has the scalar factor u^T r, a stack one factor per row.
+        pull, point_pull = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: gamma_r * (u @ r))
+        penalty = lambda u: float(r @ u) ** 2
     merit_hess = hess + gamma * reg_matrix
     merit_hess.flags.writeable = False  # every call returns this one array
+
+    def gradient(x):
+        if getattr(x, "ndim", None) == 1:
+            return obj.gradient(x) + point_pull(x - c)
+        return np.asarray(obj.gradient(x), dtype=float) + pull(x - c)
+
     return ObjectiveModel(
         value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
-        gradient=lambda x: np.asarray(obj.gradient(x), dtype=float) + pull(x - c),
+        gradient=gradient,
         hessian=_constant_hessian(merit_hess),
         kind="quadratic", dim=obj.dim, validate=False,
     )

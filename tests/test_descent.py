@@ -1,6 +1,7 @@
 """Tests for the Armijo line search, single-stage runs and the staged driver."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +149,10 @@ class TestArmijoStep:
         x = np.array([1.0, 0.0])
         direction = solve_direction([obj.gradient(x)])
         cfg = SolverConfig(sigma=0.4)
-        eta, x_next, backtracks = armijo_step([obj], x, direction, cfg,
-                                              [obj.value(x)], [obj.gradient(x)])
+        eta, x_next, backtracks, trial_values = armijo_step([obj], x, direction, cfg,
+                                                            [obj.value(x)], [obj.gradient(x)])
         assert eta == 1.0
+        assert trial_values == [None]  # tested on its expansion
         assert backtracks == 0
         np.testing.assert_allclose(x_next, [0.0, 0.0])
 
@@ -165,8 +167,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             if direction.norm < 1e-9:
                 continue
-            eta, x_next, _ = armijo_step(objs, x, direction, cfg,
-                                         [obj.value(x) for obj in objs], grads)
+            eta, x_next, _, _ = armijo_step(objs, x, direction, cfg,
+                                            [obj.value(x) for obj in objs], grads)
             for j, obj in enumerate(objs):
                 assert obj.value(x_next) <= obj.value(x) + cfg.sigma * eta * direction.t_value + 1e-12
                 assert obj.value(x_next) <= obj.value(x)
@@ -193,8 +195,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             if direction.t_value >= -1e-10:
                 continue
-            eta, _, backtracks = armijo_step(merit, x, direction, cfg,
-                                             [m.value(x) for m in merit], grads)
+            eta, _, backtracks, _ = armijo_step(merit, x, direction, cfg,
+                                                [m.value(x) for m in merit], grads)
             eta_ok = 2.0 * (1 - cfg.sigma) * (-direction.t_value) / (em * direction.norm ** 2)
             bound = 0 if eta_ok >= 1 else int(np.ceil(np.log(eta_ok) / np.log(cfg.backtrack)))
             assert backtracks <= bound + 1
@@ -239,8 +241,8 @@ class TestArmijoStep:
             x = mop.x_star + 10.0 * rng.normal(size=n)
             grads = [m.gradient(x) for m in merit]
             direction = solve_direction(grads)
-            eta, x_next, backtracks = armijo_step(merit, x, direction, cfg,
-                                                  [m.value(x) for m in merit], grads)
+            eta, x_next, backtracks, _ = armijo_step(merit, x, direction, cfg,
+                                                     [m.value(x) for m in merit], grads)
             ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(merit, x, direction, cfg)
             assert margin > 1e-10
             assert (eta, backtracks) == (ref_eta, ref_backtracks)
@@ -262,9 +264,11 @@ class TestArmijoStep:
             x = 3.0 * rng.normal(size=4)
             grads = [obj.gradient(x) for obj in objectives]
             direction = solve_direction(grads)
-            eta, x_next, backtracks = armijo_step(objectives, x, direction, cfg,
-                                                  [obj.value(x) for obj in raw], grads)
+            eta, x_next, backtracks, trial_values = armijo_step(
+                objectives, x, direction, cfg, [obj.value(x) for obj in raw], grads)
             assert not quad_calls and smooth_calls
+            # The smooth objective's value at the accepted step comes back.
+            assert trial_values == [None, raw[1].value(x_next)]
             ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(
                 objectives, x, direction, cfg)
             assert margin > 1e-10
@@ -287,8 +291,8 @@ class TestArmijoStep:
             x = 4.0 * rng.normal(size=6)
             grads = [obj.gradient(x) for obj in objectives]
             direction = solve_direction(grads)
-            eta, _, backtracks = armijo_step(objectives, x, direction, cfg,
-                                             [obj.value(x) for obj in objectives], grads)
+            eta, _, backtracks, _ = armijo_step(objectives, x, direction, cfg,
+                                                [obj.value(x) for obj in objectives], grads)
             assert eta == backtrack ** backtracks
             counts.add(backtracks)
         assert max(counts) > 0
@@ -313,8 +317,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             if not direction.t_value < 0.0:
                 continue
-            eta, x_next, backtracks = armijo_step(merit, x, direction, cfg,
-                                                  [m.value(x) for m in merit], grads)
+            eta, x_next, backtracks, _ = armijo_step(merit, x, direction, cfg,
+                                                     [m.value(x) for m in merit], grads)
             ref_eta, ref_next, ref_backtracks = scanned_expansions(merit, x, direction, cfg,
                                                                    grads)
             assert (eta, backtracks) == (ref_eta, ref_backtracks)
@@ -353,7 +357,7 @@ class TestArmijoStep:
             with pytest.raises(LineSearchError):
                 armijo_step([obj], x, direction, cfg, values, gradients)
             return
-        eta, x_next, backtracks = armijo_step([obj], x, direction, cfg, values, gradients)
+        eta, x_next, backtracks, _ = armijo_step([obj], x, direction, cfg, values, gradients)
         assert (eta, x_next.tolist(), backtracks) == (reference[0], reference[1].tolist(),
                                                       accepted)
 
@@ -458,6 +462,42 @@ class TestRunSingleStage:
         assert trace.final_norm_d == solve(grads).norm
         assert trace.final_norm_d > cfg.tolerance
 
+    def test_warning_recorder_covers_fractional_gradients_only(self, monkeypatch):
+        """A modified fractional gradient's RuntimeWarning becomes a trace
+        note; a quadratic gradient's reaches the caller's filters."""
+        fractional = descent.modified_fractional_gradient
+
+        def clamping(obj, frac, x):
+            warnings.warn("from the fractional gradient", RuntimeWarning)
+            return fractional(obj, frac, x)
+
+        def warning_gradient(x):
+            warnings.warn("from the quadratic gradient", RuntimeWarning)
+            return raw.gradient(x)
+
+        monkeypatch.setattr(descent, "modified_fractional_gradient", clamping)
+        raw = quadratic_objective(np.eye(4), np.zeros(4))
+        quadratic = dataclasses.replace(raw, gradient=warning_gradient, validate=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = run_single_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
+                                     SolverConfig(), classical_cfg(n=4), 3)
+        assert trace.iterations == 3
+        assert [str(w.message) for w in caught] == ["from the quadratic gradient"] * 4
+        assert trace.notes == ["from the fractional gradient"] * 4
+
+    def test_overflowed_gradients_end_the_stage_in_error(self):
+        """Gradients whose squared norms overflow end the stage with
+        termination error, not as a converged (t >= 0) stage."""
+        objectives = [quadratic_objective(np.diag(h), np.zeros(2))
+                      for h in ([1e200, 0.0], [0.0, 1e200])]
+        with np.errstate(all="ignore"):
+            trace = run_single_stage(objectives, np.ones(2), SolverConfig(), classical_cfg(), 10)
+        assert trace.termination == "error"
+        assert "gradient scale" in trace.error
+        assert trace.iterations == 0
+        np.testing.assert_array_equal(trace.final_x, np.ones(2))
+
     def test_error_termination_on_bad_model(self):
         """A badly scaled wrong gradient fails the line search; trace says so."""
         bad = quadratic_objective(np.eye(2), np.zeros(2))
@@ -492,8 +532,10 @@ class TestRunSingleStage:
             assert len(values) == trace.iterations
 
     def test_smooth_stage_evaluates_each_value_once_per_iterate(self, monkeypatch):
-        """A smooth merit's value is evaluated once at each iterate, by the
-        stage, and the line search evaluates it only at its trial steps."""
+        """Each smooth merit's value is evaluated once per point: the stage
+        evaluates it at x0 only, the line search at its trial steps only, and
+        the next iteration reuses the accepted trial's values, which are the
+        records' f values bit for bit."""
         calls, searching_from = [], []  # (j, x, start of the running line search)
         armijo = descent.armijo_step
 
@@ -511,19 +553,42 @@ class TestRunSingleStage:
             return dataclasses.replace(obj, value=value, validate=False)
 
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
-        objectives = [counted(j, obj) for j, obj in enumerate(logistic_losses())]
+        raw = logistic_losses()
+        objectives = [counted(j, obj) for j, obj in enumerate(raw)]
         frac = FractionalConfig(alpha=0.5, beta=0.1 + 1.0 / 3.0, terminal=np.zeros(4),
                                 degenerate_policy="clamp")
         trace = run_single_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
                                  frac, 30)
-        assert trace.iterations > 0
+        assert trace.iterations > 1
         for j in range(len(objectives)):
+            points = [x.tobytes() for i, x, _ in calls if i == j]
+            assert len(points) == len(set(points))
             at_iterates = [x for i, x, start in calls if i == j and start is None]
-            np.testing.assert_array_equal(at_iterates, [r.x for r in trace.records])
+            np.testing.assert_array_equal(at_iterates, [trace.records[0].x])
+        for record in trace.records:
+            assert record.f_values.tolist() == [float(obj.value(record.x)) for obj in raw]
         trials = [(x, start) for _, x, start in calls if start is not None]
         assert len(trials) >= trace.iterations
         assert not any(np.array_equal(x, start) for x, start in trials)
 
+    def test_rebuilt_merit_values_are_not_reused(self):
+        """With an adaptive terminal a quadratic merit is rebuilt every
+        iteration, so a value its line search evaluated at the accepted step
+        is not carried into the next record: every f value is the value of
+        the merit built from that iteration's terminal."""
+        # Concave along x_1, so q_j <= 0 and the line search evaluates its values.
+        concave = quadratic_objective(np.diag([-0.5, 0.0]), np.array([0.0, 1.0]))
+        bowl = quadratic_objective(np.diag([2.0, 1.0]), np.array([-2.0, 0.0]))
+        frac = FractionalConfig(alpha=0.5, beta=0.2 + 1.0 / 3.0, terminal=np.zeros(2),
+                                memory_length=1, degenerate_policy="clamp")
+        trace = run_single_stage([concave, bowl], np.array([3.0, 2.0]), SolverConfig(),
+                                 frac, 10)
+        assert trace.iterations > 2
+        for k, record in enumerate(trace.records):
+            terminal = trace.records[k - 1].x if k else record.x
+            merit = descent._stage_merit([concave, bowl],
+                                         dataclasses.replace(frac, terminal=terminal))
+            assert record.f_values.tolist() == [m.value(record.x) for m in merit]
 
 class TestTraceExport:
     def test_csv_columns_and_reproducibility(self, tmp_path):
@@ -568,6 +633,26 @@ class TestRunAdaptive:
         t2 = run_single_stage(pareto_pair(), x0, cfg, frac, 50)
         assert (t1.iterations, t1.termination) == (t2.iterations, t2.termination)
         np.testing.assert_array_equal(t1.final_x, t2.final_x)
+
+    def test_iterates_are_not_shared(self):
+        """Records and final_x hold the iterates without copies, so no two of
+        them, and none of them and x0, may share memory: writing into x0 or
+        into any record's x changes no other record, final_x or a later
+        stage's start."""
+        x0 = np.full(3, 2.0)
+        sched = StageSchedule.from_gammas([0.5, 0.7, 0.9], [0.1, 0.01, 0.0], [4, 4, 40],
+                                          terminal=np.zeros(3))
+        trace = run_adaptive(random_quadratic_mop(3, 5, 2, seed=3).objectives(), x0,
+                             SolverConfig(tolerance=1e-6), sched)
+        assert len(trace.stage_starts()) == 3
+        arrays = [x0] + [r.x for r in trace.records] + [trace.final_x]
+        before = [a.copy() for a in arrays]
+        for i, written in enumerate(arrays[:-1]):
+            written += 1.0
+            for j, other in enumerate(arrays):
+                if j != i:
+                    np.testing.assert_array_equal(other, before[j])
+            written[:] = before[i]
 
     def test_example2_staged_value(self):
         """Three alpha stages on the second quadratic reach the -2.33 optimum."""

@@ -118,6 +118,31 @@ class TestSolveDirection:
         assert info.value.best.kkt_residual == 1e-3
         np.testing.assert_allclose(info.value.best.multipliers, [0.5, 0.5], atol=1e-9)
 
+    @pytest.mark.parametrize("gradients", [
+        [[1e200, 0.0], [0.0, 1e200]],
+        [[1e200, 1e200], [1e200, 1e200], [1e200, 0.0]],
+        [[1e200, 1e200]],
+    ])
+    def test_overflowed_gradients_raise(self, gradients):
+        """Finite gradients whose squared norms overflow have no finite scale;
+        the solve used to pass its checks against an infinite bound (t = 0,
+        or t = -inf with a NaN KKT residual)."""
+        with np.errstate(all="ignore"), pytest.raises(DirectionAccuracyError,
+                                                      match="gradient scale inf"):
+            solve_direction(gradients)
+
+    @pytest.mark.parametrize("stage", ["_dual_gap", "_result_from"])
+    def test_nan_check_statistics_raise(self, stage, monkeypatch):
+        """A NaN gap or KKT residual fails its bound."""
+        if stage == "_dual_gap":
+            monkeypatch.setattr(direction, "_dual_gap", lambda *args: float("nan"))
+        else:
+            exact = direction._result_from
+            monkeypatch.setattr(direction, "_result_from", lambda G, lam: dataclasses.replace(
+                exact(G, lam), kkt_residual=float("nan")))
+        with pytest.raises(DirectionAccuracyError, match="gap" if stage == "_dual_gap" else "KKT"):
+            solve_direction([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+
 
 def scaled_gram(G):
     """G G^T over the mean squared gradient norm (at least 1), as the solver scales it."""
@@ -169,7 +194,7 @@ class TestIndependentBranchOracles:
         rng = np.random.default_rng(300 + seed)
         G = rng.standard_normal((2, int(rng.integers(1, 6))))
         K = scaled_gram(G)
-        _, scale = direction._scaled_gram(G)
+        _, scale = direction._gram_scale(G)
         closed = solve_direction_m2_closed_form(G[0], G[1])
         nnls = direction._result_from(G, direction._nnls_weights(G, scale))
         enum = direction._result_from(G, enumerate_supports(K))
@@ -195,6 +220,61 @@ class TestIndependentBranchOracles:
         assert abs(0.5 * lam @ K @ lam - 0.5 * best @ K @ best) <= 1e-12
         brute = brute_force_direction(G, 12)
         assert 0.5 * brute.norm ** 2 >= 0.5 * r.norm ** 2 - 1e-12
+
+
+def array_result(G, lam):
+    """(t, d, kkt_residual, theta) from numpy array formulas: the reference
+    for the float arithmetic of `direction._result_from`."""
+    d = -G.T @ lam
+    slopes = G @ d
+    t = float(slopes.max())
+    excess = slopes - t
+    feas = float(np.maximum(excess, 0.0).max())
+    comp = float(np.abs(lam * excess).max())
+    simplex = max(abs(float(lam.sum()) - 1.0), float(np.maximum(-lam, 0.0).max()))
+    return t, d, max(feas, comp, simplex), t + 0.5 * float(d @ d)
+
+
+def array_gap(G, lam):
+    """Dual gap of lam on the scaled Gram matrix, from numpy array formulas."""
+    K = G @ G.T
+    grad = (K / max(1.0, float(K.trace()) / K.shape[0])) @ lam
+    return float(lam @ grad - grad.min())
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestArrayReference:
+    """The solve's float arithmetic reproduces the array formulas bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_matches_array_formulas(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for exponent in range(-100, 101, 10):
+            G = 10.0 ** exponent * rng.standard_normal((m, n))
+            K = G @ G.T
+            scale = max(1.0, float(K.trace()) / m)
+            lam = (np.ones(1) if m == 1 else direction._segment_weights(G[0], G[1]) if m == 2
+                   else direction._nnls_weights(G, scale))
+            t, d, kkt, theta = array_result(G, lam)
+            r = solve_direction(G)
+            assert bits(r.multipliers) == bits(lam)
+            assert bits(r.direction) == bits(d)
+            assert bits(r.t_value) == bits(t)
+            assert bits(r.theta) == bits(theta)
+            assert bits(r.norm) == bits(np.linalg.norm(d))
+            # Python sums add the m weights and the m products in another
+            # order: a few roundings of terms no larger than 1 and max |K| / scale.
+            eps = np.finfo(float).eps
+            assert abs(r.kkt_residual - kkt) <= m * eps
+            gram, gram_scale = direction._gram_scale(G)
+            assert bits(gram_scale) == bits(scale)
+            gap_terms = np.abs(K).max() / scale
+            assert abs(direction._dual_gap(gram, gram_scale, lam)
+                       - array_gap(G, lam)) <= 4 * m * eps * gap_terms
 
 
 class TestLargeM:
