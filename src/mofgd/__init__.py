@@ -35,7 +35,6 @@ from .fractional import (
     UnivariateFunction,
     UnsupportedOrderError,
     caputo_derivative_1d,
-    caputo_derivative_poly,
     caputo_gradient,
     modified_fractional_gradient,
 )

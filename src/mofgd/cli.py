@@ -450,10 +450,7 @@ def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
         trace3.iterations if obj3.value(trace3.final_x) <= 1e-3 else None
     )
     sub = subgradient_baseline(obj3, np.array([3.0, 3.0]), steps=2000)
-    sub_iters = None
-    for note in sub.notes:
-        if note.startswith("hit:") and note != "hit:none":
-            sub_iters = int(note.split(":")[1])
+    sub_iters = sub.iterations if sub.termination == "tolerance" else None
     checks["example3"] = {
         "fractional_iterations_to_1e-3": frac_iters,
         "subgradient_iterations_to_1e-3": sub_iters,

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 __all__ = [
     "CaputoDomainError",
@@ -39,7 +38,6 @@ __all__ = [
     "FractionalConfig",
     "UnivariateFunction",
     "caputo_derivative_1d",
-    "caputo_derivative_poly",
     "caputo_gradient",
     "modified_fractional_gradient",
 ]
@@ -103,7 +101,8 @@ class FractionalConfig:
             raise ValueError(f"memory_length must be positive, got {self.memory_length}")
         if self.degenerate_policy not in ("error", "clamp"):
             raise ValueError(f"unknown degenerate_policy {self.degenerate_policy!r}")
-        t = np.atleast_1d(np.asarray(self.terminal, dtype=float))
+        # A copy: freezing the caller's array would freeze their iterates.
+        t = np.atleast_1d(np.array(self.terminal, dtype=float))
         t.flags.writeable = False
         object.__setattr__(self, "terminal", t)
 
@@ -178,12 +177,42 @@ def _order_parts(order: float) -> tuple[int, float]:
     return n, n - order - 1.0
 
 
+def _jacobi_recurrence(a_exp: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n^(a_exp, 0)(t) and (1 - t^2) P_n'(t) for n = NODES_PER_SEGMENT, from
+    the three-term recurrence and the derivative identity
+    (2n + a) (1 - t^2) P_n' = n (a - (2n + a) t) P_n + 2n (n + a) P_{n-1}."""
+    n, a = NODES_PER_SEGMENT, a_exp
+    p_prev, p = np.ones_like(t), 0.5 * ((a + 2.0) * t + a)
+    for m in range(2, n + 1):
+        c = 2.0 * m + a
+        p_prev, p = p, ((c - 1.0) * (c * (c - 2.0) * t + a * a) * p
+                        - 2.0 * (m + a - 1.0) * (m - 1.0) * c * p_prev) / (2.0 * m * (m + a) * (c - 2.0))
+    c = 2.0 * n + a
+    return p, (n * (a - c * t) * p + 2.0 * n * (n + a) * p_prev) / c
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule on [-1, 1] for the weight (1 - t)^a_exp: Legendre for a_exp = 0."""
-    if a_exp == 0.0:
-        return roots_legendre(NODES_PER_SEGMENT)
-    return roots_jacobi(NODES_PER_SEGMENT, a_exp, 0.0)
+    """Gauss rule on [-1, 1] for the weight (1 - t)^a_exp, a_exp in (-1, 0].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of P_n^(a_exp, 0), polished by three Newton steps on the
+    recurrence, and the weights are mu_0 v_0^2, with v_0 the first
+    eigenvector components and mu_0 = 2^(a+1)/(a+1) the weight's integral.
+    The eigenvector weights are used rather than the closed formula in
+    (1 - t^2) P_n'(t)^2 because the forward recurrence loses accuracy near
+    t = 1 when a_exp < 0.  a_exp = 0 gives the Gauss-Legendre rule.
+    """
+    n, a = NODES_PER_SEGMENT, a_exp
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a
+    diag = np.concatenate(([-a / (a + 2.0)], -a * a / (s * (s + 2.0))))
+    off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(3):
+        p, dp = _jacobi_recurrence(a, t)
+        t = t - p * ((1.0 - t) * (1.0 + t)) / dp
+    return t, 2.0 ** (a + 1.0) / (a + 1.0) * v[0] ** 2
 
 
 def _rule(c: float, x: float, kinks: Sequence[float], a_exp: float,
@@ -223,7 +252,7 @@ def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
     u, w = _rule(c, x, kinks, a_exp)
     u_fine, w_fine = _rule(c, x, kinks, a_exp, refine=True)
     hu = _eval(h, x - np.concatenate((u, u_fine)))
-    scale = math.exp(-gammaln(n - order)) * (x - c) ** (a_exp + 1.0)
+    scale = (x - c) ** (a_exp + 1.0) / math.gamma(n - order)
     value = scale * float(w @ hu[:u.size])
     check = scale * float(w_fine @ hu[u.size:])
     err = abs(value - check)
@@ -263,25 +292,6 @@ def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
     n, _ = _order_parts(order)
     c = _resolve_terminal(cfg, cfg.terminal_for(0), float(x))
     return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
-
-
-def caputo_derivative_poly(coeffs: Sequence[float], cfg: FractionalConfig,
-                           x: float, order: float) -> float:
-    """Closed-form Caputo derivative of a polynomial in (x - c).
-
-    coeffs[k] multiplies (x - c)^k.  Monomial rule: for k >= n = ceil(order),
-    D^order (x-c)^k = Gamma(k+1)/Gamma(k+1-order) (x-c)^(k-order); lower
-    powers vanish.
-    """
-    n, _ = _order_parts(order)
-    c = _resolve_terminal(cfg, cfg.terminal_for(0), float(x))
-    xc = float(x) - c
-    total = 0.0
-    for k, ck in enumerate(coeffs):
-        if k < n or ck == 0.0:
-            continue
-        total += ck * math.exp(gammaln(k + 1.0) - gammaln(k + 1.0 - order)) * xc ** (k - order)
-    return total
 
 
 def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float

@@ -159,18 +159,16 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
     """Scalar subgradient descent with diminishing steps a/(k+1).
 
     A PiecewiseMaxObjective steps along its active-set average subgradient
-    (see PiecewiseMaxObjective.subgradient).  The trace note
-    "hit:K" records the first iteration with f <= f_min + target_gap.
+    (see PiecewiseMaxObjective.subgradient).  The run stops with termination
+    "tolerance" at the first iterate with f <= f_min + target_gap, so
+    trace.iterations is then that iterate's index.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
-    hit: Optional[int] = None
     for k in range(steps):
         start = time.perf_counter()
         fx = f.value(x)
-        if hit is None and fx <= f_min + target_gap:
-            hit = k
-            trace.notes.append(f"hit:{k}")
+        if fx <= f_min + target_gap:
             trace.termination = "tolerance"
             trace.final_x = x.copy()
             break
@@ -188,8 +186,6 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
         trace.final_x = x.copy()
     else:
         trace.termination = "max_iter"
-    if hit is None:
-        trace.notes.append("hit:none")
     return trace
 
 

@@ -12,13 +12,14 @@ from mofgd import (
     UnivariateFunction,
     UnsupportedOrderError,
     caputo_derivative_1d,
-    caputo_derivative_poly,
     caputo_gradient,
     modified_fractional_gradient,
     quadratic_objective,
     random_quadratic_mop,
 )
 from mofgd.fixtures import example3_objective
+from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule
+from oracles import caputo_derivative_poly
 
 
 def monomial(p):
@@ -142,6 +143,40 @@ class TestCaputoDerivative1d:
         # -(2 - 2*sqrt(0.4)) + 2*sqrt(0.4).
         exact = (4.0 * math.sqrt(0.4) - 2.0) / math.gamma(0.5)
         assert got == pytest.approx(exact, rel=1e-12)
+
+
+class TestFractionalConfig:
+    def test_terminal_is_a_read_only_copy(self):
+        c = np.zeros(3)
+        cfg = FractionalConfig(0.5, 0.5, c)
+        assert c.flags.writeable
+        assert not cfg.terminal.flags.writeable
+        c[0] = 1.0
+        assert cfg.terminal[0] == 0.0
+
+
+class TestGaussRule:
+    """The numpy-built rules against scipy's and against exact moments."""
+
+    @pytest.mark.parametrize("a_exp", [-0.9, -0.5, -0.1, 0.0])
+    def test_matches_scipy(self, a_exp):
+        from scipy.special import roots_jacobi, roots_legendre
+        t, w = _gauss_rule(a_exp)
+        t_ref, w_ref = (roots_legendre(NODES_PER_SEGMENT) if a_exp == 0.0
+                        else roots_jacobi(NODES_PER_SEGMENT, a_exp, 0.0))
+        np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("a_exp", [-0.9, -0.5, -0.1, 0.0])
+    def test_moments_exact(self, a_exp):
+        """int (1-t)^a (1+t)^k dt = 2^(a+k+1) B(a+1, k+1) for k <= 60."""
+        t, w = _gauss_rule(a_exp)
+        exact = 2.0 ** (a_exp + 1.0) / (a_exp + 1.0)
+        for k in range(61):
+            # B(a+1, k+1) = k! / ((a+1)(a+2)...(a+k+1)), built up one k at a time.
+            if k:
+                exact *= 2.0 * k / (a_exp + k + 1.0)
+            assert float(w @ (1.0 + t) ** k) == pytest.approx(exact, rel=1e-12), k
 
 
 class TestCaputoPoly:
