@@ -16,7 +16,6 @@ from .direction import (
     DirectionResult,
     brute_force_direction,
     solve_direction,
-    solve_direction_m2_closed_form,
 )
 from .descent import (
     IterationTrace,

@@ -346,12 +346,9 @@ def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
         raise ConfigError("experiment: verify-t5 needs a random quadratic instance")
     mop = spec.instance
     stage = schedule.stages[0]
-    frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta,
-                            terminal=np.zeros(mop.dim))
+    frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=schedule.terminal)
     lam = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
-    cfg = SolverConfig(tolerance=solver.tolerance, max_iterations=solver.max_iterations,
-                       step_mode="fixed", eta=solver.eta)
-    report = verify_rate_theorem5(mop, cfg, frac, lam)
+    report = verify_rate_theorem5(mop, solver, frac, lam, k_max=solver.max_iterations)
     writer.write_csv("rate_errors.csv", ["k", "error"],
                      ([k, _fmt(e)] for k, e in enumerate(report.errors)))
     payload = {
@@ -373,9 +370,7 @@ def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 def _cmd_verify_t6(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     if not isinstance(spec.instance, QuadraticMop):
         raise ConfigError("experiment: verify-t6 needs a random quadratic instance")
-    cfg = SolverConfig(tolerance=solver.tolerance, max_iterations=solver.max_iterations,
-                       step_mode="fixed", eta=solver.eta)
-    bound, report = verify_staged_theorem6(spec.instance, schedule, cfg)
+    bound, report = verify_staged_theorem6(spec.instance, schedule, solver)
     writer.write_csv(
         "stage_bounds.csv",
         ["stage", "gamma", "iterations", "rate", "R", "epsilon", "e_next", "bound"],

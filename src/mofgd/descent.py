@@ -2,8 +2,7 @@
 
 One iteration at x: evaluate the per-objective (fractional) gradients, solve
 the direction subproblem for (t, d, lambda), stop if ||d|| < tolerance, pick
-a step by Armijo backtracking over {1, r, r^2, ...} (or a fixed eta/sigma_max
-step for rate studies) and move to x + eta*d.
+a step by Armijo backtracking over {1, r, r^2, ...} and move to x + eta*d.
 
 Stages: a schedule of (alpha_s, beta_s, k_s) triples runs the iteration in
 segments, each continuing from the previous stage's final point.  Each stage
@@ -15,7 +14,7 @@ gradient of the stage-regularized merit
     f_j(x) + gamma_s/2 * sum_i H_ii (x_i - c_i)^2,
 
 so the stage builds that merit once (`problems.regularized`) and takes the
-direction input, the line-search test and the fixed-step system from it.
+direction input and the line-search test from it.
 Non-quadratic objectives use singular-quadrature gradients and raw values.
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
@@ -78,7 +77,11 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Armijo and termination parameters of one solver run."""
+    """Armijo and termination parameters of one solver run.
+
+    Stages take Armijo steps only, so step_mode must be "backtracking";
+    eta is the step factor of the fixed-step verify runs in `lab`.
+    """
 
     sigma: float = 0.1
     backtrack: float = 0.5
@@ -96,10 +99,10 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.step_mode not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step_mode {self.step_mode!r}")
-        if self.step_mode == "fixed" and not 0.0 < self.eta < 2.0:
-            raise ValueError(f"fixed-step eta must lie in (0, 2), got {self.eta}")
+        if self.step_mode != "backtracking":
+            raise ValueError(f"step_mode must be 'backtracking', got {self.step_mode!r}")
+        if not 0.0 < self.eta < 2.0:
+            raise ValueError(f"eta must lie in (0, 2), got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -315,31 +318,29 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                      cfg: SolverConfig,
                      frac: FractionalConfig,
                      k_max: int,
-                     frozen_multipliers: Optional[np.ndarray] = None,
                      stage_index: int = 0,
                      trace: Optional[IterationTrace] = None) -> IterationTrace:
-    """Iterate x <- x + eta*d for up to k_max steps or until ||d|| < tolerance.
+    """Iterate x <- x + eta*d for up to k_max Armijo steps or until ||d|| < tolerance.
 
     objectives are raw; the stage adds the regularizer itself.  Each
     quadratic objective becomes its stage merit (see `_stage_merit`), whose
     gradient is the direction input, whose exact expansion the line search
-    tests, whose values the trace's f columns record, and whose Hessian sets
-    the fixed step; in an all-quadratic stage the Armijo slope is therefore
-    the subproblem's t, bit for bit.  Other kinds take singular-quadrature
-    gradients and raw values, and the Armijo slope comes from the merit
-    gradients.  Each iteration evaluates every merit's gradient and value at
-    x once and hands both to `armijo_step`, and takes the values that the
-    previous line search evaluated at its accepted step instead of
-    evaluating them again: a quadratic stage makes one gradient call per
-    objective per iteration and one value call per recorded iteration, and
-    a smooth stage evaluates each value once per point.  With an adaptive
-    terminal (frac.memory_length L) the terminal is the iterate L steps back
-    in trace.records (the earliest one, or x0, before that) and the merit is
+    tests and whose values the trace's f columns record; in an
+    all-quadratic stage the Armijo slope is therefore the subproblem's t,
+    bit for bit.  Other kinds take singular-quadrature gradients and raw
+    values, and the Armijo slope comes from the merit gradients.  Each
+    iteration evaluates every merit's gradient and value at x once and
+    hands both to `armijo_step`, and takes the values that the previous
+    line search evaluated at its accepted step instead of evaluating them
+    again: a quadratic stage makes one gradient call per objective per
+    iteration and one value call per recorded iteration, and a smooth stage
+    evaluates each value once per point.  With an adaptive terminal
+    (frac.memory_length L) the terminal is the iterate L steps back in
+    trace.records (the earliest one, or x0, before that) and the merit is
     rebuilt from it at every iteration, so a rebuilt merit's values are
-    evaluated again.  frozen_multipliers skips the subproblem and uses a
-    fixed convex combination (theory-check mode).  Records are numbered by
-    their position in trace.records, so a trace passed in continues its
-    numbering and its iterate history.
+    evaluated again.  Records are numbered by their position in
+    trace.records, so a trace passed in continues its numbering and its
+    iterate history.
 
     Only the modified fractional gradients run under a warning recorder,
     whose RuntimeWarnings (the terminal clamp) go to trace.notes; any other
@@ -349,17 +350,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
-    lam = None if frozen_multipliers is None else np.asarray(frozen_multipliers, dtype=float)
     merit = _stage_merit(objectives, frac)
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
-
-    eta_fixed = None
-    if cfg.step_mode == "fixed":
-        if not quadratic:
-            raise ValueError("fixed-step mode needs quadratic objectives")
-        weights = lam if lam is not None else np.full(len(merit), 1.0 / len(merit))
-        system = sum(w * np.asarray(m.hessian(x), dtype=float) for w, m in zip(weights, merit))
-        eta_fixed = cfg.eta / float(np.linalg.svd(system, compute_uv=False)[0])
 
     trial_values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
@@ -388,59 +380,48 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.notes.extend(str(w.message) for w in caught)
         grads = np.array(grads)
 
-        if lam is None:
-            try:
-                direction = solve_direction(grads)
-            except DirectionAccuracyError as exc:
-                trace.termination = "error"
-                trace.error = str(exc)
-                trace.final_x = x
-                return trace
-        else:
-            d = -grads.T @ lam
-            t = float((grads @ d).max())
-            direction = DirectionResult(t_value=t, direction=d, multipliers=lam,
-                                        kkt_residual=float("nan"), theta=t + 0.5 * float(d @ d))
+        try:
+            direction = solve_direction(grads)
+        except DirectionAccuracyError as exc:
+            trace.termination = "error"
+            trace.error = str(exc)
+            trace.final_x = x
+            return trace
 
         norm_d = direction.norm
         trace.final_x = x
         trace.final_norm_d = norm_d
         # t >= 0: the subproblem finds no descent direction to its precision,
         # so x is critical even if ||d|| is still above the tolerance.
-        live_search = lam is None and eta_fixed is None
-        if norm_d < cfg.tolerance or (live_search and not direction.t_value < 0.0):
+        if norm_d < cfg.tolerance or not direction.t_value < 0.0:
             trace.termination = "tolerance"
             return trace
-        if eta_fixed is None:
-            # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
-            # a quadratic's direction input already is its merit gradient.
-            if quadratic:
-                merit_grads, slope = grads, direction.t_value
-            else:
-                merit_grads = np.array([g if obj.kind == "quadratic" else m.gradient(x)
-                                        for obj, m, g in zip(objectives, merit, grads)])
-                slope = float((merit_grads @ direction.direction).max())
-            if live_search and not slope < 0.0:
-                trace.termination = "model_mismatch"
-                trace.notes.append(
-                    f"model_mismatch: merit slope {slope:.3e} >= 0 along d with t = "
-                    f"{direction.t_value:.3e}; ||g - grad merit|| = "
-                    f"{np.linalg.norm(grads - merit_grads):.3e}")
-                return trace
+        # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
+        # a quadratic's direction input already is its merit gradient.
+        if quadratic:
+            merit_grads, slope = grads, direction.t_value
+        else:
+            merit_grads = np.array([g if obj.kind == "quadratic" else m.gradient(x)
+                                    for obj, m, g in zip(objectives, merit, grads)])
+            slope = float((merit_grads @ direction.direction).max())
+        if not slope < 0.0:
+            trace.termination = "model_mismatch"
+            trace.notes.append(
+                f"model_mismatch: merit slope {slope:.3e} >= 0 along d with t = "
+                f"{direction.t_value:.3e}; ||g - grad merit|| = "
+                f"{np.linalg.norm(grads - merit_grads):.3e}")
+            return trace
         if k == k_max:
             trace.termination = "max_iter"
             return trace
 
         f_values = np.array([m.value(x) if v is None else v
                              for m, v in zip(merit, trial_values)])
+        searched = (direction if slope == direction.t_value
+                    else replace(direction, t_value=slope))
         try:
-            if eta_fixed is not None:
-                eta, x_next, backtracks = eta_fixed, x + eta_fixed * direction.direction, 0
-            else:
-                searched = (direction if slope == direction.t_value
-                            else replace(direction, t_value=slope))
-                eta, x_next, backtracks, trial_values = armijo_step(
-                    merit, x, searched, cfg, f_values, merit_grads)
+            eta, x_next, backtracks, trial_values = armijo_step(
+                merit, x, searched, cfg, f_values, merit_grads)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)

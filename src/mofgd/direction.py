@@ -23,7 +23,6 @@ __all__ = [
     "DirectionAccuracyError",
     "DirectionResult",
     "solve_direction",
-    "solve_direction_m2_closed_form",
     "brute_force_direction",
 ]
 
@@ -183,17 +182,6 @@ def solve_direction(gradients) -> DirectionResult:
         raise DirectionAccuracyError(
             f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)
     return result
-
-
-def solve_direction_m2_closed_form(g1, g2) -> DirectionResult:
-    """Exact two-objective solution: the min-norm point of a segment.
-
-    lambda_1 = clamp((g2 - g1)^T g2 / ||g1 - g2||^2, 0, 1), with the
-    degenerate g1 = g2 case giving lambda_1 = 1.
-    """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    return _result_from(np.vstack([g1, g2]), _segment_weights(g1, g2))
 
 
 def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ front metric.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -133,7 +134,7 @@ class RateReport:
     final_error: float
     fixed_point_gap: float
     literal_growth_factor: float
-    trace: IterationTrace
+    final_x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,17 +190,18 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
     return trace
 
 
-def _frozen_fixed_run(mop: QuadraticMop, gamma: float, lam: np.ndarray,
-                      terminal: np.ndarray, cfg: SolverConfig, k_max: int,
-                      x0: np.ndarray, stage_index: int = 0,
-                      trace: Optional[IterationTrace] = None) -> IterationTrace:
-    """One frozen-multiplier fixed-step segment on the gamma-regularized problem."""
-    alpha = 0.5
-    beta = gamma + (1.0 - alpha) / (2.0 - alpha)
-    frac = FractionalConfig(alpha=alpha, beta=beta, terminal=terminal,
-                            degenerate_policy="clamp")
-    return run_single_stage(mop.objectives(), x0, cfg, frac, k_max,
-                            frozen_multipliers=lam, stage_index=stage_index, trace=trace)
+def _frozen_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, step: float,
+                        x0: np.ndarray, tolerance: float, k: int) -> list[np.ndarray]:
+    """x0 and the iterates of x <- x + step d, d = -sum_j lam_j grad merit_j(x),
+    up to k steps or until ||d|| < tolerance."""
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(k):
+        G = np.array([m.gradient(xs[-1]) for m in merit])
+        d = -G.T @ lam
+        if math.sqrt(d @ d) < tolerance:
+            break
+        xs.append(xs[-1] + step * d)
+    return xs
 
 
 def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalConfig,
@@ -207,11 +209,17 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
                          k_max: int = 2000, stop_error: float = 1e-7) -> RateReport:
     """Frozen-multiplier fixed-step run checked against the closed-form solution.
 
-    Reports per-iteration distances to x_Tik, the fitted geometric rate and
-    its stability over the last 100 iterations, the condition number and
-    largest singular value of the effective matrix, and whether the decay is
-    monotone geometric.  Divergence (error ratio > 1 for 50 consecutive
-    iterations) is reported as rate_violation, not raised.
+    The run descends on the merits of the `tikhonov_solve` system for
+    gamma = frac.gamma_alpha_beta and the terminal frac.terminal, taking up
+    to k_max steps of size cfg.eta / sigma_max, where sigma_max is that
+    system's largest singular value; of cfg it reads only eta.  It stops
+    once ||d|| < sigma_min stop_error, which puts the error to x_Tik below
+    stop_error.  Reports per-iteration distances to x_Tik, the fitted
+    geometric rate and its stability over the last 100 iterations, the
+    condition number and largest singular value of the effective matrix,
+    and whether the decay is monotone geometric.  Divergence (error ratio
+    > 1 for 50 consecutive iterations) is reported as rate_violation, not
+    raised.
     """
     gamma = frac.gamma_alpha_beta
     if gamma < 0:
@@ -225,12 +233,7 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
 
     # Stop once the true error is below stop_error: ||d|| >= sigma_min * error.
     tol_d = max(sol.sigma_min * stop_error, 1e-300)
-    run_cfg = SolverConfig(sigma=cfg.sigma, backtrack=cfg.backtrack,
-                           tolerance=tol_d, max_iterations=k_max,
-                           step_mode="fixed", eta=cfg.eta)
-    trace = _frozen_fixed_run(mop, gamma, lam, c, run_cfg, k_max, x0)
-
-    xs = [r.x for r in trace.records] + [trace.final_x]
+    xs = _frozen_fixed_steps(sol.merits, lam, cfg.eta / sol.sigma_max, x0, tol_d, k_max)
     errors = np.array([np.linalg.norm(x - sol.x_tik) for x in xs])
     live = errors[:-1] > 1e-13 * (1.0 + np.linalg.norm(sol.x_tik))
     ratios = np.where(live, errors[1:] / np.maximum(errors[:-1], 1e-300), np.nan)
@@ -259,9 +262,9 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
         kappa=sol.kappa,
         sigma_max=sol.sigma_max,
         final_error=float(errors[-1]),
-        fixed_point_gap=float(np.linalg.norm(trace.final_x - sol.x_tik)),
+        fixed_point_gap=float(np.linalg.norm(xs[-1] - sol.x_tik)),
         literal_growth_factor=float(1.0 + cfg.eta / sol.kappa),
-        trace=trace,
+        final_x=xs[-1],
     )
 
 
@@ -270,6 +273,9 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
                            ) -> tuple[StageErrorBound, dict]:
     """Staged frozen-multiplier run checked against the stage error recursion.
 
+    Stage s takes its k_s steps of size cfg.eta / sigma_max, where
+    sigma_max is that of the stage's `tikhonov_solve` system at uniform
+    multipliers and the schedule's terminal; of cfg it reads only eta.
     Measures epsilon_s (start-of-stage distance to the stage's regularized
     solution), e_s (drift between consecutive regularized solutions), the
     per-stage contraction factors, and the instance constants B_max and C;
@@ -288,18 +294,13 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
 
     sols = [tikhonov_solve(mop, g, lam, c) for g in gammas]
     eps, rates, Rs, stage_end_err = [], [], [], []
-    run_cfg = SolverConfig(sigma=cfg.sigma, backtrack=cfg.backtrack,
-                           tolerance=1e-300, max_iterations=cfg.max_iterations,
-                           step_mode="fixed", eta=cfg.eta)
-    trace = IterationTrace()
-    for s, (gamma, k_s) in enumerate(zip(gammas, iterations)):
+    for s, k_s in enumerate(iterations):
         eps.append(float(np.linalg.norm(x - sols[s].x_tik)))
         rho = max(abs(1.0 - cfg.eta), abs(1.0 - cfg.eta / sols[s].kappa))
         rates.append(rho * rho)
         Rs.append(rho ** k_s)
-        trace = _frozen_fixed_run(mop, gamma, lam, c, run_cfg, k_s, x,
-                                  stage_index=s, trace=trace)
-        x = trace.final_x
+        x = _frozen_fixed_steps(sols[s].merits, lam, cfg.eta / sols[s].sigma_max,
+                                x, 1e-300, k_s)[-1]
         stage_end_err.append(float(np.linalg.norm(x - x_star)))
 
     e = [float(np.linalg.norm(sols[s].x_tik - sols[s + 1].x_tik))
@@ -338,7 +339,6 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
         "final_bound_ok": final_bound_ok,
         "stage_end_error_to_x_star": stage_end_err,
         "gamma_final": gamma_final,
-        "trace": trace,
     }
     return StageErrorBound(
         gammas=tuple(gammas), iterations=iterations, rates=tuple(rates),

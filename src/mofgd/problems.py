@@ -318,10 +318,12 @@ class QuadraticMop:
 
 @dataclass(frozen=True)
 class TikhonovSolution:
-    """Critical point of the weighted stage merit, with its system matrix
-    and that matrix's extreme singular values."""
+    """Critical point of the weighted stage merit, with the regularized
+    merits it weights, its system matrix and that matrix's extreme singular
+    values."""
 
     x_tik: np.ndarray
+    merits: tuple[ObjectiveModel, ...]
     a_matrix: np.ndarray
     sigma_max: float
     sigma_min: float
@@ -363,7 +365,7 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     if lam.shape != (mop.n_objectives,) or lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError("multipliers must lie on the unit simplex")
     c = np.broadcast_to(np.asarray(terminal, dtype=float), (mop.dim,))
-    merit = [regularized(obj, gamma, c, regularizer) for obj in mop.objectives()]
+    merit = tuple(regularized(obj, gamma, c, regularizer) for obj in mop.objectives())
 
     def weighted_gradient(x):
         return sum(w * m.gradient(x) for w, m in zip(lam, merit))
@@ -384,7 +386,7 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
         raise SingularSystemError(f"normal-equation residual {residual:.3e} too large")
 
     sigma = np.linalg.svd(system, compute_uv=False)
-    return TikhonovSolution(x_tik=x_tik, a_matrix=system,
+    return TikhonovSolution(x_tik=x_tik, merits=merit, a_matrix=system,
                             sigma_max=float(sigma[0]), sigma_min=float(sigma[-1]))
 
 

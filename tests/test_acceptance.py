@@ -23,7 +23,6 @@ from mofgd import (
     random_quadratic_mop,
     run_adaptive,
     solve_direction,
-    solve_direction_m2_closed_form,
     subgradient_baseline,
     tikhonov_solve,
     verify_rate_theorem5,
@@ -44,6 +43,7 @@ from mofgd.fixtures import (
 )
 from mofgd.fractional import UnivariateFunction
 from mofgd.lab import ExperimentSpec, comparison_table, pareto_sweep
+from oracles import segment_min_norm
 
 
 def report(n, text):
@@ -140,7 +140,7 @@ def test_criterion_4_theorem5_fixed_point():
     gamma = 0.02
     lam = np.array([0.5, 0.5])
     frac = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=np.zeros(5))
-    cfg = SolverConfig(step_mode="fixed", eta=1.0)
+    cfg = SolverConfig(eta=1.0)
     worst_gap, worst_std = 0.0, 0.0
     for seed in _rate_check_seeds():
         mop = random_quadratic_mop(5, 6, 2, seed=seed)
@@ -169,7 +169,7 @@ def test_criterion_5_theorem6_staged_bound():
         mop = random_quadratic_mop(5, 8, 2, seed=seed)
         sched = StageSchedule.from_gammas([0.5] * 4, gammas, [400] * 4,
                                           terminal=np.zeros(5))
-        cfg = SolverConfig(step_mode="fixed", eta=1.0, max_iterations=400)
+        cfg = SolverConfig(eta=1.0, max_iterations=400)
         bound, rep = verify_staged_theorem6(mop, sched, cfg)
         for s in range(3):
             assert bound.epsilon[s + 1] <= bound.R[s] * bound.epsilon[s] + bound.e[s] + 1e-8
@@ -194,7 +194,7 @@ def test_criterion_6_subproblem_oracles():
         assert gap_bf <= 1e-4
         worst_bf = max(worst_bf, gap_bf)
         if m == 2:
-            closed = solve_direction_m2_closed_form(gs[0], gs[1])
+            closed = segment_min_norm(gs[0], gs[1])
             gap_cf = abs(0.5 * closed.norm ** 2 - dual)
             assert gap_cf <= 1e-9
             worst_cf = max(worst_cf, gap_cf)

@@ -78,6 +78,20 @@ schedule:
         with pytest.raises(ConfigError, match="schedule.*beta"):
             parse_config(write_config(tmp_path, bad))
 
+    def test_step_mode_other_than_backtracking_rejected(self, tmp_path):
+        """solve, pareto and compare take Armijo steps only; verify sets its own steps."""
+        _, solver, _ = parse_config(REPO / "configs" / "paper_quadratic.yaml")
+        assert solver.step_mode == "backtracking"
+        cfg = MINIMAL + "solver: {step_mode: fixed, eta: 1.0}\n"
+        with pytest.raises(ConfigError, match="solver: step_mode"):
+            parse_config(write_config(tmp_path, cfg))
+
+    def test_eta_out_of_range_names_field(self, tmp_path):
+        """eta is range-checked when the config is read, not when verify-t5 runs."""
+        cfg = MINIMAL + "solver: {eta: 2.5}\n"
+        with pytest.raises(ConfigError, match="solver: eta"):
+            parse_config(write_config(tmp_path, cfg))
+
     def test_missing_instance_key(self, tmp_path):
         with pytest.raises(ConfigError, match="instance"):
             parse_config(write_config(tmp_path, "solver: {sigma: 0.2}\n"))
@@ -135,6 +149,26 @@ class TestRunCommands:
         assert code == 0, summary
         assert summary["verify_t5"]["monotone_geometric"]
         assert (out / "rate_errors.csv").exists()
+
+    def test_verify_t5_reads_terminal_and_iteration_budget(self, tmp_path, monkeypatch):
+        """verify-t5 runs from schedule.terminal for at most solver.max_iterations steps."""
+        import mofgd.cli as cli
+        terminals = []
+        verify = cli.verify_rate_theorem5
+
+        def recording(mop, cfg, frac, multipliers, **kw):
+            terminals.append(frac.terminal)
+            return verify(mop, cfg, frac, multipliers, **kw)
+
+        monkeypatch.setattr(cli, "verify_rate_theorem5", recording)
+        text = SMALL_QUADRATIC.replace("max_iterations: 500", "max_iterations: 40").replace(
+            "iterations: [400]", "iterations: [400]\n  terminal: 0.5")
+        out = tmp_path / "t5"
+        run(RunManifest("verify-t5", str(write_config(tmp_path, text)), str(out)))
+        np.testing.assert_array_equal(terminals, [np.full(8, 0.5)])
+        rows = (out / "rate_errors.csv").read_text().splitlines()
+        assert rows[0] == "k,error"
+        assert len(rows) == 1 + 41
 
     def test_verify_t6_small_instance(self, tmp_path):
         text = SMALL_QUADRATIC.replace(

@@ -22,11 +22,11 @@ from mofgd import (
     run_adaptive,
     run_single_stage,
     solve_direction,
-    tikhonov_solve,
 )
 from mofgd.cli import parse_config
 from mofgd.fixtures import default_schedule, fixture_objectives, pareto_pair
 from mofgd.problems import regularized
+from oracles import segment_min_norm
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -119,7 +119,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(sigma=1.5), dict(sigma=0.0), dict(backtrack=1.0),
         dict(tolerance=0.0), dict(max_iterations=0),
-        dict(step_mode="fixed", eta=2.5), dict(step_mode="nope"),
+        dict(step_mode="fixed"), dict(step_mode="nope"),
+        dict(eta=0.0), dict(eta=2.5),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -371,23 +372,10 @@ class TestRunSingleStage:
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
 
-    def test_fixed_step_converges_to_tikhonov_solution(self):
-        """Frozen-lambda fixed-step iteration lands on the closed-form solution."""
-        mop = random_quadratic_mop(5, 8, 2, seed=42)
-        gamma = 0.3
-        lam = np.array([0.5, 0.5])
-        c = np.zeros(5)
-        sol = tikhonov_solve(mop, gamma, lam, c)
-        frac = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=c)
-        cfg = SolverConfig(step_mode="fixed", eta=1.0, tolerance=1e-12,
-                           max_iterations=500)
-        trace = run_single_stage(mop.objectives(),
-                                 np.full(5, 3.0), cfg, frac, 500,
-                                 frozen_multipliers=lam)
-        assert np.linalg.norm(trace.final_x - sol.x_tik) <= 1e-6
-        errs = [np.linalg.norm(r.x - sol.x_tik) for r in trace.records]
-        ratios = np.array(errs[1:]) / np.array(errs[:-1])
-        assert np.all(ratios[5:] < 1.0)
+    def test_fixed_step_mode_is_rejected(self):
+        """A stage takes Armijo steps only, so no config asks it for fixed steps."""
+        with pytest.raises(ValueError, match="step_mode"):
+            SolverConfig(step_mode="fixed", eta=1.0)
 
     def test_classical_reduction_matches_reference_steepest_descent(self):
         """alpha=1, beta=0 reproduces a hand-rolled steepest descent trace."""
@@ -417,7 +405,6 @@ class TestRunSingleStage:
 
     def test_classical_two_objective_matches_closed_form_reference(self):
         """m=2 classical trace vs an independent loop using the closed-form dual."""
-        from mofgd import solve_direction_m2_closed_form
         mop = random_quadratic_mop(3, 5, 2, seed=23)
         objs = mop.objectives()
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-7)
@@ -427,8 +414,7 @@ class TestRunSingleStage:
         x = x0.copy()
         reference = [x.copy()]
         for _ in range(200):
-            res = solve_direction_m2_closed_form(objs[0].gradient(x),
-                                                 objs[1].gradient(x))
+            res = segment_min_norm(objs[0].gradient(x), objs[1].gradient(x))
             if res.norm < cfg.tolerance:
                 break
             eta = 1.0

@@ -11,8 +11,8 @@ from mofgd import (
     DirectionAccuracyError,
     brute_force_direction,
     solve_direction,
-    solve_direction_m2_closed_form,
 )
+from oracles import segment_min_norm
 
 
 def random_gradients(rng, m, n, scale=1.0):
@@ -104,7 +104,7 @@ class TestSolveDirection:
         g1 = np.array([1.0, 0.0])
         g2 = g1 + np.array([1e-6, 1e-6])
         r = solve_direction([g1, g2])
-        rc = solve_direction_m2_closed_form(g1, g2)
+        rc = segment_min_norm(g1, g2)
         assert abs(0.5 * r.norm ** 2 + r.theta - (0.5 * rc.norm ** 2 + rc.theta)) <= 1e-12
         assert r.kkt_residual <= 1e-8
 
@@ -195,7 +195,7 @@ class TestIndependentBranchOracles:
         G = rng.standard_normal((2, int(rng.integers(1, 6))))
         K = scaled_gram(G)
         _, scale = direction._gram_scale(G)
-        closed = solve_direction_m2_closed_form(G[0], G[1])
+        closed = segment_min_norm(G[0], G[1])
         nnls = direction._result_from(G, direction._nnls_weights(G, scale))
         enum = direction._result_from(G, enumerate_supports(K))
         for other in (nnls, enum):
@@ -302,18 +302,18 @@ class TestLargeM:
 
 class TestM2ClosedForm:
     def test_orthonormal(self):
-        r = solve_direction_m2_closed_form(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        r = solve_direction([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         assert r.multipliers[0] == pytest.approx(0.5)
 
     def test_identical_gradients(self):
         g = np.array([2.0, -1.0])
-        r = solve_direction_m2_closed_form(g, g)
+        r = solve_direction([g, g])
         assert r.multipliers[0] == pytest.approx(1.0)
         np.testing.assert_allclose(r.direction, -g)
 
     def test_zero_in_hull(self):
         """g1=(2,0), g2=(-1,0): lambda_1 = 1/3 puts the combination at zero."""
-        r = solve_direction_m2_closed_form(np.array([2.0, 0.0]), np.array([-1.0, 0.0]))
+        r = solve_direction([np.array([2.0, 0.0]), np.array([-1.0, 0.0])])
         assert r.multipliers[0] == pytest.approx(1.0 / 3.0)
         np.testing.assert_allclose(r.direction, [0.0, 0.0], atol=1e-15)
 
@@ -322,7 +322,7 @@ class TestM2ClosedForm:
         rng = np.random.default_rng(200 + seed)
         g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
         a = solve_direction([g1, g2])
-        b = solve_direction_m2_closed_form(g1, g2)
+        b = segment_min_norm(g1, g2)
         # Dual objective values agree even when multipliers are degenerate.
         assert 0.5 * a.norm ** 2 == pytest.approx(0.5 * b.norm ** 2, abs=1e-9)
 

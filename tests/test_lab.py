@@ -85,7 +85,7 @@ class TestVerifyRateTheorem5:
         self.lam = np.array([0.5, 0.5])
 
     def test_geometric_decay_to_fixed_point(self):
-        rep = verify_rate_theorem5(self.mop, SolverConfig(step_mode="fixed", eta=1.0),
+        rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
                                    self.frac, self.lam)
         assert rep.monotone
         assert not rep.rate_violation
@@ -93,7 +93,7 @@ class TestVerifyRateTheorem5:
         assert rep.fitted_rate < 1.0
 
     def test_eta_near_two_still_converges(self):
-        rep = verify_rate_theorem5(self.mop, SolverConfig(step_mode="fixed", eta=1.99),
+        rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.99),
                                    self.frac, self.lam)
         assert not rep.rate_violation
         assert rep.final_error <= 1e-6
@@ -101,24 +101,42 @@ class TestVerifyRateTheorem5:
     def test_fixed_point_independent_of_start(self):
         rng = np.random.default_rng(9)
         reps = [
-            verify_rate_theorem5(self.mop, SolverConfig(step_mode="fixed", eta=1.0),
+            verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
                                  self.frac, self.lam, x0=rng.normal(size=5) * 5)
             for _ in range(2)
         ]
-        assert np.linalg.norm(reps[0].trace.final_x - reps[1].trace.final_x) <= 1e-6
+        assert np.linalg.norm(reps[0].final_x - reps[1].final_x) <= 1e-6
 
     def test_rate_matches_condition_number_prediction(self):
         """Tail ratio equals max(|1-eta|, |1-eta/kappa|) for the frozen system."""
-        rep = verify_rate_theorem5(self.mop, SolverConfig(step_mode="fixed", eta=1.0),
+        rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
                                    self.frac, self.lam)
         v = rep.ratios[~np.isnan(rep.ratios)]
         predicted = 1.0 - 1.0 / rep.kappa
         assert v[-1] == pytest.approx(predicted, rel=1e-3)
 
+    def test_fixed_step_converges_to_tikhonov_solution(self):
+        """Frozen-lambda fixed-step iteration lands on the closed-form solution."""
+        mop = random_quadratic_mop(5, 8, 2, seed=42)
+        gamma = 0.3
+        lam = np.array([0.5, 0.5])
+        c = np.zeros(5)
+        sol = tikhonov_solve(mop, gamma, lam, c)
+        frac = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=c)
+        rep = verify_rate_theorem5(mop, SolverConfig(eta=1.0), frac, lam,
+                                   x0=np.full(5, 3.0), k_max=500, stop_error=1e-12)
+        assert np.linalg.norm(rep.final_x - sol.x_tik) <= 1e-6
+        assert np.all(rep.ratios[5:] < 1.0)
+
+    def test_eta_outside_zero_two_rejected(self):
+        """A fixed step of eta / sigma_max diverges for eta >= 2, so it is refused."""
+        with pytest.raises(ValueError, match="eta"):
+            verify_rate_theorem5(self.mop, SolverConfig(eta=2.5), self.frac, self.lam)
+
     def test_negative_gamma_rejected(self):
         bad = FractionalConfig(alpha=0.5, beta=0.0, terminal=np.zeros(5))
         with pytest.raises(ValueError):
-            verify_rate_theorem5(self.mop, SolverConfig(step_mode="fixed", eta=1.0),
+            verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
                                  bad, self.lam)
 
 
@@ -127,7 +145,7 @@ class TestVerifyStagedTheorem6:
         mop = random_quadratic_mop(5, 8, 2, seed=101)
         sched = StageSchedule.from_gammas([0.5] * 4, [0.5, 0.1, 0.01, 0.001],
                                           [400] * 4, terminal=np.zeros(5))
-        cfg = SolverConfig(step_mode="fixed", eta=1.0, max_iterations=400)
+        cfg = SolverConfig(eta=1.0, max_iterations=400)
         bound, report = verify_staged_theorem6(mop, sched, cfg)
         assert report["recursion_ok"]
         assert report["lipschitz_ok"]
@@ -144,7 +162,7 @@ class TestVerifyStagedTheorem6:
         gamma = 0.2
         sched = StageSchedule.from_gammas([0.5] * 3, [gamma] * 3, [300] * 3,
                                           terminal=np.zeros(5))
-        cfg = SolverConfig(step_mode="fixed", eta=1.0, max_iterations=300)
+        cfg = SolverConfig(eta=1.0, max_iterations=300)
         bound, report = verify_staged_theorem6(mop, sched, cfg)
         lam = np.full(2, 0.5)
         bias = np.linalg.norm(
