@@ -34,7 +34,6 @@ from .fractional import (
     UnivariateFunction,
     UnsupportedOrderError,
     caputo_derivative_1d,
-    caputo_gradient,
     modified_fractional_gradient,
 )
 from .lab import (

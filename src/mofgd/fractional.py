@@ -14,11 +14,11 @@ by x - c.
 
 Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
-c_i, evaluated at x_i.  The objective answers all nodes of a coordinate with
-one stacked gradient (and Hessian) call; see mofgd.problems.ObjectiveModel.
-caputo_derivative_1d and caputo_gradient run a one-level refinement check;
-modified_fractional_gradient, the solver's gradient, evaluates the base rule
-only.
+c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
+stacks the nodes of all coordinates and answers them with one gradient and
+one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  It
+evaluates the base rule only; caputo_derivative_1d runs a one-level
+refinement check.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "FractionalConfig",
     "UnivariateFunction",
     "caputo_derivative_1d",
-    "caputo_gradient",
     "modified_fractional_gradient",
 ]
 
@@ -124,6 +123,14 @@ class FractionalConfig:
     @property
     def clamps_degenerate(self) -> bool:
         return self.degenerate_policy == "clamp" or self.memory_length is not None
+
+    def terminals(self, n: int) -> np.ndarray:
+        """The terminal broadcast to n coordinates (ValueError unless of length 1 or n)."""
+        c = self.terminal
+        if c.size not in (1, n):
+            raise ValueError(f"terminal has length {c.size}, but x has length {n}; "
+                             f"give one terminal or {n}")
+        return np.broadcast_to(c, (n,))
 
     def terminal_for(self, i: int) -> float:
         c = self.terminal
@@ -244,6 +251,15 @@ def _rule(c: float, x: float, kinks: Sequence[float], a_exp: float,
     return length * np.concatenate(nodes), np.concatenate(weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kink-free `_rule` on [0, 1], built once per order: a kink-free
+    coordinate's nodes are x - c times these nodes, and its weights are these."""
+    u, w = _rule(0.0, 1.0, (), a_exp)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
                     order: float) -> float:
     """Caputo derivative at x from h = f^(n); one call of h answers the base
@@ -294,56 +310,6 @@ def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
     return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
 
 
-def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float
-                 ) -> tuple[Callable, Callable, tuple[float, ...]]:
-    """Derivatives of t -> f(x with coordinate i set to t) and its kinks in
-    (lo, hi).  A derivative answers a 1-D array of abscissae with one stacked
-    gradient (Hessian) call of f; without a Hessian, g'' is a central
-    difference of g'."""
-    def points(t):
-        z = np.repeat(x[None, :], t.size, axis=0)
-        z[:, i] = t
-        return z
-
-    def deriv(t):
-        return np.asarray(f.gradient(points(t)), dtype=float)[:, i]
-
-    hess = getattr(f, "hessian", None)
-    if hess is None:
-        deriv2 = _central_difference(deriv)
-    else:
-        def deriv2(t):
-            return np.asarray(hess(points(t)), dtype=float)[:, i, i]
-    locator = getattr(f, "kink_locator", None)
-    kinks = () if locator is None else tuple(locator(x, i, lo, hi))
-    return deriv, deriv2, kinks
-
-
-def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
-    """Coordinate-wise Caputo fractional gradient of order cfg.alpha at x.
-
-    f is an objective exposing value/gradient (and optionally hessian and
-    kink_locator); see mofgd.problems.ObjectiveModel.  Each coordinate runs
-    the refinement check of caputo_derivative_1d.
-    """
-    x = np.asarray(x, dtype=float)
-    if cfg.alpha == 1.0:
-        return np.asarray(f.gradient(x), dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        try:
-            ci = _resolve_terminal(cfg, cfg.terminal_for(i), x[i])
-            deriv, _, kinks = _restriction(f, x, i, ci, x[i])
-            out[i] = _checked_caputo(deriv, ci, x[i], kinks, cfg.alpha)
-        except CaputoDomainError as exc:
-            raise CaputoDomainError(f"coordinate {i}: {exc}") from exc
-        except QuadratureAccuracyError as exc:
-            raise QuadratureAccuracyError(
-                f"coordinate {i}: {exc}", exc.estimate, exc.error_estimate
-            ) from exc
-    return out
-
-
 def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
     """De-scaled modified fractional gradient combining orders alpha and 1+alpha.
 
@@ -358,27 +324,61 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
     x_i = c (it tends to g'(c)) and for a quadratic with Hessian H reduces to
     grad f(x) + (beta - (1-alpha)/(2-alpha)) diag(diag(H)) (x - c).  The
     length-normalized rule weights absorb (x_i-c)^(alpha-1), so no power of
-    x_i - c is formed.  A coordinate costs one stacked gradient and one
-    stacked Hessian call, and runs no refinement check.
+    x_i - c is formed.
+
+    The nodes of every coordinate (x itself for a coordinate at its
+    terminal) form one (k, n) stack, answered by one gradient and one
+    Hessian call of f; without a Hessian, g'' is a central difference of g'
+    from two more stacked gradient calls.  No refinement check runs.  A
+    terminal whose length is neither 1 nor n raises ValueError.
     """
     x = np.asarray(x, dtype=float)
+    terminal = cfg.terminals(x.size)
     if cfg.alpha == 1.0 and cfg.beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
-    out = np.empty(x.size)
+    locator = getattr(f, "kink_locator", None)
+    pref = 1.0 if cfg.alpha == 1.0 else 1.0 - cfg.alpha
+    coords = []  # (nodes tau, weights or None at the terminal, x_i - c_i)
     for i in range(x.size):
-        ci = cfg.terminal_for(i)
+        ci = float(terminal[i])
         if x[i] == ci:
             # Limit of the cancelled form: the classical partial derivative.
-            out[i] = np.asarray(f.gradient(x), dtype=float)[i]
+            coords.append((x[i:i + 1], None, 0.0))
             continue
         ci = _resolve_terminal(cfg, ci, x[i])
-        deriv, deriv2, kinks = _restriction(f, x, i, ci, x[i])
+        kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
         if cfg.alpha == 1.0:
-            tau, w, pref = x[i:i + 1], np.ones(1), 1.0
-        else:
+            u, w = np.zeros(1), np.ones(1)
+        elif kinks:
             u, w = _rule(ci, x[i], kinks, -cfg.alpha)
-            tau, pref = x[i] - u, 1.0 - cfg.alpha
-        a_term = pref * float(w @ _eval(deriv, tau))
-        b_term = pref * (x[i] - ci) * float(w @ _eval(deriv2, tau))
-        out[i] = a_term + cfg.beta * b_term
+        else:
+            u, w = _unit_rule(-cfg.alpha)
+            u = (x[i] - ci) * u
+        coords.append((x[i] - u, w, x[i] - ci))
+
+    own = np.repeat(np.arange(x.size), [tau.size for tau, _, _ in coords])
+    rows = np.arange(own.size)
+    z = np.repeat(x[None, :], own.size, axis=0)
+    z[rows, own] = np.concatenate([tau for tau, _, _ in coords])
+    grads = np.asarray(f.gradient(z), dtype=float)
+    hess = getattr(f, "hessian", None)
+    if hess is not None:
+        second = np.diagonal(np.asarray(hess(z), dtype=float), axis1=1, axis2=2)
+    else:
+        step = np.zeros_like(z)
+        step[rows, own] = FD2_STEP
+        second = (np.asarray(f.gradient(z + step), dtype=float)
+                  - np.asarray(f.gradient(z - step), dtype=float)) / (2 * FD2_STEP)
+
+    out = np.empty(x.size)
+    start = 0
+    for i, (tau, w, length) in enumerate(coords):
+        stop = start + tau.size
+        if w is None:
+            out[i] = grads[start, i]
+        else:
+            a_term = pref * float(w @ grads[start:stop, i])
+            b_term = pref * length * float(w @ second[start:stop, i])
+            out[i] = a_term + cfg.beta * b_term
+        start = stop
     return out

@@ -56,8 +56,8 @@ class ObjectiveModel:
 
     value takes one point.  gradient and hessian take one point or a (k, n)
     stack of points and return (k, n) and (k, n, n) for a stack, row by row;
-    the fractional gradients evaluate all quadrature nodes of a coordinate
-    in one stacked call.
+    the modified fractional gradient evaluates the quadrature nodes of all
+    coordinates in one stacked gradient and one stacked Hessian call.
 
     kind is "quadratic", "smooth", or "piecewise".  "quadratic" declares one
     consistent quadratic: a constant symmetric Hessian H with

@@ -16,7 +16,6 @@ from mofgd import (
     armijo_step,
     brute_force_direction,
     caputo_derivative_1d,
-    caputo_gradient,
     modified_fractional_gradient,
     mogd_baseline,
     quadratic_objective,
@@ -43,7 +42,7 @@ from mofgd.fixtures import (
 )
 from mofgd.fractional import UnivariateFunction
 from mofgd.lab import ExperimentSpec, comparison_table, pareto_sweep
-from oracles import segment_min_norm
+from oracles import caputo_gradient, segment_min_norm
 
 
 def report(n, text):

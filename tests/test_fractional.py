@@ -12,14 +12,13 @@ from mofgd import (
     UnivariateFunction,
     UnsupportedOrderError,
     caputo_derivative_1d,
-    caputo_gradient,
     modified_fractional_gradient,
     quadratic_objective,
     random_quadratic_mop,
 )
 from mofgd.fixtures import example3_objective
 from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule
-from oracles import caputo_derivative_poly
+from oracles import caputo_derivative_poly, caputo_gradient, modified_fractional_gradient_loop
 
 
 def monomial(p):
@@ -338,27 +337,123 @@ class TestModifiedFractionalGradient:
 
 
 class TestStackedEvaluation:
-    """A coordinate's quadrature nodes cost one stacked objective call each."""
+    """All coordinates' quadrature nodes go into one stacked objective call."""
 
     @staticmethod
     def counted(obj, calls):
         def wrap(name, fn):
             def inner(x):
-                calls.append(name)
+                calls.append((name, np.shape(x)))
                 return fn(x)
             return inner
 
         from mofgd import ObjectiveModel
+        hessian = None if obj.hessian is None else wrap("hessian", obj.hessian)
         return ObjectiveModel(wrap("value", obj.value), wrap("gradient", obj.gradient),
-                              wrap("hessian", obj.hessian), kind="smooth", dim=obj.dim,
-                              validate=False)
+                              hessian, kind="smooth", dim=obj.dim, validate=False)
 
-    @pytest.mark.parametrize("gradient,calls_per_coordinate", [
-        (modified_fractional_gradient, 2), (caputo_gradient, 1)])
-    def test_objective_calls_per_gradient(self, gradient, calls_per_coordinate):
-        mop = random_quadratic_mop(4, 6, 1, seed=5)
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_objective_calls_per_gradient(self, n):
+        """One gradient and one Hessian call, with coordinate 0 at its
+        terminal and the last coordinate clamped."""
+        mop = random_quadratic_mop(n, 8, 1, seed=5)
         calls = []
         obj = self.counted(quadratic_objective(mop.gram[0], mop.offsets[0]), calls)
-        cfg = FractionalConfig(alpha=0.5, beta=0.4, terminal=np.zeros(4))
-        gradient(obj, cfg, np.array([0.5, 1.0, 1.5, 2.0]))
-        assert len(calls) <= calls_per_coordinate * 4
+        x = np.linspace(0.5, 2.0, n)
+        terminal = np.zeros(n)
+        terminal[0], terminal[-1] = x[0], x[-1] + 1.0
+        cfg = FractionalConfig(alpha=0.5, beta=0.4, terminal=terminal, degenerate_policy="clamp")
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            modified_fractional_gradient(obj, cfg, x)
+        rows = 1 + (n - 1) * NODES_PER_SEGMENT
+        assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
+
+    def test_central_difference_without_hessian(self):
+        """Without a Hessian, g'' is a central difference of g' from two more
+        stacked gradient calls; it agrees with the Hessian's g'' within the
+        difference's rounding (eps/h) and truncation (h^2) error."""
+        import dataclasses
+        from mofgd.fractional import FD2_STEP
+        from test_descent import logistic_losses
+
+        obj = logistic_losses()[0]
+        calls = []
+        no_hessian = self.counted(dataclasses.replace(obj, hessian=None, validate=False), calls)
+        x = np.array([0.5, 1.0, 2.5, 4.0])
+        for alpha in (0.3, 0.9):
+            cfg = FractionalConfig(alpha=alpha, beta=0.8, terminal=np.zeros(4))
+            calls.clear()
+            got = modified_fractional_gradient(no_hessian, cfg, x)
+            assert [name for name, _ in calls] == ["gradient"] * 3
+            want = modified_fractional_gradient(obj, cfg, x)
+            bound = 10 * cfg.beta * x.max() * (FD2_STEP ** 2 + np.finfo(float).eps / FD2_STEP)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+
+
+class TestLoopReference:
+    """The stacked gradient against the per-coordinate loop it replaced: the
+    same rule and dots, so only the objective's stacked rows may round
+    differently."""
+
+    @staticmethod
+    def assert_matches_loop(obj, cfg, x):
+        got = modified_fractional_gradient(obj, cfg, x)
+        want = modified_fractional_gradient_loop(obj, cfg, x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_smooth_logistic_loss(self):
+        from test_descent import logistic_losses
+
+        obj = logistic_losses()[1]
+        for alpha, terminal in ((0.3, np.zeros(4)), (0.9, np.array([-1.0, 0.5, 0.0, 2.0]))):
+            cfg = FractionalConfig(alpha=alpha, beta=0.6, terminal=terminal)
+            self.assert_matches_loop(obj, cfg, np.array([0.4, 1.3, 2.2, 3.1]))
+
+    def test_example3_kink_near_x(self):
+        """Points a small distance past the restriction's kink, so a short
+        Gauss-Legendre panel ends next to x_i."""
+        obj = example3_objective()
+        for x in ([5.0 + 1e-6, 1.0], [0.2 + 1e-3, 2.0], [4.0, 2.0 + 1e-5]):
+            x = np.array(x)
+            kinks = [obj.kink_locator(x, i, -1.0, x[i]) for i in range(2)]
+            assert any(kinks)
+            cfg = FractionalConfig(alpha=0.7, beta=0.5, terminal=np.array([-1.0, -1.0]))
+            self.assert_matches_loop(obj, cfg, x)
+
+    def test_clamped_and_terminal_coordinates(self):
+        from test_descent import logistic_losses
+
+        obj = logistic_losses()[2]
+        x = np.array([0.4, 1.3, 2.2, 3.1])
+        cfg = FractionalConfig(alpha=0.5, beta=0.7, terminal=np.array([0.4, 2.0, 0.0, 3.1]),
+                               degenerate_policy="clamp")
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            self.assert_matches_loop(obj, cfg, x)
+
+    def test_alpha_one_quadratic_stacks_x_once_per_coordinate(self):
+        """alpha = 1 with beta != 0: one node per coordinate, a k == n stack."""
+        mop = random_quadratic_mop(4, 6, 1, seed=7)
+        calls = []
+        obj = TestStackedEvaluation.counted(quadratic_objective(mop.gram[0], mop.offsets[0]),
+                                            calls)
+        cfg = FractionalConfig(alpha=1.0, beta=0.5, terminal=np.zeros(4))
+        x = np.array([0.5, 1.0, 1.5, 2.0])
+        self.assert_matches_loop(obj, cfg, x)
+        assert calls[:2] == [("gradient", (4, 4)), ("hessian", (4, 4))]
+
+
+class TestTerminalLength:
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_length_other_than_one_or_n_is_refused(self, length):
+        obj = quadratic_objective(np.eye(3), np.zeros(3))
+        cfg = FractionalConfig(alpha=0.5, beta=0.4, terminal=np.zeros(length))
+        with pytest.raises(ValueError, match=f"terminal has length {length}, but x has length 3"):
+            modified_fractional_gradient(obj, cfg, np.ones(3))
+
+    def test_run_adaptive_refuses_a_longer_terminal(self):
+        from mofgd import SolverConfig, run_adaptive
+        from mofgd.fixtures import default_schedule
+
+        with pytest.raises(ValueError, match="terminal has length 3, but x has length 2"):
+            run_adaptive([example3_objective()], np.array([1.0, 2.0]), SolverConfig(),
+                         default_schedule(terminal=np.zeros(3)))
