@@ -14,7 +14,6 @@ cli          command-line experiment runner
 from .direction import (
     DirectionAccuracyError,
     DirectionResult,
-    brute_force_direction,
     solve_direction,
 )
 from .descent import (

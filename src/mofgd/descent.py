@@ -30,12 +30,14 @@ which needs no value evaluation and holds exactly for eta <= eta_j* =
 power of r at or below min_j eta_j*; every other merit is tested on its
 evaluated values.
 
-Per iteration each merit's value and gradient at x are evaluated once: the
-stage hands them to the line search, which evaluates values only at trial
-steps, and only for merits it cannot expand.  The line search returns the
-values it evaluated at the accepted step, and the next iteration of the
-stage reuses them while the merit is the same object, so a merit that is
-not rebuilt is evaluated once per point.  In an all-quadratic stage the merit gradients are the direction
+Per iteration each merit's gradient at x is evaluated once.  A value is
+evaluated only where something reads it: the line search evaluates f_j(x)
+and the trial values of the merits it cannot expand, and returns the
+values at the accepted step, which the next iteration reuses while the
+merit is the same object.  A record keeps the values the stage had and the
+stage's merits, and evaluates the others when its f_values are first read,
+so a quadratic stage with positive curvatures evaluates no value while it
+runs.  In an all-quadratic stage the merit gradients are the direction
 inputs and the slope is t, so neither is formed a second time.  Only the
 modified fractional gradients run under a warning recorder, which moves
 their RuntimeWarnings into the trace notes.
@@ -44,6 +46,7 @@ their RuntimeWarnings into the trace notes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 import warnings
@@ -161,15 +164,28 @@ class StageSchedule:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One accepted iteration at x.
+
+    values[j] is f_j(x) where the run already had it and None where it did
+    not; merit[j] is then the objective that f_values evaluates at x on
+    first read, and caches.  A record that knows every value needs no merit.
+    """
+
     k: int
     stage: int
     x: np.ndarray
-    f_values: np.ndarray
+    values: Sequence[Optional[float]]
     t_value: float
     norm_d: float
     eta: float
     backtracks: int
     wall: float
+    merit: Optional[Sequence[ObjectiveModel]] = None
+
+    @functools.cached_property
+    def f_values(self) -> np.ndarray:
+        return np.array([self.merit[j].value(self.x) if v is None else v
+                         for j, v in enumerate(self.values)])
 
 
 @dataclass
@@ -236,17 +252,18 @@ class IterationTrace:
 
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 direction: DirectionResult, cfg: SolverConfig,
-                values: Sequence[float], gradients: Sequence[np.ndarray],
+                values: list[Optional[float]], gradients: Sequence[np.ndarray],
                 ) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
-    values and gradients are f_j(x) and grad f_j(x), which the caller has
-    already evaluated; the line search evaluates no value or gradient at x.  A
-    quadratic f_j with curvature q_j = d^T H_j d > 0 along d is tested on
-    its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t, where
-    s_j = gradients[j]^T d, so its values are never evaluated.  Every other
-    objective (smooth, piecewise, or a quadratic with q_j <= 0) is tested on
-    its evaluated values, and only at trial steps that pass the expansions.
+    gradients are grad f_j(x), which the caller has already evaluated, and
+    values[j] is f_j(x) or None.  A quadratic f_j with curvature
+    q_j = d^T H_j d > 0 along d is tested on its exact expansion
+    eta s_j + eta^2 q_j / 2 <= sigma eta t, where s_j = gradients[j]^T d,
+    so none of its values is evaluated.  Every other objective (smooth,
+    piecewise, or a quadratic with q_j <= 0) is tested on its evaluated
+    values, and only at trial steps that pass the expansions; where its
+    values[j] is None, f_j(x) is evaluated here and written into values.
     The scan starts at the closed-form first trial (`_first_trial`) and
     returns what the scan from eta = 1 returns.
 
@@ -259,20 +276,22 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
         raise ValueError("line search requires a descent direction (t < 0)")
     d, t = direction.direction, direction.t_value
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
-    for j, (obj, f0, g) in enumerate(zip(objectives, values, gradients)):
+    for j, (obj, g) in enumerate(zip(objectives, gradients)):
         q = float(d @ obj.hessian(x) @ d) if obj.kind == "quadratic" else 0.0
         if q > 0.0:
             # One dot per row: rows of G @ d can differ in the last bit, which
             # would move the steps that pass only by rounding.
             expanded.append((float(g @ d), q))
         else:
-            evaluated.append((j, obj, f0))
+            if values[j] is None:
+                values[j] = obj.value(x)
+            evaluated.append((j, obj, values[j]))
     for backtracks in range(_first_trial(expanded, cfg, t), MAX_BACKTRACKS + 1):
         eta = cfg.backtrack ** backtracks
         bound = cfg.sigma * eta * t
         if all(eta * s + 0.5 * eta ** 2 * q <= bound for s, q in expanded):
             x_next = x + eta * d
-            trial_values = [None] * len(values)
+            trial_values = [None] * len(objectives)
             for j, obj, f0 in evaluated:
                 trial_values[j] = obj.value(x_next)
                 if not trial_values[j] <= f0 + bound:
@@ -329,18 +348,22 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     all-quadratic stage the Armijo slope is therefore the subproblem's t,
     bit for bit.  Other kinds take singular-quadrature gradients and raw
     values, and the Armijo slope comes from the merit gradients.  Each
-    iteration evaluates every merit's gradient and value at x once and
-    hands both to `armijo_step`, and takes the values that the previous
-    line search evaluated at its accepted step instead of evaluating them
-    again: a quadratic stage makes one gradient call per objective per
-    iteration and one value call per recorded iteration, and a smooth stage
+    iteration evaluates every merit's gradient at x once.  It hands
+    `armijo_step` the values that the previous line search evaluated at its
+    accepted step, None for the others, and the line search evaluates the
+    ones it tests.  The record keeps those values and the stage's merits,
+    and evaluates the rest when its f_values are first read.  So a
+    quadratic stage makes one gradient call per objective per iteration and
+    no value call while curvatures are positive, and a smooth stage
     evaluates each value once per point.  With an adaptive terminal
     (frac.memory_length L) the terminal is the iterate L steps back in
     trace.records (the earliest one, or x0, before that) and the merit is
     rebuilt from it at every iteration, so a rebuilt merit's values are
-    evaluated again.  Records are numbered by their position in
+    evaluated again, and each record evaluates all its values at once and
+    keeps no merit.  Records are numbered by their position in
     trace.records, so a trace passed in continues its numbering and its
-    iterate history.
+    iterate history.  A record's x must not be written into before its
+    f_values are read.
 
     Only the modified fractional gradients run under a warning recorder,
     whose RuntimeWarnings (the terminal clamp) go to trace.notes; any other
@@ -353,7 +376,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     merit = _stage_merit(objectives, frac)
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
 
-    trial_values = [None] * len(merit)  # merit values at x from the accepted trial
+    values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
     for k in range(k_max + 1):
         start = time.perf_counter()
@@ -365,8 +388,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                                       memory_length=frac.memory_length,
                                       degenerate_policy="clamp")
             rebuilt = _stage_merit(objectives, frac_k)
-            trial_values = [v if new is old else None
-                            for v, new, old in zip(trial_values, rebuilt, merit)]
+            values = [v if new is old else None for v, new, old in zip(values, rebuilt, merit)]
             merit = rebuilt
         # A quadratic's modified fractional gradient is its merit's gradient;
         # the others run under the recorder of the terminal clamp's warnings.
@@ -415,25 +437,28 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "max_iter"
             return trace
 
-        f_values = np.array([m.value(x) if v is None else v
-                             for m, v in zip(merit, trial_values)])
         searched = (direction if slope == direction.t_value
                     else replace(direction, t_value=slope))
         try:
             eta, x_next, backtracks, trial_values = armijo_step(
-                merit, x, searched, cfg, f_values, merit_grads)
+                merit, x, searched, cfg, values, merit_grads)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)
             return trace
 
+        kept = merit
+        if frac.memory_length is not None:
+            # The next iteration rebuilds the merit, so no record keeps it.
+            values = [m.value(x) if v is None else v for m, v in zip(merit, values)]
+            kept = None
         wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
-            k=len(trace.records), stage=stage_index, x=x, f_values=f_values,
+            k=len(trace.records), stage=stage_index, x=x, values=values,
             t_value=direction.t_value, norm_d=norm_d,
-            eta=eta, backtracks=backtracks, wall=wall,
+            eta=eta, backtracks=backtracks, wall=wall, merit=kept,
         ))
-        x = x_next
+        x, values = x_next, trial_values
         trace.final_x = x
     return trace
 

@@ -23,7 +23,6 @@ __all__ = [
     "DirectionAccuracyError",
     "DirectionResult",
     "solve_direction",
-    "brute_force_direction",
 ]
 
 GAP_FAIL = 1e-8
@@ -182,63 +181,3 @@ def solve_direction(gradients) -> DirectionResult:
         raise DirectionAccuracyError(
             f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)
     return result
-
-
-def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (i, j) >= 0 with i + j <= total, sorted by s = i + j ascending."""
-    counts = np.arange(total + 1, dtype=np.int64) + 1  # s = i+j has s+1 pairs
-    s = np.repeat(np.arange(total + 1, dtype=np.int64), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    i = np.arange(s.size, dtype=np.int64) - np.repeat(offsets, counts)
-    return i, s - i, s
-
-
-def _lattice_blocks(total: int, parts: int):
-    """Yield integer weight blocks (rows summing to total) without
-    materializing the full lattice for parts >= 4."""
-    if parts == 1:
-        yield np.array([[total]], dtype=np.int64)
-        return
-    if parts == 2:
-        i = np.arange(total + 1, dtype=np.int64)
-        yield np.column_stack([i, total - i])
-        return
-    if parts == 3:
-        i, j, s = _pairs_by_sum(total)
-        yield np.column_stack([i, j, total - s])
-        return
-    if parts == 4:
-        i, j, s = _pairs_by_sum(total)
-        for first in range(total + 1):
-            rem = total - first
-            cut = int(np.searchsorted(s, rem, side="right"))
-            yield np.column_stack([
-                np.full(cut, first, dtype=np.int64),
-                i[:cut], j[:cut], rem - s[:cut],
-            ])
-        return
-    for first in range(total + 1):
-        for block in _lattice_blocks(total - first, parts - 1):
-            yield np.column_stack([np.full(len(block), first, dtype=np.int64), block])
-
-
-def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
-    """Exhaustive dual minimization over the simplex lattice {w/R : |w| = R}.
-
-    Test oracle only; refuses m > 6 to bound the combinatorial cost.
-    """
-    G = np.atleast_2d(np.asarray(gradients, dtype=float))
-    m = G.shape[0]
-    if m > 6:
-        raise ValueError(f"brute force refused for m = {m} > 6 objectives")
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be positive")
-    best_val, best_w = np.inf, None
-    for block in _lattice_blocks(grid_resolution, m):
-        V = block.astype(float) @ G
-        vals = np.einsum("ij,ij->i", V, V)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val, best_w = float(vals[k]), block[k].copy()
-    lam = best_w.astype(float) / grid_resolution
-    return _result_from(G, lam)

@@ -30,6 +30,7 @@ __all__ = [
     "example2_objective",
     "example3_objective",
     "pareto_pair",
+    "FIXTURE_NAMES",
     "fixture_objectives",
     "classical_critical_point",
     "fractional_critical_point",
@@ -97,16 +98,19 @@ def pareto_pair() -> list[ObjectiveModel]:
     return [example1_objective(), example2_objective()]
 
 
+_FIXTURES = {
+    "example1": lambda: [example1_objective()],
+    "example2": lambda: [example2_objective()],
+    "example2_pair": pareto_pair,
+    "example3_nonsmooth": lambda: [example3_objective()],
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
 def fixture_objectives(name: str) -> list[ObjectiveModel]:
-    if name == "example1":
-        return [example1_objective()]
-    if name == "example2":
-        return [example2_objective()]
-    if name == "example2_pair":
-        return pareto_pair()
-    if name == "example3_nonsmooth":
-        return [example3_objective()]
-    raise ValueError(f"unknown fixture {name!r}")
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture {name!r}")
+    return _FIXTURES[name]()
 
 
 def classical_critical_point(a_matrix: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

@@ -132,10 +132,6 @@ class FractionalConfig:
                              f"give one terminal or {n}")
         return np.broadcast_to(c, (n,))
 
-    def terminal_for(self, i: int) -> float:
-        c = self.terminal
-        return float(c[0]) if c.size == 1 else float(c[i])
-
 
 @dataclass(frozen=True)
 class UnivariateFunction:
@@ -303,10 +299,11 @@ def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
     Relative accuracy for smooth integrands is limited only by the exactness
     of the 64-node Gauss-Jacobi/Legendre panels; a one-level panel refinement
     estimates the error and raises QuadratureAccuracyError when it exceeds
-    1e-9 * (1 + |value|), carrying the refined estimate.
+    1e-9 * (1 + |value|), carrying the refined estimate.  cfg's terminal
+    must have length 1 (ValueError otherwise).
     """
     n, _ = _order_parts(order)
-    c = _resolve_terminal(cfg, cfg.terminal_for(0), float(x))
+    c = _resolve_terminal(cfg, float(cfg.terminals(1)[0]), float(x))
     return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
 
 

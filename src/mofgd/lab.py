@@ -179,7 +179,7 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
             g = np.asarray(f.gradient(x), dtype=float)
         eta = step_scale / (k + 1.0)
         trace.records.append(IterationRecord(
-            k=k, stage=0, x=x.copy(), f_values=np.array([fx]),
+            k=k, stage=0, x=x.copy(), values=[fx],
             t_value=float(-g @ g), norm_d=float(np.linalg.norm(g)),
             eta=eta, backtracks=0, wall=time.perf_counter() - start,
         ))

@@ -6,6 +6,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mofgd import CaputoDomainError, DirectionResult, FractionalConfig, QuadratureAccuracyError
+from mofgd.direction import _result_from
 from mofgd.fractional import (
     _central_difference,
     _checked_caputo,
@@ -23,7 +24,7 @@ def caputo_derivative_poly(coeffs: Sequence[float], cfg, x: float, order: float)
     powers vanish.
     """
     n = math.ceil(order)
-    xc = float(x) - cfg.terminal_for(0)
+    xc = float(x) - float(cfg.terminals(1)[0])
     if xc <= 0.0:
         raise ValueError(f"evaluation point x = {x} must exceed the terminal")
     total = 0.0
@@ -96,7 +97,7 @@ def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
     out = np.empty(x.size)
     for i in range(x.size):
         try:
-            ci = _resolve_terminal(cfg, cfg.terminal_for(i), x[i])
+            ci = _resolve_terminal(cfg, float(cfg.terminals(x.size)[i]), x[i])
             deriv, _, kinks = _restriction(f, x, i, ci, x[i])
             out[i] = _checked_caputo(deriv, ci, x[i], kinks, cfg.alpha)
         except CaputoDomainError as exc:
@@ -117,7 +118,7 @@ def modified_fractional_gradient_loop(f, cfg: FractionalConfig, x: np.ndarray) -
         return np.asarray(f.gradient(x), dtype=float)
     out = np.empty(x.size)
     for i in range(x.size):
-        ci = cfg.terminal_for(i)
+        ci = float(cfg.terminals(x.size)[i])
         if x[i] == ci:
             out[i] = np.asarray(f.gradient(x), dtype=float)[i]
             continue
@@ -132,3 +133,63 @@ def modified_fractional_gradient_loop(f, cfg: FractionalConfig, x: np.ndarray) -
         b_term = pref * (x[i] - ci) * float(w @ _eval(deriv2, tau))
         out[i] = a_term + cfg.beta * b_term
     return out
+
+
+def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All (i, j) >= 0 with i + j <= total, sorted by s = i + j ascending."""
+    counts = np.arange(total + 1, dtype=np.int64) + 1  # s = i+j has s+1 pairs
+    s = np.repeat(np.arange(total + 1, dtype=np.int64), counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    i = np.arange(s.size, dtype=np.int64) - np.repeat(offsets, counts)
+    return i, s - i, s
+
+
+def _lattice_blocks(total: int, parts: int):
+    """Yield integer weight blocks (rows summing to total) without
+    materializing the full lattice for parts >= 4."""
+    if parts == 1:
+        yield np.array([[total]], dtype=np.int64)
+        return
+    if parts == 2:
+        i = np.arange(total + 1, dtype=np.int64)
+        yield np.column_stack([i, total - i])
+        return
+    if parts == 3:
+        i, j, s = _pairs_by_sum(total)
+        yield np.column_stack([i, j, total - s])
+        return
+    if parts == 4:
+        i, j, s = _pairs_by_sum(total)
+        for first in range(total + 1):
+            rem = total - first
+            cut = int(np.searchsorted(s, rem, side="right"))
+            yield np.column_stack([
+                np.full(cut, first, dtype=np.int64),
+                i[:cut], j[:cut], rem - s[:cut],
+            ])
+        return
+    for first in range(total + 1):
+        for block in _lattice_blocks(total - first, parts - 1):
+            yield np.column_stack([np.full(len(block), first, dtype=np.int64), block])
+
+
+def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
+    """Exhaustive dual minimization over the simplex lattice {w/R : |w| = R}.
+
+    Refuses m > 6 to bound the combinatorial cost.
+    """
+    G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    m = G.shape[0]
+    if m > 6:
+        raise ValueError(f"brute force refused for m = {m} > 6 objectives")
+    if grid_resolution < 1:
+        raise ValueError("grid_resolution must be positive")
+    best_val, best_w = np.inf, None
+    for block in _lattice_blocks(grid_resolution, m):
+        V = block.astype(float) @ G
+        vals = np.einsum("ij,ij->i", V, V)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best_w = float(vals[k]), block[k].copy()
+    lam = best_w.astype(float) / grid_resolution
+    return _result_from(G, lam)

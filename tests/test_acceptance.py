@@ -14,7 +14,6 @@ from mofgd import (
     SolverConfig,
     StageSchedule,
     armijo_step,
-    brute_force_direction,
     caputo_derivative_1d,
     modified_fractional_gradient,
     mogd_baseline,
@@ -42,7 +41,7 @@ from mofgd.fixtures import (
 )
 from mofgd.fractional import UnivariateFunction
 from mofgd.lab import ExperimentSpec, comparison_table, pareto_sweep
-from oracles import caputo_gradient, segment_min_norm
+from oracles import brute_force_direction, caputo_gradient, segment_min_norm
 
 
 def report(n, text):

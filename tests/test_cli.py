@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mofgd.cli import ConfigError, RunManifest, main, parse_config, run
-from mofgd.problems import QuadraticMop
+from mofgd.fixtures import FIXTURE_NAMES
+from mofgd.problems import ObjectiveModel, QuadraticMop
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -103,6 +105,31 @@ schedule:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(tmp_path / "absent.yaml")
+
+    def test_named_fixture_is_checked_without_building_it(self, tmp_path, monkeypatch):
+        """A fixture name is checked against FIXTURE_NAMES: parsing builds no
+        ObjectiveModel, and an unknown name keeps its message."""
+        built = []
+        monkeypatch.setattr(ObjectiveModel, "__post_init__", lambda obj: built.append(obj))
+        for path in (write_config(tmp_path, MINIMAL), REPO / "configs" / "example2.yaml",
+                     REPO / "configs" / "example2_pair.yaml"):
+            spec, _, _ = parse_config(path)
+            assert spec.instance in FIXTURE_NAMES
+        assert built == []
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, "instance: {name: nope}\n"))
+        assert str(info.value) == "instance.name: unknown fixture 'nope'"
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", ["example2.yaml", "example2_pair.yaml",
+                                      "paper_quadratic.yaml"])
+    def test_shipped_configs_load_alike_with_either_safe_loader(self, name):
+        text = (REPO / "configs" / name).read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_malformed_yaml_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not well-formed YAML"):
+            parse_config(write_config(tmp_path, "instance: {name: example2\nsolver: ]\n"))
 
 
 class TestRunCommands:

@@ -1,7 +1,9 @@
 """Tests for the Armijo line search, single-stage runs and the staged driver."""
 
 import dataclasses
+import gc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -503,25 +505,40 @@ class TestRunSingleStage:
     ])
     def test_quadratic_stage_evaluates_each_merit_once(self, frac, k_max):
         """One gradient call per objective per iteration (the final check at
-        the last iterate included), one value call per recorded iteration."""
+        the last iterate included) and, with every curvature positive, no
+        value call while the stage runs.  Reading a record's f_values makes
+        one value call per objective, a second read makes none, and the
+        values are those of the stage merit at the record's x, bit for bit."""
         counted = []
         for obj in random_quadratic_mop(5, 8, 2, seed=21).objectives():
             obj, values = counting_calls(obj, "value")
             obj, grads = counting_calls(obj, "gradient")
             counted.append((obj, values, grads))
-        trace = run_single_stage([obj for obj, *_ in counted], np.full(5, 3.0),
+        objectives = [obj for obj, *_ in counted]
+        merit = descent._stage_merit(objectives, frac)
+        assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
+        trace = run_single_stage(objectives, np.full(5, 3.0),
                                  SolverConfig(tolerance=1e-8), frac, k_max)
         assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
         assert trace.iterations > 0
         for _, values, grads in counted:
             assert len(grads) == trace.iterations + 1
+            assert not values
+        first = [record.f_values for record in trace.records]
+        for _, values, _ in counted:
             assert len(values) == trace.iterations
+        second = [record.f_values for record in trace.records]
+        for _, values, _ in counted:
+            assert len(values) == trace.iterations
+        for record, f, again in zip(trace.records, first, second):
+            assert again is f
+            assert f.tolist() == [m.value(record.x) for m in merit]
 
     def test_smooth_stage_evaluates_each_value_once_per_iterate(self, monkeypatch):
-        """Each smooth merit's value is evaluated once per point: the stage
-        evaluates it at x0 only, the line search at its trial steps only, and
-        the next iteration reuses the accepted trial's values, which are the
-        records' f values bit for bit."""
+        """Each smooth merit's value is evaluated once per point, and only
+        inside a line search: the first one evaluates it at x0, every one at
+        its trial steps, and the next iteration reuses the accepted trial's
+        values, which are the records' f values bit for bit."""
         calls, searching_from = [], []  # (j, x, start of the running line search)
         armijo = descent.armijo_step
 
@@ -549,13 +566,13 @@ class TestRunSingleStage:
         for j in range(len(objectives)):
             points = [x.tobytes() for i, x, _ in calls if i == j]
             assert len(points) == len(set(points))
-            at_iterates = [x for i, x, start in calls if i == j and start is None]
-            np.testing.assert_array_equal(at_iterates, [trace.records[0].x])
+            assert all(start is not None for i, _, start in calls if i == j)
+            at_starts = [x for i, x, start in calls if i == j and np.array_equal(x, start)]
+            np.testing.assert_array_equal(at_starts, [trace.records[0].x])
         for record in trace.records:
             assert record.f_values.tolist() == [float(obj.value(record.x)) for obj in raw]
-        trials = [(x, start) for _, x, start in calls if start is not None]
+        trials = [x for _, x, start in calls if not np.array_equal(x, start)]
         assert len(trials) >= trace.iterations
-        assert not any(np.array_equal(x, start) for x, start in trials)
 
     def test_rebuilt_merit_values_are_not_reused(self):
         """With an adaptive terminal a quadratic merit is rebuilt every
@@ -575,6 +592,32 @@ class TestRunSingleStage:
             merit = descent._stage_merit([concave, bowl],
                                          dataclasses.replace(frac, terminal=terminal))
             assert record.f_values.tolist() == [m.value(record.x) for m in merit]
+
+    def test_adaptive_terminal_records_keep_no_merit(self, monkeypatch):
+        """With an adaptive terminal the merit, Hessian included, is rebuilt
+        at every iteration, so each record evaluates its values first and
+        keeps no merit: once the run returns, no merit it built is alive."""
+        built = []
+        stage_merit = descent._stage_merit
+
+        def spy(objectives, frac):
+            merit = stage_merit(objectives, frac)
+            built.extend(weakref.ref(m) for m in merit)
+            return merit
+
+        monkeypatch.setattr(descent, "_stage_merit", spy)
+        frac = FractionalConfig(alpha=0.5, beta=0.1 + 1.0 / 3.0, terminal=np.zeros(2),
+                                memory_length=1, degenerate_policy="clamp")
+        trace = run_single_stage(pareto_pair(), np.array([1.5, -0.5]), SolverConfig(),
+                                 frac, 20)
+        assert trace.iterations > 2
+        for record in trace.records:
+            assert record.merit is None
+            assert None not in record.values
+        gc.collect()
+        assert len(built) > trace.iterations
+        assert all(ref() is None for ref in built)
+
 
 class TestTraceExport:
     def test_csv_columns_and_reproducibility(self, tmp_path):

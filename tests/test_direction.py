@@ -9,10 +9,9 @@ import pytest
 import mofgd.direction as direction
 from mofgd import (
     DirectionAccuracyError,
-    brute_force_direction,
     solve_direction,
 )
-from oracles import segment_min_norm
+from oracles import brute_force_direction, segment_min_norm
 
 
 def random_gradients(rng, m, n, scale=1.0):

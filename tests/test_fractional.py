@@ -457,3 +457,10 @@ class TestTerminalLength:
         with pytest.raises(ValueError, match="terminal has length 3, but x has length 2"):
             run_adaptive([example3_objective()], np.array([1.0, 2.0]), SolverConfig(),
                          default_schedule(terminal=np.zeros(3)))
+
+    def test_univariate_derivative_refuses_a_vector_terminal(self):
+        """A 1-D derivative has one terminal; a longer one is refused, not
+        read at its first entry."""
+        cfg = FractionalConfig(alpha=0.5, terminal=[0.0, 5.0, 7.0])
+        with pytest.raises(ValueError, match="terminal has length 3, but x has length 1"):
+            caputo_derivative_1d(monomial(2), cfg, 1.0, 0.5)
