@@ -30,9 +30,6 @@ from .fractional import (
     CaputoDomainError,
     FractionalConfig,
     QuadratureAccuracyError,
-    UnivariateFunction,
-    UnsupportedOrderError,
-    caputo_derivative_1d,
     modified_fractional_gradient,
 )
 from .lab import (

@@ -36,8 +36,6 @@ from .fixtures import (
     EXAMPLE1_MATRIX,
     EXAMPLE1_OFFSET,
     EXAMPLE1_PAPER_POINT,
-    EXAMPLE2_MATRIX,
-    EXAMPLE2_OFFSET,
     FIXTURE_NAMES,
     classical_critical_point,
     default_schedule,
@@ -91,6 +89,28 @@ class RunManifest:
             raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
 
 
+# The keys each config section accepts; parse_config refuses any other, so a
+# misspelt key cannot fall back to its default.
+_KEYS = {
+    "config": ("instance", "solver", "schedule", "experiment"),
+    "instance": ("name", "n", "m_data", "m", "seed"),
+    "solver": ("sigma", "r", "epsilon", "max_iterations", "step_mode", "eta"),
+    "schedule": ("alphas", "gammas", "iterations", "terminal"),
+    "experiment": ("method", "gamma_values", "start_grid"),
+    "experiment.start_grid": ("lb", "ub", "count"),
+}
+
+
+def _section(doc, where: str, keys=None) -> dict:
+    """doc, after refusing a non-mapping and any key outside keys (_KEYS[where])."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(doc).__name__}")
+    for key in doc:
+        if key not in (keys or _KEYS[where]):
+            raise ConfigError(f"{where}.{key}: unknown key")
+    return doc
+
+
 def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"{where}.{key}: missing required key")
@@ -109,10 +129,11 @@ def _vec(value, n: Optional[int], where: str) -> np.ndarray:
 def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     """Load and validate a YAML experiment config.
 
-    Sections: instance (random quadratic or named fixture), solver (sigma,
-    r, epsilon, max_iterations, step_mode, eta), schedule (alphas plus betas
-    or gammas, iterations, terminal, memory_length), experiment
-    (gamma_values, start_grid, method).
+    Sections: instance (a fixture name, or n, m_data, m and seed of a random
+    quadratic), solver (sigma, r, epsilon, max_iterations, step_mode, eta),
+    schedule (alphas, gammas, iterations, terminal), experiment (method,
+    gamma_values, start_grid with lb, ub and count).  Any other key is a
+    ConfigError that names it as <section>.<key>.
     """
     path = Path(path)
     if not path.exists():
@@ -122,9 +143,11 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
             doc = yaml.load(fh, Loader=_YAML_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not well-formed YAML: {exc}") from exc
+    _section(doc, "config")
 
-    inst_doc = _need(doc, "instance", "config")
+    inst_doc = _section(_need(doc, "instance", "config"), "instance")
     if "name" in inst_doc:
+        _section(inst_doc, "instance", ("name",))
         instance = inst_doc["name"]
         if instance not in FIXTURE_NAMES:
             raise ConfigError(f"instance.name: unknown fixture {instance!r}")
@@ -139,7 +162,7 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
         instance = random_quadratic_mop(n, m_data, m, seed)
         dim = n
 
-    sol_doc = doc.get("solver", {})
+    sol_doc = _section(doc.get("solver", {}), "solver")
     try:
         solver = SolverConfig(
             sigma=float(sol_doc.get("sigma", 0.1)),
@@ -152,34 +175,22 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    sch_doc = doc.get("schedule", {})
+    sch_doc = _section(doc.get("schedule", {}), "schedule")
     alphas = list(sch_doc.get("alphas", (0.5, 0.7, 0.9)))
     iterations = list(sch_doc.get("iterations", (50, 50, 100)))
     if len(iterations) != len(alphas):
         raise ConfigError("schedule.iterations: length must match schedule.alphas")
+    gammas = list(sch_doc.get("gammas", [0.1, 0.01, 0.0][: len(alphas)]))
+    if len(gammas) != len(alphas):
+        raise ConfigError("schedule.gammas: length must match schedule.alphas")
     terminal = _vec(sch_doc.get("terminal", 0.0), dim, "schedule.terminal")
-    memory_length = sch_doc.get("memory_length")
     try:
-        if "betas" in sch_doc:
-            betas = list(sch_doc["betas"])
-            if len(betas) != len(alphas):
-                raise ConfigError("schedule.betas: length must match schedule.alphas")
-            from .descent import Stage
-            schedule = StageSchedule(
-                stages=tuple(Stage(a, b, int(k)) for a, b, k in zip(alphas, betas, iterations)),
-                terminal=terminal, memory_length=memory_length,
-            )
-        else:
-            gammas = list(sch_doc.get("gammas", [0.1, 0.01, 0.0][: len(alphas)]))
-            if len(gammas) != len(alphas):
-                raise ConfigError("schedule.gammas: length must match schedule.alphas")
-            schedule = StageSchedule.from_gammas(alphas, gammas, iterations,
-                                                 terminal=terminal, memory_length=memory_length)
+        schedule = StageSchedule.from_gammas(alphas, gammas, iterations, terminal=terminal)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
-    exp_doc = doc.get("experiment", {})
-    grid_doc = exp_doc.get("start_grid", {})
+    exp_doc = _section(doc.get("experiment", {}), "experiment")
+    grid_doc = _section(exp_doc.get("start_grid", {}), "experiment.start_grid")
     lb = _vec(grid_doc.get("lb", 1.01), dim, "experiment.start_grid.lb")
     ub = _vec(grid_doc.get("ub", 10.0), dim, "experiment.start_grid.ub")
     count = int(grid_doc.get("count", 100))
@@ -297,7 +308,7 @@ def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int
         "criticality_tolerance": solver.tolerance,
         "failed_starts": [{"start_index": i, "reason": r} for i, r in failures],
     }
-    if baseline_front:
+    if front and baseline_front:
         reference = nondominated_filter(list(front) + list(baseline_front))
         payload["adrs"] = {
             spec.method: adrs([p.objectives for p in front],

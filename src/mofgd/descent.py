@@ -5,8 +5,9 @@ the direction subproblem for (t, d, lambda), stop if ||d|| < tolerance, pick
 a step by Armijo backtracking over {1, r, r^2, ...} and move to x + eta*d.
 
 Stages: a schedule of (alpha_s, beta_s, k_s) triples runs the iteration in
-segments, each continuing from the previous stage's final point.  Each stage
-induces the regularizer weight gamma_s = beta_s - (1-alpha_s)/(2-alpha_s).
+segments, each continuing from the previous stage's final point, with one
+fixed terminal c.  Each stage induces the regularizer weight
+gamma_s = beta_s - (1-alpha_s)/(2-alpha_s).
 Callers pass raw objectives; the stage adds the regularizer.  For a
 quadratic f_j the stage's modified fractional gradient is exactly the
 gradient of the stage-regularized merit
@@ -33,14 +34,14 @@ evaluated values.
 Per iteration each merit's gradient at x is evaluated once.  A value is
 evaluated only where something reads it: the line search evaluates f_j(x)
 and the trial values of the merits it cannot expand, and returns the
-values at the accepted step, which the next iteration reuses while the
-merit is the same object.  A record keeps the values the stage had and the
-stage's merits, and evaluates the others when its f_values are first read,
-so a quadratic stage with positive curvatures evaluates no value while it
-runs.  In an all-quadratic stage the merit gradients are the direction
-inputs and the slope is t, so neither is formed a second time.  Only the
-modified fractional gradients run under a warning recorder, which moves
-their RuntimeWarnings into the trace notes.
+values at the accepted step, which the next iteration reuses.  A record
+keeps the values the stage had and the stage's merits, and evaluates the
+others when its f_values are first read, so a quadratic stage with
+positive curvatures evaluates no value while it runs.  In an
+all-quadratic stage the merit gradients are the direction inputs and the
+slope is t, so neither is formed a second time.  Only the modified
+fractional gradients run under a warning recorder, which moves their
+RuntimeWarnings into the trace notes.
 """
 
 from __future__ import annotations
@@ -132,11 +133,10 @@ class Stage:
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Sequence of (alpha_s, beta_s, k_s) with a fixed or adaptive terminal."""
+    """Sequence of (alpha_s, beta_s, k_s) with one fixed terminal (zeros when None)."""
 
     stages: tuple[Stage, ...]
     terminal: Optional[np.ndarray] = None
-    memory_length: Optional[int] = None
 
     def __post_init__(self):
         if not self.stages:
@@ -144,8 +144,6 @@ class StageSchedule:
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.terminal is not None:
             object.__setattr__(self, "terminal", np.asarray(self.terminal, dtype=float))
-        if self.memory_length is not None and self.memory_length < 1:
-            raise ValueError("memory_length must be positive")
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -153,13 +151,13 @@ class StageSchedule:
 
     @classmethod
     def from_gammas(cls, alphas: Sequence[float], gammas: Sequence[float],
-                    iterations: Sequence[int], terminal=None, memory_length=None) -> "StageSchedule":
+                    iterations: Sequence[int], terminal=None) -> "StageSchedule":
         """Build stages from target regularizers: beta_s = gamma_s + (1-a_s)/(2-a_s)."""
         stages = tuple(
             Stage(a, g + (1.0 - a) / (2.0 - a), int(k))
             for a, g, k in zip(alphas, gammas, iterations)
         )
-        return cls(stages=stages, terminal=terminal, memory_length=memory_length)
+        return cls(stages=stages, terminal=terminal)
 
 
 @dataclass(frozen=True)
@@ -355,15 +353,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     and evaluates the rest when its f_values are first read.  So a
     quadratic stage makes one gradient call per objective per iteration and
     no value call while curvatures are positive, and a smooth stage
-    evaluates each value once per point.  With an adaptive terminal
-    (frac.memory_length L) the terminal is the iterate L steps back in
-    trace.records (the earliest one, or x0, before that) and the merit is
-    rebuilt from it at every iteration, so a rebuilt merit's values are
-    evaluated again, and each record evaluates all its values at once and
-    keeps no merit.  Records are numbered by their position in
-    trace.records, so a trace passed in continues its numbering and its
-    iterate history.  A record's x must not be written into before its
-    f_values are read.
+    evaluates each value once per point.  The merit is built once, from
+    frac's fixed terminal.  Records are numbered by their position in
+    trace.records, so a trace passed in continues its numbering.  A
+    record's x must not be written into before its f_values are read.
 
     Only the modified fractional gradients run under a warning recorder,
     whose RuntimeWarnings (the terminal clamp) go to trace.notes; any other
@@ -380,16 +373,6 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     trace.termination = "max_iter"
     for k in range(k_max + 1):
         start = time.perf_counter()
-        frac_k = frac
-        if frac.memory_length is not None:
-            records = trace.records
-            past = records[max(0, len(records) - frac.memory_length)].x if records else x
-            frac_k = FractionalConfig(frac.alpha, frac.beta, past,
-                                      memory_length=frac.memory_length,
-                                      degenerate_policy="clamp")
-            rebuilt = _stage_merit(objectives, frac_k)
-            values = [v if new is old else None for v, new, old in zip(values, rebuilt, merit)]
-            merit = rebuilt
         # A quadratic's modified fractional gradient is its merit's gradient;
         # the others run under the recorder of the terminal clamp's warnings.
         grads = [m.gradient(x) if obj.kind == "quadratic" else None
@@ -397,7 +380,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         if not quadratic:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                grads = [modified_fractional_gradient(obj, frac_k, x) if g is None else g
+                grads = [modified_fractional_gradient(obj, frac, x) if g is None else g
                          for obj, g in zip(objectives, grads)]
             trace.notes.extend(str(w.message) for w in caught)
         grads = np.array(grads)
@@ -447,16 +430,11 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.error = str(exc)
             return trace
 
-        kept = merit
-        if frac.memory_length is not None:
-            # The next iteration rebuilds the merit, so no record keeps it.
-            values = [m.value(x) if v is None else v for m, v in zip(merit, values)]
-            kept = None
         wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
             k=len(trace.records), stage=stage_index, x=x, values=values,
             t_value=direction.t_value, norm_d=norm_d,
-            eta=eta, backtracks=backtracks, wall=wall, merit=kept,
+            eta=eta, backtracks=backtracks, wall=wall, merit=merit,
         ))
         x, values = x_next, trial_values
         trace.final_x = x
@@ -469,18 +447,16 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
                  schedule: StageSchedule) -> IterationTrace:
     """Run the stages of a schedule sequentially, chaining the iterates.
 
-    objectives are raw; each stage adds its own regularizer.  The terminal is
-    the schedule's fixed c (zeros when omitted) or, with memory_length L, the
-    iterate L steps back.
+    objectives are raw; each stage adds its own regularizer, centred on the
+    schedule's fixed terminal c (zeros when omitted), the c that
+    `tikhonov_solve` and the verify runs use.
     """
     x = np.asarray(x0, dtype=float)
     c = schedule.terminal if schedule.terminal is not None else np.zeros(x.size)
     trace = IterationTrace()
     for s, stage in enumerate(schedule.stages):
-        frac = FractionalConfig(
-            alpha=stage.alpha, beta=stage.beta, terminal=c,
-            memory_length=schedule.memory_length, degenerate_policy="clamp",
-        )
+        frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=c,
+                                degenerate_policy="clamp")
         run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
                          trace=trace)
         x = trace.final_x

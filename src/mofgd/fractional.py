@@ -4,46 +4,42 @@ The order-mu Caputo derivative of a univariate function f with lower terminal c 
 
     D^mu f(x) = 1/Gamma(n - mu) * int_c^x (x - tau)^(n - mu - 1) f^(n)(tau) dtau,
 
-with n = ceil(mu).  Supported orders are mu in (0,1) (n = 1, integrates f')
-and mu in (1,2) (n = 2, integrates f'').  One quadrature rule (`_rule`)
-serves every integral: in the distance u = x - tau from the singular end it
-puts a Gauss-Jacobi panel, exact for the weakly singular kernel, next to x
-and Gauss-Legendre panels elsewhere, split at declared kinks of the
-integrand so each panel sees a smooth function.  Its weights are normalized
-by x - c.
+with n = ceil(mu).  The modified gradient combines the orders alpha in
+(0, 1) (n = 1, integrates f') and 1 + alpha (n = 2, integrates f'').  One
+quadrature rule (`_rule`) serves every integral: in the distance u = x - tau
+from the singular end it puts a Gauss-Jacobi panel, exact for the weakly
+singular kernel, next to x and Gauss-Legendre panels elsewhere, split at
+declared kinks of the integrand so each panel sees a smooth function.  Its
+weights are normalized by x - c.
 
 Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
 c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
 stacks the nodes of all coordinates and answers them with one gradient and
 one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  It
-evaluates the base rule only; caputo_derivative_1d runs a one-level
-refinement check.
+evaluates the base rule only; `_rule(refine=True)` is the one-level
+refinement that an accuracy check (QuadratureAccuracyError) compares with.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "CaputoDomainError",
-    "UnsupportedOrderError",
     "QuadratureAccuracyError",
     "FractionalConfig",
-    "UnivariateFunction",
-    "caputo_derivative_1d",
     "modified_fractional_gradient",
 ]
 
 NODES_PER_SEGMENT = 64
 
-# Central-difference step for a second derivative obtained from f'.
+# Central-difference step for a second derivative obtained from gradients.
 FD2_STEP = 1e-5
 
 # Terminal offset used when a degenerate coordinate (x_i <= c_i) is clamped.
@@ -52,10 +48,6 @@ CLAMP_OFFSET = 1e-12
 
 class CaputoDomainError(ValueError):
     """Evaluation point does not lie strictly above the lower terminal."""
-
-
-class UnsupportedOrderError(ValueError):
-    """Requested derivative order outside (0,1) u (1,2)."""
 
 
 class QuadratureAccuracyError(RuntimeError):
@@ -81,8 +73,6 @@ class FractionalConfig:
             beta >= (1-alpha)/(2-alpha) so the induced regularizer is
             nonnegative.
     terminal: lower terminal c, a scalar or an n-vector.
-    memory_length: when set, the terminal is adaptive (replaced by a past
-            iterate by the solver) and degenerate coordinates are clamped.
     degenerate_policy: "error" raises on x_i <= c_i, "clamp" moves the
             terminal just below x_i and warns.
     """
@@ -90,14 +80,11 @@ class FractionalConfig:
     alpha: float
     beta: float = 0.0
     terminal: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    memory_length: Optional[int] = None
     degenerate_policy: str = "error"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.memory_length is not None and self.memory_length < 1:
-            raise ValueError(f"memory_length must be positive, got {self.memory_length}")
         if self.degenerate_policy not in ("error", "clamp"):
             raise ValueError(f"unknown degenerate_policy {self.degenerate_policy!r}")
         # A copy: freezing the caller's array would freeze their iterates.
@@ -120,10 +107,6 @@ class FractionalConfig:
         """Second-order Taylor coefficient 1/(2 - alpha) + beta."""
         return 1.0 / (2.0 - self.alpha) + self.beta
 
-    @property
-    def clamps_degenerate(self) -> bool:
-        return self.degenerate_policy == "clamp" or self.memory_length is not None
-
     def terminals(self, n: int) -> np.ndarray:
         """The terminal broadcast to n coordinates (ValueError unless of length 1 or n)."""
         c = self.terminal
@@ -131,53 +114,6 @@ class FractionalConfig:
             raise ValueError(f"terminal has length {c.size}, but x has length {n}; "
                              f"give one terminal or {n}")
         return np.broadcast_to(c, (n,))
-
-
-@dataclass(frozen=True)
-class UnivariateFunction:
-    """A twice-differentiable (piecewise) univariate function.
-
-    value/deriv/deriv2 take a numpy array and return one of its shape.
-    deriv2 falls back to a central difference of deriv when omitted.  kinks
-    lists abscissae where the derivative jumps, so the quadrature can split
-    there.
-    """
-
-    value: Callable
-    deriv: Callable
-    deriv2: Optional[Callable] = None
-    kinks: tuple[float, ...] = ()
-
-    def nth_deriv(self, n: int) -> Callable:
-        if n == 1:
-            return self.deriv
-        return self.deriv2 if self.deriv2 is not None else _central_difference(self.deriv)
-
-
-def _central_difference(deriv: Callable) -> Callable:
-    """Second derivative as a central difference of the first."""
-    def fd2(t):
-        t = np.asarray(t, dtype=float)
-        return (_eval(deriv, t + FD2_STEP) - _eval(deriv, t - FD2_STEP)) / (2 * FD2_STEP)
-
-    return fd2
-
-
-def _eval(fn: Callable, t: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized callable on an array of abscissae."""
-    t = np.asarray(t, dtype=float)
-    out = np.asarray(fn(t), dtype=float)
-    if out.shape != t.shape:
-        raise ValueError(f"callable returned shape {out.shape} for abscissae of shape {t.shape}")
-    return out
-
-
-def _order_parts(order: float) -> tuple[int, float]:
-    """Validate order and return (n, weight exponent n - order - 1)."""
-    if not (0.0 < order < 1.0 or 1.0 < order < 2.0):
-        raise UnsupportedOrderError(f"order must lie in (0,1) or (1,2), got {order}")
-    n = math.ceil(order)
-    return n, n - order - 1.0
 
 
 def _jacobi_recurrence(a_exp: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,32 +192,10 @@ def _unit_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
-                    order: float) -> float:
-    """Caputo derivative at x from h = f^(n); one call of h answers the base
-    and the refined rule of the refinement check."""
-    n, a_exp = _order_parts(order)
-    u, w = _rule(c, x, kinks, a_exp)
-    u_fine, w_fine = _rule(c, x, kinks, a_exp, refine=True)
-    hu = _eval(h, x - np.concatenate((u, u_fine)))
-    scale = (x - c) ** (a_exp + 1.0) / math.gamma(n - order)
-    value = scale * float(w @ hu[:u.size])
-    check = scale * float(w_fine @ hu[u.size:])
-    err = abs(value - check)
-    if err > 1e-9 * (1.0 + abs(check)):
-        raise QuadratureAccuracyError(
-            f"quadrature refinement changed the value by {err:.3e}; "
-            "integrand may have undeclared kinks",
-            estimate=check,
-            error_estimate=err,
-        )
-    return check
-
-
 def _resolve_terminal(cfg: FractionalConfig, c: float, x: float) -> float:
     if x > c:
         return c
-    if cfg.clamps_degenerate:
+    if cfg.degenerate_policy == "clamp":
         clamped = min(c, x - CLAMP_OFFSET)
         warnings.warn(
             f"degenerate coordinate: x = {x} <= terminal {c}; terminal clamped to {clamped}",
@@ -290,21 +204,6 @@ def _resolve_terminal(cfg: FractionalConfig, c: float, x: float) -> float:
         )
         return clamped
     raise CaputoDomainError(f"evaluation point x = {x} must exceed the terminal c = {c}")
-
-
-def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
-                         x: float, order: float) -> float:
-    """Caputo derivative of order in (0,1) u (1,2) of f at x.
-
-    Relative accuracy for smooth integrands is limited only by the exactness
-    of the 64-node Gauss-Jacobi/Legendre panels; a one-level panel refinement
-    estimates the error and raises QuadratureAccuracyError when it exceeds
-    1e-9 * (1 + |value|), carrying the refined estimate.  cfg's terminal
-    must have length 1 (ValueError otherwise).
-    """
-    n, _ = _order_parts(order)
-    c = _resolve_terminal(cfg, float(cfg.terminals(1)[0]), float(x))
-    return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
 
 
 def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -63,6 +63,7 @@ class ExperimentSpec:
     instance is a QuadraticMop or a named analytic fixture ("example1",
     "example2", "example2_pair", "example3_nonsmooth").  start_grid is
     (lb, ub, count): count points uniformly subdividing the segment lb -> ub.
+    method is "moaocfgd" (the staged schedule) or "mogd" (classical descent).
     """
 
     instance: Union[QuadraticMop, str]
@@ -72,7 +73,7 @@ class ExperimentSpec:
     schedule: Optional[StageSchedule] = None
 
     def __post_init__(self):
-        if self.method not in ("moaocfgd", "mogd", "subgradient"):
+        if self.method not in ("moaocfgd", "mogd"):
             raise ValueError(f"unknown method {self.method!r}")
         lb, ub, count = self.start_grid
         lb = np.asarray(lb, dtype=float)
@@ -393,14 +394,10 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
         try:
             if spec.method == "mogd":
                 trace = mogd_baseline(objectives, x0, cfg)
-            elif spec.method == "moaocfgd":
-                if spec.schedule is None:
-                    raise ValueError("moaocfgd sweep needs a schedule")
-                trace = run_adaptive(objectives, x0, cfg, spec.schedule)
+            elif spec.schedule is None:
+                raise ValueError("moaocfgd sweep needs a schedule")
             else:
-                if len(objectives) != 1:
-                    raise ValueError("subgradient sweep needs a scalar objective")
-                trace = subgradient_baseline(objectives[0], x0, steps=cfg.max_iterations)
+                trace = run_adaptive(objectives, x0, cfg, spec.schedule)
             if trace.termination == "error":
                 failures.append((idx, trace.error or "run error"))
                 continue

@@ -21,6 +21,7 @@ their multiplier-weighted sum.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -69,10 +70,11 @@ class ObjectiveModel:
     splits its quadrature there and has no other way to find a kink.
 
     The gradient is validated against central finite differences of the
-    value at construction, on 10 seeded points evaluated as one stack
-    (piecewise kinds skip points whose difference stencil contains a located
-    kink); a quadratic's Hessian is also validated against central
-    differences of the gradient on the same points.
+    value at construction, on 10 deterministic points (`_check_points`)
+    evaluated as one stack (piecewise kinds skip points whose difference
+    stencil contains a located kink); a quadratic's Hessian is also
+    validated against central differences of the gradient on the same
+    points.
     """
 
     value: Callable[[np.ndarray], float]
@@ -94,10 +96,10 @@ class ObjectiveModel:
             self._check_gradient()
 
     def _check_gradient(self):
-        rng = np.random.default_rng(1234)
+        candidates = _check_points(self.dim)
         points = []
         while len(points) < 10:
-            x = rng.uniform(-2.0, 2.0, self.dim)
+            x = next(candidates)
             if self.kind == "piecewise" and any(
                     len(self.kink_locator(x, i, x[i] - 10 * _FD_CHECK_STEP,
                                           x[i] + 10 * _FD_CHECK_STEP))
@@ -124,6 +126,21 @@ class ObjectiveModel:
             if hess.shape != fd.shape or not np.allclose(hess, fd, atol=_FD_CHECK_TOL,
                                                          rtol=_FD_CHECK_TOL):
                 raise ValueError("Hessian disagrees with finite differences of the gradient")
+
+
+def _check_points(dim: int):
+    """Endless points 4 frac(1/2 + k theta) - 2 in [-2, 2]^dim, k = 1, 2, ...
+
+    The additive recurrence with theta_i = phi^-(i+1), phi^(dim+1) = phi + 1
+    (Roberts' R_d sequence) spreads the points evenly without a random
+    generator, so building an objective does not import numpy.random.
+    """
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    theta = phi ** -np.arange(1.0, dim + 1)
+    for k in itertools.count(1):
+        yield 4.0 * ((0.5 + k * theta) % 1.0) - 2.0
 
 
 def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0) -> ObjectiveModel:

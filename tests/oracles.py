@@ -1,19 +1,102 @@
 """Closed-form references that the tests compare the package against."""
 
 import math
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from mofgd import CaputoDomainError, DirectionResult, FractionalConfig, QuadratureAccuracyError
 from mofgd.direction import _result_from
-from mofgd.fractional import (
-    _central_difference,
-    _checked_caputo,
-    _eval,
-    _resolve_terminal,
-    _rule,
-)
+from mofgd.fractional import FD2_STEP, _resolve_terminal, _rule
+
+
+class UnsupportedOrderError(ValueError):
+    """Requested derivative order outside (0,1) u (1,2)."""
+
+
+@dataclass(frozen=True)
+class UnivariateFunction:
+    """A twice-differentiable (piecewise) univariate function.
+
+    value/deriv/deriv2 take a numpy array and return one of its shape.
+    deriv2 falls back to a central difference of deriv when omitted.  kinks
+    lists abscissae where the derivative jumps, so the quadrature can split
+    there.
+    """
+
+    value: Callable
+    deriv: Callable
+    deriv2: Optional[Callable] = None
+    kinks: tuple[float, ...] = ()
+
+    def nth_deriv(self, n: int) -> Callable:
+        if n == 1:
+            return self.deriv
+        return self.deriv2 if self.deriv2 is not None else _central_difference(self.deriv)
+
+
+def _central_difference(deriv: Callable) -> Callable:
+    """Second derivative as a central difference of the first."""
+    def fd2(t):
+        t = np.asarray(t, dtype=float)
+        return (_eval(deriv, t + FD2_STEP) - _eval(deriv, t - FD2_STEP)) / (2 * FD2_STEP)
+
+    return fd2
+
+
+def _eval(fn: Callable, t: np.ndarray) -> np.ndarray:
+    """Evaluate a vectorized callable on an array of abscissae."""
+    t = np.asarray(t, dtype=float)
+    out = np.asarray(fn(t), dtype=float)
+    if out.shape != t.shape:
+        raise ValueError(f"callable returned shape {out.shape} for abscissae of shape {t.shape}")
+    return out
+
+
+def _order_parts(order: float) -> tuple[int, float]:
+    """Validate order and return (n, weight exponent n - order - 1)."""
+    if not (0.0 < order < 1.0 or 1.0 < order < 2.0):
+        raise UnsupportedOrderError(f"order must lie in (0,1) or (1,2), got {order}")
+    n = math.ceil(order)
+    return n, n - order - 1.0
+
+
+def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
+                    order: float) -> float:
+    """Caputo derivative at x from h = f^(n); one call of h answers the base
+    and the refined rule of the refinement check."""
+    n, a_exp = _order_parts(order)
+    u, w = _rule(c, x, kinks, a_exp)
+    u_fine, w_fine = _rule(c, x, kinks, a_exp, refine=True)
+    hu = _eval(h, x - np.concatenate((u, u_fine)))
+    scale = (x - c) ** (a_exp + 1.0) / math.gamma(n - order)
+    value = scale * float(w @ hu[:u.size])
+    check = scale * float(w_fine @ hu[u.size:])
+    err = abs(value - check)
+    if err > 1e-9 * (1.0 + abs(check)):
+        raise QuadratureAccuracyError(
+            f"quadrature refinement changed the value by {err:.3e}; "
+            "integrand may have undeclared kinks",
+            estimate=check,
+            error_estimate=err,
+        )
+    return check
+
+
+def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
+                         x: float, order: float) -> float:
+    """Caputo derivative of order in (0,1) u (1,2) of f at x.
+
+    Relative accuracy for smooth integrands is limited only by the exactness
+    of the 64-node Gauss-Jacobi/Legendre panels; a one-level panel refinement
+    estimates the error and raises QuadratureAccuracyError when it exceeds
+    1e-9 * (1 + |value|), carrying the refined estimate.  cfg's terminal
+    must have length 1 (ValueError otherwise).
+    """
+    n, _ = _order_parts(order)
+    c = _resolve_terminal(cfg, float(cfg.terminals(1)[0]), float(x))
+    return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
 
 
 def caputo_derivative_poly(coeffs: Sequence[float], cfg, x: float, order: float) -> float:
@@ -174,8 +257,14 @@ def _lattice_blocks(total: int, parts: int):
 
 
 def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
-    """Exhaustive dual minimization over the simplex lattice {w/R : |w| = R}.
+    """Dual minimization over the simplex lattice {w/R : |w| = R}, R = grid_resolution.
 
+    The first m - 2 weights are enumerated.  With them fixed and rem = R
+    minus their sum, ||sum_j w_j g_j||^2 is a convex quadratic in
+    a = w_{m-1} (w_m = rem - a), so its lattice minimum over a in [0, rem]
+    lies at the floor or the ceil of its continuous minimizer clamped to
+    [0, rem]; when g_{m-1} = g_m the quadratic is constant and both
+    endpoints are checked.  The minimum is that of the exhaustive scan.
     Refuses m > 6 to bound the combinatorial cost.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
@@ -184,12 +273,26 @@ def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
         raise ValueError(f"brute force refused for m = {m} > 6 objectives")
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be positive")
+    if m == 1:
+        return _result_from(G, np.ones(1))
+    e = G[-2] - G[-1]
+    ee = float(e @ e)
     best_val, best_w = np.inf, None
-    for block in _lattice_blocks(grid_resolution, m):
-        V = block.astype(float) @ G
-        vals = np.einsum("ij,ij->i", V, V)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val, best_w = float(vals[k]), block[k].copy()
+    # Each block row is (w_1, ..., w_{m-2}, rem) with rem = R - (w_1 + ... + w_{m-2}).
+    for block in _lattice_blocks(grid_resolution, m - 1):
+        prefix, rem = block[:, :-1], block[:, -1].astype(float)
+        base = prefix.astype(float) @ G[:-2] + rem[:, None] * G[-1]
+        if ee > 0.0:
+            star = np.clip(-(base @ e) / ee, 0.0, rem)
+            candidates = (np.floor(star), np.ceil(star))
+        else:
+            candidates = (np.zeros_like(rem), rem)
+        for a in candidates:
+            V = base + a[:, None] * e
+            vals = np.einsum("ij,ij->i", V, V)
+            k = int(np.argmin(vals))
+            if vals[k] < best_val:
+                best_val = float(vals[k])
+                best_w = np.concatenate((prefix[k], [a[k], rem[k] - a[k]]))
     lam = best_w.astype(float) / grid_resolution
     return _result_from(G, lam)

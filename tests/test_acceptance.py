@@ -14,7 +14,6 @@ from mofgd import (
     SolverConfig,
     StageSchedule,
     armijo_step,
-    caputo_derivative_1d,
     modified_fractional_gradient,
     mogd_baseline,
     quadratic_objective,
@@ -39,9 +38,14 @@ from mofgd.fixtures import (
     fractional_critical_point,
     recover_terminal,
 )
-from mofgd.fractional import UnivariateFunction
 from mofgd.lab import ExperimentSpec, comparison_table, pareto_sweep
-from oracles import brute_force_direction, caputo_gradient, segment_min_norm
+from oracles import (
+    UnivariateFunction,
+    brute_force_direction,
+    caputo_derivative_1d,
+    caputo_gradient,
+    segment_min_norm,
+)
 
 
 def report(n, text):

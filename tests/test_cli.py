@@ -74,11 +74,51 @@ class TestParseConfig:
 instance: {name: example2}
 schedule:
   alphas: [0.9]
-  betas: [0.01]
+  gammas: [-0.01]
   iterations: [10]
 """
         with pytest.raises(ConfigError, match="schedule.*beta"):
             parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("path", ["configs/example2.yaml", "configs/example2_pair.yaml",
+                                      "configs/paper_quadratic.yaml", "perfbench/probe_pair.yaml"])
+    def test_shipped_configs_parse(self, path):
+        spec, _, schedule = parse_config(REPO / path)
+        assert spec.method == "moaocfgd"
+        assert len(schedule.stages) == 3
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("  terminal: 0.0\n", "  terminal: 0.0\n  memory_length: 1\n", "schedule.memory_length"),
+        ("  gammas: [0.1, 0.01, 0.0]\n", "  betas: [0.5, 0.3, 0.1]\n", "schedule.betas"),
+        ("  epsilon:", "  epsilom:", "solver.epsilom"),
+        ("solver:\n", "seed: 3\nsolver:\n", "config.seed"),
+        ("  start_grid:\n", "  start_grid:\n    step: 0.5\n", "experiment.start_grid.step"),
+        ("  name: example2\n", "  name: example2\n  seed: 3\n", "instance.seed"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, old, new, key):
+        """A key outside its section's fixed set is refused by name, so a
+        misspelt or removed key cannot silently fall back to a default."""
+        text = (REPO / "configs" / "example2.yaml").read_text()
+        assert text.count(old) == 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text.replace(old, new)))
+        assert str(info.value) == f"{key}: unknown key"
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        text = (REPO / "configs" / "example2.yaml").read_text().replace("epsilon:", "epsilom:")
+        cfg = write_config(tmp_path, text)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "solver.epsilom: unknown key" in capsys.readouterr().err
+
+    def test_section_must_be_a_mapping(self, tmp_path):
+        with pytest.raises(ConfigError, match="^solver: expected a mapping, got list$"):
+            parse_config(write_config(tmp_path, MINIMAL + "solver: [0.1]\n"))
+
+    def test_subgradient_method_refused(self, tmp_path):
+        text = (REPO / "configs" / "example2.yaml").read_text()
+        cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: subgradient"))
+        with pytest.raises(ConfigError, match="experiment: unknown method 'subgradient'"):
+            parse_config(cfg)
 
     def test_step_mode_other_than_backtracking_rejected(self, tmp_path):
         """solve, pareto and compare take Armijo steps only; verify sets its own steps."""
@@ -244,19 +284,23 @@ experiment:
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
             assert (serial / name).read_bytes() == (out / name).read_bytes(), name
 
-    def test_pareto_with_every_start_failed_exits_1(self, tmp_path):
-        """A subgradient sweep of the two-objective pair fails every start; the
-        empty front is a verification failure, not a success."""
-        text = (REPO / "configs" / "example2_pair.yaml").read_text()
-        cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: subgradient"))
+    def test_pareto_with_every_start_failed_exits_1(self, tmp_path, monkeypatch):
+        """When every staged run raises, the empty front is a verification
+        failure, not a success, and no ADRS is reported."""
+        def fail(*args):
+            raise RuntimeError("staged run failed")
+
+        monkeypatch.setattr("mofgd.lab.run_adaptive", fail)
         out = tmp_path / "pareto"
-        assert run(RunManifest("pareto", str(cfg), str(out))) == 1
+        config = str(REPO / "configs" / "example2_pair.yaml")
+        assert run(RunManifest("pareto", config, str(out))) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["exit_code"] == 1
         assert summary["pareto"]["front_size"] == 0
+        assert "adrs" not in summary["pareto"]
         failed = summary["pareto"]["failed_starts"]
         assert len(failed) == 100
-        assert {f["reason"] for f in failed} == {"subgradient sweep needs a scalar objective"}
+        assert {f["reason"] for f in failed} == {"staged run failed"}
 
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"

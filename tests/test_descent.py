@@ -1,9 +1,7 @@
 """Tests for the Armijo line search, single-stage runs and the staged driver."""
 
 import dataclasses
-import gc
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -574,50 +572,6 @@ class TestRunSingleStage:
         trials = [x for _, x, start in calls if not np.array_equal(x, start)]
         assert len(trials) >= trace.iterations
 
-    def test_rebuilt_merit_values_are_not_reused(self):
-        """With an adaptive terminal a quadratic merit is rebuilt every
-        iteration, so a value its line search evaluated at the accepted step
-        is not carried into the next record: every f value is the value of
-        the merit built from that iteration's terminal."""
-        # Concave along x_1, so q_j <= 0 and the line search evaluates its values.
-        concave = quadratic_objective(np.diag([-0.5, 0.0]), np.array([0.0, 1.0]))
-        bowl = quadratic_objective(np.diag([2.0, 1.0]), np.array([-2.0, 0.0]))
-        frac = FractionalConfig(alpha=0.5, beta=0.2 + 1.0 / 3.0, terminal=np.zeros(2),
-                                memory_length=1, degenerate_policy="clamp")
-        trace = run_single_stage([concave, bowl], np.array([3.0, 2.0]), SolverConfig(),
-                                 frac, 10)
-        assert trace.iterations > 2
-        for k, record in enumerate(trace.records):
-            terminal = trace.records[k - 1].x if k else record.x
-            merit = descent._stage_merit([concave, bowl],
-                                         dataclasses.replace(frac, terminal=terminal))
-            assert record.f_values.tolist() == [m.value(record.x) for m in merit]
-
-    def test_adaptive_terminal_records_keep_no_merit(self, monkeypatch):
-        """With an adaptive terminal the merit, Hessian included, is rebuilt
-        at every iteration, so each record evaluates its values first and
-        keeps no merit: once the run returns, no merit it built is alive."""
-        built = []
-        stage_merit = descent._stage_merit
-
-        def spy(objectives, frac):
-            merit = stage_merit(objectives, frac)
-            built.extend(weakref.ref(m) for m in merit)
-            return merit
-
-        monkeypatch.setattr(descent, "_stage_merit", spy)
-        frac = FractionalConfig(alpha=0.5, beta=0.1 + 1.0 / 3.0, terminal=np.zeros(2),
-                                memory_length=1, degenerate_policy="clamp")
-        trace = run_single_stage(pareto_pair(), np.array([1.5, -0.5]), SolverConfig(),
-                                 frac, 20)
-        assert trace.iterations > 2
-        for record in trace.records:
-            assert record.merit is None
-            assert None not in record.values
-        gc.collect()
-        assert len(built) > trace.iterations
-        assert all(ref() is None for ref in built)
-
 
 class TestTraceExport:
     def test_csv_columns_and_reproducibility(self, tmp_path):
@@ -651,17 +605,6 @@ class TestRunAdaptive:
         t2 = run_single_stage(objs, np.ones(3), cfg, classical_cfg(n=3), 60)
         assert t1.iterations == t2.iterations
         np.testing.assert_allclose(t1.final_x, t2.final_x, atol=1e-12)
-
-        # An adaptive terminal (memory_length = 1) is honoured by a direct call too.
-        x0, cfg = np.array([1.5, -0.5]), SolverConfig()
-        sched = StageSchedule.from_gammas([0.5], [0.1], [50], terminal=np.zeros(2),
-                                          memory_length=1)
-        frac = FractionalConfig(alpha=0.5, beta=sched.stages[0].beta, terminal=np.zeros(2),
-                                memory_length=1, degenerate_policy="clamp")
-        t1 = run_adaptive(pareto_pair(), x0, cfg, sched)
-        t2 = run_single_stage(pareto_pair(), x0, cfg, frac, 50)
-        assert (t1.iterations, t1.termination) == (t2.iterations, t2.termination)
-        np.testing.assert_array_equal(t1.final_x, t2.final_x)
 
     def test_iterates_are_not_shared(self):
         """Records and final_x hold the iterates without copies, so no two of
@@ -733,19 +676,6 @@ class TestRunAdaptive:
         stages = {r.stage for r in trace.records}
         assert stages == {0, 1, 2}
         assert trace.stage_starts()[0] == 0
-
-    def test_adaptive_terminal_runs_and_clamps(self):
-        """memory_length L replaces the terminal with a past iterate."""
-        objs = fixture_objectives("example2")
-        sched = StageSchedule.from_gammas([0.9], [0.0], [60],
-                                          terminal=np.zeros(2), memory_length=1)
-        cfg = SolverConfig(tolerance=1e-6)
-        trace = run_adaptive(objs, np.array([1.0, 1.0]), cfg, sched)
-        assert trace.termination in ("tolerance", "max_iter")
-        assert np.all(np.isfinite(trace.final_x))
-        # Serving as a terminal leaves an iterate writeable.
-        assert all(r.x.flags.writeable for r in trace.records)
-        assert trace.final_x.flags.writeable
 
     def test_backtracking_staged_on_mop_with_live_multipliers(self):
         """Benchmark mode: live multipliers, Armijo, regularized merits."""

@@ -350,6 +350,31 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="m = 7"):
             brute_force_direction([np.ones(2)] * 7, 10)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_lattice_minimum_equals_exhaustive_enumeration(self, m):
+        """The oracle's minimum over the lattice {w/R : |w| = R} equals a scan
+        of every lattice point.  The gradients lie on a 1/8 grid, so every
+        lattice value is exact in floating point and the two minima agree
+        even where the hull nearly contains 0; the last case repeats g_m as
+        g_{m-1}, where the 1-D quadratic in w_{m-1} is constant."""
+        rng = np.random.default_rng(500 + m)
+        for case in range(8):
+            G = rng.integers(-20, 21, (m, int(rng.integers(1, 6)))) / 8.0
+            if case == 7 and m >= 2:
+                G[-2] = G[-1]
+            R = int(rng.integers(1, 41))
+            # Stars and bars: m - 1 bar positions among R + m - 1 slots.
+            bars = list(itertools.combinations(range(R + m - 1), m - 1))
+            W = np.diff(np.column_stack([np.full(len(bars), -1),
+                                         np.array(bars, dtype=np.int64).reshape(len(bars), m - 1),
+                                         np.full(len(bars), R + m - 1)]), axis=1) - 1
+            V = W @ G
+            exhaustive = float(np.einsum("ij,ij->i", V, V).min()) / R ** 2
+            w = np.rint(brute_force_direction(G, R).multipliers * R)
+            assert w.sum() == R and w.min() >= 0
+            found = float((w @ G) @ (w @ G)) / R ** 2
+            assert abs(found - exhaustive) <= 1e-12 * exhaustive
+
     def test_brute_force_never_below_optimum(self):
         """Lattice restriction can only increase the dual objective."""
         rng = np.random.default_rng(6)

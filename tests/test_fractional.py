@@ -9,16 +9,20 @@ from mofgd import (
     CaputoDomainError,
     FractionalConfig,
     QuadratureAccuracyError,
-    UnivariateFunction,
-    UnsupportedOrderError,
-    caputo_derivative_1d,
     modified_fractional_gradient,
     quadratic_objective,
     random_quadratic_mop,
 )
 from mofgd.fixtures import example3_objective
 from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule
-from oracles import caputo_derivative_poly, caputo_gradient, modified_fractional_gradient_loop
+from oracles import (
+    UnivariateFunction,
+    UnsupportedOrderError,
+    caputo_derivative_1d,
+    caputo_derivative_poly,
+    caputo_gradient,
+    modified_fractional_gradient_loop,
+)
 
 
 def monomial(p):

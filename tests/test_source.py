@@ -66,3 +66,13 @@ def test_cli_runs_without_scipy(command, tmp_path):
     out = _run(["-c", BLOCKED_SCIPY_CLI, *command, "--out", str(tmp_path / "out")],
                cwd=tmp_path)
     assert out.returncode == 0, out.stderr
+
+
+def test_building_fixture_objectives_loads_no_numpy_random():
+    """Parsing a fixture config and building its objectives validates each
+    gradient on deterministic points, without importing numpy.random."""
+    code = ("import sys; from mofgd.cli import parse_config; "
+            f"parse_config({str(REPO / 'configs' / 'example2_pair.yaml')!r})[0].objectives(); "
+            "print([m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')])")
+    out = _run(["-c", code], check=True)
+    assert out.stdout.strip() == "[]"
