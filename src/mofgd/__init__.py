@@ -29,7 +29,6 @@ from .descent import (
 from .fractional import (
     CaputoDomainError,
     FractionalConfig,
-    QuadratureAccuracyError,
     modified_fractional_gradient,
 )
 from .lab import (
@@ -49,8 +48,6 @@ from .problems import (
     QuadraticMop,
     SingularSystemError,
     TikhonovSolution,
-    condition_number,
-    load_mop,
     quadratic_objective,
     random_quadratic_mop,
     save_mop,

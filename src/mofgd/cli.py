@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Artifacts are byte-reproducible given (config, seed) and the BLAS thread
 count: the mogd rows of comparison.csv come from ill-conditioned runs that
 amplify last-bit rounding, so they change with it.  Wall-clock timings and
-timestamps appear only in summary.json and comparison.csv's wall_seconds.
+timestamps appear only in summary.json and comparison.csv's wall_seconds,
+and no wall-clock field decides an exit code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ import yaml
 
 from .descent import SolverConfig, StageSchedule, run_adaptive
 from .fixtures import (
+    DEFAULT_ALPHAS,
+    DEFAULT_GAMMAS,
+    DEFAULT_ITERATIONS,
     EXAMPLE1_FRACTIONAL_ALPHA,
     EXAMPLE1_MATRIX,
     EXAMPLE1_OFFSET,
@@ -45,6 +49,7 @@ from .fixtures import (
     recover_terminal,
 )
 from .lab import (
+    PAPER_GAMMA_VALUES,
     ExperimentSpec,
     FrontPoint,
     adrs,
@@ -176,11 +181,11 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
         raise ConfigError(f"solver: {exc}") from exc
 
     sch_doc = _section(doc.get("schedule", {}), "schedule")
-    alphas = list(sch_doc.get("alphas", (0.5, 0.7, 0.9)))
-    iterations = list(sch_doc.get("iterations", (50, 50, 100)))
+    alphas = list(sch_doc.get("alphas", DEFAULT_ALPHAS))
+    iterations = list(sch_doc.get("iterations", DEFAULT_ITERATIONS))
     if len(iterations) != len(alphas):
         raise ConfigError("schedule.iterations: length must match schedule.alphas")
-    gammas = list(sch_doc.get("gammas", [0.1, 0.01, 0.0][: len(alphas)]))
+    gammas = list(sch_doc.get("gammas", DEFAULT_GAMMAS[: len(alphas)]))
     if len(gammas) != len(alphas):
         raise ConfigError("schedule.gammas: length must match schedule.alphas")
     terminal = _vec(sch_doc.get("terminal", 0.0), dim, "schedule.terminal")
@@ -197,7 +202,7 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     try:
         spec = ExperimentSpec(
             instance=instance,
-            gamma_values=tuple(exp_doc.get("gamma_values", (0.15, 0.25, 0.5, 0.75, 1.0, 10.0))),
+            gamma_values=tuple(exp_doc.get("gamma_values", PAPER_GAMMA_VALUES)),
             start_grid=(lb, ub, count),
             method=str(exp_doc.get("method", "moaocfgd")),
             schedule=schedule,
@@ -338,11 +343,11 @@ def _cmd_compare(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     finite = all(np.isfinite(r["condition_number"]) for r in rows)
     won = sum(
         1 for g in spec.gamma_values
-        if _row(rows, g, "moaocfgd")["wall_seconds"] <= _row(rows, g, "mogd")["wall_seconds"]
+        if _row(rows, g, "moaocfgd")["iterations"] <= _row(rows, g, "mogd")["iterations"]
     )
     payload = {
         "condition_numbers_finite": finite,
-        "fractional_wall_wins": won,
+        "fractional_iteration_wins": won,
         "gamma_count": len(spec.gamma_values),
         "note": ("mogd rows: classical descent on outer-product-regularized objectives; "
                  "moaocfgd rows: diagonal regularizer induced by (alpha, beta)"),
@@ -414,9 +419,10 @@ def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     checks = {}
 
     # Example 1: classical critical point and a distinct plain-fractional one.
-    x_cls, f_cls = classical_critical_point(EXAMPLE1_MATRIX, EXAMPLE1_OFFSET)
+    x_cls, _ = classical_critical_point(EXAMPLE1_MATRIX, EXAMPLE1_OFFSET)
     cfg1 = SolverConfig(tolerance=1e-8, max_iterations=2000)
-    trace1 = mogd_baseline(fixture_objectives("example1"), np.array([1.0, 1.0]), cfg1)
+    obj1 = fixture_objectives("example1")[0]
+    trace1 = mogd_baseline([obj1], np.array([1.0, 1.0]), cfg1)
     cls_err = float(np.linalg.norm(trace1.final_x - x_cls))
     c_rec = recover_terminal(EXAMPLE1_MATRIX, EXAMPLE1_OFFSET,
                              EXAMPLE1_FRACTIONAL_ALPHA, EXAMPLE1_PAPER_POINT)
@@ -425,7 +431,7 @@ def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     dist = float(np.linalg.norm(x_frac - x_cls))
     checks["example1"] = {
         "classical_point": [float(v) for v in trace1.final_x],
-        "classical_value": float(trace1.records[-1].f_values[0]) if trace1.records else f_cls,
+        "classical_value": float(obj1.value(trace1.final_x)),
         "classical_error": cls_err,
         "recovered_terminal": [float(v) for v in c_rec],
         "fractional_point": [float(v) for v in x_frac],

@@ -49,7 +49,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -57,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .direction import DirectionAccuracyError, DirectionResult, solve_direction
-from .fractional import FractionalConfig, modified_fractional_gradient
+from .fractional import FractionalConfig, modified_fractional_gradient, order_shift
 from .problems import ObjectiveModel, regularized
 
 __all__ = [
@@ -118,7 +117,7 @@ class Stage:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"stage alpha must lie in (0, 1], got {self.alpha}")
-        lower = (1.0 - self.alpha) / (2.0 - self.alpha)
+        lower = order_shift(self.alpha)
         if self.beta < lower - 1e-12:
             raise ValueError(
                 f"stage beta must be >= (1-alpha)/(2-alpha) = {lower:.6g}, got {self.beta}"
@@ -128,7 +127,7 @@ class Stage:
 
     @property
     def gamma(self) -> float:
-        return self.beta - (1.0 - self.alpha) / (2.0 - self.alpha)
+        return self.beta - order_shift(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class StageSchedule:
                     iterations: Sequence[int], terminal=None) -> "StageSchedule":
         """Build stages from target regularizers: beta_s = gamma_s + (1-a_s)/(2-a_s)."""
         stages = tuple(
-            Stage(a, g + (1.0 - a) / (2.0 - a), int(k))
+            Stage(a, g + order_shift(a), int(k))
             for a, g, k in zip(alphas, gammas, iterations)
         )
         return cls(stages=stages, terminal=terminal)
@@ -177,7 +176,6 @@ class IterationRecord:
     norm_d: float
     eta: float
     backtracks: int
-    wall: float
     merit: Optional[Sequence[ObjectiveModel]] = None
 
     @functools.cached_property
@@ -205,14 +203,6 @@ class IterationTrace:
     @property
     def iterations(self) -> int:
         return len(self.records)
-
-    def stage_starts(self) -> list[int]:
-        starts, seen = [], set()
-        for idx, r in enumerate(self.records):
-            if r.stage not in seen:
-                seen.add(r.stage)
-                starts.append(idx)
-        return starts
 
     def to_csv(self, path) -> None:
         """Column order: k, s, eta, t, norm_d, f_1..f_m, x_1..x_n."""
@@ -372,7 +362,6 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
     for k in range(k_max + 1):
-        start = time.perf_counter()
         # A quadratic's modified fractional gradient is its merit's gradient;
         # the others run under the recorder of the terminal clamp's warnings.
         grads = [m.gradient(x) if obj.kind == "quadratic" else None
@@ -430,11 +419,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.error = str(exc)
             return trace
 
-        wall = time.perf_counter() - start
         trace.records.append(IterationRecord(
             k=len(trace.records), stage=stage_index, x=x, values=values,
             t_value=direction.t_value, norm_d=norm_d,
-            eta=eta, backtracks=backtracks, wall=wall, merit=merit,
+            eta=eta, backtracks=backtracks, merit=merit,
         ))
         x, values = x_next, trial_values
         trace.final_x = x

@@ -13,12 +13,11 @@ example3_nonsmooth:  f(x) = max(5 x1 + x2, x1^2 + x2^2)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .descent import StageSchedule
-from .fractional import FractionalConfig
+from .fractional import FractionalConfig, order_shift
 from .problems import ObjectiveModel, PiecewiseMaxObjective, quadratic_objective, regularized
 
 __all__ = [
@@ -49,6 +48,11 @@ EXAMPLE2_OFFSET = np.array([-3.0, 4.0])
 # see recover_terminal for the terminal consistent with it).
 EXAMPLE1_PAPER_POINT = np.array([0.34313689, -0.12745096])
 EXAMPLE1_FRACTIONAL_ALPHA = 0.5
+
+# The stages of default_schedule, and parse_config's schedule defaults.
+DEFAULT_ALPHAS = (0.5, 0.7, 0.9)
+DEFAULT_GAMMAS = (0.1, 0.01, 0.0)
+DEFAULT_ITERATIONS = (50, 50, 100)
 
 
 def example1_objective() -> ObjectiveModel:
@@ -123,9 +127,9 @@ def fractional_critical_point(a_matrix: np.ndarray, b: np.ndarray, alpha: float,
                               terminal: np.ndarray) -> np.ndarray:
     """Root of the plain (beta = 0) fractional gradient of a quadratic.
 
-    That gradient, (A x + b) - gamma_alpha * diag(diag(A)) (x - c), is the
-    gradient of the stage merit regularized(f, -gamma_alpha, c), so the root
-    is the merit's critical point: H x = -grad merit(0).
+    That gradient, (A x + b) - order_shift(alpha) diag(diag(A)) (x - c), is
+    the gradient of the stage merit regularized(f, -order_shift(alpha), c),
+    so the root is the merit's critical point: H x = -grad merit(0).
     """
     frac = FractionalConfig(alpha=alpha, beta=0.0, terminal=terminal)
     merit = regularized(quadratic_objective(a_matrix, b), frac.gamma_alpha_beta, frac.terminal)
@@ -138,20 +142,19 @@ def recover_terminal(a_matrix: np.ndarray, b: np.ndarray, alpha: float,
     """Terminal c making x_point a root of the plain fractional gradient.
 
     Coordinate-wise inversion of the root equation:
-    c_i = x_i - (A x + b)_i / (gamma_alpha * A_ii).
+    c_i = x_i - (A x + b)_i / (order_shift(alpha) A_ii).
     """
-    ga = (1.0 - alpha) / (2.0 - alpha)
     x_point = np.asarray(x_point, dtype=float)
     g = a_matrix @ x_point + b
-    return x_point - g / (ga * np.diag(a_matrix))
+    return x_point - g / (order_shift(alpha) * np.diag(a_matrix))
 
 
-def default_schedule(terminal=None, iterations=(50, 50, 100)) -> StageSchedule:
+def default_schedule(terminal=None, iterations=DEFAULT_ITERATIONS) -> StageSchedule:
     """The three-stage alpha = {0.5, 0.7, 0.9} schedule with regularizers
     {0.1, 0.01, 0} (nonincreasing to zero, as the staged theory requires)."""
     return StageSchedule.from_gammas(
-        alphas=(0.5, 0.7, 0.9),
-        gammas=(0.1, 0.01, 0.0),
+        alphas=DEFAULT_ALPHAS,
+        gammas=DEFAULT_GAMMAS,
         iterations=iterations,
         terminal=np.zeros(2) if terminal is None else terminal,
     )

@@ -18,7 +18,7 @@ c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
 stacks the nodes of all coordinates and answers them with one gradient and
 one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  It
 evaluates the base rule only; `_rule(refine=True)` is the one-level
-refinement that an accuracy check (QuadratureAccuracyError) compares with.
+refinement that the test oracles' accuracy check compares with.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 
 __all__ = [
     "CaputoDomainError",
-    "QuadratureAccuracyError",
     "FractionalConfig",
     "modified_fractional_gradient",
+    "order_shift",
 ]
 
 NODES_PER_SEGMENT = 64
@@ -46,20 +46,13 @@ FD2_STEP = 1e-5
 CLAMP_OFFSET = 1e-12
 
 
+def order_shift(alpha: float) -> float:
+    """(1 - alpha)/(2 - alpha), in [0, 1/2): what an order-alpha stage subtracts from beta."""
+    return (1.0 - alpha) / (2.0 - alpha)
+
+
 class CaputoDomainError(ValueError):
     """Evaluation point does not lie strictly above the lower terminal."""
-
-
-class QuadratureAccuracyError(RuntimeError):
-    """Quadrature failed its internal refinement check.
-
-    The best available estimate is carried in ``estimate``.
-    """
-
-    def __init__(self, message: str, estimate: float, error_estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
 
 
 @dataclass(frozen=True)
@@ -93,19 +86,9 @@ class FractionalConfig:
         object.__setattr__(self, "terminal", t)
 
     @property
-    def gamma_alpha(self) -> float:
-        """(1 - alpha)/(2 - alpha), in [0, 1/2)."""
-        return (1.0 - self.alpha) / (2.0 - self.alpha)
-
-    @property
     def gamma_alpha_beta(self) -> float:
-        """Induced regularizer weight beta - (1 - alpha)/(2 - alpha)."""
-        return self.beta - self.gamma_alpha
-
-    @property
-    def c2_coeff(self) -> float:
-        """Second-order Taylor coefficient 1/(2 - alpha) + beta."""
-        return 1.0 / (2.0 - self.alpha) + self.beta
+        """Induced regularizer weight beta - order_shift(alpha)."""
+        return self.beta - order_shift(self.alpha)
 
     def terminals(self, n: int) -> np.ndarray:
         """The terminal broadcast to n coordinates (ValueError unless of length 1 or n)."""

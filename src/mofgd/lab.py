@@ -25,13 +25,12 @@ from .descent import (
     run_single_stage,
 )
 from .direction import DirectionAccuracyError, solve_direction
-from .fractional import FractionalConfig
+from .fractional import FractionalConfig, order_shift
 from .fixtures import fixture_objectives
 from .problems import (
     ObjectiveModel,
     PiecewiseMaxObjective,
     QuadraticMop,
-    condition_number,
     regularized,
     tikhonov_solve,
 )
@@ -126,7 +125,6 @@ class RateReport:
     errors: np.ndarray
     ratios: np.ndarray
     fitted_rate: float
-    ratio_std_last100: float
     monotone: bool
     geometric: bool
     rate_violation: bool
@@ -134,43 +132,37 @@ class RateReport:
     sigma_max: float
     final_error: float
     fixed_point_gap: float
-    literal_growth_factor: float
     final_x: np.ndarray
 
 
 @dataclass(frozen=True)
 class FrontPoint:
     objectives: np.ndarray
-    x: np.ndarray
     start_index: int
     norm_d: float
 
 
 def mogd_baseline(objectives: Sequence[ObjectiveModel], x0: np.ndarray,
                   cfg: SolverConfig) -> IterationTrace:
-    """Classical multi-objective steepest descent: the alpha=1, beta=0 reduction."""
-    frac = FractionalConfig(alpha=1.0, beta=0.0,
-                            terminal=np.zeros(np.asarray(x0).size),
-                            degenerate_policy="clamp")
-    return run_single_stage(list(objectives), x0, cfg, frac, cfg.max_iterations)
+    """Classical multi-objective steepest descent: the alpha=1, beta=0 reduction,
+    whose stage merits and gradients read no terminal."""
+    return run_single_stage(list(objectives), x0, cfg, FractionalConfig(alpha=1.0),
+                            cfg.max_iterations)
 
 
-def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
-                         step_scale: float = 0.5, f_min: float = 0.0,
-                         target_gap: float = 1e-3) -> IterationTrace:
-    """Scalar subgradient descent with diminishing steps a/(k+1).
+def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int) -> IterationTrace:
+    """Scalar subgradient descent with diminishing steps 0.5/(k+1).
 
     A PiecewiseMaxObjective steps along its active-set average subgradient
     (see PiecewiseMaxObjective.subgradient).  The run stops with termination
-    "tolerance" at the first iterate with f <= f_min + target_gap, so
-    trace.iterations is then that iterate's index.
+    "tolerance" at the first iterate with f <= 1e-3, so trace.iterations is
+    then that iterate's index.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
     for k in range(steps):
-        start = time.perf_counter()
         fx = f.value(x)
-        if fx <= f_min + target_gap:
+        if fx <= 1e-3:
             trace.termination = "tolerance"
             trace.final_x = x.copy()
             break
@@ -178,11 +170,11 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int,
             g = f.subgradient(x)
         else:
             g = np.asarray(f.gradient(x), dtype=float)
-        eta = step_scale / (k + 1.0)
+        eta = 0.5 / (k + 1.0)
         trace.records.append(IterationRecord(
             k=k, stage=0, x=x.copy(), values=[fx],
             t_value=float(-g @ g), norm_d=float(np.linalg.norm(g)),
-            eta=eta, backtracks=0, wall=time.perf_counter() - start,
+            eta=eta, backtracks=0,
         ))
         x = x - eta * g
         trace.final_x = x.copy()
@@ -216,9 +208,10 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
     system's largest singular value; of cfg it reads only eta.  It stops
     once ||d|| < sigma_min stop_error, which puts the error to x_Tik below
     stop_error.  Reports per-iteration distances to x_Tik, the fitted
-    geometric rate and its stability over the last 100 iterations, the
-    condition number and largest singular value of the effective matrix,
-    and whether the decay is monotone geometric.  Divergence (error ratio
+    geometric rate, the condition number and largest singular value of the
+    effective matrix, and whether the decay is monotone geometric (the
+    error ratios of the last 100 iterations have a standard deviation
+    under 5% of their mean).  Divergence (error ratio
     > 1 for 50 consecutive iterations) is reported as rate_violation, not
     raised.
     """
@@ -256,7 +249,6 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
         errors=errors,
         ratios=ratios,
         fitted_rate=fitted,
-        ratio_std_last100=ratio_std,
         monotone=monotone,
         geometric=bool(monotone and valid.size and ratio_std < 0.05 * max(np.mean(last), 1e-300)),
         rate_violation=violation,
@@ -264,7 +256,6 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
         sigma_max=sol.sigma_max,
         final_error=float(errors[-1]),
         fixed_point_gap=float(np.linalg.norm(xs[-1] - sol.x_tik)),
-        literal_growth_factor=float(1.0 + cfg.eta / sol.kappa),
         final_x=xs[-1],
     )
 
@@ -329,8 +320,7 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     )
     bound_ok = all(eps[s] <= bound[s] + 1e-8 for s in range(len(eps)))
     final_error = stage_end_err[-1]
-    gamma_final = gammas[-1]
-    final_bound_ok = (final_error <= 1.1 * c_const * gamma_final) if gamma_final > 0 else None
+    final_bound_ok = (final_error <= 1.1 * c_const * gammas[-1]) if gammas[-1] > 0 else None
 
     report = {
         "recursion_ok": recursion_ok,
@@ -339,7 +329,6 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
         "final_error": final_error,
         "final_bound_ok": final_bound_ok,
         "stage_end_error_to_x_star": stage_end_err,
-        "gamma_final": gamma_final,
     }
     return StageErrorBound(
         gammas=tuple(gammas), iterations=iterations, rates=tuple(rates),
@@ -401,9 +390,8 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
             if trace.termination == "error":
                 failures.append((idx, trace.error or "run error"))
                 continue
-            xf = trace.final_x
-            fvals = np.array([obj.value(xf) for obj in objectives])
-            points.append(FrontPoint(objectives=fvals, x=xf, start_index=idx,
+            fvals = np.array([obj.value(trace.final_x) for obj in objectives])
+            points.append(FrontPoint(objectives=fvals, start_index=idx,
                                      norm_d=float(trace.final_norm_d or np.nan)))
         except Exception as exc:
             failures.append((idx, str(exc)))
@@ -481,7 +469,7 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
     alpha = 0.5
     rows = []
     for gamma in gamma_values:
-        frac = FractionalConfig(alpha=alpha, beta=gamma + (1 - alpha) / (2 - alpha),
+        frac = FractionalConfig(alpha=alpha, beta=gamma + order_shift(alpha),
                                 terminal=c, degenerate_policy="clamp")
         for method, reg in (("mogd", "outer"), ("moaocfgd", "diag")):
             merit = [regularized(obj, gamma, c, reg) for obj in objectives]
@@ -497,7 +485,7 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
             sol = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg)
             rows.append({
                 "gamma": gamma, "method": method,
-                "condition_number": condition_number(system),
+                "condition_number": float(np.linalg.cond(system)),
                 "iterations": trace.iterations, "wall_seconds": wall,
                 "final_error": float(np.linalg.norm(trace.final_x - sol.x_tik)),
             })

@@ -38,9 +38,7 @@ __all__ = [
     "regularized",
     "random_quadratic_mop",
     "tikhonov_solve",
-    "condition_number",
     "save_mop",
-    "load_mop",
 ]
 
 _FD_CHECK_STEP = 1e-6
@@ -407,17 +405,6 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
                             sigma_max=float(sigma[0]), sigma_min=float(sigma[-1]))
 
 
-def condition_number(a_matrix: np.ndarray) -> float:
-    """Ratio of extreme singular values of a dense matrix."""
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    if not np.all(np.isfinite(a_matrix)):
-        raise ValueError("matrix entries must be finite")
-    sigma = np.linalg.svd(a_matrix, compute_uv=False)
-    if sigma[-1] == 0.0:
-        return float("inf")
-    return float(sigma[0] / sigma[-1])
-
-
 _FORMAT_TAG = "mofgd-quadratic-mop/1"
 
 
@@ -437,18 +424,3 @@ def save_mop(mop: QuadraticMop, path, terminal: Optional[np.ndarray] = None) -> 
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 
-
-def load_mop(path) -> tuple[QuadraticMop, Optional[np.ndarray]]:
-    """Load an instance written by save_mop; returns (mop, terminal-or-None)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT_TAG:
-        raise ValueError(f"unrecognized instance format {doc.get('format')!r}")
-    mop = QuadraticMop(
-        factors=tuple(np.array(W, dtype=float) for W in doc["W"]),
-        targets=tuple(np.array(y, dtype=float) for y in doc["y"]),
-        x_star=None if doc.get("x_star") is None else np.array(doc["x_star"], dtype=float),
-        seed=doc.get("seed"),
-    )
-    c = None if doc.get("c") is None else np.array(doc["c"], dtype=float)
-    return mop, c

@@ -6,13 +6,25 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mofgd import CaputoDomainError, DirectionResult, FractionalConfig, QuadratureAccuracyError
+from mofgd import CaputoDomainError, DirectionResult, FractionalConfig
 from mofgd.direction import _result_from
 from mofgd.fractional import FD2_STEP, _resolve_terminal, _rule
 
 
 class UnsupportedOrderError(ValueError):
     """Requested derivative order outside (0,1) u (1,2)."""
+
+
+class QuadratureAccuracyError(RuntimeError):
+    """Quadrature failed its internal refinement check.
+
+    The best available estimate is carried in ``estimate``.
+    """
+
+    def __init__(self, message: str, estimate: float, error_estimate: float):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error_estimate = error_estimate
 
 
 @dataclass(frozen=True)

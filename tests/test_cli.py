@@ -258,6 +258,32 @@ class TestRunCommands:
         assert header == "gamma,method,condition_number,iterations,wall_seconds,final_error"
         assert (out / "instance.json").exists()
 
+    @pytest.mark.parametrize("fractional_fewer", [True, False])
+    def test_compare_verdict_counts_iterations_not_wall_time(self, tmp_path, monkeypatch,
+                                                             fractional_fewer):
+        """The moaocfgd row wins a gamma when it takes no more iterations than
+        the mogd row, however long either took on the clock."""
+        # Fewer iterations always come with more wall time.
+        fewer = {"iterations": 21, "wall_seconds": 0.5}
+        more = {"iterations": 1388, "wall_seconds": 0.001}
+        fr, gd = (fewer, more) if fractional_fewer else (more, fewer)
+
+        def table(mop, gamma_values, cfg, x0=None):
+            return [dict(gamma=g, method=method, condition_number=10.0, final_error=0.0, **row)
+                    for g in gamma_values for method, row in (("mogd", gd), ("moaocfgd", fr))]
+
+        monkeypatch.setattr("mofgd.cli.comparison_table", table)
+        out = tmp_path / "cmp"
+        code = run(RunManifest("compare", str(write_config(tmp_path, SMALL_QUADRATIC)), str(out)))
+        payload = json.loads((out / "summary.json").read_text())["compare"]
+        assert payload["gamma_count"] == 2
+        if fractional_fewer:
+            assert code == 0
+            assert payload["fractional_iteration_wins"] == 2
+        else:
+            assert code == 1
+            assert payload["fractional_iteration_wins"] == 0
+
     def test_pareto_on_fixture_pair(self, tmp_path):
         text = """
 instance: {name: example2_pair}

@@ -8,7 +8,6 @@ import pytest
 from mofgd import (
     CaputoDomainError,
     FractionalConfig,
-    QuadratureAccuracyError,
     modified_fractional_gradient,
     quadratic_objective,
     random_quadratic_mop,
@@ -16,6 +15,7 @@ from mofgd import (
 from mofgd.fixtures import example3_objective
 from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule
 from oracles import (
+    QuadratureAccuracyError,
     UnivariateFunction,
     UnsupportedOrderError,
     caputo_derivative_1d,

@@ -218,8 +218,8 @@ def reference_nondominated_filter(points):
 
 
 def front_points(F):
-    return [lab.FrontPoint(objectives=np.array(f, dtype=float), x=np.zeros(1),
-                           start_index=i, norm_d=0.0) for i, f in enumerate(F)]
+    return [lab.FrontPoint(objectives=np.array(f, dtype=float), start_index=i, norm_d=0.0)
+            for i, f in enumerate(F)]
 
 
 class TestNondominatedFilter:
