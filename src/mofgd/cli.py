@@ -49,6 +49,9 @@ from .fixtures import (
     recover_terminal,
 )
 from .lab import (
+    DEFAULT_START_COUNT,
+    DEFAULT_START_LB,
+    DEFAULT_START_UB,
     PAPER_GAMMA_VALUES,
     ExperimentSpec,
     FrontPoint,
@@ -167,15 +170,18 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
         instance = random_quadratic_mop(n, m_data, m, seed)
         dim = n
 
+    # An absent key takes the dataclass default, read from its class
+    # attribute, except that the CLI stops at 1e-4 after at most 2000
+    # iterations.
     sol_doc = _section(doc.get("solver", {}), "solver")
     try:
         solver = SolverConfig(
-            sigma=float(sol_doc.get("sigma", 0.1)),
-            backtrack=float(sol_doc.get("r", 0.5)),
+            sigma=float(sol_doc.get("sigma", SolverConfig.sigma)),
+            backtrack=float(sol_doc.get("r", SolverConfig.backtrack)),
             tolerance=float(sol_doc.get("epsilon", 1e-4)),
             max_iterations=int(sol_doc.get("max_iterations", 2000)),
-            step_mode=str(sol_doc.get("step_mode", "backtracking")),
-            eta=float(sol_doc.get("eta", 1.0)),
+            step_mode=str(sol_doc.get("step_mode", SolverConfig.step_mode)),
+            eta=float(sol_doc.get("eta", SolverConfig.eta)),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
@@ -196,15 +202,15 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
 
     exp_doc = _section(doc.get("experiment", {}), "experiment")
     grid_doc = _section(exp_doc.get("start_grid", {}), "experiment.start_grid")
-    lb = _vec(grid_doc.get("lb", 1.01), dim, "experiment.start_grid.lb")
-    ub = _vec(grid_doc.get("ub", 10.0), dim, "experiment.start_grid.ub")
-    count = int(grid_doc.get("count", 100))
+    lb = _vec(grid_doc.get("lb", DEFAULT_START_LB), dim, "experiment.start_grid.lb")
+    ub = _vec(grid_doc.get("ub", DEFAULT_START_UB), dim, "experiment.start_grid.ub")
+    count = int(grid_doc.get("count", DEFAULT_START_COUNT))
     try:
         spec = ExperimentSpec(
             instance=instance,
             gamma_values=tuple(exp_doc.get("gamma_values", PAPER_GAMMA_VALUES)),
             start_grid=(lb, ub, count),
-            method=str(exp_doc.get("method", "moaocfgd")),
+            method=str(exp_doc.get("method", ExperimentSpec.method)),
             schedule=schedule,
         )
     except ValueError as exc:
@@ -287,11 +293,14 @@ def _front_rows(front: list[FrontPoint]):
 
 
 def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
-    x0 = spec.starts()[0]
-    trace = run_adaptive(spec.objectives(), x0, solver, schedule)
+    objectives = spec.objectives()
+    trace = run_adaptive(objectives, spec.starts()[0], solver, schedule)
     trace.to_csv(writer.path("trace.csv"))
+    payload = trace.summary()
+    # The raw objectives at final_x, not a stage merit at an earlier iterate.
+    payload["final_f"] = [float(obj.value(trace.final_x)) for obj in objectives]
     ok = trace.termination != "error"
-    return (0 if ok else 1), {"solve": trace.summary()}
+    return (0 if ok else 1), {"solve": payload}
 
 
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
@@ -489,7 +498,7 @@ def run(manifest: RunManifest) -> int:
 
     if manifest.command == "fixtures" and manifest.config_path is None:
         spec = ExperimentSpec(instance="example2", schedule=default_schedule(),
-                              start_grid=((1.01, 1.01), (10.0, 10.0), 1))
+                              start_grid=((DEFAULT_START_LB,) * 2, (DEFAULT_START_UB,) * 2, 1))
         solver, schedule = SolverConfig(), spec.schedule
     else:
         if manifest.config_path is None:

@@ -8,8 +8,26 @@ Stages: a schedule of (alpha_s, beta_s, k_s) triples runs the iteration in
 segments, each continuing from the previous stage's final point, with one
 fixed terminal c.  Each stage induces the regularizer weight
 gamma_s = beta_s - (1-alpha_s)/(2-alpha_s).
-Callers pass raw objectives; the stage adds the regularizer.  For a
-quadratic f_j the stage's modified fractional gradient is exactly the
+Callers pass raw objectives; the stage adds the regularizer.
+
+Every stage but the last stops early, at the first iterate with
+
+    ||d|| < max(tolerance, (gamma_s - gamma_{s+1}) ||d_0||),
+
+where ||d_0|| is ||d|| at the stage's first iterate; the last stage, and a
+stage whose gamma does not fall, stop at the tolerance.  The reason is the
+drift between consecutive regularized solutions.  For quadratics the merits
+of stages s and s+1 differ by a pull whose gradient is
+(gamma_s - gamma_{s+1}) D_j (x - c), D_j = diag(H_j), so at stage s+1's
+critical point x*, with multipliers lambda, stage s's ||d|| is at most
+(gamma_s - gamma_{s+1}) ||sum_j lambda_j D_j (x* - c)||.  The next stage has
+to cover a drift of that order however far below it stage s was solved.
+||d_0|| puts the drift on the scale of the stage's own directions, so the
+rule adds no parameter.  This is inexact continuation as in Hale, Yin and
+Zhang, "Fixed-point continuation for l1-minimization" (SIAM J. Optim.,
+2008).
+
+For a quadratic f_j the stage's modified fractional gradient is exactly the
 gradient of the stage-regularized merit
 
     f_j(x) + gamma_s/2 * sum_i H_ii (x_i - c_i)^2,
@@ -50,7 +68,7 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +83,7 @@ __all__ = [
     "Stage",
     "StageSchedule",
     "IterationRecord",
+    "StageReport",
     "IterationTrace",
     "armijo_step",
     "run_single_stage",
@@ -184,16 +203,32 @@ class IterationRecord:
                          for j, v in enumerate(self.values)])
 
 
+@dataclass(frozen=True)
+class StageReport:
+    """How one stage run ended: the records it added, its termination, the
+    stop tolerance it used and the trace's final ||d|| at its end (None
+    while no stage of the trace has solved a direction)."""
+
+    stage: int
+    iterations: int
+    termination: str
+    tolerance: float
+    final_norm_d: Optional[float]
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration history of one run.
 
-    termination: tolerance (||d|| < tolerance, or t >= 0) | max_iter |
-    model_mismatch (t < 0 but the merit slope max_j grad merit_j^T d >= 0;
-    the notes give ||g - grad merit||) | error (see error).
+    termination: tolerance (||d|| < the stage's stop tolerance, or t >= 0) |
+    max_iter | model_mismatch (t < 0 but the merit slope
+    max_j grad merit_j^T d >= 0; the notes give ||g - grad merit||) | error
+    (see error).  It is the last stage's; stages holds one StageReport per
+    stage run, in order.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
+    stages: list[StageReport] = field(default_factory=list)
     termination: str = "max_iter"
     error: Optional[str] = None
     notes: list[str] = field(default_factory=list)
@@ -233,8 +268,7 @@ class IterationTrace:
         }
         if self.final_x is not None:
             out["final_x"] = [float(v) for v in self.final_x]
-        if self.records:
-            out["final_f"] = [float(v) for v in self.records[-1].f_values]
+        out["stages"] = [asdict(s) for s in self.stages]
         return out
 
 
@@ -326,8 +360,15 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                      frac: FractionalConfig,
                      k_max: int,
                      stage_index: int = 0,
-                     trace: Optional[IterationTrace] = None) -> IterationTrace:
+                     trace: Optional[IterationTrace] = None,
+                     gamma_drop: float = 0.0) -> IterationTrace:
     """Iterate x <- x + eta*d for up to k_max Armijo steps or until ||d|| < tolerance.
+
+    The stop tolerance is max(cfg.tolerance, gamma_drop * ||d_0||), with
+    ||d_0|| the ||d|| at the first iterate; gamma_drop is the fall
+    gamma_s - gamma_{s+1} that `run_adaptive` passes, and its default 0
+    stops at cfg.tolerance.  The run appends one StageReport to
+    trace.stages.
 
     objectives are raw; the stage adds the regularizer itself.  Each
     quadratic objective becomes its stage merit (see `_stage_merit`), whose
@@ -356,6 +397,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
+    start = trace.iterations
+    tolerance = cfg.tolerance
     merit = _stage_merit(objectives, frac)
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
 
@@ -380,16 +423,18 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "error"
             trace.error = str(exc)
             trace.final_x = x
-            return trace
+            break
 
         norm_d = direction.norm
+        if k == 0:
+            tolerance = max(tolerance, gamma_drop * norm_d)
         trace.final_x = x
         trace.final_norm_d = norm_d
         # t >= 0: the subproblem finds no descent direction to its precision,
         # so x is critical even if ||d|| is still above the tolerance.
-        if norm_d < cfg.tolerance or not direction.t_value < 0.0:
+        if norm_d < tolerance or not direction.t_value < 0.0:
             trace.termination = "tolerance"
-            return trace
+            break
         # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
         # a quadratic's direction input already is its merit gradient.
         if quadratic:
@@ -404,10 +449,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                 f"model_mismatch: merit slope {slope:.3e} >= 0 along d with t = "
                 f"{direction.t_value:.3e}; ||g - grad merit|| = "
                 f"{np.linalg.norm(grads - merit_grads):.3e}")
-            return trace
+            break
         if k == k_max:
             trace.termination = "max_iter"
-            return trace
+            break
 
         searched = (direction if slope == direction.t_value
                     else replace(direction, t_value=slope))
@@ -417,7 +462,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)
-            return trace
+            break
 
         trace.records.append(IterationRecord(
             k=len(trace.records), stage=stage_index, x=x, values=values,
@@ -426,6 +471,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         ))
         x, values = x_next, trial_values
         trace.final_x = x
+    trace.stages.append(StageReport(stage_index, trace.iterations - start,
+                                    trace.termination, tolerance, trace.final_norm_d))
     return trace
 
 
@@ -437,16 +484,21 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
 
     objectives are raw; each stage adds its own regularizer, centred on the
     schedule's fixed terminal c (zeros when omitted), the c that
-    `tikhonov_solve` and the verify runs use.
+    `tikhonov_solve` and the verify runs use.  Each stage but the last
+    passes its fall gamma_s - gamma_{s+1}, where positive, to
+    `run_single_stage` as gamma_drop (the stop rule of the module
+    docstring); the others stop at cfg.tolerance.
     """
     x = np.asarray(x0, dtype=float)
     c = schedule.terminal if schedule.terminal is not None else np.zeros(x.size)
+    gammas = schedule.gammas
     trace = IterationTrace()
     for s, stage in enumerate(schedule.stages):
         frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=c,
                                 degenerate_policy="clamp")
+        drop = gammas[s] - gammas[s + 1] if s + 1 < len(gammas) else 0.0
         run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
-                         trace=trace)
+                         trace=trace, gamma_drop=max(drop, 0.0))
         x = trace.final_x
         if trace.termination == "error":
             return trace

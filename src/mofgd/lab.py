@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 PAPER_GAMMA_VALUES = (0.15, 0.25, 0.5, 0.75, 1.0, 10.0)
+# The default start segment: every coordinate runs from 1.01 to 10 over 100 starts.
+DEFAULT_START_LB, DEFAULT_START_UB, DEFAULT_START_COUNT = 1.01, 10.0, 100
 DOMINANCE_SLACK = 1e-9
 DUPLICATE_RTOL = 1e-5  # relative part of the duplicate test; see nondominated_filter
 
@@ -67,7 +69,7 @@ class ExperimentSpec:
 
     instance: Union[QuadraticMop, str]
     gamma_values: tuple[float, ...] = PAPER_GAMMA_VALUES
-    start_grid: tuple = ((1.01, 1.01), (10.0, 10.0), 100)
+    start_grid: tuple = ((DEFAULT_START_LB,) * 2, (DEFAULT_START_UB,) * 2, DEFAULT_START_COUNT)
     method: str = "moaocfgd"
     schedule: Optional[StageSchedule] = None
 

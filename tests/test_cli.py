@@ -8,7 +8,9 @@ import pytest
 import yaml
 
 from mofgd.cli import ConfigError, RunManifest, main, parse_config, run
-from mofgd.fixtures import FIXTURE_NAMES
+from mofgd.descent import SolverConfig
+from mofgd.fixtures import FIXTURE_NAMES, fixture_objectives
+from mofgd.lab import ExperimentSpec
 from mofgd.problems import ObjectiveModel, QuadraticMop
 
 REPO = Path(__file__).resolve().parents[1]
@@ -63,6 +65,17 @@ class TestParseConfig:
         assert count == 100
         np.testing.assert_allclose(lb, np.full(100, 1.01))
         np.testing.assert_allclose(ub, np.full(100, 10.0))
+
+    def test_empty_sections_take_the_dataclass_defaults(self, tmp_path):
+        """Defaults live in the dataclasses; the CLI keeps only its own
+        tolerance (1e-4) and iteration budget (2000)."""
+        spec, solver, _ = parse_config(write_config(
+            tmp_path, "instance: {name: example2}\nsolver: {}\nexperiment: {}\n"))
+        assert solver == SolverConfig(tolerance=1e-4, max_iterations=2000)
+        default = ExperimentSpec(instance="example2")
+        assert spec.method == default.method
+        for got, want in zip(spec.start_grid, default.start_grid):
+            np.testing.assert_array_equal(got, want)
 
     def test_sigma_out_of_range_names_field(self, tmp_path):
         cfg = MINIMAL + "solver: {sigma: 1.5}\n"
@@ -184,6 +197,21 @@ class TestRunCommands:
         declared = set(summary["written_files"])
         on_disk = {p.name for p in out.iterdir()} - {"summary.json"}
         assert on_disk == declared
+
+    def test_solve_reports_stages_and_raw_final_f(self, tmp_path):
+        """summary.json's stages add up to the run and end with the last
+        stage at epsilon; final_f is the raw objective at final_x."""
+        out = tmp_path / "run"
+        assert run(RunManifest("solve", str(REPO / "configs" / "example2.yaml"), str(out))) == 0
+        solve = json.loads((out / "summary.json").read_text())["solve"]
+        stages = solve["stages"]
+        assert [s["stage"] for s in stages] == [0, 1, 2]
+        assert sum(s["iterations"] for s in stages) == solve["iterations"]
+        assert stages[-1]["tolerance"] == 1e-6
+        assert stages[-1]["termination"] == solve["termination"] == "tolerance"
+        assert stages[-1]["final_norm_d"] == solve["final_norm_d"]
+        f = fixture_objectives("example2")[0]
+        assert solve["final_f"] == [f.value(np.array(solve["final_x"]))]
 
     def test_refuses_nonempty_output_without_force(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -689,6 +689,58 @@ class TestRunAdaptive:
         grads = np.array([mop.objectives()[j].gradient(trace.final_x) for j in range(2)])
         assert solve_direction(grads).norm < 1e-4
 
+    def test_stages_stop_below_the_drift_to_the_next_stage(self):
+        """On example2_pair grid starts, each stage s but the last stops at
+        the first iterate with ||d|| < max(eps, (gamma_s - gamma_{s+1}) ||d_0||),
+        or at its budget; the last stops at eps, and the stage reports add
+        up to the run."""
+        spec, solver, schedule = parse_config(REPO / "configs" / "example2_pair.yaml")
+        objectives, gammas = spec.objectives(), schedule.gammas
+        loosened = 0
+        for x0 in spec.starts()[::20]:
+            trace = run_adaptive(objectives, x0, solver, schedule)
+            assert [s.stage for s in trace.stages] == [0, 1, 2]
+            assert sum(s.iterations for s in trace.stages) == trace.iterations
+            for s in trace.stages[:-1]:
+                records = [r for r in trace.records if r.stage == s.stage]
+                assert len(records) == s.iterations
+                drop = gammas[s.stage] - gammas[s.stage + 1]
+                assert s.tolerance == max(solver.tolerance, drop * records[0].norm_d)
+                assert all(r.norm_d >= s.tolerance for r in records)
+                assert ((s.termination == "tolerance" and s.final_norm_d < s.tolerance)
+                        or (s.termination == "max_iter"
+                            and s.iterations == schedule.stages[s.stage].iterations))
+                loosened += s.tolerance > solver.tolerance
+            last = trace.stages[-1]
+            assert last.tolerance == solver.tolerance
+            assert (last.termination, last.final_norm_d) == (trace.termination,
+                                                             trace.final_norm_d)
+        assert loosened > 0
+
+    @pytest.mark.parametrize("gammas", [(0.0, 0.01, 0.1), (0.05, 0.05, 0.05)])
+    def test_schedule_whose_gamma_does_not_fall_stops_every_stage_at_tolerance(self, gammas):
+        """Without a fall in gamma, run_adaptive is the chain of stages run at
+        cfg.tolerance, bit for bit."""
+        objectives = random_quadratic_mop(4, 6, 2, seed=5).objectives()
+        c, x0 = np.zeros(4), np.full(4, 2.0)
+        schedule = StageSchedule.from_gammas([0.5, 0.7, 0.9], gammas, [30, 30, 60],
+                                             terminal=c)
+        cfg = SolverConfig(tolerance=1e-6)
+        trace = run_adaptive(objectives, x0, cfg, schedule)
+        reference, x = descent.IterationTrace(), x0
+        for s, stage in enumerate(schedule.stages):
+            frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=c,
+                                    degenerate_policy="clamp")
+            x = run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
+                                 trace=reference).final_x
+        assert [s.tolerance for s in trace.stages] == [cfg.tolerance] * 3
+        assert trace.stages == reference.stages
+        assert len(trace.records) == len(reference.records)
+        for got, want in zip(trace.records, reference.records):
+            np.testing.assert_array_equal(got.x, want.x)
+            assert (got.norm_d, got.t_value, got.eta) == (want.norm_d, want.t_value, want.eta)
+        np.testing.assert_array_equal(trace.final_x, reference.final_x)
+
 
 class TestStageMerit:
     """The stage direction is the gradient of the merit the line search tests."""
