@@ -170,10 +170,13 @@ class StageSchedule:
     @classmethod
     def from_gammas(cls, alphas: Sequence[float], gammas: Sequence[float],
                     iterations: Sequence[int], terminal=None) -> "StageSchedule":
-        """Build stages from target regularizers: beta_s = gamma_s + (1-a_s)/(2-a_s)."""
+        """Build stages from target regularizers: beta_s = gamma_s + (1-a_s)/(2-a_s).
+
+        The three sequences must be equally long; ValueError otherwise.
+        """
         stages = tuple(
             Stage(a, g + order_shift(a), int(k))
-            for a, g, k in zip(alphas, gammas, iterations)
+            for a, g, k in zip(alphas, gammas, iterations, strict=True)
         )
         return cls(stages=stages, terminal=terminal)
 

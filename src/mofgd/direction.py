@@ -63,16 +63,23 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
     """(t, d, lambda) for the weights lam, with its KKT residual and theta.
 
     The m slopes and weights are few, so the residual is computed on Python
-    floats.  Stationarity d + sum lambda_j g_j = 0 and feasibility
-    g_j^T d <= t hold by construction (t is the largest slope), which leaves
-    complementary slackness and the simplex constraints.
+    floats, with the loops written out for m = 2 (same roundings).
+    Stationarity d + sum lambda_j g_j = 0 and feasibility g_j^T d <= t hold
+    by construction (t is the largest slope), which leaves complementary
+    slackness and the simplex constraints.
     """
     d = -G.T @ lam
     slopes = (G @ d).tolist()
     weights = lam.tolist()
-    t = max(slopes)
-    comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
-    simplex = max(abs(sum(weights) - 1.0), -min(weights))
+    if len(weights) == 2:
+        (w1, w2), (s1, s2) = weights, slopes
+        t = max(s1, s2)
+        comp = max(abs(w1 * (s1 - t)), abs(w2 * (s2 - t)))
+        simplex = max(abs(w1 + w2 - 1.0), -min(w1, w2))
+    else:
+        t = max(slopes)
+        comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
+        simplex = max(abs(sum(weights) - 1.0), -min(weights))
     theta = t + 0.5 * float(d @ d)
     return DirectionResult(t_value=t, direction=d, multipliers=lam,
                            kkt_residual=max(comp, simplex), theta=theta)
@@ -80,8 +87,17 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
 
 def _dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
     """Frank-Wolfe gap lam^T Kn lam - min_j (Kn lam)_j of Kn = gram / scale,
-    zero exactly at a dual minimizer."""
+    zero exactly at a dual minimizer.
+
+    For m = 2 the loops are written out.  They round alike: sum's leading 0
+    could only turn a sum of two -0.0 terms into +0.0, and with simplex
+    weights (never -0.0) and k11, k22 >= 0 no such sum arises.
+    """
     weights = lam.tolist()
+    if len(weights) == 2:
+        (w1, w2), ((k11, k12), (k21, k22)) = weights, gram
+        g1, g2 = (k11 * w1 + k12 * w2) / scale, (k21 * w1 + k22 * w2) / scale
+        return w1 * g1 + w2 * g2 - min(g1, g2)
     grad = [sum(k * w for k, w in zip(row, weights)) / scale for row in gram]
     return sum(w * g for w, g in zip(weights, grad)) - min(grad)
 
@@ -95,7 +111,10 @@ def _gram_scale(G: np.ndarray) -> tuple[list[list[float]], float]:
     theta(g)) would be unreachable in floating point for large gradients.
     """
     K = G @ G.T
-    return K.tolist(), max(1.0, float(K.trace()) / K.shape[0])
+    gram = K.tolist()
+    # For m = 2 the trace is the one addition k11 + k22 that numpy makes.
+    total = gram[0][0] + gram[1][1] if len(gram) == 2 else float(K.trace())
+    return gram, max(1.0, total / len(gram))
 
 
 def _segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

@@ -394,7 +394,7 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
                 continue
             fvals = np.array([obj.value(trace.final_x) for obj in objectives])
             points.append(FrontPoint(objectives=fvals, start_index=idx,
-                                     norm_d=float(trace.final_norm_d or np.nan)))
+                                     norm_d=float(trace.final_norm_d)))
         except Exception as exc:
             failures.append((idx, str(exc)))
     return points, failures
@@ -433,7 +433,7 @@ def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:
 
     Normalization is the per-objective range of the reference set (1 where
     the range is zero); 0 exactly when every reference point appears in the
-    front.
+    front.  Front and reference must have the same number of objectives.
     """
     ref = np.atleast_2d(np.asarray(list(reference), dtype=float))
     if ref.size == 0:
@@ -443,11 +443,11 @@ def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:
         raise ValueError("front must be nonempty")
     spread = ref.max(axis=0) - ref.min(axis=0)
     spread = np.where(spread > 0, spread, 1.0)
-    dists = [
-        float(np.min(np.max(np.abs(fr - r[None, :]) / spread[None, :], axis=1)))
-        for r in ref
-    ]
-    return float(np.mean(dists))
+    # [reference, front] Chebyshev distances, one objective column at a time.
+    cheb = np.zeros((len(ref), len(fr)))
+    for r, f, s in zip(ref.T, fr.T, spread, strict=True):
+        np.maximum(cheb, np.abs(f[None, :] - r[:, None]) / s, out=cheb)
+    return float(np.mean(cheb.min(axis=1)))
 
 
 def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],

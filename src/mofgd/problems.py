@@ -182,7 +182,11 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     adds) or r r^T with r = sqrt(diag(H)) for reg="outer" (the rank-one
     comparison form).  This is the only place a pull is attached to an
     objective; gamma = 0 returns obj itself.  A quadratic's Hessian is
-    constant, so the merit's H + gamma R is built once, here.
+    constant, so the merit's H + gamma R is built once, here: for "diag" as
+    a copy of H with gamma h added to its diagonal, so the off-diagonal
+    entries keep H's bits, and for "outer" as the sum H + gamma r r^T.  A
+    terminal that already is an n-vector is used as it is; anything else is
+    broadcast to one.
     """
     if reg not in ("diag", "outer"):
         raise ValueError(f"unknown regularizer {reg!r}")
@@ -190,22 +194,24 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
         raise ValueError("only quadratic objectives take a Tikhonov pull")
     if gamma == 0.0:
         return obj
-    c = np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))
+    c = np.asarray(c, dtype=float)
+    if c.shape != (obj.dim,):
+        c = np.broadcast_to(c, (obj.dim,))
     hess = np.asarray(obj.hessian(c), dtype=float)
-    h = np.diag(hess)
+    h = hess.diagonal()
     if reg == "diag":
-        reg_matrix = np.diag(h)
         gamma_h = gamma * h
+        merit_hess = hess.copy()
+        merit_hess.flat[::obj.dim + 1] += gamma_h
         pull = point_pull = lambda u: gamma_h * u
         penalty = lambda u: float(h @ u ** 2)
     else:
         r = np.sqrt(h)
-        reg_matrix = np.outer(r, r)
         gamma_r = gamma * r
+        merit_hess = hess + gamma * np.outer(r, r)
         # One point has the scalar factor u^T r, a stack one factor per row.
         pull, point_pull = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: gamma_r * (u @ r))
         penalty = lambda u: float(r @ u) ** 2
-    merit_hess = hess + gamma * reg_matrix
     merit_hess.flags.writeable = False  # every call returns this one array
 
     def gradient(x):

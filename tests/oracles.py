@@ -6,9 +6,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mofgd import CaputoDomainError, DirectionResult, FractionalConfig
+from mofgd import CaputoDomainError, DirectionResult, FractionalConfig, ObjectiveModel
 from mofgd.direction import _result_from
 from mofgd.fractional import FD2_STEP, _resolve_terminal, _rule
+from mofgd.problems import _constant_hessian
 
 
 class UnsupportedOrderError(ValueError):
@@ -152,6 +153,71 @@ def segment_min_norm(g1, g2) -> DirectionResult:
     t = max(float(g1 @ d), float(g2 @ d))
     return DirectionResult(t_value=t, direction=d, multipliers=np.array([lam1, 1.0 - lam1]),
                            kkt_residual=float("nan"), theta=t + 0.5 * float(d @ d))
+
+
+def loop_result_checks(G: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
+    """(t, kkt_residual, theta) of `direction._result_from` by its general
+    loops over the m slopes and weights, for any m."""
+    d = -G.T @ lam
+    slopes = (G @ d).tolist()
+    weights = lam.tolist()
+    t = max(slopes)
+    comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
+    simplex = max(abs(sum(weights) - 1.0), -min(weights))
+    return t, max(comp, simplex), t + 0.5 * float(d @ d)
+
+
+def loop_dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
+    """`direction._dual_gap` by its general loops over the Gram rows, for any m."""
+    weights = lam.tolist()
+    grad = [sum(k * w for k, w in zip(row, weights)) / scale for row in gram]
+    return sum(w * g for w, g in zip(weights, grad)) - min(grad)
+
+
+def dense_regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> ObjectiveModel:
+    """`problems.regularized` with the pull matrix R formed densely,
+    diag(diag(H)) or r r^T, and the merit Hessian as the matrix sum H + gamma R."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))
+    hess = np.asarray(obj.hessian(c), dtype=float)
+    h = np.diag(hess)
+    if reg == "diag":
+        reg_matrix = np.diag(h)
+        gamma_h = gamma * h
+        pull = point_pull = lambda u: gamma_h * u
+        penalty = lambda u: float(h @ u ** 2)
+    else:
+        r = np.sqrt(h)
+        reg_matrix = np.outer(r, r)
+        gamma_r = gamma * r
+        pull, point_pull = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: gamma_r * (u @ r))
+        penalty = lambda u: float(r @ u) ** 2
+    merit_hess = hess + gamma * reg_matrix
+
+    def gradient(x):
+        if getattr(x, "ndim", None) == 1:
+            return obj.gradient(x) + point_pull(x - c)
+        return np.asarray(obj.gradient(x), dtype=float) + pull(x - c)
+
+    return ObjectiveModel(
+        value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
+        gradient=gradient,
+        hessian=_constant_hessian(merit_hess),
+        kind="quadratic", dim=obj.dim, validate=False,
+    )
+
+
+def loop_adrs(front, reference) -> float:
+    """ADRS by a loop over the reference points: the mean of each one's
+    smallest range-normalized Chebyshev distance to the front."""
+    ref = np.atleast_2d(np.asarray(list(reference), dtype=float))
+    fr = np.atleast_2d(np.asarray(list(front), dtype=float))
+    spread = ref.max(axis=0) - ref.min(axis=0)
+    spread = np.where(spread > 0, spread, 1.0)
+    dists = [
+        float(np.min(np.max(np.abs(fr - r[None, :]) / spread[None, :], axis=1)))
+        for r in ref
+    ]
+    return float(np.mean(dists))
 
 
 def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float

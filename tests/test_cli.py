@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from mofgd.cli import ConfigError, RunManifest, main, parse_config, run
-from mofgd.descent import SolverConfig
+from mofgd.descent import IterationTrace, SolverConfig
 from mofgd.fixtures import FIXTURE_NAMES, fixture_objectives
 from mofgd.lab import ExperimentSpec
 from mofgd.problems import ObjectiveModel, QuadraticMop
@@ -355,6 +355,25 @@ experiment:
         failed = summary["pareto"]["failed_starts"]
         assert len(failed) == 100
         assert {f["reason"] for f in failed} == {"staged run failed"}
+
+    def test_pareto_on_exactly_critical_starts_exits_0(self, tmp_path, monkeypatch):
+        """Runs that end at ||d|| = 0.0 pass the criticality check and write
+        a summary that strict JSON parses (no NaN)."""
+        def critical(objectives, x0, cfg, *schedule):
+            trace = IterationTrace()
+            trace.termination, trace.final_x, trace.final_norm_d = "tolerance", x0, 0.0
+            return trace
+
+        monkeypatch.setattr("mofgd.lab.run_adaptive", critical)
+        monkeypatch.setattr("mofgd.lab.mogd_baseline", critical)
+        out = tmp_path / "pareto"
+        assert run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out))) == 0
+
+        def refuse(token):
+            raise ValueError(f"summary.json holds {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["pareto"]["max_norm_d"] == 0.0
 
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"

@@ -142,6 +142,16 @@ class TestStageSchedule:
         with pytest.raises(ValueError):
             StageSchedule(stages=())
 
+    @pytest.mark.parametrize("alphas, gammas, iterations", [
+        ([0.5, 0.7, 0.9], [0.1, 0.0], [5, 5, 5]),
+        ([0.5, 0.7], [0.1, 0.01, 0.0], [5, 5, 5]),
+        ([0.5, 0.7, 0.9], [0.1, 0.01, 0.0], [5, 5]),
+    ])
+    def test_from_gammas_refuses_unequal_lengths(self, alphas, gammas, iterations):
+        """Mismatched sequences raise instead of dropping stages."""
+        with pytest.raises(ValueError):
+            StageSchedule.from_gammas(alphas, gammas, iterations)
+
 
 class TestArmijoStep:
     def test_hand_evaluated_quadratic(self):

@@ -29,6 +29,8 @@ from mofgd.fixtures import (
     EXAMPLE2_OFFSET,
 )
 from mofgd.lab import pareto_sweep
+from mofgd.problems import QuadraticMop
+from oracles import loop_adrs
 
 
 class TestMogdBaselineLab:
@@ -185,6 +187,16 @@ class TestParetoSweep:
         front = pareto_sweep(spec)
         assert len(front) == 1
 
+    def test_exactly_critical_start_reports_zero_norm(self):
+        """A start whose direction is exactly d = 0 has norm_d 0.0, not NaN."""
+        eye = np.eye(2)
+        spec = ExperimentSpec(QuadraticMop((eye, 2.0 * eye), (np.zeros(2), np.zeros(2))),
+                              start_grid=((-1.0, -1.0), (1.0, 1.0), 3), method="mogd")
+        failures = []
+        front = pareto_sweep(spec, failures=failures)
+        assert failures == []
+        assert front and [p.norm_d for p in front] == [0.0] * len(front)
+
     def test_example2_pair_front(self):
         """100 starts trace the efficient curve; every point is critical."""
         spec = ExperimentSpec(instance="example2_pair", schedule=default_schedule(),
@@ -310,6 +322,27 @@ class TestAdrs:
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             adrs([np.zeros(2)], [])
+
+    def test_objective_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            adrs([np.zeros(3)], [np.zeros(2), np.ones(2)])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_reference_loop(self, m):
+        """Bit for bit the per-reference loop, with a constant objective
+        (range 1) among the columns when m > 1."""
+        def bits(value):
+            return np.float64(value).tobytes()
+
+        rng = np.random.default_rng(m)
+        for front_size, ref_size in ((1, 1), (5, 12), (40, 70)):
+            front = [rng.uniform(0, 1, m) for _ in range(front_size)]
+            ref = [rng.uniform(0, 1, m) for _ in range(ref_size)]
+            assert bits(adrs(front, ref)) == bits(loop_adrs(front, ref))
+            if m > 1:
+                for r in ref:
+                    r[-1] = 0.5
+                assert bits(adrs(front, ref)) == bits(loop_adrs(front, ref))
 
 
 class TestComparisonTable:

@@ -17,6 +17,7 @@ from mofgd import (
 )
 from mofgd.fixtures import _example3_kinks, example3_objective
 from mofgd.problems import regularized
+from oracles import dense_regularized
 
 
 def _stack_cases():
@@ -137,6 +138,30 @@ class TestRegularized:
         assert stack.shape == (3, 5, 5)
         for row in stack:
             np.testing.assert_array_equal(row, merit.hessian(x))
+
+
+class TestRegularizedDenseReference:
+    """The merit equals the dense construction H + gamma R: same gradient
+    and value bit for bit, and the same Hessian under == (the dense sum
+    turns a -0.0 off-diagonal entry into +0.0)."""
+
+    @pytest.mark.parametrize("reg", ["diag", "outer"])
+    @pytest.mark.parametrize("n", [2, 100])
+    @pytest.mark.parametrize("vector_c", [False, True])
+    def test_matches_dense_construction(self, reg, n, vector_c):
+        rng = np.random.default_rng(n)
+        mop = random_quadratic_mop(n, n + 3, 2, seed=n)
+        signed_zero = np.where(np.eye(n, dtype=bool), rng.uniform(1.0, 2.0, n), -0.0)
+        c = rng.uniform(-1.0, 1.0, n) if vector_c else 0.7
+        x, stack = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, (4, n))
+        for obj in mop.objectives() + [quadratic_objective(signed_zero, np.ones(n))]:
+            for gamma in (0.5, 1e-3):
+                merit, dense = regularized(obj, gamma, c, reg), dense_regularized(obj, gamma, c, reg)
+                assert (merit.hessian(x) == dense.hessian(x)).all()
+                assert (merit.hessian(stack) == dense.hessian(stack)).all()
+                for point in (x, stack):
+                    assert merit.gradient(point).tobytes() == dense.gradient(point).tobytes()
+                assert np.float64(merit.value(x)).tobytes() == np.float64(dense.value(x)).tobytes()
 
 
 class TestExample3Kinks:
