@@ -102,7 +102,7 @@ class RunManifest:
 _KEYS = {
     "config": ("instance", "solver", "schedule", "experiment"),
     "instance": ("name", "n", "m_data", "m", "seed"),
-    "solver": ("sigma", "r", "epsilon", "max_iterations", "step_mode", "eta"),
+    "solver": ("sigma", "r", "epsilon", "max_iterations", "eta"),
     "schedule": ("alphas", "gammas", "iterations", "terminal"),
     "experiment": ("method", "gamma_values", "start_grid"),
     "experiment.start_grid": ("lb", "ub", "count"),
@@ -138,7 +138,7 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     """Load and validate a YAML experiment config.
 
     Sections: instance (a fixture name, or n, m_data, m and seed of a random
-    quadratic), solver (sigma, r, epsilon, max_iterations, step_mode, eta),
+    quadratic), solver (sigma, r, epsilon, max_iterations, eta),
     schedule (alphas, gammas, iterations, terminal), experiment (method,
     gamma_values, start_grid with lb, ub and count).  Any other key is a
     ConfigError that names it as <section>.<key>.
@@ -180,7 +180,6 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
             backtrack=float(sol_doc.get("r", SolverConfig.backtrack)),
             tolerance=float(sol_doc.get("epsilon", 1e-4)),
             max_iterations=int(sol_doc.get("max_iterations", 2000)),
-            step_mode=str(sol_doc.get("step_mode", SolverConfig.step_mode)),
             eta=float(sol_doc.get("eta", SolverConfig.eta)),
         )
     except ValueError as exc:
@@ -272,7 +271,8 @@ import matplotlib.pyplot as plt
 for front_csv in sorted(Path(".").glob("front_*.csv")):
     with open(front_csv) as fh:
         rows = list(csv.DictReader(fh))
-    if not rows:
+    # An empty front, or one of a single objective, has no f_2 to plot.
+    if not rows or "f_2" not in rows[0]:
         continue
     f1 = [float(r["f_1"]) for r in rows]
     f2 = [float(r["f_2"]) for r in rows]
@@ -285,11 +285,12 @@ print("wrote fronts.png")
 """
 
 
-def _front_rows(front: list[FrontPoint]):
-    for p in front:
-        yield [_fmt(p.objectives[0]),
-               _fmt(p.objectives[1]) if p.objectives.size > 1 else _fmt(p.objectives[0]),
-               p.start_index]
+def _write_front(writer: _Writer, name: str, front: list[FrontPoint]) -> None:
+    """One row per front point: f_1 ... f_m, then its start index (an empty
+    front has no objective count, so its header is start_index alone)."""
+    m = front[0].objectives.size if front else 0
+    writer.write_csv(name, [f"f_{j}" for j in range(1, m + 1)] + ["start_index"],
+                     ([_fmt(v) for v in p.objectives] + [p.start_index] for p in front))
 
 
 def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
@@ -306,15 +307,13 @@ def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     failures: list = []
     front = pareto_sweep(spec, solver, failures=failures, jobs=jobs)
-    writer.write_csv(f"front_{spec.method}.csv", ["f_1", "f_2", "start_index"],
-                     _front_rows(front))
+    _write_front(writer, f"front_{spec.method}.csv", front)
     baseline_front = []
     if spec.method == "moaocfgd" and (not isinstance(spec.instance, str)
                                       or spec.instance != "example3_nonsmooth"):
         baseline_front = pareto_sweep(replace(spec, method="mogd"), solver,
                                       failures=failures, jobs=jobs)
-        writer.write_csv("front_mogd.csv", ["f_1", "f_2", "start_index"],
-                         _front_rows(baseline_front))
+        _write_front(writer, "front_mogd.csv", baseline_front)
     writer.write_text("plot_fronts.py", PLOT_SCRIPT)
     payload = {
         "front_size": len(front),

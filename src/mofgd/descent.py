@@ -4,10 +4,10 @@ One iteration at x: evaluate the per-objective (fractional) gradients, solve
 the direction subproblem for (t, d, lambda), stop if ||d|| < tolerance, pick
 a step by Armijo backtracking over {1, r, r^2, ...} and move to x + eta*d.
 
-Stages: a schedule of (alpha_s, beta_s, k_s) triples runs the iteration in
+Stages: a schedule of (alpha_s, gamma_s, k_s) triples runs the iteration in
 segments, each continuing from the previous stage's final point, with one
-fixed terminal c.  Each stage induces the regularizer weight
-gamma_s = beta_s - (1-alpha_s)/(2-alpha_s).
+fixed terminal c.  Stage s takes beta_s = gamma_s + (1-alpha_s)/(2-alpha_s),
+so that it induces the regularizer weight gamma_s.
 Callers pass raw objectives; the stage adds the regularizer.
 
 Every stage but the last stops early, at the first iterate with
@@ -69,7 +69,7 @@ import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -101,15 +101,18 @@ class LineSearchError(RuntimeError):
 class SolverConfig:
     """Armijo and termination parameters of one solver run.
 
-    Stages take Armijo steps only, so step_mode must be "backtracking";
-    eta is the step factor of the fixed-step verify runs in `lab`.
+    Stages take Armijo steps only; eta is the step factor of the fixed-step
+    verify runs in `lab`.
     """
+
+    # Not a field or an option: perfbench/tracer.py reads it to count the
+    # iterations that take Armijo steps, which every stage iteration does.
+    step_mode: ClassVar[str] = "backtracking"
 
     sigma: float = 0.1
     backtrack: float = 0.5
     tolerance: float = 1e-6
     max_iterations: int = 1000
-    step_mode: str = "backtracking"
     eta: float = 1.0
 
     def __post_init__(self):
@@ -121,37 +124,38 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.step_mode != "backtracking":
-            raise ValueError(f"step_mode must be 'backtracking', got {self.step_mode!r}")
         if not 0.0 < self.eta < 2.0:
             raise ValueError(f"eta must lie in (0, 2), got {self.eta}")
 
 
 @dataclass(frozen=True)
 class Stage:
+    """One stage: order alpha, regularizer weight gamma >= 0 and an
+    iteration budget; beta = gamma + (1-alpha)/(2-alpha) is derived."""
+
     alpha: float
-    beta: float
+    gamma: float
     iterations: int
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"stage alpha must lie in (0, 1], got {self.alpha}")
-        lower = order_shift(self.alpha)
-        if self.beta < lower - 1e-12:
+        if self.gamma < 0.0:
             raise ValueError(
-                f"stage beta must be >= (1-alpha)/(2-alpha) = {lower:.6g}, got {self.beta}"
+                f"stage gamma must be >= 0, that is beta >= (1-alpha)/(2-alpha) = "
+                f"{order_shift(self.alpha):.6g}, got gamma = {self.gamma}"
             )
         if self.iterations < 1:
             raise ValueError("stage iteration count must be positive")
 
     @property
-    def gamma(self) -> float:
-        return self.beta - order_shift(self.alpha)
+    def beta(self) -> float:
+        return self.gamma + order_shift(self.alpha)
 
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Sequence of (alpha_s, beta_s, k_s) with one fixed terminal (zeros when None)."""
+    """Sequence of (alpha_s, gamma_s, k_s) with one fixed terminal (zeros when None)."""
 
     stages: tuple[Stage, ...]
     terminal: Optional[np.ndarray] = None
@@ -170,13 +174,10 @@ class StageSchedule:
     @classmethod
     def from_gammas(cls, alphas: Sequence[float], gammas: Sequence[float],
                     iterations: Sequence[int], terminal=None) -> "StageSchedule":
-        """Build stages from target regularizers: beta_s = gamma_s + (1-a_s)/(2-a_s).
-
-        The three sequences must be equally long; ValueError otherwise.
-        """
+        """Build stages from the three sequences, which must be equally
+        long; ValueError otherwise."""
         stages = tuple(
-            Stage(a, g + order_shift(a), int(k))
-            for a, g, k in zip(alphas, gammas, iterations, strict=True)
+            Stage(a, float(g), int(k)) for a, g, k in zip(alphas, gammas, iterations, strict=True)
         )
         return cls(stages=stages, terminal=terminal)
 

@@ -39,9 +39,6 @@ __all__ = [
 
 NODES_PER_SEGMENT = 64
 
-# Central-difference step for a second derivative obtained from gradients.
-FD2_STEP = 1e-5
-
 # Terminal offset used when a degenerate coordinate (x_i <= c_i) is clamped.
 CLAMP_OFFSET = 1e-12
 
@@ -99,31 +96,14 @@ class FractionalConfig:
         return np.broadcast_to(c, (n,))
 
 
-def _jacobi_recurrence(a_exp: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n^(a_exp, 0)(t) and (1 - t^2) P_n'(t) for n = NODES_PER_SEGMENT, from
-    the three-term recurrence and the derivative identity
-    (2n + a) (1 - t^2) P_n' = n (a - (2n + a) t) P_n + 2n (n + a) P_{n-1}."""
-    n, a = NODES_PER_SEGMENT, a_exp
-    p_prev, p = np.ones_like(t), 0.5 * ((a + 2.0) * t + a)
-    for m in range(2, n + 1):
-        c = 2.0 * m + a
-        p_prev, p = p, ((c - 1.0) * (c * (c - 2.0) * t + a * a) * p
-                        - 2.0 * (m + a - 1.0) * (m - 1.0) * c * p_prev) / (2.0 * m * (m + a) * (c - 2.0))
-    c = 2.0 * n + a
-    return p, (n * (a - c * t) * p + 2.0 * n * (n + a) * p_prev) / c
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [-1, 1] for the weight (1 - t)^a_exp, a_exp in (-1, 0].
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of P_n^(a_exp, 0), polished by three Newton steps on the
-    recurrence, and the weights are mu_0 v_0^2, with v_0 the first
-    eigenvector components and mu_0 = 2^(a+1)/(a+1) the weight's integral.
-    The eigenvector weights are used rather than the closed formula in
-    (1 - t^2) P_n'(t)^2 because the forward recurrence loses accuracy near
-    t = 1 when a_exp < 0.  a_exp = 0 gives the Gauss-Legendre rule.
+    Jacobi matrix of P_n^(a_exp, 0), and the weights are mu_0 v_0^2, with
+    v_0 the first eigenvector components and mu_0 = 2^(a+1)/(a+1) the
+    weight's integral.  a_exp = 0 gives the Gauss-Legendre rule.
     """
     n, a = NODES_PER_SEGMENT, a_exp
     k = np.arange(1.0, n)
@@ -131,9 +111,6 @@ def _gauss_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     diag = np.concatenate(([-a / (a + 2.0)], -a * a / (s * (s + 2.0))))
     off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(3):
-        p, dp = _jacobi_recurrence(a, t)
-        t = t - p * ((1.0 - t) * (1.0 + t)) / dp
     return t, 2.0 ** (a + 1.0) / (a + 1.0) * v[0] ** 2
 
 
@@ -207,14 +184,18 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
 
     The nodes of every coordinate (x itself for a coordinate at its
     terminal) form one (k, n) stack, answered by one gradient and one
-    Hessian call of f; without a Hessian, g'' is a central difference of g'
-    from two more stacked gradient calls.  No refinement check runs.  A
-    terminal whose length is neither 1 nor n raises ValueError.
+    Hessian call of f.  No refinement check runs.  An f without a Hessian
+    raises ValueError unless alpha = 1 and beta = 0, as does a terminal
+    whose length is neither 1 nor n.
     """
     x = np.asarray(x, dtype=float)
     terminal = cfg.terminals(x.size)
     if cfg.alpha == 1.0 and cfg.beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
+    hess = getattr(f, "hessian", None)
+    if hess is None:
+        raise ValueError(f"the order-(alpha, beta) = ({cfg.alpha}, {cfg.beta}) gradient "
+                         "needs f'', but the objective has no Hessian")
     locator = getattr(f, "kink_locator", None)
     pref = 1.0 if cfg.alpha == 1.0 else 1.0 - cfg.alpha
     coords = []  # (nodes tau, weights or None at the terminal, x_i - c_i)
@@ -236,18 +217,10 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
         coords.append((x[i] - u, w, x[i] - ci))
 
     own = np.repeat(np.arange(x.size), [tau.size for tau, _, _ in coords])
-    rows = np.arange(own.size)
     z = np.repeat(x[None, :], own.size, axis=0)
-    z[rows, own] = np.concatenate([tau for tau, _, _ in coords])
+    z[np.arange(own.size), own] = np.concatenate([tau for tau, _, _ in coords])
     grads = np.asarray(f.gradient(z), dtype=float)
-    hess = getattr(f, "hessian", None)
-    if hess is not None:
-        second = np.diagonal(np.asarray(hess(z), dtype=float), axis1=1, axis2=2)
-    else:
-        step = np.zeros_like(z)
-        step[rows, own] = FD2_STEP
-        second = (np.asarray(f.gradient(z + step), dtype=float)
-                  - np.asarray(f.gradient(z - step), dtype=float)) / (2 * FD2_STEP)
+    second = np.diagonal(np.asarray(hess(z), dtype=float), axis1=1, axis2=2)
 
     out = np.empty(x.size)
     start = 0

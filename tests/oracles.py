@@ -8,8 +8,11 @@ import numpy as np
 
 from mofgd import CaputoDomainError, DirectionResult, FractionalConfig, ObjectiveModel
 from mofgd.direction import _result_from
-from mofgd.fractional import FD2_STEP, _resolve_terminal, _rule
+from mofgd.fractional import _resolve_terminal, _rule
 from mofgd.problems import _constant_hessian
+
+# Central-difference step for a second derivative obtained from first derivatives.
+FD2_STEP = 1e-5
 
 
 class UnsupportedOrderError(ValueError):

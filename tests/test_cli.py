@@ -1,5 +1,6 @@
 """Tests for config parsing and the command-line workflows."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -8,9 +9,9 @@ import pytest
 import yaml
 
 from mofgd.cli import ConfigError, RunManifest, main, parse_config, run
-from mofgd.descent import IterationTrace, SolverConfig
+from mofgd.descent import IterationTrace, SolverConfig, run_adaptive
 from mofgd.fixtures import FIXTURE_NAMES, fixture_objectives
-from mofgd.lab import ExperimentSpec
+from mofgd.lab import ExperimentSpec, mogd_baseline
 from mofgd.problems import ObjectiveModel, QuadraticMop
 
 REPO = Path(__file__).resolve().parents[1]
@@ -61,6 +62,8 @@ class TestParseConfig:
         assert mop.factors[0].shape == (100, 100)
         assert mop.n_objectives == 2
         assert spec.gamma_values == (0.15, 0.25, 0.5, 0.75, 1.0, 10.0)
+        # The stages keep the configured regularizers, bit for bit.
+        assert schedule.gammas == (0.1, 0.01, 0.0)
         lb, ub, count = spec.start_grid
         assert count == 100
         np.testing.assert_allclose(lb, np.full(100, 1.01))
@@ -107,6 +110,8 @@ schedule:
         ("solver:\n", "seed: 3\nsolver:\n", "config.seed"),
         ("  start_grid:\n", "  start_grid:\n    step: 0.5\n", "experiment.start_grid.step"),
         ("  name: example2\n", "  name: example2\n  seed: 3\n", "instance.seed"),
+        ("  max_iterations: 2000\n", "  max_iterations: 2000\n  step_mode: backtracking\n",
+         "solver.step_mode"),
     ])
     def test_unknown_key_is_named(self, tmp_path, old, new, key):
         """A key outside its section's fixed set is refused by name, so a
@@ -132,14 +137,6 @@ schedule:
         cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: subgradient"))
         with pytest.raises(ConfigError, match="experiment: unknown method 'subgradient'"):
             parse_config(cfg)
-
-    def test_step_mode_other_than_backtracking_rejected(self, tmp_path):
-        """solve, pareto and compare take Armijo steps only; verify sets its own steps."""
-        _, solver, _ = parse_config(REPO / "configs" / "paper_quadratic.yaml")
-        assert solver.step_mode == "backtracking"
-        cfg = MINIMAL + "solver: {step_mode: fixed, eta: 1.0}\n"
-        with pytest.raises(ConfigError, match="solver: step_mode"):
-            parse_config(write_config(tmp_path, cfg))
 
     def test_eta_out_of_range_names_field(self, tmp_path):
         """eta is range-checked when the config is read, not when verify-t5 runs."""
@@ -276,6 +273,8 @@ class TestRunCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert code == 0, summary
         assert summary["verify_t6"]["recursion_ok"]
+        with open(out / "stage_bounds.csv") as fh:
+            assert [row["gamma"] for row in csv.DictReader(fh)] == ["0.5", "0.1", "0.01", "0.001"]
 
     def test_compare_emits_table(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
@@ -337,6 +336,34 @@ experiment:
         assert run(RunManifest("pareto", str(cfg), str(serial), jobs=1)) == 0
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
             assert (serial / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("instance, m", [
+        ("{n: 4, m_data: 6, m: 3, seed: 5}", 3),
+        ("{name: example2}", 1),
+    ])
+    def test_pareto_writes_every_objective(self, tmp_path, instance, m):
+        """A front has one column per objective, each the objective's value
+        at the point's start, run alone."""
+        text = (f"instance: {instance}\nsolver: {{epsilon: 1.0e-5}}\n"
+                "experiment: {start_grid: {lb: 1.0, ub: 2.0, count: 5}}\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "pareto"
+        assert run(RunManifest("pareto", str(cfg), str(out))) == 0
+        spec, solver, schedule = parse_config(cfg)
+        objectives, starts = spec.objectives(), spec.starts()
+        for name in ("front_moaocfgd.csv", "front_mogd.csv"):
+            with open(out / name) as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == [f"f_{j}" for j in range(1, m + 1)] + ["start_index"]
+            assert len(rows) > 1
+            method = name[len("front_"):-len(".csv")]
+            for row in rows[1:]:
+                start = int(row[-1])
+                if method == "moaocfgd":
+                    trace = run_adaptive(objectives, starts[start], solver, schedule)
+                else:
+                    trace = mogd_baseline(objectives, starts[start], solver)
+                assert row[:-1] == [repr(float(f.value(trace.final_x))) for f in objectives]
 
     def test_pareto_with_every_start_failed_exits_1(self, tmp_path, monkeypatch):
         """When every staged run raises, the empty front is a verification

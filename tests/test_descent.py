@@ -119,7 +119,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(sigma=1.5), dict(sigma=0.0), dict(backtrack=1.0),
         dict(tolerance=0.0), dict(max_iterations=0),
-        dict(step_mode="fixed"), dict(step_mode="nope"),
+        dict(sigma=1.0), dict(backtrack=0.0),
         dict(eta=0.0), dict(eta=2.5),
     ])
     def test_invalid(self, bad):
@@ -129,14 +129,16 @@ class TestSolverConfig:
 
 class TestStageSchedule:
     def test_beta_lower_bound_enforced(self):
-        """beta below (1-alpha)/(2-alpha) makes the regularizer negative."""
+        """A negative gamma puts beta below (1-alpha)/(2-alpha)."""
         with pytest.raises(ValueError, match="beta"):
-            Stage(alpha=0.9, beta=0.01, iterations=10)
+            Stage(alpha=0.9, gamma=-0.01, iterations=10)
 
     def test_gammas(self):
+        """A stage keeps its gamma as given and derives beta from it."""
         sched = StageSchedule.from_gammas([0.5, 0.7], [0.2, 0.0], [5, 5])
-        assert sched.gammas == pytest.approx((0.2, 0.0))
+        assert sched.gammas == (0.2, 0.0)
         assert sched.stages[0].beta == pytest.approx(0.2 + 1.0 / 3.0)
+        assert sched.stages[1].beta == pytest.approx(0.3 / 1.3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -384,8 +386,10 @@ class TestRunSingleStage:
         assert trace.iterations == 0
 
     def test_fixed_step_mode_is_rejected(self):
-        """A stage takes Armijo steps only, so no config asks it for fixed steps."""
-        with pytest.raises(ValueError, match="step_mode"):
+        """A stage takes Armijo steps only, so step_mode is a class constant
+        for the benchmark tracer, not a keyword."""
+        assert SolverConfig().step_mode == "backtracking"
+        with pytest.raises(TypeError, match="step_mode"):
             SolverConfig(step_mode="fixed", eta=1.0)
 
     def test_classical_reduction_matches_reference_steepest_descent(self):

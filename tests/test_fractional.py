@@ -372,26 +372,23 @@ class TestStackedEvaluation:
         rows = 1 + (n - 1) * NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
 
-    def test_central_difference_without_hessian(self):
-        """Without a Hessian, g'' is a central difference of g' from two more
-        stacked gradient calls; it agrees with the Hessian's g'' within the
-        difference's rounding (eps/h) and truncation (h^2) error."""
+    def test_missing_hessian_raises_below_order_one(self):
+        """f'' comes only from the objective's Hessian: without one, an order
+        below 1 (or beta != 0) raises ValueError, while alpha = 1, beta = 0
+        still returns the gradient."""
         import dataclasses
-        from mofgd.fractional import FD2_STEP
         from test_descent import logistic_losses
 
         obj = logistic_losses()[0]
-        calls = []
-        no_hessian = self.counted(dataclasses.replace(obj, hessian=None, validate=False), calls)
+        no_hessian = dataclasses.replace(obj, hessian=None, validate=False)
         x = np.array([0.5, 1.0, 2.5, 4.0])
-        for alpha in (0.3, 0.9):
-            cfg = FractionalConfig(alpha=alpha, beta=0.8, terminal=np.zeros(4))
-            calls.clear()
-            got = modified_fractional_gradient(no_hessian, cfg, x)
-            assert [name for name, _ in calls] == ["gradient"] * 3
-            want = modified_fractional_gradient(obj, cfg, x)
-            bound = 10 * cfg.beta * x.max() * (FD2_STEP ** 2 + np.finfo(float).eps / FD2_STEP)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+        for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (1.0, 0.5)):
+            cfg = FractionalConfig(alpha=alpha, beta=beta, terminal=np.zeros(4))
+            with pytest.raises(ValueError, match="no Hessian"):
+                modified_fractional_gradient(no_hessian, cfg, x)
+        cfg = FractionalConfig(alpha=1.0, beta=0.0, terminal=np.zeros(4))
+        np.testing.assert_array_equal(modified_fractional_gradient(no_hessian, cfg, x),
+                                      obj.gradient(x))
 
 
 class TestLoopReference:
