@@ -26,11 +26,7 @@ from .descent import (
     run_adaptive,
     run_single_stage,
 )
-from .fractional import (
-    CaputoDomainError,
-    FractionalConfig,
-    modified_fractional_gradient,
-)
+from .fractional import modified_fractional_gradient
 from .lab import (
     ExperimentSpec,
     StageErrorBound,

@@ -64,7 +64,6 @@ from .lab import (
     verify_rate_theorem5,
     verify_staged_theorem6,
 )
-from .fractional import FractionalConfig
 from .problems import QuadraticMop, random_quadratic_mop, save_mop
 
 __all__ = ["RunManifest", "ConfigError", "parse_config", "run", "main"]
@@ -372,10 +371,9 @@ def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     if not isinstance(spec.instance, QuadraticMop):
         raise ConfigError("experiment: verify-t5 needs a random quadratic instance")
     mop = spec.instance
-    stage = schedule.stages[0]
-    frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=schedule.terminal)
     lam = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
-    report = verify_rate_theorem5(mop, solver, frac, lam, k_max=solver.max_iterations)
+    report = verify_rate_theorem5(mop, solver, schedule.stages[0].gamma, schedule.terminal,
+                                  lam, k_max=solver.max_iterations)
     writer.write_csv("rate_errors.csv", ["k", "error"],
                      ([k, _fmt(e)] for k, e in enumerate(report.errors)))
     payload = {
@@ -504,7 +502,9 @@ def run(manifest: RunManifest) -> int:
             print("error: --config is required for this command", file=sys.stderr)
             return 2
         spec, solver, schedule = parse_config(manifest.config_path)
-    if manifest.seed is not None and isinstance(spec.instance, QuadraticMop):
+    if manifest.seed is not None:
+        if not isinstance(spec.instance, QuadraticMop):
+            raise ConfigError("--seed: only a random quadratic instance takes a seed")
         mop = spec.instance
         spec = replace(spec, instance=random_quadratic_mop(
             mop.dim, mop.factors[0].shape[1], mop.n_objectives, manifest.seed))

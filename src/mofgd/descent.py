@@ -6,8 +6,9 @@ a step by Armijo backtracking over {1, r, r^2, ...} and move to x + eta*d.
 
 Stages: a schedule of (alpha_s, gamma_s, k_s) triples runs the iteration in
 segments, each continuing from the previous stage's final point, with one
-fixed terminal c.  Stage s takes beta_s = gamma_s + (1-alpha_s)/(2-alpha_s),
-so that it induces the regularizer weight gamma_s.
+fixed terminal c.  Stage s takes beta_s = gamma_s + (1-alpha_s)/(2-alpha_s)
+(`Stage.beta`, the one place beta is formed), so that it induces the
+regularizer weight gamma_s.
 Callers pass raw objectives; the stage adds the regularizer.
 
 Every stage but the last stops early, at the first iterate with
@@ -74,7 +75,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .direction import DirectionAccuracyError, DirectionResult, solve_direction
-from .fractional import FractionalConfig, modified_fractional_gradient, order_shift
+from .fractional import modified_fractional_gradient, order_shift, terminals
 from .problems import ObjectiveModel, regularized
 
 __all__ = [
@@ -131,7 +132,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Stage:
     """One stage: order alpha, regularizer weight gamma >= 0 and an
-    iteration budget; beta = gamma + (1-alpha)/(2-alpha) is derived."""
+    iteration budget.  The stage merit takes gamma itself, and the modified
+    fractional gradients take alpha and beta."""
 
     alpha: float
     gamma: float
@@ -150,12 +152,14 @@ class Stage:
 
     @property
     def beta(self) -> float:
+        """gamma + (1-alpha)/(2-alpha), the order-(1+alpha) weight inducing gamma."""
         return self.gamma + order_shift(self.alpha)
 
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Sequence of (alpha_s, gamma_s, k_s) with one fixed terminal (zeros when None)."""
+    """Sequence of (alpha_s, gamma_s, k_s) with one fixed terminal (zeros when
+    None), kept as a read-only copy of the caller's array."""
 
     stages: tuple[Stage, ...]
     terminal: Optional[np.ndarray] = None
@@ -165,7 +169,9 @@ class StageSchedule:
             raise ValueError("schedule needs at least one stage")
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.terminal is not None:
-            object.__setattr__(self, "terminal", np.asarray(self.terminal, dtype=float))
+            t = np.array(self.terminal, dtype=float)
+            t.flags.writeable = False
+            object.__setattr__(self, "terminal", t)
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -352,21 +358,22 @@ def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
     return max(0, math.ceil(math.log(min(bounds)) / math.log(cfg.backtrack)) - 1)
 
 
-def _stage_merit(objectives, frac: FractionalConfig) -> list[ObjectiveModel]:
-    """The stage merit of each objective: quadratics gain the stage's pull."""
-    return [regularized(obj, frac.gamma_alpha_beta, frac.terminal)
-            if obj.kind == "quadratic" else obj for obj in objectives]
+def _stage_merit(objectives, gamma: float, terminal) -> list[ObjectiveModel]:
+    """The stage merit of each objective: quadratics gain the pull of weight gamma."""
+    return [regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
+            for obj in objectives]
 
 
 def run_single_stage(objectives: Sequence[ObjectiveModel],
                      x0: np.ndarray,
                      cfg: SolverConfig,
-                     frac: FractionalConfig,
-                     k_max: int,
+                     stage: Stage,
+                     terminal,
                      stage_index: int = 0,
                      trace: Optional[IterationTrace] = None,
                      gamma_drop: float = 0.0) -> IterationTrace:
-    """Iterate x <- x + eta*d for up to k_max Armijo steps or until ||d|| < tolerance.
+    """Iterate x <- x + eta*d for up to stage.iterations Armijo steps or
+    until ||d|| < tolerance.
 
     The stop tolerance is max(cfg.tolerance, gamma_drop * ||d_0||), with
     ||d_0|| the ||d|| at the first iterate; gamma_drop is the fall
@@ -374,24 +381,27 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     stops at cfg.tolerance.  The run appends one StageReport to
     trace.stages.
 
-    objectives are raw; the stage adds the regularizer itself.  Each
-    quadratic objective becomes its stage merit (see `_stage_merit`), whose
-    gradient is the direction input, whose exact expansion the line search
-    tests and whose values the trace's f columns record; in an
-    all-quadratic stage the Armijo slope is therefore the subproblem's t,
-    bit for bit.  Other kinds take singular-quadrature gradients and raw
-    values, and the Armijo slope comes from the merit gradients.  Each
-    iteration evaluates every merit's gradient at x once.  It hands
-    `armijo_step` the values that the previous line search evaluated at its
-    accepted step, None for the others, and the line search evaluates the
-    ones it tests.  The record keeps those values and the stage's merits,
-    and evaluates the rest when its f_values are first read.  So a
-    quadratic stage makes one gradient call per objective per iteration and
-    no value call while curvatures are positive, and a smooth stage
-    evaluates each value once per point.  The merit is built once, from
-    frac's fixed terminal.  Records are numbered by their position in
-    trace.records, so a trace passed in continues its numbering.  A
-    record's x must not be written into before its f_values are read.
+    objectives are raw; the stage adds the regularizer itself, centred on
+    terminal, the lower terminal c (a scalar or an n-vector).  Each
+    quadratic objective becomes its stage merit with weight stage.gamma
+    (see `_stage_merit`), whose gradient is the direction input, whose
+    exact expansion the line search tests and whose values the trace's f
+    columns record; in an all-quadratic stage the Armijo slope is therefore
+    the subproblem's t, bit for bit.  Other kinds take the
+    singular-quadrature gradients of order stage.alpha and weight
+    stage.beta and raw values, and the Armijo slope comes from the merit
+    gradients.  Each iteration evaluates every merit's gradient at x once.
+    It hands `armijo_step` the values that the previous line search
+    evaluated at its accepted step, None for the others, and the line
+    search evaluates the ones it tests.  The record keeps those values and
+    the stage's merits, and evaluates the rest when its f_values are first
+    read.  So a quadratic stage makes one gradient call per objective per
+    iteration and no value call while curvatures are positive, and a
+    smooth stage evaluates each value once per point.  The merit is built
+    once, from the fixed terminal.  Records are numbered by their position
+    in trace.records, so a trace passed in continues its numbering.
+    Neither a record's x nor the terminal may be written into before the
+    record's f_values are read.
 
     Only the modified fractional gradients run under a warning recorder,
     whose RuntimeWarnings (the terminal clamp) go to trace.notes; any other
@@ -403,12 +413,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     trace = trace if trace is not None else IterationTrace()
     start = trace.iterations
     tolerance = cfg.tolerance
-    merit = _stage_merit(objectives, frac)
+    merit = _stage_merit(objectives, stage.gamma, terminal)
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
-    for k in range(k_max + 1):
+    for k in range(stage.iterations + 1):
         # A quadratic's modified fractional gradient is its merit's gradient;
         # the others run under the recorder of the terminal clamp's warnings.
         grads = [m.gradient(x) if obj.kind == "quadratic" else None
@@ -416,8 +426,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         if not quadratic:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                grads = [modified_fractional_gradient(obj, frac, x) if g is None else g
-                         for obj, g in zip(objectives, grads)]
+                grads = [modified_fractional_gradient(obj, x, stage.alpha, stage.beta, terminal)
+                         if g is None else g for obj, g in zip(objectives, grads)]
             trace.notes.extend(str(w.message) for w in caught)
         grads = np.array(grads)
 
@@ -454,7 +464,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                 f"{direction.t_value:.3e}; ||g - grad merit|| = "
                 f"{np.linalg.norm(grads - merit_grads):.3e}")
             break
-        if k == k_max:
+        if k == stage.iterations:
             trace.termination = "max_iter"
             break
 
@@ -487,21 +497,21 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
     """Run the stages of a schedule sequentially, chaining the iterates.
 
     objectives are raw; each stage adds its own regularizer, centred on the
-    schedule's fixed terminal c (zeros when omitted), the c that
-    `tikhonov_solve` and the verify runs use.  Each stage but the last
+    schedule's fixed terminal c (zeros(n) when omitted), the c that
+    `tikhonov_solve` and the verify runs use.  A terminal whose length is
+    neither 1 nor n raises ValueError, for every objective kind, before any
+    stage runs.  Each stage but the last
     passes its fall gamma_s - gamma_{s+1}, where positive, to
     `run_single_stage` as gamma_drop (the stop rule of the module
     docstring); the others stop at cfg.tolerance.
     """
     x = np.asarray(x0, dtype=float)
-    c = schedule.terminal if schedule.terminal is not None else np.zeros(x.size)
+    c = terminals(0.0 if schedule.terminal is None else schedule.terminal, x.size)
     gammas = schedule.gammas
     trace = IterationTrace()
     for s, stage in enumerate(schedule.stages):
-        frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=c,
-                                degenerate_policy="clamp")
         drop = gammas[s] - gammas[s + 1] if s + 1 < len(gammas) else 0.0
-        run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
+        run_single_stage(objectives, x, cfg, stage, c, stage_index=s,
                          trace=trace, gamma_drop=max(drop, 0.0))
         x = trace.final_x
         if trace.termination == "error":

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .descent import StageSchedule
-from .fractional import FractionalConfig, order_shift
+from .fractional import order_shift
 from .problems import ObjectiveModel, PiecewiseMaxObjective, quadratic_objective, regularized
 
 __all__ = [
@@ -131,8 +131,7 @@ def fractional_critical_point(a_matrix: np.ndarray, b: np.ndarray, alpha: float,
     the gradient of the stage merit regularized(f, -order_shift(alpha), c),
     so the root is the merit's critical point: H x = -grad merit(0).
     """
-    frac = FractionalConfig(alpha=alpha, beta=0.0, terminal=terminal)
-    merit = regularized(quadratic_objective(a_matrix, b), frac.gamma_alpha_beta, frac.terminal)
+    merit = regularized(quadratic_objective(a_matrix, b), -order_shift(alpha), terminal)
     zero = np.zeros(np.size(b))
     return np.linalg.solve(merit.hessian(zero), -merit.gradient(zero))
 
@@ -151,10 +150,11 @@ def recover_terminal(a_matrix: np.ndarray, b: np.ndarray, alpha: float,
 
 def default_schedule(terminal=None, iterations=DEFAULT_ITERATIONS) -> StageSchedule:
     """The three-stage alpha = {0.5, 0.7, 0.9} schedule with regularizers
-    {0.1, 0.01, 0} (nonincreasing to zero, as the staged theory requires)."""
+    {0.1, 0.01, 0} (nonincreasing to zero, as the staged theory requires);
+    `run_adaptive` reads a terminal of None as zeros(n), for any n."""
     return StageSchedule.from_gammas(
         alphas=DEFAULT_ALPHAS,
         gammas=DEFAULT_GAMMAS,
         iterations=iterations,
-        terminal=np.zeros(2) if terminal is None else terminal,
+        terminal=terminal,
     )

@@ -25,16 +25,14 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "CaputoDomainError",
-    "FractionalConfig",
     "modified_fractional_gradient",
     "order_shift",
+    "terminals",
 ]
 
 NODES_PER_SEGMENT = 64
@@ -48,52 +46,13 @@ def order_shift(alpha: float) -> float:
     return (1.0 - alpha) / (2.0 - alpha)
 
 
-class CaputoDomainError(ValueError):
-    """Evaluation point does not lie strictly above the lower terminal."""
-
-
-@dataclass(frozen=True)
-class FractionalConfig:
-    """Parameters of a fractional gradient evaluation.
-
-    alpha:  base order in (0, 1].  alpha = 1 reduces every operation to the
-            classical derivative.
-    beta:   weight of the order-(1+alpha) correction term.  Any real number
-            is accepted here; schedules that feed the staged solver enforce
-            beta >= (1-alpha)/(2-alpha) so the induced regularizer is
-            nonnegative.
-    terminal: lower terminal c, a scalar or an n-vector.
-    degenerate_policy: "error" raises on x_i <= c_i, "clamp" moves the
-            terminal just below x_i and warns.
-    """
-
-    alpha: float
-    beta: float = 0.0
-    terminal: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    degenerate_policy: str = "error"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.degenerate_policy not in ("error", "clamp"):
-            raise ValueError(f"unknown degenerate_policy {self.degenerate_policy!r}")
-        # A copy: freezing the caller's array would freeze their iterates.
-        t = np.atleast_1d(np.array(self.terminal, dtype=float))
-        t.flags.writeable = False
-        object.__setattr__(self, "terminal", t)
-
-    @property
-    def gamma_alpha_beta(self) -> float:
-        """Induced regularizer weight beta - order_shift(alpha)."""
-        return self.beta - order_shift(self.alpha)
-
-    def terminals(self, n: int) -> np.ndarray:
-        """The terminal broadcast to n coordinates (ValueError unless of length 1 or n)."""
-        c = self.terminal
-        if c.size not in (1, n):
-            raise ValueError(f"terminal has length {c.size}, but x has length {n}; "
-                             f"give one terminal or {n}")
-        return np.broadcast_to(c, (n,))
+def terminals(terminal, n: int) -> np.ndarray:
+    """The terminal c broadcast to n coordinates (ValueError unless of length 1 or n)."""
+    c = np.atleast_1d(np.asarray(terminal, dtype=float))
+    if c.size not in (1, n):
+        raise ValueError(f"terminal has length {c.size}, but x has length {n}; "
+                         f"give one terminal or {n}")
+    return np.broadcast_to(c, (n,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,24 +111,22 @@ def _unit_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _resolve_terminal(cfg: FractionalConfig, c: float, x: float) -> float:
+def _resolve_terminal(c: float, x: float) -> float:
+    """c, or, when x <= c, c clamped to just below x with a RuntimeWarning."""
     if x > c:
         return c
-    if cfg.degenerate_policy == "clamp":
-        clamped = min(c, x - CLAMP_OFFSET)
-        warnings.warn(
-            f"degenerate coordinate: x = {x} <= terminal {c}; terminal clamped to {clamped}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return clamped
-    raise CaputoDomainError(f"evaluation point x = {x} must exceed the terminal c = {c}")
+    clamped = min(c, x - CLAMP_OFFSET)
+    warnings.warn(f"degenerate coordinate: x = {x} <= terminal {c}; terminal clamped to "
+                  f"{clamped}", RuntimeWarning, stacklevel=3)
+    return clamped
 
 
-def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
+def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
+                                 terminal) -> np.ndarray:
     """De-scaled modified fractional gradient combining orders alpha and 1+alpha.
 
-    Coordinate i evaluates, with c = terminal_i and restriction g,
+    alpha in (0, 1] is the base order and beta the weight of the order-(1+alpha)
+    term.  Coordinate i evaluates, with c = terminal_i and restriction g,
 
         (1-alpha) (x_i-c)^(alpha-1) [ I1 + beta (x_i-c) I2 ],
         I1 = int_c^{x_i} (x_i-tau)^(-alpha) g'(tau) dtau,
@@ -184,20 +141,22 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
 
     The nodes of every coordinate (x itself for a coordinate at its
     terminal) form one (k, n) stack, answered by one gradient and one
-    Hessian call of f.  No refinement check runs.  An f without a Hessian
-    raises ValueError unless alpha = 1 and beta = 0, as does a terminal
-    whose length is neither 1 nor n.
+    Hessian call of f.  No refinement check runs.  alpha = 1, beta = 0
+    returns f's gradient before the terminal (a scalar or an n-vector) is
+    read.  Otherwise an f without a Hessian raises ValueError, as does a
+    terminal whose length is neither 1 nor n, and a coordinate with
+    x_i < c_i has its terminal clamped to just below x_i, with a RuntimeWarning.
     """
     x = np.asarray(x, dtype=float)
-    terminal = cfg.terminals(x.size)
-    if cfg.alpha == 1.0 and cfg.beta == 0.0:
+    if alpha == 1.0 and beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
+    terminal = terminals(terminal, x.size)
     hess = getattr(f, "hessian", None)
     if hess is None:
-        raise ValueError(f"the order-(alpha, beta) = ({cfg.alpha}, {cfg.beta}) gradient "
+        raise ValueError(f"the order-(alpha, beta) = ({alpha}, {beta}) gradient "
                          "needs f'', but the objective has no Hessian")
     locator = getattr(f, "kink_locator", None)
-    pref = 1.0 if cfg.alpha == 1.0 else 1.0 - cfg.alpha
+    pref = 1.0 if alpha == 1.0 else 1.0 - alpha
     coords = []  # (nodes tau, weights or None at the terminal, x_i - c_i)
     for i in range(x.size):
         ci = float(terminal[i])
@@ -205,14 +164,14 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
             # Limit of the cancelled form: the classical partial derivative.
             coords.append((x[i:i + 1], None, 0.0))
             continue
-        ci = _resolve_terminal(cfg, ci, x[i])
+        ci = _resolve_terminal(ci, x[i])
         kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
-        if cfg.alpha == 1.0:
+        if alpha == 1.0:
             u, w = np.zeros(1), np.ones(1)
         elif kinks:
-            u, w = _rule(ci, x[i], kinks, -cfg.alpha)
+            u, w = _rule(ci, x[i], kinks, -alpha)
         else:
-            u, w = _unit_rule(-cfg.alpha)
+            u, w = _unit_rule(-alpha)
             u = (x[i] - ci) * u
         coords.append((x[i] - u, w, x[i] - ci))
 
@@ -231,6 +190,6 @@ def modified_fractional_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.
         else:
             a_term = pref * float(w @ grads[start:stop, i])
             b_term = pref * length * float(w @ second[start:stop, i])
-            out[i] = a_term + cfg.beta * b_term
+            out[i] = a_term + beta * b_term
         start = stop
     return out

@@ -20,12 +20,12 @@ from .descent import (
     IterationRecord,
     IterationTrace,
     SolverConfig,
+    Stage,
     StageSchedule,
     run_adaptive,
     run_single_stage,
 )
 from .direction import DirectionAccuracyError, solve_direction
-from .fractional import FractionalConfig, order_shift
 from .fixtures import fixture_objectives
 from .problems import (
     ObjectiveModel,
@@ -146,10 +146,9 @@ class FrontPoint:
 
 def mogd_baseline(objectives: Sequence[ObjectiveModel], x0: np.ndarray,
                   cfg: SolverConfig) -> IterationTrace:
-    """Classical multi-objective steepest descent: the alpha=1, beta=0 reduction,
-    whose stage merits and gradients read no terminal."""
-    return run_single_stage(list(objectives), x0, cfg, FractionalConfig(alpha=1.0),
-                            cfg.max_iterations)
+    """Classical multi-objective steepest descent: the alpha=1, gamma=0 stage,
+    whose merits and gradients read no terminal."""
+    return run_single_stage(list(objectives), x0, cfg, Stage(1.0, 0.0, cfg.max_iterations), 0.0)
 
 
 def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int) -> IterationTrace:
@@ -199,15 +198,15 @@ def _frozen_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, step: 
     return xs
 
 
-def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalConfig,
+def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, gamma: float, terminal,
                          multipliers: np.ndarray, x0: Optional[np.ndarray] = None,
                          k_max: int = 2000, stop_error: float = 1e-7) -> RateReport:
     """Frozen-multiplier fixed-step run checked against the closed-form solution.
 
-    The run descends on the merits of the `tikhonov_solve` system for
-    gamma = frac.gamma_alpha_beta and the terminal frac.terminal, taking up
-    to k_max steps of size cfg.eta / sigma_max, where sigma_max is that
-    system's largest singular value; of cfg it reads only eta.  It stops
+    The run descends on the merits of the `tikhonov_solve` system for the
+    regularizer weight gamma (ValueError when negative) and the terminal,
+    taking up to k_max steps of size cfg.eta / sigma_max, where sigma_max
+    is that system's largest singular value; of cfg it reads only eta.  It stops
     once ||d|| < sigma_min stop_error, which puts the error to x_Tik below
     stop_error.  Reports per-iteration distances to x_Tik, the fitted
     geometric rate, the condition number and largest singular value of the
@@ -217,12 +216,8 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, frac: FractionalC
     > 1 for 50 consecutive iterations) is reported as rate_violation, not
     raised.
     """
-    gamma = frac.gamma_alpha_beta
-    if gamma < 0:
-        raise ValueError("rate check needs beta >= (1-alpha)/(2-alpha)")
     lam = np.asarray(multipliers, dtype=float)
-    c = np.broadcast_to(frac.terminal, (mop.dim,)).astype(float)
-    sol = tikhonov_solve(mop, gamma, lam, c)
+    sol = tikhonov_solve(mop, gamma, lam, terminal)
 
     rng = np.random.default_rng(0)
     x0 = (sol.x_tik + rng.normal(0, 1.0, mop.dim)) if x0 is None else np.asarray(x0, dtype=float)
@@ -467,12 +462,8 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
     lam_uniform = np.full(m, 1.0 / m)
     c = np.zeros(mop.dim)
     objectives = mop.objectives()
-    # Fractional method: alpha = 0.5 with beta matched to gamma.
-    alpha = 0.5
     rows = []
     for gamma in gamma_values:
-        frac = FractionalConfig(alpha=alpha, beta=gamma + order_shift(alpha),
-                                terminal=c, degenerate_policy="clamp")
         for method, reg in (("mogd", "outer"), ("moaocfgd", "diag")):
             merit = [regularized(obj, gamma, c, reg) for obj in objectives]
             system = sum(w * merit_j.hessian(c) for w, merit_j in zip(lam_uniform, merit))
@@ -481,7 +472,9 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
                 # Classical gradient descent on the outer-product Tikhonov objectives.
                 trace = mogd_baseline(merit, x0, cfg)
             else:
-                trace = run_single_stage(objectives, x0, cfg, frac, cfg.max_iterations)
+                # Fractional method: an alpha = 0.5 stage inducing gamma.
+                trace = run_single_stage(objectives, x0, cfg,
+                                         Stage(0.5, gamma, cfg.max_iterations), c)
             wall = time.perf_counter() - t0
             lam_final = _final_multipliers(merit, trace, m)
             sol = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg)

@@ -6,9 +6,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mofgd import CaputoDomainError, DirectionResult, FractionalConfig, ObjectiveModel
+from mofgd import DirectionResult, ObjectiveModel
 from mofgd.direction import _result_from
-from mofgd.fractional import _resolve_terminal, _rule
+from mofgd.fractional import _resolve_terminal, _rule, terminals
 from mofgd.problems import _constant_hessian
 
 # Central-difference step for a second derivative obtained from first derivatives.
@@ -17,6 +17,17 @@ FD2_STEP = 1e-5
 
 class UnsupportedOrderError(ValueError):
     """Requested derivative order outside (0,1) u (1,2)."""
+
+
+class CaputoDomainError(ValueError):
+    """Evaluation point does not lie strictly above the lower terminal."""
+
+
+def _below(c: float, x: float) -> float:
+    """The terminal c, after refusing an x that does not lie strictly above it."""
+    if not x > c:
+        raise CaputoDomainError(f"evaluation point x = {x} must exceed the terminal c = {c}")
+    return c
 
 
 class QuadratureAccuracyError(RuntimeError):
@@ -100,30 +111,31 @@ def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
     return check
 
 
-def caputo_derivative_1d(f: UnivariateFunction, cfg: FractionalConfig,
-                         x: float, order: float) -> float:
-    """Caputo derivative of order in (0,1) u (1,2) of f at x.
+def caputo_derivative_1d(f: UnivariateFunction, x: float, order: float, terminal) -> float:
+    """Caputo derivative of order in (0,1) u (1,2) of f at x, with lower terminal c.
 
     Relative accuracy for smooth integrands is limited only by the exactness
     of the 64-node Gauss-Jacobi/Legendre panels; a one-level panel refinement
     estimates the error and raises QuadratureAccuracyError when it exceeds
-    1e-9 * (1 + |value|), carrying the refined estimate.  cfg's terminal
-    must have length 1 (ValueError otherwise).
+    1e-9 * (1 + |value|), carrying the refined estimate.  The terminal
+    must have length 1 (ValueError otherwise), and x must exceed it
+    (CaputoDomainError otherwise).
     """
     n, _ = _order_parts(order)
-    c = _resolve_terminal(cfg, float(cfg.terminals(1)[0]), float(x))
+    c = _below(float(terminals(terminal, 1)[0]), float(x))
     return _checked_caputo(f.nth_deriv(n), c, float(x), f.kinks, order)
 
 
-def caputo_derivative_poly(coeffs: Sequence[float], cfg, x: float, order: float) -> float:
-    """Closed-form Caputo derivative of a polynomial in (x - c), c = cfg's terminal.
+def caputo_derivative_poly(coeffs: Sequence[float], x: float, order: float,
+                           terminal) -> float:
+    """Closed-form Caputo derivative of a polynomial in (x - c), c = terminal.
 
     coeffs[k] multiplies (x - c)^k.  Monomial rule: for k >= n = ceil(order),
     D^order (x-c)^k = Gamma(k+1)/Gamma(k+1-order) (x-c)^(k-order); lower
     powers vanish.
     """
     n = math.ceil(order)
-    xc = float(x) - float(cfg.terminals(1)[0])
+    xc = float(x) - float(terminals(terminal, 1)[0])
     if xc <= 0.0:
         raise ValueError(f"evaluation point x = {x} must exceed the terminal")
     total = 0.0
@@ -248,22 +260,24 @@ def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float
     return deriv, deriv2, kinks
 
 
-def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
-    """Coordinate-wise Caputo fractional gradient of order cfg.alpha at x.
+def caputo_gradient(f, x: np.ndarray, alpha: float, terminal) -> np.ndarray:
+    """Coordinate-wise Caputo fractional gradient of order alpha at x.
 
     f is an objective exposing value/gradient (and optionally hessian and
     kink_locator); see mofgd.problems.ObjectiveModel.  Each coordinate runs
-    the refinement check of caputo_derivative_1d.
+    the refinement check of caputo_derivative_1d, and one that does not
+    lie above its terminal raises CaputoDomainError.
     """
     x = np.asarray(x, dtype=float)
-    if cfg.alpha == 1.0:
+    if alpha == 1.0:
         return np.asarray(f.gradient(x), dtype=float)
+    c = terminals(terminal, x.size)
     out = np.empty(x.size)
     for i in range(x.size):
         try:
-            ci = _resolve_terminal(cfg, float(cfg.terminals(x.size)[i]), x[i])
+            ci = _below(float(c[i]), x[i])
             deriv, _, kinks = _restriction(f, x, i, ci, x[i])
-            out[i] = _checked_caputo(deriv, ci, x[i], kinks, cfg.alpha)
+            out[i] = _checked_caputo(deriv, ci, x[i], kinks, alpha)
         except CaputoDomainError as exc:
             raise CaputoDomainError(f"coordinate {i}: {exc}") from exc
         except QuadratureAccuracyError as exc:
@@ -273,29 +287,32 @@ def caputo_gradient(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def modified_fractional_gradient_loop(f, cfg: FractionalConfig, x: np.ndarray) -> np.ndarray:
-    """Reference for mofgd.modified_fractional_gradient: the same rule and
-    the same per-coordinate dots, one coordinate at a time, each with its
-    own rule build and its own stacked gradient and Hessian calls."""
+def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: float,
+                                      terminal) -> np.ndarray:
+    """Reference for mofgd.modified_fractional_gradient: the same rule, the
+    same terminal clamp and the same per-coordinate dots, one coordinate at
+    a time, each with its own rule build and its own stacked gradient and
+    Hessian calls."""
     x = np.asarray(x, dtype=float)
-    if cfg.alpha == 1.0 and cfg.beta == 0.0:
+    if alpha == 1.0 and beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
+    c = terminals(terminal, x.size)
     out = np.empty(x.size)
     for i in range(x.size):
-        ci = float(cfg.terminals(x.size)[i])
+        ci = float(c[i])
         if x[i] == ci:
             out[i] = np.asarray(f.gradient(x), dtype=float)[i]
             continue
-        ci = _resolve_terminal(cfg, ci, x[i])
+        ci = _resolve_terminal(ci, x[i])
         deriv, deriv2, kinks = _restriction(f, x, i, ci, x[i])
-        if cfg.alpha == 1.0:
+        if alpha == 1.0:
             tau, w, pref = x[i:i + 1], np.ones(1), 1.0
         else:
-            u, w = _rule(ci, x[i], kinks, -cfg.alpha)
-            tau, pref = x[i] - u, 1.0 - cfg.alpha
+            u, w = _rule(ci, x[i], kinks, -alpha)
+            tau, pref = x[i] - u, 1.0 - alpha
         a_term = pref * float(w @ _eval(deriv, tau))
         b_term = pref * (x[i] - ci) * float(w @ _eval(deriv2, tau))
-        out[i] = a_term + cfg.beta * b_term
+        out[i] = a_term + beta * b_term
     return out
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mofgd import (
-    FractionalConfig,
     SolverConfig,
     StageSchedule,
     armijo_step,
@@ -87,9 +86,9 @@ def test_criterion_2_example1_classical_and_fractional_points():
                                        EXAMPLE1_FRACTIONAL_ALPHA, c_rec)
     np.testing.assert_allclose(x_frac, EXAMPLE1_PAPER_POINT, atol=1e-6)
     obj = quadratic_objective(EXAMPLE1_MATRIX, EXAMPLE1_OFFSET)
-    frac_cfg = FractionalConfig(alpha=0.5, beta=0.0, terminal=c_rec,
-                                degenerate_policy="clamp")
-    descaled = modified_fractional_gradient(obj, frac_cfg, x_frac)
+    # x_frac lies just below c_rec in its first coordinate, which is clamped.
+    with pytest.warns(RuntimeWarning, match="degenerate coordinate"):
+        descaled = modified_fractional_gradient(obj, x_frac, 0.5, 0.0, c_rec)
     assert np.linalg.norm(descaled) <= 1e-5
     separation = np.linalg.norm(x_frac - x_ref)
     assert separation > 1e-2
@@ -141,14 +140,13 @@ def test_criterion_4_theorem5_fixed_point():
     started = time.perf_counter()
     gamma = 0.02
     lam = np.array([0.5, 0.5])
-    frac = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=np.zeros(5))
     cfg = SolverConfig(eta=1.0)
     worst_gap, worst_std = 0.0, 0.0
     for seed in _rate_check_seeds():
         mop = random_quadratic_mop(5, 6, 2, seed=seed)
         rng = np.random.default_rng(seed)
         x0 = mop.x_star + 30.0 * rng.standard_normal(5)
-        rep = verify_rate_theorem5(mop, cfg, frac, lam, x0=x0)
+        rep = verify_rate_theorem5(mop, cfg, gamma, np.zeros(5), lam, x0=x0)
         valid = rep.ratios[~np.isnan(rep.ratios)]
         assert rep.fixed_point_gap <= 1e-6
         assert rep.monotone
@@ -217,10 +215,9 @@ def test_criterion_7_fractional_kernel():
         )
         for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             for xc in (0.1, 1.0, 10.0):
-                cfg = FractionalConfig(alpha=alpha, terminal=np.array([0.0]))
                 import math
                 closed = math.gamma(p + 1) / math.gamma(p + 1 - alpha) * xc ** (p - alpha)
-                quad = caputo_derivative_1d(f, cfg, xc, alpha)
+                quad = caputo_derivative_1d(f, xc, alpha, 0.0)
                 err = abs(closed - quad) / (1.0 + abs(closed))
                 assert err <= 1e-8
                 worst = max(worst, err)
@@ -228,9 +225,8 @@ def test_criterion_7_fractional_kernel():
     mop = random_quadratic_mop(4, 6, 1, seed=18)
     obj = quadratic_objective(mop.gram[0], mop.offsets[0])
     x = np.array([0.9, 1.7, 0.4, 2.2])
-    cfg = FractionalConfig(alpha=1.0 - 1e-3, terminal=np.zeros(4))
     classical = mop.gram[0] @ x + mop.offsets[0]
-    frac = caputo_gradient(obj, cfg, x)
+    frac = caputo_gradient(obj, x, 1.0 - 1e-3, np.zeros(4))
     rel = np.linalg.norm(frac - classical) / np.linalg.norm(classical)
     assert rel <= 5e-3
     report(7, f"monomial grid worst rel err {worst:.2e}; alpha->1 rel dev {rel:.2e}")
@@ -281,10 +277,8 @@ def test_criterion_8_armijo_contract():
     obj3 = example3_objective()
     while checked < 1000:
         x = rng.uniform(0.3, 4.0, 2)
-        frac = FractionalConfig(alpha=float(rng.choice([0.5, 0.7, 0.9])),
-                                beta=0.5, terminal=np.zeros(2),
-                                degenerate_policy="clamp")
-        grads = [modified_fractional_gradient(obj3, frac, x)]
+        alpha = float(rng.choice([0.5, 0.7, 0.9]))
+        grads = [modified_fractional_gradient(obj3, x, alpha, 0.5, np.zeros(2))]
         one_step([obj3], grads, x)
 
     assert checked == 1000

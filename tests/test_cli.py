@@ -243,14 +243,16 @@ class TestRunCommands:
         assert (out / "rate_errors.csv").exists()
 
     def test_verify_t5_reads_terminal_and_iteration_budget(self, tmp_path, monkeypatch):
-        """verify-t5 runs from schedule.terminal for at most solver.max_iterations steps."""
+        """verify-t5 runs from schedule.terminal, with the first stage's gamma
+        as configured, for at most solver.max_iterations steps."""
         import mofgd.cli as cli
-        terminals = []
+        terminals, gammas = [], []
         verify = cli.verify_rate_theorem5
 
-        def recording(mop, cfg, frac, multipliers, **kw):
-            terminals.append(frac.terminal)
-            return verify(mop, cfg, frac, multipliers, **kw)
+        def recording(mop, cfg, gamma, terminal, multipliers, **kw):
+            terminals.append(terminal)
+            gammas.append(gamma)
+            return verify(mop, cfg, gamma, terminal, multipliers, **kw)
 
         monkeypatch.setattr(cli, "verify_rate_theorem5", recording)
         text = SMALL_QUADRATIC.replace("max_iterations: 500", "max_iterations: 40").replace(
@@ -258,6 +260,7 @@ class TestRunCommands:
         out = tmp_path / "t5"
         run(RunManifest("verify-t5", str(write_config(tmp_path, text)), str(out)))
         np.testing.assert_array_equal(terminals, [np.full(8, 0.5)])
+        assert gammas == [0.05]
         rows = (out / "rate_errors.csv").read_text().splitlines()
         assert rows[0] == "k,error"
         assert len(rows) == 1 + 41
@@ -411,6 +414,17 @@ experiment:
         assert summary["fixtures"]["example2"]["ok"]
         assert summary["fixtures"]["example3"]["ok"]
         assert (out / "fixtures_report.txt").exists()
+
+    def test_seed_on_a_fixture_exits_2(self, tmp_path, capsys):
+        """Only a random quadratic instance takes a seed: --seed on a fixture,
+        from a config or the fixtures default, is refused, not ignored."""
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["solve", "--config", str(cfg), "--seed", "7",
+                     "--out", str(tmp_path / "solve")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "solve" / "summary.json").exists()
+        assert main(["fixtures", "--seed", "7", "--out", str(tmp_path / "fx")]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_seed_override_changes_instance(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)

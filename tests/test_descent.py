@@ -9,7 +9,6 @@ import pytest
 
 import mofgd.descent as descent
 from mofgd import (
-    FractionalConfig,
     LineSearchError,
     ObjectiveModel,
     SolverConfig,
@@ -31,8 +30,9 @@ from oracles import segment_min_norm
 REPO = Path(__file__).resolve().parents[1]
 
 
-def classical_cfg(**kw):
-    return FractionalConfig(alpha=1.0, beta=0.0, terminal=np.zeros(kw.pop("n", 2)), **kw)
+def classical(iterations):
+    """The alpha = 1, gamma = 0 stage: classical steepest descent."""
+    return Stage(1.0, 0.0, iterations)
 
 
 def logistic_losses():
@@ -144,6 +144,14 @@ class TestStageSchedule:
         with pytest.raises(ValueError):
             StageSchedule(stages=())
 
+    def test_terminal_is_a_read_only_copy(self):
+        c = np.zeros(3)
+        sched = StageSchedule(stages=(Stage(0.5, 0.5, 5),), terminal=c)
+        assert c.flags.writeable
+        assert not sched.terminal.flags.writeable
+        c[0] = 1.0
+        assert sched.terminal[0] == 0.0
+
     @pytest.mark.parametrize("alphas, gammas, iterations", [
         ([0.5, 0.7, 0.9], [0.1, 0.0], [5, 5, 5]),
         ([0.5, 0.7], [0.1, 0.01, 0.0], [5, 5, 5]),
@@ -199,9 +207,8 @@ class TestArmijoStep:
         for _ in range(50):
             n = int(rng.integers(2, 6))
             mop = random_quadratic_mop(n, n + 3, 2, seed=int(rng.integers(0, 10 ** 6)))
-            frac = FractionalConfig(alpha=0.5, beta=1.0 / 3.0 + float(rng.uniform(0, 0.5)),
-                                    terminal=np.zeros(n))
-            merit = [regularized(o, frac.gamma_alpha_beta, np.zeros(n)) for o in mop.objectives()]
+            stage = Stage(0.5, float(rng.uniform(0, 0.5)), 1)
+            merit = [regularized(o, stage.gamma, np.zeros(n)) for o in mop.objectives()]
             em = max(np.linalg.eigvalsh(m.hessian(np.zeros(n)))[-1] for m in merit)
             x = rng.normal(size=n) * 3.0
             grads = [m.gradient(x) for m in merit]
@@ -216,7 +223,7 @@ class TestArmijoStep:
             # The second-order Taylor coefficient 1/(2 - alpha) + beta
             # dominates the regularized curvature blow-up.
             raw_em = max(np.linalg.eigvalsh(A)[-1] for A in mop.gram)
-            assert em <= (1.0 / (2.0 - frac.alpha) + frac.beta) * raw_em + 1e-9
+            assert em <= (1.0 / (2.0 - stage.alpha) + stage.beta) * raw_em + 1e-9
 
     def test_requires_descent_direction(self):
         obj = quadratic_objective(np.eye(2), np.zeros(2))
@@ -381,7 +388,7 @@ class TestRunSingleStage:
         mop = random_quadratic_mop(3, 5, 1, seed=7)
         objs = mop.objectives()
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(objs, mop.x_star, cfg, classical_cfg(n=3), 50)
+        trace = run_single_stage(objs, mop.x_star, cfg, classical(50), 0.0)
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
 
@@ -398,7 +405,7 @@ class TestRunSingleStage:
         obj = mop.objectives()[0]
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-8)
         x0 = np.array([2.0, -1.0, 0.5])
-        trace = run_single_stage([obj], x0, cfg, classical_cfg(n=3), 100)
+        trace = run_single_stage([obj], x0, cfg, classical(100), 0.0)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -424,7 +431,7 @@ class TestRunSingleStage:
         objs = mop.objectives()
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-7)
         x0 = np.array([1.5, -0.5, 2.0])
-        trace = run_single_stage(objs, x0, cfg, classical_cfg(n=3), 200)
+        trace = run_single_stage(objs, x0, cfg, classical(200), 0.0)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -456,7 +463,7 @@ class TestRunSingleStage:
         monkeypatch.setattr(descent, "solve_direction", no_descent)
         mop = random_quadratic_mop(3, 5, 2, seed=3)
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(mop.objectives(), np.ones(3), cfg, classical_cfg(n=3), 40)
+        trace = run_single_stage(mop.objectives(), np.ones(3), cfg, classical(40), 0.0)
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
         grads = [mop.objectives()[j].gradient(np.ones(3)) for j in range(2)]
@@ -468,9 +475,9 @@ class TestRunSingleStage:
         note; a quadratic gradient's reaches the caller's filters."""
         fractional = descent.modified_fractional_gradient
 
-        def clamping(obj, frac, x):
+        def clamping(obj, x, *stage):
             warnings.warn("from the fractional gradient", RuntimeWarning)
-            return fractional(obj, frac, x)
+            return fractional(obj, x, *stage)
 
         def warning_gradient(x):
             warnings.warn("from the quadratic gradient", RuntimeWarning)
@@ -482,7 +489,7 @@ class TestRunSingleStage:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             trace = run_single_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
-                                     SolverConfig(), classical_cfg(n=4), 3)
+                                     SolverConfig(), classical(3), 0.0)
         assert trace.iterations == 3
         assert [str(w.message) for w in caught] == ["from the quadratic gradient"] * 4
         assert trace.notes == ["from the fractional gradient"] * 4
@@ -493,7 +500,7 @@ class TestRunSingleStage:
         objectives = [quadratic_objective(np.diag(h), np.zeros(2))
                       for h in ([1e200, 0.0], [0.0, 1e200])]
         with np.errstate(all="ignore"):
-            trace = run_single_stage(objectives, np.ones(2), SolverConfig(), classical_cfg(), 10)
+            trace = run_single_stage(objectives, np.ones(2), SolverConfig(), classical(10), 0.0)
         assert trace.termination == "error"
         assert "gradient scale" in trace.error
         assert trace.iterations == 0
@@ -506,15 +513,15 @@ class TestRunSingleStage:
         object.__setattr__(bad, "hessian", lambda x: -1e6 * np.eye(2))
         cfg = SolverConfig(tolerance=1e-10)
         trace = run_single_stage([bad], np.array([1.0, 1.0]), cfg,
-                                 classical_cfg(), 50)
+                                 classical(50), 0.0)
         assert trace.termination == "error"
         assert "halvings" in trace.error
 
 
     @pytest.mark.parametrize("frac, k_max", [
-        (classical_cfg(n=5), 500),
-        (FractionalConfig(alpha=0.5, beta=0.3 + 1.0 / 3.0, terminal=np.zeros(5)), 500),
-        (FractionalConfig(alpha=0.5, beta=0.3 + 1.0 / 3.0, terminal=np.zeros(5)), 7),
+        (classical(500), 500),
+        (Stage(0.5, 0.3, 500), 500),
+        (Stage(0.5, 0.3, 7), 7),
     ])
     def test_quadratic_stage_evaluates_each_merit_once(self, frac, k_max):
         """One gradient call per objective per iteration (the final check at
@@ -528,10 +535,10 @@ class TestRunSingleStage:
             obj, grads = counting_calls(obj, "gradient")
             counted.append((obj, values, grads))
         objectives = [obj for obj, *_ in counted]
-        merit = descent._stage_merit(objectives, frac)
+        merit = descent._stage_merit(objectives, frac.gamma, np.zeros(5))
         assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
         trace = run_single_stage(objectives, np.full(5, 3.0),
-                                 SolverConfig(tolerance=1e-8), frac, k_max)
+                                 SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
         assert trace.iterations > 0
         for _, values, grads in counted:
@@ -571,10 +578,8 @@ class TestRunSingleStage:
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
         raw = logistic_losses()
         objectives = [counted(j, obj) for j, obj in enumerate(raw)]
-        frac = FractionalConfig(alpha=0.5, beta=0.1 + 1.0 / 3.0, terminal=np.zeros(4),
-                                degenerate_policy="clamp")
         trace = run_single_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
-                                 frac, 30)
+                                 Stage(0.5, 0.1, 30), np.zeros(4))
         assert trace.iterations > 1
         for j in range(len(objectives)):
             points = [x.tobytes() for i, x, _ in calls if i == j]
@@ -593,7 +598,7 @@ class TestTraceExport:
         mop = random_quadratic_mop(3, 5, 2, seed=3)
         cfg = SolverConfig(tolerance=1e-6)
         trace = run_single_stage(mop.objectives(), np.ones(3), cfg,
-                                 classical_cfg(n=3), 40)
+                                 classical(40), 0.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         trace.to_csv(p1)
         trace.to_csv(p2)
@@ -605,7 +610,7 @@ class TestTraceExport:
         mop = random_quadratic_mop(4, 6, 2, seed=5)
         cfg = SolverConfig(tolerance=1e-8)
         trace = run_single_stage(mop.objectives(), np.full(4, 2.0), cfg,
-                                 classical_cfg(n=4), 200)
+                                 classical(200), 0.0)
         f = np.array([r.f_values for r in trace.records])
         assert np.all(np.diff(f, axis=0) <= 1e-12)
 
@@ -617,7 +622,7 @@ class TestRunAdaptive:
         cfg = SolverConfig(tolerance=1e-9)
         sched = StageSchedule(stages=(Stage(1.0, 0.0, 60),), terminal=np.zeros(3))
         t1 = run_adaptive(objs, np.ones(3), cfg, sched)
-        t2 = run_single_stage(objs, np.ones(3), cfg, classical_cfg(n=3), 60)
+        t2 = run_single_stage(objs, np.ones(3), cfg, classical(60), 0.0)
         assert t1.iterations == t2.iterations
         np.testing.assert_allclose(t1.final_x, t2.final_x, atol=1e-12)
 
@@ -684,6 +689,21 @@ class TestRunAdaptive:
                              default_schedule(terminal=np.zeros(4)))
         assert trace.termination != "error", trace.error
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_default_schedule_runs_at_any_n(self, n):
+        """default_schedule() leaves the terminal to run_adaptive, which
+        takes zeros(n): the run is the one with an explicit zeros(n)."""
+        objectives = (random_quadratic_mop(3, 5, 2, seed=3).objectives() if n == 3
+                      else logistic_losses())
+        x0 = np.full(n, 2.0)
+        trace = run_adaptive(objectives, x0, SolverConfig(), default_schedule())
+        want = run_adaptive(objectives, x0, SolverConfig(),
+                            default_schedule(terminal=np.zeros(n)))
+        assert trace.termination != "error", trace.error
+        assert trace.iterations > 0
+        assert [r.x.tolist() for r in trace.records] == [r.x.tolist() for r in want.records]
+        np.testing.assert_array_equal(trace.final_x, want.final_x)
+
     def test_stage_boundaries_recorded(self):
         objs = fixture_objectives("example2")
         cfg = SolverConfig(tolerance=1e-12)
@@ -743,9 +763,7 @@ class TestRunAdaptive:
         trace = run_adaptive(objectives, x0, cfg, schedule)
         reference, x = descent.IterationTrace(), x0
         for s, stage in enumerate(schedule.stages):
-            frac = FractionalConfig(alpha=stage.alpha, beta=stage.beta, terminal=c,
-                                    degenerate_policy="clamp")
-            x = run_single_stage(objectives, x, cfg, frac, stage.iterations, stage_index=s,
+            x = run_single_stage(objectives, x, cfg, stage, c, stage_index=s,
                                  trace=reference).final_x
         assert [s.tolerance for s in trace.stages] == [cfg.tolerance] * 3
         assert trace.stages == reference.stages
@@ -797,6 +815,22 @@ class TestStageMerit:
             fd = np.array([[(m.value(x + h * e) - m.value(x - h * e)) / (2 * h)
                             for e in np.eye(n)] for m in merit])
             np.testing.assert_allclose(grads, fd, rtol=1e-6, atol=1e-6)
+
+    def test_stage_merit_takes_the_configured_gamma(self):
+        """An alpha = 0.5, gamma = 0.1 stage on example2_pair takes the
+        iterates, bit for bit, of classical descent on the objectives
+        regularized with gamma = 0.1 itself: the merit's gamma is not
+        recovered from beta."""
+        objectives, c, x0 = pareto_pair(), np.zeros(2), np.array([2.0, 3.0])
+        cfg = SolverConfig(tolerance=1e-10)
+        staged = run_single_stage(objectives, x0, cfg, Stage(0.5, 0.1, 200), c)
+        merits = [regularized(obj, 0.1, c) for obj in objectives]
+        reference = run_single_stage(merits, x0, cfg, Stage(1.0, 0.0, 200), c)
+        assert staged.termination == reference.termination == "tolerance"
+        assert staged.iterations == reference.iterations > 1
+        for got, want in zip(staged.records, reference.records):
+            np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(staged.final_x, reference.final_x)
 
     def test_shipped_pair_sweep_backtracks_and_terminations(self, monkeypatch):
         """The 100-start example2_pair.yaml sweep: median backtracks <= 5 and
@@ -892,11 +926,10 @@ class TestMeritSlope:
         """A direction input pointing uphill gives t < 0 but a positive merit
         slope: the stage ends with model_mismatch and notes the mismatch."""
         monkeypatch.setattr(descent, "modified_fractional_gradient",
-                            lambda f, frac, x: -f.gradient(x))
+                            lambda f, x, *stage: -f.gradient(x))
         objectives = logistic_losses()
         trace = run_single_stage(objectives, np.full(4, 2.0), SolverConfig(),
-                                 FractionalConfig(alpha=0.5, beta=1.0 / 3.0,
-                                                  terminal=np.zeros(4)), 10)
+                                 Stage(0.5, 0.0, 10), np.zeros(4))
         assert trace.termination == "model_mismatch"
         assert trace.iterations == 0
         assert any(n.startswith("model_mismatch") and "||g - grad merit||" in n

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from mofgd import (
-    CaputoDomainError,
-    FractionalConfig,
     modified_fractional_gradient,
     quadratic_objective,
     random_quadratic_mop,
@@ -15,6 +13,7 @@ from mofgd import (
 from mofgd.fixtures import example3_objective
 from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule
 from oracles import (
+    CaputoDomainError,
     QuadratureAccuracyError,
     UnivariateFunction,
     UnsupportedOrderError,
@@ -40,21 +39,18 @@ def monomial_rule(p, alpha, xc):
 class TestCaputoDerivative1d:
     def test_constant_is_zero(self):
         """The fractional derivative of a constant vanishes."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
         f = UnivariateFunction(value=lambda t: 3.0 * np.ones_like(np.asarray(t, dtype=float)),
                                deriv=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-        assert caputo_derivative_1d(f, cfg, 2.0, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert caputo_derivative_1d(f, 2.0, 0.5, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_linear_half_order(self):
         """D^0.5 t at x=1, c=0 equals 1/Gamma(1.5) ~ 1.1283791671."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
-        got = caputo_derivative_1d(monomial(1), cfg, 1.0, 0.5)
+        got = caputo_derivative_1d(monomial(1), 1.0, 0.5, 0.0)
         assert got == pytest.approx(1.1283791670955126, rel=1e-12)
 
     def test_square_half_order(self):
         """D^0.5 t^2 at x=1, c=0 equals Gamma(3)/Gamma(2.5) ~ 1.5045055561."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
-        got = caputo_derivative_1d(monomial(2), cfg, 1.0, 0.5)
+        got = caputo_derivative_1d(monomial(2), 1.0, 0.5, 0.0)
         assert got == pytest.approx(1.5045055561273502, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -62,42 +58,37 @@ class TestCaputoDerivative1d:
     @pytest.mark.parametrize("xc", [0.1, 1.0, 10.0])
     def test_monomial_rule_agreement(self, p, alpha, xc):
         """Quadrature vs closed form across the (p, alpha, x-c) grid."""
-        cfg = FractionalConfig(alpha=alpha, terminal=np.array([0.0]))
         closed = monomial_rule(p, alpha, xc)
-        quad = caputo_derivative_1d(monomial(p), cfg, xc, alpha)
+        quad = caputo_derivative_1d(monomial(p), xc, alpha, 0.0)
         assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_order_between_one_and_two(self, alpha):
         """Orders in (1,2) integrate f'' and obey the monomial rule."""
-        cfg = FractionalConfig(alpha=alpha, terminal=np.array([0.0]))
-        got = caputo_derivative_1d(monomial(3), cfg, 2.0, 1.0 + alpha)
+        got = caputo_derivative_1d(monomial(3), 2.0, 1.0 + alpha, 0.0)
         assert got == pytest.approx(monomial_rule(3, 1.0 + alpha, 2.0), rel=1e-10)
 
     def test_linearity(self):
         """D(a f + b g) = a D(f) + b D(g) for polynomials."""
-        cfg = FractionalConfig(alpha=0.3, terminal=np.array([0.0]))
         a, b = 2.5, -1.25
         combo = UnivariateFunction(
             value=lambda t: a * np.asarray(t, dtype=float) + b * np.asarray(t, dtype=float) ** 2,
             deriv=lambda t: a + 2 * b * np.asarray(t, dtype=float),
             deriv2=lambda t: 2 * b * np.ones_like(np.asarray(t, dtype=float)),
         )
-        lhs = caputo_derivative_1d(combo, cfg, 1.5, 0.3)
-        rhs = (a * caputo_derivative_1d(monomial(1), cfg, 1.5, 0.3)
-               + b * caputo_derivative_1d(monomial(2), cfg, 1.5, 0.3))
+        lhs = caputo_derivative_1d(combo, 1.5, 0.3, 0.0)
+        rhs = (a * caputo_derivative_1d(monomial(1), 1.5, 0.3, 0.0)
+               + b * caputo_derivative_1d(monomial(2), 1.5, 0.3, 0.0))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_domain_error(self):
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([1.0]))
         with pytest.raises(CaputoDomainError):
-            caputo_derivative_1d(monomial(1), cfg, 0.5, 0.5)
+            caputo_derivative_1d(monomial(1), 0.5, 0.5, 1.0)
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 2.0, 2.5, -0.5])
     def test_unsupported_order(self, order):
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
         with pytest.raises(UnsupportedOrderError):
-            caputo_derivative_1d(monomial(1), cfg, 1.0, order)
+            caputo_derivative_1d(monomial(1), 1.0, order, 0.0)
 
     def test_callable_error_propagates_without_retry(self):
         """A ValueError from a vectorized callable is raised, not retried per node."""
@@ -107,55 +98,41 @@ class TestCaputoDerivative1d:
             calls.append(np.shape(t))
             raise ValueError("bad abscissae")
 
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
         f = UnivariateFunction(value=lambda t: t, deriv=deriv)
         with pytest.raises(ValueError, match="bad abscissae"):
-            caputo_derivative_1d(f, cfg, 1.0, 0.5)
+            caputo_derivative_1d(f, 1.0, 0.5, 0.0)
         assert len(calls) == 1 and calls[0] != ()
 
     def test_scalar_only_callable_is_rejected(self):
         """A callable returning one value for a node array fails on the shape."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
         f = UnivariateFunction(value=lambda t: 0.0, deriv=lambda t: 1.0)
         with pytest.raises(ValueError, match="shape"):
-            caputo_derivative_1d(f, cfg, 1.0, 0.5)
+            caputo_derivative_1d(f, 1.0, 0.5, 0.0)
 
     def test_undeclared_kink_raises_accuracy_error(self):
         """A derivative jump the quadrature was not told about is detected."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
         f = UnivariateFunction(
             value=lambda t: np.abs(np.asarray(t, dtype=float) - 0.6),
             deriv=lambda t: np.sign(np.asarray(t, dtype=float) - 0.6),
             deriv2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         )
         with pytest.raises(QuadratureAccuracyError) as err:
-            caputo_derivative_1d(f, cfg, 1.0, 0.5)
+            caputo_derivative_1d(f, 1.0, 0.5, 0.0)
         assert np.isfinite(err.value.estimate)
 
     def test_declared_kink_matches_split_brute_force(self):
         """Declaring the kink recovers the piecewise-exact value."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
         f = UnivariateFunction(
             value=lambda t: np.abs(np.asarray(t, dtype=float) - 0.6),
             deriv=lambda t: np.sign(np.asarray(t, dtype=float) - 0.6),
             deriv2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             kinks=(0.6,),
         )
-        got = caputo_derivative_1d(f, cfg, 1.0, 0.5)
+        got = caputo_derivative_1d(f, 1.0, 0.5, 0.0)
         # int_0^1 (1-t)^(-1/2) sign(t-0.6) dt / Gamma(0.5), pieces integrate to
         # -(2 - 2*sqrt(0.4)) + 2*sqrt(0.4).
         exact = (4.0 * math.sqrt(0.4) - 2.0) / math.gamma(0.5)
         assert got == pytest.approx(exact, rel=1e-12)
-
-
-class TestFractionalConfig:
-    def test_terminal_is_a_read_only_copy(self):
-        c = np.zeros(3)
-        cfg = FractionalConfig(0.5, 0.5, c)
-        assert c.flags.writeable
-        assert not cfg.terminal.flags.writeable
-        c[0] = 1.0
-        assert cfg.terminal[0] == 0.0
 
 
 class TestGaussRule:
@@ -184,22 +161,18 @@ class TestGaussRule:
 
 class TestCaputoPoly:
     def test_square_matches_rule(self):
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
-        got = caputo_derivative_poly([0.0, 0.0, 1.0], cfg, 1.0, 0.5)
+        got = caputo_derivative_poly([0.0, 0.0, 1.0], 1.0, 0.5, 0.0)
         assert got == pytest.approx(1.5045055561273502, rel=1e-12)
 
     def test_alpha_to_one_recovers_classical(self):
         """D^alpha (x-c) -> 1 as alpha -> 1."""
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
-        got = caputo_derivative_poly([0.0, 1.0], cfg, 3.7, 1.0 - 1e-9)
+        got = caputo_derivative_poly([0.0, 1.0], 3.7, 1.0 - 1e-9, 0.0)
         assert got == pytest.approx(1.0, rel=1e-6)
 
     def test_degree_zero(self):
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0]))
-        assert caputo_derivative_poly([4.2], cfg, 1.0, 0.5) == 0.0
+        assert caputo_derivative_poly([4.2], 1.0, 0.5, 0.0) == 0.0
 
     def test_matches_quadrature(self):
-        cfg = FractionalConfig(alpha=0.35, terminal=np.array([0.5]))
         coeffs = [0.3, -1.2, 0.8, 0.1]
         poly = np.polynomial.Polynomial(coeffs)
         shifted = UnivariateFunction(
@@ -207,8 +180,8 @@ class TestCaputoPoly:
             deriv=lambda t: poly.deriv(1)(np.asarray(t, dtype=float) - 0.5),
             deriv2=lambda t: poly.deriv(2)(np.asarray(t, dtype=float) - 0.5),
         )
-        closed = caputo_derivative_poly(coeffs, cfg, 2.0, 0.35)
-        quad = caputo_derivative_1d(shifted, cfg, 2.0, 0.35)
+        closed = caputo_derivative_poly(coeffs, 2.0, 0.35, 0.5)
+        quad = caputo_derivative_1d(shifted, 2.0, 0.35, 0.5)
         assert closed == pytest.approx(quad, abs=1e-9)
 
 
@@ -217,32 +190,30 @@ class TestCaputoGradient:
         """Coordinate i of the gradient of b.x is b_i x_i^(1-a)/Gamma(2-a)."""
         b = np.array([2.0, -3.0, 0.5])
         obj = quadratic_objective(np.zeros((3, 3)), b)
-        cfg = FractionalConfig(alpha=0.5, terminal=np.zeros(3))
         x = np.array([1.0, 4.0, 0.25])
         expected = b * x ** 0.5 / math.gamma(1.5)
-        np.testing.assert_allclose(caputo_gradient(obj, cfg, x), expected, rtol=1e-10)
+        np.testing.assert_allclose(caputo_gradient(obj, x, 0.5, np.zeros(3)), expected, rtol=1e-10)
 
     def test_alpha_near_one_recovers_classical(self):
         mop = random_quadratic_mop(3, 6, 1, seed=3)
         obj = quadratic_objective(mop.gram[0], mop.offsets[0])
         x = np.array([0.8, 1.6, 2.4])
-        cfg = FractionalConfig(alpha=1.0 - 1e-3, terminal=np.zeros(3))
         classical = mop.gram[0] @ x + mop.offsets[0]
-        frac = caputo_gradient(obj, cfg, x)
+        frac = caputo_gradient(obj, x, 1.0 - 1e-3, np.zeros(3))
         assert np.linalg.norm(frac - classical) <= 5e-3 * np.linalg.norm(classical)
 
     def test_domain_error_names_coordinate(self):
         obj = quadratic_objective(np.eye(2), np.zeros(2))
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0, 5.0]))
         with pytest.raises(CaputoDomainError, match="coordinate 1"):
-            caputo_gradient(obj, cfg, np.array([1.0, 1.0]))
+            caputo_gradient(obj, np.array([1.0, 1.0]), 0.5, np.array([0.0, 5.0]))
 
     def test_clamp_policy_warns_instead(self):
+        """The solver's gradient clamps the terminal the reference refuses:
+        its beta = 0 form warns and stays finite."""
         obj = quadratic_objective(np.eye(2), np.zeros(2))
-        cfg = FractionalConfig(alpha=0.5, terminal=np.array([0.0, 5.0]),
-                               degenerate_policy="clamp")
         with pytest.warns(RuntimeWarning, match="clamped"):
-            out = caputo_gradient(obj, cfg, np.array([1.0, 1.0]))
+            out = modified_fractional_gradient(obj, np.array([1.0, 1.0]), 0.5, 0.0,
+                                               np.array([0.0, 5.0]))
         assert np.all(np.isfinite(out))
 
 
@@ -250,13 +221,12 @@ class TestModifiedFractionalGradient:
     def test_matches_quadratic_closed_form(self):
         """Cross-module oracle: quadrature equals the effective-gradient formula."""
         mop = random_quadratic_mop(3, 5, 2, seed=11)
-        cfg = FractionalConfig(alpha=0.5, beta=0.9, terminal=np.zeros(3))
         x = np.array([0.7, 1.3, 2.1])
         for j in range(2):
             obj = quadratic_objective(mop.gram[j], mop.offsets[j])
-            quad = modified_fractional_gradient(obj, cfg, x)
+            quad = modified_fractional_gradient(obj, x, 0.5, 0.9, np.zeros(3))
             closed = (mop.gram[j] @ x + mop.offsets[j]
-                      + cfg.gamma_alpha_beta * mop.rtilde[j] ** 2 * (x - cfg.terminal))
+                      + (0.9 - 1.0 / 3.0) * mop.rtilde[j] ** 2 * x)
             np.testing.assert_allclose(quad, closed, atol=1e-9)
 
     def test_classical_limit(self):
@@ -264,9 +234,8 @@ class TestModifiedFractionalGradient:
         mop = random_quadratic_mop(4, 6, 1, seed=5)
         obj = quadratic_objective(mop.gram[0], mop.offsets[0])
         x = np.array([0.5, 1.0, 1.5, 2.0])
-        cfg = FractionalConfig(alpha=1.0 - 1e-3, beta=0.0, terminal=np.zeros(4))
         classical = mop.gram[0] @ x + mop.offsets[0]
-        got = modified_fractional_gradient(obj, cfg, x)
+        got = modified_fractional_gradient(obj, x, 1.0 - 1e-3, 0.0, np.zeros(4))
         assert np.linalg.norm(got - classical) <= 1e-6 * max(1.0, np.linalg.norm(classical)) * 5e3
 
     def test_x_equals_terminal(self):
@@ -274,8 +243,7 @@ class TestModifiedFractionalGradient:
         mop = random_quadratic_mop(3, 5, 1, seed=2)
         obj = quadratic_objective(mop.gram[0], mop.offsets[0])
         x = np.array([0.4, -0.3, 1.1])
-        cfg = FractionalConfig(alpha=0.5, beta=0.7, terminal=x.copy())
-        got = modified_fractional_gradient(obj, cfg, x)
+        got = modified_fractional_gradient(obj, x, 0.5, 0.7, x.copy())
         np.testing.assert_allclose(got, mop.gram[0] @ x + mop.offsets[0], atol=1e-12)
 
     def test_smooth_finite_difference_check(self):
@@ -298,8 +266,7 @@ class TestModifiedFractionalGradient:
             kind="smooth",
         )
         x = np.array([0.9, 1.4])
-        cfg = FractionalConfig(alpha=1.0 - 1e-4, beta=0.0, terminal=np.zeros(2))
-        got = modified_fractional_gradient(obj, cfg, x)
+        got = modified_fractional_gradient(obj, x, 1.0 - 1e-4, 0.0, np.zeros(2))
         h = 1e-6
         fd = np.array([
             (obj_value(x + np.array([h, 0.0])) - obj_value(x - np.array([h, 0.0]))) / (2 * h),
@@ -315,11 +282,10 @@ class TestModifiedFractionalGradient:
         max(5x1+x2, x1^2+x2^2) with two million midpoint panels.
         """
         obj = example3_objective()
-        cfg = FractionalConfig(alpha=0.5, beta=0.4333333333333333, terminal=np.zeros(2))
+        alpha, beta = 0.5, 0.4333333333333333
         x = np.array([3.0, 1.0])
-        got = modified_fractional_gradient(obj, cfg, x)
+        got = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(2))
 
-        alpha = 0.5
         for i in range(2):
             c, xi = 0.0, x[i]
             edges = np.linspace(0.0, (xi - c) ** (1 - alpha), 2_000_001)
@@ -336,7 +302,7 @@ class TestModifiedFractionalGradient:
             raw1 = g1.sum() * du / (1 - alpha)
             raw2 = g2.sum() * du / (1 - alpha)
             want = (1 - alpha) * (xi - c) ** (alpha - 1) * raw1 \
-                + cfg.beta * (1 - alpha) * (xi - c) ** alpha * raw2
+                + beta * (1 - alpha) * (xi - c) ** alpha * raw2
             assert got[i] == pytest.approx(want, abs=1e-7)
 
 
@@ -366,9 +332,8 @@ class TestStackedEvaluation:
         x = np.linspace(0.5, 2.0, n)
         terminal = np.zeros(n)
         terminal[0], terminal[-1] = x[0], x[-1] + 1.0
-        cfg = FractionalConfig(alpha=0.5, beta=0.4, terminal=terminal, degenerate_policy="clamp")
         with pytest.warns(RuntimeWarning, match="clamped"):
-            modified_fractional_gradient(obj, cfg, x)
+            modified_fractional_gradient(obj, x, 0.5, 0.4, terminal)
         rows = 1 + (n - 1) * NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
 
@@ -383,11 +348,9 @@ class TestStackedEvaluation:
         no_hessian = dataclasses.replace(obj, hessian=None, validate=False)
         x = np.array([0.5, 1.0, 2.5, 4.0])
         for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (1.0, 0.5)):
-            cfg = FractionalConfig(alpha=alpha, beta=beta, terminal=np.zeros(4))
             with pytest.raises(ValueError, match="no Hessian"):
-                modified_fractional_gradient(no_hessian, cfg, x)
-        cfg = FractionalConfig(alpha=1.0, beta=0.0, terminal=np.zeros(4))
-        np.testing.assert_array_equal(modified_fractional_gradient(no_hessian, cfg, x),
+                modified_fractional_gradient(no_hessian, x, alpha, beta, np.zeros(4))
+        np.testing.assert_array_equal(modified_fractional_gradient(no_hessian, x, 1.0, 0.0, 0.0),
                                       obj.gradient(x))
 
 
@@ -397,9 +360,9 @@ class TestLoopReference:
     differently."""
 
     @staticmethod
-    def assert_matches_loop(obj, cfg, x):
-        got = modified_fractional_gradient(obj, cfg, x)
-        want = modified_fractional_gradient_loop(obj, cfg, x)
+    def assert_matches_loop(obj, x, *stage):
+        got = modified_fractional_gradient(obj, x, *stage)
+        want = modified_fractional_gradient_loop(obj, x, *stage)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_smooth_logistic_loss(self):
@@ -407,8 +370,7 @@ class TestLoopReference:
 
         obj = logistic_losses()[1]
         for alpha, terminal in ((0.3, np.zeros(4)), (0.9, np.array([-1.0, 0.5, 0.0, 2.0]))):
-            cfg = FractionalConfig(alpha=alpha, beta=0.6, terminal=terminal)
-            self.assert_matches_loop(obj, cfg, np.array([0.4, 1.3, 2.2, 3.1]))
+            self.assert_matches_loop(obj, np.array([0.4, 1.3, 2.2, 3.1]), alpha, 0.6, terminal)
 
     def test_example3_kink_near_x(self):
         """Points a small distance past the restriction's kink, so a short
@@ -418,18 +380,15 @@ class TestLoopReference:
             x = np.array(x)
             kinks = [obj.kink_locator(x, i, -1.0, x[i]) for i in range(2)]
             assert any(kinks)
-            cfg = FractionalConfig(alpha=0.7, beta=0.5, terminal=np.array([-1.0, -1.0]))
-            self.assert_matches_loop(obj, cfg, x)
+            self.assert_matches_loop(obj, x, 0.7, 0.5, np.array([-1.0, -1.0]))
 
     def test_clamped_and_terminal_coordinates(self):
         from test_descent import logistic_losses
 
         obj = logistic_losses()[2]
         x = np.array([0.4, 1.3, 2.2, 3.1])
-        cfg = FractionalConfig(alpha=0.5, beta=0.7, terminal=np.array([0.4, 2.0, 0.0, 3.1]),
-                               degenerate_policy="clamp")
         with pytest.warns(RuntimeWarning, match="clamped"):
-            self.assert_matches_loop(obj, cfg, x)
+            self.assert_matches_loop(obj, x, 0.5, 0.7, np.array([0.4, 2.0, 0.0, 3.1]))
 
     def test_alpha_one_quadratic_stacks_x_once_per_coordinate(self):
         """alpha = 1 with beta != 0: one node per coordinate, a k == n stack."""
@@ -437,9 +396,7 @@ class TestLoopReference:
         calls = []
         obj = TestStackedEvaluation.counted(quadratic_objective(mop.gram[0], mop.offsets[0]),
                                             calls)
-        cfg = FractionalConfig(alpha=1.0, beta=0.5, terminal=np.zeros(4))
-        x = np.array([0.5, 1.0, 1.5, 2.0])
-        self.assert_matches_loop(obj, cfg, x)
+        self.assert_matches_loop(obj, np.array([0.5, 1.0, 1.5, 2.0]), 1.0, 0.5, np.zeros(4))
         assert calls[:2] == [("gradient", (4, 4)), ("hessian", (4, 4))]
 
 
@@ -447,9 +404,8 @@ class TestTerminalLength:
     @pytest.mark.parametrize("length", [2, 4])
     def test_length_other_than_one_or_n_is_refused(self, length):
         obj = quadratic_objective(np.eye(3), np.zeros(3))
-        cfg = FractionalConfig(alpha=0.5, beta=0.4, terminal=np.zeros(length))
         with pytest.raises(ValueError, match=f"terminal has length {length}, but x has length 3"):
-            modified_fractional_gradient(obj, cfg, np.ones(3))
+            modified_fractional_gradient(obj, np.ones(3), 0.5, 0.4, np.zeros(length))
 
     def test_run_adaptive_refuses_a_longer_terminal(self):
         from mofgd import SolverConfig, run_adaptive
@@ -459,9 +415,23 @@ class TestTerminalLength:
             run_adaptive([example3_objective()], np.array([1.0, 2.0]), SolverConfig(),
                          default_schedule(terminal=np.zeros(3)))
 
+    @pytest.mark.parametrize("kind", ["quadratic", "smooth"])
+    def test_run_adaptive_names_both_lengths_for_every_kind(self, kind):
+        """A quadratic stage never evaluates the quadrature, yet its bad
+        terminal is refused with the same message, before any stage runs."""
+        from mofgd import SolverConfig, run_adaptive
+        from mofgd.fixtures import default_schedule
+        from test_descent import logistic_losses
+
+        objectives = (random_quadratic_mop(3, 5, 2, seed=3).objectives() if kind == "quadratic"
+                      else logistic_losses())
+        n = objectives[0].dim
+        with pytest.raises(ValueError, match=f"terminal has length 2, but x has length {n}"):
+            run_adaptive(objectives, np.full(n, 2.0), SolverConfig(),
+                         default_schedule(terminal=np.zeros(2)))
+
     def test_univariate_derivative_refuses_a_vector_terminal(self):
         """A 1-D derivative has one terminal; a longer one is refused, not
         read at its first entry."""
-        cfg = FractionalConfig(alpha=0.5, terminal=[0.0, 5.0, 7.0])
         with pytest.raises(ValueError, match="terminal has length 3, but x has length 1"):
-            caputo_derivative_1d(monomial(2), cfg, 1.0, 0.5)
+            caputo_derivative_1d(monomial(2), 1.0, 0.5, [0.0, 5.0, 7.0])

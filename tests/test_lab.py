@@ -7,7 +7,6 @@ import mofgd.lab as lab
 from mofgd import (
     DirectionAccuracyError,
     ExperimentSpec,
-    FractionalConfig,
     IterationTrace,
     SolverConfig,
     StageSchedule,
@@ -82,13 +81,12 @@ class TestVerifyRateTheorem5:
     def setup_method(self):
         self.mop = random_quadratic_mop(5, 6, 2, seed=4)
         self.gamma = 0.02
-        self.frac = FractionalConfig(alpha=0.5, beta=self.gamma + 1.0 / 3.0,
-                                     terminal=np.zeros(5))
+        self.c = np.zeros(5)
         self.lam = np.array([0.5, 0.5])
 
     def test_geometric_decay_to_fixed_point(self):
         rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
-                                   self.frac, self.lam)
+                                   self.gamma, self.c, self.lam)
         assert rep.monotone
         assert not rep.rate_violation
         assert rep.fixed_point_gap <= 1e-6
@@ -96,7 +94,7 @@ class TestVerifyRateTheorem5:
 
     def test_eta_near_two_still_converges(self):
         rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.99),
-                                   self.frac, self.lam)
+                                   self.gamma, self.c, self.lam)
         assert not rep.rate_violation
         assert rep.final_error <= 1e-6
 
@@ -104,7 +102,7 @@ class TestVerifyRateTheorem5:
         rng = np.random.default_rng(9)
         reps = [
             verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
-                                 self.frac, self.lam, x0=rng.normal(size=5) * 5)
+                                 self.gamma, self.c, self.lam, x0=rng.normal(size=5) * 5)
             for _ in range(2)
         ]
         assert np.linalg.norm(reps[0].final_x - reps[1].final_x) <= 1e-6
@@ -112,7 +110,7 @@ class TestVerifyRateTheorem5:
     def test_rate_matches_condition_number_prediction(self):
         """Tail ratio equals max(|1-eta|, |1-eta/kappa|) for the frozen system."""
         rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
-                                   self.frac, self.lam)
+                                   self.gamma, self.c, self.lam)
         v = rep.ratios[~np.isnan(rep.ratios)]
         predicted = 1.0 - 1.0 / rep.kappa
         assert v[-1] == pytest.approx(predicted, rel=1e-3)
@@ -124,8 +122,7 @@ class TestVerifyRateTheorem5:
         lam = np.array([0.5, 0.5])
         c = np.zeros(5)
         sol = tikhonov_solve(mop, gamma, lam, c)
-        frac = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=c)
-        rep = verify_rate_theorem5(mop, SolverConfig(eta=1.0), frac, lam,
+        rep = verify_rate_theorem5(mop, SolverConfig(eta=1.0), gamma, c, lam,
                                    x0=np.full(5, 3.0), k_max=500, stop_error=1e-12)
         assert np.linalg.norm(rep.final_x - sol.x_tik) <= 1e-6
         assert np.all(rep.ratios[5:] < 1.0)
@@ -133,13 +130,11 @@ class TestVerifyRateTheorem5:
     def test_eta_outside_zero_two_rejected(self):
         """A fixed step of eta / sigma_max diverges for eta >= 2, so it is refused."""
         with pytest.raises(ValueError, match="eta"):
-            verify_rate_theorem5(self.mop, SolverConfig(eta=2.5), self.frac, self.lam)
+            verify_rate_theorem5(self.mop, SolverConfig(eta=2.5), self.gamma, self.c, self.lam)
 
     def test_negative_gamma_rejected(self):
-        bad = FractionalConfig(alpha=0.5, beta=0.0, terminal=np.zeros(5))
-        with pytest.raises(ValueError):
-            verify_rate_theorem5(self.mop, SolverConfig(eta=1.0),
-                                 bad, self.lam)
+        with pytest.raises(ValueError, match="gamma"):
+            verify_rate_theorem5(self.mop, SolverConfig(eta=1.0), -1.0 / 3.0, self.c, self.lam)
 
 
 class TestVerifyStagedTheorem6:

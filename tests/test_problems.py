@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mofgd import (
-    FractionalConfig,
     ObjectiveModel,
     QuadraticMop,
     SingularSystemError,
@@ -230,19 +229,18 @@ class TestRandomQuadraticMop:
             np.testing.assert_allclose(W.T @ mop.x_star, y)
 
 
-def quadratic_effective_gradient(mop: QuadraticMop, j: int, cfg: FractionalConfig,
+def quadratic_effective_gradient(mop: QuadraticMop, j: int, gamma: float, c,
                                  x: np.ndarray) -> np.ndarray:
     """Independent reference: the closed form of the modified fractional
     gradient of objective j,
 
-    g_j(x) = (A_j x + b_j) + gamma_{alpha,beta} * diag(diag(A_j)) (x - c)
+    g_j(x) = (A_j x + b_j) + gamma * diag(diag(A_j)) (x - c)
 
-    with gamma_{alpha,beta} = beta - (1-alpha)/(2-alpha) and diag(A_j) =
-    rtilde_j^2.
+    with gamma = beta - (1-alpha)/(2-alpha) the induced regularizer weight
+    and diag(A_j) = rtilde_j^2.
     """
     x = np.asarray(x, dtype=float)
-    c = np.broadcast_to(cfg.terminal, x.shape)
-    pull = cfg.gamma_alpha_beta * mop.rtilde[j] ** 2 * (x - c)
+    pull = gamma * mop.rtilde[j] ** 2 * (x - np.broadcast_to(c, x.shape))
     return mop.gram[j] @ x + mop.offsets[j] + pull
 
 
@@ -252,19 +250,17 @@ class TestEffectiveGradient:
         mop = random_quadratic_mop(5, 8, 2, seed=13)
         lam = np.array([0.4, 0.6])
         gamma = 0.3
-        cfg = FractionalConfig(alpha=0.5, beta=gamma + 1.0 / 3.0, terminal=np.zeros(5))
         sol = tikhonov_solve(mop, gamma, lam, np.zeros(5))
-        total = sum(lam[j] * quadratic_effective_gradient(mop, j, cfg, sol.x_tik)
+        total = sum(lam[j] * quadratic_effective_gradient(mop, j, gamma, 0.0, sol.x_tik)
                     for j in range(2))
         assert np.linalg.norm(total) <= 1e-8 * (1.0 + np.linalg.norm(sol.x_tik))
 
     def test_classical_when_gamma_zero(self):
         mop = random_quadratic_mop(3, 5, 2, seed=8)
-        cfg = FractionalConfig(alpha=1.0, beta=0.0, terminal=np.zeros(3))
         x = np.array([0.2, -0.4, 0.9])
         for j in range(2):
             np.testing.assert_allclose(
-                quadratic_effective_gradient(mop, j, cfg, x),
+                quadratic_effective_gradient(mop, j, 0.0, 0.0, x),
                 mop.gram[j] @ x + mop.offsets[j],
             )
 
@@ -272,14 +268,13 @@ class TestEffectiveGradient:
         """g_j(x) - g_j(z) = A_eff (x - z): the map is affine."""
         mop = random_quadratic_mop(4, 6, 2, seed=3)
         gamma = 0.7
-        cfg = FractionalConfig(alpha=0.4, beta=gamma + 0.6 / 1.6, terminal=np.zeros(4))
         rng = np.random.default_rng(0)
         for j in range(2):
-            a_eff = mop.gram[j] + cfg.gamma_alpha_beta * np.diag(mop.rtilde[j] ** 2)
+            a_eff = mop.gram[j] + gamma * np.diag(mop.rtilde[j] ** 2)
             for _ in range(5):
                 x, z = rng.normal(size=4), rng.normal(size=4)
-                lhs = (quadratic_effective_gradient(mop, j, cfg, x)
-                       - quadratic_effective_gradient(mop, j, cfg, z))
+                lhs = (quadratic_effective_gradient(mop, j, gamma, 0.0, x)
+                       - quadratic_effective_gradient(mop, j, gamma, 0.0, z))
                 np.testing.assert_allclose(lhs, a_eff @ (x - z), atol=1e-10)
 
 
