@@ -491,8 +491,8 @@ def run(manifest: RunManifest) -> int:
     if out_dir.exists() and any(out_dir.iterdir()) and not manifest.force:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # The config and --seed are checked first, so a refused run creates no directory.
     if manifest.command == "fixtures" and manifest.config_path is None:
         spec = ExperimentSpec(instance="example2", schedule=default_schedule(),
                               start_grid=((DEFAULT_START_LB,) * 2, (DEFAULT_START_UB,) * 2, 1))
@@ -509,6 +509,7 @@ def run(manifest: RunManifest) -> int:
         spec = replace(spec, instance=random_quadratic_mop(
             mop.dim, mop.factors[0].shape[1], mop.n_objectives, manifest.seed))
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(out_dir)
     started = time.perf_counter()
     if manifest.command == "solve":

@@ -36,6 +36,10 @@ gradient of the stage-regularized merit
 so the stage builds that merit once (`problems.regularized`) and takes the
 direction input and the line-search test from it.
 Non-quadratic objectives use singular-quadrature gradients and raw values.
+The stage builds their quadrature node stack (`fractional.node_stack`)
+once per iterate, and only if an objective without a kink locator needs
+it; all such objectives read that one read-only stack, and an objective
+with kinks builds its own.
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
 the merit it tests, which equals the subproblem's t bit for bit for
@@ -59,8 +63,8 @@ others when its f_values are first read, so a quadratic stage with
 positive curvatures evaluates no value while it runs.  In an
 all-quadratic stage the merit gradients are the direction inputs and the
 slope is t, so neither is formed a second time.  Only the modified
-fractional gradients run under a warning recorder, which moves their
-RuntimeWarnings into the trace notes.
+fractional gradients and their node stack run under a warning recorder,
+which moves their RuntimeWarnings into the trace notes.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .direction import DirectionAccuracyError, DirectionResult, solve_direction
-from .fractional import modified_fractional_gradient, order_shift, terminals
+from .fractional import modified_fractional_gradient, node_stack, order_shift, terminals
 from .problems import ObjectiveModel, regularized
 
 __all__ = [
@@ -403,11 +407,15 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     Neither a record's x nor the terminal may be written into before the
     record's f_values are read.
 
-    Only the modified fractional gradients run under a warning recorder,
-    whose RuntimeWarnings (the terminal clamp) go to trace.notes; any other
-    warning, such as an overflowing quadratic matvec, reaches the caller's
-    filters.  Every iterate is a new array that nothing writes into, so the
-    records and trace.final_x hold the iterates themselves, not copies.
+    The kink-free non-quadratic objectives share one node stack per
+    iterate, passed positionally to `modified_fractional_gradient`, so the
+    terminal clamp notes once per degenerate coordinate per iterate.
+    Only the modified fractional gradients and the stack build run under a
+    warning recorder, whose RuntimeWarnings (the terminal clamp) go to
+    trace.notes; any other warning, such as an overflowing quadratic
+    matvec, reaches the caller's filters.  Every iterate is a new array
+    that nothing writes into, so the records and trace.final_x hold the
+    iterates themselves, not copies.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
@@ -415,6 +423,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     tolerance = cfg.tolerance
     merit = _stage_merit(objectives, stage.gamma, terminal)
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
+    # The kink-free fractional gradients share one node stack per iterate;
+    # alpha = 1, beta = 0 reads none.
+    shares = [obj.kind != "quadratic" and obj.kink_locator is None for obj in objectives]
+    shared_stack = any(shares) and not (stage.alpha == 1.0 and stage.beta == 0.0)
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
@@ -426,8 +438,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         if not quadratic:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                grads = [modified_fractional_gradient(obj, x, stage.alpha, stage.beta, terminal)
-                         if g is None else g for obj, g in zip(objectives, grads)]
+                stack = node_stack(x, stage.alpha, terminal) if shared_stack else None
+                grads = [modified_fractional_gradient(obj, x, stage.alpha, stage.beta, terminal,
+                                                      stack if share else None)
+                         if g is None else g for obj, g, share in zip(objectives, grads, shares)]
             trace.notes.extend(str(w.message) for w in caught)
         grads = np.array(grads)
 

@@ -9,13 +9,15 @@ unit simplex, then d = -sum_j lambda_j g_j and t = max_j g_j^T d.  The dual
 is solved exactly for every m: m=2 is the min-norm point of a segment in
 closed form, and m >= 3 is one non-negative least-squares problem in the
 unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
-method.
+method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
+Python floats, so its cost does not depend on n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +28,9 @@ __all__ = [
 ]
 
 GAP_FAIL = 1e-8
+# Lawson & Hanson's thresholds: the least w that enters a variable, the least
+# weight that stays passive, and the least pivot, relative to its diagonal.
+NNLS_TOL = 10.0 * float(np.finfo(float).eps)
 
 
 class DirectionAccuracyError(RuntimeError):
@@ -138,36 +143,64 @@ def _nnls_weights(G: np.ndarray, scale: float) -> np.ndarray:
     for fixed lambda the best 1^T mu is 1 / (1 + theta), theta =
     ||G^T lambda||^2 / scale, leaving theta / (1 + theta), which rises with
     theta.  Solved by Lawson & Hanson's active-set method (Solving Least
-    Squares Problems, 1974, ch. 23).
+    Squares Problems, 1974, ch. 23) on the normal equations
+    M = A^T A = K / scale + 1 1^T, A^T e = 1, of the m x m Gram K = G G^T, in
+    Python floats: the matrices are m x m whatever n is, and for the m of a
+    multi-objective problem a float loop is cheaper than numpy calls.  A
+    column is entered only if the solve with it succeeds (no pivot is
+    numerically zero) and gives it a positive weight, as in Lawson &
+    Hanson's own test.
     """
-    m, n = G.shape
-    A = np.vstack([G.T / np.sqrt(scale), np.ones(m)])
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    tol = 10.0 * np.finfo(float).eps
-    mu = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
+    m = G.shape[0]
+    M = [[k / scale + 1.0 for k in row] for row in (G @ G.T).tolist()]
+    mu = [0.0] * m
+    passive: list[int] = []  # ascending
     # Lawson & Hanson's usual pass limit; the caller's gap check catches a cut run.
     for _ in range(3 * m):
-        w = A.T @ (e - A @ mu)
-        if passive.all() or w[~passive].max() <= tol:
-            break
-        passive[np.argmax(np.where(passive, -np.inf, w))] = True
-        while True:
-            z = np.zeros(m)
-            z[passive] = np.linalg.lstsq(A[:, passive], e, rcond=None)[0]
-            if z[passive].min() > 0.0:
+        # The free variables' w = A^T (e - A mu) = 1 - M mu, tried largest first.
+        w = {j: 1.0 - sum(M[j][p] * mu[p] for p in passive)
+             for j in range(m) if j not in passive}
+        for j in sorted((j for j in w if w[j] > NNLS_TOL), key=lambda j: -w[j]):
+            trial = sorted(passive + [j])
+            z = _passive_solve(M, trial)
+            if z is not None and z[j] > 0.0:
                 break
+        else:
+            break
+        passive = trial
+        while any(z[p] <= 0.0 for p in passive):
             # Step from mu towards z until the first passive variable hits zero.
-            blocked = passive & (z <= 0.0)
-            ratios = np.full(m, np.inf)
-            ratios[blocked] = mu[blocked] / (mu[blocked] - z[blocked])
-            k = int(np.argmin(ratios))
-            mu += ratios[k] * (z - mu)
+            k = min((p for p in passive if z[p] <= 0.0), key=lambda p: mu[p] / (mu[p] - z[p]))
+            step = mu[k] / (mu[k] - z[k])
+            mu = [a + step * (b - a) for a, b in zip(mu, z)]
             mu[k] = 0.0
-            passive &= mu > tol
+            passive = [p for p in passive if mu[p] > NNLS_TOL]
+            z = _passive_solve(M, passive)
+            if z is None:
+                return np.array(mu) / sum(mu)
         mu = z
-    return mu / mu.sum()
+    return np.array(mu) / sum(mu)
+
+
+def _passive_solve(M: list[list[float]], passive: list[int]) -> Optional[list[float]]:
+    """z with z_P solving M_PP z_P = 1 and zeros elsewhere, by Gaussian
+    elimination of the symmetric positive definite M_PP; None when a pivot
+    is not above NNLS_TOL times its diagonal entry (a numerically dependent
+    column)."""
+    rows = [[M[i][j] for j in passive] + [1.0] for i in passive]
+    k = len(passive)
+    for c in range(k):
+        pivot = rows[c][c]
+        if not pivot > NNLS_TOL * M[passive[c]][passive[c]]:
+            return None
+        for r in range(c + 1, k):
+            f = rows[r][c] / pivot
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    z = [0.0] * len(M)
+    for c in reversed(range(k)):
+        z[passive[c]] = (rows[c][k] - sum(rows[c][j] * z[passive[j]]
+                                          for j in range(c + 1, k))) / rows[c][c]
+    return z
 
 
 def solve_direction(gradients) -> DirectionResult:

@@ -16,21 +16,28 @@ Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
 c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
 stacks the nodes of all coordinates and answers them with one gradient and
-one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  It
-evaluates the base rule only; `_rule(refine=True)` is the one-level
-refinement that the test oracles' accuracy check compares with.
+one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  The
+stack (`node_stack`: the terminal checks and clamps, the scaled rules and
+the read-only (k, n) points z) depends on x, alpha and the terminal only,
+so a stage builds it once per iterate and shares it among its kink-free
+objectives; a degenerate coordinate then warns once per iterate, not once
+per objective.  An objective with kinks, or a call without a stack, builds
+its own.  It evaluates the base rule only; `_rule(refine=True)` is the
+one-level refinement that the test oracles' accuracy check compares with.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "NodeStack",
     "modified_fractional_gradient",
+    "node_stack",
     "order_shift",
     "terminals",
 ]
@@ -117,12 +124,63 @@ def _resolve_terminal(c: float, x: float) -> float:
         return c
     clamped = min(c, x - CLAMP_OFFSET)
     warnings.warn(f"degenerate coordinate: x = {x} <= terminal {c}; terminal clamped to "
-                  f"{clamped}", RuntimeWarning, stacklevel=3)
+                  f"{clamped}", RuntimeWarning, stacklevel=4)
     return clamped
 
 
+class NodeStack(NamedTuple):
+    """The quadrature nodes of every coordinate at one x, for one order.
+
+    z is the read-only (k, n) stack of points; coordinate i owns rows
+    start:stop of it and reduces them with weights w (None at its terminal,
+    where its one row is x) and length x_i - c_i.
+    """
+
+    z: np.ndarray
+    coords: tuple[tuple[int, int, Optional[np.ndarray], float], ...]
+
+
+def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
+    """Nodes of the order-alpha modified fractional gradient at x.
+
+    terminal is a scalar or an n-vector (ValueError otherwise); a
+    coordinate with x_i < c_i has its terminal clamped to just below x_i,
+    with a RuntimeWarning.  locator is the objective's kink_locator, or None
+    for a kink-free objective, whose coordinates scale the unit rule.  The
+    stack depends on neither beta nor the objective's values, so every
+    kink-free objective at x can share one.
+    """
+    x = np.asarray(x, dtype=float)
+    terminal = terminals(terminal, x.size)
+    coords, taus, start = [], [], 0
+    for i in range(x.size):
+        ci = float(terminal[i])
+        if x[i] == ci:
+            # Limit of the cancelled form: the classical partial derivative.
+            tau, w, length = x[i:i + 1], None, 0.0
+        else:
+            ci = _resolve_terminal(ci, x[i])
+            kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
+            if alpha == 1.0:
+                u, w = np.zeros(1), np.ones(1)
+            elif kinks:
+                u, w = _rule(ci, x[i], kinks, -alpha)
+            else:
+                u, w = _unit_rule(-alpha)
+                u = (x[i] - ci) * u
+            tau, length = x[i] - u, x[i] - ci
+        coords.append((start, start + tau.size, w, length))
+        taus.append(tau)
+        start += tau.size
+    own = np.repeat(np.arange(x.size), [tau.size for tau in taus])
+    z = np.repeat(x[None, :], own.size, axis=0)
+    z[np.arange(own.size), own] = np.concatenate(taus)
+    z.flags.writeable = False
+    return NodeStack(z, tuple(coords))
+
+
 def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
-                                 terminal) -> np.ndarray:
+                                 terminal, stack: Optional[NodeStack] = None) -> np.ndarray:
     """De-scaled modified fractional gradient combining orders alpha and 1+alpha.
 
     alpha in (0, 1] is the base order and beta the weight of the order-(1+alpha)
@@ -141,55 +199,34 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
 
     The nodes of every coordinate (x itself for a coordinate at its
     terminal) form one (k, n) stack, answered by one gradient and one
-    Hessian call of f.  No refinement check runs.  alpha = 1, beta = 0
-    returns f's gradient before the terminal (a scalar or an n-vector) is
-    read.  Otherwise an f without a Hessian raises ValueError, as does a
-    terminal whose length is neither 1 nor n, and a coordinate with
-    x_i < c_i has its terminal clamped to just below x_i, with a RuntimeWarning.
+    Hessian call of f.  stack is `node_stack(x, alpha, terminal,
+    f.kink_locator)` when the caller has built it, as the stage loop does
+    once per iterate for all its kink-free objectives; None builds it here.
+    No refinement check runs.  alpha = 1, beta = 0 returns f's gradient
+    before the terminal (a scalar or an n-vector) is read.  Otherwise an f
+    without a Hessian raises ValueError, and `node_stack` refuses a terminal
+    whose length is neither 1 nor n and clamps (with a RuntimeWarning) the
+    terminal of a coordinate with x_i < c_i.
     """
     x = np.asarray(x, dtype=float)
     if alpha == 1.0 and beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
-    terminal = terminals(terminal, x.size)
     hess = getattr(f, "hessian", None)
     if hess is None:
         raise ValueError(f"the order-(alpha, beta) = ({alpha}, {beta}) gradient "
                          "needs f'', but the objective has no Hessian")
-    locator = getattr(f, "kink_locator", None)
+    if stack is None:
+        stack = node_stack(x, alpha, terminal, getattr(f, "kink_locator", None))
+    grads = np.asarray(f.gradient(stack.z), dtype=float)
+    second = np.diagonal(np.asarray(hess(stack.z), dtype=float), axis1=1, axis2=2)
+
     pref = 1.0 if alpha == 1.0 else 1.0 - alpha
-    coords = []  # (nodes tau, weights or None at the terminal, x_i - c_i)
-    for i in range(x.size):
-        ci = float(terminal[i])
-        if x[i] == ci:
-            # Limit of the cancelled form: the classical partial derivative.
-            coords.append((x[i:i + 1], None, 0.0))
-            continue
-        ci = _resolve_terminal(ci, x[i])
-        kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
-        if alpha == 1.0:
-            u, w = np.zeros(1), np.ones(1)
-        elif kinks:
-            u, w = _rule(ci, x[i], kinks, -alpha)
-        else:
-            u, w = _unit_rule(-alpha)
-            u = (x[i] - ci) * u
-        coords.append((x[i] - u, w, x[i] - ci))
-
-    own = np.repeat(np.arange(x.size), [tau.size for tau, _, _ in coords])
-    z = np.repeat(x[None, :], own.size, axis=0)
-    z[np.arange(own.size), own] = np.concatenate([tau for tau, _, _ in coords])
-    grads = np.asarray(f.gradient(z), dtype=float)
-    second = np.diagonal(np.asarray(hess(z), dtype=float), axis1=1, axis2=2)
-
     out = np.empty(x.size)
-    start = 0
-    for i, (tau, w, length) in enumerate(coords):
-        stop = start + tau.size
+    for i, (start, stop, w, length) in enumerate(stack.coords):
         if w is None:
             out[i] = grads[start, i]
         else:
             a_term = pref * float(w @ grads[start:stop, i])
             b_term = pref * length * float(w @ second[start:stop, i])
             out[i] = a_term + beta * b_term
-        start = stop
     return out

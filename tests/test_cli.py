@@ -426,6 +426,19 @@ experiment:
         assert main(["fixtures", "--seed", "7", "--out", str(tmp_path / "fx")]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", str(REPO / "configs" / "example2.yaml"), "--seed", "7"],
+        ["solve", "--config", "missing.yaml"],
+        ["compare"],
+    ])
+    def test_refused_run_creates_no_directory(self, tmp_path, capsys, argv):
+        """A run refused with exit 2 (a --seed on a fixture, an unreadable
+        config, no --config) leaves no output directory behind."""
+        out = tmp_path / "refused" / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "refused").exists()
+
     def test_seed_override_changes_instance(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

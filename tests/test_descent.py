@@ -23,7 +23,8 @@ from mofgd import (
     solve_direction,
 )
 from mofgd.cli import parse_config
-from mofgd.fixtures import default_schedule, fixture_objectives, pareto_pair
+from mofgd.fixtures import default_schedule, example3_objective, fixture_objectives, pareto_pair
+from mofgd.fractional import NodeStack, modified_fractional_gradient
 from mofgd.problems import regularized
 from oracles import segment_min_norm
 
@@ -934,6 +935,73 @@ class TestMeritSlope:
         assert trace.iterations == 0
         assert any(n.startswith("model_mismatch") and "||g - grad merit||" in n
                    for n in trace.notes)
+
+
+def record_bits(trace):
+    """Every float of a trace's records and final point, as bytes, with the
+    terminations: equal only for bit-identical runs."""
+    floats = [np.concatenate([r.x, r.f_values, [r.t_value, r.norm_d, r.eta]])
+              for r in trace.records]
+    return (np.concatenate(floats + [trace.final_x]).tobytes(),
+            [r.backtracks for r in trace.records], trace.stages)
+
+
+class TestSharedNodeStack:
+    """The stage builds one quadrature node stack per iterate and hands it to
+    every kink-free fractional gradient."""
+
+    @staticmethod
+    def own_stacks(monkeypatch):
+        """Make the stage hand no stack, so that every fractional gradient
+        builds its own."""
+        monkeypatch.setattr(descent, "node_stack", lambda *args: None)
+
+    def test_records_match_per_objective_stacks_with_one_note_per_coordinate(self,
+                                                                            monkeypatch):
+        """m = 3 logistic losses with coordinate 4 below its terminal: the
+        shared stack gives the records of per-objective stacks bit for bit,
+        and one clamp note per iterate instead of one per objective."""
+        args = (np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.2, 15),
+                np.array([-5.0, -5.0, -5.0, 5.0]))
+        shared = run_single_stage(logistic_losses(), *args)
+        self.own_stacks(monkeypatch)
+        own = run_single_stage(logistic_losses(), *args)
+        assert shared.iterations > 0
+        assert record_bits(shared) == record_bits(own)
+        iterates = [r.x for r in shared.records] + [shared.final_x]
+        clamps = [note for note in shared.notes if note.startswith("degenerate")]
+        assert len(clamps) == len(iterates)
+        for note, x in zip(clamps, iterates):
+            assert note.startswith(f"degenerate coordinate: x = {x[3]} <= terminal 5.0")
+        closing = shared.notes[len(clamps):]  # the model_mismatch note, if the stage ends so
+        assert own.notes == [note for note in clamps for _ in range(3)] + closing
+
+    def test_kinked_objective_builds_its_own_stack(self, monkeypatch):
+        """Next to two smooth objectives, which share one stack per iterate,
+        an objective with a kink locator is handed none and builds its own."""
+        smooth = [ObjectiveModel(lambda x, a=a: np.cosh(x - a).sum(axis=-1),
+                                 lambda x, a=a: np.sinh(x - a),
+                                 lambda x, a=a: np.cosh(x - a)[..., None] * np.eye(2),
+                                 kind="smooth", dim=2)
+                  for a in ([0.0, 1.0], [1.0, 0.0])]
+        objectives = [example3_objective()] + smooth
+        args = (np.array([2.0, 1.5]), SolverConfig(), Stage(0.6, 0.1, 8), np.full(2, -1.0))
+        handed = []
+
+        def spy(f, x, alpha, beta, c, stack):
+            handed.append(stack)
+            return modified_fractional_gradient(f, x, alpha, beta, c, stack)
+
+        monkeypatch.setattr(descent, "modified_fractional_gradient", spy)
+        shared = run_single_stage(objectives, *args)
+        assert shared.iterations > 0
+        assert len(handed) == 3 * (shared.iterations + 1)
+        for kinked, first, second in zip(*[iter(handed)] * 3):
+            assert kinked is None
+            assert isinstance(first, NodeStack) and second is first
+            assert not first.z.flags.writeable
+        self.own_stacks(monkeypatch)
+        assert record_bits(run_single_stage(objectives, *args)) == record_bits(shared)
 
 
 class TestMogdBaseline:

@@ -220,6 +220,28 @@ class TestIndependentBranchOracles:
         brute = brute_force_direction(G, 12)
         assert 0.5 * brute.norm ** 2 >= 0.5 * r.norm ** 2 - 1e-12
 
+    @pytest.mark.parametrize("n", [4, 50])
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_nearly_collinear_gradients_match_enumeration(self, m, n):
+        """Gradients c_j g + noise, with c_j of both signs, relative noise
+        1e-2 to 1e-1 and scales 1e-3 to 1e3: where the normal equations
+        K / scale + 1 1^T are closest to singular.  The weights match support
+        enumeration to 1e3 eps over the curvature of the thin directions,
+        (min(1, scale) noise)^2 (the Gram scale is at least 1), and the
+        scaled gap stays at rounding level."""
+        rng = np.random.default_rng(100 * m + n)
+        eps = np.finfo(float).eps
+        for _ in range(60):
+            noise, scale = 10.0 ** rng.uniform(-2.0, -1.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            G = scale * (rng.uniform(-1.0, 2.0, size=(m, 1)) * rng.standard_normal(n)
+                         + noise * rng.standard_normal((m, n)))
+            r = solve_direction(G)
+            best = enumerate_supports(scaled_gram(G))
+            curvature = (min(1.0, scale) * noise) ** 2
+            assert np.abs(r.multipliers - best).max() <= 1e3 * eps / curvature
+            gram, gram_scale = direction._gram_scale(G)
+            assert direction._dual_gap(gram, gram_scale, r.multipliers) <= 1e-12
+
 
 def array_result(G, lam):
     """(t, d, kkt_residual, theta) from numpy array formulas: the reference
