@@ -69,6 +69,7 @@ from .problems import QuadraticMop, random_quadratic_mop, save_mop
 __all__ = ["RunManifest", "ConfigError", "parse_config", "run", "main"]
 
 COMMANDS = ("solve", "pareto", "compare", "verify-t5", "verify-t6", "fixtures")
+NEEDS_MOP = ("compare", "verify-t5", "verify-t6")  # need a random quadratic instance
 
 # PyYAML's libyaml scanner when it is built, with the same safe constructor
 # and resolver as SafeLoader.
@@ -295,7 +296,7 @@ def _write_front(writer: _Writer, name: str, front: list[FrontPoint]) -> None:
 def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     objectives = spec.objectives()
     trace = run_adaptive(objectives, spec.starts()[0], solver, schedule)
-    trace.to_csv(writer.path("trace.csv"))
+    trace.to_csv(writer.path("trace.csv"), m=len(objectives))
     payload = trace.summary()
     # The raw objectives at final_x, not a stage merit at an earlier iterate.
     payload["final_f"] = [float(obj.value(trace.final_x)) for obj in objectives]
@@ -335,8 +336,6 @@ def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int
 
 
 def _cmd_compare(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
-    if not isinstance(spec.instance, QuadraticMop):
-        raise ConfigError("experiment: compare needs a random quadratic instance")
     rows = comparison_table(spec.instance, spec.gamma_values, solver,
                             x0=spec.starts()[0])
     writer.write_csv(
@@ -368,8 +367,6 @@ def _row(rows, gamma, method):
 
 
 def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
-    if not isinstance(spec.instance, QuadraticMop):
-        raise ConfigError("experiment: verify-t5 needs a random quadratic instance")
     mop = spec.instance
     lam = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
     report = verify_rate_theorem5(mop, solver, schedule.stages[0].gamma, schedule.terminal,
@@ -393,8 +390,6 @@ def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 
 
 def _cmd_verify_t6(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
-    if not isinstance(spec.instance, QuadraticMop):
-        raise ConfigError("experiment: verify-t6 needs a random quadratic instance")
     bound, report = verify_staged_theorem6(spec.instance, schedule, solver)
     writer.write_csv(
         "stage_bounds.csv",
@@ -492,7 +487,8 @@ def run(manifest: RunManifest) -> int:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
 
-    # The config and --seed are checked first, so a refused run creates no directory.
+    # The config, the instance the command needs and --seed are checked
+    # first, so a refused run creates no directory.
     if manifest.command == "fixtures" and manifest.config_path is None:
         spec = ExperimentSpec(instance="example2", schedule=default_schedule(),
                               start_grid=((DEFAULT_START_LB,) * 2, (DEFAULT_START_UB,) * 2, 1))
@@ -502,6 +498,8 @@ def run(manifest: RunManifest) -> int:
             print("error: --config is required for this command", file=sys.stderr)
             return 2
         spec, solver, schedule = parse_config(manifest.config_path)
+    if manifest.command in NEEDS_MOP and not isinstance(spec.instance, QuadraticMop):
+        raise ConfigError(f"experiment: {manifest.command} needs a random quadratic instance")
     if manifest.seed is not None:
         if not isinstance(spec.instance, QuadraticMop):
             raise ConfigError("--seed: only a random quadratic instance takes a seed")

@@ -52,7 +52,9 @@ along d is tested on its exact expansion
 which needs no value evaluation and holds exactly for eta <= eta_j* =
 2 (sigma slope - s_j) / q_j, so the scan starts one step before the first
 power of r at or below min_j eta_j*; every other merit is tested on its
-evaluated values.
+evaluated values.  A stage stacks its quadratic merits' constant
+Hessians once, and each line search forms its m slopes and m curvatures
+in one stacked product, which rounds as the per-objective products do.
 
 Per iteration each merit's gradient at x is evaluated once.  A value is
 evaluated only where something reads it: the line search evaluates f_j(x)
@@ -253,12 +255,20 @@ class IterationTrace:
     def iterations(self) -> int:
         return len(self.records)
 
-    def to_csv(self, path) -> None:
-        """Column order: k, s, eta, t, norm_d, f_1..f_m, x_1..x_n."""
-        if not self.records:
-            raise ValueError("empty trace")
-        m = self.records[0].f_values.size
-        n = self.records[0].x.size
+    def to_csv(self, path, m: Optional[int] = None) -> None:
+        """Column order: k, s, eta, t, norm_d, f_1..f_m, x_1..x_n.
+
+        m and n are read from the records.  A trace without records (a run
+        that started at a critical point) writes the header alone, for the
+        objective count m and the length of final_x; ValueError if either
+        is missing.
+        """
+        if self.records:
+            m, n = self.records[0].f_values.size, self.records[0].x.size
+        elif m is None or self.final_x is None:
+            raise ValueError("a trace without records needs m and final_x for its header")
+        else:
+            n = self.final_x.size
         header = (["k", "s", "eta", "t", "norm_d"]
                   + [f"f_{j + 1}" for j in range(m)]
                   + [f"x_{i + 1}" for i in range(n)])
@@ -289,19 +299,22 @@ class IterationTrace:
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 direction: DirectionResult, cfg: SolverConfig,
                 values: list[Optional[float]], gradients: Sequence[np.ndarray],
+                hessians: Optional[np.ndarray] = None,
                 ) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     gradients are grad f_j(x), which the caller has already evaluated, and
-    values[j] is f_j(x) or None.  A quadratic f_j with curvature
-    q_j = d^T H_j d > 0 along d is tested on its exact expansion
-    eta s_j + eta^2 q_j / 2 <= sigma eta t, where s_j = gradients[j]^T d,
-    so none of its values is evaluated.  Every other objective (smooth,
-    piecewise, or a quadratic with q_j <= 0) is tested on its evaluated
-    values, and only at trial steps that pass the expansions; where its
-    values[j] is None, f_j(x) is evaluated here and written into values.
-    The scan starts at the closed-form first trial (`_first_trial`) and
-    returns what the scan from eta = 1 returns.
+    values[j] is f_j(x) or None.  hessians is `_hessian_stack(objectives,
+    x)`, which a stage builds once, or None to build it here.  The slopes
+    s_j = gradients[j]^T d and curvatures q_j = d^T H_j d come from one
+    stacked product (`_slopes_and_curvatures`).  A quadratic f_j with
+    q_j > 0 is tested on its exact expansion eta s_j + eta^2 q_j / 2 <=
+    sigma eta t, so none of its values is evaluated.  Every other objective
+    (smooth, piecewise, or a quadratic with q_j <= 0) is tested on its
+    evaluated values, and only at trial steps that pass the expansions;
+    where its values[j] is None, f_j(x) is evaluated here and written into
+    values.  The scan starts at the closed-form first trial
+    (`_first_trial`) and returns what the scan from eta = 1 returns.
 
     Returns (eta, x_next, backtrack_count, trial_values), where
     trial_values[j] is f_j(x_next) for an objective tested on its values and
@@ -311,13 +324,13 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     if not direction.t_value < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
     d, t = direction.direction, direction.t_value
+    if hessians is None:
+        hessians = _hessian_stack(objectives, x)
+    slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
-    for j, (obj, g) in enumerate(zip(objectives, gradients)):
-        q = float(d @ obj.hessian(x) @ d) if obj.kind == "quadratic" else 0.0
+    for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
         if q > 0.0:
-            # One dot per row: rows of G @ d can differ in the last bit, which
-            # would move the steps that pass only by rounding.
-            expanded.append((float(g @ d), q))
+            expanded.append((s, q))
         else:
             if values[j] is None:
                 values[j] = obj.value(x)
@@ -338,6 +351,32 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
         f"no acceptable step within {MAX_BACKTRACKS} halvings at x = {x} "
         "(direction is not a descent direction for the merit objectives)"
     )
+
+
+def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> np.ndarray:
+    """(m, n, n) stack of the quadratics' Hessians at x, and zeros for the
+    other kinds, whose curvature 0 sends them to the test on values.
+
+    A quadratic's Hessian is constant, so the stack holds at every x.
+    """
+    return np.array([obj.hessian(x) if obj.kind == "quadratic" else np.zeros((x.size, x.size))
+                     for obj in objectives])
+
+
+def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
+                           d: np.ndarray) -> tuple[list[float], list[float]]:
+    """The slopes g_j^T d and the curvatures d^T H_j d for the rows g_j of
+    gradients and the matrices H_j of hessians, from one stacked product.
+
+    The rows g_j and d^T H_j are stacked, and each row of a stacked product
+    is its own dot, so the results have the bits of float(g_j @ d) and
+    float(d @ H_j @ d), which the tests pin.  The rows of gradients @ d do
+    not: a matrix-vector product can differ in the last bit, which would
+    move the steps that pass only by rounding.
+    """
+    rows = np.concatenate((gradients, d @ hessians))
+    products = (rows[:, None, :] @ d).ravel().tolist()
+    return products[:len(gradients)], products[len(gradients):]
 
 
 def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
@@ -402,8 +441,11 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     read.  So a quadratic stage makes one gradient call per objective per
     iteration and no value call while curvatures are positive, and a
     smooth stage evaluates each value once per point.  The merit is built
-    once, from the fixed terminal.  Records are numbered by their position
-    in trace.records, so a trace passed in continues its numbering.
+    once, from the fixed terminal, and so is the stack of its quadratics'
+    constant Hessians that every `armijo_step` reads, with one Hessian
+    call per quadratic merit per stage.  Records are numbered by their
+    position in trace.records, so a trace passed in continues its
+    numbering.
     Neither a record's x nor the terminal may be written into before the
     record's f_values are read.
 
@@ -423,6 +465,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     tolerance = cfg.tolerance
     merit = _stage_merit(objectives, stage.gamma, terminal)
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
+    hessians = _hessian_stack(merit, x)  # constant, so once for all line searches
     # The kink-free fractional gradients share one node stack per iterate;
     # alpha = 1, beta = 0 reads none.
     shares = [obj.kind != "quadratic" and obj.kink_locator is None for obj in objectives]
@@ -486,7 +529,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                     else replace(direction, t_value=slope))
         try:
             eta, x_next, backtracks, trial_values = armijo_step(
-                merit, x, searched, cfg, values, merit_grads)
+                merit, x, searched, cfg, values, merit_grads, hessians)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)

@@ -10,7 +10,9 @@ is solved exactly for every m: m=2 is the min-norm point of a segment in
 closed form, and m >= 3 is one non-negative least-squares problem in the
 unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
 method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
-Python floats, so its cost does not depend on n.
+Python floats, so its cost does not depend on n.  A result stores ||d||,
+from the d^T d that theta adds, so a stage reads it without another
+product.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class DirectionResult:
     theta = t + 1/2 ||d||^2 is the primal objective (<= 0 at any optimum);
     kkt_residual is the largest violation over the simplex constraints,
     stationarity d = -sum lambda_j g_j, feasibility g_j^T d <= t, and
-    complementary slackness.
+    complementary slackness.  norm is ||d||, sqrt(d^T d) from the d^T d
+    that theta adds: the bits of np.linalg.norm of a contiguous vector.
     """
 
     t_value: float
@@ -57,11 +60,7 @@ class DirectionResult:
     multipliers: np.ndarray
     kkt_residual: float
     theta: float
-
-    @property
-    def norm(self) -> float:
-        # np.linalg.norm of a contiguous vector is sqrt(x.dot(x)): same bits.
-        return math.sqrt(self.direction @ self.direction)
+    norm: float
 
 
 def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
@@ -85,9 +84,10 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
         t = max(slopes)
         comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
         simplex = max(abs(sum(weights) - 1.0), -min(weights))
-    theta = t + 0.5 * float(d @ d)
+    dd = float(d @ d)
     return DirectionResult(t_value=t, direction=d, multipliers=lam,
-                           kkt_residual=max(comp, simplex), theta=theta)
+                           kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
+                           norm=math.sqrt(dd))
 
 
 def _dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
@@ -207,14 +207,21 @@ def solve_direction(gradients) -> DirectionResult:
     """Solve the direction subproblem for a list of m gradient n-vectors.
 
     The dual is solved exactly by m: m=1 is d = -g; m=2 is the segment
-    closed form; m >= 3 is one non-negative least-squares solve.  Raises
-    DirectionAccuracyError carrying the result if the gradient scale is not
-    finite (a squared gradient norm overflowed), the scaled gap is not at
-    most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
-    scale; a NaN fails every bound.
+    closed form; m >= 3 is one non-negative least-squares solve.  An (m, n)
+    float64 array is read as it is, and anything else through
+    np.atleast_2d(np.asarray(gradients, dtype=float)).  Raises ValueError
+    if a gradient entry is not finite, which is looked for only when the
+    sum of squares of G is not finite.  Raises DirectionAccuracyError carrying
+    the result if the gradient scale is not finite (a squared gradient norm
+    overflowed), the scaled gap is not at most 1e-8, or the KKT residual is
+    not at most 1e-8 at the gradient scale; a NaN fails every bound.
     """
-    G = np.atleast_2d(np.asarray(gradients, dtype=float))
-    if not np.isfinite(G).all():
+    G = gradients
+    if not (type(G) is np.ndarray and G.ndim == 2 and G.dtype == np.float64):
+        G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    # A finite sum of squares proves every entry finite.  It is checked
+    # before G G^T, where an inf times a zero would warn.
+    if not math.isfinite(np.vdot(G, G)) and not np.isfinite(G).all():
         raise ValueError("gradients must be finite")
     m = G.shape[0]
     gram, scale = _gram_scale(G)

@@ -6,7 +6,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mofgd import DirectionResult, ObjectiveModel
+from mofgd import DirectionResult, ObjectiveModel, solve_direction
 from mofgd.direction import _result_from
 from mofgd.fractional import _resolve_terminal, _rule, terminals
 from mofgd.problems import _constant_hessian
@@ -167,7 +167,47 @@ def segment_min_norm(g1, g2) -> DirectionResult:
     d = -(lam1 * g1 + (1.0 - lam1) * g2)
     t = max(float(g1 @ d), float(g2 @ d))
     return DirectionResult(t_value=t, direction=d, multipliers=np.array([lam1, 1.0 - lam1]),
-                           kkt_residual=float("nan"), theta=t + 0.5 * float(d @ d))
+                           kkt_residual=float("nan"), theta=t + 0.5 * float(d @ d),
+                           norm=float(np.linalg.norm(d)))
+
+
+def per_objective_quadratic_stage(merits: Sequence[ObjectiveModel], x0, sigma: float,
+                                  backtrack: float, tolerance: float,
+                                  iterations: int) -> list[tuple]:
+    """Classical descent on quadratic merits whose line search forms each
+    slope g_j^T d and curvature d^T H_j d as its own product, fetches H_j at
+    every iterate and scans eta = 1, r, r^2, ... from eta = 1.
+
+    A merit with q_j > 0 is tested on its exact expansion eta s_j +
+    eta^2 q_j / 2 <= sigma eta t, every other merit on its values.  The
+    direction comes from `solve_direction`; the run stops at ||d|| <
+    tolerance or t >= 0, or after `iterations` steps.  Returns one
+    (x, eta, t, ||d||, backtracks) per step: the records of an
+    all-quadratic `run_single_stage` with its stacked products.
+    """
+    x = np.asarray(x0, dtype=float)
+    steps = []
+    for _ in range(iterations):
+        grads = [m.gradient(x) for m in merits]
+        result = solve_direction(grads)
+        d, t = result.direction, result.t_value
+        norm = float(np.linalg.norm(d))
+        if norm < tolerance or not t < 0.0:
+            break
+        terms = [(float(g @ d), float(d @ m.hessian(x) @ d)) for m, g in zip(merits, grads)]
+        for backtracks in range(61):
+            eta = backtrack ** backtracks
+            bound = sigma * eta * t
+            x_next = x + eta * d
+            if all(eta * s + 0.5 * eta ** 2 * q <= bound if q > 0.0
+                   else m.value(x_next) <= m.value(x) + bound
+                   for m, (s, q) in zip(merits, terms)):
+                break
+        else:
+            raise AssertionError("the reference line search found no step")
+        steps.append((x, eta, t, norm, backtracks))
+        x = x_next
+    return steps
 
 
 def loop_result_checks(G: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:

@@ -210,6 +210,24 @@ class TestRunCommands:
         f = fixture_objectives("example2")[0]
         assert solve["final_f"] == [f.value(np.array(solve["final_x"]))]
 
+    def test_solve_from_a_critical_start(self, tmp_path):
+        """A start whose first ||d|| already meets epsilon: exit 0, a
+        header-only trace.csv and a summary with 0 iterations ending at the
+        tolerance."""
+        text = (REPO / "configs" / "example2.yaml").read_text()
+        assert "epsilon: 1.0e-6" in text
+        cfg = write_config(tmp_path, text.replace("epsilon: 1.0e-6", "epsilon: 1.0e+3"))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["k", "s", "eta", "t", "norm_d", "f_1", "x_1", "x_2"]]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["exit_code"] == 0
+        solve = summary["solve"]
+        assert (solve["iterations"], solve["termination"]) == (0, "tolerance")
+        assert [s["iterations"] for s in solve["stages"]] == [0, 0, 0]
+        assert solve["final_x"] == [1.0, 1.0]
+
     def test_refuses_nonempty_output_without_force(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "run"
@@ -430,10 +448,14 @@ experiment:
         ["solve", "--config", str(REPO / "configs" / "example2.yaml"), "--seed", "7"],
         ["solve", "--config", "missing.yaml"],
         ["compare"],
+        ["compare", "--config", str(REPO / "configs" / "example2.yaml")],
+        ["verify-t5", "--config", str(REPO / "configs" / "example2.yaml")],
+        ["verify-t6", "--config", str(REPO / "configs" / "example2.yaml")],
     ])
     def test_refused_run_creates_no_directory(self, tmp_path, capsys, argv):
         """A run refused with exit 2 (a --seed on a fixture, an unreadable
-        config, no --config) leaves no output directory behind."""
+        config, no --config, a command that needs a random quadratic
+        instance run on a fixture) leaves no output directory behind."""
         out = tmp_path / "refused" / "out"
         assert main(argv + ["--out", str(out)]) == 2
         capsys.readouterr()

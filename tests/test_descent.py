@@ -245,7 +245,7 @@ class TestArmijoStep:
         x = np.array([1.0, 0.0])
         fake = DirectionResult(t_value=-1e12, direction=np.array([1e6, 0.0]),
                                multipliers=np.array([1.0]), kkt_residual=0.0,
-                               theta=0.0)
+                               theta=0.0, norm=1e6)
         with pytest.raises(LineSearchError):
             armijo_step([obj], x, fake, SolverConfig(), [obj.value(x)], [obj.gradient(x)])
 
@@ -371,7 +371,8 @@ class TestArmijoStep:
         x = np.zeros(1)
         cfg = SolverConfig(sigma=sigma, backtrack=backtrack)
         direction = DirectionResult(t_value=t, direction=np.ones(1),
-                                    multipliers=np.ones(1), kkt_residual=0.0, theta=0.0)
+                                    multipliers=np.ones(1), kkt_residual=0.0, theta=0.0,
+                                    norm=1.0)
         values, gradients = [obj.value(x)], [obj.gradient(x)]
         reference = scanned_expansions([obj], x, direction, cfg, gradients)
         if accepted is None:
@@ -382,6 +383,90 @@ class TestArmijoStep:
         eta, x_next, backtracks, _ = armijo_step([obj], x, direction, cfg, values, gradients)
         assert (eta, x_next.tolist(), backtracks) == (reference[0], reference[1].tolist(),
                                                       accepted)
+
+
+class TestStackedProducts:
+    """A line search forms its slopes and curvatures in one stacked product,
+    with the bits of the per-objective products, from the quadratic merits'
+    Hessians that its stage stacks once."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_stacked_products_match_per_objective_products(self, m, n):
+        """The assumption the stacked products rest on, pinned on seeded
+        draws over twelve decades.  If it fails on some numpy or BLAS,
+        `_slopes_and_curvatures` must form one product per objective on the
+        stacked Hessians rather than accept moved bits."""
+        rng = np.random.default_rng(100 * m + n)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-6.0, 6.0, size=3)
+            A = rng.standard_normal((m, n, n))
+            hessians = np.array([scale[0] * (H + H.T) for H in A])
+            G = scale[1] * rng.standard_normal((m, n))
+            d = scale[2] * rng.standard_normal(n)
+            assert descent._slopes_and_curvatures(G, hessians, d) == (
+                [float(g @ d) for g in G], [float(d @ H @ d) for H in hessians])
+
+    @staticmethod
+    def steps(trace):
+        """(x, eta, t, ||d||, backtracks) of every record, as bytes and counts."""
+        return (np.array([[*r.x, r.eta, r.t_value, r.norm_d] for r in trace.records]).tobytes(),
+                [r.backtracks for r in trace.records])
+
+    @staticmethod
+    def reference(merits, x0, cfg, iterations):
+        from oracles import per_objective_quadratic_stage
+        steps = per_objective_quadratic_stage(merits, x0, cfg.sigma, cfg.backtrack,
+                                              cfg.tolerance, iterations)
+        return (np.array([[*x, eta, t, norm] for x, eta, t, norm, _ in steps]).tobytes(),
+                [backtracks for *_, backtracks in steps])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("reg", ["diag", "outer"])
+    def test_stage_matches_per_objective_reference(self, m, reg):
+        """Records bit for bit as the per-objective reference loop, on the
+        stage's own diag merits and on outer merits passed to a gamma = 0
+        stage."""
+        mop = random_quadratic_mop(5, 8, m, seed=31 + m)
+        c, x0 = np.full(5, -1.0), np.full(5, 3.0)
+        cfg = SolverConfig(tolerance=1e-9)
+        merits = [regularized(obj, 0.3, c, reg) for obj in mop.objectives()]
+        if reg == "diag":
+            trace = run_single_stage(mop.objectives(), x0, cfg, Stage(0.5, 0.3, 80), c)
+        else:
+            trace = run_single_stage(merits, x0, cfg, classical(80), c)
+        assert trace.iterations > 10
+        assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
+
+    def test_merits_with_nonpositive_curvature_are_tested_on_values(self):
+        """A linear merit (q = 0) and a concave one (q < 0) next to a convex
+        one: the line search tests those two on their values, as the
+        reference does, and the convex one on its expansion."""
+        objectives = [quadratic_objective(np.diag([2.0, 1.0, 3.0]), np.zeros(3)),
+                      quadratic_objective(np.zeros((3, 3)), np.array([1.0, -0.5, 0.2])),
+                      quadratic_objective(-0.05 * np.eye(3), np.array([-0.3, 0.4, 0.1]))]
+        x0, cfg = np.array([2.0, -1.5, 1.0]), SolverConfig(tolerance=1e-9)
+        trace = run_single_stage(objectives, x0, cfg, classical(40), 0.0)
+        assert trace.iterations > 5
+        assert all(r.values[0] is None and None not in r.values[1:] for r in trace.records)
+        assert self.steps(trace) == self.reference(objectives, x0, cfg, 40)
+
+    def test_stage_fetches_each_merit_hessian_once(self):
+        """A stage fetches each quadratic merit's Hessian once, however many
+        line searches it runs, also next to a smooth objective, whose
+        Hessian the line search does not read."""
+        raw = random_quadratic_mop(4, 6, 2, seed=5).objectives()
+        counted = [counting_calls(obj, "hessian") for obj in raw]
+        trace = run_single_stage([obj for obj, _ in counted], np.full(4, 2.0),
+                                 SolverConfig(tolerance=1e-9), classical(50), 0.0)
+        assert trace.iterations > 5
+        assert [len(calls) for _, calls in counted] == [1, 1]
+        quadratic, calls = counting_calls(quadratic_objective(np.eye(4), np.zeros(4)), "hessian")
+        smooth, smooth_calls = counting_calls(logistic_losses()[0], "hessian")
+        trace = run_single_stage([quadratic, smooth], np.full(4, 2.0), SolverConfig(),
+                                 classical(5), 0.0)
+        assert trace.iterations == 5
+        assert (len(calls), len(smooth_calls)) == (1, 0)
 
 
 class TestRunSingleStage:
@@ -607,6 +692,20 @@ class TestTraceExport:
         header = p1.read_text().splitlines()[0].split(",")
         assert header == ["k", "s", "eta", "t", "norm_d", "f_1", "f_2", "x_1", "x_2", "x_3"]
 
+    def test_trace_without_records_writes_its_header(self, tmp_path):
+        """A stage that starts at a critical point writes the header alone,
+        given the objective count; without it the trace cannot name its f
+        columns."""
+        mop = random_quadratic_mop(3, 5, 2, seed=3)
+        trace = run_single_stage(mop.objectives(), np.ones(3), SolverConfig(tolerance=1e3),
+                                 classical(40), 0.0)
+        assert trace.iterations == 0 and trace.termination == "tolerance"
+        with pytest.raises(ValueError, match="without records"):
+            trace.to_csv(tmp_path / "trace.csv")
+        trace.to_csv(tmp_path / "trace.csv", m=2)
+        assert (tmp_path / "trace.csv").read_text().splitlines() == [
+            "k,s,eta,t,norm_d,f_1,f_2,x_1,x_2,x_3"]
+
     def test_monotone_objectives_along_trace(self):
         mop = random_quadratic_mop(4, 6, 2, seed=5)
         cfg = SolverConfig(tolerance=1e-8)
@@ -788,8 +887,10 @@ class TestStageMerit:
             seen["grads"] = np.array(grads, dtype=float)
             return solve(grads)
 
-        def spy_armijo(merit, x, direction, cfg, values, gradients):
-            result = armijo(merit, x, direction, cfg, values, gradients)
+        def spy_armijo(merit, x, direction, cfg, values, gradients, hessians):
+            # The stage hands over its quadratic merits' Hessians, stacked once.
+            np.testing.assert_array_equal(hessians, [m.hessian(x) for m in merit])
+            result = armijo(merit, x, direction, cfg, values, gradients, hessians)
             checks.append((list(merit), np.array(x), seen["grads"], result[2]))
             return result
 
@@ -860,9 +961,9 @@ class TestMeritSlope:
             solved["t"] = result.t_value
             return result
 
-        def spy_armijo(merit, x, direction, cfg, values, gradients):
+        def spy_armijo(merit, x, direction, cfg, values, gradients, hessians):
             checks.append((list(merit), np.array(x), direction, solved["t"]))
-            return armijo(merit, x, direction, cfg, values, gradients)
+            return armijo(merit, x, direction, cfg, values, gradients, hessians)
 
         monkeypatch.setattr(descent, "solve_direction", spy_solve)
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ from oracles import brute_force_direction, segment_min_norm
 
 def random_gradients(rng, m, n, scale=1.0):
     return [scale * rng.standard_normal(n) for _ in range(m)]
+
+
+# Finite gradients whose squared norms overflow.
+OVERFLOWING = [
+    [[1e200, 0.0], [0.0, 1e200]],
+    [[1e200, 1e200], [1e200, 1e200], [1e200, 0.0]],
+    [[1e200, 1e200]],
+]
 
 
 class TestSolveDirection:
@@ -45,6 +54,31 @@ class TestSolveDirection:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             solve_direction([np.array([np.inf, 0.0])])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_rejects_nonfinite_entries_before_any_warning(self, bad, m, as_array):
+        """An inf or NaN entry raises ValueError, and no warning first, from
+        a list of gradients and from an (m, n) float array, which the solve
+        reads as it is; the bad entry meets zeros in G G^T."""
+        G = np.arange(1.0, 2 * m + 1).reshape(m, 2)
+        G[:, 1] = 0.0
+        G[m - 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_direction(G if as_array else list(G))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_norm_is_the_square_root_of_d_dot_d(self, m):
+        """norm is math.sqrt(d @ d) bit for bit, and a result with another t
+        keeps it."""
+        rng = np.random.default_rng(m)
+        for exponent in range(-60, 61, 10):
+            G = 10.0 ** exponent * rng.standard_normal((m, 7))
+            r = solve_direction(G)
+            assert bits(r.norm) == bits(math.sqrt(r.direction @ r.direction))
+            replaced = dataclasses.replace(r, t_value=r.t_value - 1.0)
+            assert bits(replaced.norm) == bits(r.norm)
 
     def test_all_zero_gradients(self):
         r = solve_direction([np.zeros(3), np.zeros(3)])
@@ -117,11 +151,7 @@ class TestSolveDirection:
         assert info.value.best.kkt_residual == 1e-3
         np.testing.assert_allclose(info.value.best.multipliers, [0.5, 0.5], atol=1e-9)
 
-    @pytest.mark.parametrize("gradients", [
-        [[1e200, 0.0], [0.0, 1e200]],
-        [[1e200, 1e200], [1e200, 1e200], [1e200, 0.0]],
-        [[1e200, 1e200]],
-    ])
+    @pytest.mark.parametrize("gradients", OVERFLOWING)
     def test_overflowed_gradients_raise(self, gradients):
         """Finite gradients whose squared norms overflow have no finite scale;
         the solve used to pass its checks against an infinite bound (t = 0,
@@ -129,6 +159,15 @@ class TestSolveDirection:
         with np.errstate(all="ignore"), pytest.raises(DirectionAccuracyError,
                                                       match="gradient scale inf"):
             solve_direction(gradients)
+
+    @pytest.mark.parametrize("gradients", OVERFLOWING)
+    def test_overflowed_gradient_arrays_raise(self, gradients):
+        """The same from an (m, n) float array, which the solve reads as it
+        is: an overflowed sum of squares is not taken for a non-finite
+        entry."""
+        with np.errstate(all="ignore"), pytest.raises(DirectionAccuracyError,
+                                                      match="gradient scale inf"):
+            solve_direction(np.array(gradients))
 
     @pytest.mark.parametrize("stage", ["_dual_gap", "_result_from"])
     def test_nan_check_statistics_raise(self, stage, monkeypatch):
