@@ -34,7 +34,8 @@ gradient of the stage-regularized merit
     f_j(x) + gamma_s/2 * sum_i H_ii (x_i - c_i)^2,
 
 so the stage builds that merit once (`problems.regularized`) and takes the
-direction input and the line-search test from it.
+direction input and the line-search test from it; a sweep builds every
+stage's merits once for all its starts (`schedule_setup`).
 Non-quadratic objectives use singular-quadrature gradients and raw values.
 The stage builds their quadrature node stack (`fractional.node_stack`)
 once per iterate, and only if an objective without a kink locator needs
@@ -52,7 +53,7 @@ along d is tested on its exact expansion
 which needs no value evaluation and holds exactly for eta <= eta_j* =
 2 (sigma slope - s_j) / q_j, so the scan starts one step before the first
 power of r at or below min_j eta_j*; every other merit is tested on its
-evaluated values.  A stage stacks its quadratic merits' constant
+evaluated values.  The set-up stacks a stage's quadratic merits' constant
 Hessians once, and each line search forms its m slopes and m curvatures
 in one stacked product, which rounds as the per-objective products do.
 
@@ -95,6 +96,7 @@ __all__ = [
     "armijo_step",
     "run_single_stage",
     "run_adaptive",
+    "schedule_setup",
 ]
 
 MAX_BACKTRACKS = 60
@@ -401,10 +403,27 @@ def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
     return max(0, math.ceil(math.log(min(bounds)) / math.log(cfg.backtrack)) - 1)
 
 
-def _stage_merit(objectives, gamma: float, terminal) -> list[ObjectiveModel]:
-    """The stage merit of each objective: quadratics gain the pull of weight gamma."""
-    return [regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
-            for obj in objectives]
+def _stage_setup(objectives, gamma: float, terminal,
+                 x: np.ndarray) -> tuple[tuple[ObjectiveModel, ...], np.ndarray]:
+    """The stage merit of each objective (quadratics gain the pull of weight
+    gamma) and the read-only stack of their Hessians at x, which holds at
+    every x."""
+    merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
+                  for obj in objectives)
+    hessians = _hessian_stack(merit, x)
+    hessians.flags.writeable = False
+    return merit, hessians
+
+
+def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
+                   n: int) -> tuple[np.ndarray, list]:
+    """The schedule's terminal c as an n-vector (zeros when omitted;
+    ValueError unless of length 1 or n) and each stage's `_stage_setup`:
+    what `run_adaptive` builds before its first iterate.  It reads only the
+    objectives, the gammas and c, so a sweep builds it once for all starts.
+    """
+    c = terminals(0.0 if schedule.terminal is None else schedule.terminal, n)
+    return c, [_stage_setup(objectives, stage.gamma, c, c) for stage in schedule.stages]
 
 
 def run_single_stage(objectives: Sequence[ObjectiveModel],
@@ -414,7 +433,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                      terminal,
                      stage_index: int = 0,
                      trace: Optional[IterationTrace] = None,
-                     gamma_drop: float = 0.0) -> IterationTrace:
+                     gamma_drop: float = 0.0,
+                     setup: Optional[tuple] = None) -> IterationTrace:
     """Iterate x <- x + eta*d for up to stage.iterations Armijo steps or
     until ||d|| < tolerance.
 
@@ -427,7 +447,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     objectives are raw; the stage adds the regularizer itself, centred on
     terminal, the lower terminal c (a scalar or an n-vector).  Each
     quadratic objective becomes its stage merit with weight stage.gamma
-    (see `_stage_merit`), whose gradient is the direction input, whose
+    (see `_stage_setup`), whose gradient is the direction input, whose
     exact expansion the line search tests and whose values the trace's f
     columns record; in an all-quadratic stage the Armijo slope is therefore
     the subproblem's t, bit for bit.  Other kinds take the
@@ -440,12 +460,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     the stage's merits, and evaluates the rest when its f_values are first
     read.  So a quadratic stage makes one gradient call per objective per
     iteration and no value call while curvatures are positive, and a
-    smooth stage evaluates each value once per point.  The merit is built
-    once, from the fixed terminal, and so is the stack of its quadratics'
-    constant Hessians that every `armijo_step` reads, with one Hessian
-    call per quadratic merit per stage.  Records are numbered by their
-    position in trace.records, so a trace passed in continues its
-    numbering.
+    smooth stage evaluates each value once per point.  setup is the
+    stage's merits and the stack of their quadratics' constant Hessians
+    that every `armijo_step` reads, as `schedule_setup` builds them once
+    per sweep; None builds them here, with one Hessian call per quadratic
+    merit.  Records are numbered by their position in trace.records, so a
+    trace passed in continues its numbering.
     Neither a record's x nor the terminal may be written into before the
     record's f_values are read.
 
@@ -463,9 +483,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     trace = trace if trace is not None else IterationTrace()
     start = trace.iterations
     tolerance = cfg.tolerance
-    merit = _stage_merit(objectives, stage.gamma, terminal)
+    merit, hessians = (setup if setup is not None
+                       else _stage_setup(objectives, stage.gamma, terminal, x))
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
-    hessians = _hessian_stack(merit, x)  # constant, so once for all line searches
     # The kink-free fractional gradients share one node stack per iterate;
     # alpha = 1, beta = 0 reads none.
     shares = [obj.kind != "quadratic" and obj.kink_locator is None for obj in objectives]
@@ -550,26 +570,29 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
 def run_adaptive(objectives: Sequence[ObjectiveModel],
                  x0: np.ndarray,
                  cfg: SolverConfig,
-                 schedule: StageSchedule) -> IterationTrace:
+                 schedule: StageSchedule,
+                 setup: Optional[tuple] = None) -> IterationTrace:
     """Run the stages of a schedule sequentially, chaining the iterates.
 
     objectives are raw; each stage adds its own regularizer, centred on the
     schedule's fixed terminal c (zeros(n) when omitted), the c that
-    `tikhonov_solve` and the verify runs use.  A terminal whose length is
-    neither 1 nor n raises ValueError, for every objective kind, before any
-    stage runs.  Each stage but the last
-    passes its fall gamma_s - gamma_{s+1}, where positive, to
-    `run_single_stage` as gamma_drop (the stop rule of the module
-    docstring); the others stop at cfg.tolerance.
+    `tikhonov_solve` and the verify runs use.  setup is
+    `schedule_setup(objectives, schedule, x0.size)`, which a sweep builds
+    once for all its starts; None builds it here.  A terminal whose length
+    is neither 1 nor n raises ValueError there, for every objective kind,
+    before any stage runs.  Each stage but the last passes its fall
+    gamma_s - gamma_{s+1}, where positive, to `run_single_stage` as
+    gamma_drop (the stop rule of the module docstring); the others stop at
+    cfg.tolerance.
     """
     x = np.asarray(x0, dtype=float)
-    c = terminals(0.0 if schedule.terminal is None else schedule.terminal, x.size)
+    c, stage_setups = setup if setup is not None else schedule_setup(objectives, schedule, x.size)
     gammas = schedule.gammas
     trace = IterationTrace()
     for s, stage in enumerate(schedule.stages):
         drop = gammas[s] - gammas[s + 1] if s + 1 < len(gammas) else 0.0
         run_single_stage(objectives, x, cfg, stage, c, stage_index=s,
-                         trace=trace, gamma_drop=max(drop, 0.0))
+                         trace=trace, gamma_drop=max(drop, 0.0), setup=stage_setups[s])
         x = trace.final_x
         if trace.termination == "error":
             return trace

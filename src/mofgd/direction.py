@@ -70,7 +70,8 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
     floats, with the loops written out for m = 2 (same roundings).
     Stationarity d + sum lambda_j g_j = 0 and feasibility g_j^T d <= t hold
     by construction (t is the largest slope), which leaves complementary
-    slackness and the simplex constraints.
+    slackness and the simplex constraints.  d^T d is `ndarray.dot`, the
+    BLAS dot of d @ d, bit for bit, without the matmul dispatch.
     """
     d = -G.T @ lam
     slopes = (G @ d).tolist()
@@ -84,7 +85,7 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
         t = max(slopes)
         comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
         simplex = max(abs(sum(weights) - 1.0), -min(weights))
-    dd = float(d @ d)
+    dd = float(d.dot(d))
     return DirectionResult(t_value=t, direction=d, multipliers=lam,
                            kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
                            norm=math.sqrt(dd))
@@ -127,11 +128,12 @@ def _segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
     lambda_1 = clamp(-(g1 - g2)^T g2 / ||g1 - g2||^2, 0, 1), computed on the
     difference vector so nearly collinear gradients keep their precision;
-    g1 = g2 gives lambda_1 = 1.
+    g1 = g2 gives lambda_1 = 1.  The two dots are `ndarray.dot`, with the
+    bits of @ and less dispatch.
     """
     diff = g1 - g2
-    den = float(diff @ diff)
-    lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff @ g2) / den))
+    den = float(diff.dot(diff))
+    lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff.dot(g2)) / den))
     return np.array([lam1, 1.0 - lam1])
 
 

@@ -24,6 +24,7 @@ from .descent import (
     StageSchedule,
     run_adaptive,
     run_single_stage,
+    schedule_setup,
 )
 from .direction import DirectionAccuracyError, solve_direction
 from .fixtures import fixture_objectives
@@ -369,21 +370,29 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
                   indices) -> tuple[list[FrontPoint], list[tuple[int, str]]]:
     """Run the chosen method from the starts with the given indices.
 
-    Returns the final points of the runs that ended without error and the
-    (start_index, reason) of those that failed, both in start order.
+    Every start is one `run_adaptive` call.  "moaocfgd" runs the spec's
+    schedule (ValueError when it has none); "mogd" runs the one-stage
+    alpha = 1, gamma = 0 schedule, whose run is `mogd_baseline`'s bit for
+    bit, since neither reads the terminal.  The schedule's `schedule_setup`
+    (its terminal check, every stage's merits and their Hessian stack) is
+    built once, before any start runs, and every run reads it; a failing
+    set-up raises.  Returns the final points of the runs that ended
+    without error and the (start_index, reason) of those that failed, both
+    in start order.
     """
     objectives = spec.objectives()
     starts = spec.starts()
+    if spec.method == "mogd":
+        schedule = StageSchedule((Stage(1.0, 0.0, cfg.max_iterations),))
+    elif spec.schedule is None:
+        raise ValueError("moaocfgd sweep needs a schedule")
+    else:
+        schedule = spec.schedule
+    setup = schedule_setup(objectives, schedule, starts.shape[1])
     points, failures = [], []
     for idx in map(int, indices):
-        x0 = starts[idx]
         try:
-            if spec.method == "mogd":
-                trace = mogd_baseline(objectives, x0, cfg)
-            elif spec.schedule is None:
-                raise ValueError("moaocfgd sweep needs a schedule")
-            else:
-                trace = run_adaptive(objectives, x0, cfg, spec.schedule)
+            trace = run_adaptive(objectives, starts[idx], cfg, schedule, setup)
             if trace.termination == "error":
                 failures.append((idx, trace.error or "run error"))
                 continue
@@ -401,9 +410,12 @@ def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
     nondominated subset of final objective vectors.
 
     Individual run failures are recorded (appended to `failures` as
-    (start_index, reason) when a list is passed) and excluded, never fatal.
-    jobs > 1 runs contiguous chunks of starts in worker processes and gathers
-    them in start order, so the front is the same for every jobs.
+    (start_index, reason) when a list is passed) and excluded, never fatal;
+    a sweep that cannot run at all (a "moaocfgd" spec without a schedule,
+    or a terminal of the wrong length) raises ValueError before any start
+    runs.  jobs > 1 runs contiguous chunks of starts in worker processes,
+    each building the sweep's set-up once, and gathers them in start order,
+    so the front is the same for every jobs.
     """
     cfg = cfg or SolverConfig(tolerance=1e-5, max_iterations=2000)
     indices = np.arange(spec.start_grid[2])

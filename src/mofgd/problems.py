@@ -68,10 +68,11 @@ class ObjectiveModel:
     splits its quadrature there and has no other way to find a kink.
 
     The gradient is validated against central finite differences of the
-    value at construction, on 10 deterministic points (`_check_points`)
-    evaluated as one stack (piecewise kinds skip points whose difference
-    stencil contains a located kink); a quadratic's Hessian is also
-    validated against central differences of the gradient on the same
+    value at construction, on 10 deterministic points (`_check_points`;
+    piecewise kinds skip points whose difference stencil contains a
+    located kink), evaluated as one stack and compared in one check whose
+    error names the first point that disagrees; a quadratic's Hessian is
+    also validated against central differences of the gradient on the same
     points.
     """
 
@@ -108,15 +109,15 @@ class ObjectiveModel:
         grads = np.asarray(self.gradient(points), dtype=float)
         if grads.shape != points.shape:
             raise ValueError(f"gradient of a {points.shape} stack has shape {grads.shape}")
-        for x, g in zip(points, grads):
-            fd = np.array([self.value(x + e) - self.value(x - e)
-                           for e in _FD_CHECK_STEP * np.eye(self.dim)]) / (2 * _FD_CHECK_STEP)
-            if not np.allclose(g, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL):
-                raise ValueError(
-                    f"gradient disagrees with finite differences at x = {x}: {g} vs {fd}"
-                )
+        steps = _FD_CHECK_STEP * np.eye(self.dim)
+        fd = np.array([[self.value(x + e) - self.value(x - e) for e in steps]
+                       for x in points]) / (2 * _FD_CHECK_STEP)
+        if not np.allclose(grads, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL):
+            close = np.isclose(grads, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL).all(axis=1)
+            i = int(np.argmin(close))  # the first point that disagrees
+            raise ValueError(f"gradient disagrees with finite differences at "
+                             f"x = {points[i]}: {grads[i]} vs {fd[i]}")
         if self.kind == "quadratic":
-            steps = _FD_CHECK_STEP * np.eye(self.dim)
             ahead, behind = (np.asarray(self.gradient((points[:, None] + s).reshape(-1, self.dim)),
                                         dtype=float) for s in (steps, -steps))
             fd = (ahead - behind).reshape(-1, self.dim, self.dim) / (2 * _FD_CHECK_STEP)

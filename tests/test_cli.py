@@ -361,13 +361,18 @@ experiment:
     @pytest.mark.parametrize("instance, m", [
         ("{n: 4, m_data: 6, m: 3, seed: 5}", 3),
         ("{name: example2}", 1),
+        ("configs/example2_pair.yaml", 2),
     ])
     def test_pareto_writes_every_objective(self, tmp_path, instance, m):
         """A front has one column per objective, each the objective's value
-        at the point's start, run alone."""
-        text = (f"instance: {instance}\nsolver: {{epsilon: 1.0e-5}}\n"
-                "experiment: {start_grid: {lb: 1.0, ub: 2.0, count: 5}}\n")
-        cfg = write_config(tmp_path, text)
+        at the point's start, run alone: the sweep's shared set-up changes
+        no bit of any run."""
+        if instance.endswith(".yaml"):
+            cfg = REPO / instance
+        else:
+            cfg = write_config(tmp_path, (
+                f"instance: {instance}\nsolver: {{epsilon: 1.0e-5}}\n"
+                "experiment: {start_grid: {lb: 1.0, ub: 2.0, count: 5}}\n"))
         out = tmp_path / "pareto"
         assert run(RunManifest("pareto", str(cfg), str(out))) == 0
         spec, solver, schedule = parse_config(cfg)
@@ -387,10 +392,11 @@ experiment:
                 assert row[:-1] == [repr(float(f.value(trace.final_x))) for f in objectives]
 
     def test_pareto_with_every_start_failed_exits_1(self, tmp_path, monkeypatch):
-        """When every staged run raises, the empty front is a verification
-        failure, not a success, and no ADRS is reported."""
+        """When every run raises, the empty front is a verification failure,
+        not a success, and no ADRS is reported.  Both fronts run each start
+        through the one per-start call, so both fail every start."""
         def fail(*args):
-            raise RuntimeError("staged run failed")
+            raise RuntimeError("run failed")
 
         monkeypatch.setattr("mofgd.lab.run_adaptive", fail)
         out = tmp_path / "pareto"
@@ -400,22 +406,27 @@ experiment:
         assert summary["exit_code"] == 1
         assert summary["pareto"]["front_size"] == 0
         assert "adrs" not in summary["pareto"]
+        assert (out / "front_mogd.csv").read_text() == "start_index\n"
         failed = summary["pareto"]["failed_starts"]
-        assert len(failed) == 100
-        assert {f["reason"] for f in failed} == {"staged run failed"}
+        assert [f["start_index"] for f in failed] == list(range(100)) * 2
+        assert {f["reason"] for f in failed} == {"run failed"}
 
     def test_pareto_on_exactly_critical_starts_exits_0(self, tmp_path, monkeypatch):
         """Runs that end at ||d|| = 0.0 pass the criticality check and write
-        a summary that strict JSON parses (no NaN)."""
-        def critical(objectives, x0, cfg, *schedule):
+        a summary that strict JSON parses (no NaN).  The stub replaces the
+        one per-start call, so it makes the runs of both fronts."""
+        runs = []
+
+        def critical(objectives, x0, cfg, schedule, setup):
+            runs.append(len(schedule.stages))
             trace = IterationTrace()
             trace.termination, trace.final_x, trace.final_norm_d = "tolerance", x0, 0.0
             return trace
 
         monkeypatch.setattr("mofgd.lab.run_adaptive", critical)
-        monkeypatch.setattr("mofgd.lab.mogd_baseline", critical)
         out = tmp_path / "pareto"
         assert run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out))) == 0
+        assert runs == [3] * 100 + [1] * 100
 
         def refuse(token):
             raise ValueError(f"summary.json holds {token}")

@@ -621,7 +621,7 @@ class TestRunSingleStage:
             obj, grads = counting_calls(obj, "gradient")
             counted.append((obj, values, grads))
         objectives = [obj for obj, *_ in counted]
-        merit = descent._stage_merit(objectives, frac.gamma, np.zeros(5))
+        merit, _ = descent._stage_setup(objectives, frac.gamma, np.zeros(5), np.zeros(5))
         assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
         trace = run_single_stage(objectives, np.full(5, 3.0),
                                  SolverConfig(tolerance=1e-8), frac, np.zeros(5))

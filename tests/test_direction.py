@@ -337,6 +337,26 @@ class TestArrayReference:
                        - array_gap(G, lam)) <= 4 * m * eps * gap_terms
 
 
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_dot_products_match_matmul(self, n):
+        """_segment_weights and _result_from form their 1-D products with
+        ndarray.dot, which gives the bits of the @ forms on gradients over
+        twelve decades."""
+        rng = np.random.default_rng(n)
+        for _ in range(3000):
+            G = 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 1)) * rng.standard_normal((2, n))
+            g1, g2 = G
+            diff = g1 - g2
+            den = float(diff @ diff)
+            lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff @ g2) / den))
+            lam = direction._segment_weights(g1, g2)
+            assert bits(lam) == bits([lam1, 1.0 - lam1])
+            d = -G.T @ lam
+            r = direction._result_from(G, lam)
+            assert bits(r.norm) == bits(math.sqrt(float(d @ d)))
+            assert bits(r.theta) == bits(r.t_value + 0.5 * float(d @ d))
+
+
 class TestLargeM:
     """m > 6 goes through the same non-negative least-squares solve as 3 <= m <= 6."""
 

@@ -1,8 +1,12 @@
 """Tests for baselines, theorem verification, sweeps, table and ADRS."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import mofgd.descent as descent
 import mofgd.lab as lab
 from mofgd import (
     DirectionAccuracyError,
@@ -24,11 +28,12 @@ from mofgd.fixtures import (
     classical_critical_point,
     default_schedule,
     example3_objective,
+    fixture_objectives,
     EXAMPLE2_MATRIX,
     EXAMPLE2_OFFSET,
 )
 from mofgd.lab import pareto_sweep
-from mofgd.problems import QuadraticMop
+from mofgd.problems import QuadraticMop, regularized
 from oracles import loop_adrs
 
 
@@ -191,6 +196,64 @@ class TestParetoSweep:
         front = pareto_sweep(spec, failures=failures)
         assert failures == []
         assert front and [p.norm_d for p in front] == [0.0] * len(front)
+
+    @pytest.mark.parametrize("method", ["moaocfgd", "mogd"])
+    def test_setup_is_built_once_per_sweep(self, monkeypatch, method):
+        """Stage merits and Hessian stacks depend only on the objectives,
+        the gammas and the terminal, so a 5-start and a 20-start sweep make
+        as many regularized and Hessian calls: one set-up per sweep."""
+        calls = Counter()
+
+        def counting_regularized(*args):
+            calls["regularized"] += 1
+            return regularized(*args)
+
+        def counting_hessian(hessian):
+            def counted(x):
+                calls["hessian"] += 1
+                return hessian(x)
+            return counted
+
+        def counted_objectives(name):
+            return [dataclasses.replace(obj, hessian=counting_hessian(obj.hessian),
+                                        validate=False)
+                    for obj in fixture_objectives(name)]
+
+        monkeypatch.setattr(descent, "regularized", counting_regularized)
+        monkeypatch.setattr(lab, "fixture_objectives", counted_objectives)
+        schedule = default_schedule()
+        counts = []
+        for count in (5, 20):
+            calls.clear()
+            spec = ExperimentSpec("example2_pair", schedule=schedule, method=method,
+                                  start_grid=((-2.0, -3.0), (2.0, 1.0), count))
+            failures = []
+            assert pareto_sweep(spec, SolverConfig(tolerance=1e-5), failures=failures)
+            assert failures == []
+            counts.append(dict(calls))
+        stages = len(schedule.stages) if method == "moaocfgd" else 1
+        assert counts[0] == counts[1]
+        assert counts[0]["regularized"] == 2 * stages
+        # A gamma > 0 merit fetches the raw Hessian once; a gamma = 0 stage
+        # stacks the raw Hessians.
+        assert counts[0]["hessian"] == 2 * stages
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("schedule, message", [
+        (None, "needs a schedule"),
+        (default_schedule(terminal=np.zeros(3)), "terminal has length 3"),
+    ])
+    def test_unrunnable_sweep_raises_before_any_start(self, monkeypatch, jobs, schedule,
+                                                      message):
+        """A staged sweep without a schedule, or with a terminal of the wrong
+        length, raises ValueError once instead of failing every start."""
+        runs = []
+        monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
+        failures = []
+        with pytest.raises(ValueError, match=message):
+            pareto_sweep(ExperimentSpec("example2_pair", schedule=schedule),
+                         failures=failures, jobs=jobs)
+        assert failures == [] and runs == []
 
     def test_example2_pair_front(self):
         """100 starts trace the efficient curve; every point is critical."""

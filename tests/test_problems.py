@@ -1,6 +1,8 @@
 """Tests for problem models, the quadratic family and Tikhonov solutions."""
 
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from mofgd import (
     tikhonov_solve,
 )
 from mofgd.fixtures import _example3_kinks, example3_objective
-from mofgd.problems import regularized
+from mofgd.problems import _check_points, regularized
 from oracles import dense_regularized
 
 
@@ -40,6 +42,20 @@ class TestObjectiveModel:
             ObjectiveModel(
                 value=lambda x: float(x @ x),
                 gradient=lambda x: 3.0 * x,  # wrong: should be 2x
+                kind="smooth",
+            )
+
+    def test_gradient_error_names_the_first_disagreeing_point(self):
+        """A gradient that is wrong at some of the 10 check points only is
+        rejected, and the error names the first of those points."""
+        points = np.array(list(itertools.islice(_check_points(2), 10)))
+        wrong = points[:, 0] > 1.0
+        assert 0 < wrong.sum() < 10 and not wrong[0]
+        first = points[np.argmax(wrong)]
+        with pytest.raises(ValueError, match=re.escape(f"at x = {first}:")):
+            ObjectiveModel(
+                value=lambda x: float(x @ x),
+                gradient=lambda x: 2.0 * x + (np.asarray(x)[..., :1] > 1.0),
                 kind="smooth",
             )
 
