@@ -55,9 +55,14 @@ which needs no value evaluation and holds exactly for eta <= eta_j* =
 power of r at or below min_j eta_j*; every other merit is tested on its
 evaluated values.  The set-up stacks a stage's quadratic merits' constant
 Hessians once, and each line search forms its m slopes and m curvatures
-in one stacked product, which rounds as the per-objective products do.
+as row dots, which round as the per-objective products do.
 
-Per iteration each merit's gradient at x is evaluated once.  A value is
+Per iteration each merit's gradient at x is evaluated once.  The set-up
+also builds the merits' `problems.gradient_stack`, so an all-quadratic
+stage forms its m merit gradients in one stacked evaluation with the bits
+of the m gradient calls; merits it cannot stack (wrapped or lambda-built
+gradients, a merit that pulls twice, a matrix that is not C-ordered) keep
+one gradient call each.  A value is
 evaluated only where something reads it: the line search evaluates f_j(x)
 and the trial values of the merits it cannot expand, and returns the
 values at the accepted step, which the next iteration reuses.  A record
@@ -77,13 +82,13 @@ import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .direction import DirectionAccuracyError, DirectionResult, solve_direction
 from .fractional import modified_fractional_gradient, node_stack, order_shift, terminals
-from .problems import ObjectiveModel, regularized
+from .problems import ObjectiveModel, gradient_stack, regularized
 
 __all__ = [
     "LineSearchError",
@@ -308,8 +313,8 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     gradients are grad f_j(x), which the caller has already evaluated, and
     values[j] is f_j(x) or None.  hessians is `_hessian_stack(objectives,
     x)`, which a stage builds once, or None to build it here.  The slopes
-    s_j = gradients[j]^T d and curvatures q_j = d^T H_j d come from one
-    stacked product (`_slopes_and_curvatures`).  A quadratic f_j with
+    s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
+    dots (`_slopes_and_curvatures`).  A quadratic f_j with
     q_j > 0 is tested on its exact expansion eta s_j + eta^2 q_j / 2 <=
     sigma eta t, so none of its values is evaluated.  Every other objective
     (smooth, piecewise, or a quadratic with q_j <= 0) is tested on its
@@ -368,17 +373,16 @@ def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> np.nd
 def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
                            d: np.ndarray) -> tuple[list[float], list[float]]:
     """The slopes g_j^T d and the curvatures d^T H_j d for the rows g_j of
-    gradients and the matrices H_j of hessians, from one stacked product.
+    gradients and the matrices H_j of hessians, as row dots.
 
-    The rows g_j and d^T H_j are stacked, and each row of a stacked product
-    is its own dot, so the results have the bits of float(g_j @ d) and
-    float(d @ H_j @ d), which the tests pin.  The rows of gradients @ d do
-    not: a matrix-vector product can differ in the last bit, which would
-    move the steps that pass only by rounding.
+    Each row of a stacked product R[:, None, :] @ d is its own dot, so the
+    row dots of gradients and of d @ hessians have the bits of
+    float(g_j @ d) and float(d @ H_j @ d), which the tests pin.  The rows
+    of gradients @ d do not: a matrix-vector product can differ in the last
+    bit, which would move the steps that pass only by rounding.
     """
-    rows = np.concatenate((gradients, d @ hessians))
-    products = (rows[:, None, :] @ d).ravel().tolist()
-    return products[:len(gradients)], products[len(gradients):]
+    return ((gradients[:, None, :] @ d).ravel().tolist(),
+            ((d @ hessians)[:, None, :] @ d).ravel().tolist())
 
 
 def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
@@ -403,16 +407,17 @@ def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
     return max(0, math.ceil(math.log(min(bounds)) / math.log(cfg.backtrack)) - 1)
 
 
-def _stage_setup(objectives, gamma: float, terminal,
-                 x: np.ndarray) -> tuple[tuple[ObjectiveModel, ...], np.ndarray]:
+def _stage_setup(objectives, gamma: float, terminal, x: np.ndarray
+                 ) -> tuple[tuple[ObjectiveModel, ...], np.ndarray, Callable]:
     """The stage merit of each objective (quadratics gain the pull of weight
-    gamma) and the read-only stack of their Hessians at x, which holds at
-    every x."""
+    gamma), the read-only stack of their Hessians at x, which holds at
+    every x, and their `problems.gradient_stack`, which an all-quadratic
+    stage evaluates once per iterate."""
     merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
                   for obj in objectives)
     hessians = _hessian_stack(merit, x)
     hessians.flags.writeable = False
-    return merit, hessians
+    return merit, hessians, gradient_stack(merit)
 
 
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
@@ -458,14 +463,16 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     evaluated at its accepted step, None for the others, and the line
     search evaluates the ones it tests.  The record keeps those values and
     the stage's merits, and evaluates the rest when its f_values are first
-    read.  So a quadratic stage makes one gradient call per objective per
-    iteration and no value call while curvatures are positive, and a
-    smooth stage evaluates each value once per point.  setup is the
-    stage's merits and the stack of their quadratics' constant Hessians
-    that every `armijo_step` reads, as `schedule_setup` builds them once
-    per sweep; None builds them here, with one Hessian call per quadratic
-    merit.  Records are numbered by their position in trace.records, so a
-    trace passed in continues its numbering.
+    read.  So a quadratic stage makes one stacked gradient evaluation
+    (or, for merits that `problems.gradient_stack` does not stack, one
+    gradient call per objective) per iteration and no value call while
+    curvatures are positive, and a smooth stage evaluates each value once
+    per point.  setup is the stage's merits, the stack of their
+    quadratics' constant Hessians that every `armijo_step` reads and their
+    gradient stack, as `schedule_setup` builds them once per sweep; None
+    builds them here, with one Hessian call per quadratic merit.  Records
+    are numbered by their position in trace.records, so a trace passed in
+    continues its numbering.
     Neither a record's x nor the terminal may be written into before the
     record's f_values are read.
 
@@ -483,8 +490,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     trace = trace if trace is not None else IterationTrace()
     start = trace.iterations
     tolerance = cfg.tolerance
-    merit, hessians = (setup if setup is not None
-                       else _stage_setup(objectives, stage.gamma, terminal, x))
+    merit, hessians, merit_gradients = (setup if setup is not None
+                                        else _stage_setup(objectives, stage.gamma, terminal, x))
     quadratic = all(obj.kind == "quadratic" for obj in objectives)
     # The kink-free fractional gradients share one node stack per iterate;
     # alpha = 1, beta = 0 reads none.
@@ -496,9 +503,11 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     for k in range(stage.iterations + 1):
         # A quadratic's modified fractional gradient is its merit's gradient;
         # the others run under the recorder of the terminal clamp's warnings.
-        grads = [m.gradient(x) if obj.kind == "quadratic" else None
-                 for obj, m in zip(objectives, merit)]
-        if not quadratic:
+        if quadratic:
+            grads = merit_gradients(x)
+        else:
+            grads = [m.gradient(x) if obj.kind == "quadratic" else None
+                     for obj, m in zip(objectives, merit)]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 stack = node_stack(x, stage.alpha, terminal) if shared_stack else None
@@ -506,7 +515,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                                                       stack if share else None)
                          if g is None else g for obj, g, share in zip(objectives, grads, shares)]
             trace.notes.extend(str(w.message) for w in caught)
-        grads = np.array(grads)
+            grads = np.array(grads)
 
         try:
             direction = solve_direction(grads)

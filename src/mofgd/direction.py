@@ -70,10 +70,13 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
     floats, with the loops written out for m = 2 (same roundings).
     Stationarity d + sum lambda_j g_j = 0 and feasibility g_j^T d <= t hold
     by construction (t is the largest slope), which leaves complementary
-    slackness and the simplex constraints.  d^T d is `ndarray.dot`, the
-    BLAS dot of d @ d, bit for bit, without the matmul dispatch.
+    slackness and the simplex constraints.  d is G^T (-lam): rounding is
+    symmetric in sign, so it has the bits of -(G^T lam) but for the sign of
+    an exact zero, without the copy that negating G^T makes.  d^T d is
+    `ndarray.dot`, the BLAS dot of d @ d, bit for bit, without the matmul
+    dispatch.
     """
-    d = -G.T @ lam
+    d = G.T @ -lam
     slopes = (G @ d).tolist()
     weights = lam.tolist()
     if len(weights) == 2:

@@ -32,6 +32,7 @@ from .problems import (
     ObjectiveModel,
     PiecewiseMaxObjective,
     QuadraticMop,
+    gradient_stack,
     regularized,
     tikhonov_solve,
 )
@@ -64,7 +65,8 @@ class ExperimentSpec:
 
     instance is a QuadraticMop or a named analytic fixture ("example1",
     "example2", "example2_pair", "example3_nonsmooth").  start_grid is
-    (lb, ub, count): count points uniformly subdividing the segment lb -> ub.
+    (lb, ub, count): count points uniformly subdividing the segment lb -> ub,
+    whose ends are vectors of one length (ValueError otherwise).
     method is "moaocfgd" (the staged schedule) or "mogd" (classical descent).
     """
 
@@ -80,6 +82,9 @@ class ExperimentSpec:
         lb, ub, count = self.start_grid
         lb = np.asarray(lb, dtype=float)
         ub = np.asarray(ub, dtype=float)
+        if lb.ndim != 1 or lb.shape != ub.shape:
+            raise ValueError(f"start_grid lb and ub must be vectors of one length, "
+                             f"got shapes {lb.shape} and {ub.shape}")
         if count < 1:
             raise ValueError("start_grid count must be >= 1")
         if not np.all(lb < ub):
@@ -188,11 +193,12 @@ def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int) -> Itera
 def _frozen_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, step: float,
                         x0: np.ndarray, tolerance: float, k: int) -> list[np.ndarray]:
     """x0 and the iterates of x <- x + step d, d = -sum_j lam_j grad merit_j(x),
-    up to k steps or until ||d|| < tolerance."""
+    up to k steps or until ||d|| < tolerance.  The merit gradients at x are
+    one `gradient_stack` evaluation."""
+    gradients, neg_lam = gradient_stack(merit), -lam
     xs = [np.asarray(x0, dtype=float)]
     for _ in range(k):
-        G = np.array([m.gradient(xs[-1]) for m in merit])
-        d = -G.T @ lam
+        d = gradients(xs[-1]).T @ neg_lam
         if math.sqrt(d @ d) < tolerance:
             break
         xs.append(xs[-1] + step * d)

@@ -16,11 +16,18 @@ fractional gradient of f_j produces; a rank-one outer-product variant
 (rtilde_j rtilde_j^T) serves comparison runs.  `regularized` attaches either
 pull to an objective model and is the only place a pull is built: a stage
 runs on those merits, and `tikhonov_solve` returns the critical point of
-their multiplier-weighted sum.
+their multiplier-weighted sum (the system's extreme singular values are
+computed when first read, so a caller that reads only x_tik makes no SVD).
+
+A quadratic's gradient has one representation, `QuadraticGradient` (A x + b
+plus an optional `Pull` about c), which every quadratic constructor
+builds; `gradient_stack` evaluates m of them at one point as one stacked
+product with the bits of the m calls.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -142,6 +149,103 @@ def _check_points(dim: int):
         yield 4.0 * ((0.5 + k * theta) % 1.0) - 2.0
 
 
+@dataclass(frozen=True, eq=False)
+class Pull:
+    """Gradient of the Tikhonov pull gamma/2 (x-c)^T R (x-c), see `regularized`.
+
+    kind "diag": weights * (x - c), weights = gamma diag(H).  kind "outer":
+    weights * ((x - c)^T r), weights = gamma r, one factor per row of a
+    stack.
+    """
+
+    kind: str
+    weights: np.ndarray
+    c: np.ndarray
+    r: Optional[np.ndarray] = None
+
+    def __call__(self, x):
+        u = x - self.c
+        if self.kind == "diag":
+            return self.weights * u
+        return self.weights * (u @ self.r)[..., None]
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticGradient:
+    """x -> A x + b + pull(x), the gradient of a quadratic model, for one
+    point or row by row for a (k, n) stack (A @ x would mix the rows of a
+    square stack)."""
+
+    a_matrix: np.ndarray
+    b: np.ndarray
+    pull: Optional[Pull] = None
+
+    def __call__(self, x):
+        if getattr(x, "ndim", None) == 1:
+            g = self.a_matrix @ x + self.b
+        else:
+            x = np.asarray(x)
+            g = (self.a_matrix @ x.T).T + self.b
+        return g if self.pull is None else g + self.pull(x)
+
+
+class GradientStack:
+    """The gradients of m stackable `QuadraticGradient`s (see
+    `gradient_stack`) at one point, as one (m, n) array, from read-only
+    stacks of their arrays.
+
+    Row j has the bits of the j-th gradient call: `A @ x` with A the
+    (m, n, n) stack makes one gemv per C-ordered slice, the call that
+    A_j @ x makes; the diag pull is elementwise; and the outer pull's
+    factors are the per-row dots `R[:, None, :] @ (x - c)`, each the dot
+    of (x - c) @ r_j.
+    """
+
+    def __init__(self, gradients: Sequence[QuadraticGradient]):
+        self.a = _read_only(np.stack([g.a_matrix for g in gradients]))
+        self.b = _read_only(np.stack([g.b for g in gradients]))
+        pull = gradients[0].pull
+        self.kind = None if pull is None else pull.kind
+        if pull is not None:
+            self.c = pull.c
+            self.weights = _read_only(np.stack([g.pull.weights for g in gradients]))
+            if self.kind == "outer":
+                self.rows = _read_only(np.stack([g.pull.r for g in gradients])[:, None, :])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        g = self.a @ x
+        g += self.b
+        if self.kind == "diag":
+            g += self.weights * (x - self.c)
+        elif self.kind == "outer":
+            g += self.weights * (self.rows @ (x - self.c))
+        return g
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def gradient_stack(models: Sequence[ObjectiveModel]) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> the (m, n) array of the models' gradients at one point x, whose
+    row j has the bits of models[j].gradient(x).
+
+    A `GradientStack` when every gradient is a `QuadraticGradient` itself
+    (not a wrapper around one) with a C-ordered A, and either none of them
+    pulls or all pull with one kind about one c; otherwise one gradient
+    call per model.
+    """
+    grads = [m.gradient for m in models]
+    pulls = {None if g.pull is None else (g.pull.kind, g.pull.c.tobytes())
+             for g in grads if type(g) is QuadraticGradient}
+    if (grads and all(type(g) is QuadraticGradient and g.a_matrix.flags.c_contiguous
+                      and g.a_matrix.shape == grads[0].a_matrix.shape for g in grads)
+            and len(pulls) == 1):
+        return GradientStack(grads)
+    return lambda x: np.array([g(x) for g in grads])
+
+
 def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0) -> ObjectiveModel:
     """f(x) = 1/2 x^T A x + b^T x + const as an ObjectiveModel."""
     a_matrix = np.asarray(a_matrix, dtype=float)
@@ -149,17 +253,8 @@ def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0)
     if not np.allclose(a_matrix, a_matrix.T):
         raise ValueError("quadratic matrix must be symmetric")
     return ObjectiveModel(lambda x: float(0.5 * x @ a_matrix @ x + b @ x + const),
-                          *_quadratic_derivatives(a_matrix, b), kind="quadratic", dim=b.size)
-
-
-def _quadratic_derivatives(a_matrix: np.ndarray, b: np.ndarray) -> tuple[Callable, Callable]:
-    """Gradient x -> A x + b and Hessian x -> A, row by row on a stack
-    (A @ x would mix the rows of a square stack)."""
-    def gradient(x):
-        if getattr(x, "ndim", None) == 1:
-            return a_matrix @ x + b
-        return (a_matrix @ np.asarray(x).T).T + b
-    return gradient, _constant_hessian(a_matrix)
+                          QuadraticGradient(a_matrix, b), _constant_hessian(a_matrix),
+                          kind="quadratic", dim=b.size)
 
 
 def _half_squared_residual(W: np.ndarray, y: np.ndarray) -> Callable:
@@ -182,7 +277,10 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     R = diag(diag(H)) for reg="diag" (the pull a stage's fractional gradient
     adds) or r r^T with r = sqrt(diag(H)) for reg="outer" (the rank-one
     comparison form).  This is the only place a pull is attached to an
-    objective; gamma = 0 returns obj itself.  A quadratic's Hessian is
+    objective; gamma = 0 returns obj itself.  The merit's gradient is a
+    `QuadraticGradient` with the pull when obj's is one without a pull;
+    any other gradient (a wrapper, one built from a lambda, or one that
+    already pulls) is called and the pull added.  A quadratic's Hessian is
     constant, so the merit's H + gamma R is built once, here: for "diag" as
     a copy of H with gamma h added to its diagonal, so the off-diagonal
     entries keep H's bits, and for "outer" as the sum H + gamma r r^T.  A
@@ -201,24 +299,22 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     hess = np.asarray(obj.hessian(c), dtype=float)
     h = hess.diagonal()
     if reg == "diag":
-        gamma_h = gamma * h
+        pull = Pull("diag", gamma * h, c)
         merit_hess = hess.copy()
-        merit_hess.flat[::obj.dim + 1] += gamma_h
-        pull = point_pull = lambda u: gamma_h * u
+        merit_hess.flat[::obj.dim + 1] += pull.weights
         penalty = lambda u: float(h @ u ** 2)
     else:
         r = np.sqrt(h)
-        gamma_r = gamma * r
+        pull = Pull("outer", gamma * r, c, r)
         merit_hess = hess + gamma * np.outer(r, r)
-        # One point has the scalar factor u^T r, a stack one factor per row.
-        pull, point_pull = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: gamma_r * (u @ r))
         penalty = lambda u: float(r @ u) ** 2
     merit_hess.flags.writeable = False  # every call returns this one array
 
-    def gradient(x):
-        if getattr(x, "ndim", None) == 1:
-            return obj.gradient(x) + point_pull(x - c)
-        return np.asarray(obj.gradient(x), dtype=float) + pull(x - c)
+    base = obj.gradient
+    if type(base) is QuadraticGradient and base.pull is None:
+        gradient = QuadraticGradient(base.a_matrix, base.b, pull)
+    else:  # a gradient of another make, or one that already pulls
+        gradient = lambda x: np.asarray(base(x), dtype=float) + pull(x)
 
     return ObjectiveModel(
         value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
@@ -321,8 +417,8 @@ class QuadraticMop:
         """Raw ObjectiveModels of the m objectives, f_j(x) = 1/2 ||W_j^T x -
         y_j||^2; a staged run adds the regularizer itself (see `regularized`)."""
         return [
-            ObjectiveModel(_half_squared_residual(W, y), *_quadratic_derivatives(A, b),
-                           kind="quadratic", dim=self.dim, validate=False)
+            ObjectiveModel(_half_squared_residual(W, y), QuadraticGradient(A, b),
+                           _constant_hessian(A), kind="quadratic", dim=self.dim, validate=False)
             for W, y, A, b in zip(self.factors, self.targets, self.gram, self.offsets)
         ]
 
@@ -342,13 +438,24 @@ class QuadraticMop:
 class TikhonovSolution:
     """Critical point of the weighted stage merit, with the regularized
     merits it weights, its system matrix and that matrix's extreme singular
-    values."""
+    values, from one SVD on the first read of either."""
 
     x_tik: np.ndarray
     merits: tuple[ObjectiveModel, ...]
     a_matrix: np.ndarray
-    sigma_max: float
-    sigma_min: float
+
+    @functools.cached_property
+    def _sigma(self) -> tuple[float, float]:
+        sigma = np.linalg.svd(self.a_matrix, compute_uv=False)
+        return float(sigma[0]), float(sigma[-1])
+
+    @property
+    def sigma_max(self) -> float:
+        return self._sigma[0]
+
+    @property
+    def sigma_min(self) -> float:
+        return self._sigma[1]
 
     @property
     def kappa(self) -> float:
@@ -378,8 +485,8 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     merit sum_j lambda_j merit_j is quadratic with Hessian
     S = sum_j lambda_j merit_j.hessian(c), so its critical point is the one
     Newton step x_tik = c - S^{-1} sum_j lambda_j grad merit_j(c).  The
-    returned a_matrix is S, the system the fixed-step runs use, with its
-    extreme singular values.
+    returned a_matrix is S, the system the fixed-step runs use; its extreme
+    singular values are computed when first read.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
@@ -407,9 +514,7 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     if residual > 1e-8 * (1.0 + np.linalg.norm(x_tik)):
         raise SingularSystemError(f"normal-equation residual {residual:.3e} too large")
 
-    sigma = np.linalg.svd(system, compute_uv=False)
-    return TikhonovSolution(x_tik=x_tik, merits=merit, a_matrix=system,
-                            sigma_max=float(sigma[0]), sigma_min=float(sigma[-1]))
+    return TikhonovSolution(x_tik=x_tik, merits=merit, a_matrix=system)
 
 
 _FORMAT_TAG = "mofgd-quadratic-mop/1"

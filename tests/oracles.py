@@ -210,6 +210,21 @@ def per_objective_quadratic_stage(merits: Sequence[ObjectiveModel], x0, sigma: f
     return steps
 
 
+def per_objective_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, step: float,
+                              x0, tolerance: float, k: int) -> list[np.ndarray]:
+    """`lab._frozen_fixed_steps` with one gradient call per merit and
+    d = -(G^T lam): x0 and the iterates of x <- x + step d, up to k steps or
+    until ||d|| < tolerance."""
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(k):
+        G = np.array([m.gradient(xs[-1]) for m in merit])
+        d = -G.T @ lam
+        if math.sqrt(d @ d) < tolerance:
+            break
+        xs.append(xs[-1] + step * d)
+    return xs
+
+
 def loop_result_checks(G: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
     """(t, kkt_residual, theta) of `direction._result_from` by its general
     loops over the m slopes and weights, for any m."""

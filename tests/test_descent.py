@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mofgd.descent as descent
+import mofgd.problems as problems
 from mofgd import (
     LineSearchError,
     ObjectiveModel,
@@ -25,7 +26,7 @@ from mofgd import (
 from mofgd.cli import parse_config
 from mofgd.fixtures import default_schedule, example3_objective, fixture_objectives, pareto_pair
 from mofgd.fractional import NodeStack, modified_fractional_gradient
-from mofgd.problems import regularized
+from mofgd.problems import QuadraticGradient, regularized
 from oracles import segment_min_norm
 
 REPO = Path(__file__).resolve().parents[1]
@@ -438,6 +439,41 @@ class TestStackedProducts:
         assert trace.iterations > 10
         assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
 
+    @pytest.mark.parametrize("variant", ["counted", "lambda", "twice_regularized", "fortran"])
+    def test_unstackable_merits_take_the_per_objective_path(self, monkeypatch, variant):
+        """Merits whose gradients are not the module's own (a counting
+        wrapper, a lambda), that pull twice, or whose matrix is not C-ordered
+        are evaluated one gradient call each, and give the records of the
+        per-objective reference; the wrapped ones also give the records of
+        the stacked run."""
+        stacked_calls = []
+        stacked_call = problems.GradientStack.__call__
+        monkeypatch.setattr(problems.GradientStack, "__call__",
+                            lambda self, x: stacked_calls.append(1) or stacked_call(self, x))
+        mop = random_quadratic_mop(5, 8, 2, seed=31)
+        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, 0.3, 80)
+        cfg = SolverConfig(tolerance=1e-9)
+        raw = mop.objectives()
+        if variant == "counted":
+            objectives = [counting_calls(obj, "gradient")[0] for obj in raw]
+        elif variant == "lambda":
+            objectives = [dataclasses.replace(obj, gradient=lambda x, A=A, b=b: A @ x + b)
+                          for obj, A, b in zip(raw, mop.gram, mop.offsets)]
+        elif variant == "twice_regularized":
+            objectives = [regularized(obj, 0.1, c) for obj in raw]
+        else:
+            objectives = [quadratic_objective(np.asfortranarray(A), b)
+                          for A, b in zip(mop.gram, mop.offsets)]
+        merits, _, gradients = descent._stage_setup(objectives, stage.gamma, c, c)
+        assert not isinstance(gradients, problems.GradientStack)
+        trace = run_single_stage(objectives, x0, cfg, stage, c)
+        assert trace.iterations > 10
+        assert not stacked_calls
+        assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
+        if variant in ("counted", "lambda"):
+            assert self.steps(trace) == self.steps(run_single_stage(raw, x0, cfg, stage, c))
+            assert stacked_calls
+
     def test_merits_with_nonpositive_curvature_are_tested_on_values(self):
         """A linear merit (q = 0) and a concave one (q < 0) next to a convex
         one: the line search tests those two on their values, as the
@@ -609,24 +645,47 @@ class TestRunSingleStage:
         (Stage(0.5, 0.3, 500), 500),
         (Stage(0.5, 0.3, 7), 7),
     ])
-    def test_quadratic_stage_evaluates_each_merit_once(self, frac, k_max):
+    def test_quadratic_stage_evaluates_each_merit_once(self, monkeypatch, frac, k_max):
         """One gradient call per objective per iteration (the final check at
         the last iterate included) and, with every curvature positive, no
         value call while the stage runs.  Reading a record's f_values makes
         one value call per objective, a second read makes none, and the
-        values are those of the stage merit at the record's x, bit for bit."""
+        values are those of the stage merit at the record's x, bit for bit.
+        Merits of the module's own gradients make instead one stacked
+        evaluation per iterate and no gradient call, with the same records."""
+        stacked_calls, gradient_calls = [], []
+        stacked_call, gradient_call = problems.GradientStack.__call__, QuadraticGradient.__call__
+        monkeypatch.setattr(problems.GradientStack, "__call__",
+                            lambda self, x: stacked_calls.append(1) or stacked_call(self, x))
+        monkeypatch.setattr(QuadraticGradient, "__call__",
+                            lambda self, x: gradient_calls.append(1) or gradient_call(self, x))
+        raw = random_quadratic_mop(5, 8, 2, seed=21).objectives()
+        plain = [counting_calls(obj, "value") for obj in raw]
+        trace = run_single_stage([obj for obj, _ in plain], np.full(5, 3.0),
+                                 SolverConfig(tolerance=1e-8), frac, np.zeros(5))
+        assert trace.iterations > 0
+        assert len(stacked_calls) == trace.iterations + 1
+        assert not gradient_calls
+        assert not any(values for _, values in plain)
+        stacked_steps = TestStackedProducts.steps(trace)
+
         counted = []
-        for obj in random_quadratic_mop(5, 8, 2, seed=21).objectives():
+        for obj in raw:
             obj, values = counting_calls(obj, "value")
             obj, grads = counting_calls(obj, "gradient")
             counted.append((obj, values, grads))
         objectives = [obj for obj, *_ in counted]
-        merit, _ = descent._stage_setup(objectives, frac.gamma, np.zeros(5), np.zeros(5))
+        merit, _, gradients = descent._stage_setup(objectives, frac.gamma, np.zeros(5),
+                                                   np.zeros(5))
+        assert not isinstance(gradients, problems.GradientStack)
         assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
+        stacked_calls.clear()
         trace = run_single_stage(objectives, np.full(5, 3.0),
                                  SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
         assert trace.iterations > 0
+        assert not stacked_calls
+        assert TestStackedProducts.steps(trace) == stacked_steps
         for _, values, grads in counted:
             assert len(grads) == trace.iterations + 1
             assert not values

@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +33,12 @@ from mofgd.fixtures import (
     EXAMPLE2_MATRIX,
     EXAMPLE2_OFFSET,
 )
+from mofgd.cli import parse_config
 from mofgd.lab import pareto_sweep
-from mofgd.problems import QuadraticMop, regularized
-from oracles import loop_adrs
+from mofgd.problems import GradientStack, QuadraticMop, gradient_stack, regularized
+from oracles import loop_adrs, per_objective_fixed_steps
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestMogdBaselineLab:
@@ -171,6 +175,51 @@ class TestVerifyStagedTheorem6:
             tikhonov_solve(mop, gamma, lam, np.zeros(5)).x_tik - mop.x_star)
         assert report["final_error"] == pytest.approx(bias, abs=1e-6)
         assert report["final_error"] <= bound.c_const * gamma * 1.1
+
+
+class TestFrozenFixedSteps:
+    """The verify runs' fixed steps evaluate the merit gradients as one
+    stacked product, with the bits of one gradient call per merit."""
+
+    @pytest.mark.parametrize("reg", ["diag", "outer"])
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_fixed_steps_match_per_objective_steps(self, reg, n):
+        mop = random_quadratic_mop(n, n + 2, 3, seed=n)
+        lam = np.array([0.2, 0.3, 0.5])
+        sol = tikhonov_solve(mop, 0.25, lam, np.full(n, 0.5), reg)
+        assert isinstance(gradient_stack(sol.merits), GradientStack)
+        args = (sol.merits, lam, 1.0 / sol.sigma_max, np.full(n, 3.0), 1e-300, 300)
+        assert (np.array(lab._frozen_fixed_steps(*args)).tobytes()
+                == np.array(per_objective_fixed_steps(*args)).tobytes())
+
+    def test_verify_reports_match_per_objective_steps(self, monkeypatch):
+        """verify-t5's and verify-t6's runs on the shipped paper instance."""
+        spec, cfg, schedule = parse_config(REPO / "configs" / "paper_quadratic.yaml")
+        mop = spec.instance
+        lam = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
+
+        def reports():
+            t5 = verify_rate_theorem5(mop, cfg, schedule.stages[0].gamma, schedule.terminal,
+                                      lam, k_max=cfg.max_iterations)
+            return (t5.errors.tobytes(), t5.final_x.tobytes(),
+                    repr(verify_staged_theorem6(mop, schedule, cfg)))
+
+        stacked = reports()
+        monkeypatch.setattr(lab, "_frozen_fixed_steps", per_objective_fixed_steps)
+        assert stacked == reports()
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize("lb, ub", [(1.0, 2.0), ((1.0, 1.0), 2.0), (1.0, (2.0, 2.0))])
+    def test_scalar_grid_end_raises(self, lb, ub):
+        """A 0-d end fails at construction, not with an IndexError in starts()."""
+        with pytest.raises(ValueError, match="start_grid"):
+            ExperimentSpec("example2", start_grid=(lb, ub, 3))
+
+    def test_grid_ends_of_different_lengths_raise(self):
+        """Not numpy's broadcast message, but one that names start_grid."""
+        with pytest.raises(ValueError, match="start_grid"):
+            ExperimentSpec("example2", start_grid=((1.0, 1.0), (2.0, 2.0, 2.0), 3))
 
 
 class TestParetoSweep:

@@ -17,7 +17,7 @@ from mofgd import (
     tikhonov_solve,
 )
 from mofgd.fixtures import _example3_kinks, example3_objective
-from mofgd.problems import _check_points, regularized
+from mofgd.problems import GradientStack, _check_points, gradient_stack, regularized
 from oracles import dense_regularized
 
 
@@ -153,6 +153,42 @@ class TestRegularized:
         assert stack.shape == (3, 5, 5)
         for row in stack:
             np.testing.assert_array_equal(row, merit.hessian(x))
+
+
+class TestGradientStack:
+    @pytest.mark.parametrize("reg", [None, "diag", "outer"])
+    @pytest.mark.parametrize("n", [2, 100])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stacked_gradients_match_per_objective_gradients(self, reg, n, m):
+        """One stacked evaluation gives the m gradient calls' bits, on
+        seeded draws of factors, targets, gamma, c and x over twelve
+        decades: raw models and diag or outer merits."""
+        rng = np.random.default_rng(10 * n + m)
+        for _ in range(100):
+            scale = 10.0 ** rng.uniform(-6.0, 6.0, size=5)
+            mop = QuadraticMop(factors=tuple(scale[0] * rng.uniform(-1, 1, (n, n + 1))
+                                             for _ in range(m)),
+                               targets=tuple(scale[1] * rng.uniform(-1, 1, n + 1)
+                                             for _ in range(m)))
+            c, x = scale[2] * rng.uniform(-1, 1, n), scale[3] * rng.uniform(-1, 1, n)
+            models = [obj if reg is None else regularized(obj, scale[4], c, reg)
+                      for obj in mop.objectives()]
+            stacked = gradient_stack(models)
+            assert isinstance(stacked, GradientStack)
+            assert stacked(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
+
+    def test_mixed_pulls_are_evaluated_per_objective(self):
+        """Merits that pull with different kinds or about different terminals,
+        or next to a raw model, are not stacked, and give the gradient calls."""
+        objectives = random_quadratic_mop(3, 4, 2, seed=8).objectives()
+        c, x = np.zeros(3), np.array([0.5, -1.0, 2.0])
+        for models in ([regularized(objectives[0], 0.5, c, "diag"),
+                        regularized(objectives[1], 0.5, c, "outer")],
+                       [regularized(objectives[0], 0.5, c), regularized(objectives[1], 0.5, c + 1)],
+                       [objectives[0], regularized(objectives[1], 0.5, c)]):
+            gradients = gradient_stack(models)
+            assert not isinstance(gradients, GradientStack)
+            assert gradients(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
 
 
 class TestRegularizedDenseReference:
@@ -368,6 +404,20 @@ class TestTikhonovSolve:
             merit = [regularized(o, gamma, c, reg) for o in mop.objectives()]
             residual = sum(w * m.gradient(sol.x_tik) for w, m in zip(lam, merit))
             assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(sol.x_tik))
+
+    def test_singular_values_are_computed_on_first_read(self, monkeypatch):
+        """One SVD of the system, made when sigma_max or sigma_min is first
+        read, not by the solve."""
+        mop = random_quadratic_mop(4, 6, 2, seed=17)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        sol = tikhonov_solve(mop, 0.5, np.array([0.5, 0.5]), np.zeros(4))
+        assert not calls
+        sigma = svd(sol.a_matrix, compute_uv=False)
+        assert (sol.sigma_min, sol.sigma_max, sol.kappa) == (
+            float(sigma[-1]), float(sigma[0]), float(sigma[0]) / float(sigma[-1]))
+        assert len(calls) == 1
 
     def test_bad_multipliers_rejected(self):
         mop = random_quadratic_mop(3, 4, 2, seed=2)
