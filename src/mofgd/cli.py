@@ -125,7 +125,34 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _integer(value, where: str) -> int:
+    """value as an int: an integer, or a float of integral value; ConfigError
+    naming where for anything else (a bool, a string, a list, or a float
+    that int() would truncate)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, where: str) -> list:
+    """value, after refusing anything but a list of numbers with a
+    ConfigError naming where."""
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+    return value
+
+
 def _vec(value, n: Optional[int], where: str) -> np.ndarray:
+    """A number or a list of numbers as a float vector, a number broadcast to
+    n entries; ConfigError naming where for anything else or another length."""
+    if not _is_number(value):
+        _numbers(value, where)
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if n is not None and arr.size == 1:
         arr = np.full(n, float(arr[0]))
@@ -161,10 +188,9 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
             raise ConfigError(f"instance.name: unknown fixture {instance!r}")
         dim = 2
     else:
-        n = int(_need(inst_doc, "n", "instance"))
-        m_data = int(_need(inst_doc, "m_data", "instance"))
-        m = int(_need(inst_doc, "m", "instance"))
-        seed = int(inst_doc.get("seed", 0))
+        n, m_data, m = (_integer(_need(inst_doc, key, "instance"), f"instance.{key}")
+                        for key in ("n", "m_data", "m"))
+        seed = _integer(inst_doc.get("seed", 0), "instance.seed")
         if min(n, m_data, m) < 1:
             raise ConfigError("instance: n, m_data and m must be positive")
         instance = random_quadratic_mop(n, m_data, m, seed)
@@ -174,23 +200,27 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     # attribute, except that the CLI stops at 1e-4 after at most 2000
     # iterations.
     sol_doc = _section(doc.get("solver", {}), "solver")
+    max_iterations = _integer(sol_doc.get("max_iterations", 2000), "solver.max_iterations")
     try:
         solver = SolverConfig(
             sigma=float(sol_doc.get("sigma", SolverConfig.sigma)),
             backtrack=float(sol_doc.get("r", SolverConfig.backtrack)),
             tolerance=float(sol_doc.get("epsilon", 1e-4)),
-            max_iterations=int(sol_doc.get("max_iterations", 2000)),
+            max_iterations=max_iterations,
             eta=float(sol_doc.get("eta", SolverConfig.eta)),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
     sch_doc = _section(doc.get("schedule", {}), "schedule")
-    alphas = list(sch_doc.get("alphas", DEFAULT_ALPHAS))
-    iterations = list(sch_doc.get("iterations", DEFAULT_ITERATIONS))
+    alphas = _numbers(sch_doc.get("alphas", list(DEFAULT_ALPHAS)), "schedule.alphas")
+    iterations = [_integer(k, "schedule.iterations")
+                  for k in _numbers(sch_doc.get("iterations", list(DEFAULT_ITERATIONS)),
+                                    "schedule.iterations")]
     if len(iterations) != len(alphas):
         raise ConfigError("schedule.iterations: length must match schedule.alphas")
-    gammas = list(sch_doc.get("gammas", DEFAULT_GAMMAS[: len(alphas)]))
+    gammas = _numbers(sch_doc.get("gammas", list(DEFAULT_GAMMAS[: len(alphas)])),
+                      "schedule.gammas")
     if len(gammas) != len(alphas):
         raise ConfigError("schedule.gammas: length must match schedule.alphas")
     terminal = _vec(sch_doc.get("terminal", 0.0), dim, "schedule.terminal")
@@ -203,11 +233,13 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     grid_doc = _section(exp_doc.get("start_grid", {}), "experiment.start_grid")
     lb = _vec(grid_doc.get("lb", DEFAULT_START_LB), dim, "experiment.start_grid.lb")
     ub = _vec(grid_doc.get("ub", DEFAULT_START_UB), dim, "experiment.start_grid.ub")
-    count = int(grid_doc.get("count", DEFAULT_START_COUNT))
+    count = _integer(grid_doc.get("count", DEFAULT_START_COUNT), "experiment.start_grid.count")
+    gamma_values = tuple(_numbers(exp_doc.get("gamma_values", list(PAPER_GAMMA_VALUES)),
+                                  "experiment.gamma_values"))
     try:
         spec = ExperimentSpec(
             instance=instance,
-            gamma_values=tuple(exp_doc.get("gamma_values", PAPER_GAMMA_VALUES)),
+            gamma_values=gamma_values,
             start_grid=(lb, ub, count),
             method=str(exp_doc.get("method", ExperimentSpec.method)),
             schedule=schedule,

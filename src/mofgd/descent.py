@@ -342,10 +342,15 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
             if values[j] is None:
                 values[j] = obj.value(x)
             evaluated.append((j, obj, values[j]))
+    sigma, ratio = cfg.sigma, cfg.backtrack
     for backtracks in range(_first_trial(expanded, cfg, t), MAX_BACKTRACKS + 1):
-        eta = cfg.backtrack ** backtracks
-        bound = cfg.sigma * eta * t
-        if all(eta * s + 0.5 * eta ** 2 * q <= bound for s, q in expanded):
+        eta = ratio ** backtracks
+        bound = sigma * eta * t
+        half_eta2 = 0.5 * eta ** 2
+        for s, q in expanded:
+            if not eta * s + half_eta2 * q <= bound:
+                break
+        else:  # every expansion passes: test the evaluated values
             x_next = x + eta * d
             trial_values = [None] * len(objectives)
             for j, obj, f0 in evaluated:
@@ -379,7 +384,9 @@ def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
     row dots of gradients and of d @ hessians have the bits of
     float(g_j @ d) and float(d @ H_j @ d), which the tests pin.  The rows
     of gradients @ d do not: a matrix-vector product can differ in the last
-    bit, which would move the steps that pass only by rounding.
+    bit, which would move the steps that pass only by rounding.  One
+    stacked product per operand costs less than m row views and m
+    `ndarray.dot` calls for the m of a multi-objective problem.
     """
     return ((gradients[:, None, :] @ d).ravel().tolist(),
             ((d @ hessians)[:, None, :] @ d).ravel().tolist())

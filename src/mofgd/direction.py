@@ -6,8 +6,11 @@ The primal subproblem
 
 is solved through its dual: minimize 1/2 ||sum_j lambda_j g_j||^2 over the
 unit simplex, then d = -sum_j lambda_j g_j and t = max_j g_j^T d.  The dual
-is solved exactly for every m: m=2 is the min-norm point of a segment in
-closed form, and m >= 3 is one non-negative least-squares problem in the
+is solved exactly for every m, one solver per regime: m = 1 is d = -g;
+m = 2 is the min-norm point of a segment in closed form, solved and checked
+in one function (`_solve_pair`) on the four entries of G G^T, the two
+slopes and the two weights, since every iteration of a two-objective run
+makes this call; m >= 3 is one non-negative least-squares problem in the
 unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
 method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
 Python floats, so its cost does not depend on n.  A result stores ||d||,
@@ -43,8 +46,12 @@ class DirectionAccuracyError(RuntimeError):
         super().__init__(message)
         self.best = best
 
+    def __reduce__(self):
+        # BaseException pickles its args alone, which lack best.
+        return type(self), (self.args[0], self.best)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DirectionResult:
     """Subproblem solution (t, d, lambda) with verification data.
 
@@ -67,27 +74,20 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
     """(t, d, lambda) for the weights lam, with its KKT residual and theta.
 
     The m slopes and weights are few, so the residual is computed on Python
-    floats, with the loops written out for m = 2 (same roundings).
-    Stationarity d + sum lambda_j g_j = 0 and feasibility g_j^T d <= t hold
-    by construction (t is the largest slope), which leaves complementary
-    slackness and the simplex constraints.  d is G^T (-lam): rounding is
-    symmetric in sign, so it has the bits of -(G^T lam) but for the sign of
-    an exact zero, without the copy that negating G^T makes.  d^T d is
-    `ndarray.dot`, the BLAS dot of d @ d, bit for bit, without the matmul
-    dispatch.
+    floats.  Stationarity d + sum lambda_j g_j = 0 and feasibility
+    g_j^T d <= t hold by construction (t is the largest slope), which leaves
+    complementary slackness and the simplex constraints.  d is G^T (-lam):
+    rounding is symmetric in sign, so it has the bits of -(G^T lam) but for
+    the sign of an exact zero, without the copy that negating G^T makes.
+    d^T d is `ndarray.dot`, the BLAS dot of d @ d, bit for bit, without the
+    matmul dispatch.
     """
     d = G.T @ -lam
     slopes = (G @ d).tolist()
     weights = lam.tolist()
-    if len(weights) == 2:
-        (w1, w2), (s1, s2) = weights, slopes
-        t = max(s1, s2)
-        comp = max(abs(w1 * (s1 - t)), abs(w2 * (s2 - t)))
-        simplex = max(abs(w1 + w2 - 1.0), -min(w1, w2))
-    else:
-        t = max(slopes)
-        comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
-        simplex = max(abs(sum(weights) - 1.0), -min(weights))
+    t = max(slopes)
+    comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
+    simplex = max(abs(sum(weights) - 1.0), -min(weights))
     dd = float(d.dot(d))
     return DirectionResult(t_value=t, direction=d, multipliers=lam,
                            kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
@@ -96,17 +96,8 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
 
 def _dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
     """Frank-Wolfe gap lam^T Kn lam - min_j (Kn lam)_j of Kn = gram / scale,
-    zero exactly at a dual minimizer.
-
-    For m = 2 the loops are written out.  They round alike: sum's leading 0
-    could only turn a sum of two -0.0 terms into +0.0, and with simplex
-    weights (never -0.0) and k11, k22 >= 0 no such sum arises.
-    """
+    zero exactly at a dual minimizer."""
     weights = lam.tolist()
-    if len(weights) == 2:
-        (w1, w2), ((k11, k12), (k21, k22)) = weights, gram
-        g1, g2 = (k11 * w1 + k12 * w2) / scale, (k21 * w1 + k22 * w2) / scale
-        return w1 * g1 + w2 * g2 - min(g1, g2)
     grad = [sum(k * w for k, w in zip(row, weights)) / scale for row in gram]
     return sum(w * g for w, g in zip(weights, grad)) - min(grad)
 
@@ -120,24 +111,43 @@ def _gram_scale(G: np.ndarray) -> tuple[list[list[float]], float]:
     theta(g)) would be unreachable in floating point for large gradients.
     """
     K = G @ G.T
-    gram = K.tolist()
-    # For m = 2 the trace is the one addition k11 + k22 that numpy makes.
-    total = gram[0][0] + gram[1][1] if len(gram) == 2 else float(K.trace())
-    return gram, max(1.0, total / len(gram))
+    return K.tolist(), max(1.0, float(K.trace()) / K.shape[0])
 
 
-def _segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Min-norm point of the segment [g1, g2] as simplex weights.
+def _solve_pair(G: np.ndarray) -> tuple[DirectionResult, float, float]:
+    """The m = 2 solve: the result, the gradient scale and the scaled gap.
 
-    lambda_1 = clamp(-(g1 - g2)^T g2 / ||g1 - g2||^2, 0, 1), computed on the
-    difference vector so nearly collinear gradients keep their precision;
-    g1 = g2 gives lambda_1 = 1.  The two dots are `ndarray.dot`, with the
-    bits of @ and less dispatch.
+    lambda_1 = clamp(-(g1 - g2)^T g2 / ||g1 - g2||^2, 0, 1) is the min-norm
+    point of the segment [g1, g2], computed on the difference vector so
+    nearly collinear gradients keep their precision; g1 = g2 gives
+    lambda_1 = 1.  The scale and the Frank-Wolfe gap come from the four
+    entries of G G^T, and the KKT residual from the two slopes G d and the
+    two weights, with the roundings of `_gram_scale`, `_dual_gap` and
+    `_result_from`: numpy's trace of a 2 x 2 matrix is the one addition
+    k11 + k22, sum's leading 0 could only turn a sum of two -0.0 terms
+    into +0.0, which simplex weights and k11, k22 >= 0 never form, and
+    d = G^T (-lambda).  Every product is `ndarray.dot`, which makes the
+    BLAS call of the @ form (G G^T, G^T (-lambda), G d, d^T d), bit for
+    bit, with less dispatch.
     """
+    (k11, k12), (k21, k22) = G.dot(G.T).tolist()
+    scale = max(1.0, (k11 + k22) / 2)
+    g1, g2 = G[0], G[1]
     diff = g1 - g2
     den = float(diff.dot(diff))
-    lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff.dot(g2)) / den))
-    return np.array([lam1, 1.0 - lam1])
+    w1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff.dot(g2)) / den))
+    w2 = 1.0 - w1
+    d = np.array([-w1, -w2]).dot(G)
+    s1, s2 = G.dot(d).tolist()
+    dd = float(d.dot(d))
+    t = max(s1, s2)
+    comp = max(abs(w1 * (s1 - t)), abs(w2 * (s2 - t)))
+    simplex = max(abs(w1 + w2 - 1.0), -min(w1, w2))
+    n1, n2 = (k11 * w1 + k12 * w2) / scale, (k21 * w1 + k22 * w2) / scale
+    result = DirectionResult(t_value=t, direction=d, multipliers=np.array([w1, w2]),
+                             kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
+                             norm=math.sqrt(dd))
+    return result, scale, w1 * n1 + w2 * n2 - min(n1, n2)
 
 
 def _nnls_weights(G: np.ndarray, scale: float) -> np.ndarray:
@@ -212,9 +222,9 @@ def solve_direction(gradients) -> DirectionResult:
     """Solve the direction subproblem for a list of m gradient n-vectors.
 
     The dual is solved exactly by m: m=1 is d = -g; m=2 is the segment
-    closed form; m >= 3 is one non-negative least-squares solve.  An (m, n)
-    float64 array is read as it is, and anything else through
-    np.atleast_2d(np.asarray(gradients, dtype=float)).  Raises ValueError
+    closed form (`_solve_pair`); m >= 3 is one non-negative least-squares
+    solve.  An (m, n) float64 array is read as it is, and anything else
+    through np.atleast_2d(np.asarray(gradients, dtype=float)).  Raises ValueError
     if a gradient entry is not finite, which is looked for only when the
     sum of squares of G is not finite.  Raises DirectionAccuracyError carrying
     the result if the gradient scale is not finite (a squared gradient norm
@@ -228,15 +238,13 @@ def solve_direction(gradients) -> DirectionResult:
     # before G G^T, where an inf times a zero would warn.
     if not math.isfinite(np.vdot(G, G)) and not np.isfinite(G).all():
         raise ValueError("gradients must be finite")
-    m = G.shape[0]
-    gram, scale = _gram_scale(G)
-    if m == 1:
-        lam = np.ones(1)
+    if G.shape[0] == 2:
+        result, scale, gap = _solve_pair(G)
     else:
-        lam = _segment_weights(G[0], G[1]) if m == 2 else _nnls_weights(G, scale)
-    gap = _dual_gap(gram, scale, lam)
-
-    result = _result_from(G, lam)
+        gram, scale = _gram_scale(G)
+        lam = np.ones(1) if G.shape[0] == 1 else _nnls_weights(G, scale)
+        gap = _dual_gap(gram, scale, lam)
+        result = _result_from(G, lam)
     if not math.isfinite(scale):
         raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite", result)
     if not gap <= GAP_FAIL:

@@ -351,7 +351,9 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
     |f(q) - f(p)| <= DOMINANCE_SLACK + DUPLICATE_RTOL |f(p)| (np.isclose).
     The relative part merges final points of neighbouring starts that reach
     one critical point but stop up to about 1e-6 apart.  Closeness is not
-    transitive, so duplicates are dropped greedily in input order.
+    transitive, so duplicates are dropped greedily in input order.  A point
+    with no close earlier nondominated point is kept without that pass,
+    which then runs over the rest alone.
     """
     n = len(points)
     F = np.array([p.objectives for p in points], dtype=float)
@@ -364,12 +366,13 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
         no_worse &= fq <= fp + DOMINANCE_SLACK
         better |= fq < fp - DOMINANCE_SLACK
         close &= np.isclose(fq, fp, rtol=DUPLICATE_RTOL, atol=DOMINANCE_SLACK)
-    dominated = (no_worse & better).any(axis=0)
-    kept: list[int] = []
-    for i in np.flatnonzero(~dominated):
-        if not close[kept, i].any():
-            kept.append(i)
-    return sorted((points[i] for i in kept), key=lambda p: tuple(p.objectives))
+    candidates = np.flatnonzero(~(no_worse & better).any(axis=0))
+    # close_earlier[a, b]: candidate a comes before candidate b and is close to it.
+    close_earlier = np.triu(close[np.ix_(candidates, candidates)], 1)
+    keep = ~close_earlier.any(axis=0)
+    for b in np.flatnonzero(~keep):
+        keep[b] = not close_earlier[keep, b].any()
+    return sorted((points[i] for i in candidates[keep]), key=lambda p: tuple(p.objectives))
 
 
 def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,

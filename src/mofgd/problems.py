@@ -31,7 +31,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -521,7 +521,12 @@ _FORMAT_TAG = "mofgd-quadratic-mop/1"
 
 
 def save_mop(mop: QuadraticMop, path, terminal: Optional[np.ndarray] = None) -> None:
-    """Serialize an instance (seed, dimensions, W_j, y_j, optional c) as JSON."""
+    """Serialize an instance (seed, dimensions, W_j, y_j, optional c) as JSON.
+
+    The file holds the text of json.dump(doc, fh, indent=1), byte for byte,
+    written in chunks as json.dump writes it; `_indented_json` makes them
+    with the C encoder, which json skips when it indents.
+    """
     doc = {
         "format": _FORMAT_TAG,
         "seed": mop.seed,
@@ -534,5 +539,32 @@ def save_mop(mop: QuadraticMop, path, terminal: Optional[np.ndarray] = None) -> 
         "c": None if terminal is None else np.asarray(terminal, dtype=float).tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.writelines(_indented_json(doc, 0))
 
+
+def _indented_json(value, level: int) -> Iterator[str]:
+    """The text of json.dumps(value, indent=1), in chunks, for a value nested
+    level deep, built of dicts, lists and scalars, where a list holds
+    containers only or numbers only.  A list of numbers is one C-encoder
+    call whose ", " separators become "," and a new indented line; no
+    number's text holds ", "."""
+    close = "\n" + " " * level
+    inner = close + " "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _indented_json(item, level + 1)
+            sep = "," + inner
+        yield close + "}"
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _indented_json(item, level + 1)
+            sep = "," + inner
+        yield close + "]"
+    elif isinstance(value, list) and value:
+        yield "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + close + "]"
+    else:
+        yield json.dumps(value)

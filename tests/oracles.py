@@ -244,6 +244,30 @@ def loop_dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> flo
     return sum(w * g for w, g in zip(weights, grad)) - min(grad)
 
 
+def segment_weights(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The m = 2 simplex weights by the segment closed form:
+    lambda_1 = clamp(-(g1 - g2)^T g2 / ||g1 - g2||^2, 0, 1) on the
+    difference vector, and lambda_1 = 1 for g1 = g2."""
+    diff = g1 - g2
+    den = float(diff @ diff)
+    lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff @ g2) / den))
+    return np.array([lam1, 1.0 - lam1])
+
+
+def composed_pair_solve(G: np.ndarray) -> tuple[DirectionResult, float, float]:
+    """`direction._solve_pair` composed of the general pieces: the Gram
+    product's trace for the scale, `segment_weights`, `loop_dual_gap` and
+    `loop_result_checks`, with d = G^T (-lambda) and ||d|| = sqrt(d^T d)."""
+    K = G @ G.T
+    scale = max(1.0, float(K.trace()) / 2)
+    lam = segment_weights(G[0], G[1])
+    t, kkt, theta = loop_result_checks(G, lam)
+    d = G.T @ -lam
+    result = DirectionResult(t_value=t, direction=d, multipliers=lam, kkt_residual=kkt,
+                             theta=theta, norm=math.sqrt(float(d @ d)))
+    return result, scale, loop_dual_gap(K.tolist(), scale, lam)
+
+
 def dense_regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> ObjectiveModel:
     """`problems.regularized` with the pull matrix R formed densely,
     diag(diag(H)) or r r^T, and the merit Hessian as the matrix sum H + gamma R."""

@@ -128,6 +128,38 @@ schedule:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "solver.epsilom: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("n: 8,", "n: abc,", "instance.n"),
+        ("n: 8,", "n: 8.5,", "instance.n"),
+        ("m_data: 8,", "m_data: true,", "instance.m_data"),
+        ("m: 2,", "m: 2.7,", "instance.m"),
+        ("seed: 3}", "seed: [1]}", "instance.seed"),
+        ("max_iterations: 500,", "max_iterations: 2000.9,", "solver.max_iterations"),
+        ("iterations: [400]", "iterations: [400.5]", "schedule.iterations"),
+        ("iterations: [400]", "iterations: 400", "schedule.iterations"),
+        ("count: 4}", "count: 1.5}", "experiment.start_grid.count"),
+        ("lb: 1.01,", "lb: abc,", "experiment.start_grid.lb"),
+        ("ub: 10.0,", "ub: [1.0, x, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],", "experiment.start_grid.ub"),
+        ("  iterations: [400]\n", "  iterations: [400]\n  terminal: {c: 1}\n", "schedule.terminal"),
+        ("alphas: [0.5]", "alphas: 0.5", "schedule.alphas"),
+        ("gammas: [0.05]", "gammas: [x]", "schedule.gammas"),
+        ("gamma_values: [0.25, 1.0]", "gamma_values: abc", "experiment.gamma_values"),
+    ])
+    def test_malformed_numbers_are_named(self, tmp_path, old, new, key):
+        """A non-integer integer key, or a non-numeric lb, ub, terminal,
+        alphas, gammas or gamma_values, is a ConfigError naming the key, not
+        a traceback or a silent truncation."""
+        assert SMALL_QUADRATIC.count(old) == 1
+        with pytest.raises(ConfigError, match=f"^{key}: expected "):
+            parse_config(write_config(tmp_path, SMALL_QUADRATIC.replace(old, new)))
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        """A float of integral value is read as that integer."""
+        text = SMALL_QUADRATIC.replace("n: 8,", "n: 8.0,").replace("count: 4}", "count: 4.0}")
+        spec, _, _ = parse_config(write_config(tmp_path, text))
+        assert spec.instance.dim == 8 and spec.start_grid[2] == 4
+        assert type(spec.start_grid[2]) is int
+
     def test_section_must_be_a_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="^solver: expected a mapping, got list$"):
             parse_config(write_config(tmp_path, MINIMAL + "solver: [0.1]\n"))

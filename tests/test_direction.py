@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,11 +13,30 @@ from mofgd import (
     DirectionAccuracyError,
     solve_direction,
 )
-from oracles import brute_force_direction, segment_min_norm
+from oracles import brute_force_direction, segment_min_norm, segment_weights
 
 
 def random_gradients(rng, m, n, scale=1.0):
     return [scale * rng.standard_normal(n) for _ in range(m)]
+
+
+def patch_statistics(monkeypatch, gap=None, kkt=None):
+    """Make solve_direction see the given scaled gap or KKT residual in both
+    regimes: in what `_solve_pair` returns for m = 2, and from `_dual_gap`
+    and `_result_from` for m >= 3."""
+    pair, result_from = direction._solve_pair, direction._result_from
+
+    def with_kkt(result):
+        return result if kkt is None else dataclasses.replace(result, kkt_residual=kkt)
+
+    def solve_pair(G):
+        result, scale, exact_gap = pair(G)
+        return with_kkt(result), scale, exact_gap if gap is None else gap
+
+    monkeypatch.setattr(direction, "_solve_pair", solve_pair)
+    monkeypatch.setattr(direction, "_result_from", lambda G, lam: with_kkt(result_from(G, lam)))
+    if gap is not None:
+        monkeypatch.setattr(direction, "_dual_gap", lambda *args: gap)
 
 
 # Finite gradients whose squared norms overflow.
@@ -142,14 +162,29 @@ class TestSolveDirection:
         assert r.kkt_residual <= 1e-8
 
     def test_kkt_check_raises_typed_error(self, monkeypatch):
-        """A result failing the KKT check raises DirectionAccuracyError carrying it."""
-        exact = direction._result_from
-        monkeypatch.setattr(direction, "_result_from", lambda G, lam: dataclasses.replace(
-            exact(G, lam), kkt_residual=1e-3))
-        with pytest.raises(DirectionAccuracyError, match="KKT") as info:
-            solve_direction([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert info.value.best.kkt_residual == 1e-3
-        np.testing.assert_allclose(info.value.best.multipliers, [0.5, 0.5], atol=1e-9)
+        """A result failing the KKT check raises DirectionAccuracyError
+        carrying it, from the m = 2 solve and from the m >= 3 one."""
+        for m in (2, 3):
+            with monkeypatch.context() as patch:
+                patch_statistics(patch, kkt=1e-3)
+                with pytest.raises(DirectionAccuracyError, match="KKT") as info:
+                    solve_direction(np.eye(m))
+            assert info.value.best.kkt_residual == 1e-3
+            np.testing.assert_allclose(info.value.best.multipliers, np.full(m, 1.0 / m),
+                                       atol=1e-9)
+
+    def test_results_and_errors_pickle(self):
+        """A slotted DirectionResult, and a DirectionAccuracyError carrying
+        one, survive a pickle round trip; dataclasses.replace still works."""
+        r = solve_direction(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert not hasattr(r, "__dict__")
+        err = DirectionAccuracyError("scaled duality gap nan above 1e-08", r)
+        back, back_err = pickle.loads(pickle.dumps((r, err)))
+        assert type(back_err) is DirectionAccuracyError and str(back_err) == str(err)
+        for copy in (back, back_err.best):
+            for field in dataclasses.fields(r):
+                assert bits(getattr(copy, field.name)) == bits(getattr(r, field.name))
+        assert dataclasses.replace(r, t_value=-1.0).t_value == -1.0
 
     @pytest.mark.parametrize("gradients", OVERFLOWING)
     def test_overflowed_gradients_raise(self, gradients):
@@ -171,15 +206,15 @@ class TestSolveDirection:
 
     @pytest.mark.parametrize("stage", ["_dual_gap", "_result_from"])
     def test_nan_check_statistics_raise(self, stage, monkeypatch):
-        """A NaN gap or KKT residual fails its bound."""
-        if stage == "_dual_gap":
-            monkeypatch.setattr(direction, "_dual_gap", lambda *args: float("nan"))
-        else:
-            exact = direction._result_from
-            monkeypatch.setattr(direction, "_result_from", lambda G, lam: dataclasses.replace(
-                exact(G, lam), kkt_residual=float("nan")))
-        with pytest.raises(DirectionAccuracyError, match="gap" if stage == "_dual_gap" else "KKT"):
-            solve_direction([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        """A NaN gap (the m >= 3 stage _dual_gap) or KKT residual (the stage
+        _result_from) fails its bound, from the m = 2 solve and from the
+        m >= 3 one."""
+        nan = float("nan")
+        patch_statistics(monkeypatch, **{"gap" if stage == "_dual_gap" else "kkt": nan})
+        for m in (2, 3):
+            with pytest.raises(DirectionAccuracyError,
+                               match="gap" if stage == "_dual_gap" else "KKT"):
+                solve_direction(np.eye(m))
 
 
 def scaled_gram(G):
@@ -317,7 +352,7 @@ class TestArrayReference:
             G = 10.0 ** exponent * rng.standard_normal((m, n))
             K = G @ G.T
             scale = max(1.0, float(K.trace()) / m)
-            lam = (np.ones(1) if m == 1 else direction._segment_weights(G[0], G[1]) if m == 2
+            lam = (np.ones(1) if m == 1 else segment_weights(G[0], G[1]) if m == 2
                    else direction._nnls_weights(G, scale))
             t, d, kkt, theta = array_result(G, lam)
             r = solve_direction(G)
@@ -339,9 +374,9 @@ class TestArrayReference:
 
     @pytest.mark.parametrize("n", [2, 100])
     def test_dot_products_match_matmul(self, n):
-        """_segment_weights and _result_from form their 1-D products with
-        ndarray.dot, which gives the bits of the @ forms on gradients over
-        twelve decades."""
+        """The m = 2 solve forms every product with ndarray.dot (the 1-D dots,
+        G G^T, (-lambda)^T G and G d), which gives the bits of the @ forms
+        on gradients over twelve decades."""
         rng = np.random.default_rng(n)
         for _ in range(3000):
             G = 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 1)) * rng.standard_normal((2, n))
@@ -349,10 +384,11 @@ class TestArrayReference:
             diff = g1 - g2
             den = float(diff @ diff)
             lam1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff @ g2) / den))
-            lam = direction._segment_weights(g1, g2)
-            assert bits(lam) == bits([lam1, 1.0 - lam1])
-            d = -G.T @ lam
-            r = direction._result_from(G, lam)
+            r = solve_direction(G)
+            assert bits(r.multipliers) == bits([lam1, 1.0 - lam1])
+            d = G.T @ -r.multipliers
+            assert bits(r.direction) == bits(d)
+            assert bits(r.t_value) == bits(max((G @ d).tolist()))
             assert bits(r.norm) == bits(math.sqrt(float(d @ d)))
             assert bits(r.theta) == bits(r.t_value + 0.5 * float(d @ d))
 

@@ -17,7 +17,13 @@ from mofgd import (
     tikhonov_solve,
 )
 from mofgd.fixtures import _example3_kinks, example3_objective
-from mofgd.problems import GradientStack, _check_points, gradient_stack, regularized
+from mofgd.problems import (
+    GradientStack,
+    _check_points,
+    _indented_json,
+    gradient_stack,
+    regularized,
+)
 from oracles import dense_regularized
 
 
@@ -444,3 +450,26 @@ class TestSerialization:
             for a, b in zip(getattr(mop, name), getattr(loaded, name), strict=True):
                 np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(mop.x_star, loaded.x_star)
+
+    @pytest.mark.parametrize("x_star, terminal", [(None, None), ([-0.0, 1.0], [0.0, -2.5])])
+    def test_bytes_match_indented_dump(self, tmp_path, x_star, terminal):
+        """The file is json.dumps of its own document with indent=1, byte for
+        byte: with -0.0, the least subnormal, 1e308, nan and +-inf among the
+        entries, x_star None or given, and a terminal or none."""
+        W = np.array([[-0.0, 5e-324, 1e308], [np.nan, np.inf, -np.inf]])
+        y = np.array([1.5, -0.0, 5e-324])
+        with np.errstate(all="ignore"):
+            mop = QuadraticMop(factors=(W, 2.0 * W), targets=(y, -y), x_star=x_star, seed=3)
+        path = tmp_path / "instance.json"
+        save_mop(mop, path, terminal=None if terminal is None else np.array(terminal))
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=1)
+        assert (doc["x_star"], doc["c"]) == (x_star, terminal)
+        assert doc["W"][0][0] == [-0.0, 5e-324, 1e308] and doc["W"][1][0][2] == float("inf")
+
+    def test_indented_json_matches_json(self):
+        """Empty and nested containers, strings, None and ints indent as json's do."""
+        doc = {"a": [], "b": {}, "c": [[], [1, -2]], "d": {"e": [0.5], "f": None},
+               "g": "x, y", "h": [[[1e-300]]], "i": [{"j": 1}, {}]}
+        assert "".join(_indented_json(doc, 0)) == json.dumps(doc, indent=1)
