@@ -503,7 +503,9 @@ def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
         "fractional_iterations_to_1e-3": frac_iters,
         "subgradient_iterations_to_1e-3": sub_iters,
         "final_value": float(obj3.value(trace3.final_x)),
-        "ok": frac_iters is not None and sub_iters is not None and frac_iters < sub_iters,
+        "ok": (frac_iters is not None and sub_iters is not None and frac_iters < sub_iters
+               and trace3.termination != "error"),
+        "termination": trace3.termination,
     }
     lines.append(f"example3: fractional {frac_iters} vs subgradient {sub_iters} iterations")
 

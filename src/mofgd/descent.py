@@ -484,10 +484,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     record's f_values are read.
 
     The kink-free non-quadratic objectives share one node stack per
-    iterate, passed positionally to `modified_fractional_gradient`, so the
-    terminal clamp notes once per degenerate coordinate per iterate.
+    iterate, passed positionally to `modified_fractional_gradient`, so a
+    coordinate below its terminal notes once per iterate.
     Only the modified fractional gradients and the stack build run under a
-    warning recorder, whose RuntimeWarnings (the terminal clamp) go to
+    warning recorder, whose RuntimeWarnings (x_i < c_i) go to
     trace.notes; any other warning, such as an overflowing quadratic
     matvec, reaches the caller's filters.  Every iterate is a new array
     that nothing writes into, so the records and trace.final_x hold the
@@ -509,7 +509,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     trace.termination = "max_iter"
     for k in range(stage.iterations + 1):
         # A quadratic's modified fractional gradient is its merit's gradient;
-        # the others run under the recorder of the terminal clamp's warnings.
+        # the others run under the recorder of the x_i < c_i warnings.
         if quadratic:
             grads = merit_gradients(x)
         else:

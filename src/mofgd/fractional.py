@@ -16,14 +16,17 @@ Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
 c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
 stacks the nodes of all coordinates and answers them with one gradient and
-one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  The
-stack (`node_stack`: the terminal checks and clamps, the scaled rules and
-the read-only (k, n) points z) depends on x, alpha and the terminal only,
-so a stage builds it once per iterate and shares it among its kink-free
-objectives; a degenerate coordinate then warns once per iterate, not once
-per objective.  An objective with kinks, or a call without a stack, builds
-its own.  It evaluates the base rule only; `_rule(refine=True)` is the
-one-level refinement that the test oracles' accuracy check compares with.
+one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  A
+degenerate coordinate, x_i < c_i, warns: a kink-free objective's is the
+classical partial from the one row x, a kinked one's has its terminal
+clamped to just below x_i.  The stack (`node_stack`: the terminal checks,
+the scaled rules and the read-only (k, n) points z) depends on x, alpha
+and the terminal only, so a stage builds it once per iterate and shares it
+among its kink-free objectives, and a degenerate coordinate warns once per
+iterate, not once per objective.  An objective with kinks, or a call
+without a stack, builds its own.  It evaluates the base rule only;
+`_rule(refine=True)` is the one-level refinement that the test oracles'
+accuracy check compares with.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ __all__ = [
 
 NODES_PER_SEGMENT = 64
 
-# Terminal offset used when a degenerate coordinate (x_i <= c_i) is clamped.
+# Terminal offset used when a kinked objective's coordinate with x_i < c_i is clamped.
 CLAMP_OFFSET = 1e-12
 
 
@@ -118,14 +121,16 @@ def _unit_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _resolve_terminal(c: float, x: float) -> float:
-    """c, or, when x <= c, c clamped to just below x with a RuntimeWarning."""
-    if x > c:
+def _resolve_terminal(c: float, x: float, clamp: bool) -> float:
+    """c when x >= c; otherwise, with a RuntimeWarning, c clamped to just
+    below x or, without clamp, x itself (the classical partial's terminal)."""
+    if x >= c:
         return c
-    clamped = min(c, x - CLAMP_OFFSET)
-    warnings.warn(f"degenerate coordinate: x = {x} <= terminal {c}; terminal clamped to "
-                  f"{clamped}", RuntimeWarning, stacklevel=4)
-    return clamped
+    resolved = min(c, x - CLAMP_OFFSET) if clamp else x
+    action = f"terminal clamped to {resolved}" if clamp else "classical partial derivative taken"
+    warnings.warn(f"degenerate coordinate: x = {x} <= terminal {c}; {action}", RuntimeWarning,
+                  stacklevel=4)
+    return resolved
 
 
 class NodeStack(NamedTuple):
@@ -143,10 +148,11 @@ class NodeStack(NamedTuple):
 def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
     """Nodes of the order-alpha modified fractional gradient at x.
 
-    terminal is a scalar or an n-vector (ValueError otherwise); a
-    coordinate with x_i < c_i has its terminal clamped to just below x_i,
-    with a RuntimeWarning.  locator is the objective's kink_locator, or None
-    for a kink-free objective, whose coordinates scale the unit rule.  The
+    terminal is a scalar or an n-vector (ValueError otherwise).  locator is
+    the objective's kink_locator, or None for a kink-free objective, whose
+    coordinates scale the unit rule.  A coordinate with x_i < c_i warns
+    (RuntimeWarning): kink-free, it is the one row x with w None, as at its
+    terminal; kinked, its terminal is clamped to just below x_i.  The
     stack depends on neither beta nor the objective's values, so every
     kink-free objective at x can share one.
     """
@@ -154,12 +160,12 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
     terminal = terminals(terminal, x.size)
     coords, taus, start = [], [], 0
     for i in range(x.size):
-        ci = float(terminal[i])
+        ci = _resolve_terminal(float(terminal[i]), x[i], locator is not None)
         if x[i] == ci:
-            # Limit of the cancelled form: the classical partial derivative.
+            # Limit of the cancelled form, taken below a kink-free terminal too:
+            # the classical partial derivative.
             tau, w, length = x[i:i + 1], None, 0.0
         else:
-            ci = _resolve_terminal(ci, x[i])
             kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
             if alpha == 1.0:
                 u, w = np.zeros(1), np.ones(1)
@@ -197,16 +203,16 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
     length-normalized rule weights absorb (x_i-c)^(alpha-1), so no power of
     x_i - c is formed.
 
-    The nodes of every coordinate (x itself for a coordinate at its
-    terminal) form one (k, n) stack, answered by one gradient and one
-    Hessian call of f.  stack is `node_stack(x, alpha, terminal,
+    The nodes of every coordinate (x itself at its terminal, or below that
+    of a kink-free f) form one (k, n) stack, answered by one gradient and
+    one Hessian call of f.  stack is `node_stack(x, alpha, terminal,
     f.kink_locator)` when the caller has built it, as the stage loop does
     once per iterate for all its kink-free objectives; None builds it here.
     No refinement check runs.  alpha = 1, beta = 0 returns f's gradient
     before the terminal (a scalar or an n-vector) is read.  Otherwise an f
     without a Hessian raises ValueError, and `node_stack` refuses a terminal
-    whose length is neither 1 nor n and clamps (with a RuntimeWarning) the
-    terminal of a coordinate with x_i < c_i.
+    whose length is neither 1 nor n and warns for a coordinate with
+    x_i < c_i.
     """
     x = np.asarray(x, dtype=float)
     if alpha == 1.0 and beta == 0.0:

@@ -369,20 +369,22 @@ def caputo_gradient(f, x: np.ndarray, alpha: float, terminal) -> np.ndarray:
 def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: float,
                                       terminal) -> np.ndarray:
     """Reference for mofgd.modified_fractional_gradient: the same rule, the
-    same terminal clamp and the same per-coordinate dots, one coordinate at
-    a time, each with its own rule build and its own stacked gradient and
-    Hessian calls."""
+    same per-coordinate dots and the same degenerate coordinates, one
+    coordinate at a time, each with its own rule build and its own stacked
+    gradient and Hessian calls.  A coordinate at its terminal, or below it
+    for a kink-free f, is the classical partial f.gradient(x)[i]; below the
+    terminal of a kinked f, the terminal is clamped to just below x_i."""
     x = np.asarray(x, dtype=float)
     if alpha == 1.0 and beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
     c = terminals(terminal, x.size)
+    kinked = getattr(f, "kink_locator", None) is not None
     out = np.empty(x.size)
     for i in range(x.size):
-        ci = float(c[i])
+        ci = _resolve_terminal(float(c[i]), x[i], kinked)
         if x[i] == ci:
             out[i] = np.asarray(f.gradient(x), dtype=float)[i]
             continue
-        ci = _resolve_terminal(ci, x[i])
         deriv, deriv2, kinks = _restriction(f, x, i, ci, x[i])
         if alpha == 1.0:
             tau, w, pref = x[i:i + 1], np.ones(1), 1.0

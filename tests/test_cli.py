@@ -474,7 +474,25 @@ experiment:
         assert summary["fixtures"]["example1"]["ok"]
         assert summary["fixtures"]["example2"]["ok"]
         assert summary["fixtures"]["example3"]["ok"]
+        assert summary["fixtures"]["example3"]["termination"] == "tolerance"
+        assert list(summary["fixtures"]["example3"])[-2:] == ["ok", "termination"]
         assert (out / "fixtures_report.txt").exists()
+
+    def test_fixtures_fails_an_example3_run_that_ended_in_error(self, tmp_path, monkeypatch):
+        """An example 3 run that ends in error fails its check and the
+        command, even when it reached f <= 1e-3 before the subgradient."""
+        def erring(objectives, *args):
+            trace = run_adaptive(objectives, *args)
+            if objectives[0].kind == "piecewise":
+                trace.termination = "error"
+            return trace
+
+        monkeypatch.setattr("mofgd.cli.run_adaptive", erring)
+        out = tmp_path / "fx"
+        assert run(RunManifest("fixtures", None, str(out))) == 1
+        example3 = json.loads((out / "summary.json").read_text())["fixtures"]["example3"]
+        assert example3["fractional_iterations_to_1e-3"] < example3["subgradient_iterations_to_1e-3"]
+        assert (example3["ok"], example3["termination"]) == (False, "error")
 
     def test_seed_on_a_fixture_exits_2(self, tmp_path, capsys):
         """Only a random quadratic instance takes a seed: --seed on a fixture,

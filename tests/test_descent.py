@@ -814,6 +814,28 @@ class TestRunAdaptive:
         assert value == pytest.approx(-7.0 / 3.0, abs=1e-6)
         np.testing.assert_allclose(trace.final_x, [4.0 / 3.0, -1.0 / 6.0], atol=1e-4)
 
+    def test_example3_staged_run_keeps_the_terminal_clamp(self):
+        """Example 3 from (3, 3): its iterates cross the zero terminal, where
+        the kinked objective's coordinates are clamped, not replaced by the
+        classical partial, and every stage ends at its tolerance."""
+        trace = run_adaptive([example3_objective()], np.array([3.0, 3.0]),
+                             SolverConfig(tolerance=1e-6, max_iterations=2000),
+                             default_schedule())
+        assert [(s.iterations, s.termination) for s in trace.stages] == [
+            (2, "tolerance"), (1, "tolerance"), (0, "tolerance")]
+        assert len(trace.notes) == 9
+        assert all(note.startswith("degenerate coordinate: x = ") and "terminal clamped to" in note
+                   for note in trace.notes)
+
+    @pytest.mark.xfail(strict=True, reason="at the minimizer, both coordinates sit at the "
+                       "terminal and the max's tie picks the linear piece's gradient (5, 1), "
+                       "along which no step is accepted")
+    def test_example3_from_its_minimizer_does_not_end_in_error(self):
+        trace = run_adaptive([example3_objective()], np.zeros(2),
+                             SolverConfig(tolerance=1e-6, max_iterations=2000),
+                             default_schedule())
+        assert trace.termination != "error", trace.error
+
     def test_gamma_tail_to_zero_reaches_unregularized_solution(self):
         """Shrinking regularizers drive the iterate to the ground truth."""
         mop = random_quadratic_mop(5, 8, 2, seed=77)

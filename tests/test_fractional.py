@@ -208,13 +208,15 @@ class TestCaputoGradient:
             caputo_gradient(obj, np.array([1.0, 1.0]), 0.5, np.array([0.0, 5.0]))
 
     def test_clamp_policy_warns_instead(self):
-        """The solver's gradient clamps the terminal the reference refuses:
-        its beta = 0 form warns and stays finite."""
+        """The solver's gradient warns where the reference refuses the
+        terminal: its beta = 0 form takes the kink-free objective's
+        classical partial there and stays finite."""
         obj = quadratic_objective(np.eye(2), np.zeros(2))
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            out = modified_fractional_gradient(obj, np.array([1.0, 1.0]), 0.5, 0.0,
-                                               np.array([0.0, 5.0]))
+        x = np.array([1.0, 1.0])
+        with pytest.warns(RuntimeWarning, match="classical partial"):
+            out = modified_fractional_gradient(obj, x, 0.5, 0.0, np.array([0.0, 5.0]))
         assert np.all(np.isfinite(out))
+        assert out[1] == obj.gradient(x)[1]
 
 
 class TestModifiedFractionalGradient:
@@ -245,6 +247,26 @@ class TestModifiedFractionalGradient:
         x = np.array([0.4, -0.3, 1.1])
         got = modified_fractional_gradient(obj, x, 0.5, 0.7, x.copy())
         np.testing.assert_allclose(got, mop.gram[0] @ x + mop.offsets[0], atol=1e-12)
+
+    def test_below_kink_free_terminal_is_the_classical_partial(self):
+        """beta != 0, a smooth objective: a coordinate below its terminal is
+        f's partial bit for bit, and warns once with its x and terminal.
+        The gradient is elementwise, so a stacked row rounds as x alone."""
+        from mofgd import ObjectiveModel
+
+        a = np.array([1.0, -0.5, 2.0, 0.3])
+        obj = ObjectiveModel(lambda x: np.cosh(x - a).sum(axis=-1), lambda x: np.sinh(x - a),
+                             lambda x: np.cosh(x - a)[..., None] * np.eye(4),
+                             kind="smooth", dim=4)
+        x = np.array([0.4, 1.3, 2.2, 3.1])
+        c = np.array([0.0, 2.0, 0.0, 5.0])
+        with pytest.warns(RuntimeWarning) as caught:
+            got = modified_fractional_gradient(obj, x, 0.5, 0.8, c)
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            f"degenerate coordinate: x = {x[i]} <= terminal {c[i]}" for i in (1, 3)]
+        classical = obj.gradient(x)
+        for i in (1, 3):
+            assert got[i] == classical[i]
 
     def test_smooth_finite_difference_check(self):
         """alpha -> 1, beta = 0 on a smooth non-quadratic matches central FD."""
@@ -319,23 +341,36 @@ class TestStackedEvaluation:
 
         from mofgd import ObjectiveModel
         hessian = None if obj.hessian is None else wrap("hessian", obj.hessian)
+        kind = "smooth" if obj.kink_locator is None else "piecewise"
         return ObjectiveModel(wrap("value", obj.value), wrap("gradient", obj.gradient),
-                              hessian, kind="smooth", dim=obj.dim, validate=False)
+                              hessian, kind=kind, kink_locator=obj.kink_locator, dim=obj.dim,
+                              validate=False)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_objective_calls_per_gradient(self, n):
         """One gradient and one Hessian call, with coordinate 0 at its
-        terminal and the last coordinate clamped."""
+        terminal and the last coordinate below it: one row each."""
         mop = random_quadratic_mop(n, 8, 1, seed=5)
         calls = []
         obj = self.counted(quadratic_objective(mop.gram[0], mop.offsets[0]), calls)
         x = np.linspace(0.5, 2.0, n)
         terminal = np.zeros(n)
         terminal[0], terminal[-1] = x[0], x[-1] + 1.0
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        with pytest.warns(RuntimeWarning, match="classical partial"):
             modified_fractional_gradient(obj, x, 0.5, 0.4, terminal)
-        rows = 1 + (n - 1) * NODES_PER_SEGMENT
+        rows = 2 + (n - 2) * NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
+
+    def test_kinked_coordinate_below_terminal_keeps_the_clamp(self):
+        """A coordinate of example 3 below its terminal is clamped to just
+        below x_i and gets a full rule, not the one-row classical partial."""
+        calls = []
+        obj = self.counted(example3_objective(), calls)
+        with pytest.warns(RuntimeWarning, match="terminal clamped to"):
+            modified_fractional_gradient(obj, np.array([3.0, 1.0]), 0.5, 0.4,
+                                         np.array([0.0, 5.0]))
+        rows = 2 * NODES_PER_SEGMENT
+        assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
 
     def test_missing_hessian_raises_below_order_one(self):
         """f'' comes only from the objective's Hessian: without one, an order
@@ -383,12 +418,17 @@ class TestLoopReference:
             self.assert_matches_loop(obj, x, 0.7, 0.5, np.array([-1.0, -1.0]))
 
     def test_clamped_and_terminal_coordinates(self):
+        """A kink-free coordinate below its terminal is the classical
+        partial in the loop too; a kinked one is clamped in both."""
         from test_descent import logistic_losses
 
         obj = logistic_losses()[2]
         x = np.array([0.4, 1.3, 2.2, 3.1])
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        with pytest.warns(RuntimeWarning, match="classical partial"):
             self.assert_matches_loop(obj, x, 0.5, 0.7, np.array([0.4, 2.0, 0.0, 3.1]))
+        with pytest.warns(RuntimeWarning, match="terminal clamped to"):
+            self.assert_matches_loop(example3_objective(), np.array([3.0, 1.0]), 0.5, 0.7,
+                                     np.array([0.0, 5.0]))
 
     def test_alpha_one_quadratic_stacks_x_once_per_coordinate(self):
         """alpha = 1 with beta != 0: one node per coordinate, a k == n stack."""
