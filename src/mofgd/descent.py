@@ -57,7 +57,10 @@ evaluated values.  The set-up stacks a stage's quadratic merits' constant
 Hessians once, and each line search forms its m slopes and m curvatures
 as row dots, which round as the per-objective products do.
 
-Per iteration each merit's gradient at x is evaluated once.  The set-up
+Per iteration each merit's gradient at x is evaluated once: a smooth or
+piecewise one's is row 0, x itself, of its fractional gradient's stacked
+call, so such an objective makes one stacked gradient and one stacked
+Hessian call per iterate and no single-point gradient call.  The set-up
 also builds the merits' `problems.gradient_stack`, so an all-quadratic
 stage forms its m merit gradients in one stacked evaluation with the bits
 of the m gradient calls; merits it cannot stack (wrapped or lambda-built
@@ -465,7 +468,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     the subproblem's t, bit for bit.  Other kinds take the
     singular-quadrature gradients of order stage.alpha and weight
     stage.beta and raw values, and the Armijo slope comes from the merit
-    gradients.  Each iteration evaluates every merit's gradient at x once.
+    gradients.  Each iteration evaluates every merit's gradient at x once;
+    a non-quadratic one is the row-0 gradient that
+    `modified_fractional_gradient` writes into its gradient_out.
     It hands `armijo_step` the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
     search evaluates the ones it tests.  The record keeps those values and
@@ -513,16 +518,22 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         if quadratic:
             grads = merit_gradients(x)
         else:
-            grads = [m.gradient(x) if obj.kind == "quadratic" else None
-                     for obj, m in zip(objectives, merit)]
+            # Row j of merit_grads is merit j's gradient at x: a quadratic's is
+            # its direction input, and the others' is row 0 of their stack.
+            merit_grads = np.empty((len(merit), x.size))
+            for j, m in enumerate(merit):
+                if m.kind == "quadratic":
+                    merit_grads[j] = m.gradient(x)
+            grads = merit_grads.copy()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 stack = node_stack(x, stage.alpha, terminal) if shared_stack else None
-                grads = [modified_fractional_gradient(obj, x, stage.alpha, stage.beta, terminal,
-                                                      stack if share else None)
-                         if g is None else g for obj, g, share in zip(objectives, grads, shares)]
+                for j, (obj, share) in enumerate(zip(objectives, shares)):
+                    if obj.kind != "quadratic":
+                        grads[j] = modified_fractional_gradient(
+                            obj, x, stage.alpha, stage.beta, terminal, stack if share else None,
+                            gradient_out=merit_grads[j])
             trace.notes.extend(str(w.message) for w in caught)
-            grads = np.array(grads)
 
         try:
             direction = solve_direction(grads)
@@ -543,12 +554,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "tolerance"
             break
         # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
-        # a quadratic's direction input already is its merit gradient.
+        # an all-quadratic stage's direction inputs already are its merit gradients.
         if quadratic:
             merit_grads, slope = grads, direction.t_value
         else:
-            merit_grads = np.array([g if obj.kind == "quadratic" else m.gradient(x)
-                                    for obj, m, g in zip(objectives, merit, grads)])
             slope = float((merit_grads @ direction.direction).max())
         if not slope < 0.0:
             trace.termination = "model_mismatch"

@@ -15,11 +15,13 @@ weights are normalized by x - c.
 Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
 c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
-stacks the nodes of all coordinates and answers them with one gradient and
-one Hessian call of the objective; see mofgd.problems.ObjectiveModel.  A
-degenerate coordinate, x_i < c_i, warns: a kink-free objective's is the
-classical partial from the one row x, a kinked one's has its terminal
-clamped to just below x_i.  The stack (`node_stack`: the terminal checks,
+stacks x itself (row 0) and the nodes of all coordinates and answers them
+with one gradient and one Hessian call of the objective; see
+mofgd.problems.ObjectiveModel.  Row 0's gradient is f's classical gradient
+at x, which the caller may take as well.  A degenerate coordinate,
+x_i < c_i, warns: a kink-free objective's is the classical partial from
+row 0, a kinked one's has its terminal clamped to just below x_i.  The
+stack (`node_stack`: the terminal checks,
 the scaled rules and the read-only (k, n) points z) depends on x, alpha
 and the terminal only, so a stage builds it once per iterate and shares it
 among its kink-free objectives, and a degenerate coordinate warns once per
@@ -136,9 +138,11 @@ def _resolve_terminal(c: float, x: float, clamp: bool) -> float:
 class NodeStack(NamedTuple):
     """The quadrature nodes of every coordinate at one x, for one order.
 
-    z is the read-only (k, n) stack of points; coordinate i owns rows
-    start:stop of it and reduces them with weights w (None at its terminal,
-    where its one row is x) and length x_i - c_i.
+    z is the read-only (k, n) stack of points, and its row 0 is x itself.
+    Coordinate i reduces rows start:stop of it with weights w and length
+    x_i - c_i.  A coordinate at its terminal, or below a kink-free one, reads
+    row 0 with w None (its classical partial), and at alpha = 1 every
+    coordinate reads row 0 with weight 1.
     """
 
     z: np.ndarray
@@ -151,42 +155,44 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
     terminal is a scalar or an n-vector (ValueError otherwise).  locator is
     the objective's kink_locator, or None for a kink-free objective, whose
     coordinates scale the unit rule.  A coordinate with x_i < c_i warns
-    (RuntimeWarning): kink-free, it is the one row x with w None, as at its
+    (RuntimeWarning): kink-free, it reads row 0 with w None, as at its
     terminal; kinked, its terminal is clamped to just below x_i.  The
     stack depends on neither beta nor the objective's values, so every
     kink-free objective at x can share one.
     """
     x = np.asarray(x, dtype=float)
     terminal = terminals(terminal, x.size)
-    coords, taus, start = [], [], 0
+    coords, taus, owners, start = [], [], [], 1
     for i in range(x.size):
         ci = _resolve_terminal(float(terminal[i]), x[i], locator is not None)
         if x[i] == ci:
             # Limit of the cancelled form, taken below a kink-free terminal too:
             # the classical partial derivative.
-            tau, w, length = x[i:i + 1], None, 0.0
+            coords.append((0, 1, None, 0.0))
+            continue
+        if alpha == 1.0:  # the one node is u = 0, that is x
+            coords.append((0, 1, np.ones(1), x[i] - ci))
+            continue
+        kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
+        if kinks:
+            u, w = _rule(ci, x[i], kinks, -alpha)
         else:
-            kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
-            if alpha == 1.0:
-                u, w = np.zeros(1), np.ones(1)
-            elif kinks:
-                u, w = _rule(ci, x[i], kinks, -alpha)
-            else:
-                u, w = _unit_rule(-alpha)
-                u = (x[i] - ci) * u
-            tau, length = x[i] - u, x[i] - ci
-        coords.append((start, start + tau.size, w, length))
-        taus.append(tau)
-        start += tau.size
-    own = np.repeat(np.arange(x.size), [tau.size for tau in taus])
-    z = np.repeat(x[None, :], own.size, axis=0)
-    z[np.arange(own.size), own] = np.concatenate(taus)
+            u, w = _unit_rule(-alpha)
+            u = (x[i] - ci) * u
+        coords.append((start, start + u.size, w, x[i] - ci))
+        taus.append(x[i] - u)
+        owners.append(i)
+        start += u.size
+    z = np.repeat(x[None, :], start, axis=0)
+    if taus:
+        z[np.arange(1, start), np.repeat(owners, [tau.size for tau in taus])] = np.concatenate(taus)
     z.flags.writeable = False
     return NodeStack(z, tuple(coords))
 
 
 def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
-                                 terminal, stack: Optional[NodeStack] = None) -> np.ndarray:
+                                 terminal, stack: Optional[NodeStack] = None, *,
+                                 gradient_out: Optional[np.ndarray] = None) -> np.ndarray:
     """De-scaled modified fractional gradient combining orders alpha and 1+alpha.
 
     alpha in (0, 1] is the base order and beta the weight of the order-(1+alpha)
@@ -203,20 +209,25 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
     length-normalized rule weights absorb (x_i-c)^(alpha-1), so no power of
     x_i - c is formed.
 
-    The nodes of every coordinate (x itself at its terminal, or below that
-    of a kink-free f) form one (k, n) stack, answered by one gradient and
-    one Hessian call of f.  stack is `node_stack(x, alpha, terminal,
-    f.kink_locator)` when the caller has built it, as the stage loop does
-    once per iterate for all its kink-free objectives; None builds it here.
-    No refinement check runs.  alpha = 1, beta = 0 returns f's gradient
-    before the terminal (a scalar or an n-vector) is read.  Otherwise an f
-    without a Hessian raises ValueError, and `node_stack` refuses a terminal
-    whose length is neither 1 nor n and warns for a coordinate with
-    x_i < c_i.
+    The nodes of every coordinate and x itself, in row 0, form one (k, n)
+    stack, answered by one gradient and one Hessian call of f.  stack is
+    `node_stack(x, alpha, terminal, f.kink_locator)` when the caller has
+    built it, as the stage loop does once per iterate for all its
+    kink-free objectives; None builds it here.  gradient_out, an n-vector,
+    receives f's classical gradient at x: row 0 of the stacked gradient
+    call, which rounds as f's stack rows do.  No refinement check runs.
+    alpha = 1, beta = 0 returns f's gradient (a copy of which goes to
+    gradient_out) before the terminal (a scalar or an n-vector) is read.
+    Otherwise an f without a Hessian raises ValueError, and `node_stack`
+    refuses a terminal whose length is neither 1 nor n and warns for a
+    coordinate with x_i < c_i.
     """
     x = np.asarray(x, dtype=float)
     if alpha == 1.0 and beta == 0.0:
-        return np.asarray(f.gradient(x), dtype=float)
+        grad = np.asarray(f.gradient(x), dtype=float)
+        if gradient_out is not None:
+            gradient_out[...] = grad
+        return grad
     hess = getattr(f, "hessian", None)
     if hess is None:
         raise ValueError(f"the order-(alpha, beta) = ({alpha}, {beta}) gradient "
@@ -225,12 +236,14 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
         stack = node_stack(x, alpha, terminal, getattr(f, "kink_locator", None))
     grads = np.asarray(f.gradient(stack.z), dtype=float)
     second = np.diagonal(np.asarray(hess(stack.z), dtype=float), axis1=1, axis2=2)
+    if gradient_out is not None:
+        gradient_out[...] = grads[0]
 
     pref = 1.0 if alpha == 1.0 else 1.0 - alpha
     out = np.empty(x.size)
     for i, (start, stop, w, length) in enumerate(stack.coords):
         if w is None:
-            out[i] = grads[start, i]
+            out[i] = grads[0, i]
         else:
             a_term = pref * float(w @ grads[start:stop, i])
             b_term = pref * length * float(w @ second[start:stop, i])

@@ -50,6 +50,8 @@ __all__ = [
 
 _FD_CHECK_STEP = 1e-6
 _FD_CHECK_TOL = 1e-5
+# Candidate points the check scans for 10 whose stencil has no located kink.
+_FD_CHECK_CANDIDATES = 1000
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -60,9 +62,10 @@ class SingularSystemError(np.linalg.LinAlgError):
 class ObjectiveModel:
     """One objective: value, classical gradient, optional Hessian.
 
-    value takes one point.  gradient and hessian take one point or a (k, n)
-    stack of points and return (k, n) and (k, n, n) for a stack, row by row;
-    the modified fractional gradient evaluates the quadrature nodes of all
+    value, gradient and hessian take one point or a (k, n) stack of points
+    and return (k,), (k, n) and (k, n, n) for a stack, row by row; one point
+    keeps its own return (a float for the quadratics).  The modified
+    fractional gradient evaluates x and the quadrature nodes of all
     coordinates in one stacked gradient and one stacked Hessian call.
 
     kind is "quadratic", "smooth", or "piecewise".  "quadratic" declares one
@@ -77,10 +80,13 @@ class ObjectiveModel:
     The gradient is validated against central finite differences of the
     value at construction, on 10 deterministic points (`_check_points`;
     piecewise kinds skip points whose difference stencil contains a
-    located kink), evaluated as one stack and compared in one check whose
-    error names the first point that disagrees; a quadratic's Hessian is
-    also validated against central differences of the gradient on the same
-    points.
+    located kink; after _FD_CHECK_CANDIDATES candidates without 10 such
+    points it raises ValueError).  The gradient is evaluated as one stack,
+    and the whole stencil, 2 n rows per point, in one value call; either
+    is refused with ValueError when its result has the wrong shape.  One
+    check compares them, and its error names the first point that
+    disagrees; a quadratic's Hessian is also validated against central
+    differences of the gradient on the same points.
     """
 
     value: Callable[[np.ndarray], float]
@@ -102,23 +108,33 @@ class ObjectiveModel:
             self._check_gradient()
 
     def _check_gradient(self):
-        candidates = _check_points(self.dim)
         points = []
-        while len(points) < 10:
-            x = next(candidates)
+        for x in itertools.islice(_check_points(self.dim), _FD_CHECK_CANDIDATES):
             if self.kind == "piecewise" and any(
                     len(self.kink_locator(x, i, x[i] - 10 * _FD_CHECK_STEP,
                                           x[i] + 10 * _FD_CHECK_STEP))
                     for i in range(self.dim)):
                 continue  # the FD stencil straddles a kink
             points.append(x)
+            if len(points) == 10:
+                break
+        else:
+            raise ValueError(
+                f"the kink locator reports a kink in the check stencil of "
+                f"{_FD_CHECK_CANDIDATES - len(points)} of {_FD_CHECK_CANDIDATES} candidate "
+                f"points, so fewer than 10 are left for the gradient check")
         points = np.array(points)
         grads = np.asarray(self.gradient(points), dtype=float)
         if grads.shape != points.shape:
             raise ValueError(f"gradient of a {points.shape} stack has shape {grads.shape}")
         steps = _FD_CHECK_STEP * np.eye(self.dim)
-        fd = np.array([[self.value(x + e) - self.value(x - e) for e in steps]
-                       for x in points]) / (2 * _FD_CHECK_STEP)
+        # Row (p, s, i) of the stencil is points[p] + (-1)^s steps[i].
+        stencil = (points[:, None, None] + np.stack([steps, -steps])).reshape(-1, self.dim)
+        values = np.asarray(self.value(stencil), dtype=float)
+        if values.shape != stencil.shape[:1]:
+            raise ValueError(f"value of a {stencil.shape} stack has shape {values.shape}")
+        values = values.reshape(-1, 2, self.dim)
+        fd = (values[:, 0] - values[:, 1]) / (2 * _FD_CHECK_STEP)
         if not np.allclose(grads, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL):
             close = np.isclose(grads, fd, atol=_FD_CHECK_TOL, rtol=_FD_CHECK_TOL).all(axis=1)
             i = int(np.argmin(close))  # the first point that disagrees
@@ -252,17 +268,33 @@ def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0)
     b = np.asarray(b, dtype=float)
     if not np.allclose(a_matrix, a_matrix.T):
         raise ValueError("quadratic matrix must be symmetric")
-    return ObjectiveModel(lambda x: float(0.5 * x @ a_matrix @ x + b @ x + const),
-                          QuadraticGradient(a_matrix, b), _constant_hessian(a_matrix),
+
+    def value(x):
+        x = np.asarray(x)
+        return _scalar((0.5 * x[..., None, :] @ a_matrix @ x[..., :, None])[..., 0, 0]
+                       + _dots(b, x) + const)
+    return ObjectiveModel(value, QuadraticGradient(a_matrix, b), _constant_hessian(a_matrix),
                           kind="quadratic", dim=b.size)
 
 
 def _half_squared_residual(W: np.ndarray, y: np.ndarray) -> Callable:
-    """x -> 1/2 ||W^T x - y||^2 for one point."""
+    """x -> 1/2 ||W^T x - y||^2 for one point or row by row for a stack."""
     def value(x):
-        r = W.T @ x - y
-        return float(0.5 * r @ r)
+        r = (W.T @ np.asarray(x)[..., :, None])[..., 0] - y
+        return _scalar(_dots(0.5 * r, r))
     return value
+
+
+def _dots(a, b):
+    """The dot products of a and b over their last axis, row by row for a
+    stack: each row is one dot call (a stacked matmul makes one per row), so
+    it has the bits of a @ b for that row alone."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _scalar(v):
+    """v as a float for one point; a stack's array as it is."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def _constant_hessian(a_matrix: np.ndarray) -> Callable:
@@ -302,12 +334,12 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
         pull = Pull("diag", gamma * h, c)
         merit_hess = hess.copy()
         merit_hess.flat[::obj.dim + 1] += pull.weights
-        penalty = lambda u: float(h @ u ** 2)
+        penalty = lambda u: _dots(h, u ** 2)
     else:
         r = np.sqrt(h)
         pull = Pull("outer", gamma * r, c, r)
         merit_hess = hess + gamma * np.outer(r, r)
-        penalty = lambda u: float(r @ u) ** 2
+        penalty = lambda u: _dots(r, u) ** 2
     merit_hess.flags.writeable = False  # every call returns this one array
 
     base = obj.gradient
@@ -317,7 +349,7 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
         gradient = lambda x: np.asarray(base(x), dtype=float) + pull(x)
 
     return ObjectiveModel(
-        value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
+        value=lambda x: _scalar(obj.value(x) + 0.5 * gamma * penalty(x - c)),
         gradient=gradient,
         hessian=_constant_hessian(merit_hess),
         kind="quadratic", dim=obj.dim, validate=False,
@@ -328,8 +360,9 @@ class PiecewiseMaxObjective(ObjectiveModel):
     """max of finitely many smooth pieces.
 
     Pieces are (value, gradient, hessian) triples that answer a (k, n) stack
-    with (k,), (k, n) and (k, n, n).  The gradient/Hessian of the max are
-    those of the active (largest) piece, row by row; ties pick the first.
+    with (k,), (k, n) and (k, n, n).  The value of the max is the largest
+    piece value, and its gradient/Hessian are those of the active (largest)
+    piece, row by row; ties pick the first.
     kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
     piece changes along coordinate i (see ObjectiveModel).
     """
@@ -338,7 +371,7 @@ class PiecewiseMaxObjective(ObjectiveModel):
                  kink_locator: Callable):
         object.__setattr__(self, "_pieces", list(pieces))
         super().__init__(
-            value=lambda x: max(p[0](x) for p in self._pieces),
+            value=lambda x: self._piece_values(x).max(axis=-1),
             gradient=lambda x: self._active(x, 1),
             hessian=lambda x: self._active(x, 2),
             kind="piecewise",

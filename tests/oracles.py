@@ -292,8 +292,13 @@ def dense_regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -
             return obj.gradient(x) + point_pull(x - c)
         return np.asarray(obj.gradient(x), dtype=float) + pull(x - c)
 
+    def value(x):
+        if np.ndim(x) == 1:
+            return obj.value(x) + 0.5 * gamma * penalty(x - c)
+        return np.array([value(row) for row in x])
+
     return ObjectiveModel(
-        value=lambda x: obj.value(x) + 0.5 * gamma * penalty(x - c),
+        value=value,
         gradient=gradient,
         hessian=_constant_hessian(merit_hess),
         kind="quadratic", dim=obj.dim, validate=False,

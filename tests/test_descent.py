@@ -276,7 +276,7 @@ class TestArmijoStep:
         on its expansion, without one value evaluation."""
         mop = random_quadratic_mop(4, 7, 1, seed=3)
         raw = [regularized(mop.objectives()[0], 0.3, np.zeros(4)), ObjectiveModel(
-            lambda x: float(np.cosh(x).sum()), np.sinh,
+            lambda x: np.cosh(x).sum(axis=-1), np.sinh,
             lambda x: np.cosh(x)[..., None] * np.eye(4), kind="smooth", dim=4)]
         (quad, quad_calls), (smooth, smooth_calls) = map(counting_calls, raw)
         objectives = [quad, smooth]
@@ -597,9 +597,9 @@ class TestRunSingleStage:
         note; a quadratic gradient's reaches the caller's filters."""
         fractional = descent.modified_fractional_gradient
 
-        def clamping(obj, x, *stage):
+        def clamping(obj, x, *stage, **out):
             warnings.warn("from the fractional gradient", RuntimeWarning)
-            return fractional(obj, x, *stage)
+            return fractional(obj, x, *stage, **out)
 
         def warning_gradient(x):
             warnings.warn("from the quadratic gradient", RuntimeWarning)
@@ -1108,8 +1108,11 @@ class TestMeritSlope:
     def test_uphill_merit_slope_ends_as_model_mismatch(self, monkeypatch):
         """A direction input pointing uphill gives t < 0 but a positive merit
         slope: the stage ends with model_mismatch and notes the mismatch."""
-        monkeypatch.setattr(descent, "modified_fractional_gradient",
-                            lambda f, x, *stage: -f.gradient(x))
+        def uphill(f, x, *stage, gradient_out):
+            gradient_out[...] = f.gradient(x)
+            return -gradient_out
+
+        monkeypatch.setattr(descent, "modified_fractional_gradient", uphill)
         objectives = logistic_losses()
         trace = run_single_stage(objectives, np.full(4, 2.0), SolverConfig(),
                                  Stage(0.5, 0.0, 10), np.zeros(4))
@@ -1170,9 +1173,9 @@ class TestSharedNodeStack:
         args = (np.array([2.0, 1.5]), SolverConfig(), Stage(0.6, 0.1, 8), np.full(2, -1.0))
         handed = []
 
-        def spy(f, x, alpha, beta, c, stack):
+        def spy(f, x, alpha, beta, c, stack, **out):
             handed.append(stack)
-            return modified_fractional_gradient(f, x, alpha, beta, c, stack)
+            return modified_fractional_gradient(f, x, alpha, beta, c, stack, **out)
 
         monkeypatch.setattr(descent, "modified_fractional_gradient", spy)
         shared = run_single_stage(objectives, *args)
@@ -1184,6 +1187,49 @@ class TestSharedNodeStack:
             assert not first.z.flags.writeable
         self.own_stacks(monkeypatch)
         assert record_bits(run_single_stage(objectives, *args)) == record_bits(shared)
+
+
+class TestSmoothStageCalls:
+    """Each iterate of a smooth stage answers a kink-free objective with one
+    stacked gradient and one stacked Hessian call, and the merit gradient
+    that the Armijo slope reads is row 0 of that gradient call, x itself."""
+
+    @staticmethod
+    def recorded(obj, calls):
+        """obj with gradient and Hessian appending (name, argument, result) to calls."""
+        def wrap(name, fn):
+            def inner(x):
+                result = fn(x)
+                calls.append((name, np.array(x), np.array(result)))
+                return result
+            return inner
+
+        return dataclasses.replace(obj, gradient=wrap("gradient", obj.gradient),
+                                   hessian=wrap("hessian", obj.hessian), validate=False)
+
+    def test_one_stacked_call_each_per_iterate_and_row_zero_for_the_slope(self, monkeypatch):
+        calls = [[] for _ in range(3)]
+        objectives = [self.recorded(obj, c) for obj, c in zip(logistic_losses(), calls)]
+        searched = []
+        armijo = descent.armijo_step
+
+        def spy_armijo(merit, x, direction, cfg, values, gradients, hessians):
+            searched.append(np.array(gradients))
+            return armijo(merit, x, direction, cfg, values, gradients, hessians)
+
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        trace = run_single_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
+                                 Stage(0.5, 0.1, 20), np.zeros(4))
+        assert trace.iterations > 1 and len(searched) == trace.iterations
+        iterates = [r.x for r in trace.records] + [trace.final_x]
+        for obj_calls in calls:
+            assert [(name, z.ndim) for name, z, _ in obj_calls] == (
+                [("gradient", 2), ("hessian", 2)] * len(iterates))
+            for (_, z, _), x in zip(obj_calls[::2], iterates):
+                assert z[0].tobytes() == x.tobytes()
+        for k, gradients in enumerate(searched):
+            for j, obj_calls in enumerate(calls):
+                assert gradients[j].tobytes() == obj_calls[2 * k][2][0].tobytes()
 
 
 class TestMogdBaseline:

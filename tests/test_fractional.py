@@ -11,7 +11,7 @@ from mofgd import (
     random_quadratic_mop,
 )
 from mofgd.fixtures import example3_objective
-from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule
+from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule, node_stack
 from oracles import (
     CaputoDomainError,
     QuadratureAccuracyError,
@@ -270,7 +270,7 @@ class TestModifiedFractionalGradient:
 
     def test_smooth_finite_difference_check(self):
         """alpha -> 1, beta = 0 on a smooth non-quadratic matches central FD."""
-        obj_value = lambda x: float(np.sin(x[0]) + np.exp(0.3 * x[1]) + x[0] * x[1])
+        obj_value = lambda x: np.sin(x[..., 0]) + np.exp(0.3 * x[..., 1]) + x[..., 0] * x[..., 1]
         from mofgd import ObjectiveModel
 
         def hessian(x):
@@ -348,8 +348,9 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_objective_calls_per_gradient(self, n):
-        """One gradient and one Hessian call, with coordinate 0 at its
-        terminal and the last coordinate below it: one row each."""
+        """One gradient and one Hessian call.  Row 0 is x, which coordinate 0
+        at its terminal and the last coordinate below it read; the others
+        own NODES_PER_SEGMENT rows each."""
         mop = random_quadratic_mop(n, 8, 1, seed=5)
         calls = []
         obj = self.counted(quadratic_objective(mop.gram[0], mop.offsets[0]), calls)
@@ -358,19 +359,42 @@ class TestStackedEvaluation:
         terminal[0], terminal[-1] = x[0], x[-1] + 1.0
         with pytest.warns(RuntimeWarning, match="classical partial"):
             modified_fractional_gradient(obj, x, 0.5, 0.4, terminal)
-        rows = 2 + (n - 2) * NODES_PER_SEGMENT
+        rows = 1 + (n - 2) * NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
 
     def test_kinked_coordinate_below_terminal_keeps_the_clamp(self):
         """A coordinate of example 3 below its terminal is clamped to just
-        below x_i and gets a full rule, not the one-row classical partial."""
+        below x_i and gets a full rule, not row 0's classical partial."""
         calls = []
         obj = self.counted(example3_objective(), calls)
         with pytest.warns(RuntimeWarning, match="terminal clamped to"):
             modified_fractional_gradient(obj, np.array([3.0, 1.0]), 0.5, 0.4,
                                          np.array([0.0, 5.0]))
-        rows = 2 * NODES_PER_SEGMENT
+        rows = 1 + 2 * NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
+
+    def test_gradient_out_is_row_zero_of_the_stacked_call(self):
+        """gradient_out receives row 0 of the one stacked gradient call: an
+        elementwise gradient's row rounds as x alone, bit for bit, and the
+        logistic loss's row, a row of a matrix product, within the stack
+        contract's 1e-14."""
+        from mofgd import ObjectiveModel
+        from test_descent import logistic_losses
+
+        a = np.array([1.0, -0.5, 2.0, 0.3])
+        cosh = ObjectiveModel(lambda x: np.cosh(x - a).sum(axis=-1), lambda x: np.sinh(x - a),
+                              lambda x: np.cosh(x - a)[..., None] * np.eye(4),
+                              kind="smooth", dim=4)
+        x = np.array([0.4, 1.3, 2.2, 3.1])
+        for obj in (cosh, logistic_losses()[1]):
+            out = np.empty(4)
+            modified_fractional_gradient(obj, x, 0.5, 0.6, np.zeros(4), gradient_out=out)
+            row = np.asarray(obj.gradient(node_stack(x, 0.5, np.zeros(4)).z))[0]
+            assert out.tobytes() == row.tobytes()
+            point = obj.gradient(x)
+            if obj is cosh:
+                assert out.tobytes() == point.tobytes()
+            np.testing.assert_allclose(out, point, rtol=1e-14, atol=1e-14 * np.abs(point).max())
 
     def test_missing_hessian_raises_below_order_one(self):
         """f'' comes only from the objective's Hessian: without one, an order
@@ -430,14 +454,15 @@ class TestLoopReference:
             self.assert_matches_loop(example3_objective(), np.array([3.0, 1.0]), 0.5, 0.7,
                                      np.array([0.0, 5.0]))
 
-    def test_alpha_one_quadratic_stacks_x_once_per_coordinate(self):
-        """alpha = 1 with beta != 0: one node per coordinate, a k == n stack."""
+    def test_alpha_one_quadratic_reads_row_zero_for_every_coordinate(self):
+        """alpha = 1 with beta != 0: every coordinate's one node is x, so the
+        stack is row 0 alone."""
         mop = random_quadratic_mop(4, 6, 1, seed=7)
         calls = []
         obj = TestStackedEvaluation.counted(quadratic_objective(mop.gram[0], mop.offsets[0]),
                                             calls)
         self.assert_matches_loop(obj, np.array([0.5, 1.0, 1.5, 2.0]), 1.0, 0.5, np.zeros(4))
-        assert calls[:2] == [("gradient", (4, 4)), ("hessian", (4, 4))]
+        assert calls[:2] == [("gradient", (1, 4)), ("hessian", (1, 4))]
 
 
 class TestTerminalLength:

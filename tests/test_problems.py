@@ -16,15 +16,23 @@ from mofgd import (
     save_mop,
     tikhonov_solve,
 )
-from mofgd.fixtures import _example3_kinks, example3_objective
+from mofgd.fixtures import (
+    _example3_kinks,
+    example1_objective,
+    example2_objective,
+    example3_objective,
+)
 from mofgd.problems import (
+    _FD_CHECK_CANDIDATES,
     GradientStack,
+    PiecewiseMaxObjective,
     _check_points,
     _indented_json,
     gradient_stack,
     regularized,
 )
 from oracles import dense_regularized
+from test_descent import logistic_losses
 
 
 def _stack_cases():
@@ -39,6 +47,9 @@ def _stack_cases():
         ("mop_objectives", mop.objectives()[1]),
         ("mop_objectives_n64", random_quadratic_mop(64, 70, 1, seed=8).objectives()[0]),
         ("piecewise_example3", example3_objective()),
+        ("oracle_dense_diag", dense_regularized(quad, 0.3, c, "diag")),
+        ("oracle_dense_outer", dense_regularized(quad, 0.3, c, "outer")),
+        ("oracle_logistic", logistic_losses()[0]),
     ]
 
 
@@ -46,7 +57,7 @@ class TestObjectiveModel:
     def test_gradient_validation_rejects_wrong_gradient(self):
         with pytest.raises(ValueError, match="finite differences"):
             ObjectiveModel(
-                value=lambda x: float(x @ x),
+                value=lambda x: (x * x).sum(axis=-1),
                 gradient=lambda x: 3.0 * x,  # wrong: should be 2x
                 kind="smooth",
             )
@@ -60,7 +71,7 @@ class TestObjectiveModel:
         first = points[np.argmax(wrong)]
         with pytest.raises(ValueError, match=re.escape(f"at x = {first}:")):
             ObjectiveModel(
-                value=lambda x: float(x @ x),
+                value=lambda x: (x * x).sum(axis=-1),
                 gradient=lambda x: 2.0 * x + (np.asarray(x)[..., :1] > 1.0),
                 kind="smooth",
             )
@@ -72,7 +83,7 @@ class TestObjectiveModel:
 
         def quadratic(hessian_matrix):
             return ObjectiveModel(
-                value=lambda x: float(0.5 * x @ A @ x),
+                value=lambda x: 0.5 * ((x @ A) * x).sum(axis=-1),
                 gradient=lambda x: np.asarray(x) @ A,
                 hessian=lambda x: np.broadcast_to(hessian_matrix, np.shape(x)[:-1] + A.shape),
                 kind="quadratic")
@@ -105,7 +116,52 @@ class TestObjectiveModel:
 
 
 class TestStackContract:
-    """gradient/hessian answer a (k, n) stack row by row, as per-point calls do."""
+    """value/gradient/hessian answer a (k, n) stack row by row, as per-point calls do."""
+
+    @pytest.mark.parametrize("name,obj", _stack_cases(), ids=[n for n, _ in _stack_cases()])
+    def test_stacked_values_match_per_point_calls(self, name, obj):
+        """A stack of k points gives k values, each within 1 ulp of the
+        point's own value."""
+        rng = np.random.default_rng(6)
+        for k in sorted({1, obj.dim, 7}):
+            z = rng.uniform(-3.0, 3.0, (k, obj.dim))
+            values = obj.value(z)
+            assert np.shape(values) == (k,)
+            single = np.array([obj.value(row) for row in z])
+            assert (np.abs(values - single) <= np.spacing(np.abs(single))).all()
+
+    @pytest.mark.parametrize("make,value,kind", [
+        (example1_objective, -2.4299999999999997, float),
+        (example2_objective, -1.23, float),
+        (example3_objective, 0.8, np.float64),
+    ])
+    def test_single_point_values_keep_type_and_bits(self, make, value, kind):
+        got = make().value(np.array([0.3, -0.7]))
+        assert type(got) is kind and got == value
+
+    @pytest.mark.parametrize("kind", ["smooth", "piecewise"])
+    def test_construction_makes_one_value_call(self, kind):
+        """The finite-difference check evaluates its whole stencil, 2 n rows
+        at each of its 10 points, in one value call."""
+        calls = []
+        obj = example3_objective() if kind == "piecewise" else logistic_losses()[0]
+        ObjectiveModel(lambda x: calls.append(np.shape(x)) or obj.value(x), obj.gradient,
+                       obj.hessian, kind=kind, kink_locator=obj.kink_locator, dim=obj.dim)
+        assert calls == [(10 * 2 * obj.dim, obj.dim)]
+
+    def test_point_only_value_is_refused_at_construction(self):
+        """A value that reduces a whole stack to one number is refused."""
+        with pytest.raises(ValueError, match=re.escape("value of a (40, 2) stack has shape ()")):
+            ObjectiveModel(value=lambda x: float(np.sum(x ** 2)), gradient=lambda x: 2.0 * x,
+                           kind="smooth")
+
+    def test_kinks_in_every_stencil_are_refused(self):
+        """A kink locator that finds a kink in every check stencil leaves no
+        point for the check: construction raises, after a bounded scan."""
+        pieces = example3_objective()._pieces
+        with pytest.raises(ValueError, match=f"{_FD_CHECK_CANDIDATES} of {_FD_CHECK_CANDIDATES}"):
+            PiecewiseMaxObjective(pieces, dim=2,
+                                  kink_locator=lambda x, i, lo, hi: (0.5 * (lo + hi),))
 
     @pytest.mark.parametrize("name,obj", _stack_cases(), ids=[n for n, _ in _stack_cases()])
     def test_stacked_rows_match_per_point_calls(self, name, obj):
@@ -199,8 +255,8 @@ class TestGradientStack:
 
 class TestRegularizedDenseReference:
     """The merit equals the dense construction H + gamma R: same gradient
-    and value bit for bit, and the same Hessian under == (the dense sum
-    turns a -0.0 off-diagonal entry into +0.0)."""
+    and value bit for bit, for a point and a stack, and the same Hessian
+    under == (the dense sum turns a -0.0 off-diagonal entry into +0.0)."""
 
     @pytest.mark.parametrize("reg", ["diag", "outer"])
     @pytest.mark.parametrize("n", [2, 100])
@@ -219,6 +275,7 @@ class TestRegularizedDenseReference:
                 for point in (x, stack):
                     assert merit.gradient(point).tobytes() == dense.gradient(point).tobytes()
                 assert np.float64(merit.value(x)).tobytes() == np.float64(dense.value(x)).tobytes()
+                assert merit.value(stack).tobytes() == dense.value(stack).tobytes()
 
 
 class TestExample3Kinks:
