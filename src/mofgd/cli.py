@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -137,22 +138,37 @@ def _integer(value, where: str) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float within the float range: YAML's .nan and .inf, and
+    an integer too large for a float, are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _float(value, where: str) -> float:
+    """float(value), which reads a YAML string such as 1e-4 too; ConfigError
+    naming where unless it is a finite number."""
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _numbers(value, where: str) -> list:
-    """value, after refusing anything but a list of numbers with a
+    """value, after refusing anything but a list of finite numbers with a
     ConfigError naming where."""
     if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+        raise ConfigError(f"{where}: expected a list of finite numbers, got {value!r}")
     return value
 
 
 def _vec(value, n: Optional[int], where: str) -> np.ndarray:
-    """A number or a list of numbers as a float vector, a number broadcast to
-    n entries; ConfigError naming where for anything else or another length."""
-    if not _is_number(value):
-        _numbers(value, where)
+    """A finite number or a list of them as a float vector, a number
+    broadcast to n entries; ConfigError naming where for anything else or
+    another length."""
+    if not (_is_number(value) or isinstance(value, list) and all(map(_is_number, value))):
+        raise ConfigError(f"{where}: expected a finite number or a list of them, got {value!r}")
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if n is not None and arr.size == 1:
         arr = np.full(n, float(arr[0]))
@@ -167,8 +183,9 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     Sections: instance (a fixture name, or n, m_data, m and seed of a random
     quadratic), solver (sigma, r, epsilon, max_iterations, eta),
     schedule (alphas, gammas, iterations, terminal), experiment (method,
-    gamma_values, start_grid with lb, ub and count).  Any other key is a
-    ConfigError that names it as <section>.<key>.
+    gamma_values, start_grid with lb, ub and count).  Any other key, and
+    a NaN or an infinity where a number goes, is a ConfigError that names
+    it as <section>.<key>.
     """
     path = Path(path)
     if not path.exists():
@@ -201,14 +218,13 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     # iterations.
     sol_doc = _section(doc.get("solver", {}), "solver")
     max_iterations = _integer(sol_doc.get("max_iterations", 2000), "solver.max_iterations")
+    sigma, backtrack, tolerance, eta = (
+        _float(sol_doc.get(key, default), f"solver.{key}")
+        for key, default in (("sigma", SolverConfig.sigma), ("r", SolverConfig.backtrack),
+                             ("epsilon", 1e-4), ("eta", SolverConfig.eta)))
     try:
-        solver = SolverConfig(
-            sigma=float(sol_doc.get("sigma", SolverConfig.sigma)),
-            backtrack=float(sol_doc.get("r", SolverConfig.backtrack)),
-            tolerance=float(sol_doc.get("epsilon", 1e-4)),
-            max_iterations=max_iterations,
-            eta=float(sol_doc.get("eta", SolverConfig.eta)),
-        )
+        solver = SolverConfig(sigma=sigma, backtrack=backtrack, tolerance=tolerance,
+                              max_iterations=max_iterations, eta=eta)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 

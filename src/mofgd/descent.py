@@ -55,7 +55,8 @@ which needs no value evaluation and holds exactly for eta <= eta_j* =
 power of r at or below min_j eta_j*; every other merit is tested on its
 evaluated values.  The set-up stacks a stage's quadratic merits' constant
 Hessians once, and each line search forms its m slopes and m curvatures
-as row dots, which round as the per-objective products do.
+as row dots, which round as the per-objective products do; a stage
+without a quadratic merit stacks none and forms neither.
 
 Per iteration each merit's gradient at x is evaluated once: a smooth or
 piecewise one's is row 0, x itself, of its fractional gradient's stacked
@@ -108,6 +109,8 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
+# armijo_step's default hessians: build the stack per call.
+_BUILD = object()
 
 
 class LineSearchError(RuntimeError):
@@ -137,8 +140,8 @@ class SolverConfig:
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError(f"backtrack ratio must lie in (0, 1), got {self.backtrack}")
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not 0.0 < self.eta < 2.0:
@@ -158,9 +161,9 @@ class Stage:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"stage alpha must lie in (0, 1], got {self.alpha}")
-        if self.gamma < 0.0:
+        if not 0.0 <= self.gamma < math.inf:
             raise ValueError(
-                f"stage gamma must be >= 0, that is beta >= (1-alpha)/(2-alpha) = "
+                f"stage gamma must be finite and >= 0, that is beta >= (1-alpha)/(2-alpha) = "
                 f"{order_shift(self.alpha):.6g}, got gamma = {self.gamma}"
             )
         if self.iterations < 1:
@@ -288,8 +291,8 @@ class IterationTrace:
             for r in self.records:
                 writer.writerow(
                     [r.k, r.stage, repr(r.eta), repr(r.t_value), repr(r.norm_d)]
-                    + [repr(float(v)) for v in r.f_values]
-                    + [repr(float(v)) for v in r.x]
+                    + [repr(v) for v in r.f_values.tolist()]
+                    + [repr(v) for v in r.x.tolist()]
                 )
 
     def summary(self) -> dict:
@@ -309,16 +312,16 @@ class IterationTrace:
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 direction: DirectionResult, cfg: SolverConfig,
                 values: list[Optional[float]], gradients: Sequence[np.ndarray],
-                hessians: Optional[np.ndarray] = None,
-                ) -> tuple[float, np.ndarray, int, list]:
+                hessians=_BUILD) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     gradients are grad f_j(x), which the caller has already evaluated, and
     values[j] is f_j(x) or None.  hessians is `_hessian_stack(objectives,
-    x)`, which a stage builds once, or None to build it here.  The slopes
+    x)`, which a stage builds once; omitted, it is built here.  The slopes
     s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
-    dots (`_slopes_and_curvatures`).  A quadratic f_j with
-    q_j > 0 is tested on its exact expansion eta s_j + eta^2 q_j / 2 <=
+    dots (`_slopes_and_curvatures`); hessians None (no quadratic
+    objective) forms neither, and every curvature is 0.  A quadratic f_j
+    with q_j > 0 is tested on its exact expansion eta s_j + eta^2 q_j / 2 <=
     sigma eta t, so none of its values is evaluated.  Every other objective
     (smooth, piecewise, or a quadratic with q_j <= 0) is tested on its
     evaluated values, and only at trial steps that pass the expansions;
@@ -334,9 +337,10 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     if not direction.t_value < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
     d, t = direction.direction, direction.t_value
-    if hessians is None:
+    if hessians is _BUILD:
         hessians = _hessian_stack(objectives, x)
-    slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
+    slopes, curvatures = (([0.0] * len(objectives),) * 2 if hessians is None
+                          else _slopes_and_curvatures(np.asarray(gradients), hessians, d))
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
     for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
         if q > 0.0:
@@ -368,14 +372,20 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     )
 
 
-def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> np.ndarray:
-    """(m, n, n) stack of the quadratics' Hessians at x, and zeros for the
-    other kinds, whose curvature 0 sends them to the test on values.
+def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> Optional[np.ndarray]:
+    """Read-only (m, n, n) stack of the quadratics' Hessians at x, and zeros
+    for the other kinds, whose curvature 0 sends them to the test on
+    values; None when no objective is quadratic, as every merit is then
+    tested on its values.
 
     A quadratic's Hessian is constant, so the stack holds at every x.
     """
-    return np.array([obj.hessian(x) if obj.kind == "quadratic" else np.zeros((x.size, x.size))
-                     for obj in objectives])
+    if all(obj.kind != "quadratic" for obj in objectives):
+        return None
+    stack = np.array([obj.hessian(x) if obj.kind == "quadratic" else np.zeros((x.size, x.size))
+                      for obj in objectives])
+    stack.flags.writeable = False
+    return stack
 
 
 def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
@@ -418,26 +428,27 @@ def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
 
 
 def _stage_setup(objectives, gamma: float, terminal, x: np.ndarray
-                 ) -> tuple[tuple[ObjectiveModel, ...], np.ndarray, Callable]:
+                 ) -> tuple[tuple[ObjectiveModel, ...], Optional[np.ndarray], Callable]:
     """The stage merit of each objective (quadratics gain the pull of weight
-    gamma), the read-only stack of their Hessians at x, which holds at
-    every x, and their `problems.gradient_stack`, which an all-quadratic
-    stage evaluates once per iterate."""
+    gamma), the `_hessian_stack` of their Hessians at x, which holds at
+    every x (None without a quadratic merit, so the stage's line searches
+    form no products), and their `problems.gradient_stack`, which an
+    all-quadratic stage evaluates once per iterate."""
     merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
                   for obj in objectives)
-    hessians = _hessian_stack(merit, x)
-    hessians.flags.writeable = False
-    return merit, hessians, gradient_stack(merit)
+    return merit, _hessian_stack(merit, x), gradient_stack(merit)
 
 
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
                    n: int) -> tuple[np.ndarray, list]:
     """The schedule's terminal c as an n-vector (zeros when omitted;
-    ValueError unless of length 1 or n) and each stage's `_stage_setup`:
-    what `run_adaptive` builds before its first iterate.  It reads only the
+    ValueError unless finite and of length 1 or n) and each stage's
+    `_stage_setup`: what `run_adaptive` builds before its first iterate.  It reads only the
     objectives, the gammas and c, so a sweep builds it once for all starts.
     """
     c = terminals(0.0 if schedule.terminal is None else schedule.terminal, n)
+    if not np.isfinite(c).all():
+        raise ValueError(f"terminal must be finite, got {schedule.terminal}")
     return c, [_stage_setup(objectives, stage.gamma, c, c) for stage in schedule.stages]
 
 

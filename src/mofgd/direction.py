@@ -13,7 +13,8 @@ slopes and the two weights, since every iteration of a two-objective run
 makes this call; m >= 3 is one non-negative least-squares problem in the
 unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
 method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
-Python floats, so its cost does not depend on n.  A result stores ||d||,
+Python floats, so its cost does not depend on n; the one product G G^T
+(`_gram_scale`) serves the solve and its gap check.  A result stores ||d||,
 from the d^T d that theta adds, so a stage reads it without another
 product.
 """
@@ -150,7 +151,7 @@ def _solve_pair(G: np.ndarray) -> tuple[DirectionResult, float, float]:
     return result, scale, w1 * n1 + w2 * n2 - min(n1, n2)
 
 
-def _nnls_weights(G: np.ndarray, scale: float) -> np.ndarray:
+def _nnls_weights(gram: list[list[float]], scale: float) -> np.ndarray:
     """Exact dual minimizer for any m, by non-negative least squares.
 
     With lambda = mu / 1^T mu, the simplex dual has the minimizer of
@@ -161,13 +162,14 @@ def _nnls_weights(G: np.ndarray, scale: float) -> np.ndarray:
     Squares Problems, 1974, ch. 23) on the normal equations
     M = A^T A = K / scale + 1 1^T, A^T e = 1, of the m x m Gram K = G G^T, in
     Python floats: the matrices are m x m whatever n is, and for the m of a
-    multi-objective problem a float loop is cheaper than numpy calls.  A
-    column is entered only if the solve with it succeeds (no pivot is
-    numerically zero) and gives it a positive weight, as in Lawson &
-    Hanson's own test.
+    multi-objective problem a float loop is cheaper than numpy calls.  gram
+    and scale are `_gram_scale(G)`, so one product forms K for the solve
+    and its gap check.  A column is entered only if the solve with it
+    succeeds (no pivot is numerically zero) and gives it a positive weight,
+    as in Lawson & Hanson's own test.
     """
-    m = G.shape[0]
-    M = [[k / scale + 1.0 for k in row] for row in (G @ G.T).tolist()]
+    m = len(gram)
+    M = [[k / scale + 1.0 for k in row] for row in gram]
     mu = [0.0] * m
     passive: list[int] = []  # ascending
     # Lawson & Hanson's usual pass limit; the caller's gap check catches a cut run.
@@ -242,7 +244,7 @@ def solve_direction(gradients) -> DirectionResult:
         result, scale, gap = _solve_pair(G)
     else:
         gram, scale = _gram_scale(G)
-        lam = np.ones(1) if G.shape[0] == 1 else _nnls_weights(G, scale)
+        lam = np.ones(1) if G.shape[0] == 1 else _nnls_weights(gram, scale)
         gap = _dual_gap(gram, scale, lam)
         result = _result_from(G, lam)
     if not math.isfinite(scale):

@@ -152,40 +152,45 @@ class NodeStack(NamedTuple):
 def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
     """Nodes of the order-alpha modified fractional gradient at x.
 
-    terminal is a scalar or an n-vector (ValueError otherwise).  locator is
-    the objective's kink_locator, or None for a kink-free objective, whose
-    coordinates scale the unit rule.  A coordinate with x_i < c_i warns
-    (RuntimeWarning): kink-free, it reads row 0 with w None, as at its
-    terminal; kinked, its terminal is clamped to just below x_i.  The
-    stack depends on neither beta nor the objective's values, so every
-    kink-free objective at x can share one.
+    terminal is a scalar or an n-vector (ValueError otherwise); a float64
+    n-vector, such as the c of `descent.schedule_setup`, is read as it is.
+    locator is the objective's kink_locator, or None for a kink-free
+    objective, whose coordinates scale the unit rule.  A coordinate with
+    x_i < c_i warns (RuntimeWarning): kink-free, it reads row 0 with w
+    None, as at its terminal; kinked, its terminal is clamped to just below
+    x_i.  Each coordinate is resolved on Python floats.  The stack is k
+    copies of x, and a coordinate with nodes u fills its rows of its own
+    column with tau = x_i - u in one slice assignment.  The stack depends
+    on neither beta nor the objective's values, so every kink-free
+    objective at x can share one.
     """
     x = np.asarray(x, dtype=float)
-    terminal = terminals(terminal, x.size)
-    coords, taus, owners, start = [], [], [], 1
-    for i in range(x.size):
-        ci = _resolve_terminal(float(terminal[i]), x[i], locator is not None)
-        if x[i] == ci:
+    if not (type(terminal) is np.ndarray and terminal.dtype == np.float64
+            and terminal.shape == x.shape):
+        terminal = terminals(terminal, x.size)
+    coords, fills, start = [], [], 1
+    for i, (xi, ci) in enumerate(zip(x.tolist(), terminal.tolist())):
+        ci = _resolve_terminal(ci, xi, locator is not None)
+        if xi == ci:
             # Limit of the cancelled form, taken below a kink-free terminal too:
             # the classical partial derivative.
             coords.append((0, 1, None, 0.0))
             continue
         if alpha == 1.0:  # the one node is u = 0, that is x
-            coords.append((0, 1, np.ones(1), x[i] - ci))
+            coords.append((0, 1, np.ones(1), xi - ci))
             continue
-        kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
+        kinks = () if locator is None else tuple(locator(x, i, ci, xi))
         if kinks:
-            u, w = _rule(ci, x[i], kinks, -alpha)
+            u, w = _rule(ci, xi, kinks, -alpha)
         else:
             u, w = _unit_rule(-alpha)
-            u = (x[i] - ci) * u
-        coords.append((start, start + u.size, w, x[i] - ci))
-        taus.append(x[i] - u)
-        owners.append(i)
+            u = (xi - ci) * u
+        coords.append((start, start + u.size, w, xi - ci))
+        fills.append((start, start + u.size, i, xi - u))
         start += u.size
-    z = np.repeat(x[None, :], start, axis=0)
-    if taus:
-        z[np.arange(1, start), np.repeat(owners, [tau.size for tau in taus])] = np.concatenate(taus)
+    z = np.repeat(x[None], start, 0)
+    for begin, stop, i, tau in fills:
+        z[begin:stop, i] = tau
     z.flags.writeable = False
     return NodeStack(z, tuple(coords))
 
@@ -240,12 +245,12 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
         gradient_out[...] = grads[0]
 
     pref = 1.0 if alpha == 1.0 else 1.0 - alpha
-    out = np.empty(x.size)
+    out = []
     for i, (start, stop, w, length) in enumerate(stack.coords):
         if w is None:
-            out[i] = grads[0, i]
+            out.append(float(grads[0, i]))
         else:
-            a_term = pref * float(w @ grads[start:stop, i])
-            b_term = pref * length * float(w @ second[start:stop, i])
-            out[i] = a_term + beta * b_term
-    return out
+            a_term = pref * float(w.dot(grads[start:stop, i]))
+            b_term = pref * length * float(w.dot(second[start:stop, i]))
+            out.append(a_term + beta * b_term)
+    return np.array(out)

@@ -8,7 +8,7 @@ import numpy as np
 
 from mofgd import DirectionResult, ObjectiveModel, solve_direction
 from mofgd.direction import _result_from
-from mofgd.fractional import _resolve_terminal, _rule, terminals
+from mofgd.fractional import NodeStack, _resolve_terminal, _rule, _unit_rule, terminals
 from mofgd.problems import _constant_hessian
 
 # Central-difference step for a second derivative obtained from first derivatives.
@@ -400,6 +400,37 @@ def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: floa
         b_term = pref * (x[i] - ci) * float(w @ _eval(deriv2, tau))
         out[i] = a_term + beta * b_term
     return out
+
+
+def scattered_node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
+    """Reference for mofgd.fractional.node_stack: every coordinate resolved
+    on numpy scalars, its nodes tau = x_i - u concatenated, and the stack
+    written by one fancy-index scatter into k copies of x."""
+    x = np.asarray(x, dtype=float)
+    terminal = terminals(terminal, x.size)
+    coords, taus, owners, start = [], [], [], 1
+    for i in range(x.size):
+        ci = _resolve_terminal(float(terminal[i]), x[i], locator is not None)
+        if x[i] == ci:
+            coords.append((0, 1, None, 0.0))
+            continue
+        if alpha == 1.0:
+            coords.append((0, 1, np.ones(1), x[i] - ci))
+            continue
+        kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
+        if kinks:
+            u, w = _rule(ci, x[i], kinks, -alpha)
+        else:
+            u, w = _unit_rule(-alpha)
+            u = (x[i] - ci) * u
+        coords.append((start, start + u.size, w, x[i] - ci))
+        taus.append(x[i] - u)
+        owners.append(i)
+        start += u.size
+    z = np.repeat(x[None, :], start, axis=0)
+    if taus:
+        z[np.arange(1, start), np.repeat(owners, [tau.size for tau in taus])] = np.concatenate(taus)
+    return NodeStack(z, tuple(coords))
 
 
 def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -522,6 +522,34 @@ experiment:
         capsys.readouterr()
         assert not (tmp_path / "refused").exists()
 
+    @pytest.mark.parametrize("command, config, old, new, key", [
+        ("pareto", "example2_pair", "terminal: 0.0", "terminal: .nan", "schedule.terminal"),
+        ("pareto", "example2_pair", "terminal: 0.0", "terminal: .inf", "schedule.terminal"),
+        ("pareto", "example2_pair", "gammas: [0.1, 0.01, 0.0]", "gammas: [.nan, 0.01, 0.0]",
+         "schedule.gammas"),
+        ("pareto", "example2_pair", "epsilon: 1.0e-5", "epsilon: .nan", "solver.epsilon"),
+        ("pareto", "example2_pair", "r: 0.5", "r: -.inf", "solver.r"),
+        ("compare", "paper_quadratic", "gamma_values: [0.15, 0.25, 0.5, 0.75, 1.0, 10.0]",
+         "gamma_values: [.nan, 0.25]", "experiment.gamma_values"),
+        ("compare", "paper_quadratic", "ub: 10.0", "ub: .inf", "experiment.start_grid.ub"),
+        ("solve", "example2", "terminal: 0.0", "terminal: .nan", "schedule.terminal"),
+        ("solve", "example2", "terminal: 0.0", "terminal: [0.0, .nan]", "schedule.terminal"),
+        ("solve", "example2", "terminal: 0.0", "terminal: 1" + "0" * 400, "schedule.terminal"),
+        ("solve", "example2", "sigma: 0.1", "sigma: 1" + "0" * 400, "solver.sigma"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, config, old, new, key):
+        """A NaN, an infinity or an integer beyond the float range where a
+        config takes a number is refused by its key (exit 2) before any
+        output directory is made, not run into failed starts or a
+        traceback."""
+        text = (REPO / "configs" / f"{config}.yaml").read_text()
+        assert text.count(old) == 1
+        cfg = write_config(tmp_path, text.replace(old, new))
+        out = tmp_path / "refused" / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+
     def test_seed_override_changes_instance(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

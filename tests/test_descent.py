@@ -1,6 +1,7 @@
 """Tests for the Armijo line search, single-stage runs and the staged driver."""
 
 import dataclasses
+import math
 import warnings
 from pathlib import Path
 
@@ -123,6 +124,7 @@ class TestSolverConfig:
         dict(tolerance=0.0), dict(max_iterations=0),
         dict(sigma=1.0), dict(backtrack=0.0),
         dict(eta=0.0), dict(eta=2.5),
+        dict(tolerance=math.nan), dict(tolerance=math.inf),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -134,6 +136,20 @@ class TestStageSchedule:
         """A negative gamma puts beta below (1-alpha)/(2-alpha)."""
         with pytest.raises(ValueError, match="beta"):
             Stage(alpha=0.9, gamma=-0.01, iterations=10)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_refused(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            Stage(alpha=0.5, gamma=gamma, iterations=10)
+
+    @pytest.mark.parametrize("terminal", [math.nan, [0.0, math.inf]])
+    def test_non_finite_terminal_refused_before_any_stage(self, terminal):
+        objectives = fixture_objectives("example2")
+        schedule = default_schedule(terminal=terminal)
+        with pytest.raises(ValueError, match="terminal must be finite"):
+            descent.schedule_setup(objectives, schedule, 2)
+        with pytest.raises(ValueError, match="terminal must be finite"):
+            run_adaptive(objectives, np.ones(2), SolverConfig(), schedule)
 
     def test_gammas(self):
         """A stage keeps its gamma as given and derives beta from it."""
@@ -505,6 +521,66 @@ class TestStackedProducts:
         assert (len(calls), len(smooth_calls)) == (1, 0)
 
 
+    def test_smooth_merits_have_no_hessian_stack(self):
+        """Without a quadratic merit the stage stacks no Hessians, and
+        next to a quadratic one a smooth merit's slot is zeros."""
+        smooth = logistic_losses()
+        assert descent._hessian_stack(smooth, np.ones(4)) is None
+        assert descent._stage_setup(smooth, 0.1, np.zeros(4), np.zeros(4))[1] is None
+        mixed = descent._hessian_stack([quadratic_objective(np.eye(4), np.zeros(4)), smooth[0]],
+                                       np.ones(4))
+        assert mixed.shape == (2, 4, 4) and not mixed[1].any()
+
+    @staticmethod
+    def count_products(monkeypatch):
+        """Counts of line searches and of `_slopes_and_curvatures` calls."""
+        counts = {"armijo": 0, "products": 0}
+        armijo, products = descent.armijo_step, descent._slopes_and_curvatures
+
+        def spy_armijo(*args):
+            counts["armijo"] += 1
+            return armijo(*args)
+
+        def spy_products(*args):
+            counts["products"] += 1
+            return products(*args)
+
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        monkeypatch.setattr(descent, "_slopes_and_curvatures", spy_products)
+        return counts
+
+    def test_smooth_stage_forms_no_products(self, monkeypatch):
+        """A smooth stage's line searches form no slope or curvature
+        products; a mixed quadratic-and-smooth stage forms one per search."""
+        counts = self.count_products(monkeypatch)
+        trace = run_single_stage(logistic_losses(), np.array([1.0, 5.0, 2.0, 8.0]),
+                                 SolverConfig(), Stage(0.5, 0.1, 20), np.zeros(4))
+        assert trace.iterations > 1 and counts == {"armijo": trace.iterations, "products": 0}
+        counts["armijo"] = 0
+        mixed = [quadratic_objective(np.eye(4), np.zeros(4))] + logistic_losses()[:2]
+        trace = run_single_stage(mixed, np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.1, 20),
+                                 np.zeros(4))
+        assert trace.iterations > 1
+        assert counts == {"armijo": trace.iterations, "products": trace.iterations}
+
+    def test_smooth_line_search_equals_the_one_with_zero_curvatures(self):
+        """On smooth merits, the step without products is the step with the
+        zero Hessian stack, whose curvatures 0 send every merit to its
+        values: eta, x_next, backtracks and trial values, bit for bit."""
+        merits = logistic_losses()
+        cfg = SolverConfig()
+        for x in (np.array([1.0, 5.0, 2.0, 8.0]), np.full(4, 0.3), np.array([-2.0, 1.0, 0.5, 3.0])):
+            gradients = np.array([m.gradient(x) for m in merits])
+            direction = solve_direction(gradients)
+            assert direction.t_value < 0.0
+            steps = [armijo_step(merits, x, direction, cfg, [None] * 3, gradients, hessians)
+                     for hessians in (None, np.zeros((3, 4, 4)))]
+            (eta, x_next, backtracks, trial), (eta0, x_next0, backtracks0, trial0) = steps
+            assert (eta, backtracks, trial) == (eta0, backtracks0, trial0)
+            assert x_next.tobytes() == x_next0.tobytes()
+            assert None not in trial
+
+
 class TestRunSingleStage:
     def test_critical_start_stops_immediately(self):
         mop = random_quadratic_mop(3, 5, 1, seed=7)
@@ -764,6 +840,20 @@ class TestTraceExport:
         trace.to_csv(tmp_path / "trace.csv", m=2)
         assert (tmp_path / "trace.csv").read_text().splitlines() == [
             "k,s,eta,t,norm_d,f_1,f_2,x_1,x_2,x_3"]
+
+    def test_csv_numbers_are_the_repr_of_each_float(self, tmp_path):
+        """f and x columns are repr(float(v)) of each float64 entry: -0.0,
+        subnormals and values that need 17 significant digits."""
+        x = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1.0 / 3.0])
+        values = [2.0 / 3.0, -1e-310, 1e300 * 3.0 ** 0.5]
+        trace = descent.IterationTrace(records=[descent.IterationRecord(
+            k=0, stage=0, x=x, values=values, t_value=-0.5, norm_d=0.25, eta=1.0, backtracks=0)])
+        trace.to_csv(tmp_path / "trace.csv")
+        row = (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")
+        assert row[5:] == [repr(float(v)) for v in np.array(values)] + [repr(float(v)) for v in x]
+        assert row[5:] == ["0.6666666666666666", "-1e-310", "1.7320508075688774e+300",
+                           "-0.0", "5e-324", "7.41691286169067e-309", "0.30000000000000004",
+                           "0.3333333333333333"]
 
     def test_monotone_objectives_along_trace(self):
         mop = random_quadratic_mop(4, 6, 2, seed=5)
@@ -1078,6 +1168,21 @@ class TestMeritSlope:
             assert direction.t_value == pytest.approx(fd, rel=1e-5, abs=1e-8)
             compared += 1
         assert compared >= len(checks) // 2 > 0
+
+    def test_logistic_stage_outcomes(self):
+        """Each stage's (iterations, termination) of the logistic run from
+        three fixed starts, one of them below the terminal: a change to the
+        smooth path that moves them shows here."""
+        want = {
+            (3.0, 3.0, 3.0, 3.0): [(14, "tolerance"), (29, "tolerance"), (6, "model_mismatch")],
+            (1.0, 5.0, 2.0, 8.0): [(17, "tolerance"), (31, "tolerance"), (5, "model_mismatch")],
+            (-2.0, 0.5, 3.0, -1.0): [(10, "tolerance"), (19, "tolerance"),
+                                     (5, "model_mismatch")],
+        }
+        for x0, stages in want.items():
+            trace = run_adaptive(logistic_losses(), np.array(x0), SolverConfig(),
+                                 default_schedule(terminal=np.zeros(4)))
+            assert [(s.iterations, s.termination) for s in trace.stages] == stages
 
     def test_logistic_losses_take_few_backtracks(self):
         """Median backtracks <= 5, every f_j non-increasing, no error."""

@@ -267,9 +267,9 @@ class TestIndependentBranchOracles:
         rng = np.random.default_rng(300 + seed)
         G = rng.standard_normal((2, int(rng.integers(1, 6))))
         K = scaled_gram(G)
-        _, scale = direction._gram_scale(G)
+        gram, scale = direction._gram_scale(G)
         closed = segment_min_norm(G[0], G[1])
-        nnls = direction._result_from(G, direction._nnls_weights(G, scale))
+        nnls = direction._result_from(G, direction._nnls_weights(gram, scale))
         enum = direction._result_from(G, enumerate_supports(K))
         for other in (nnls, enum):
             assert abs(0.5 * other.norm ** 2 - 0.5 * closed.norm ** 2) <= 1e-12
@@ -353,7 +353,7 @@ class TestArrayReference:
             K = G @ G.T
             scale = max(1.0, float(K.trace()) / m)
             lam = (np.ones(1) if m == 1 else segment_weights(G[0], G[1]) if m == 2
-                   else direction._nnls_weights(G, scale))
+                   else direction._nnls_weights(K.tolist(), scale))
             t, d, kkt, theta = array_result(G, lam)
             r = solve_direction(G)
             assert bits(r.multipliers) == bits(lam)
@@ -366,7 +366,9 @@ class TestArrayReference:
             eps = np.finfo(float).eps
             assert abs(r.kkt_residual - kkt) <= m * eps
             gram, gram_scale = direction._gram_scale(G)
-            assert bits(gram_scale) == bits(scale)
+            # The solve's Gram is the G G^T that _nnls_weights once formed
+            # itself, so lam above is the G-based form's, bit for bit.
+            assert bits(gram) == bits(K) and bits(gram_scale) == bits(scale)
             gap_terms = np.abs(K).max() / scale
             assert abs(direction._dual_gap(gram, gram_scale, lam)
                        - array_gap(G, lam)) <= 4 * m * eps * gap_terms

@@ -1,6 +1,7 @@
 """Tests for the Caputo derivative kernel and fractional gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     caputo_derivative_poly,
     caputo_gradient,
     modified_fractional_gradient_loop,
+    scattered_node_stack,
 )
 
 
@@ -411,6 +413,72 @@ class TestStackedEvaluation:
                 modified_fractional_gradient(no_hessian, x, alpha, beta, np.zeros(4))
         np.testing.assert_array_equal(modified_fractional_gradient(no_hessian, x, 1.0, 0.0, 0.0),
                                       obj.gradient(x))
+
+
+class TestColumnFills:
+    """node_stack fills each coordinate's column of k copies of x with one
+    slice assignment: the stack, coords and warnings of the concatenate and
+    scatter construction, bit for bit."""
+
+    @staticmethod
+    def built(build, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stack = build(*args)
+        return stack, [str(w.message) for w in caught]
+
+    @staticmethod
+    def coord_bits(coords):
+        return [(start, stop, None if w is None else w.tobytes(),
+                 np.float64(length).tobytes()) for start, stop, w, length in coords]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    def test_matches_scatter_reference(self, n, alpha):
+        """Seeded x in [-3, 3]^n against scalar and vector terminals, one
+        coordinate exactly at its terminal and others below it, with example
+        3's kink locator at n = 2."""
+        locators = (None, example3_objective().kink_locator) if n == 2 else (None,)
+        rng = np.random.default_rng(10 * n + int(10 * alpha))
+        compared = 0
+        for _ in range(10):
+            x = rng.uniform(-3.0, 3.0, n)
+            vector = rng.uniform(-3.0, 3.0, n)
+            vector[0] = x[0]
+            for terminal in (-1.0, float(x[-1]), vector, list(vector)):
+                for locator in locators:
+                    got, got_notes = self.built(node_stack, x, alpha, terminal, locator)
+                    want, want_notes = self.built(scattered_node_stack, x, alpha, terminal,
+                                                  locator)
+                    assert got.z.tobytes() == want.z.tobytes()
+                    assert got.z.shape == want.z.shape and not got.z.flags.writeable
+                    assert self.coord_bits(got.coords) == self.coord_bits(want.coords)
+                    assert got_notes == want_notes
+                    compared += bool(got_notes)
+        assert compared > 0
+
+    def test_gradient_from_the_reference_stack(self):
+        """The float dots over the filled stack give the bits of the array
+        reduction of the scattered one."""
+        from test_descent import logistic_losses
+
+        obj = logistic_losses()[0]
+        rng = np.random.default_rng(3)
+        for alpha in (0.3, 0.7, 1.0):
+            x, c = rng.uniform(-3.0, 3.0, 4), rng.uniform(-3.0, 3.0, 4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = modified_fractional_gradient(obj, x, alpha, 0.4, c)
+                stack = scattered_node_stack(x, alpha, c)
+            grads = obj.gradient(stack.z)
+            second = np.diagonal(obj.hessian(stack.z), axis1=1, axis2=2)
+            pref = 1.0 if alpha == 1.0 else 1.0 - alpha
+            want = np.empty(4)
+            for i, (start, stop, w, length) in enumerate(stack.coords):
+                want[i] = grads[0, i] if w is None else (
+                    pref * float(w @ grads[start:stop, i])
+                    + 0.4 * (pref * length * float(w @ second[start:stop, i])))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLoopReference:
