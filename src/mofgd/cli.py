@@ -354,13 +354,15 @@ def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     failures: list = []
-    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs)
+    # Both sweeps read one build of the objectives; workers build their own.
+    objectives = spec.objectives() if jobs == 1 else None
+    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs, objectives=objectives)
     _write_front(writer, f"front_{spec.method}.csv", front)
     baseline_front = []
     if spec.method == "moaocfgd" and (not isinstance(spec.instance, str)
                                       or spec.instance != "example3_nonsmooth"):
-        baseline_front = pareto_sweep(replace(spec, method="mogd"), solver,
-                                      failures=failures, jobs=jobs)
+        baseline_front = pareto_sweep(replace(spec, method="mogd"), solver, failures=failures,
+                                      jobs=jobs, objectives=objectives)
         _write_front(writer, "front_mogd.csv", baseline_front)
     writer.write_text("plot_fronts.py", PLOT_SCRIPT)
     payload = {

@@ -85,12 +85,12 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .direction import DirectionAccuracyError, DirectionResult, solve_direction
+from .direction import DirectionAccuracyError, solve_direction
 from .fractional import modified_fractional_gradient, node_stack, order_shift, terminals
 from .problems import ObjectiveModel, gradient_stack, regularized
 
@@ -310,11 +310,13 @@ class IterationTrace:
 
 
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
-                direction: DirectionResult, cfg: SolverConfig,
+                d: np.ndarray, t: float, cfg: SolverConfig,
                 values: list[Optional[float]], gradients: Sequence[np.ndarray],
                 hessians=_BUILD) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
+    d is the direction and t the merit slope max_j grad f_j(x)^T d, which
+    must be negative (ValueError otherwise).
     gradients are grad f_j(x), which the caller has already evaluated, and
     values[j] is f_j(x) or None.  hessians is `_hessian_stack(objectives,
     x)`, which a stage builds once; omitted, it is built here.  The slopes
@@ -334,9 +336,8 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     None for one tested on its expansion; raises LineSearchError after 60
     rejected halvings.
     """
-    if not direction.t_value < 0.0:
+    if not t < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
-    d, t = direction.direction, direction.t_value
     if hessians is _BUILD:
         hessians = _hessian_stack(objectives, x)
     slopes, curvatures = (([0.0] * len(objectives),) * 2 if hessians is None
@@ -581,11 +582,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "max_iter"
             break
 
-        searched = (direction if slope == direction.t_value
-                    else replace(direction, t_value=slope))
         try:
             eta, x_next, backtracks, trial_values = armijo_step(
-                merit, x, searched, cfg, values, merit_grads, hessians)
+                merit, x, direction.direction, slope, cfg, values, merit_grads, hessians)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)

@@ -375,21 +375,26 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
     return sorted((points[i] for i in candidates[keep]), key=lambda p: tuple(p.objectives))
 
 
-def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
-                  indices) -> tuple[list[FrontPoint], list[tuple[int, str]]]:
+def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices,
+                  objectives: Optional[Sequence[ObjectiveModel]] = None
+                  ) -> tuple[list[FrontPoint], list[tuple[int, str]]]:
     """Run the chosen method from the starts with the given indices.
 
     Every start is one `run_adaptive` call.  "moaocfgd" runs the spec's
     schedule (ValueError when it has none); "mogd" runs the one-stage
     alpha = 1, gamma = 0 schedule, whose run is `mogd_baseline`'s bit for
-    bit, since neither reads the terminal.  The schedule's `schedule_setup`
-    (its terminal check, every stage's merits and their Hessian stack) is
-    built once, before any start runs, and every run reads it; a failing
-    set-up raises.  Returns the final points of the runs that ended
-    without error and the (start_index, reason) of those that failed, both
-    in start order.
+    bit, since neither reads the terminal.  objectives are
+    `spec.objectives()`, built here when None.  The schedule's
+    `schedule_setup` (its terminal check, every stage's merits and their
+    Hessian stack) is built once, before any start runs, and every run
+    reads it; a failing set-up raises.  The runs that ended without error
+    are scored together: each objective's value is one call on the stack
+    of their final points, whose rows have the bits of one call per point;
+    should that call raise, every scored run fails with its message.
+    Returns the front points of the scored runs and the (start_index,
+    reason) of those that failed, both in start order.
     """
-    objectives = spec.objectives()
+    objectives = spec.objectives() if objectives is None else objectives
     starts = spec.starts()
     if spec.method == "mogd":
         schedule = StageSchedule((Stage(1.0, 0.0, cfg.max_iterations),))
@@ -398,23 +403,32 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig,
     else:
         schedule = spec.schedule
     setup = schedule_setup(objectives, schedule, starts.shape[1])
-    points, failures = [], []
+    finals, failures = [], []  # (start_index, final x, final ||d||) of the runs without error
     for idx in map(int, indices):
         try:
             trace = run_adaptive(objectives, starts[idx], cfg, schedule, setup)
-            if trace.termination == "error":
-                failures.append((idx, trace.error or "run error"))
-                continue
-            fvals = np.array([obj.value(trace.final_x) for obj in objectives])
-            points.append(FrontPoint(objectives=fvals, start_index=idx,
-                                     norm_d=float(trace.final_norm_d)))
         except Exception as exc:
             failures.append((idx, str(exc)))
+            continue
+        if trace.termination == "error":
+            failures.append((idx, trace.error or "run error"))
+        else:
+            finals.append((idx, trace.final_x, float(trace.final_norm_d)))
+    if not finals:
+        return [], failures
+    X = np.array([x for _, x, _ in finals])
+    try:
+        rows = np.stack([obj.value(X) for obj in objectives], axis=1)
+    except Exception as exc:
+        return [], sorted(failures + [(idx, str(exc)) for idx, _, _ in finals])
+    points = [FrontPoint(objectives=row, start_index=idx, norm_d=norm_d)
+              for row, (idx, _, norm_d) in zip(rows, finals)]
     return points, failures
 
 
 def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
-                 failures: Optional[list] = None, jobs: int = 1) -> list[FrontPoint]:
+                 failures: Optional[list] = None, jobs: int = 1,
+                 objectives: Optional[Sequence[ObjectiveModel]] = None) -> list[FrontPoint]:
     """Run the chosen method from every start and return the sorted
     nondominated subset of final objective vectors.
 
@@ -422,15 +436,20 @@ def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
     (start_index, reason) when a list is passed) and excluded, never fatal;
     a sweep that cannot run at all (a "moaocfgd" spec without a schedule,
     or a terminal of the wrong length) raises ValueError before any start
-    runs.  jobs > 1 runs contiguous chunks of starts in worker processes,
-    each building the sweep's set-up once, and gathers them in start order,
-    so the front is the same for every jobs.
+    runs.  objectives, when given, are `spec.objectives()`, which a caller
+    that sweeps one instance twice builds once; None builds them.  jobs > 1
+    runs contiguous chunks of starts in worker processes, each building
+    the objectives and the sweep's set-up once, and gathers them in start
+    order, so the front is the same for every jobs; objectives with
+    jobs > 1 raise ValueError, since no worker would read them.
     """
+    if objectives is not None and jobs > 1:
+        raise ValueError("objectives are read only under jobs = 1; workers build their own")
     cfg = cfg or SolverConfig(tolerance=1e-5, max_iterations=2000)
     indices = np.arange(spec.start_grid[2])
     jobs = min(jobs, indices.size)
     if jobs == 1:
-        parts = [_sweep_starts(spec, cfg, indices)]
+        parts = [_sweep_starts(spec, cfg, indices, objectives)]
     else:
         # Imported here so that importing mofgd does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

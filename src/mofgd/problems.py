@@ -361,8 +361,11 @@ class PiecewiseMaxObjective(ObjectiveModel):
 
     Pieces are (value, gradient, hessian) triples that answer a (k, n) stack
     with (k,), (k, n) and (k, n, n).  The value of the max is the largest
-    piece value, and its gradient/Hessian are those of the active (largest)
-    piece, row by row; ties pick the first.
+    piece value, and its gradient/Hessian are those of the active piece,
+    row by row: the largest, and among pieces tied for it exactly, the one
+    with the smallest gradient norm (the first among equals).  So a tied
+    piece whose gradient vanishes, as the quadratic's does at example 3's
+    minimizer, is active there.
     kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
     piece changes along coordinate i (see ObjectiveModel).
     """
@@ -384,11 +387,21 @@ class PiecewiseMaxObjective(ObjectiveModel):
         return np.stack([np.asarray(p[0](x), dtype=float) for p in self._pieces], axis=-1)
 
     def _active(self, x, which: int) -> np.ndarray:
-        """Derivative `which` (1 gradient, 2 Hessian) of the first largest piece."""
+        """Derivative `which` (1 gradient, 2 Hessian) of the active piece.
+
+        The tie rule evaluates the piece gradients only when some row ties
+        exactly."""
         x = np.asarray(x, dtype=float)
-        first = np.argmax(self._piece_values(x), axis=-1)
+        values = self._piece_values(x)
+        active = np.argmax(values, axis=-1)
+        top = values == values.max(axis=-1, keepdims=True)
+        tied = top.sum(axis=-1) > 1
+        if tied.any():
+            grads = np.stack([np.asarray(p[1](x), dtype=float) for p in self._pieces])
+            norms = np.moveaxis((grads * grads).sum(axis=-1), 0, -1)
+            active = np.where(tied, np.argmin(np.where(top, norms, np.inf), axis=-1), active)
         derivs = np.stack([np.asarray(p[which](x), dtype=float) for p in self._pieces])
-        return derivs[(first, *np.indices(first.shape))]
+        return derivs[(active, *np.indices(active.shape))]
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         """Average gradient of the pieces within 1e-9 of the max at the point x,

@@ -245,7 +245,8 @@ def test_criterion_8_armijo_contract():
         if direction.t_value >= -1e-12:
             return False
         f0 = [obj.value(x) for obj in objectives]
-        eta, x_next, backtracks, _ = armijo_step(objectives, x, direction, cfg, f0,
+        eta, x_next, backtracks, _ = armijo_step(objectives, x,
+                                                 direction.direction, direction.t_value, cfg, f0,
                                                  [obj.gradient(x) for obj in objectives])
         for j, obj in enumerate(objectives):
             assert obj.value(x_next) <= f0[j] + cfg.sigma * eta * direction.t_value + 1e-12

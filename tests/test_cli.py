@@ -466,6 +466,21 @@ experiment:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
         assert summary["pareto"]["max_norm_d"] == 0.0
 
+    def test_serial_pareto_builds_its_objectives_once(self, tmp_path, monkeypatch):
+        """Under --jobs 1 both sweeps read one build of the objectives."""
+        builds = []
+        build = ExperimentSpec.objectives
+
+        def counted(spec):
+            builds.append(spec.method)
+            return build(spec)
+
+        monkeypatch.setattr(ExperimentSpec, "objectives", counted)
+        assert main(["pareto", "--config", str(REPO / "configs" / "example2_pair.yaml"),
+                     "--out", str(tmp_path / "pareto"), "--jobs", "1"]) == 0
+        assert builds == ["moaocfgd"]
+        assert (tmp_path / "pareto" / "front_mogd.csv").exists()
+
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"
         code = run(RunManifest("fixtures", None, str(out)))

@@ -304,6 +304,61 @@ class TestParetoSweep:
                          failures=failures, jobs=jobs)
         assert failures == [] and runs == []
 
+    @staticmethod
+    def per_start_values(spec, cfg, objectives, index):
+        """obj.value at the final x of the start's own run, one call per objective."""
+        schedule = (spec.schedule if spec.method == "moaocfgd"
+                    else StageSchedule((descent.Stage(1.0, 0.0, cfg.max_iterations),)))
+        final_x = descent.run_adaptive(objectives, spec.starts()[index], cfg, schedule).final_x
+        return [obj.value(final_x) for obj in objectives]
+
+    @pytest.mark.parametrize("instance, method", [
+        ("example2_pair", "moaocfgd"), ("example2_pair", "mogd"),
+        ("example3_nonsmooth", "moaocfgd"), ("random", "moaocfgd")])
+    def test_front_values_are_the_per_start_value_calls(self, instance, method):
+        """The sweep scores its final points with one stacked value call per
+        objective, whose rows have the bits of obj.value at each point."""
+        schedule, grid = default_schedule(), ((-2.0, -3.0), (2.0, 1.0), 12)
+        if instance == "random":
+            instance = random_quadratic_mop(3, 5, 2, seed=21)
+            schedule = default_schedule(terminal=np.zeros(3))
+            grid = ((-2.0, -2.0, -2.0), (2.0, 1.0, 3.0), 12)
+        spec = ExperimentSpec(instance, schedule=schedule, method=method, start_grid=grid)
+        cfg = SolverConfig(tolerance=1e-5, max_iterations=2000)
+        front = pareto_sweep(spec, cfg)
+        objectives = spec.objectives()
+        assert front
+        for p in front:
+            assert p.objectives.tobytes() == np.array(
+                self.per_start_values(spec, cfg, objectives, p.start_index)).tobytes()
+
+    def test_a_stacked_value_that_raises_fails_every_scored_start(self):
+        """Unvalidated objectives whose value reads one point only make the
+        stacked call raise: every run that ended without error fails with
+        its message, in start order, and the sweep does not raise."""
+        spec = ExperimentSpec("example2_pair", schedule=default_schedule(),
+                              start_grid=((-2.0, -3.0), (2.0, 1.0), 12))
+
+        def one_point(value):
+            def evaluate(x):
+                if np.ndim(x) != 1:
+                    raise ValueError("one point only")
+                return value(x)
+            return evaluate
+
+        objectives = [dataclasses.replace(obj, value=one_point(obj.value), validate=False)
+                      for obj in spec.objectives()]
+        failures = []
+        assert pareto_sweep(spec, failures=failures, objectives=objectives) == []
+        assert failures == [(i, "one point only") for i in range(12)]
+
+    def test_objectives_under_several_jobs_raise(self):
+        """Workers build their own objectives, so handing them any raises."""
+        spec = ExperimentSpec("example2_pair", schedule=default_schedule(),
+                              start_grid=((-2.0, -3.0), (2.0, 1.0), 4))
+        with pytest.raises(ValueError, match="jobs = 1"):
+            pareto_sweep(spec, jobs=2, objectives=spec.objectives())
+
     def test_example2_pair_front(self):
         """100 starts trace the efficient curve; every point is critical."""
         spec = ExperimentSpec(instance="example2_pair", schedule=default_schedule(),

@@ -191,6 +191,31 @@ class TestStackContract:
                            gradient=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
                            kind="smooth")
 
+    def test_exact_ties_take_the_smallest_gradient(self):
+        """Pieces tied for the max exactly give the derivatives of the one
+        with the smallest gradient norm, row by row: the quadratic's at the
+        origin and at (0, 1), the linear piece's at (5, 0)."""
+        obj = example3_objective()
+        np.testing.assert_array_equal(obj.gradient(np.zeros(2)), [0.0, 0.0])
+        np.testing.assert_array_equal(obj.hessian(np.zeros(2)), 2.0 * np.eye(2))
+        z = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        np.testing.assert_array_equal(obj.gradient(z), [[0.0, 0.0], [5.0, 1.0], [0.0, 2.0],
+                                                        [5.0, 1.0]])
+        np.testing.assert_array_equal(obj.hessian(z), [2.0 * np.eye(2), np.zeros((2, 2)),
+                                                       2.0 * np.eye(2), np.zeros((2, 2))])
+
+    def test_exact_ties_of_equal_gradient_norms_take_the_first(self):
+        """max(x1, x2) on the diagonal: both gradients have norm 1, so the
+        first piece's (1, 0) is taken."""
+        pieces = [(lambda x, i=i: x[..., i],
+                   lambda x, i=i: np.broadcast_to(np.eye(2)[i], np.shape(x)),
+                   lambda x: np.zeros(np.shape(x) + (2,))) for i in (0, 1)]
+        obj = PiecewiseMaxObjective(
+            pieces, dim=2,
+            kink_locator=lambda x, i, lo, hi: (x[1 - i],) if lo < x[1 - i] < hi else ())
+        np.testing.assert_array_equal(obj.gradient(np.array([[2.0, 2.0], [1.0, 3.0]])),
+                                      [[1.0, 0.0], [0.0, 1.0]])
+
     def test_example3_subgradient_averages_tied_pieces(self):
         obj = example3_objective()
         np.testing.assert_array_equal(obj.subgradient(np.zeros(2)), [2.5, 0.5])
