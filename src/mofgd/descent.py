@@ -37,10 +37,10 @@ so the stage builds that merit once (`problems.regularized`) and takes the
 direction input and the line-search test from it; a sweep builds every
 stage's merits once for all its starts (`schedule_setup`).
 Non-quadratic objectives use singular-quadrature gradients and raw values.
-The stage builds their quadrature node stack (`fractional.node_stack`)
-once per iterate, and only if an objective without a kink locator needs
-it; all such objectives read that one read-only stack, and an objective
-with kinks builds its own.
+The stage builds their quadrature node stacks (`fractional.node_stack`)
+once per iterate: one that every objective without a kink locator reads,
+built only if such an objective needs it, and one per objective with
+kinks.
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
 the merit it tests, which equals the subproblem's t bit for bit for
@@ -74,9 +74,8 @@ keeps the values the stage had and the stage's merits, and evaluates the
 others when its f_values are first read, so a quadratic stage with
 positive curvatures evaluates no value while it runs.  In an
 all-quadratic stage the merit gradients are the direction inputs and the
-slope is t, so neither is formed a second time.  Only the modified
-fractional gradients and their node stack run under a warning recorder,
-which moves their RuntimeWarnings into the trace notes.
+slope is t, so neither is formed a second time.  The trace notes take
+the stacks' notes, one per coordinate below its terminal.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -501,13 +499,12 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     record's f_values are read.
 
     The kink-free non-quadratic objectives share one node stack per
-    iterate, passed positionally to `modified_fractional_gradient`, so a
-    coordinate below its terminal notes once per iterate.
-    Only the modified fractional gradients and the stack build run under a
-    warning recorder, whose RuntimeWarnings (x_i < c_i) go to
-    trace.notes; any other warning, such as an overflowing quadratic
-    matvec, reaches the caller's filters.  Every iterate is a new array
-    that nothing writes into, so the records and trace.final_x hold the
+    iterate and each kinked one has its own, passed positionally to
+    `modified_fractional_gradient`; a coordinate below its terminal adds
+    its stack's note to trace.notes, so once per iterate for the shared
+    stack.  Every warning, such as an overflowing quadratic matvec,
+    reaches the caller's filters.  Every iterate is a new array that
+    nothing writes into, so the records and trace.final_x hold the
     iterates themselves, not copies.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -516,17 +513,18 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     tolerance = cfg.tolerance
     merit, hessians, merit_gradients = (setup if setup is not None
                                         else _stage_setup(objectives, stage.gamma, terminal, x))
-    quadratic = all(obj.kind == "quadratic" for obj in objectives)
-    # The kink-free fractional gradients share one node stack per iterate;
-    # alpha = 1, beta = 0 reads none.
-    shares = [obj.kind != "quadratic" and obj.kink_locator is None for obj in objectives]
-    shared_stack = any(shares) and not (stage.alpha == 1.0 and stage.beta == 0.0)
+    # The kink-free fractional gradients share one node stack per iterate and
+    # a kinked one has its own; alpha = 1, beta = 0 reads none.
+    fractional = [(j, obj.kink_locator) for j, obj in enumerate(objectives)
+                  if obj.kind != "quadratic"]
+    quadratic = not fractional
+    stacked = not (stage.alpha == 1.0 and stage.beta == 0.0)
+    shared_stack = stacked and any(locator is None for _, locator in fractional)
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
     for k in range(stage.iterations + 1):
-        # A quadratic's modified fractional gradient is its merit's gradient;
-        # the others run under the recorder of the x_i < c_i warnings.
+        # A quadratic's modified fractional gradient is its merit's gradient.
         if quadratic:
             grads = merit_gradients(x)
         else:
@@ -537,15 +535,16 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                 if m.kind == "quadratic":
                     merit_grads[j] = m.gradient(x)
             grads = merit_grads.copy()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                stack = node_stack(x, stage.alpha, terminal) if shared_stack else None
-                for j, (obj, share) in enumerate(zip(objectives, shares)):
-                    if obj.kind != "quadratic":
-                        grads[j] = modified_fractional_gradient(
-                            obj, x, stage.alpha, stage.beta, terminal, stack if share else None,
-                            gradient_out=merit_grads[j])
-            trace.notes.extend(str(w.message) for w in caught)
+            shared = node_stack(x, stage.alpha, terminal) if shared_stack else None
+            trace.notes.extend(shared.notes if shared else ())
+            for j, locator in fractional:
+                stack = shared
+                if stacked and locator is not None:
+                    stack = node_stack(x, stage.alpha, terminal, locator)
+                    trace.notes.extend(stack.notes)
+                grads[j] = modified_fractional_gradient(
+                    objectives[j], x, stage.alpha, stage.beta, terminal, stack,
+                    gradient_out=merit_grads[j])
 
         try:
             direction = solve_direction(grads)

@@ -18,15 +18,14 @@ c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
 stacks x itself (row 0) and the nodes of all coordinates and answers them
 with one gradient and one Hessian call of the objective; see
 mofgd.problems.ObjectiveModel.  Row 0's gradient is f's classical gradient
-at x, which the caller may take as well.  A degenerate coordinate,
-x_i < c_i, warns: a kink-free objective's is the classical partial from
-row 0, a kinked one's has its terminal clamped to just below x_i.  The
-stack (`node_stack`: the terminal checks,
-the scaled rules and the read-only (k, n) points z) depends on x, alpha
-and the terminal only, so a stage builds it once per iterate and shares it
-among its kink-free objectives, and a degenerate coordinate warns once per
-iterate, not once per objective.  An objective with kinks, or a call
-without a stack, builds its own.  It evaluates the base rule only;
+at x, which the caller may take as well.  A coordinate at or below its
+terminal, x_i <= c_i, reads row 0 for every objective: the classical
+partial, the limit of the cancelled form at x_i = c_i.  The stack
+(`node_stack`: the terminal checks, the scaled rules, the read-only (k, n)
+points z and a note per coordinate below its terminal) depends on x,
+alpha, the terminal and the kink locator only, so a stage builds it once
+per iterate and shares it among its kink-free objectives.  An objective
+with kinks needs its own.  It evaluates the base rule only;
 `_rule(refine=True)` is the one-level refinement that the test oracles'
 accuracy check compares with.
 """
@@ -48,9 +47,6 @@ __all__ = [
 ]
 
 NODES_PER_SEGMENT = 64
-
-# Terminal offset used when a kinked objective's coordinate with x_i < c_i is clamped.
-CLAMP_OFFSET = 1e-12
 
 
 def order_shift(alpha: float) -> float:
@@ -123,30 +119,20 @@ def _unit_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _resolve_terminal(c: float, x: float, clamp: bool) -> float:
-    """c when x >= c; otherwise, with a RuntimeWarning, c clamped to just
-    below x or, without clamp, x itself (the classical partial's terminal)."""
-    if x >= c:
-        return c
-    resolved = min(c, x - CLAMP_OFFSET) if clamp else x
-    action = f"terminal clamped to {resolved}" if clamp else "classical partial derivative taken"
-    warnings.warn(f"degenerate coordinate: x = {x} <= terminal {c}; {action}", RuntimeWarning,
-                  stacklevel=4)
-    return resolved
-
-
 class NodeStack(NamedTuple):
     """The quadrature nodes of every coordinate at one x, for one order.
 
     z is the read-only (k, n) stack of points, and its row 0 is x itself.
     Coordinate i reduces rows start:stop of it with weights w and length
-    x_i - c_i.  A coordinate at its terminal, or below a kink-free one, reads
-    row 0 with w None (its classical partial), and at alpha = 1 every
-    coordinate reads row 0 with weight 1.
+    x_i - c_i.  A coordinate at or below its terminal reads row 0 with w
+    None (its classical partial), and at alpha = 1 every other coordinate
+    reads row 0 with weight 1.  notes holds one line per coordinate below
+    its terminal.
     """
 
     z: np.ndarray
     coords: tuple[tuple[int, int, Optional[np.ndarray], float], ...]
+    notes: tuple[str, ...] = ()
 
 
 def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
@@ -156,24 +142,25 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
     n-vector, such as the c of `descent.schedule_setup`, is read as it is.
     locator is the objective's kink_locator, or None for a kink-free
     objective, whose coordinates scale the unit rule.  A coordinate with
-    x_i < c_i warns (RuntimeWarning): kink-free, it reads row 0 with w
-    None, as at its terminal; kinked, its terminal is clamped to just below
-    x_i.  Each coordinate is resolved on Python floats.  The stack is k
-    copies of x, and a coordinate with nodes u fills its rows of its own
-    column with tau = x_i - u in one slice assignment.  The stack depends
-    on neither beta nor the objective's values, so every kink-free
-    objective at x can share one.
+    x_i <= c_i reads row 0 with w None, kinked or not, and one with
+    x_i < c_i adds a note; nothing warns.  Each coordinate is resolved on
+    Python floats.  The stack is k copies of x, and a coordinate with nodes
+    u fills its rows of its own column with tau = x_i - u in one slice
+    assignment.  The stack depends on neither beta nor the objective's
+    values, so every kink-free objective at x can share one.
     """
     x = np.asarray(x, dtype=float)
     if not (type(terminal) is np.ndarray and terminal.dtype == np.float64
             and terminal.shape == x.shape):
         terminal = terminals(terminal, x.size)
-    coords, fills, start = [], [], 1
+    coords, fills, notes, start = [], [], [], 1
     for i, (xi, ci) in enumerate(zip(x.tolist(), terminal.tolist())):
-        ci = _resolve_terminal(ci, xi, locator is not None)
-        if xi == ci:
-            # Limit of the cancelled form, taken below a kink-free terminal too:
+        if xi <= ci:
+            # Limit of the cancelled form at the terminal, taken below it too:
             # the classical partial derivative.
+            if xi < ci:
+                notes.append(f"degenerate coordinate: x = {xi} <= terminal {ci}; "
+                             "classical partial derivative taken")
             coords.append((0, 1, None, 0.0))
             continue
         if alpha == 1.0:  # the one node is u = 0, that is x
@@ -192,7 +179,7 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
     for begin, stop, i, tau in fills:
         z[begin:stop, i] = tau
     z.flags.writeable = False
-    return NodeStack(z, tuple(coords))
+    return NodeStack(z, tuple(coords), tuple(notes))
 
 
 def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
@@ -217,15 +204,15 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
     The nodes of every coordinate and x itself, in row 0, form one (k, n)
     stack, answered by one gradient and one Hessian call of f.  stack is
     `node_stack(x, alpha, terminal, f.kink_locator)` when the caller has
-    built it, as the stage loop does once per iterate for all its
-    kink-free objectives; None builds it here.  gradient_out, an n-vector,
-    receives f's classical gradient at x: row 0 of the stacked gradient
-    call, which rounds as f's stack rows do.  No refinement check runs.
+    built it, as the stage loop does once per iterate, and its notes are
+    the caller's to read; None builds it here and raises each of its notes
+    as a RuntimeWarning.  gradient_out, an n-vector, receives f's
+    classical gradient at x: row 0 of the stacked gradient call, which
+    rounds as f's stack rows do.  No refinement check runs.
     alpha = 1, beta = 0 returns f's gradient (a copy of which goes to
     gradient_out) before the terminal (a scalar or an n-vector) is read.
     Otherwise an f without a Hessian raises ValueError, and `node_stack`
-    refuses a terminal whose length is neither 1 nor n and warns for a
-    coordinate with x_i < c_i.
+    refuses a terminal whose length is neither 1 nor n.
     """
     x = np.asarray(x, dtype=float)
     if alpha == 1.0 and beta == 0.0:
@@ -239,6 +226,8 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
                          "needs f'', but the objective has no Hessian")
     if stack is None:
         stack = node_stack(x, alpha, terminal, getattr(f, "kink_locator", None))
+        for note in stack.notes:
+            warnings.warn(note, RuntimeWarning, stacklevel=2)
     grads = np.asarray(f.gradient(stack.z), dtype=float)
     second = np.diagonal(np.asarray(hess(stack.z), dtype=float), axis1=1, axis2=2)
     if gradient_out is not None:

@@ -489,12 +489,16 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
                      cfg: Optional[SolverConfig] = None,
                      x0: Optional[np.ndarray] = None) -> list[dict]:
     """Rows (gamma, method, condition_number, iterations, wall_seconds,
-    final_error) comparing classical descent on the outer-product-regularized
-    objectives against the fractional method (diagonal regularizer).
+    final_error, termination) comparing classical descent on the
+    outer-product-regularized objectives (mogd) against classical descent
+    on the diagonal-regularized ones (moaocfgd).
 
-    Condition numbers are those of each method's own effective system matrix
-    at uniform multipliers; final_error is the distance to the Tikhonov
-    solution consistent with the run's final multipliers.
+    For a quadratic, a fractional stage of weight gamma is classical descent
+    on its diagonal-regularized merit, bit for bit, whatever its order, so
+    both rows run `mogd_baseline` on their own merits.  Condition numbers
+    are those of each row's system matrix at uniform multipliers;
+    final_error is the distance to the Tikhonov solution consistent with
+    the run's final multipliers.
     """
     cfg = cfg or SolverConfig(tolerance=1e-4, max_iterations=2000)
     x0 = np.full(mop.dim, 5.5) if x0 is None else np.asarray(x0, dtype=float)
@@ -508,13 +512,7 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
             merit = [regularized(obj, gamma, c, reg) for obj in objectives]
             system = sum(w * merit_j.hessian(c) for w, merit_j in zip(lam_uniform, merit))
             t0 = time.perf_counter()
-            if method == "mogd":
-                # Classical gradient descent on the outer-product Tikhonov objectives.
-                trace = mogd_baseline(merit, x0, cfg)
-            else:
-                # Fractional method: an alpha = 0.5 stage inducing gamma.
-                trace = run_single_stage(objectives, x0, cfg,
-                                         Stage(0.5, gamma, cfg.max_iterations), c)
+            trace = mogd_baseline(merit, x0, cfg)
             wall = time.perf_counter() - t0
             lam_final = _final_multipliers(merit, trace, m)
             sol = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg)
@@ -523,6 +521,7 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
                 "condition_number": float(np.linalg.cond(system)),
                 "iterations": trace.iterations, "wall_seconds": wall,
                 "final_error": float(np.linalg.norm(trace.final_x - sol.x_tik)),
+                "termination": trace.termination,
             })
     return rows
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from mofgd import DirectionResult, ObjectiveModel, solve_direction
 from mofgd.direction import _result_from
-from mofgd.fractional import NodeStack, _resolve_terminal, _rule, _unit_rule, terminals
+from mofgd.fractional import NodeStack, _rule, _unit_rule, terminals
 from mofgd.problems import _constant_hessian
 
 # Central-difference step for a second derivative obtained from first derivatives.
@@ -376,18 +376,16 @@ def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: floa
     """Reference for mofgd.modified_fractional_gradient: the same rule, the
     same per-coordinate dots and the same degenerate coordinates, one
     coordinate at a time, each with its own rule build and its own stacked
-    gradient and Hessian calls.  A coordinate at its terminal, or below it
-    for a kink-free f, is the classical partial f.gradient(x)[i]; below the
-    terminal of a kinked f, the terminal is clamped to just below x_i."""
+    gradient and Hessian calls.  A coordinate at or below its terminal is
+    the classical partial f.gradient(x)[i], kinked f or not."""
     x = np.asarray(x, dtype=float)
     if alpha == 1.0 and beta == 0.0:
         return np.asarray(f.gradient(x), dtype=float)
     c = terminals(terminal, x.size)
-    kinked = getattr(f, "kink_locator", None) is not None
     out = np.empty(x.size)
     for i in range(x.size):
-        ci = _resolve_terminal(float(c[i]), x[i], kinked)
-        if x[i] == ci:
+        ci = float(c[i])
+        if x[i] <= ci:
             out[i] = np.asarray(f.gradient(x), dtype=float)[i]
             continue
         deriv, deriv2, kinks = _restriction(f, x, i, ci, x[i])
@@ -405,13 +403,17 @@ def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: floa
 def scattered_node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
     """Reference for mofgd.fractional.node_stack: every coordinate resolved
     on numpy scalars, its nodes tau = x_i - u concatenated, and the stack
-    written by one fancy-index scatter into k copies of x."""
+    written by one fancy-index scatter into k copies of x.  A coordinate at
+    or below its terminal reads row 0, and below it adds a note."""
     x = np.asarray(x, dtype=float)
     terminal = terminals(terminal, x.size)
-    coords, taus, owners, start = [], [], [], 1
+    coords, taus, owners, notes, start = [], [], [], [], 1
     for i in range(x.size):
-        ci = _resolve_terminal(float(terminal[i]), x[i], locator is not None)
-        if x[i] == ci:
+        ci = float(terminal[i])
+        if x[i] <= ci:
+            if x[i] < ci:
+                notes.append(f"degenerate coordinate: x = {float(x[i])} <= terminal {ci}; "
+                             "classical partial derivative taken")
             coords.append((0, 1, None, 0.0))
             continue
         if alpha == 1.0:
@@ -430,7 +432,7 @@ def scattered_node_stack(x: np.ndarray, alpha: float, terminal, locator=None) ->
     z = np.repeat(x[None, :], start, axis=0)
     if taus:
         z[np.arange(1, start), np.repeat(owners, [tau.size for tau in taus])] = np.concatenate(taus)
-    return NodeStack(z, tuple(coords))
+    return NodeStack(z, tuple(coords), tuple(notes))
 
 
 def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -86,7 +86,7 @@ def test_criterion_2_example1_classical_and_fractional_points():
                                        EXAMPLE1_FRACTIONAL_ALPHA, c_rec)
     np.testing.assert_allclose(x_frac, EXAMPLE1_PAPER_POINT, atol=1e-6)
     obj = quadratic_objective(EXAMPLE1_MATRIX, EXAMPLE1_OFFSET)
-    # x_frac lies just below c_rec in its first coordinate, which is clamped.
+    # x_frac lies just below c_rec in its first coordinate: its classical partial.
     with pytest.warns(RuntimeWarning, match="degenerate coordinate"):
         descaled = modified_fractional_gradient(obj, x_frac, 0.5, 0.0, c_rec)
     assert np.linalg.norm(descaled) <= 1e-5

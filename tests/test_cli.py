@@ -335,8 +335,28 @@ class TestRunCommands:
         code = run(RunManifest("compare", str(cfg), str(out)))
         assert (out / "comparison.csv").exists()
         header = (out / "comparison.csv").read_text().splitlines()[0]
-        assert header == "gamma,method,condition_number,iterations,wall_seconds,final_error"
+        assert header == ("gamma,method,condition_number,iterations,wall_seconds,final_error,"
+                          "termination")
         assert (out / "instance.json").exists()
+
+    def test_compare_counts_the_rows_that_did_not_converge(self, tmp_path, monkeypatch):
+        """Each row's termination ends its CSV line; the summary counts the
+        max_iter rows and the gammas at which both rows end at the tolerance."""
+        ends = {0.25: ("max_iter", "tolerance"), 1.0: ("tolerance", "tolerance")}
+
+        def table(mop, gamma_values, cfg, x0=None):
+            return [dict(gamma=g, method=method, condition_number=10.0, iterations=5,
+                         wall_seconds=0.0, final_error=0.0, termination=ends[g][i])
+                    for g in gamma_values for i, method in enumerate(("mogd", "moaocfgd"))]
+
+        monkeypatch.setattr("mofgd.cli.comparison_table", table)
+        out = tmp_path / "cmp"
+        run(RunManifest("compare", str(write_config(tmp_path, SMALL_QUADRATIC)), str(out)))
+        with open(out / "comparison.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["termination"] for r in rows] == ["max_iter", "tolerance"] + ["tolerance"] * 2
+        payload = json.loads((out / "summary.json").read_text())["compare"]
+        assert (payload["max_iter_rows"], payload["both_tolerance"]) == (1, 1)
 
     @pytest.mark.parametrize("fractional_fewer", [True, False])
     def test_compare_verdict_counts_iterations_not_wall_time(self, tmp_path, monkeypatch,
@@ -349,7 +369,8 @@ class TestRunCommands:
         fr, gd = (fewer, more) if fractional_fewer else (more, fewer)
 
         def table(mop, gamma_values, cfg, x0=None):
-            return [dict(gamma=g, method=method, condition_number=10.0, final_error=0.0, **row)
+            return [dict(gamma=g, method=method, condition_number=10.0, final_error=0.0,
+                         termination="tolerance", **row)
                     for g in gamma_values for method, row in (("mogd", gd), ("moaocfgd", fr))]
 
         monkeypatch.setattr("mofgd.cli.comparison_table", table)

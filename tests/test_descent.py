@@ -674,12 +674,13 @@ class TestRunSingleStage:
         assert trace.final_norm_d == solve(grads).norm
         assert trace.final_norm_d > cfg.tolerance
 
-    def test_warning_recorder_covers_fractional_gradients_only(self, monkeypatch):
-        """A modified fractional gradient's RuntimeWarning becomes a trace
-        note; a quadratic gradient's reaches the caller's filters."""
+    def test_stage_warnings_reach_the_caller(self, monkeypatch):
+        """No warning becomes a trace note: a modified fractional gradient's
+        RuntimeWarning reaches the caller's filters, as a quadratic
+        gradient's does."""
         fractional = descent.modified_fractional_gradient
 
-        def clamping(obj, x, *stage, **out):
+        def warning_fractional(obj, x, *stage, **out):
             warnings.warn("from the fractional gradient", RuntimeWarning)
             return fractional(obj, x, *stage, **out)
 
@@ -687,7 +688,7 @@ class TestRunSingleStage:
             warnings.warn("from the quadratic gradient", RuntimeWarning)
             return raw.gradient(x)
 
-        monkeypatch.setattr(descent, "modified_fractional_gradient", clamping)
+        monkeypatch.setattr(descent, "modified_fractional_gradient", warning_fractional)
         raw = quadratic_objective(np.eye(4), np.zeros(4))
         quadratic = dataclasses.replace(raw, gradient=warning_gradient, validate=False)
         with warnings.catch_warnings(record=True) as caught:
@@ -695,8 +696,9 @@ class TestRunSingleStage:
             trace = run_single_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
                                      SolverConfig(), classical(3), 0.0)
         assert trace.iterations == 3
-        assert [str(w.message) for w in caught] == ["from the quadratic gradient"] * 4
-        assert trace.notes == ["from the fractional gradient"] * 4
+        assert [str(w.message) for w in caught] == [
+            "from the quadratic gradient", "from the fractional gradient"] * 4
+        assert trace.notes == []
 
     def test_overflowed_gradients_end_the_stage_in_error(self):
         """Gradients whose squared norms overflow end the stage with
@@ -910,17 +912,19 @@ class TestRunAdaptive:
         assert value == pytest.approx(-7.0 / 3.0, abs=1e-6)
         np.testing.assert_allclose(trace.final_x, [4.0 / 3.0, -1.0 / 6.0], atol=1e-4)
 
-    def test_example3_staged_run_keeps_the_terminal_clamp(self):
+    def test_example3_staged_run_notes_classical_partials(self):
         """Example 3 from (3, 3): its iterates cross the zero terminal, where
-        the kinked objective's coordinates are clamped, not replaced by the
-        classical partial, and every stage ends at its tolerance."""
+        the kinked objective's coordinates take the classical partial, as a
+        kink-free objective's do; each is noted, and every stage ends at its
+        tolerance."""
         trace = run_adaptive([example3_objective()], np.array([3.0, 3.0]),
                              SolverConfig(tolerance=1e-6, max_iterations=2000),
                              default_schedule())
         assert [(s.iterations, s.termination) for s in trace.stages] == [
             (2, "tolerance"), (1, "tolerance"), (0, "tolerance")]
-        assert len(trace.notes) == 9
-        assert all(note.startswith("degenerate coordinate: x = ") and "terminal clamped to" in note
+        assert len(trace.notes) == 3
+        assert all(note.startswith("degenerate coordinate: x = ")
+                   and note.endswith("<= terminal 0.0; classical partial derivative taken")
                    for note in trace.notes)
 
     def test_example3_from_its_minimizer_does_not_end_in_error(self):
@@ -1244,33 +1248,37 @@ class TestSharedNodeStack:
 
     @staticmethod
     def own_stacks(monkeypatch):
-        """Make the stage hand no stack, so that every fractional gradient
-        builds its own."""
-        monkeypatch.setattr(descent, "node_stack", lambda *args: None)
+        """Make every fractional gradient drop the stack that the stage hands
+        it and build its own, which raises its notes as warnings."""
+        monkeypatch.setattr(descent, "modified_fractional_gradient",
+                            lambda f, x, alpha, beta, c, stack, **out:
+                            modified_fractional_gradient(f, x, alpha, beta, c, **out))
 
     def test_records_match_per_objective_stacks_with_one_note_per_coordinate(self,
                                                                             monkeypatch):
         """m = 3 logistic losses with coordinate 4 below its terminal: the
         shared stack gives the records of per-objective stacks bit for bit,
-        and one clamp note per iterate instead of one per objective."""
+        and one note per iterate instead of one per objective."""
         args = (np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.2, 15),
                 np.array([-5.0, -5.0, -5.0, 5.0]))
         shared = run_single_stage(logistic_losses(), *args)
         self.own_stacks(monkeypatch)
-        own = run_single_stage(logistic_losses(), *args)
+        with pytest.warns(RuntimeWarning) as caught:
+            own = run_single_stage(logistic_losses(), *args)
         assert shared.iterations > 0
         assert record_bits(shared) == record_bits(own)
         iterates = [r.x for r in shared.records] + [shared.final_x]
-        clamps = [note for note in shared.notes if note.startswith("degenerate")]
-        assert len(clamps) == len(iterates)
-        for note, x in zip(clamps, iterates):
-            assert note.startswith(f"degenerate coordinate: x = {x[3]} <= terminal 5.0")
-        closing = shared.notes[len(clamps):]  # the model_mismatch note, if the stage ends so
-        assert own.notes == [note for note in clamps for _ in range(3)] + closing
+        degenerate = [note for note in shared.notes if note.startswith("degenerate")]
+        assert len(degenerate) == len(iterates)
+        for note, x in zip(degenerate, iterates):
+            assert note == (f"degenerate coordinate: x = {x[3]} <= terminal 5.0; "
+                            "classical partial derivative taken")
+        assert own.notes == shared.notes
+        assert [str(w.message) for w in caught] == [note for note in degenerate for _ in range(3)]
 
     def test_kinked_objective_builds_its_own_stack(self, monkeypatch):
         """Next to two smooth objectives, which share one stack per iterate,
-        an objective with a kink locator is handed none and builds its own."""
+        an objective with a kink locator is handed a stack of its own."""
         smooth = [ObjectiveModel(lambda x, a=a: np.cosh(x - a).sum(axis=-1),
                                  lambda x, a=a: np.sinh(x - a),
                                  lambda x, a=a: np.cosh(x - a)[..., None] * np.eye(2),
@@ -1289,9 +1297,9 @@ class TestSharedNodeStack:
         assert shared.iterations > 0
         assert len(handed) == 3 * (shared.iterations + 1)
         for kinked, first, second in zip(*[iter(handed)] * 3):
-            assert kinked is None
+            assert isinstance(kinked, NodeStack) and kinked is not first
             assert isinstance(first, NodeStack) and second is first
-            assert not first.z.flags.writeable
+            assert not first.z.flags.writeable and not kinked.z.flags.writeable
         self.own_stacks(monkeypatch)
         assert record_bits(run_single_stage(objectives, *args)) == record_bits(shared)
 

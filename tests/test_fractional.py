@@ -364,16 +364,18 @@ class TestStackedEvaluation:
         rows = 1 + (n - 2) * NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
 
-    def test_kinked_coordinate_below_terminal_keeps_the_clamp(self):
-        """A coordinate of example 3 below its terminal is clamped to just
-        below x_i and gets a full rule, not row 0's classical partial."""
+    def test_kinked_coordinate_below_terminal_reads_row_zero(self):
+        """A coordinate of example 3 below its terminal reads row 0, its
+        classical partial, as a kink-free one does: only coordinate 0 owns
+        rows of the stack."""
         calls = []
         obj = self.counted(example3_objective(), calls)
-        with pytest.warns(RuntimeWarning, match="terminal clamped to"):
-            modified_fractional_gradient(obj, np.array([3.0, 1.0]), 0.5, 0.4,
-                                         np.array([0.0, 5.0]))
-        rows = 1 + 2 * NODES_PER_SEGMENT
+        x = np.array([3.0, 1.0])
+        with pytest.warns(RuntimeWarning, match="classical partial"):
+            got = modified_fractional_gradient(obj, x, 0.5, 0.4, np.array([0.0, 5.0]))
+        rows = 1 + NODES_PER_SEGMENT
         assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
+        assert got[1] == example3_objective().gradient(x)[1]
 
     def test_gradient_out_is_row_zero_of_the_stacked_call(self):
         """gradient_out receives row 0 of the one stacked gradient call: an
@@ -415,9 +417,49 @@ class TestStackedEvaluation:
                                       obj.gradient(x))
 
 
+class TestBelowTerminal:
+    """One rule for a coordinate below its terminal, whatever the objective's
+    kinks: it reads row 0, the classical partial, and its stack notes it."""
+
+    x, c = np.array([3.0, 1.0]), np.array([0.0, 5.0])
+    note = "degenerate coordinate: x = 1.0 <= terminal 5.0; classical partial derivative taken"
+
+    @pytest.mark.parametrize("kinked", [False, True])
+    def test_node_stack_notes_and_warns_nothing(self, kinked):
+        locator = example3_objective().kink_locator if kinked else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stack = node_stack(self.x, 0.5, self.c, locator)
+            at_terminal = node_stack(self.x, 0.5, self.x.copy(), locator)
+        assert caught == []
+        assert stack.notes == (self.note,)
+        assert stack.coords[1] == (0, 1, None, 0.0)
+        assert at_terminal.notes == () and node_stack(self.x, 0.5, 0.0).notes == ()
+
+    def test_kinked_and_kink_free_stacks_give_the_same_classical_partial(self):
+        """Example 3's gradient from its own kinked stack and from the
+        kink-free stack: the coordinate below its terminal is f's partial
+        at x, bit for bit, in both."""
+        obj = example3_objective()
+        kinked = modified_fractional_gradient(obj, self.x, 0.5, 0.4, self.c,
+                                              node_stack(self.x, 0.5, self.c, obj.kink_locator))
+        kink_free = modified_fractional_gradient(obj, self.x, 0.5, 0.4, self.c,
+                                                 node_stack(self.x, 0.5, self.c))
+        partial = obj.gradient(self.x)[1]
+        assert np.float64(kinked[1]).tobytes() == np.float64(kink_free[1]).tobytes()
+        assert kinked[1] == partial
+
+    def test_call_without_a_stack_warns_each_note(self):
+        """Built inside the call, the stack's notes are raised as
+        RuntimeWarnings, one per coordinate below its terminal."""
+        with pytest.warns(RuntimeWarning) as caught:
+            modified_fractional_gradient(example3_objective(), self.x, 0.5, 0.4, self.c)
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, self.note)]
+
+
 class TestColumnFills:
     """node_stack fills each coordinate's column of k copies of x with one
-    slice assignment: the stack, coords and warnings of the concatenate and
+    slice assignment: the stack, coords and notes of the concatenate and
     scatter construction, bit for bit."""
 
     @staticmethod
@@ -425,7 +467,8 @@ class TestColumnFills:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             stack = build(*args)
-        return stack, [str(w.message) for w in caught]
+        assert caught == []
+        return stack, list(stack.notes)
 
     @staticmethod
     def coord_bits(coords):
@@ -509,16 +552,16 @@ class TestLoopReference:
             assert any(kinks)
             self.assert_matches_loop(obj, x, 0.7, 0.5, np.array([-1.0, -1.0]))
 
-    def test_clamped_and_terminal_coordinates(self):
-        """A kink-free coordinate below its terminal is the classical
-        partial in the loop too; a kinked one is clamped in both."""
+    def test_below_terminal_coordinates_of_either_kind(self):
+        """A coordinate at or below its terminal is the classical partial in
+        the loop too, for a kink-free and a kinked objective alike."""
         from test_descent import logistic_losses
 
         obj = logistic_losses()[2]
         x = np.array([0.4, 1.3, 2.2, 3.1])
         with pytest.warns(RuntimeWarning, match="classical partial"):
             self.assert_matches_loop(obj, x, 0.5, 0.7, np.array([0.4, 2.0, 0.0, 3.1]))
-        with pytest.warns(RuntimeWarning, match="terminal clamped to"):
+        with pytest.warns(RuntimeWarning, match="classical partial"):
             self.assert_matches_loop(example3_objective(), np.array([3.0, 1.0]), 0.5, 0.7,
                                      np.array([0.0, 5.0]))
 

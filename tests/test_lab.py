@@ -547,6 +547,33 @@ class TestComparisonTable:
         with pytest.raises(np.linalg.LinAlgError):
             lab._final_multipliers(objs, trace, 2)
 
+    def test_fractional_row_is_classical_descent_on_the_diag_merit(self):
+        """On the shipped paper instance, from the CLI's start and with its
+        solver settings, an order-alpha stage of weight gamma runs the
+        records and final point of `mogd_baseline` on the diag-regularized
+        merits, bit for bit, for every gamma; so the moaocfgd row is that
+        baseline, as `comparison_table` now runs it."""
+        spec, cfg, _ = parse_config(REPO / "configs" / "paper_quadratic.yaml")
+        objectives = spec.instance.objectives()
+        x0, c = spec.starts()[0], np.zeros(spec.instance.dim)
+        rows = comparison_table(spec.instance, spec.gamma_values, cfg, x0=x0)
+
+        def bits(trace):
+            return ([(r.x.tobytes(), r.f_values.tobytes(), r.t_value, r.norm_d, r.eta,
+                      r.backtracks) for r in trace.records],
+                    trace.final_x.tobytes(), trace.termination)
+
+        for gamma in spec.gamma_values:
+            merit = [regularized(obj, gamma, c, "diag") for obj in objectives]
+            baseline = mogd_baseline(merit, x0, cfg)
+            for alpha in (0.5, 0.9):
+                stage = descent.run_single_stage(objectives, x0, cfg,
+                                                 descent.Stage(alpha, gamma, cfg.max_iterations), c)
+                assert bits(stage) == bits(baseline), (gamma, alpha)
+            row = next(r for r in rows if r["gamma"] == gamma and r["method"] == "moaocfgd")
+            assert (row["iterations"], row["termination"]) == (baseline.iterations,
+                                                               baseline.termination)
+
     def test_fractional_conditioning_beats_outer_regularizer(self):
         """Diagonal regularization conditions far better at small gamma."""
         mop = random_quadratic_mop(30, 30, 2, seed=7)
