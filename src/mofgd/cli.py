@@ -3,7 +3,7 @@
 Commands
 --------
 solve      run the staged fractional method from the first grid start
-pareto     sweep all starts, emit the nondominated front and plot data
+pareto     sweep all starts, emit the nondominated fronts
 compare    gamma-comparison table (outer vs diagonal regularizer)
 verify-t5  linear-rate check against the closed-form regularized solution
 verify-t6  staged error-bound recursion check
@@ -89,13 +89,14 @@ class RunManifest:
     seed: Optional[int] = None
     force: bool = False
     jobs: int = 1
-    verbose: bool = False
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"command: unknown command {self.command!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"--seed: expected a non-negative integer, got {self.seed}")
 
 
 # The keys each config section accepts; parse_config refuses any other, so a
@@ -210,6 +211,8 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
         seed = _integer(inst_doc.get("seed", 0), "instance.seed")
         if min(n, m_data, m) < 1:
             raise ConfigError("instance: n, m_data and m must be positive")
+        if seed < 0:
+            raise ConfigError(f"instance.seed: expected a non-negative integer, got {seed}")
         instance = random_quadratic_mop(n, m_data, m, seed)
         dim = n
 
@@ -307,32 +310,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Render the emitted front/table CSVs (run from the artifact directory).\"\"\"
-import csv
-import sys
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-for front_csv in sorted(Path(".").glob("front_*.csv")):
-    with open(front_csv) as fh:
-        rows = list(csv.DictReader(fh))
-    # An empty front, or one of a single objective, has no f_2 to plot.
-    if not rows or "f_2" not in rows[0]:
-        continue
-    f1 = [float(r["f_1"]) for r in rows]
-    f2 = [float(r["f_2"]) for r in rows]
-    plt.plot(f1, f2, "o-", label=front_csv.stem)
-plt.xlabel("f_1")
-plt.ylabel("f_2")
-plt.legend()
-plt.savefig("fronts.png", dpi=150)
-print("wrote fronts.png")
-"""
-
-
 def _write_front(writer: _Writer, name: str, front: list[FrontPoint]) -> None:
     """One row per front point: f_1 ... f_m, then its start index (an empty
     front has no objective count, so its header is start_index alone)."""
@@ -354,17 +331,14 @@ def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     failures: list = []
-    # Both sweeps read one build of the objectives; workers build their own.
-    objectives = spec.objectives() if jobs == 1 else None
-    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs, objectives=objectives)
+    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs)
     _write_front(writer, f"front_{spec.method}.csv", front)
     baseline_front = []
     if spec.method == "moaocfgd" and (not isinstance(spec.instance, str)
                                       or spec.instance != "example3_nonsmooth"):
         baseline_front = pareto_sweep(replace(spec, method="mogd"), solver, failures=failures,
-                                      jobs=jobs, objectives=objectives)
+                                      jobs=jobs)
         _write_front(writer, "front_mogd.csv", baseline_front)
-    writer.write_text("plot_fronts.py", PLOT_SCRIPT)
     payload = {
         "front_size": len(front),
         "max_norm_d": max((p.norm_d for p in front), default=0.0),
@@ -583,8 +557,6 @@ def run(manifest: RunManifest) -> int:
         "seed_override": manifest.seed,
     })
     writer.write_summary(payload)
-    if manifest.verbose:
-        print(json.dumps(payload, indent=1, default=_jsonable))
     return code
 
 
@@ -599,7 +571,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs/latest", help="output directory")
     parser.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
     parser.add_argument("--jobs", type=int, default=1, help="pareto sweep worker processes")
-    parser.add_argument("--verbose", action="store_true")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -607,7 +578,7 @@ def main(argv=None) -> int:
     try:
         manifest = RunManifest(command=args.command, config_path=args.config,
                                output_dir=args.out, seed=args.seed,
-                               force=args.force, jobs=args.jobs, verbose=args.verbose)
+                               force=args.force, jobs=args.jobs)
         return run(manifest)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -50,13 +50,11 @@ along d is tested on its exact expansion
 
     eta s_j + eta^2 q_j / 2 <= sigma eta slope,   s_j = grad merit_j(x)^T d,
 
-which needs no value evaluation and holds exactly for eta <= eta_j* =
-2 (sigma slope - s_j) / q_j, so the scan starts one step before the first
-power of r at or below min_j eta_j*; every other merit is tested on its
-evaluated values.  The set-up stacks a stage's quadratic merits' constant
-Hessians once, and each line search forms its m slopes and m curvatures
-as row dots, which round as the per-objective products do; a stage
-without a quadratic merit stacks none and forms neither.
+which needs no value evaluation; every other merit is tested on its
+evaluated values.  The set-up stacks a stage's merits' constant Hessians
+once (zeros for the other kinds), and each line search forms its m slopes
+and m curvatures as row dots, which round as the per-objective products
+do.
 
 Per iteration each merit's gradient at x is evaluated once: a smooth or
 piecewise one's is row 0, x itself, of its fractional gradient's stacked
@@ -107,8 +105,6 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
-# armijo_step's default hessians: build the stack per call.
-_BUILD = object()
 
 
 class LineSearchError(RuntimeError):
@@ -310,24 +306,21 @@ class IterationTrace:
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 d: np.ndarray, t: float, cfg: SolverConfig,
                 values: list[Optional[float]], gradients: Sequence[np.ndarray],
-                hessians=_BUILD) -> tuple[float, np.ndarray, int, list]:
+                hessians: Optional[np.ndarray] = None) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     d is the direction and t the merit slope max_j grad f_j(x)^T d, which
     must be negative (ValueError otherwise).
     gradients are grad f_j(x), which the caller has already evaluated, and
     values[j] is f_j(x) or None.  hessians is `_hessian_stack(objectives,
-    x)`, which a stage builds once; omitted, it is built here.  The slopes
+    x)`, which a stage builds once; None builds it here.  The slopes
     s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
-    dots (`_slopes_and_curvatures`); hessians None (no quadratic
-    objective) forms neither, and every curvature is 0.  A quadratic f_j
-    with q_j > 0 is tested on its exact expansion eta s_j + eta^2 q_j / 2 <=
-    sigma eta t, so none of its values is evaluated.  Every other objective
-    (smooth, piecewise, or a quadratic with q_j <= 0) is tested on its
-    evaluated values, and only at trial steps that pass the expansions;
-    where its values[j] is None, f_j(x) is evaluated here and written into
-    values.  The scan starts at the closed-form first trial
-    (`_first_trial`) and returns what the scan from eta = 1 returns.
+    dots (`_slopes_and_curvatures`).  A quadratic f_j with q_j > 0 is
+    tested on its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t,
+    so none of its values is evaluated.  Every other objective (smooth,
+    piecewise, or a quadratic with q_j <= 0) is tested on its evaluated
+    values, and only at trial steps that pass the expansions; where its
+    values[j] is None, f_j(x) is evaluated here and written into values.
 
     Returns (eta, x_next, backtrack_count, trial_values), where
     trial_values[j] is f_j(x_next) for an objective tested on its values and
@@ -336,10 +329,9 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     """
     if not t < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
-    if hessians is _BUILD:
+    if hessians is None:
         hessians = _hessian_stack(objectives, x)
-    slopes, curvatures = (([0.0] * len(objectives),) * 2 if hessians is None
-                          else _slopes_and_curvatures(np.asarray(gradients), hessians, d))
+    slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
     for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
         if q > 0.0:
@@ -349,7 +341,7 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 values[j] = obj.value(x)
             evaluated.append((j, obj, values[j]))
     sigma, ratio = cfg.sigma, cfg.backtrack
-    for backtracks in range(_first_trial(expanded, cfg, t), MAX_BACKTRACKS + 1):
+    for backtracks in range(MAX_BACKTRACKS + 1):
         eta = ratio ** backtracks
         bound = sigma * eta * t
         half_eta2 = 0.5 * eta ** 2
@@ -371,16 +363,13 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     )
 
 
-def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> Optional[np.ndarray]:
+def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> np.ndarray:
     """Read-only (m, n, n) stack of the quadratics' Hessians at x, and zeros
     for the other kinds, whose curvature 0 sends them to the test on
-    values; None when no objective is quadratic, as every merit is then
-    tested on its values.
+    values.
 
     A quadratic's Hessian is constant, so the stack holds at every x.
     """
-    if all(obj.kind != "quadratic" for obj in objectives):
-        return None
     stack = np.array([obj.hessian(x) if obj.kind == "quadratic" else np.zeros((x.size, x.size))
                       for obj in objectives])
     stack.flags.writeable = False
@@ -404,35 +393,12 @@ def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
             ((d @ hessians)[:, None, :] @ d).ravel().tolist())
 
 
-def _first_trial(expanded: Sequence[tuple[float, float]], cfg: SolverConfig,
-                 t: float) -> int:
-    """Backtrack count at which the Armijo scan may start without changing its result.
-
-    The expansion of merit j holds exactly for eta <= eta_j* = 2 (sigma t -
-    s_j) / q_j.  When every eta_j* is finite and positive, the scan starts
-    one step before the first power of r at or below min_j eta_j*;
-    otherwise it starts at eta = 1.  Every skipped trial is at least two
-    steps before that power, so it exceeds the smallest eta_j* by more than
-    a factor 1/r, and that merit's exact margin eta s_j + eta^2 q_j / 2 -
-    sigma eta t is more than a factor 1/r - 1 of its terms: far above their
-    rounding, so the scan from eta = 1 rejects the trial as well and both
-    return the same step, bit for bit.  The one step of slack covers the
-    trial just above the bound, which rounding may accept, and a logarithm
-    that rounds across an integer.
-    """
-    bounds = [2.0 * (cfg.sigma * t - s) / q for s, q in expanded]
-    if not bounds or not all(0.0 < b < math.inf for b in bounds):
-        return 0
-    return max(0, math.ceil(math.log(min(bounds)) / math.log(cfg.backtrack)) - 1)
-
-
 def _stage_setup(objectives, gamma: float, terminal, x: np.ndarray
-                 ) -> tuple[tuple[ObjectiveModel, ...], Optional[np.ndarray], Callable]:
+                 ) -> tuple[tuple[ObjectiveModel, ...], np.ndarray, Callable]:
     """The stage merit of each objective (quadratics gain the pull of weight
     gamma), the `_hessian_stack` of their Hessians at x, which holds at
-    every x (None without a quadratic merit, so the stage's line searches
-    form no products), and their `problems.gradient_stack`, which an
-    all-quadratic stage evaluates once per iterate."""
+    every x, and their `problems.gradient_stack`, which an all-quadratic
+    stage evaluates once per iterate."""
     merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
                   for obj in objectives)
     return merit, _hessian_stack(merit, x), gradient_stack(merit)

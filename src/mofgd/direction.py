@@ -225,17 +225,14 @@ def solve_direction(gradients) -> DirectionResult:
 
     The dual is solved exactly by m: m=1 is d = -g; m=2 is the segment
     closed form (`_solve_pair`); m >= 3 is one non-negative least-squares
-    solve.  An (m, n) float64 array is read as it is, and anything else
-    through np.atleast_2d(np.asarray(gradients, dtype=float)).  Raises ValueError
-    if a gradient entry is not finite, which is looked for only when the
-    sum of squares of G is not finite.  Raises DirectionAccuracyError carrying
-    the result if the gradient scale is not finite (a squared gradient norm
-    overflowed), the scaled gap is not at most 1e-8, or the KKT residual is
-    not at most 1e-8 at the gradient scale; a NaN fails every bound.
+    solve.  Raises ValueError if a gradient entry is not finite, which is
+    looked for only when the sum of squares of G is not finite.  Raises
+    DirectionAccuracyError carrying the result if the gradient scale is not
+    finite (a squared gradient norm overflowed), the scaled gap is not at
+    most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
+    scale; a NaN fails every bound.
     """
-    G = gradients
-    if not (type(G) is np.ndarray and G.ndim == 2 and G.dtype == np.float64):
-        G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    G = np.atleast_2d(np.asarray(gradients, dtype=float))
     # A finite sum of squares proves every entry finite.  It is checked
     # before G G^T, where an inf times a zero would warn.
     if not math.isfinite(np.vdot(G, G)) and not np.isfinite(G).all():

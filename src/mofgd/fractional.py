@@ -138,10 +138,9 @@ class NodeStack(NamedTuple):
 def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
     """Nodes of the order-alpha modified fractional gradient at x.
 
-    terminal is a scalar or an n-vector (ValueError otherwise); a float64
-    n-vector, such as the c of `descent.schedule_setup`, is read as it is.
-    locator is the objective's kink_locator, or None for a kink-free
-    objective, whose coordinates scale the unit rule.  A coordinate with
+    terminal is a scalar or an n-vector (ValueError otherwise).  locator
+    is the objective's kink_locator, or None for a kink-free objective,
+    whose coordinates scale the unit rule.  A coordinate with
     x_i <= c_i reads row 0 with w None, kinked or not, and one with
     x_i < c_i adds a note; nothing warns.  Each coordinate is resolved on
     Python floats.  The stack is k copies of x, and a coordinate with nodes
@@ -150,9 +149,7 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
     values, so every kink-free objective at x can share one.
     """
     x = np.asarray(x, dtype=float)
-    if not (type(terminal) is np.ndarray and terminal.dtype == np.float64
-            and terminal.shape == x.shape):
-        terminal = terminals(terminal, x.size)
+    terminal = terminals(terminal, x.size)
     coords, fills, notes, start = [], [], [], 1
     for i, (xi, ci) in enumerate(zip(x.tolist(), terminal.tolist())):
         if xi <= ci:

@@ -375,16 +375,15 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
     return sorted((points[i] for i in candidates[keep]), key=lambda p: tuple(p.objectives))
 
 
-def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices,
-                  objectives: Optional[Sequence[ObjectiveModel]] = None
+def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
                   ) -> tuple[list[FrontPoint], list[tuple[int, str]]]:
     """Run the chosen method from the starts with the given indices.
 
     Every start is one `run_adaptive` call.  "moaocfgd" runs the spec's
     schedule (ValueError when it has none); "mogd" runs the one-stage
     alpha = 1, gamma = 0 schedule, whose run is `mogd_baseline`'s bit for
-    bit, since neither reads the terminal.  objectives are
-    `spec.objectives()`, built here when None.  The schedule's
+    bit, since neither reads the terminal.  The objectives are
+    `spec.objectives()`, built once per call.  The schedule's
     `schedule_setup` (its terminal check, every stage's merits and their
     Hessian stack) is built once, before any start runs, and every run
     reads it; a failing set-up raises.  The runs that ended without error
@@ -394,7 +393,7 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices,
     Returns the front points of the scored runs and the (start_index,
     reason) of those that failed, both in start order.
     """
-    objectives = spec.objectives() if objectives is None else objectives
+    objectives = spec.objectives()
     starts = spec.starts()
     if spec.method == "mogd":
         schedule = StageSchedule((Stage(1.0, 0.0, cfg.max_iterations),))
@@ -427,8 +426,7 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices,
 
 
 def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
-                 failures: Optional[list] = None, jobs: int = 1,
-                 objectives: Optional[Sequence[ObjectiveModel]] = None) -> list[FrontPoint]:
+                 failures: Optional[list] = None, jobs: int = 1) -> list[FrontPoint]:
     """Run the chosen method from every start and return the sorted
     nondominated subset of final objective vectors.
 
@@ -436,20 +434,15 @@ def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
     (start_index, reason) when a list is passed) and excluded, never fatal;
     a sweep that cannot run at all (a "moaocfgd" spec without a schedule,
     or a terminal of the wrong length) raises ValueError before any start
-    runs.  objectives, when given, are `spec.objectives()`, which a caller
-    that sweeps one instance twice builds once; None builds them.  jobs > 1
-    runs contiguous chunks of starts in worker processes, each building
-    the objectives and the sweep's set-up once, and gathers them in start
-    order, so the front is the same for every jobs; objectives with
-    jobs > 1 raise ValueError, since no worker would read them.
+    runs.  jobs > 1 runs contiguous chunks of starts in worker processes,
+    each building the objectives and the sweep's set-up once, and gathers
+    them in start order, so the front is the same for every jobs.
     """
-    if objectives is not None and jobs > 1:
-        raise ValueError("objectives are read only under jobs = 1; workers build their own")
     cfg = cfg or SolverConfig(tolerance=1e-5, max_iterations=2000)
     indices = np.arange(spec.start_grid[2])
     jobs = min(jobs, indices.size)
     if jobs == 1:
-        parts = [_sweep_starts(spec, cfg, indices, objectives)]
+        parts = [_sweep_starts(spec, cfg, indices)]
     else:
         # Imported here so that importing mofgd does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -16,8 +16,7 @@ fractional gradient of f_j produces; a rank-one outer-product variant
 (rtilde_j rtilde_j^T) serves comparison runs.  `regularized` attaches either
 pull to an objective model and is the only place a pull is built: a stage
 runs on those merits, and `tikhonov_solve` returns the critical point of
-their multiplier-weighted sum (the system's extreme singular values are
-computed when first read, so a caller that reads only x_tik makes no SVD).
+their multiplier-weighted sum, with the system's extreme singular values.
 
 A quadratic's gradient has one representation, `QuadraticGradient` (A x + b
 plus an optional `Pull` about c), which every quadratic constructor
@@ -27,11 +26,10 @@ product with the bits of the m calls.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -189,19 +187,16 @@ class Pull:
 @dataclass(frozen=True, eq=False)
 class QuadraticGradient:
     """x -> A x + b + pull(x), the gradient of a quadratic model, for one
-    point or row by row for a (k, n) stack (A @ x would mix the rows of a
-    square stack)."""
+    point or row by row for a (k, n) stack: (A @ x.T).T, which for one point
+    is A @ x (A @ x would mix the rows of a square stack)."""
 
     a_matrix: np.ndarray
     b: np.ndarray
     pull: Optional[Pull] = None
 
     def __call__(self, x):
-        if getattr(x, "ndim", None) == 1:
-            g = self.a_matrix @ x + self.b
-        else:
-            x = np.asarray(x)
-            g = (self.a_matrix @ x.T).T + self.b
+        x = np.asarray(x)
+        g = (self.a_matrix @ x.T).T + self.b
         return g if self.pull is None else g + self.pull(x)
 
 
@@ -484,24 +479,13 @@ class QuadraticMop:
 class TikhonovSolution:
     """Critical point of the weighted stage merit, with the regularized
     merits it weights, its system matrix and that matrix's extreme singular
-    values, from one SVD on the first read of either."""
+    values."""
 
     x_tik: np.ndarray
     merits: tuple[ObjectiveModel, ...]
     a_matrix: np.ndarray
-
-    @functools.cached_property
-    def _sigma(self) -> tuple[float, float]:
-        sigma = np.linalg.svd(self.a_matrix, compute_uv=False)
-        return float(sigma[0]), float(sigma[-1])
-
-    @property
-    def sigma_max(self) -> float:
-        return self._sigma[0]
-
-    @property
-    def sigma_min(self) -> float:
-        return self._sigma[1]
+    sigma_max: float
+    sigma_min: float
 
     @property
     def kappa(self) -> float:
@@ -531,8 +515,8 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     merit sum_j lambda_j merit_j is quadratic with Hessian
     S = sum_j lambda_j merit_j.hessian(c), so its critical point is the one
     Newton step x_tik = c - S^{-1} sum_j lambda_j grad merit_j(c).  The
-    returned a_matrix is S, the system the fixed-step runs use; its extreme
-    singular values are computed when first read.
+    returned a_matrix is S, the system the fixed-step runs use, with its
+    extreme singular values from one SVD.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
@@ -560,19 +544,17 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     if residual > 1e-8 * (1.0 + np.linalg.norm(x_tik)):
         raise SingularSystemError(f"normal-equation residual {residual:.3e} too large")
 
-    return TikhonovSolution(x_tik=x_tik, merits=merit, a_matrix=system)
+    sigma = np.linalg.svd(system, compute_uv=False)
+    return TikhonovSolution(x_tik=x_tik, merits=merit, a_matrix=system,
+                            sigma_max=float(sigma[0]), sigma_min=float(sigma[-1]))
 
 
 _FORMAT_TAG = "mofgd-quadratic-mop/1"
 
 
 def save_mop(mop: QuadraticMop, path, terminal: Optional[np.ndarray] = None) -> None:
-    """Serialize an instance (seed, dimensions, W_j, y_j, optional c) as JSON.
-
-    The file holds the text of json.dump(doc, fh, indent=1), byte for byte,
-    written in chunks as json.dump writes it; `_indented_json` makes them
-    with the C encoder, which json skips when it indents.
-    """
+    """Serialize an instance (seed, dimensions, W_j, y_j, optional c) as
+    the JSON text of json.dump(doc, fh, indent=1)."""
     doc = {
         "format": _FORMAT_TAG,
         "seed": mop.seed,
@@ -585,32 +567,5 @@ def save_mop(mop: QuadraticMop, path, terminal: Optional[np.ndarray] = None) -> 
         "c": None if terminal is None else np.asarray(terminal, dtype=float).tolist(),
     }
     with open(path, "w") as fh:
-        fh.writelines(_indented_json(doc, 0))
+        json.dump(doc, fh, indent=1)
 
-
-def _indented_json(value, level: int) -> Iterator[str]:
-    """The text of json.dumps(value, indent=1), in chunks, for a value nested
-    level deep, built of dicts, lists and scalars, where a list holds
-    containers only or numbers only.  A list of numbers is one C-encoder
-    call whose ", " separators become "," and a new indented line; no
-    number's text holds ", "."""
-    close = "\n" + " " * level
-    inner = close + " "
-    if isinstance(value, dict) and value:
-        sep = "{" + inner
-        for key, item in value.items():
-            yield sep + json.dumps(key) + ": "
-            yield from _indented_json(item, level + 1)
-            sep = "," + inner
-        yield close + "}"
-    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-        sep = "[" + inner
-        for item in value:
-            yield sep
-            yield from _indented_json(item, level + 1)
-            sep = "," + inner
-        yield close + "]"
-    elif isinstance(value, list) and value:
-        yield "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + close + "]"
-    else:
-        yield json.dumps(value)

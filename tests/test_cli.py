@@ -403,8 +403,8 @@ experiment:
         assert code == 0
         assert (out / "front_moaocfgd.csv").exists()
         assert (out / "front_mogd.csv").exists()
-        assert (out / "plot_fronts.py").exists()
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["written_files"] == ["front_moaocfgd.csv", "front_mogd.csv"]
         assert "adrs" in summary["pareto"]
         serial = tmp_path / "pareto_serial"
         assert run(RunManifest("pareto", str(cfg), str(serial), jobs=1)) == 0
@@ -487,21 +487,6 @@ experiment:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
         assert summary["pareto"]["max_norm_d"] == 0.0
 
-    def test_serial_pareto_builds_its_objectives_once(self, tmp_path, monkeypatch):
-        """Under --jobs 1 both sweeps read one build of the objectives."""
-        builds = []
-        build = ExperimentSpec.objectives
-
-        def counted(spec):
-            builds.append(spec.method)
-            return build(spec)
-
-        monkeypatch.setattr(ExperimentSpec, "objectives", counted)
-        assert main(["pareto", "--config", str(REPO / "configs" / "example2_pair.yaml"),
-                     "--out", str(tmp_path / "pareto"), "--jobs", "1"]) == 0
-        assert builds == ["moaocfgd"]
-        assert (tmp_path / "pareto" / "front_mogd.csv").exists()
-
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"
         code = run(RunManifest("fixtures", None, str(out)))
@@ -540,6 +525,23 @@ experiment:
         assert not (tmp_path / "solve" / "summary.json").exists()
         assert main(["fixtures", "--seed", "7", "--out", str(tmp_path / "fx")]) == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_in, key", [("config", "instance.seed"), ("cli", "--seed")])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed_in, key):
+        """A negative seed, from the config or from --seed, is refused by
+        its name (exit 2) before any output directory is made, not left to
+        numpy's generator to raise."""
+        text = (REPO / "configs" / "paper_quadratic.yaml").read_text()
+        assert text.count("seed: 42") == 1
+        if seed_in == "config":
+            text, seed = text.replace("seed: 42", "seed: -1"), []
+        else:
+            seed = ["--seed", "-3"]
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "refused" / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)] + seed) == 2
+        assert f"config error: {key}: expected a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--config", str(REPO / "configs" / "example2.yaml"), "--seed", "7"],

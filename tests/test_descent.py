@@ -106,6 +106,17 @@ def scanned_expansions(objectives, x, direction, cfg, gradients):
     return None
 
 
+def closed_form_first_trial(expanded, cfg, t):
+    """Backtrack count one step before the first power of r at or below
+    min_j eta_j*, where eta_j* = 2 (sigma t - s_j) / q_j bounds the steps at
+    which the expansion of merit j (s_j, q_j) passes exactly; 0 unless every
+    eta_j* is finite and positive.  No trial before it passes."""
+    bounds = [2.0 * (cfg.sigma * t - s) / q for s, q in expanded]
+    if not bounds or not all(0.0 < b < math.inf for b in bounds):
+        return 0
+    return max(0, math.ceil(math.log(min(bounds)) / math.log(cfg.backtrack)) - 1)
+
+
 def counting_calls(obj, name="value"):
     """obj with its callable `name` counting its calls in the returned list."""
     calls = []
@@ -342,9 +353,10 @@ class TestArmijoStep:
     @pytest.mark.parametrize("backtrack", [0.5, 0.3, 0.8])
     @pytest.mark.parametrize("distance", [10.0, 1e-6])
     def test_closed_form_start_matches_the_scan_from_one(self, backtrack, distance):
-        """Starting at the closed-form first trial returns the step of the
-        scan from eta = 1, bit for bit, and leaves at most two trials: far
-        from x* and within 1e-6 of it, on raw and regularized merits."""
+        """The line search returns the step of the reference scan from
+        eta = 1, bit for bit, and that step is at most one trial past the
+        closed-form first trial of the expansions (`closed_form_first_trial`):
+        far from x* and within 1e-6 of it, on raw and regularized merits."""
         cfg = SolverConfig(sigma=0.1, backtrack=backtrack)
         rng = np.random.default_rng(17)
         compared = 0
@@ -366,7 +378,7 @@ class TestArmijoStep:
             assert (eta, backtracks) == (ref_eta, ref_backtracks)
             np.testing.assert_array_equal(x_next, ref_next)
             d = direction.direction
-            start = descent._first_trial(
+            start = closed_form_first_trial(
                 [(float(g @ d), float(d @ m.hessian(x) @ d)) for m, g in zip(merit, grads)],
                 cfg, direction.t_value)
             assert backtracks - 1 <= start <= backtracks
@@ -526,12 +538,12 @@ class TestStackedProducts:
         assert (len(calls), len(smooth_calls)) == (1, 0)
 
 
-    def test_smooth_merits_have_no_hessian_stack(self):
-        """Without a quadratic merit the stage stacks no Hessians, and
-        next to a quadratic one a smooth merit's slot is zeros."""
+    def test_smooth_merits_stack_zero_hessians(self):
+        """A smooth merit's slot of the Hessian stack is zeros, alone or next
+        to a quadratic merit."""
         smooth = logistic_losses()
-        assert descent._hessian_stack(smooth, np.ones(4)) is None
-        assert descent._stage_setup(smooth, 0.1, np.zeros(4), np.zeros(4))[1] is None
+        assert descent._hessian_stack(smooth, np.ones(4)).tobytes() == bytes(3 * 16 * 8)
+        assert not descent._stage_setup(smooth, 0.1, np.zeros(4), np.zeros(4))[1].any()
         mixed = descent._hessian_stack([quadratic_objective(np.eye(4), np.zeros(4)), smooth[0]],
                                        np.ones(4))
         assert mixed.shape == (2, 4, 4) and not mixed[1].any()
@@ -554,14 +566,15 @@ class TestStackedProducts:
         monkeypatch.setattr(descent, "_slopes_and_curvatures", spy_products)
         return counts
 
-    def test_smooth_stage_forms_no_products(self, monkeypatch):
-        """A smooth stage's line searches form no slope or curvature
-        products; a mixed quadratic-and-smooth stage forms one per search."""
+    def test_every_line_search_forms_its_products_once(self, monkeypatch):
+        """A smooth stage's line searches, and a mixed quadratic-and-smooth
+        stage's, form the slope and curvature products once per search."""
         counts = self.count_products(monkeypatch)
         trace = run_single_stage(logistic_losses(), np.array([1.0, 5.0, 2.0, 8.0]),
                                  SolverConfig(), Stage(0.5, 0.1, 20), np.zeros(4))
-        assert trace.iterations > 1 and counts == {"armijo": trace.iterations, "products": 0}
-        counts["armijo"] = 0
+        assert trace.iterations > 1
+        assert counts == {"armijo": trace.iterations, "products": trace.iterations}
+        counts["armijo"] = counts["products"] = 0
         mixed = [quadratic_objective(np.eye(4), np.zeros(4))] + logistic_losses()[:2]
         trace = run_single_stage(mixed, np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.1, 20),
                                  np.zeros(4))
@@ -569,22 +582,22 @@ class TestStackedProducts:
         assert counts == {"armijo": trace.iterations, "products": trace.iterations}
 
     def test_smooth_line_search_equals_the_one_with_zero_curvatures(self):
-        """On smooth merits, the step without products is the step with the
-        zero Hessian stack, whose curvatures 0 send every merit to its
-        values: eta, x_next, backtracks and trial values, bit for bit."""
+        """On smooth merits, the zero Hessian stack's curvatures 0 send every
+        merit to its values, so the step is the reference search's on
+        evaluated values: eta, x_next, backtracks and trial values, bit for
+        bit."""
         merits = logistic_losses()
         cfg = SolverConfig()
         for x in (np.array([1.0, 5.0, 2.0, 8.0]), np.full(4, 0.3), np.array([-2.0, 1.0, 0.5, 3.0])):
             gradients = np.array([m.gradient(x) for m in merits])
             direction = solve_direction(gradients)
             assert direction.t_value < 0.0
-            steps = [armijo_step(merits, x, direction.direction, direction.t_value,
-                                 cfg, [None] * 3, gradients, hessians)
-                     for hessians in (None, np.zeros((3, 4, 4)))]
-            (eta, x_next, backtracks, trial), (eta0, x_next0, backtracks0, trial0) = steps
-            assert (eta, backtracks, trial) == (eta0, backtracks0, trial0)
+            eta, x_next, backtracks, trial = armijo_step(
+                merits, x, direction.direction, direction.t_value, cfg, [None] * 3, gradients)
+            eta0, x_next0, backtracks0, _ = evaluated_armijo(merits, x, direction, cfg)
+            assert (eta, backtracks) == (eta0, backtracks0)
             assert x_next.tobytes() == x_next0.tobytes()
-            assert None not in trial
+            assert trial == [m.value(x_next0) for m in merits]
 
 
 class TestRunSingleStage:

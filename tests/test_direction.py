@@ -80,8 +80,8 @@ class TestSolveDirection:
     @pytest.mark.parametrize("as_array", [False, True])
     def test_rejects_nonfinite_entries_before_any_warning(self, bad, m, as_array):
         """An inf or NaN entry raises ValueError, and no warning first, from
-        a list of gradients and from an (m, n) float array, which the solve
-        reads as it is; the bad entry meets zeros in G G^T."""
+        a list of gradients and from an (m, n) float array; the bad entry
+        meets zeros in G G^T."""
         G = np.arange(1.0, 2 * m + 1).reshape(m, 2)
         G[:, 1] = 0.0
         G[m - 1, 1] = bad

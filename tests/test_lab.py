@@ -332,7 +332,7 @@ class TestParetoSweep:
             assert p.objectives.tobytes() == np.array(
                 self.per_start_values(spec, cfg, objectives, p.start_index)).tobytes()
 
-    def test_a_stacked_value_that_raises_fails_every_scored_start(self):
+    def test_a_stacked_value_that_raises_fails_every_scored_start(self, monkeypatch):
         """Unvalidated objectives whose value reads one point only make the
         stacked call raise: every run that ended without error fails with
         its message, in start order, and the sweep does not raise."""
@@ -346,18 +346,13 @@ class TestParetoSweep:
                 return value(x)
             return evaluate
 
-        objectives = [dataclasses.replace(obj, value=one_point(obj.value), validate=False)
-                      for obj in spec.objectives()]
+        build = ExperimentSpec.objectives
+        monkeypatch.setattr(ExperimentSpec, "objectives", lambda self: [
+            dataclasses.replace(obj, value=one_point(obj.value), validate=False)
+            for obj in build(self)])
         failures = []
-        assert pareto_sweep(spec, failures=failures, objectives=objectives) == []
+        assert pareto_sweep(spec, failures=failures) == []
         assert failures == [(i, "one point only") for i in range(12)]
-
-    def test_objectives_under_several_jobs_raise(self):
-        """Workers build their own objectives, so handing them any raises."""
-        spec = ExperimentSpec("example2_pair", schedule=default_schedule(),
-                              start_grid=((-2.0, -3.0), (2.0, 1.0), 4))
-        with pytest.raises(ValueError, match="jobs = 1"):
-            pareto_sweep(spec, jobs=2, objectives=spec.objectives())
 
     def test_example2_pair_front(self):
         """100 starts trace the efficient curve; every point is critical."""

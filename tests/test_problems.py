@@ -27,7 +27,6 @@ from mofgd.problems import (
     GradientStack,
     PiecewiseMaxObjective,
     _check_points,
-    _indented_json,
     gradient_stack,
     regularized,
 )
@@ -493,19 +492,18 @@ class TestTikhonovSolve:
             residual = sum(w * m.gradient(sol.x_tik) for w, m in zip(lam, merit))
             assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(sol.x_tik))
 
-    def test_singular_values_are_computed_on_first_read(self, monkeypatch):
-        """One SVD of the system, made when sigma_max or sigma_min is first
-        read, not by the solve."""
+    def test_singular_values_are_one_svd_of_the_system(self, monkeypatch):
+        """The solve makes one SVD of its system, and sigma_min, sigma_max
+        and kappa are its extreme singular values."""
         mop = random_quadratic_mop(4, 6, 2, seed=17)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         sol = tikhonov_solve(mop, 0.5, np.array([0.5, 0.5]), np.zeros(4))
-        assert not calls
+        assert len(calls) == 1
         sigma = svd(sol.a_matrix, compute_uv=False)
         assert (sol.sigma_min, sol.sigma_max, sol.kappa) == (
             float(sigma[-1]), float(sigma[0]), float(sigma[0]) / float(sigma[-1]))
-        assert len(calls) == 1
 
     def test_bad_multipliers_rejected(self):
         mop = random_quadratic_mop(3, 4, 2, seed=2)
@@ -549,9 +547,3 @@ class TestSerialization:
         assert text == json.dumps(doc, indent=1)
         assert (doc["x_star"], doc["c"]) == (x_star, terminal)
         assert doc["W"][0][0] == [-0.0, 5e-324, 1e308] and doc["W"][1][0][2] == float("inf")
-
-    def test_indented_json_matches_json(self):
-        """Empty and nested containers, strings, None and ints indent as json's do."""
-        doc = {"a": [], "b": {}, "c": [[], [1, -2]], "d": {"e": [0.5], "f": None},
-               "g": "x, y", "h": [[[1e-300]]], "i": [{"j": 1}, {}]}
-        assert "".join(_indented_json(doc, 0)) == json.dumps(doc, indent=1)

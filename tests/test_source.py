@@ -1,6 +1,7 @@
 """Source-level guards over the mofgd package."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -76,3 +77,32 @@ def test_building_fixture_objectives_loads_no_numpy_random():
             "print([m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')])")
     out = _run(["-c", code], check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _ledger_names():
+    """The construct named first in each row of README's "Speed constructs"
+    table, as `module.name` or `module.Class.attribute`."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = lines.index("### Speed constructs")
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("#"):
+            break
+        if line.startswith("| `"):
+            rows.append(line.split("`")[1])
+    return rows
+
+
+def test_ledger_names_exist_in_the_package():
+    """Every construct the README's speed ledger keeps is still in src/mofgd."""
+    names = _ledger_names()
+    assert len(names) >= 5
+    missing = []
+    for name in names:
+        module, *attributes = name.split(".")
+        obj = importlib.import_module(f"mofgd.{module}")
+        for attribute in attributes:
+            obj = getattr(obj, attribute, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, f"ledger rows without a construct in src/mofgd: {missing}"
