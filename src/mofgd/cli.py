@@ -7,10 +7,14 @@ pareto     sweep all starts, emit the nondominated fronts
 compare    gamma-comparison table (outer vs diagonal regularizer)
 verify-t5  linear-rate check against the closed-form regularized solution
 verify-t6  staged error-bound recursion check
-fixtures   reproduction report for the three analytic examples
+fixtures   reproduction report for the three analytic examples (reads no
+           config: each example runs its own fixed settings)
+
+Every other command reads its instance, including a random instance's
+seed, its solver settings and its schedule from --config alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
-Artifacts are byte-reproducible given (config, seed) and the BLAS thread
+Artifacts are byte-reproducible given the config and the BLAS thread
 count: the mogd rows of comparison.csv come from ill-conditioned runs that
 amplify last-bit rounding, so they change with it.  Wall-clock timings and
 timestamps appear only in summary.json and comparison.csv's wall_seconds,
@@ -86,7 +90,6 @@ class RunManifest:
     command: str
     config_path: Optional[str]
     output_dir: str
-    seed: Optional[int] = None
     force: bool = False
     jobs: int = 1
 
@@ -95,8 +98,6 @@ class RunManifest:
             raise ConfigError(f"command: unknown command {self.command!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"--seed: expected a non-negative integer, got {self.seed}")
 
 
 # The keys each config section accepts; parse_config refuses any other, so a
@@ -409,7 +410,7 @@ def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
             f"matches the contraction interpretation (fitted rate {report.fitted_rate:.6f})"
         ),
     }
-    ok = report.geometric and not report.rate_violation and report.fixed_point_gap < 1e-6
+    ok = report.geometric and not report.rate_violation and report.final_error < 1e-6
     return (0 if ok else 1), {"verify_t5": payload}
 
 
@@ -439,7 +440,7 @@ def _cmd_verify_t6(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     return (0 if ok else 1), {"verify_t6": payload}
 
 
-def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
+def _cmd_fixtures(writer: _Writer) -> tuple[int, dict]:
     lines = []
     checks = {}
 
@@ -467,9 +468,8 @@ def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
                  f"fractional {x_frac} at recovered c {c_rec}, separation {dist:.3f}")
 
     # Example 2: staged run reaches the classical optimal value.
-    sched2 = schedule if isinstance(spec.instance, str) and spec.instance == "example2" else default_schedule()
     trace2 = run_adaptive(fixture_objectives("example2"), np.array([1.0, 1.0]),
-                          SolverConfig(tolerance=1e-8, max_iterations=2000), sched2)
+                          SolverConfig(tolerance=1e-8, max_iterations=2000), default_schedule())
     obj2 = fixture_objectives("example2")[0]
     f2 = obj2.value(trace2.final_x)
     checks["example2"] = {
@@ -482,9 +482,8 @@ def _cmd_fixtures(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 
     # Example 3: fractional stages vs subgradient on the nonsmooth fixture.
     obj3 = example3_objective()
-    sched3 = default_schedule()
     trace3 = run_adaptive([obj3], np.array([3.0, 3.0]),
-                          SolverConfig(tolerance=1e-6, max_iterations=2000), sched3)
+                          SolverConfig(tolerance=1e-6, max_iterations=2000), default_schedule())
     f3_hits = [r.k for r in trace3.records if r.f_values[0] <= 1e-3]
     frac_iters = f3_hits[0] if f3_hits else (
         trace3.iterations if obj3.value(trace3.final_x) <= 1e-3 else None
@@ -513,25 +512,17 @@ def run(manifest: RunManifest) -> int:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
 
-    # The config, the instance the command needs and --seed are checked
-    # first, so a refused run creates no directory.
-    if manifest.command == "fixtures" and manifest.config_path is None:
-        spec = ExperimentSpec(instance="example2", schedule=default_schedule(),
-                              start_grid=((DEFAULT_START_LB,) * 2, (DEFAULT_START_UB,) * 2, 1))
-        solver, schedule = SolverConfig(), spec.schedule
-    else:
-        if manifest.config_path is None:
-            print("error: --config is required for this command", file=sys.stderr)
-            return 2
+    # The config and the instance the command needs are checked first, so a
+    # refused run creates no directory.
+    fixtures = manifest.command == "fixtures"
+    if fixtures != (manifest.config_path is None):
+        print("error: fixtures takes no --config" if fixtures
+              else "error: --config is required for this command", file=sys.stderr)
+        return 2
+    if not fixtures:
         spec, solver, schedule = parse_config(manifest.config_path)
-    if manifest.command in NEEDS_MOP and not isinstance(spec.instance, QuadraticMop):
-        raise ConfigError(f"experiment: {manifest.command} needs a random quadratic instance")
-    if manifest.seed is not None:
-        if not isinstance(spec.instance, QuadraticMop):
-            raise ConfigError("--seed: only a random quadratic instance takes a seed")
-        mop = spec.instance
-        spec = replace(spec, instance=random_quadratic_mop(
-            mop.dim, mop.factors[0].shape[1], mop.n_objectives, manifest.seed))
+        if manifest.command in NEEDS_MOP and not isinstance(spec.instance, QuadraticMop):
+            raise ConfigError(f"experiment: {manifest.command} needs a random quadratic instance")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(out_dir)
@@ -547,14 +538,13 @@ def run(manifest: RunManifest) -> int:
     elif manifest.command == "verify-t6":
         code, payload = _cmd_verify_t6(spec, solver, schedule, writer)
     else:
-        code, payload = _cmd_fixtures(spec, solver, schedule, writer)
+        code, payload = _cmd_fixtures(writer)
 
     payload.update({
         "command": manifest.command,
         "exit_code": code,
         "wall_seconds": time.perf_counter() - started,
         "config": manifest.config_path,
-        "seed_override": manifest.seed,
     })
     writer.write_summary(payload)
     return code
@@ -567,7 +557,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="YAML experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override the instance seed")
     parser.add_argument("--out", default="runs/latest", help="output directory")
     parser.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
     parser.add_argument("--jobs", type=int, default=1, help="pareto sweep worker processes")
@@ -577,8 +566,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         manifest = RunManifest(command=args.command, config_path=args.config,
-                               output_dir=args.out, seed=args.seed,
-                               force=args.force, jobs=args.jobs)
+                               output_dir=args.out, force=args.force, jobs=args.jobs)
         return run(manifest)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

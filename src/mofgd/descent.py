@@ -69,7 +69,7 @@ evaluated only where something reads it: the line search evaluates f_j(x)
 and the trial values of the merits it cannot expand, and returns the
 values at the accepted step, which the next iteration reuses.  A record
 keeps the values the stage had and the stage's merits, and evaluates the
-others when its f_values are first read, so a quadratic stage with
+others when its f_values are read, so a quadratic stage with
 positive curvatures evaluates no value while it runs.  In an
 all-quadratic stage the merit gradients are the direction inputs and the
 slope is t, so neither is formed a second time.  The trace notes take
@@ -79,7 +79,6 @@ the stacks' notes, one per coordinate below its terminal.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
@@ -201,13 +200,13 @@ class StageSchedule:
         return cls(stages=stages, terminal=terminal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One accepted iteration at x.
 
     values[j] is f_j(x) where the run already had it and None where it did
     not; merit[j] is then the objective that f_values evaluates at x on
-    first read, and caches.  A record that knows every value needs no merit.
+    every read.  A record that knows every value needs no merit.
     """
 
     k: int
@@ -220,7 +219,7 @@ class IterationRecord:
     backtracks: int
     merit: Optional[Sequence[ObjectiveModel]] = None
 
-    @functools.cached_property
+    @property
     def f_values(self) -> np.ndarray:
         return np.array([self.merit[j].value(self.x) if v is None else v
                          for j, v in enumerate(self.values)])
@@ -230,7 +229,8 @@ class IterationRecord:
 class StageReport:
     """How one stage run ended: the records it added, its termination, the
     stop tolerance it used and the trace's final ||d|| at its end (None
-    while no stage of the trace has solved a direction)."""
+    while no stage of the trace has solved a direction, and after a
+    direction error)."""
 
     stage: int
     iterations: int
@@ -247,7 +247,9 @@ class IterationTrace:
     max_iter | model_mismatch (t < 0 but the merit slope
     max_j grad merit_j^T d >= 0; the notes give ||g - grad merit||) | error
     (see error).  It is the last stage's; stages holds one StageReport per
-    stage run, in order.
+    stage run, in order.  final_norm_d and final_multipliers are the ||d||
+    and the subproblem multipliers of the direction solved at final_x;
+    both are None when that solve failed (a direction error).
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -257,6 +259,7 @@ class IterationTrace:
     notes: list[str] = field(default_factory=list)
     final_x: Optional[np.ndarray] = None
     final_norm_d: Optional[float] = None
+    final_multipliers: Optional[np.ndarray] = None
 
     @property
     def iterations(self) -> int:
@@ -271,7 +274,7 @@ class IterationTrace:
         is missing.
         """
         if self.records:
-            m, n = self.records[0].f_values.size, self.records[0].x.size
+            m, n = len(self.records[0].values), self.records[0].x.size
         elif m is None or self.final_x is None:
             raise ValueError("a trace without records needs m and final_x for its header")
         else:
@@ -450,7 +453,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     It hands `armijo_step` the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
     search evaluates the ones it tests.  The record keeps those values and
-    the stage's merits, and evaluates the rest when its f_values are first
+    the stage's merits, and evaluates the rest whenever its f_values are
     read.  So a quadratic stage makes one stacked gradient evaluation
     (or, for merits that `problems.gradient_stack` does not stack, one
     gradient call per objective) per iteration and no value call while
@@ -461,8 +464,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     builds them here, with one Hessian call per quadratic merit.  Records
     are numbered by their position in trace.records, so a trace passed in
     continues its numbering.
-    Neither a record's x nor the terminal may be written into before the
-    record's f_values are read.
+    Neither a record's x nor the terminal may be written into, since a
+    record's f_values are evaluated at its x on every read.
 
     The kink-free non-quadratic objectives share one node stack per
     iterate and each kinked one has its own, passed positionally to
@@ -518,6 +521,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "error"
             trace.error = str(exc)
             trace.final_x = x
+            trace.final_norm_d = trace.final_multipliers = None
             break
 
         norm_d = direction.norm
@@ -525,6 +529,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             tolerance = max(tolerance, gamma_drop * norm_d)
         trace.final_x = x
         trace.final_norm_d = norm_d
+        trace.final_multipliers = direction.multipliers
         # t >= 0: the subproblem finds no descent direction to its precision,
         # so x is critical even if ||d|| is still above the tolerance.
         if norm_d < tolerance or not direction.t_value < 0.0:

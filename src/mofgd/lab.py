@@ -23,17 +23,14 @@ from .descent import (
     Stage,
     StageSchedule,
     run_adaptive,
-    run_single_stage,
     schedule_setup,
 )
-from .direction import DirectionAccuracyError, solve_direction
 from .fixtures import fixture_objectives
 from .problems import (
     ObjectiveModel,
     PiecewiseMaxObjective,
     QuadraticMop,
     gradient_stack,
-    regularized,
     tikhonov_solve,
 )
 
@@ -130,6 +127,12 @@ class StageErrorBound:
 
 @dataclass(frozen=True)
 class RateReport:
+    """The fixed-step run of `verify_rate_theorem5` against x_Tik.
+
+    errors[k] is ||x_k - x_Tik||, so final_error, errors[-1], is the
+    distance from the run's last iterate, final_x, to the fixed point.
+    """
+
     errors: np.ndarray
     ratios: np.ndarray
     fitted_rate: float
@@ -139,7 +142,6 @@ class RateReport:
     kappa: float
     sigma_max: float
     final_error: float
-    fixed_point_gap: float
     final_x: np.ndarray
 
 
@@ -150,11 +152,18 @@ class FrontPoint:
     norm_d: float
 
 
+def _classical_schedule(cfg: SolverConfig) -> StageSchedule:
+    """The one-stage alpha = 1, gamma = 0 schedule of cfg's iteration budget:
+    classical descent, whose merits and gradients read no terminal."""
+    return StageSchedule((Stage(1.0, 0.0, cfg.max_iterations),))
+
+
 def mogd_baseline(objectives: Sequence[ObjectiveModel], x0: np.ndarray,
                   cfg: SolverConfig) -> IterationTrace:
-    """Classical multi-objective steepest descent: the alpha=1, gamma=0 stage,
-    whose merits and gradients read no terminal."""
-    return run_single_stage(list(objectives), x0, cfg, Stage(1.0, 0.0, cfg.max_iterations), 0.0)
+    """Classical multi-objective steepest descent (Fliege and Svaiter, 2000):
+    `run_adaptive` on `_classical_schedule(cfg)`, the schedule of a "mogd"
+    sweep's starts."""
+    return run_adaptive(objectives, x0, cfg, _classical_schedule(cfg))
 
 
 def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int) -> IterationTrace:
@@ -259,7 +268,6 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, gamma: float, ter
         kappa=sol.kappa,
         sigma_max=sol.sigma_max,
         final_error=float(errors[-1]),
-        fixed_point_gap=float(np.linalg.norm(xs[-1] - sol.x_tik)),
         final_x=xs[-1],
     )
 
@@ -380,13 +388,12 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     """Run the chosen method from the starts with the given indices.
 
     Every start is one `run_adaptive` call.  "moaocfgd" runs the spec's
-    schedule (ValueError when it has none); "mogd" runs the one-stage
-    alpha = 1, gamma = 0 schedule, whose run is `mogd_baseline`'s bit for
-    bit, since neither reads the terminal.  The objectives are
-    `spec.objectives()`, built once per call.  The schedule's
-    `schedule_setup` (its terminal check, every stage's merits and their
-    Hessian stack) is built once, before any start runs, and every run
-    reads it; a failing set-up raises.  The runs that ended without error
+    schedule (ValueError when it has none); "mogd" runs
+    `_classical_schedule(cfg)`, so each of its runs is `mogd_baseline`'s.
+    The objectives are `spec.objectives()`, built once per call.  The
+    schedule's `schedule_setup` (its terminal check, every stage's merits
+    and their Hessian stack) is built once, before any start runs, and
+    every run reads it; a failing set-up raises.  The runs that ended without error
     are scored together: each objective's value is one call on the stack
     of their final points, whose rows have the bits of one call per point;
     should that call raise, every scored run fails with its message.
@@ -396,7 +403,7 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     objectives = spec.objectives()
     starts = spec.starts()
     if spec.method == "mogd":
-        schedule = StageSchedule((Stage(1.0, 0.0, cfg.max_iterations),))
+        schedule = _classical_schedule(cfg)
     elif spec.schedule is None:
         raise ValueError("moaocfgd sweep needs a schedule")
     else:
@@ -425,10 +432,10 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     return points, failures
 
 
-def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
+def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig,
                  failures: Optional[list] = None, jobs: int = 1) -> list[FrontPoint]:
-    """Run the chosen method from every start and return the sorted
-    nondominated subset of final objective vectors.
+    """Run the chosen method from every start with the solver settings cfg
+    and return the sorted nondominated subset of final objective vectors.
 
     Individual run failures are recorded (appended to `failures` as
     (start_index, reason) when a list is passed) and excluded, never fatal;
@@ -438,7 +445,6 @@ def pareto_sweep(spec: ExperimentSpec, cfg: Optional[SolverConfig] = None,
     each building the objectives and the sweep's set-up once, and gathers
     them in start order, so the front is the same for every jobs.
     """
-    cfg = cfg or SolverConfig(tolerance=1e-5, max_iterations=2000)
     indices = np.arange(spec.start_grid[2])
     jobs = min(jobs, indices.size)
     if jobs == 1:
@@ -479,54 +485,37 @@ def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:
 
 
 def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
-                     cfg: Optional[SolverConfig] = None,
-                     x0: Optional[np.ndarray] = None) -> list[dict]:
+                     cfg: SolverConfig, x0: np.ndarray) -> list[dict]:
     """Rows (gamma, method, condition_number, iterations, wall_seconds,
     final_error, termination) comparing classical descent on the
     outer-product-regularized objectives (mogd) against classical descent
-    on the diagonal-regularized ones (moaocfgd).
+    on the diagonal-regularized ones (moaocfgd), each run from x0 with the
+    solver settings cfg.
 
     For a quadratic, a fractional stage of weight gamma is classical descent
     on its diagonal-regularized merit, bit for bit, whatever its order, so
-    both rows run `mogd_baseline` on their own merits.  Condition numbers
-    are those of each row's system matrix at uniform multipliers;
-    final_error is the distance to the Tikhonov solution consistent with
-    the run's final multipliers.
+    both rows run `mogd_baseline`.  A row's merits and condition number are
+    those of its regularizer's `tikhonov_solve` at uniform multipliers;
+    final_error is the distance to the Tikhonov solution at the run's
+    final multipliers (uniform when its last direction solve failed).
     """
-    cfg = cfg or SolverConfig(tolerance=1e-4, max_iterations=2000)
-    x0 = np.full(mop.dim, 5.5) if x0 is None else np.asarray(x0, dtype=float)
     m = mop.n_objectives
-    lam_uniform = np.full(m, 1.0 / m)
+    uniform = np.full(m, 1.0 / m)
     c = np.zeros(mop.dim)
-    objectives = mop.objectives()
     rows = []
     for gamma in gamma_values:
         for method, reg in (("mogd", "outer"), ("moaocfgd", "diag")):
-            merit = [regularized(obj, gamma, c, reg) for obj in objectives]
-            system = sum(w * merit_j.hessian(c) for w, merit_j in zip(lam_uniform, merit))
+            system = tikhonov_solve(mop, gamma, uniform, c, regularizer=reg)
             t0 = time.perf_counter()
-            trace = mogd_baseline(merit, x0, cfg)
+            trace = mogd_baseline(system.merits, x0, cfg)
             wall = time.perf_counter() - t0
-            lam_final = _final_multipliers(merit, trace, m)
+            lam_final = uniform if trace.final_multipliers is None else trace.final_multipliers
             sol = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg)
             rows.append({
                 "gamma": gamma, "method": method,
-                "condition_number": float(np.linalg.cond(system)),
+                "condition_number": system.kappa,
                 "iterations": trace.iterations, "wall_seconds": wall,
                 "final_error": float(np.linalg.norm(trace.final_x - sol.x_tik)),
                 "termination": trace.termination,
             })
     return rows
-
-
-def _final_multipliers(objectives, trace: IterationTrace, m: int) -> np.ndarray:
-    """Subproblem multipliers at the run's final point; uniform when the final
-    gradients are not finite (a diverged run) or the subproblem misses its
-    accuracy.  Any other error propagates."""
-    grads = np.array([obj.gradient(trace.final_x) for obj in objectives])
-    if not np.all(np.isfinite(grads)):
-        return np.full(m, 1.0 / m)
-    try:
-        return solve_direction(grads).multipliers
-    except DirectionAccuracyError:
-        return np.full(m, 1.0 / m)

@@ -516,8 +516,8 @@ experiment:
         assert (example3["ok"], example3["termination"]) == (False, "error")
 
     def test_seed_on_a_fixture_exits_2(self, tmp_path, capsys):
-        """Only a random quadratic instance takes a seed: --seed on a fixture,
-        from a config or the fixtures default, is refused, not ignored."""
+        """A seed comes from instance.seed alone: --seed is no option, so
+        argparse refuses it by name (exit 2), with a config and without."""
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["solve", "--config", str(cfg), "--seed", "7",
                      "--out", str(tmp_path / "solve")]) == 2
@@ -526,20 +526,16 @@ experiment:
         assert main(["fixtures", "--seed", "7", "--out", str(tmp_path / "fx")]) == 2
         assert "--seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed_in, key", [("config", "instance.seed"), ("cli", "--seed")])
+    @pytest.mark.parametrize("seed_in, key", [("config", "instance.seed")])
     def test_negative_seed_exits_2(self, tmp_path, capsys, seed_in, key):
-        """A negative seed, from the config or from --seed, is refused by
-        its name (exit 2) before any output directory is made, not left to
-        numpy's generator to raise."""
+        """A negative instance.seed is refused by its name (exit 2) before
+        any output directory is made, not left to numpy's generator to
+        raise."""
         text = (REPO / "configs" / "paper_quadratic.yaml").read_text()
         assert text.count("seed: 42") == 1
-        if seed_in == "config":
-            text, seed = text.replace("seed: 42", "seed: -1"), []
-        else:
-            seed = ["--seed", "-3"]
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, text.replace("seed: 42", "seed: -1"))
         out = tmp_path / "refused" / "out"
-        assert main(["compare", "--config", str(cfg), "--out", str(out)] + seed) == 2
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: {key}: expected a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "refused").exists()
 
@@ -550,11 +546,13 @@ experiment:
         ["compare", "--config", str(REPO / "configs" / "example2.yaml")],
         ["verify-t5", "--config", str(REPO / "configs" / "example2.yaml")],
         ["verify-t6", "--config", str(REPO / "configs" / "example2.yaml")],
+        ["fixtures", "--config", str(REPO / "configs" / "example2.yaml")],
     ])
     def test_refused_run_creates_no_directory(self, tmp_path, capsys, argv):
-        """A run refused with exit 2 (a --seed on a fixture, an unreadable
+        """A run refused with exit 2 (an unknown --seed flag, an unreadable
         config, no --config, a command that needs a random quadratic
-        instance run on a fixture) leaves no output directory behind."""
+        instance run on a fixture, a --config given to fixtures) leaves no
+        output directory behind."""
         out = tmp_path / "refused" / "out"
         assert main(argv + ["--out", str(out)]) == 2
         capsys.readouterr()
@@ -587,12 +585,3 @@ experiment:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: {key}: expected " in capsys.readouterr().err
         assert not (tmp_path / "refused").exists()
-
-    def test_seed_override_changes_instance(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_QUADRATIC)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert run(RunManifest("compare", str(cfg), str(out1))) in (0, 1)
-        assert run(RunManifest("compare", str(cfg), str(out2), seed=9)) in (0, 1)
-        a = (out1 / "instance.json").read_text()
-        b = (out2 / "instance.json").read_text()
-        assert a != b

@@ -11,6 +11,7 @@ import pytest
 import mofgd.descent as descent
 import mofgd.problems as problems
 from mofgd import (
+    DirectionAccuracyError,
     LineSearchError,
     ObjectiveModel,
     SolverConfig,
@@ -725,6 +726,27 @@ class TestRunSingleStage:
         assert trace.iterations == 0
         np.testing.assert_array_equal(trace.final_x, np.ones(2))
 
+    def test_direction_error_leaves_no_stale_norm_or_multipliers(self, monkeypatch):
+        """A direction error after accepted steps moves final_x to the new
+        iterate, so the trace's and the stage report's final ||d|| and the
+        final multipliers are None, not those of the previous iterate."""
+        calls = []
+
+        def failing_third(grads):
+            calls.append(grads)
+            result = solve_direction(grads)
+            if len(calls) == 3:
+                raise DirectionAccuracyError("scaled duality gap", result)
+            return result
+
+        monkeypatch.setattr(descent, "solve_direction", failing_third)
+        trace = run_single_stage(pareto_pair(), np.array([2.0, 2.0]), SolverConfig(),
+                                 classical(50), 0.0)
+        assert (trace.termination, trace.iterations) == ("error", 2)
+        assert not np.array_equal(trace.final_x, trace.records[-1].x)
+        assert trace.final_norm_d is None and trace.final_multipliers is None
+        assert trace.stages[-1].final_norm_d is None
+
     def test_error_termination_on_bad_model(self):
         """A badly scaled wrong gradient fails the line search; trace says so."""
         bad = quadratic_objective(np.eye(2), np.zeros(2))
@@ -745,9 +767,10 @@ class TestRunSingleStage:
     def test_quadratic_stage_evaluates_each_merit_once(self, monkeypatch, frac, k_max):
         """One gradient call per objective per iteration (the final check at
         the last iterate included) and, with every curvature positive, no
-        value call while the stage runs.  Reading a record's f_values makes
-        one value call per objective, a second read makes none, and the
-        values are those of the stage merit at the record's x, bit for bit.
+        value call while the stage runs.  Each read of a record's f_values
+        makes one value call per objective, since a record caches nothing,
+        and the values are those of the stage merit at the record's x, bit
+        for bit.
         Merits of the module's own gradients make instead one stacked
         evaluation per iterate and no gradient call, with the same records."""
         stacked_calls, gradient_calls = [], []
@@ -791,9 +814,9 @@ class TestRunSingleStage:
             assert len(values) == trace.iterations
         second = [record.f_values for record in trace.records]
         for _, values, _ in counted:
-            assert len(values) == trace.iterations
+            assert len(values) == 2 * trace.iterations
         for record, f, again in zip(trace.records, first, second):
-            assert again is f
+            assert again.tobytes() == f.tobytes()
             assert f.tolist() == [m.value(record.x) for m in merit]
 
     def test_smooth_stage_evaluates_each_value_once_per_iterate(self, monkeypatch):

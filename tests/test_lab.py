@@ -10,9 +10,7 @@ import pytest
 import mofgd.descent as descent
 import mofgd.lab as lab
 from mofgd import (
-    DirectionAccuracyError,
     ExperimentSpec,
-    IterationTrace,
     SolverConfig,
     StageSchedule,
     adrs,
@@ -39,6 +37,10 @@ from mofgd.problems import GradientStack, QuadraticMop, gradient_stack, regulari
 from oracles import loop_adrs, per_objective_fixed_steps
 
 REPO = Path(__file__).resolve().parents[1]
+# Solver settings of the sweeps and tables below: the stop tolerances of
+# example2_pair.yaml and paper_quadratic.yaml, at most 2000 iterations.
+SWEEP_CFG = SolverConfig(tolerance=1e-5, max_iterations=2000)
+TABLE_CFG = SolverConfig(tolerance=1e-4, max_iterations=2000)
 
 
 class TestMogdBaselineLab:
@@ -98,7 +100,7 @@ class TestVerifyRateTheorem5:
                                    self.gamma, self.c, self.lam)
         assert rep.monotone
         assert not rep.rate_violation
-        assert rep.fixed_point_gap <= 1e-6
+        assert rep.final_error <= 1e-6
         assert rep.fitted_rate < 1.0
 
     def test_eta_near_two_still_converges(self):
@@ -226,14 +228,14 @@ class TestParetoSweep:
     def test_single_start(self):
         spec = ExperimentSpec(instance="example2_pair", schedule=default_schedule(),
                               start_grid=((1.0, 1.0), (2.0, 2.0), 1))
-        front = pareto_sweep(spec)
+        front = pareto_sweep(spec, SWEEP_CFG)
         assert len(front) <= 1
 
     def test_duplicates_collapse(self):
         """All starts of a single-objective problem land on one minimizer."""
         spec = ExperimentSpec(instance="example2", schedule=default_schedule(),
                               start_grid=((0.0, 0.0), (2.0, 2.0), 5))
-        front = pareto_sweep(spec)
+        front = pareto_sweep(spec, SWEEP_CFG)
         assert len(front) == 1
 
     def test_exactly_critical_start_reports_zero_norm(self):
@@ -242,7 +244,7 @@ class TestParetoSweep:
         spec = ExperimentSpec(QuadraticMop((eye, 2.0 * eye), (np.zeros(2), np.zeros(2))),
                               start_grid=((-1.0, -1.0), (1.0, 1.0), 3), method="mogd")
         failures = []
-        front = pareto_sweep(spec, failures=failures)
+        front = pareto_sweep(spec, SWEEP_CFG, failures=failures)
         assert failures == []
         assert front and [p.norm_d for p in front] == [0.0] * len(front)
 
@@ -300,7 +302,7 @@ class TestParetoSweep:
         monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
         failures = []
         with pytest.raises(ValueError, match=message):
-            pareto_sweep(ExperimentSpec("example2_pair", schedule=schedule),
+            pareto_sweep(ExperimentSpec("example2_pair", schedule=schedule), SWEEP_CFG,
                          failures=failures, jobs=jobs)
         assert failures == [] and runs == []
 
@@ -351,7 +353,7 @@ class TestParetoSweep:
             dataclasses.replace(obj, value=one_point(obj.value), validate=False)
             for obj in build(self)])
         failures = []
-        assert pareto_sweep(spec, failures=failures) == []
+        assert pareto_sweep(spec, SWEEP_CFG, failures=failures) == []
         assert failures == [(i, "one point only") for i in range(12)]
 
     def test_example2_pair_front(self):
@@ -506,7 +508,7 @@ class TestComparisonTable:
     def test_small_instance_table(self):
         """Table rows carry finite condition numbers and converged errors."""
         mop = random_quadratic_mop(20, 20, 2, seed=42)
-        rows = comparison_table(mop, (0.25, 1.0), x0=np.full(20, 5.5))
+        rows = comparison_table(mop, (0.25, 1.0), TABLE_CFG, np.full(20, 5.5))
         assert len(rows) == 4
         for r in rows:
             assert np.isfinite(r["condition_number"])
@@ -516,31 +518,31 @@ class TestComparisonTable:
         for r in frac_rows:
             assert r["final_error"] < 1e-2
 
-    def test_final_multipliers_fallback_and_propagation(self, monkeypatch):
-        """Uniform multipliers only for non-finite gradients or an inaccurate
-        subproblem; any other error propagates."""
-        objs = random_quadratic_mop(3, 5, 2, seed=4).objectives()
-        trace = IterationTrace(final_x=np.ones(3))
-        exact = lab._final_multipliers(objs, trace, 2)
-        assert exact.sum() == pytest.approx(1.0)
-        assert not np.allclose(exact, 0.5)
-
-        diverged = IterationTrace(final_x=np.full(3, np.inf))
-        with np.errstate(invalid="ignore"):
-            np.testing.assert_array_equal(lab._final_multipliers(objs, diverged, 2), [0.5, 0.5])
-
-        def inaccurate(grads):
-            raise DirectionAccuracyError("gap", solve_direction(grads))
-
-        monkeypatch.setattr(lab, "solve_direction", inaccurate)
-        np.testing.assert_array_equal(lab._final_multipliers(objs, trace, 2), [0.5, 0.5])
-
-        def broken(grads):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(lab, "solve_direction", broken)
-        with pytest.raises(np.linalg.LinAlgError):
-            lab._final_multipliers(objs, trace, 2)
+    def test_rows_read_the_uniform_system_and_the_trace_multipliers(self):
+        """On the shipped paper instance, each of the 12 rows reports as its
+        condition number np.linalg.cond of the hand-summed uniform-weight
+        system of its merits, and measures final_error at the multipliers
+        of a fresh direction solve on the merit gradients at final_x, bit
+        for bit."""
+        spec, cfg, _ = parse_config(REPO / "configs" / "paper_quadratic.yaml")
+        mop, x0 = spec.instance, spec.starts()[0]
+        c = np.zeros(mop.dim)
+        uniform = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
+        rows = comparison_table(mop, spec.gamma_values, cfg, x0)
+        assert len(rows) == 12
+        for row in rows:
+            reg = "outer" if row["method"] == "mogd" else "diag"
+            merit = [regularized(obj, row["gamma"], c, reg) for obj in mop.objectives()]
+            system = sum(w * m.hessian(c) for w, m in zip(uniform, merit))
+            assert row["condition_number"] == float(np.linalg.cond(system))
+            trace = mogd_baseline(merit, x0, cfg)
+            assert (row["iterations"], row["termination"]) == (trace.iterations,
+                                                               trace.termination)
+            lam = solve_direction(np.array([m.gradient(trace.final_x)
+                                            for m in merit])).multipliers
+            assert trace.final_multipliers.tobytes() == lam.tobytes()
+            sol = tikhonov_solve(mop, row["gamma"], lam, c, regularizer=reg)
+            assert row["final_error"] == float(np.linalg.norm(trace.final_x - sol.x_tik))
 
     def test_fractional_row_is_classical_descent_on_the_diag_merit(self):
         """On the shipped paper instance, from the CLI's start and with its
@@ -572,7 +574,7 @@ class TestComparisonTable:
     def test_fractional_conditioning_beats_outer_regularizer(self):
         """Diagonal regularization conditions far better at small gamma."""
         mop = random_quadratic_mop(30, 30, 2, seed=7)
-        rows = comparison_table(mop, (0.15,), x0=np.full(30, 3.0))
+        rows = comparison_table(mop, (0.15,), TABLE_CFG, np.full(30, 3.0))
         gd = next(r for r in rows if r["method"] == "mogd")
         fr = next(r for r in rows if r["method"] == "moaocfgd")
         assert fr["condition_number"] < gd["condition_number"]
