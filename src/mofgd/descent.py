@@ -40,7 +40,11 @@ Non-quadratic objectives use singular-quadrature gradients and raw values.
 The stage builds their quadrature node stacks (`fractional.node_stack`)
 once per iterate: one that every objective without a kink locator reads,
 built only if such an objective needs it, and one per objective with
-kinks.
+kinks.  A classical stage, alpha = 1 and beta = 0, builds none: beta = 0
+means gamma = 0, so every merit is its raw objective, the direction
+inputs are the merits' gradients for every kind, as in an all-quadratic
+stage, and the stage is the multi-objective steepest descent of Fliege
+and Svaiter (Math. Meth. Oper. Res. 51, 2000).
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
 the merit it tests, which equals the subproblem's t bit for bit for
@@ -56,24 +60,25 @@ once (zeros for the other kinds), and each line search forms its m slopes
 and m curvatures as row dots, which round as the per-objective products
 do.
 
-Per iteration each merit's gradient at x is evaluated once: a smooth or
-piecewise one's is row 0, x itself, of its fractional gradient's stacked
-call, so such an objective makes one stacked gradient and one stacked
-Hessian call per iterate and no single-point gradient call.  The set-up
-also builds the merits' `problems.gradient_stack`, so an all-quadratic
-stage forms its m merit gradients in one stacked evaluation with the bits
-of the m gradient calls; merits it cannot stack (wrapped or lambda-built
-gradients, a merit that pulls twice, a matrix that is not C-ordered) keep
-one gradient call each.  A value is
-evaluated only where something reads it: the line search evaluates f_j(x)
-and the trial values of the merits it cannot expand, and returns the
-values at the accepted step, which the next iteration reuses.  A record
-keeps the values the stage had and the stage's merits, and evaluates the
-others when its f_values are read, so a quadratic stage with
-positive curvatures evaluates no value while it runs.  In an
-all-quadratic stage the merit gradients are the direction inputs and the
-slope is t, so neither is formed a second time.  The trace notes take
-the stacks' notes, one per coordinate below its terminal.
+Per iteration each merit's gradient at x is evaluated once: in a
+fractional stage a smooth or piecewise one's is row 0, x itself, of its
+fractional gradient's stacked call, so such an objective makes one stacked
+gradient and one stacked Hessian call per iterate and no single-point
+gradient call.  The set-up also builds the merits'
+`problems.gradient_stack`, so an all-quadratic stage forms its m merit
+gradients in one stacked evaluation with the bits of the m gradient calls;
+merits it cannot stack (wrapped or lambda-built gradients, a merit that
+pulls twice, a matrix that is not C-ordered, any non-quadratic merit of a
+classical stage) keep one gradient call each.  A value is evaluated only
+where something reads it: the line search evaluates f_j(x) and the trial
+values of the merits it cannot expand, and returns the values at the
+accepted step, which the next iteration reuses.  A record keeps the values
+the stage had and the stage's merits, and evaluates the others when its
+f_values are read, so a quadratic stage with positive curvatures evaluates
+no value while it runs.  In an all-quadratic or a classical stage the
+merit gradients are the direction inputs and the slope is t, so neither is
+formed a second time.  The trace notes take the stacks' notes, one per
+coordinate below its terminal.
 """
 
 from __future__ import annotations
@@ -401,7 +406,7 @@ def _stage_setup(objectives, gamma: float, terminal, x: np.ndarray
     """The stage merit of each objective (quadratics gain the pull of weight
     gamma), the `_hessian_stack` of their Hessians at x, which holds at
     every x, and their `problems.gradient_stack`, which an all-quadratic
-    stage evaluates once per iterate."""
+    or a classical stage evaluates once per iterate."""
     merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
                   for obj in objectives)
     return merit, _hessian_stack(merit, x), gradient_stack(merit)
@@ -444,11 +449,14 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     (see `_stage_setup`), whose gradient is the direction input, whose
     exact expansion the line search tests and whose values the trace's f
     columns record; in an all-quadratic stage the Armijo slope is therefore
-    the subproblem's t, bit for bit.  Other kinds take the
-    singular-quadrature gradients of order stage.alpha and weight
-    stage.beta and raw values, and the Armijo slope comes from the merit
-    gradients.  Each iteration evaluates every merit's gradient at x once;
-    a non-quadratic one is the row-0 gradient that
+    the subproblem's t, bit for bit.  So it is in a classical stage
+    (stage.alpha = 1, stage.beta = 0, decided here once), whose merits of
+    every kind take their gradients from the merits' gradient stack.  In a
+    fractional stage the other kinds take the singular-quadrature
+    gradients of order stage.alpha and weight stage.beta and raw values,
+    and the Armijo slope comes from the merit gradients.  Each iteration
+    evaluates every merit's gradient at x once; in a fractional stage a
+    non-quadratic one is the row-0 gradient that
     `modified_fractional_gradient` writes into its gradient_out.
     It hands `armijo_step` the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
@@ -467,13 +475,13 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     Neither a record's x nor the terminal may be written into, since a
     record's f_values are evaluated at its x on every read.
 
-    The kink-free non-quadratic objectives share one node stack per
-    iterate and each kinked one has its own, passed positionally to
-    `modified_fractional_gradient`; a coordinate below its terminal adds
-    its stack's note to trace.notes, so once per iterate for the shared
-    stack.  Every warning, such as an overflowing quadratic matvec,
-    reaches the caller's filters.  Every iterate is a new array that
-    nothing writes into, so the records and trace.final_x hold the
+    In a fractional stage the kink-free non-quadratic objectives share one
+    node stack per iterate and each kinked one has its own, passed
+    positionally to `modified_fractional_gradient`; a coordinate below its
+    terminal adds its stack's note to trace.notes, so once per iterate for
+    the shared stack.  Every warning, such as an overflowing quadratic
+    matvec, reaches the caller's filters.  Every iterate is a new array
+    that nothing writes into, so the records and trace.final_x hold the
     iterates themselves, not copies.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -482,19 +490,20 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     tolerance = cfg.tolerance
     merit, hessians, merit_gradients = (setup if setup is not None
                                         else _stage_setup(objectives, stage.gamma, terminal, x))
-    # The kink-free fractional gradients share one node stack per iterate and
-    # a kinked one has its own; alpha = 1, beta = 0 reads none.
-    fractional = [(j, obj.kink_locator) for j, obj in enumerate(objectives)
-                  if obj.kind != "quadratic"]
-    quadratic = not fractional
-    stacked = not (stage.alpha == 1.0 and stage.beta == 0.0)
-    shared_stack = stacked and any(locator is None for _, locator in fractional)
+    # A classical stage's direction inputs are its merits' gradients, as a
+    # quadratic's are; the other kinds take fractional gradients, the
+    # kink-free ones sharing one node stack per iterate and a kinked one
+    # building its own.
+    classical = stage.alpha == 1.0 and stage.beta == 0.0
+    fractional = [] if classical else [(j, obj.kink_locator) for j, obj in enumerate(objectives)
+                                       if obj.kind != "quadratic"]
+    direct = not fractional
+    shared_stack = any(locator is None for _, locator in fractional)
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
     for k in range(stage.iterations + 1):
-        # A quadratic's modified fractional gradient is its merit's gradient.
-        if quadratic:
+        if direct:
             grads = merit_gradients(x)
         else:
             # Row j of merit_grads is merit j's gradient at x: a quadratic's is
@@ -508,7 +517,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.notes.extend(shared.notes if shared else ())
             for j, locator in fractional:
                 stack = shared
-                if stacked and locator is not None:
+                if locator is not None:
                     stack = node_stack(x, stage.alpha, terminal, locator)
                     trace.notes.extend(stack.notes)
                 grads[j] = modified_fractional_gradient(
@@ -536,8 +545,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             trace.termination = "tolerance"
             break
         # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
-        # an all-quadratic stage's direction inputs already are its merit gradients.
-        if quadratic:
+        # a direct stage's direction inputs already are its merit gradients.
+        if direct:
             merit_grads, slope = grads, direction.t_value
         else:
             slope = float((merit_grads @ direction.direction).max())

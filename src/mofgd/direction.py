@@ -16,7 +16,9 @@ method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
 Python floats, so its cost does not depend on n; the one product G G^T
 (`_gram_scale`) serves the solve and its gap check.  A result stores ||d||,
 from the d^T d that theta adds, so a stage reads it without another
-product.
+product.  A solve that fails its checks raises DirectionAccuracyError, a
+RuntimeError whose message names the failed check; the stage keeps only
+that message as the trace's error.
 """
 
 from __future__ import annotations
@@ -41,15 +43,7 @@ NNLS_TOL = 10.0 * float(np.finfo(float).eps)
 
 class DirectionAccuracyError(RuntimeError):
     """Gradient scale, scaled duality gap or KKT residual not finite or above
-    its bound; ``best`` carries the result."""
-
-    def __init__(self, message: str, best: "DirectionResult"):
-        super().__init__(message)
-        self.best = best
-
-    def __reduce__(self):
-        # BaseException pickles its args alone, which lack best.
-        return type(self), (self.args[0], self.best)
+    its bound; the message names which."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,7 +221,7 @@ def solve_direction(gradients) -> DirectionResult:
     closed form (`_solve_pair`); m >= 3 is one non-negative least-squares
     solve.  Raises ValueError if a gradient entry is not finite, which is
     looked for only when the sum of squares of G is not finite.  Raises
-    DirectionAccuracyError carrying the result if the gradient scale is not
+    DirectionAccuracyError if the gradient scale is not
     finite (a squared gradient norm overflowed), the scaled gap is not at
     most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
     scale; a NaN fails every bound.
@@ -245,10 +239,10 @@ def solve_direction(gradients) -> DirectionResult:
         gap = _dual_gap(gram, scale, lam)
         result = _result_from(G, lam)
     if not math.isfinite(scale):
-        raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite", result)
+        raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite")
     if not gap <= GAP_FAIL:
-        raise DirectionAccuracyError(f"scaled duality gap {gap:.3e} above {GAP_FAIL}", result)
+        raise DirectionAccuracyError(f"scaled duality gap {gap:.3e} above {GAP_FAIL}")
     if not result.kkt_residual <= 1e-8 * scale:
         raise DirectionAccuracyError(
-            f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}", result)
+            f"KKT residual {result.kkt_residual:.3e} at scale {scale:.3e}")
     return result

@@ -16,11 +16,13 @@ Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
 c_i, evaluated at x_i.  modified_fractional_gradient, the solver's gradient,
 stacks x itself (row 0) and the nodes of all coordinates and answers them
-with one gradient and one Hessian call of the objective; see
-mofgd.problems.ObjectiveModel.  Row 0's gradient is f's classical gradient
-at x, which the caller may take as well.  A coordinate at or below its
-terminal, x_i <= c_i, reads row 0 for every objective: the classical
-partial, the limit of the cancelled form at x_i = c_i.  The stack
+with one gradient and one Hessian call of the objective, at every order;
+see mofgd.problems.ObjectiveModel.  Row 0's gradient is f's classical
+gradient at x, which the caller may take as well.  The classical stage,
+alpha = 1 and beta = 0, calls none: mofgd.descent decides it and takes its
+merits' gradients.  A coordinate at or below its terminal, x_i <= c_i,
+reads row 0 for every objective: the classical partial, the limit of the
+cancelled form at x_i = c_i.  The stack
 (`node_stack`: the terminal checks, the scaled rules, the read-only (k, n)
 points z and a note per coordinate below its terminal) depends on x,
 alpha, the terminal and the kink locator only, so a stage builds it once
@@ -206,17 +208,12 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
     as a RuntimeWarning.  gradient_out, an n-vector, receives f's
     classical gradient at x: row 0 of the stacked gradient call, which
     rounds as f's stack rows do.  No refinement check runs.
-    alpha = 1, beta = 0 returns f's gradient (a copy of which goes to
-    gradient_out) before the terminal (a scalar or an n-vector) is read.
-    Otherwise an f without a Hessian raises ValueError, and `node_stack`
-    refuses a terminal whose length is neither 1 nor n.
+    The formula is evaluated at every order, alpha = 1, beta = 0 included,
+    so an f without a Hessian raises ValueError at every order (a
+    classical stage takes its merits' gradients and calls none of these),
+    and `node_stack` refuses a terminal whose length is neither 1 nor n.
     """
     x = np.asarray(x, dtype=float)
-    if alpha == 1.0 and beta == 0.0:
-        grad = np.asarray(f.gradient(x), dtype=float)
-        if gradient_out is not None:
-            gradient_out[...] = grad
-        return grad
     hess = getattr(f, "hessian", None)
     if hess is None:
         raise ValueError(f"the order-(alpha, beta) = ({alpha}, {beta}) gradient "

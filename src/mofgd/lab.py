@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .descent import (
-    IterationRecord,
     IterationTrace,
     SolverConfig,
     Stage,
@@ -166,37 +165,18 @@ def mogd_baseline(objectives: Sequence[ObjectiveModel], x0: np.ndarray,
     return run_adaptive(objectives, x0, cfg, _classical_schedule(cfg))
 
 
-def subgradient_baseline(f: ObjectiveModel, x0: np.ndarray, steps: int) -> IterationTrace:
-    """Scalar subgradient descent with diminishing steps 0.5/(k+1).
-
-    A PiecewiseMaxObjective steps along its active-set average subgradient
-    (see PiecewiseMaxObjective.subgradient).  The run stops with termination
-    "tolerance" at the first iterate with f <= 1e-3, so trace.iterations is
-    then that iterate's index.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
+def subgradient_baseline(f: PiecewiseMaxObjective, x0: np.ndarray,
+                         steps: int) -> Optional[int]:
+    """Scalar subgradient descent x <- x - 0.5/(k+1) g_k, g_k f's active-set
+    average subgradient (`PiecewiseMaxObjective.subgradient`): the index of
+    the first iterate with f <= 1e-3, or None if none of the first steps
+    iterates reaches it."""
+    x = np.asarray(x0, dtype=float)
     for k in range(steps):
-        fx = f.value(x)
-        if fx <= 1e-3:
-            trace.termination = "tolerance"
-            trace.final_x = x.copy()
-            break
-        if isinstance(f, PiecewiseMaxObjective):
-            g = f.subgradient(x)
-        else:
-            g = np.asarray(f.gradient(x), dtype=float)
-        eta = 0.5 / (k + 1.0)
-        trace.records.append(IterationRecord(
-            k=k, stage=0, x=x.copy(), values=[fx],
-            t_value=float(-g @ g), norm_d=float(np.linalg.norm(g)),
-            eta=eta, backtracks=0,
-        ))
-        x = x - eta * g
-        trace.final_x = x.copy()
-    else:
-        trace.termination = "max_iter"
-    return trace
+        if f.value(x) <= 1e-3:
+            return k
+        x = x - 0.5 / (k + 1.0) * f.subgradient(x)
+    return None
 
 
 def _frozen_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, step: float,

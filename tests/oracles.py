@@ -379,8 +379,6 @@ def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: floa
     gradient and Hessian calls.  A coordinate at or below its terminal is
     the classical partial f.gradient(x)[i], kinked f or not."""
     x = np.asarray(x, dtype=float)
-    if alpha == 1.0 and beta == 0.0:
-        return np.asarray(f.gradient(x), dtype=float)
     c = terminals(terminal, x.size)
     out = np.empty(x.size)
     for i in range(x.size):

@@ -109,9 +109,8 @@ def test_criterion_3_example3_nonsmooth_iterations():
     x_at_hit = xs[frac_iters]
     assert np.linalg.norm(x_at_hit) <= np.sqrt(1e-3) + 1e-6
 
-    sub = subgradient_baseline(obj, x0, steps=2000)
-    assert sub.termination == "tolerance", "subgradient run never reached f <= 1e-3"
-    sub_iters = sub.iterations
+    sub_iters = subgradient_baseline(obj, x0, steps=2000)
+    assert sub_iters is not None, "subgradient run never reached f <= 1e-3"
     assert frac_iters < sub_iters
     report(3, f"fractional {frac_iters} vs subgradient {sub_iters} iterations to f <= 1e-3")
 

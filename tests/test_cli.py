@@ -160,6 +160,49 @@ schedule:
         assert spec.instance.dim == 8 and spec.start_grid[2] == 4
         assert type(spec.start_grid[2]) is int
 
+    NUMBERS = """
+instance: {name: example2}
+solver: {sigma: 0.2, r: 0.5, epsilon: 1.0e-5, eta: 0.5}
+schedule:
+  alphas: [0.5, 0.7]
+  gammas: [0.1, 0.01]
+  iterations: [20, 40]
+  terminal: -0.1
+experiment:
+  gamma_values: [0.25, 1.0]
+  start_grid: {lb: 1.01, ub: 10.0, count: 4}
+"""
+
+    @pytest.mark.parametrize("key, before, dotted, exponent", [
+        ("solver.sigma", "sigma: ", "0.2", "2e-1"),
+        ("solver.r", "r: ", "0.5", "5e-1"),
+        ("solver.epsilon", "epsilon: ", "1.0e-5", "1e-5"),
+        ("solver.eta", "eta: ", "0.5", "5e-1"),
+        ("schedule.alphas", "alphas: [0.5, ", "0.7", "7e-1"),
+        ("schedule.gammas", "gammas: [0.1, ", "0.01", "1e-2"),
+        ("schedule.terminal", "terminal: ", "-0.1", "-1e-1"),
+        ("experiment.gamma_values", "gamma_values: [", "0.25", "25e-2"),
+        ("experiment.start_grid.lb", "lb: ", "1.01", "101e-2"),
+        ("experiment.start_grid.ub", "ub: ", "10.0", "1e1"),
+    ])
+    def test_one_number_rule(self, tmp_path, key, before, dotted, exponent):
+        """Every float, a key's value or a list's entry, is read by one rule:
+        an exponent form without a dot, which PyYAML reads as a string,
+        parses equal to its dotted form, and a bool is refused by the key's
+        name."""
+        assert self.NUMBERS.count(before + dotted) == 1
+
+        def parsed(number):
+            text = self.NUMBERS.replace(before + dotted, before + number)
+            spec, solver, schedule = parse_config(write_config(tmp_path, text))
+            return (solver, schedule.stages, schedule.terminal.tolist(), spec.gamma_values,
+                    [end.tolist() for end in spec.start_grid[:2]])
+
+        assert parsed(exponent) == parsed(dotted)
+        with pytest.raises(ConfigError) as info:
+            parsed("true")
+        assert str(info.value) == f"{key}: expected a finite number, got True"
+
     def test_section_must_be_a_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="^solver: expected a mapping, got list$"):
             parse_config(write_config(tmp_path, MINIMAL + "solver: [0.1]\n"))
@@ -410,6 +453,20 @@ experiment:
         assert run(RunManifest("pareto", str(cfg), str(serial), jobs=1)) == 0
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
             assert (serial / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_pareto_on_example3_writes_both_fronts(self, tmp_path):
+        """The nonsmooth fixture sweeps both methods like any instance: both
+        fronts are the one point at its minimum 0, no start fails, and ADRS
+        is reported."""
+        cfg = write_config(tmp_path, "instance: {name: example3_nonsmooth}\n")
+        out = tmp_path / "pareto"
+        assert run(RunManifest("pareto", str(cfg), str(out))) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["written_files"] == ["front_moaocfgd.csv", "front_mogd.csv"]
+        assert summary["pareto"]["failed_starts"] == []
+        for name in ("front_moaocfgd.csv", "front_mogd.csv"):
+            assert (out / name).read_text() == "f_1,start_index\n0.0,0\n"
+        assert summary["pareto"]["adrs"]["moaocfgd"] == summary["pareto"]["adrs"]["mogd"] == 0.0
 
     @pytest.mark.parametrize("instance, m", [
         ("{n: 4, m_data: 6, m: 3, seed: 5}", 3),

@@ -689,9 +689,9 @@ class TestRunSingleStage:
         assert trace.final_norm_d > cfg.tolerance
 
     def test_stage_warnings_reach_the_caller(self, monkeypatch):
-        """No warning becomes a trace note: a modified fractional gradient's
-        RuntimeWarning reaches the caller's filters, as a quadratic
-        gradient's does."""
+        """No warning becomes a trace note: in a fractional stage, a modified
+        fractional gradient's RuntimeWarning reaches the caller's filters, as
+        a quadratic gradient's does."""
         fractional = descent.modified_fractional_gradient
 
         def warning_fractional(obj, x, *stage, **out):
@@ -708,7 +708,7 @@ class TestRunSingleStage:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             trace = run_single_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
-                                     SolverConfig(), classical(3), 0.0)
+                                     SolverConfig(), Stage(0.5, 0.0, 3), 0.0)
         assert trace.iterations == 3
         assert [str(w.message) for w in caught] == [
             "from the quadratic gradient", "from the fractional gradient"] * 4
@@ -736,7 +736,7 @@ class TestRunSingleStage:
             calls.append(grads)
             result = solve_direction(grads)
             if len(calls) == 3:
-                raise DirectionAccuracyError("scaled duality gap", result)
+                raise DirectionAccuracyError("scaled duality gap")
             return result
 
         monkeypatch.setattr(descent, "solve_direction", failing_third)
@@ -1247,9 +1247,8 @@ class TestMeritSlope:
                              default_schedule(terminal=np.array(terminal)))
         xs = [r.x for r in trace.records] + [trace.final_x]
         frac_hit = next(k for k, x in enumerate(xs) if obj.value(x) <= 1e-3)
-        sub = subgradient_baseline(obj, x0, steps=2000)
-        assert sub.termination == "tolerance"
-        sub_hit = sub.iterations
+        sub_hit = subgradient_baseline(obj, x0, steps=2000)
+        assert sub_hit is not None
         assert frac_hit < sub_hit
 
     def test_uphill_merit_slope_ends_as_model_mismatch(self, monkeypatch):
@@ -1381,6 +1380,58 @@ class TestSmoothStageCalls:
         for k, gradients in enumerate(searched):
             for j, obj_calls in enumerate(calls):
                 assert gradients[j].tobytes() == obj_calls[2 * k][2][0].tobytes()
+
+
+class TestClassicalStage:
+    """An alpha = 1, beta = 0 stage is classical descent for every kind: its
+    direction inputs are its merits' gradients and its Armijo slope is the
+    subproblem's t, so it makes no fractional gradient and builds no node
+    stack."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count fractional gradients and node stacks, and record (slope
+        passed to Armijo, subproblem t) for every line search."""
+        calls, slopes, solved = [], [], {}
+        for name in ("modified_fractional_gradient", "node_stack"):
+            def counted(*args, real=getattr(descent, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(descent, name, counted)
+        solve, armijo = descent.solve_direction, descent.armijo_step
+
+        def spy_solve(grads):
+            result = solve(grads)
+            solved["t"] = result.t_value
+            return result
+
+        def spy_armijo(merit, x, d, t, *rest):
+            slopes.append((t, solved["t"]))
+            return armijo(merit, x, d, t, *rest)
+
+        monkeypatch.setattr(descent, "solve_direction", spy_solve)
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        return calls, slopes
+
+    @pytest.mark.parametrize("kind", ["logistic", "example3", "mixed"])
+    def test_no_fractional_gradient_and_the_slope_is_t(self, kind, monkeypatch):
+        if kind == "logistic":
+            objectives, x0 = logistic_losses(), np.full(4, 3.0)
+        elif kind == "example3":
+            objectives, x0 = [example3_objective()], np.array([3.0, 3.0])
+        else:
+            objectives = [quadratic_objective(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                              np.array([-1.0, 0.5])), example3_objective()]
+            x0 = np.array([3.0, 2.0])
+        calls, slopes = self.spy(monkeypatch)
+        trace = run_single_stage(objectives, x0, SolverConfig(), classical(30), 0.0)
+        assert trace.iterations > 0 and trace.termination != "error"
+        assert calls == []
+        assert len(slopes) == trace.iterations
+        assert all(slope == t for slope, t in slopes)
+        # The counters see a fractional stage's calls.
+        run_single_stage(objectives, x0, SolverConfig(), Stage(0.5, 0.0, 2), 0.0)
+        assert {"modified_fractional_gradient", "node_stack"} <= set(calls)
 
 
 class TestMogdBaseline:

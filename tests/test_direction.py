@@ -163,27 +163,25 @@ class TestSolveDirection:
 
     def test_kkt_check_raises_typed_error(self, monkeypatch):
         """A result failing the KKT check raises DirectionAccuracyError
-        carrying it, from the m = 2 solve and from the m >= 3 one."""
+        naming its residual, from the m = 2 solve and from the m >= 3 one."""
         for m in (2, 3):
             with monkeypatch.context() as patch:
                 patch_statistics(patch, kkt=1e-3)
-                with pytest.raises(DirectionAccuracyError, match="KKT") as info:
+                with pytest.raises(DirectionAccuracyError,
+                                   match=r"^KKT residual 1\.000e-03 at scale "):
                     solve_direction(np.eye(m))
-            assert info.value.best.kkt_residual == 1e-3
-            np.testing.assert_allclose(info.value.best.multipliers, np.full(m, 1.0 / m),
-                                       atol=1e-9)
 
     def test_results_and_errors_pickle(self):
-        """A slotted DirectionResult, and a DirectionAccuracyError carrying
-        one, survive a pickle round trip; dataclasses.replace still works."""
+        """A slotted DirectionResult, and a DirectionAccuracyError with its
+        message, survive a pickle round trip; dataclasses.replace still
+        works."""
         r = solve_direction(np.array([[1.0, 0.0], [0.0, 2.0]]))
         assert not hasattr(r, "__dict__")
-        err = DirectionAccuracyError("scaled duality gap nan above 1e-08", r)
+        err = DirectionAccuracyError("scaled duality gap nan above 1e-08")
         back, back_err = pickle.loads(pickle.dumps((r, err)))
         assert type(back_err) is DirectionAccuracyError and str(back_err) == str(err)
-        for copy in (back, back_err.best):
-            for field in dataclasses.fields(r):
-                assert bits(getattr(copy, field.name)) == bits(getattr(r, field.name))
+        for field in dataclasses.fields(r):
+            assert bits(getattr(back, field.name)) == bits(getattr(r, field.name))
         assert dataclasses.replace(r, t_value=-1.0).t_value == -1.0
 
     @pytest.mark.parametrize("gradients", OVERFLOWING)

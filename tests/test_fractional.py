@@ -401,20 +401,19 @@ class TestStackedEvaluation:
             np.testing.assert_allclose(out, point, rtol=1e-14, atol=1e-14 * np.abs(point).max())
 
     def test_missing_hessian_raises_below_order_one(self):
-        """f'' comes only from the objective's Hessian: without one, an order
-        below 1 (or beta != 0) raises ValueError, while alpha = 1, beta = 0
-        still returns the gradient."""
+        """f'' comes only from the objective's Hessian: without one, every
+        order raises ValueError, alpha = 1, beta = 0 included (a classical
+        stage takes its merits' gradients and calls no fractional
+        gradient)."""
         import dataclasses
         from test_descent import logistic_losses
 
         obj = logistic_losses()[0]
         no_hessian = dataclasses.replace(obj, hessian=None, validate=False)
         x = np.array([0.5, 1.0, 2.5, 4.0])
-        for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (1.0, 0.5)):
+        for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (1.0, 0.5), (1.0, 0.0)):
             with pytest.raises(ValueError, match="no Hessian"):
                 modified_fractional_gradient(no_hessian, x, alpha, beta, np.zeros(4))
-        np.testing.assert_array_equal(modified_fractional_gradient(no_hessian, x, 1.0, 0.0, 0.0),
-                                      obj.gradient(x))
 
 
 class TestBelowTerminal:
