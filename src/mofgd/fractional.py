@@ -7,10 +7,11 @@ The order-mu Caputo derivative of a univariate function f with lower terminal c 
 with n = ceil(mu).  The modified gradient combines the orders alpha in
 (0, 1) (n = 1, integrates f') and 1 + alpha (n = 2, integrates f'').  One
 quadrature rule (`_rule`) serves every integral: in the distance u = x - tau
-from the singular end it puts a Gauss-Jacobi panel, exact for the weakly
-singular kernel, next to x and Gauss-Legendre panels elsewhere, split at
-declared kinks of the integrand so each panel sees a smooth function.  Its
-weights are normalized by x - c.
+from the singular end it puts a 32-node Gauss-Jacobi panel, exact for the
+weakly singular kernel, next to x and 64-node Gauss-Legendre panels
+elsewhere, split at declared kinks of the integrand so each panel sees a
+smooth function.  A kink-free coordinate is the Jacobi panel alone, 32
+stack rows.  Its weights are normalized by x - c.
 
 Gradients are taken coordinate-wise: coordinate i is the 1-D Caputo
 derivative of the restriction t -> f(x_1, ..., t, ..., x_n) with terminal
@@ -48,7 +49,8 @@ __all__ = [
     "terminals",
 ]
 
-NODES_PER_SEGMENT = 64
+JACOBI_NODES = 32
+LEGENDRE_NODES = 64
 
 
 def order_shift(alpha: float) -> float:
@@ -72,9 +74,13 @@ def _gauss_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
     Jacobi matrix of P_n^(a_exp, 0), and the weights are mu_0 v_0^2, with
     v_0 the first eigenvector components and mu_0 = 2^(a+1)/(a+1) the
-    weight's integral.  a_exp = 0 gives the Gauss-Legendre rule.
+    weight's integral.  a_exp = 0 gives the Gauss-Legendre rule, with
+    LEGENDRE_NODES nodes; a_exp < 0 the Gauss-Jacobi rule, with
+    JACOBI_NODES, since its weight carries the singular kernel and its
+    nodes need resolve only the smooth factor.  A Legendre panel next to a
+    kink meets the nearly singular kernel in its integrand, so it keeps more.
     """
-    n, a = NODES_PER_SEGMENT, a_exp
+    n, a = (LEGENDRE_NODES if a_exp == 0.0 else JACOBI_NODES), a_exp
     k = np.arange(1.0, n)
     s = 2.0 * k + a
     diag = np.concatenate(([-a / (a + 2.0)], -a * a / (s * (s + 2.0))))
@@ -92,12 +98,14 @@ def _rule(c: float, x: float, kinks: Sequence[float], a_exp: float,
         int_c^x (x - tau)^a_exp h(tau) dtau  ~=  (x - c)^(a_exp + 1) * w @ h(x - u).
 
     The panel touching u = 0 takes the Gauss-Jacobi rule, which integrates
-    the kernel exactly; the others take Gauss-Legendre.  Panels are split at
-    the distances of the kinks in (c, x).  refine=True halves every panel
-    once (the accuracy estimate).
+    the kernel exactly; the others take Gauss-Legendre.  Panels are split
+    once at the distance of each distinct kink in (c, x).  refine=True
+    halves every panel once (the accuracy estimate).
     """
     length = x - c
-    breaks = np.concatenate(([0.0], np.sort([x - k for k in kinks if c < k < x]) / length, [1.0]))
+    # A set, not np.unique: its first call imports numpy.ma, about 1.5 MB.
+    splits = np.array(sorted({x - k for k in kinks if c < k < x})) / length
+    breaks = np.concatenate(([0.0], splits, [1.0]))
     if refine:
         breaks = np.union1d(breaks, 0.5 * (breaks[:-1] + breaks[1:]))
     t, w = _gauss_rule(a_exp)

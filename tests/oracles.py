@@ -115,11 +115,11 @@ def caputo_derivative_1d(f: UnivariateFunction, x: float, order: float, terminal
     """Caputo derivative of order in (0,1) u (1,2) of f at x, with lower terminal c.
 
     Relative accuracy for smooth integrands is limited only by the exactness
-    of the 64-node Gauss-Jacobi/Legendre panels; a one-level panel refinement
-    estimates the error and raises QuadratureAccuracyError when it exceeds
-    1e-9 * (1 + |value|), carrying the refined estimate.  The terminal
-    must have length 1 (ValueError otherwise), and x must exceed it
-    (CaputoDomainError otherwise).
+    of the 32-node Gauss-Jacobi and 64-node Gauss-Legendre panels; a
+    one-level panel refinement estimates the error and raises
+    QuadratureAccuracyError when it exceeds 1e-9 * (1 + |value|), carrying
+    the refined estimate.  The terminal must have length 1 (ValueError
+    otherwise), and x must exceed it (CaputoDomainError otherwise).
     """
     n, _ = _order_parts(order)
     c = _below(float(terminals(terminal, 1)[0]), float(x))

@@ -12,7 +12,15 @@ from mofgd import (
     random_quadratic_mop,
 )
 from mofgd.fixtures import example3_objective
-from mofgd.fractional import NODES_PER_SEGMENT, _gauss_rule, node_stack
+from mofgd.fractional import (
+    JACOBI_NODES,
+    LEGENDRE_NODES,
+    NodeStack,
+    _gauss_rule,
+    _rule,
+    node_stack,
+    order_shift,
+)
 from oracles import (
     CaputoDomainError,
     QuadratureAccuracyError,
@@ -142,10 +150,12 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("a_exp", [-0.9, -0.5, -0.1, 0.0])
     def test_matches_scipy(self, a_exp):
+        """Each rule at its own node count: Legendre LEGENDRE_NODES, Jacobi
+        JACOBI_NODES."""
         from scipy.special import roots_jacobi, roots_legendre
         t, w = _gauss_rule(a_exp)
-        t_ref, w_ref = (roots_legendre(NODES_PER_SEGMENT) if a_exp == 0.0
-                        else roots_jacobi(NODES_PER_SEGMENT, a_exp, 0.0))
+        t_ref, w_ref = (roots_legendre(LEGENDRE_NODES) if a_exp == 0.0
+                        else roots_jacobi(JACOBI_NODES, a_exp, 0.0))
         np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(w, w_ref, rtol=1e-10, atol=0.0)
 
@@ -159,6 +169,50 @@ class TestGaussRule:
             if k:
                 exact *= 2.0 * k / (a_exp + k + 1.0)
             assert float(w @ (1.0 + t) ** k) == pytest.approx(exact, rel=1e-12), k
+
+    def test_duplicate_kink_splits_once(self):
+        """A kink reported twice splits its panel once: a Jacobi panel and
+        one Legendre panel, with no zero-width panel of zero weights."""
+        u, w = _rule(0.0, 3.0, (1.0, 1.0), -0.5)
+        assert u.size == w.size == JACOBI_NODES + LEGENDRE_NODES
+        assert np.all(w > 0.0)
+        once = _rule(0.0, 3.0, (1.0,), -0.5)
+        assert u.tobytes() == once[0].tobytes() and w.tobytes() == once[1].tobytes()
+
+
+class TestKinkFreeAccuracy:
+    """The kink-free modified gradient against a 128-node Gauss-Jacobi rule."""
+
+    @staticmethod
+    def reference_stack(x, alpha):
+        """A NodeStack of scipy's 128-node rule on every coordinate, terminal 0."""
+        from scipy.special import roots_jacobi
+        t, w = roots_jacobi(128, -alpha, 0.0)
+        u, w = 0.5 * (1.0 - t), 0.5 ** (1.0 - alpha) * w
+        z = np.repeat(x[None], 1 + x.size * u.size, 0)
+        coords = []
+        for i, xi in enumerate(x):
+            start = 1 + i * u.size
+            z[start:start + u.size, i] = xi - xi * u
+            coords.append((start, start + u.size, w, xi))
+        return NodeStack(z, tuple(coords))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
+    def test_logistic_losses_match_128_nodes(self, alpha):
+        """On the logistic losses at 100 seeded points in [0.01, 10]^4, every
+        component agrees with the reference within 1e-9 of the largest."""
+        from test_descent import logistic_losses
+
+        rng = np.random.default_rng(int(100 * alpha))
+        beta = 0.1 + order_shift(alpha)
+        losses, worst = logistic_losses(), 0.0
+        for x in rng.uniform(0.01, 10.0, (100, 4)):
+            for obj in losses:
+                got = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
+                want = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4),
+                                                    self.reference_stack(x, alpha))
+                worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert worst <= 1e-9
 
 
 class TestCaputoPoly:
@@ -352,7 +406,7 @@ class TestStackedEvaluation:
     def test_objective_calls_per_gradient(self, n):
         """One gradient and one Hessian call.  Row 0 is x, which coordinate 0
         at its terminal and the last coordinate below it read; the others
-        own NODES_PER_SEGMENT rows each."""
+        own JACOBI_NODES rows each."""
         mop = random_quadratic_mop(n, 8, 1, seed=5)
         calls = []
         obj = self.counted(quadratic_objective(mop.gram[0], mop.offsets[0]), calls)
@@ -361,7 +415,7 @@ class TestStackedEvaluation:
         terminal[0], terminal[-1] = x[0], x[-1] + 1.0
         with pytest.warns(RuntimeWarning, match="classical partial"):
             modified_fractional_gradient(obj, x, 0.5, 0.4, terminal)
-        rows = 1 + (n - 2) * NODES_PER_SEGMENT
+        rows = 1 + (n - 2) * JACOBI_NODES
         assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
 
     def test_kinked_coordinate_below_terminal_reads_row_zero(self):
@@ -373,9 +427,19 @@ class TestStackedEvaluation:
         x = np.array([3.0, 1.0])
         with pytest.warns(RuntimeWarning, match="classical partial"):
             got = modified_fractional_gradient(obj, x, 0.5, 0.4, np.array([0.0, 5.0]))
-        rows = 1 + NODES_PER_SEGMENT
+        rows = 1 + JACOBI_NODES
         assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
         assert got[1] == example3_objective().gradient(x)[1]
+
+    def test_kinked_coordinate_rows(self):
+        """Example 3 at (6, 1): coordinate 0 has a kink at 5, so it owns a
+        Jacobi panel and a Legendre panel; kink-free coordinate 1 owns a
+        Jacobi panel."""
+        calls = []
+        obj = self.counted(example3_objective(), calls)
+        modified_fractional_gradient(obj, np.array([6.0, 1.0]), 0.5, 0.4, np.zeros(2))
+        rows = 1 + 2 * JACOBI_NODES + LEGENDRE_NODES
+        assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
 
     def test_gradient_out_is_row_zero_of_the_stacked_call(self):
         """gradient_out receives row 0 of the one stacked gradient call: an
