@@ -66,10 +66,12 @@ fractional gradient's stacked call, so such an objective makes one stacked
 gradient and one stacked Hessian call per iterate and no single-point
 gradient call.  The set-up also builds the merits'
 `problems.gradient_stack`, so an all-quadratic stage forms its m merit
-gradients in one stacked evaluation with the bits of the m gradient calls;
-merits it cannot stack (wrapped or lambda-built gradients, a merit that
-pulls twice, a matrix that is not C-ordered, any non-quadratic merit of a
-classical stage) keep one gradient call each.  A value is evaluated only
+gradients in one stacked evaluation with the bits of the m gradient calls.
+A quadratic merit at gamma > 0 always stacks, since `problems.regularized`
+builds its gradient as a plain A x + b; merits it cannot stack (at
+gamma = 0, a raw quadratic whose gradient is wrapped or lambda-built or
+whose matrix is not C-ordered, and any non-quadratic merit of a classical
+stage) keep one gradient call each.  A value is evaluated only
 where something reads it: the line search evaluates f_j(x) and the trial
 values of the merits it cannot expand, and returns the values at the
 accepted step, which the next iteration reuses.  A record keeps the values
@@ -469,7 +471,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     per point.  setup is the stage's merits, the stack of their
     quadratics' constant Hessians that every `armijo_step` reads and their
     gradient stack, as `schedule_setup` builds them once per sweep; None
-    builds them here, with one Hessian call per quadratic merit.  Records
+    builds them here, with one Hessian call per quadratic merit (and, at
+    gamma > 0, `problems.regularized`'s one Hessian and one gradient call
+    per quadratic objective).  Records
     are numbered by their position in trace.records, so a trace passed in
     continues its numbering.
     Neither a record's x nor the terminal may be written into, since a

@@ -14,14 +14,15 @@ regularizer attached to objective j is the diagonal quadratic penalty
 whose gradient gamma * diag(diag(A_j)) (x - c) is exactly the pull term the
 fractional gradient of f_j produces; a rank-one outer-product variant
 (rtilde_j rtilde_j^T) serves comparison runs.  `regularized` attaches either
-pull to an objective model and is the only place a pull is built: a stage
-runs on those merits, and `tikhonov_solve` returns the critical point of
-their multiplier-weighted sum, with the system's extreme singular values.
+penalty to a quadratic and is the only place a merit is built: a stage runs
+on those merits, and `tikhonov_solve` returns the critical point of their
+multiplier-weighted sum, with the system's extreme singular values.
 
-A quadratic's gradient has one representation, `QuadraticGradient` (A x + b
-plus an optional `Pull` about c), which every quadratic constructor
-builds; `gradient_stack` evaluates m of them at one point as one stacked
-product with the bits of the m calls.
+A quadratic's gradient has one representation, `QuadraticGradient`
+(A x + b), which every quadratic constructor and every merit builds, a
+merit as (H + gamma R) x + grad f(0) - gamma R c; `gradient_stack`
+evaluates m of them at one point as one stacked product with the bits of
+the m calls.
 """
 
 from __future__ import annotations
@@ -164,40 +165,16 @@ def _check_points(dim: int):
 
 
 @dataclass(frozen=True, eq=False)
-class Pull:
-    """Gradient of the Tikhonov pull gamma/2 (x-c)^T R (x-c), see `regularized`.
-
-    kind "diag": weights * (x - c), weights = gamma diag(H).  kind "outer":
-    weights * ((x - c)^T r), weights = gamma r, one factor per row of a
-    stack.
-    """
-
-    kind: str
-    weights: np.ndarray
-    c: np.ndarray
-    r: Optional[np.ndarray] = None
-
-    def __call__(self, x):
-        u = x - self.c
-        if self.kind == "diag":
-            return self.weights * u
-        return self.weights * (u @ self.r)[..., None]
-
-
-@dataclass(frozen=True, eq=False)
 class QuadraticGradient:
-    """x -> A x + b + pull(x), the gradient of a quadratic model, for one
-    point or row by row for a (k, n) stack: (A @ x.T).T, which for one point
-    is A @ x (A @ x would mix the rows of a square stack)."""
+    """x -> A x + b, the gradient of a quadratic model, for one point or row
+    by row for a (k, n) stack: (A @ x.T).T, which for one point is A @ x
+    (A @ x would mix the rows of a square stack)."""
 
     a_matrix: np.ndarray
     b: np.ndarray
-    pull: Optional[Pull] = None
 
     def __call__(self, x):
-        x = np.asarray(x)
-        g = (self.a_matrix @ x.T).T + self.b
-        return g if self.pull is None else g + self.pull(x)
+        return (self.a_matrix @ np.asarray(x).T).T + self.b
 
 
 class GradientStack:
@@ -207,29 +184,16 @@ class GradientStack:
 
     Row j has the bits of the j-th gradient call: `A @ x` with A the
     (m, n, n) stack makes one gemv per C-ordered slice, the call that
-    A_j @ x makes; the diag pull is elementwise; and the outer pull's
-    factors are the per-row dots `R[:, None, :] @ (x - c)`, each the dot
-    of (x - c) @ r_j.
+    A_j @ x makes.
     """
 
     def __init__(self, gradients: Sequence[QuadraticGradient]):
         self.a = _read_only(np.stack([g.a_matrix for g in gradients]))
         self.b = _read_only(np.stack([g.b for g in gradients]))
-        pull = gradients[0].pull
-        self.kind = None if pull is None else pull.kind
-        if pull is not None:
-            self.c = pull.c
-            self.weights = _read_only(np.stack([g.pull.weights for g in gradients]))
-            if self.kind == "outer":
-                self.rows = _read_only(np.stack([g.pull.r for g in gradients])[:, None, :])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         g = self.a @ x
         g += self.b
-        if self.kind == "diag":
-            g += self.weights * (x - self.c)
-        elif self.kind == "outer":
-            g += self.weights * (self.rows @ (x - self.c))
         return g
 
 
@@ -243,16 +207,12 @@ def gradient_stack(models: Sequence[ObjectiveModel]) -> Callable[[np.ndarray], n
     row j has the bits of models[j].gradient(x).
 
     A `GradientStack` when every gradient is a `QuadraticGradient` itself
-    (not a wrapper around one) with a C-ordered A, and either none of them
-    pulls or all pull with one kind about one c; otherwise one gradient
-    call per model.
+    (not a wrapper around one) with a C-ordered A of one shape, raw or a
+    merit of either pull about any c; otherwise one gradient call per model.
     """
     grads = [m.gradient for m in models]
-    pulls = {None if g.pull is None else (g.pull.kind, g.pull.c.tobytes())
-             for g in grads if type(g) is QuadraticGradient}
-    if (grads and all(type(g) is QuadraticGradient and g.a_matrix.flags.c_contiguous
-                      and g.a_matrix.shape == grads[0].a_matrix.shape for g in grads)
-            and len(pulls) == 1):
+    if grads and all(type(g) is QuadraticGradient and g.a_matrix.flags.c_contiguous
+                     and g.a_matrix.shape == grads[0].a_matrix.shape for g in grads):
         return GradientStack(grads)
     return lambda x: np.array([g(x) for g in grads])
 
@@ -304,15 +264,17 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     R = diag(diag(H)) for reg="diag" (the pull a stage's fractional gradient
     adds) or r r^T with r = sqrt(diag(H)) for reg="outer" (the rank-one
     comparison form).  This is the only place a pull is attached to an
-    objective; gamma = 0 returns obj itself.  The merit's gradient is a
-    `QuadraticGradient` with the pull when obj's is one without a pull;
-    any other gradient (a wrapper, one built from a lambda, or one that
-    already pulls) is called and the pull added.  A quadratic's Hessian is
-    constant, so the merit's H + gamma R is built once, here: for "diag" as
-    a copy of H with gamma h added to its diagonal, so the off-diagonal
-    entries keep H's bits, and for "outer" as the sum H + gamma r r^T.  A
-    terminal that already is an n-vector is used as it is; anything else is
-    broadcast to one.
+    objective; gamma = 0 returns obj itself.  The merit is itself a
+    quadratic, so its gradient is the `QuadraticGradient` of
+    (H + gamma R, grad f(0) - gamma R c), whatever obj's gradient is (a
+    wrapper, a lambda, a merit's): grad f(0) is read with one gradient
+    call, here, and R c is h * c for "diag" and r (r^T c) for "outer".
+    H + gamma R is built once, here, and is also the merit's constant
+    Hessian: for "diag" a copy of H with gamma h added to its diagonal, so
+    the off-diagonal entries keep H's bits, and for "outer" the sum
+    H + gamma r r^T.  The merit keeps its own read-only copy of c,
+    broadcast to an n-vector, so writing into the caller's array later
+    changes neither its value nor its gradient.
     """
     if reg not in ("diag", "outer"):
         raise ValueError(f"unknown regularizer {reg!r}")
@@ -320,32 +282,25 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
         raise ValueError("only quadratic objectives take a Tikhonov pull")
     if gamma == 0.0:
         return obj
-    c = np.asarray(c, dtype=float)
-    if c.shape != (obj.dim,):
-        c = np.broadcast_to(c, (obj.dim,))
+    c = _read_only(np.array(np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))))
     hess = np.asarray(obj.hessian(c), dtype=float)
     h = hess.diagonal()
     if reg == "diag":
-        pull = Pull("diag", gamma * h, c)
         merit_hess = hess.copy()
-        merit_hess.flat[::obj.dim + 1] += pull.weights
+        merit_hess.flat[::obj.dim + 1] += gamma * h
+        reg_c = h * c
         penalty = lambda u: _dots(h, u ** 2)
     else:
         r = np.sqrt(h)
-        pull = Pull("outer", gamma * r, c, r)
         merit_hess = hess + gamma * np.outer(r, r)
+        reg_c = r * (r @ c)
         penalty = lambda u: _dots(r, u) ** 2
     merit_hess.flags.writeable = False  # every call returns this one array
-
-    base = obj.gradient
-    if type(base) is QuadraticGradient and base.pull is None:
-        gradient = QuadraticGradient(base.a_matrix, base.b, pull)
-    else:  # a gradient of another make, or one that already pulls
-        gradient = lambda x: np.asarray(base(x), dtype=float) + pull(x)
+    offset = np.asarray(obj.gradient(np.zeros(obj.dim)), dtype=float) - gamma * reg_c
 
     return ObjectiveModel(
         value=lambda x: _scalar(obj.value(x) + 0.5 * gamma * penalty(x - c)),
-        gradient=gradient,
+        gradient=QuadraticGradient(merit_hess, offset),
         hessian=_constant_hessian(merit_hess),
         kind="quadratic", dim=obj.dim, validate=False,
     )

@@ -270,27 +270,29 @@ def composed_pair_solve(G: np.ndarray) -> tuple[DirectionResult, float, float]:
 
 def dense_regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> ObjectiveModel:
     """`problems.regularized` with the pull matrix R formed densely,
-    diag(diag(H)) or r r^T, and the merit Hessian as the matrix sum H + gamma R."""
-    c = np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))
+    diag(diag(H)) or r r^T, the merit Hessian as the matrix sum H + gamma R,
+    and the merit gradient as the quadratic (H + gamma R) x + grad f(0) -
+    gamma R c.  The diag R c is the dense product; the outer one is
+    r (r^T c), in the order that `regularized` forms it."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,)).copy()
     hess = np.asarray(obj.hessian(c), dtype=float)
     h = np.diag(hess)
     if reg == "diag":
         reg_matrix = np.diag(h)
-        gamma_h = gamma * h
-        pull = point_pull = lambda u: gamma_h * u
+        reg_c = reg_matrix @ c
         penalty = lambda u: float(h @ u ** 2)
     else:
         r = np.sqrt(h)
         reg_matrix = np.outer(r, r)
-        gamma_r = gamma * r
-        pull, point_pull = (lambda u: gamma_r * (u @ r)[..., None]), (lambda u: gamma_r * (u @ r))
+        reg_c = r * (r @ c)
         penalty = lambda u: float(r @ u) ** 2
     merit_hess = hess + gamma * reg_matrix
+    offset = obj.gradient(np.zeros(obj.dim)) - gamma * reg_c
 
     def gradient(x):
-        if getattr(x, "ndim", None) == 1:
-            return obj.gradient(x) + point_pull(x - c)
-        return np.asarray(obj.gradient(x), dtype=float) + pull(x - c)
+        if np.ndim(x) == 1:
+            return merit_hess @ x + offset
+        return (merit_hess @ x.T).T + offset
 
     def value(x):
         if np.ndim(x) == 1:

@@ -473,40 +473,70 @@ class TestStackedProducts:
         assert trace.iterations > 10
         assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
 
-    @pytest.mark.parametrize("variant", ["counted", "lambda", "twice_regularized", "fortran"])
+    @staticmethod
+    def quadratics(variant, mop, c):
+        """mop's objectives as quadratics of another make: behind a counting
+        wrapper, built from a lambda, already regularized about c, or on a
+        Fortran-ordered matrix."""
+        raw = mop.objectives()
+        if variant == "counted":
+            return [counting_calls(obj, "gradient")[0] for obj in raw]
+        if variant == "lambda":
+            return [dataclasses.replace(obj, gradient=lambda x, A=A, b=b: A @ x + b)
+                    for obj, A, b in zip(raw, mop.gram, mop.offsets)]
+        if variant == "twice_regularized":
+            return [regularized(obj, 0.1, c) for obj in raw]
+        return [quadratic_objective(np.asfortranarray(A), b) for A, b in zip(mop.gram, mop.offsets)]
+
+    @pytest.mark.parametrize("variant", ["counted", "lambda", "fortran"])
     def test_unstackable_merits_take_the_per_objective_path(self, monkeypatch, variant):
-        """Merits whose gradients are not the module's own (a counting
-        wrapper, a lambda), that pull twice, or whose matrix is not C-ordered
-        are evaluated one gradient call each, and give the records of the
-        per-objective reference; the wrapped ones also give the records of
-        the stacked run."""
+        """At gamma = 0 the merits are the raw objectives, so those whose
+        gradients are not the module's own (a counting wrapper, a lambda) or
+        whose matrix is not C-ordered are evaluated one gradient call each,
+        and give the records of the per-objective reference; the wrapped ones
+        also give the records of the stacked run on the module's own
+        objectives."""
         stacked_calls = []
         stacked_call = problems.GradientStack.__call__
         monkeypatch.setattr(problems.GradientStack, "__call__",
                             lambda self, x: stacked_calls.append(1) or stacked_call(self, x))
         mop = random_quadratic_mop(5, 8, 2, seed=31)
-        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, 0.3, 80)
+        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, 0.0, 80)
         cfg = SolverConfig(tolerance=1e-9)
-        raw = mop.objectives()
-        if variant == "counted":
-            objectives = [counting_calls(obj, "gradient")[0] for obj in raw]
-        elif variant == "lambda":
-            objectives = [dataclasses.replace(obj, gradient=lambda x, A=A, b=b: A @ x + b)
-                          for obj, A, b in zip(raw, mop.gram, mop.offsets)]
-        elif variant == "twice_regularized":
-            objectives = [regularized(obj, 0.1, c) for obj in raw]
-        else:
-            objectives = [quadratic_objective(np.asfortranarray(A), b)
-                          for A, b in zip(mop.gram, mop.offsets)]
+        objectives = self.quadratics(variant, mop, c)
         merits, _, gradients = descent._stage_setup(objectives, stage.gamma, c, c)
         assert not isinstance(gradients, problems.GradientStack)
         trace = run_single_stage(objectives, x0, cfg, stage, c)
         assert trace.iterations > 10
         assert not stacked_calls
         assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
-        if variant in ("counted", "lambda"):
-            assert self.steps(trace) == self.steps(run_single_stage(raw, x0, cfg, stage, c))
+        if variant != "fortran":  # a Fortran-ordered gemv moves the bits
+            assert self.steps(trace) == self.steps(
+                run_single_stage(mop.objectives(), x0, cfg, stage, c))
             assert stacked_calls
+
+    @pytest.mark.parametrize("variant", ["counted", "lambda", "twice_regularized", "fortran"])
+    def test_merits_of_every_quadratic_stack(self, variant):
+        """At gamma > 0 a merit's gradient is the module's own, whatever its
+        quadratic's is, so the merits of counted, lambda-built, already
+        regularized and Fortran-ordered quadratics stack.  The stacked
+        gradients have the bits of the merit calls, and the stage gives the
+        records of the per-objective reference and, but for the twice
+        regularized merits, of the stage on the module's own objectives."""
+        mop = random_quadratic_mop(5, 8, 2, seed=31)
+        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, 0.3, 80)
+        cfg = SolverConfig(tolerance=1e-9)
+        objectives = self.quadratics(variant, mop, c)
+        merits, _, gradients = descent._stage_setup(objectives, stage.gamma, c, c)
+        assert isinstance(gradients, problems.GradientStack)
+        for x in np.random.default_rng(5).uniform(-3.0, 3.0, (20, 5)):
+            assert gradients(x).tobytes() == np.array([m.gradient(x) for m in merits]).tobytes()
+        trace = run_single_stage(objectives, x0, cfg, stage, c)
+        assert trace.iterations > 10
+        assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
+        if variant != "twice_regularized":
+            assert self.steps(trace) == self.steps(
+                run_single_stage(mop.objectives(), x0, cfg, stage, c))
 
     def test_merits_with_nonpositive_curvature_are_tested_on_values(self):
         """A linear merit (q = 0) and a concave one (q < 0) next to a convex
@@ -765,14 +795,16 @@ class TestRunSingleStage:
         (Stage(0.5, 0.3, 7), 7),
     ])
     def test_quadratic_stage_evaluates_each_merit_once(self, monkeypatch, frac, k_max):
-        """One gradient call per objective per iteration (the final check at
-        the last iterate included) and, with every curvature positive, no
-        value call while the stage runs.  Each read of a record's f_values
-        makes one value call per objective, since a record caches nothing,
-        and the values are those of the stage merit at the record's x, bit
-        for bit.
-        Merits of the module's own gradients make instead one stacked
-        evaluation per iterate and no gradient call, with the same records."""
+        """Merits of the module's own gradients make one stacked evaluation
+        per iterate (the final check at the last iterate included) and no
+        gradient call, and, with every curvature positive, no value call
+        while the stage runs.  At gamma > 0 every quadratic folds into such
+        a merit, with one set-up gradient call per objective, so counted
+        objectives stack too; at gamma = 0 they are the merits and make one
+        gradient call per iteration each.  Either way the records are the
+        same.  Each read of a record's f_values makes one value call per
+        objective, since a record caches nothing, and the values are those
+        of the stage merit at the record's x, bit for bit."""
         stacked_calls, gradient_calls = [], []
         stacked_call, gradient_call = problems.GradientStack.__call__, QuadraticGradient.__call__
         monkeypatch.setattr(problems.GradientStack, "__call__",
@@ -785,7 +817,8 @@ class TestRunSingleStage:
                                  SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.iterations > 0
         assert len(stacked_calls) == trace.iterations + 1
-        assert not gradient_calls
+        # At gamma > 0 `regularized` reads each objective's gradient at 0 once.
+        assert len(gradient_calls) == (len(raw) if frac.gamma else 0)
         assert not any(values for _, values in plain)
         stacked_steps = TestStackedProducts.steps(trace)
 
@@ -797,17 +830,20 @@ class TestRunSingleStage:
         objectives = [obj for obj, *_ in counted]
         merit, _, gradients = descent._stage_setup(objectives, frac.gamma, np.zeros(5),
                                                    np.zeros(5))
-        assert not isinstance(gradients, problems.GradientStack)
+        folded = frac.gamma > 0.0
+        assert isinstance(gradients, problems.GradientStack) == folded
         assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
         stacked_calls.clear()
+        for _, _, grads in counted:
+            grads.clear()
         trace = run_single_stage(objectives, np.full(5, 3.0),
                                  SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
         assert trace.iterations > 0
-        assert not stacked_calls
+        assert len(stacked_calls) == (trace.iterations + 1 if folded else 0)
         assert TestStackedProducts.steps(trace) == stacked_steps
         for _, values, grads in counted:
-            assert len(grads) == trace.iterations + 1
+            assert len(grads) == (1 if folded else trace.iterations + 1)
             assert not values
         first = [record.f_values for record in trace.records]
         for _, values, _ in counted:

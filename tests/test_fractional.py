@@ -170,6 +170,18 @@ class TestGaussRule:
                 exact *= 2.0 * k / (a_exp + k + 1.0)
             assert float(w @ (1.0 + t) ** k) == pytest.approx(exact, rel=1e-12), k
 
+    @pytest.mark.parametrize("a_exp", [-0.9, -0.5, -0.1, 0.0])
+    def test_orthogonal_norms_exact(self, a_exp):
+        """sum_i w_i P_k^(a,0)(t_i)^2 = 2^(a+1) / (2k+a+1) for k < 32 on the
+        Jacobi rules and k < 64 on the Legendre rule: P_k^2 has degree 2k,
+        so this pins the degree of exactness 63 and 127, which fewer nodes
+        than 32 and 64 cannot reach."""
+        from scipy.special import eval_jacobi
+        t, w = _gauss_rule(a_exp)
+        for k in range(64 if a_exp == 0.0 else 32):
+            exact = 2.0 ** (a_exp + 1.0) / (2 * k + a_exp + 1.0)
+            assert float(w @ eval_jacobi(k, a_exp, 0.0, t) ** 2) == pytest.approx(exact, rel=1e-12), k
+
     def test_duplicate_kink_splits_once(self):
         """A kink reported twice splits its panel once: a Jacobi panel and
         one Legendre panel, with no zero-width panel of zero weights."""

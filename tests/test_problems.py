@@ -240,6 +240,24 @@ class TestRegularized:
         for row in stack:
             np.testing.assert_array_equal(row, merit.hessian(x))
 
+    @pytest.mark.parametrize("reg", ["diag", "outer"])
+    def test_merit_keeps_its_own_terminal(self, reg):
+        """Writing into the caller's terminal after the merit is built, or
+        after `tikhonov_solve` built its merits, changes neither a merit's
+        value nor its gradient."""
+        obj = quadratic_objective(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0]))
+        c, x = np.array([0.5, -0.5]), np.array([1.0, 2.0])
+        merit = regularized(obj, 0.3, c, reg)
+        mop = random_quadratic_mop(2, 3, 2, seed=3)
+        terminal = c.copy()
+        merits = tikhonov_solve(mop, 0.3, np.array([0.5, 0.5]), terminal, reg).merits
+        before = [(m.value(x), m.gradient(x).tobytes()) for m in (merit, *merits)]
+        if reg == "diag":
+            assert before[0][0] == 4.0125
+            assert merit.gradient(x).tolist() == [4.3, 2.25]
+        c[:] = terminal[:] = 7.0
+        assert [(m.value(x), m.gradient(x).tobytes()) for m in (merit, *merits)] == before
+
 
 class TestGradientStack:
     @pytest.mark.parametrize("reg", [None, "diag", "outer"])
@@ -263,24 +281,27 @@ class TestGradientStack:
             assert isinstance(stacked, GradientStack)
             assert stacked(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
 
-    def test_mixed_pulls_are_evaluated_per_objective(self):
-        """Merits that pull with different kinds or about different terminals,
-        or next to a raw model, are not stacked, and give the gradient calls."""
+    def test_mixed_pulls_stack(self):
+        """Diag and outer merits side by side, merits about different
+        terminals, and a merit next to a raw model stack, since every merit
+        is a plain quadratic, and give the gradient calls' bits."""
         objectives = random_quadratic_mop(3, 4, 2, seed=8).objectives()
-        c, x = np.zeros(3), np.array([0.5, -1.0, 2.0])
+        c = np.zeros(3)
         for models in ([regularized(objectives[0], 0.5, c, "diag"),
                         regularized(objectives[1], 0.5, c, "outer")],
                        [regularized(objectives[0], 0.5, c), regularized(objectives[1], 0.5, c + 1)],
                        [objectives[0], regularized(objectives[1], 0.5, c)]):
             gradients = gradient_stack(models)
-            assert not isinstance(gradients, GradientStack)
-            assert gradients(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
+            assert isinstance(gradients, GradientStack)
+            for x in np.random.default_rng(8).uniform(-3.0, 3.0, (20, 3)):
+                assert gradients(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
 
 
 class TestRegularizedDenseReference:
-    """The merit equals the dense construction H + gamma R: same gradient
-    and value bit for bit, for a point and a stack, and the same Hessian
-    under == (the dense sum turns a -0.0 off-diagonal entry into +0.0)."""
+    """The merit equals the dense construction H + gamma R: the same
+    gradient (H + gamma R) x + grad f(0) - gamma R c and value bit for bit,
+    for a point and a stack, and the same Hessian under == (the dense sum
+    turns a -0.0 off-diagonal entry into +0.0)."""
 
     @pytest.mark.parametrize("reg", ["diag", "outer"])
     @pytest.mark.parametrize("n", [2, 100])
