@@ -55,23 +55,18 @@ along d is tested on its exact expansion
     eta s_j + eta^2 q_j / 2 <= sigma eta slope,   s_j = grad merit_j(x)^T d,
 
 which needs no value evaluation; every other merit is tested on its
-evaluated values.  The set-up stacks a stage's merits' constant Hessians
-once (zeros for the other kinds), and each line search forms its m slopes
-and m curvatures as row dots, which round as the per-objective products
-do.
+evaluated values.  The set-up reads each quadratic merit's constant
+Hessian A_j and gradient at 0, B_j, once into one read-only stack
+(`problems.quadratic_stack`, zeros for the other kinds).  Each iterate
+forms the quadratic merits' gradients as A @ x + B, however their
+gradients are written, and each line search forms its m slopes and m
+curvatures as row dots, which round as the per-objective products do.
 
-Per iteration each merit's gradient at x is evaluated once: in a
+Per iteration each other merit's gradient at x is evaluated once: in a
 fractional stage a smooth or piecewise one's is row 0, x itself, of its
 fractional gradient's stacked call, so such an objective makes one stacked
 gradient and one stacked Hessian call per iterate and no single-point
-gradient call.  The set-up also builds the merits'
-`problems.gradient_stack`, so an all-quadratic stage forms its m merit
-gradients in one stacked evaluation with the bits of the m gradient calls.
-A quadratic merit at gamma > 0 always stacks, since `problems.regularized`
-builds its gradient as a plain A x + b; merits it cannot stack (at
-gamma = 0, a raw quadratic whose gradient is wrapped or lambda-built or
-whose matrix is not C-ordered, and any non-quadratic merit of a classical
-stage) keep one gradient call each.  A value is evaluated only
+gradient call.  A value is evaluated only
 where something reads it: the line search evaluates f_j(x) and the trial
 values of the merits it cannot expand, and returns the values at the
 accepted step, which the next iteration reuses.  A record keeps the values
@@ -88,13 +83,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .direction import DirectionAccuracyError, solve_direction
 from .fractional import modified_fractional_gradient, node_stack, order_shift, terminals
-from .problems import ObjectiveModel, gradient_stack, regularized
+from .problems import ObjectiveModel, quadratic_stack, regularized
 
 __all__ = [
     "LineSearchError",
@@ -322,8 +317,9 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     d is the direction and t the merit slope max_j grad f_j(x)^T d, which
     must be negative (ValueError otherwise).
     gradients are grad f_j(x), which the caller has already evaluated, and
-    values[j] is f_j(x) or None.  hessians is `_hessian_stack(objectives,
-    x)`, which a stage builds once; None builds it here.  The slopes
+    values[j] is f_j(x) or None.  hessians is the A of
+    `problems.quadratic_stack(objectives, x)`, which a stage builds once;
+    None builds it here.  The slopes
     s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
     dots (`_slopes_and_curvatures`).  A quadratic f_j with q_j > 0 is
     tested on its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t,
@@ -340,7 +336,7 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     if not t < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
     if hessians is None:
-        hessians = _hessian_stack(objectives, x)
+        hessians = quadratic_stack(objectives, x)[0]
     slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
     for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
@@ -373,19 +369,6 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     )
 
 
-def _hessian_stack(objectives: Sequence[ObjectiveModel], x: np.ndarray) -> np.ndarray:
-    """Read-only (m, n, n) stack of the quadratics' Hessians at x, and zeros
-    for the other kinds, whose curvature 0 sends them to the test on
-    values.
-
-    A quadratic's Hessian is constant, so the stack holds at every x.
-    """
-    stack = np.array([obj.hessian(x) if obj.kind == "quadratic" else np.zeros((x.size, x.size))
-                      for obj in objectives])
-    stack.flags.writeable = False
-    return stack
-
-
 def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
                            d: np.ndarray) -> tuple[list[float], list[float]]:
     """The slopes g_j^T d and the curvatures d^T H_j d for the rows g_j of
@@ -404,14 +387,13 @@ def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
 
 
 def _stage_setup(objectives, gamma: float, terminal, x: np.ndarray
-                 ) -> tuple[tuple[ObjectiveModel, ...], np.ndarray, Callable]:
+                 ) -> tuple[tuple[ObjectiveModel, ...], np.ndarray, np.ndarray]:
     """The stage merit of each objective (quadratics gain the pull of weight
-    gamma), the `_hessian_stack` of their Hessians at x, which holds at
-    every x, and their `problems.gradient_stack`, which an all-quadratic
-    or a classical stage evaluates once per iterate."""
+    gamma) and the (A, B) of their `problems.quadratic_stack` at x, which
+    holds at every x."""
     merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
                   for obj in objectives)
-    return merit, _hessian_stack(merit, x), gradient_stack(merit)
+    return (merit, *quadratic_stack(merit, x))
 
 
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
@@ -452,26 +434,25 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     exact expansion the line search tests and whose values the trace's f
     columns record; in an all-quadratic stage the Armijo slope is therefore
     the subproblem's t, bit for bit.  So it is in a classical stage
-    (stage.alpha = 1, stage.beta = 0, decided here once), whose merits of
-    every kind take their gradients from the merits' gradient stack.  In a
+    (stage.alpha = 1, stage.beta = 0, decided here once), whose other
+    merits' direction inputs are their gradients.  In a
     fractional stage the other kinds take the singular-quadrature
     gradients of order stage.alpha and weight stage.beta and raw values,
-    and the Armijo slope comes from the merit gradients.  Each iteration
-    evaluates every merit's gradient at x once; in a fractional stage a
-    non-quadratic one is the row-0 gradient that
-    `modified_fractional_gradient` writes into its gradient_out.
+    and the Armijo slope comes from the merit gradients.  Each iterate
+    forms the quadratic merits' gradients as A @ x + B and evaluates each
+    other merit's gradient at x once; in a fractional stage it is the
+    row-0 gradient that `modified_fractional_gradient` writes into its
+    gradient_out.
     It hands `armijo_step` the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
     search evaluates the ones it tests.  The record keeps those values and
     the stage's merits, and evaluates the rest whenever its f_values are
-    read.  So a quadratic stage makes one stacked gradient evaluation
-    (or, for merits that `problems.gradient_stack` does not stack, one
-    gradient call per objective) per iteration and no value call while
-    curvatures are positive, and a smooth stage evaluates each value once
-    per point.  setup is the stage's merits, the stack of their
-    quadratics' constant Hessians that every `armijo_step` reads and their
-    gradient stack, as `schedule_setup` builds them once per sweep; None
-    builds them here, with one Hessian call per quadratic merit (and, at
+    read.  So a quadratic stage calls no gradient and, while curvatures
+    are positive, no value, and a smooth stage evaluates each value once
+    per point.  setup is the stage's merits and their
+    `problems.quadratic_stack` (A, B), whose A every `armijo_step` reads,
+    as `schedule_setup` builds them once per sweep; None builds them here,
+    with one Hessian and one gradient call per quadratic merit (and, at
     gamma > 0, `problems.regularized`'s one Hessian and one gradient call
     per quadratic objective).  Records
     are numbered by their position in trace.records, so a trace passed in
@@ -492,30 +473,29 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     trace = trace if trace is not None else IterationTrace()
     start = trace.iterations
     tolerance = cfg.tolerance
-    merit, hessians, merit_gradients = (setup if setup is not None
-                                        else _stage_setup(objectives, stage.gamma, terminal, x))
+    merit, hessians, offsets = (setup if setup is not None
+                                else _stage_setup(objectives, stage.gamma, terminal, x))
     # A classical stage's direction inputs are its merits' gradients, as a
     # quadratic's are; the other kinds take fractional gradients, the
     # kink-free ones sharing one node stack per iterate and a kinked one
     # building its own.
     classical = stage.alpha == 1.0 and stage.beta == 0.0
-    fractional = [] if classical else [(j, obj.kink_locator) for j, obj in enumerate(objectives)
-                                       if obj.kind != "quadratic"]
-    direct = not fractional
+    others = [j for j, m in enumerate(merit) if m.kind != "quadratic"]
+    fractional = [] if classical else [(j, objectives[j].kink_locator) for j in others]
     shared_stack = any(locator is None for _, locator in fractional)
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
     for k in range(stage.iterations + 1):
-        if direct:
-            grads = merit_gradients(x)
-        else:
-            # Row j of merit_grads is merit j's gradient at x: a quadratic's is
-            # its direction input, and the others' is row 0 of their stack.
-            merit_grads = np.empty((len(merit), x.size))
-            for j, m in enumerate(merit):
-                if m.kind == "quadratic":
-                    merit_grads[j] = m.gradient(x)
+        # Row j of merit_grads is merit j's gradient at x: A x + B for a
+        # quadratic; the others' rows are written below.
+        merit_grads = hessians @ x
+        merit_grads += offsets
+        grads = merit_grads
+        if classical:
+            for j in others:
+                merit_grads[j] = merit[j].gradient(x)
+        elif fractional:
             grads = merit_grads.copy()
             shared = node_stack(x, stage.alpha, terminal) if shared_stack else None
             trace.notes.extend(shared.notes if shared else ())
@@ -548,12 +528,10 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
         if norm_d < tolerance or not direction.t_value < 0.0:
             trace.termination = "tolerance"
             break
-        # Armijo tests the merit, so its slope is max_j grad merit_j^T d;
-        # a direct stage's direction inputs already are its merit gradients.
-        if direct:
-            merit_grads, slope = grads, direction.t_value
-        else:
-            slope = float((merit_grads @ direction.direction).max())
+        # Armijo tests the merit, so its slope is max_j grad merit_j^T d,
+        # which is t where the direction inputs are the merit gradients.
+        slope = (direction.t_value if grads is merit_grads
+                 else float((merit_grads @ direction.direction).max()))
         if not slope < 0.0:
             trace.termination = "model_mismatch"
             trace.notes.append(

@@ -29,7 +29,7 @@ from .problems import (
     ObjectiveModel,
     PiecewiseMaxObjective,
     QuadraticMop,
-    gradient_stack,
+    quadratic_stack,
     tikhonov_solve,
 )
 
@@ -183,11 +183,13 @@ def _frozen_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, step: 
                         x0: np.ndarray, tolerance: float, k: int) -> list[np.ndarray]:
     """x0 and the iterates of x <- x + step d, d = -sum_j lam_j grad merit_j(x),
     up to k steps or until ||d|| < tolerance.  The merit gradients at x are
-    one `gradient_stack` evaluation."""
-    gradients, neg_lam = gradient_stack(merit), -lam
+    A @ x + B on the merits' `quadratic_stack`, as in a stage."""
     xs = [np.asarray(x0, dtype=float)]
+    (a, b), neg_lam = quadratic_stack(merit, xs[0]), -lam
     for _ in range(k):
-        d = gradients(xs[-1]).T @ neg_lam
+        g = a @ xs[-1]
+        g += b
+        d = g.T @ neg_lam
         if math.sqrt(d @ d) < tolerance:
             break
         xs.append(xs[-1] + step * d)
@@ -372,7 +374,7 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     `_classical_schedule(cfg)`, so each of its runs is `mogd_baseline`'s.
     The objectives are `spec.objectives()`, built once per call.  The
     schedule's `schedule_setup` (its terminal check, every stage's merits
-    and their Hessian stack) is built once, before any start runs, and
+    and their quadratic stack) is built once, before any start runs, and
     every run reads it; a failing set-up raises.  The runs that ended without error
     are scored together: each objective's value is one call on the stack
     of their final points, whose rows have the bits of one call per point;

@@ -20,9 +20,8 @@ multiplier-weighted sum, with the system's extreme singular values.
 
 A quadratic's gradient has one representation, `QuadraticGradient`
 (A x + b), which every quadratic constructor and every merit builds, a
-merit as (H + gamma R) x + grad f(0) - gamma R c; `gradient_stack`
-evaluates m of them at one point as one stacked product with the bits of
-the m calls.
+merit as (H + gamma R) x + grad f(0) - gamma R c; `quadratic_stack` reads
+m quadratics' A and b once, so A @ x + B gives their gradients at x.
 """
 
 from __future__ import annotations
@@ -177,44 +176,27 @@ class QuadraticGradient:
         return (self.a_matrix @ np.asarray(x).T).T + self.b
 
 
-class GradientStack:
-    """The gradients of m stackable `QuadraticGradient`s (see
-    `gradient_stack`) at one point, as one (m, n) array, from read-only
-    stacks of their arrays.
-
-    Row j has the bits of the j-th gradient call: `A @ x` with A the
-    (m, n, n) stack makes one gemv per C-ordered slice, the call that
-    A_j @ x makes.
-    """
-
-    def __init__(self, gradients: Sequence[QuadraticGradient]):
-        self.a = _read_only(np.stack([g.a_matrix for g in gradients]))
-        self.b = _read_only(np.stack([g.b for g in gradients]))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = self.a @ x
-        g += self.b
-        return g
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def gradient_stack(models: Sequence[ObjectiveModel]) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> the (m, n) array of the models' gradients at one point x, whose
-    row j has the bits of models[j].gradient(x).
+def quadratic_stack(models: Sequence[ObjectiveModel], x: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only stacks A (m, n, n) and B (m, n) of the quadratic models'
+    Hessians at the point x and gradients at 0, zeros for the other kinds,
+    so that row j of A @ x + B is quadratic j's gradient at any x.
 
-    A `GradientStack` when every gradient is a `QuadraticGradient` itself
-    (not a wrapper around one) with a C-ordered A of one shape, raw or a
-    merit of either pull about any c; otherwise one gradient call per model.
+    Each quadratic's hessian and gradient is called once, here, whatever
+    the callables are.  A @ x makes one gemv per C-ordered slice, so row j
+    has the bits of a `QuadraticGradient` call on a C-ordered A_j.
     """
-    grads = [m.gradient for m in models]
-    if grads and all(type(g) is QuadraticGradient and g.a_matrix.flags.c_contiguous
-                     and g.a_matrix.shape == grads[0].a_matrix.shape for g in grads):
-        return GradientStack(grads)
-    return lambda x: np.array([g(x) for g in grads])
+    n = np.size(x)
+    zero = np.zeros(n)
+    quadratic = [m.kind == "quadratic" for m in models]
+    a = np.array([m.hessian(x) if q else np.zeros((n, n)) for m, q in zip(models, quadratic)])
+    b = np.array([m.gradient(zero) if q else zero for m, q in zip(models, quadratic)])
+    return _read_only(a), _read_only(b)
 
 
 def quadratic_objective(a_matrix: np.ndarray, b: np.ndarray, const: float = 0.0) -> ObjectiveModel:

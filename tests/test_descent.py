@@ -475,68 +475,66 @@ class TestStackedProducts:
 
     @staticmethod
     def quadratics(variant, mop, c):
-        """mop's objectives as quadratics of another make: behind a counting
-        wrapper, built from a lambda, already regularized about c, or on a
-        Fortran-ordered matrix."""
-        raw = mop.objectives()
+        """mop's quadratics A_j x + b_j of another make, each behind a
+        counter of its gradient calls: plain `quadratic_objective`s, behind
+        a second counting wrapper, built from a lambda, already regularized
+        about c, or on a Fortran-ordered matrix.  Returns the objectives
+        and their call lists."""
+        plain = [quadratic_objective(A, b) for A, b in zip(mop.gram, mop.offsets)]
         if variant == "counted":
-            return [counting_calls(obj, "gradient")[0] for obj in raw]
-        if variant == "lambda":
-            return [dataclasses.replace(obj, gradient=lambda x, A=A, b=b: A @ x + b)
-                    for obj, A, b in zip(raw, mop.gram, mop.offsets)]
-        if variant == "twice_regularized":
-            return [regularized(obj, 0.1, c) for obj in raw]
-        return [quadratic_objective(np.asfortranarray(A), b) for A, b in zip(mop.gram, mop.offsets)]
+            plain = [counting_calls(obj, "gradient")[0] for obj in plain]
+        elif variant == "lambda":
+            plain = [dataclasses.replace(obj, gradient=lambda x, A=A, b=b: A @ x + b,
+                                         validate=False)
+                     for obj, A, b in zip(plain, mop.gram, mop.offsets)]
+        elif variant == "twice_regularized":
+            plain = [regularized(obj, 0.1, c) for obj in plain]
+        elif variant == "fortran":
+            plain = [quadratic_objective(np.asfortranarray(A), b)
+                     for A, b in zip(mop.gram, mop.offsets)]
+        counted = [counting_calls(obj, "gradient") for obj in plain]
+        return [obj for obj, _ in counted], [calls for _, calls in counted]
 
-    @pytest.mark.parametrize("variant", ["counted", "lambda", "fortran"])
-    def test_unstackable_merits_take_the_per_objective_path(self, monkeypatch, variant):
-        """At gamma = 0 the merits are the raw objectives, so those whose
-        gradients are not the module's own (a counting wrapper, a lambda) or
-        whose matrix is not C-ordered are evaluated one gradient call each,
-        and give the records of the per-objective reference; the wrapped ones
-        also give the records of the stacked run on the module's own
-        objectives."""
-        stacked_calls = []
-        stacked_call = problems.GradientStack.__call__
-        monkeypatch.setattr(problems.GradientStack, "__call__",
-                            lambda self, x: stacked_calls.append(1) or stacked_call(self, x))
+    def assert_same_run(self, variant, gamma):
+        """The stage on the variant's quadratics calls each gradient once,
+        at set-up, and gives the records of the per-objective reference on
+        its merits and, but for the twice regularized quadratics, the
+        records, final_x and final multipliers of the plain quadratics'
+        stage, bit for bit.  The stack is C-ordered, so a Fortran-ordered
+        merit's rows have the bits of the plain merit's gradient calls."""
         mop = random_quadratic_mop(5, 8, 2, seed=31)
-        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, 0.0, 80)
+        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, gamma, 80)
         cfg = SolverConfig(tolerance=1e-9)
-        objectives = self.quadratics(variant, mop, c)
-        merits, _, gradients = descent._stage_setup(objectives, stage.gamma, c, c)
-        assert not isinstance(gradients, problems.GradientStack)
+        plain = self.quadratics("plain", mop, c)[0]
+        objectives, calls = self.quadratics(variant, mop, c)
+        merits, a, b = descent._stage_setup(objectives, stage.gamma, c, c)
+        if variant == "fortran":
+            merits = descent._stage_setup(plain, stage.gamma, c, c)[0]
+        assert [len(k) for k in calls] == [1, 1]
+        for x in np.random.default_rng(5).uniform(-3.0, 3.0, (20, 5)):
+            assert (a @ x + b).tobytes() == np.array([m.gradient(x) for m in merits]).tobytes()
+        objectives, calls = self.quadratics(variant, mop, c)
         trace = run_single_stage(objectives, x0, cfg, stage, c)
         assert trace.iterations > 10
-        assert not stacked_calls
+        assert [len(k) for k in calls] == [1, 1]
         assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
-        if variant != "fortran":  # a Fortran-ordered gemv moves the bits
-            assert self.steps(trace) == self.steps(
-                run_single_stage(mop.objectives(), x0, cfg, stage, c))
-            assert stacked_calls
+        if variant != "twice_regularized":
+            expected = run_single_stage(plain, x0, cfg, stage, c)
+            assert self.steps(trace) == self.steps(expected)
+            assert trace.final_x.tobytes() == expected.final_x.tobytes()
+            assert trace.final_multipliers.tobytes() == expected.final_multipliers.tobytes()
+
+    @pytest.mark.parametrize("variant", ["counted", "lambda", "fortran"])
+    def test_raw_quadratics_of_every_make_stack(self, variant):
+        """At gamma = 0 the merits are the raw objectives, and they stack
+        whatever their gradient callables or the order of their matrix."""
+        self.assert_same_run(variant, 0.0)
 
     @pytest.mark.parametrize("variant", ["counted", "lambda", "twice_regularized", "fortran"])
     def test_merits_of_every_quadratic_stack(self, variant):
-        """At gamma > 0 a merit's gradient is the module's own, whatever its
-        quadratic's is, so the merits of counted, lambda-built, already
-        regularized and Fortran-ordered quadratics stack.  The stacked
-        gradients have the bits of the merit calls, and the stage gives the
-        records of the per-objective reference and, but for the twice
-        regularized merits, of the stage on the module's own objectives."""
-        mop = random_quadratic_mop(5, 8, 2, seed=31)
-        c, x0, stage = np.full(5, -1.0), np.full(5, 3.0), Stage(0.5, 0.3, 80)
-        cfg = SolverConfig(tolerance=1e-9)
-        objectives = self.quadratics(variant, mop, c)
-        merits, _, gradients = descent._stage_setup(objectives, stage.gamma, c, c)
-        assert isinstance(gradients, problems.GradientStack)
-        for x in np.random.default_rng(5).uniform(-3.0, 3.0, (20, 5)):
-            assert gradients(x).tobytes() == np.array([m.gradient(x) for m in merits]).tobytes()
-        trace = run_single_stage(objectives, x0, cfg, stage, c)
-        assert trace.iterations > 10
-        assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
-        if variant != "twice_regularized":
-            assert self.steps(trace) == self.steps(
-                run_single_stage(mop.objectives(), x0, cfg, stage, c))
+        """At gamma > 0 the merits of counted, lambda-built, already
+        regularized and Fortran-ordered quadratics stack."""
+        self.assert_same_run(variant, 0.3)
 
     def test_merits_with_nonpositive_curvature_are_tested_on_values(self):
         """A linear merit (q = 0) and a concave one (q < 0) next to a convex
@@ -573,10 +571,11 @@ class TestStackedProducts:
         """A smooth merit's slot of the Hessian stack is zeros, alone or next
         to a quadratic merit."""
         smooth = logistic_losses()
-        assert descent._hessian_stack(smooth, np.ones(4)).tobytes() == bytes(3 * 16 * 8)
+        a, b = problems.quadratic_stack(smooth, np.ones(4))
+        assert (a.tobytes(), b.tobytes()) == (bytes(3 * 16 * 8), bytes(3 * 4 * 8))
         assert not descent._stage_setup(smooth, 0.1, np.zeros(4), np.zeros(4))[1].any()
-        mixed = descent._hessian_stack([quadratic_objective(np.eye(4), np.zeros(4)), smooth[0]],
-                                       np.ones(4))
+        mixed, _ = problems.quadratic_stack(
+            [quadratic_objective(np.eye(4), np.zeros(4)), smooth[0]], np.ones(4))
         assert mixed.shape == (2, 4, 4) and not mixed[1].any()
 
     @staticmethod
@@ -721,7 +720,7 @@ class TestRunSingleStage:
     def test_stage_warnings_reach_the_caller(self, monkeypatch):
         """No warning becomes a trace note: in a fractional stage, a modified
         fractional gradient's RuntimeWarning reaches the caller's filters, as
-        a quadratic gradient's does."""
+        a quadratic gradient's does from its one call, at set-up."""
         fractional = descent.modified_fractional_gradient
 
         def warning_fractional(obj, x, *stage, **out):
@@ -740,8 +739,8 @@ class TestRunSingleStage:
             trace = run_single_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
                                      SolverConfig(), Stage(0.5, 0.0, 3), 0.0)
         assert trace.iterations == 3
-        assert [str(w.message) for w in caught] == [
-            "from the quadratic gradient", "from the fractional gradient"] * 4
+        assert [str(w.message) for w in caught] == (
+            ["from the quadratic gradient"] + ["from the fractional gradient"] * 4)
         assert trace.notes == []
 
     def test_overflowed_gradients_end_the_stage_in_error(self):
@@ -795,20 +794,17 @@ class TestRunSingleStage:
         (Stage(0.5, 0.3, 7), 7),
     ])
     def test_quadratic_stage_evaluates_each_merit_once(self, monkeypatch, frac, k_max):
-        """Merits of the module's own gradients make one stacked evaluation
-        per iterate (the final check at the last iterate included) and no
-        gradient call, and, with every curvature positive, no value call
-        while the stage runs.  At gamma > 0 every quadratic folds into such
-        a merit, with one set-up gradient call per objective, so counted
-        objectives stack too; at gamma = 0 they are the merits and make one
-        gradient call per iteration each.  Either way the records are the
-        same.  Each read of a record's f_values makes one value call per
-        objective, since a record caches nothing, and the values are those
-        of the stage merit at the record's x, bit for bit."""
-        stacked_calls, gradient_calls = [], []
-        stacked_call, gradient_call = problems.GradientStack.__call__, QuadraticGradient.__call__
-        monkeypatch.setattr(problems.GradientStack, "__call__",
-                            lambda self, x: stacked_calls.append(1) or stacked_call(self, x))
+        """A quadratic iterate calls no gradient: the set-up reads each
+        merit's gradient at 0 once, and, at gamma > 0, `regularized` reads
+        each objective's once before it, however many iterates run.  With
+        every curvature positive no value is called while the stage runs.
+        Objectives behind a counting wrapper give the same records, each
+        gradient called once.  Each read of a record's f_values makes one
+        value call per objective, since a record caches nothing, and the
+        values are those of the stage merit at the record's x, bit for
+        bit."""
+        gradient_calls = []
+        gradient_call = QuadraticGradient.__call__
         monkeypatch.setattr(QuadraticGradient, "__call__",
                             lambda self, x: gradient_calls.append(1) or gradient_call(self, x))
         raw = random_quadratic_mop(5, 8, 2, seed=21).objectives()
@@ -816,9 +812,7 @@ class TestRunSingleStage:
         trace = run_single_stage([obj for obj, _ in plain], np.full(5, 3.0),
                                  SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.iterations > 0
-        assert len(stacked_calls) == trace.iterations + 1
-        # At gamma > 0 `regularized` reads each objective's gradient at 0 once.
-        assert len(gradient_calls) == (len(raw) if frac.gamma else 0)
+        assert len(gradient_calls) == len(raw) * (2 if frac.gamma else 1)
         assert not any(values for _, values in plain)
         stacked_steps = TestStackedProducts.steps(trace)
 
@@ -828,22 +822,17 @@ class TestRunSingleStage:
             obj, grads = counting_calls(obj, "gradient")
             counted.append((obj, values, grads))
         objectives = [obj for obj, *_ in counted]
-        merit, _, gradients = descent._stage_setup(objectives, frac.gamma, np.zeros(5),
-                                                   np.zeros(5))
-        folded = frac.gamma > 0.0
-        assert isinstance(gradients, problems.GradientStack) == folded
+        merit, *_ = descent._stage_setup(objectives, frac.gamma, np.zeros(5), np.zeros(5))
         assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
-        stacked_calls.clear()
         for _, _, grads in counted:
             grads.clear()
         trace = run_single_stage(objectives, np.full(5, 3.0),
                                  SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
         assert trace.iterations > 0
-        assert len(stacked_calls) == (trace.iterations + 1 if folded else 0)
         assert TestStackedProducts.steps(trace) == stacked_steps
         for _, values, grads in counted:
-            assert len(grads) == (1 if folded else trace.iterations + 1)
+            assert len(grads) == 1
             assert not values
         first = [record.f_values for record in trace.records]
         for _, values, _ in counted:

@@ -33,7 +33,7 @@ from mofgd.fixtures import (
 )
 from mofgd.cli import parse_config
 from mofgd.lab import pareto_sweep
-from mofgd.problems import GradientStack, QuadraticMop, gradient_stack, regularized
+from mofgd.problems import ObjectiveModel, QuadraticMop, regularized
 from oracles import loop_adrs, per_objective_fixed_steps
 
 REPO = Path(__file__).resolve().parents[1]
@@ -197,13 +197,25 @@ class TestFrozenFixedSteps:
     @pytest.mark.parametrize("reg", ["diag", "outer"])
     @pytest.mark.parametrize("n", [2, 100])
     def test_fixed_steps_match_per_objective_steps(self, reg, n):
+        """The steps have the bits of the per-objective steps, and each
+        merit's gradient is read once, at set-up, however many steps run."""
         mop = random_quadratic_mop(n, n + 2, 3, seed=n)
         lam = np.array([0.2, 0.3, 0.5])
         sol = tikhonov_solve(mop, 0.25, lam, np.full(n, 0.5), reg)
-        assert isinstance(gradient_stack(sol.merits), GradientStack)
-        args = (sol.merits, lam, 1.0 / sol.sigma_max, np.full(n, 3.0), 1e-300, 300)
-        assert (np.array(lab._frozen_fixed_steps(*args)).tobytes()
-                == np.array(per_objective_fixed_steps(*args)).tobytes())
+        calls = []
+
+        def counted(merit):
+            def gradient(x):
+                calls.append(1)
+                return merit.gradient(x)
+            return dataclasses.replace(merit, gradient=gradient, validate=False)
+
+        args = (lam, 1.0 / sol.sigma_max, np.full(n, 3.0), 1e-300, 300)
+        steps = lab._frozen_fixed_steps([counted(m) for m in sol.merits], *args)
+        assert len(steps) == 301
+        assert len(calls) == 3
+        assert (np.array(steps).tobytes()
+                == np.array(per_objective_fixed_steps(sol.merits, *args)).tobytes())
 
     def test_verify_reports_match_per_objective_steps(self, monkeypatch):
         """verify-t5's and verify-t6's runs on the shipped paper instance."""
@@ -241,6 +253,50 @@ class TestParetoSweep:
                               start_grid=((1.0, 1.0), (2.0, 2.0), 1))
         front = pareto_sweep(spec, SWEEP_CFG)
         assert len(front) <= 1
+
+    def test_wrapped_models_take_the_path_of_plain_ones(self, monkeypatch):
+        """With every model's value, gradient and hessian wrapped in counters
+        as it is built, as a benchmark tracer wraps them, both sweeps of
+        `pareto` on example2_pair.yaml give the fronts of the unwrapped
+        sweeps bit for bit, and their gradient calls are set-up reads: per
+        stage one of each merit's, and at gamma > 0 one of each objective's
+        by `regularized`.  The objectives' construction checks are not
+        counted."""
+        spec, cfg, schedule = parse_config(REPO / "configs" / "example2_pair.yaml")
+        specs = (spec, dataclasses.replace(spec, method="mogd"))
+        m = len(spec.objectives())
+
+        def fronts():
+            return [[(p.objectives.tobytes(), p.start_index, p.norm_d)
+                     for p in pareto_sweep(s, cfg)] for s in specs]
+
+        expected = fronts()
+        calls, building = Counter(), []
+        post_init = ObjectiveModel.__post_init__
+
+        def counted(name, fn):
+            def call(x):
+                if not building:
+                    calls[name] += 1
+                return fn(x)
+            return call
+
+        def wrapping_post_init(obj):
+            for name in ("value", "gradient", "hessian"):
+                fn = getattr(obj, name)
+                if fn is not None:
+                    object.__setattr__(obj, name, counted(name, fn))
+            building.append(obj)
+            try:
+                post_init(obj)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(ObjectiveModel, "__post_init__", wrapping_post_init)
+        assert fronts() == expected
+        assert all(expected)
+        stage_reads = len(schedule.stages) + sum(g > 0.0 for g in schedule.gammas) + 1
+        assert 0 < calls["gradient"] <= m * stage_reads, calls
 
     def test_duplicates_collapse(self):
         """All starts of a single-objective problem land on one minimizer."""

@@ -1,8 +1,10 @@
 """Tests for problem models, the quadratic family and Tikhonov solutions."""
 
+import dataclasses
 import itertools
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,10 +26,9 @@ from mofgd.fixtures import (
 )
 from mofgd.problems import (
     _FD_CHECK_CANDIDATES,
-    GradientStack,
     PiecewiseMaxObjective,
     _check_points,
-    gradient_stack,
+    quadratic_stack,
     regularized,
 )
 from oracles import dense_regularized
@@ -259,14 +260,20 @@ class TestRegularized:
         assert [(m.value(x), m.gradient(x).tobytes()) for m in (merit, *merits)] == before
 
 
+def stacked_gradients(models, x):
+    """A @ x + B on the models' `quadratic_stack`, read at another point."""
+    a, b = quadratic_stack(models, np.ones_like(x))
+    return a @ x + b
+
+
 class TestGradientStack:
     @pytest.mark.parametrize("reg", [None, "diag", "outer"])
     @pytest.mark.parametrize("n", [2, 100])
     @pytest.mark.parametrize("m", [2, 3])
     def test_stacked_gradients_match_per_objective_gradients(self, reg, n, m):
-        """One stacked evaluation gives the m gradient calls' bits, on
-        seeded draws of factors, targets, gamma, c and x over twelve
-        decades: raw models and diag or outer merits."""
+        """A @ x + B on the models' `quadratic_stack` gives the m gradient
+        calls' bits, on seeded draws of factors, targets, gamma, c and x
+        over twelve decades: raw models and diag or outer merits."""
         rng = np.random.default_rng(10 * n + m)
         for _ in range(100):
             scale = 10.0 ** rng.uniform(-6.0, 6.0, size=5)
@@ -277,24 +284,46 @@ class TestGradientStack:
             c, x = scale[2] * rng.uniform(-1, 1, n), scale[3] * rng.uniform(-1, 1, n)
             models = [obj if reg is None else regularized(obj, scale[4], c, reg)
                       for obj in mop.objectives()]
-            stacked = gradient_stack(models)
-            assert isinstance(stacked, GradientStack)
-            assert stacked(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
+            assert (stacked_gradients(models, x).tobytes()
+                    == np.array([g.gradient(x) for g in models]).tobytes())
 
     def test_mixed_pulls_stack(self):
         """Diag and outer merits side by side, merits about different
-        terminals, and a merit next to a raw model stack, since every merit
-        is a plain quadratic, and give the gradient calls' bits."""
+        terminals, and a merit next to a raw model stack, and give the
+        gradient calls' bits."""
         objectives = random_quadratic_mop(3, 4, 2, seed=8).objectives()
         c = np.zeros(3)
         for models in ([regularized(objectives[0], 0.5, c, "diag"),
                         regularized(objectives[1], 0.5, c, "outer")],
                        [regularized(objectives[0], 0.5, c), regularized(objectives[1], 0.5, c + 1)],
                        [objectives[0], regularized(objectives[1], 0.5, c)]):
-            gradients = gradient_stack(models)
-            assert isinstance(gradients, GradientStack)
             for x in np.random.default_rng(8).uniform(-3.0, 3.0, (20, 3)):
-                assert gradients(x).tobytes() == np.array([g.gradient(x) for g in models]).tobytes()
+                assert (stacked_gradients(models, x).tobytes()
+                        == np.array([g.gradient(x) for g in models]).tobytes())
+
+    def test_stack_reads_each_model_once_and_is_read_only(self):
+        """One Hessian and one gradient call per quadratic, none for a
+        smooth model, whose slots are zeros; neither stack can be written."""
+        quadratic = quadratic_objective(np.diag([2.0, 3.0]), np.array([1.0, -1.0]))
+        counts = Counter()
+
+        def counted(obj):
+            def call(name):
+                def f(x):
+                    counts[name, obj.kind] += 1
+                    return getattr(obj, name)(x)
+                return f
+            return dataclasses.replace(obj, gradient=call("gradient"),
+                                       hessian=call("hessian"), validate=False)
+
+        smooth = ObjectiveModel(lambda x: (np.asarray(x) ** 4).sum(axis=-1),
+                                lambda x: 4 * np.asarray(x) ** 3,
+                                lambda x: 12 * np.asarray(x) ** 2 * np.eye(2), dim=2)
+        a, b = quadratic_stack([counted(quadratic), counted(smooth)], np.array([5.0, 7.0]))
+        assert counts == {("gradient", "quadratic"): 1, ("hessian", "quadratic"): 1}
+        assert a.tolist() == [[[2.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        assert b.tolist() == [[1.0, -1.0], [0.0, 0.0]]
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 class TestRegularizedDenseReference:
