@@ -40,11 +40,11 @@ Non-quadratic objectives use singular-quadrature gradients and raw values.
 The stage builds their quadrature node stacks (`fractional.node_stack`)
 once per iterate: one that every objective without a kink locator reads,
 built only if such an objective needs it, and one per objective with
-kinks.  A classical stage, alpha = 1 and beta = 0, builds none: beta = 0
-means gamma = 0, so every merit is its raw objective, the direction
-inputs are the merits' gradients for every kind, as in an all-quadratic
-stage, and the stage is the multi-objective steepest descent of Fliege
-and Svaiter (Math. Meth. Oper. Res. 51, 2000).
+kinks.  A classical stage, alpha = 1, builds none: it takes gamma = 0, so
+every merit is its raw objective, the direction inputs are the merits'
+gradients for every kind, as in an all-quadratic stage, and the stage is
+the multi-objective steepest descent of Fliege and Svaiter (Math. Meth.
+Oper. Res. 51, 2000).  A quadratic stage reads gamma but not alpha.
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
 the merit it tests, which equals the subproblem's t bit for bit for
@@ -65,8 +65,7 @@ curvatures as row dots, which round as the per-objective products do.
 Per iteration each other merit's gradient at x is evaluated once: in a
 fractional stage a smooth or piecewise one's is row 0, x itself, of its
 fractional gradient's stacked call, so such an objective makes one stacked
-gradient and one stacked Hessian call per iterate and no single-point
-gradient call.  A value is evaluated only
+gradient call per iterate and no single-point one.  A value is evaluated only
 where something reads it: the line search evaluates f_j(x) and the trial
 values of the merits it cannot expand, and returns the values at the
 accepted step, which the next iteration reuses.  A record keeps the values
@@ -147,7 +146,8 @@ class SolverConfig:
 class Stage:
     """One stage: order alpha, regularizer weight gamma >= 0 and an
     iteration budget.  The stage merit takes gamma itself, and the modified
-    fractional gradients take alpha and beta."""
+    fractional gradients take alpha and beta.  alpha = 1 is the classical
+    stage, which takes gamma = 0 only."""
 
     alpha: float
     gamma: float
@@ -161,6 +161,9 @@ class Stage:
                 f"stage gamma must be finite and >= 0, that is beta >= (1-alpha)/(2-alpha) = "
                 f"{order_shift(self.alpha):.6g}, got gamma = {self.gamma}"
             )
+        if self.alpha == 1.0 and self.gamma != 0.0:
+            raise ValueError(f"stage alpha = {self.alpha} is the classical stage, which takes "
+                             f"gamma = 0, got gamma = {self.gamma}")
         if self.iterations < 1:
             raise ValueError("stage iteration count must be positive")
 
@@ -434,11 +437,11 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     exact expansion the line search tests and whose values the trace's f
     columns record; in an all-quadratic stage the Armijo slope is therefore
     the subproblem's t, bit for bit.  So it is in a classical stage
-    (stage.alpha = 1, stage.beta = 0, decided here once), whose other
-    merits' direction inputs are their gradients.  In a
-    fractional stage the other kinds take the singular-quadrature
-    gradients of order stage.alpha and weight stage.beta and raw values,
-    and the Armijo slope comes from the merit gradients.  Each iterate
+    (stage.alpha = 1, decided here once), whose other merits' direction
+    inputs are their gradients.  In a fractional stage the other kinds
+    take the singular-quadrature gradients of order stage.alpha and weight
+    stage.beta and raw values, and the Armijo slope comes from the merit
+    gradients.  Each iterate
     forms the quadratic merits' gradients as A @ x + B and evaluates each
     other merit's gradient at x once; in a fractional stage it is the
     row-0 gradient that `modified_fractional_gradient` writes into its
@@ -479,7 +482,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     # quadratic's are; the other kinds take fractional gradients, the
     # kink-free ones sharing one node stack per iterate and a kinked one
     # building its own.
-    classical = stage.alpha == 1.0 and stage.beta == 0.0
+    classical = stage.alpha == 1.0
     others = [j for j, m in enumerate(merit) if m.kind != "quadratic"]
     fractional = [] if classical else [(j, objectives[j].kink_locator) for j in others]
     shared_stack = any(locator is None for _, locator in fractional)

@@ -64,17 +64,15 @@ def example2_objective() -> ObjectiveModel:
 
 
 def example3_objective() -> PiecewiseMaxObjective:
-    """max(5 x1 + x2, x1^2 + x2^2) with analytic piece derivatives, each
+    """max(5 x1 + x2, x1^2 + x2^2) with analytic piece gradients, each
     taking a point or a stack of points over the last axis."""
     linear = (
         lambda x: 5.0 * x[..., 0] + x[..., 1],
         lambda x: np.broadcast_to([5.0, 1.0], np.shape(x)),
-        lambda x: np.zeros(np.shape(x) + (2,)),
     )
     quad = (
         lambda x: x[..., 0] ** 2 + x[..., 1] ** 2,
         lambda x: 2.0 * np.asarray(x, dtype=float),
-        lambda x: np.broadcast_to(2.0 * np.eye(2), np.shape(x)[:-1] + (2, 2)),
     )
     return PiecewiseMaxObjective([linear, quad], dim=2, kink_locator=_example3_kinks)
 

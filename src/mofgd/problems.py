@@ -58,13 +58,14 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class ObjectiveModel:
-    """One objective: value, classical gradient, optional Hessian.
+    """One objective: value, classical gradient, and a Hessian that only a
+    quadratic needs and only a quadratic's is read.
 
     value, gradient and hessian take one point or a (k, n) stack of points
     and return (k,), (k, n) and (k, n, n) for a stack, row by row; one point
     keeps its own return (a float for the quadratics).  The modified
     fractional gradient evaluates x and the quadrature nodes of all
-    coordinates in one stacked gradient and one stacked Hessian call.
+    coordinates in one stacked gradient call.
 
     kind is "quadratic", "smooth", or "piecewise".  "quadratic" declares one
     consistent quadratic: a constant symmetric Hessian H with
@@ -291,24 +292,23 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
 class PiecewiseMaxObjective(ObjectiveModel):
     """max of finitely many smooth pieces.
 
-    Pieces are (value, gradient, hessian) triples that answer a (k, n) stack
-    with (k,), (k, n) and (k, n, n).  The value of the max is the largest
-    piece value, and its gradient/Hessian are those of the active piece,
-    row by row: the largest, and among pieces tied for it exactly, the one
-    with the smallest gradient norm (the first among equals).  So a tied
-    piece whose gradient vanishes, as the quadratic's does at example 3's
-    minimizer, is active there.
+    Pieces are (value, gradient) pairs that answer a (k, n) stack with (k,)
+    and (k, n).  The value of the max is the largest piece value, and its
+    gradient is that of the active piece, row by row: the largest, and
+    among pieces tied for it exactly, the one with the smallest gradient
+    norm (the first among equals).  So a tied piece whose gradient
+    vanishes, as the quadratic's does at example 3's minimizer, is active
+    there.
     kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
     piece changes along coordinate i (see ObjectiveModel).
     """
 
-    def __init__(self, pieces: Sequence[tuple[Callable, Callable, Callable]], dim: int,
+    def __init__(self, pieces: Sequence[tuple[Callable, Callable]], dim: int,
                  kink_locator: Callable):
         object.__setattr__(self, "_pieces", list(pieces))
         super().__init__(
             value=lambda x: self._piece_values(x).max(axis=-1),
-            gradient=lambda x: self._active(x, 1),
-            hessian=lambda x: self._active(x, 2),
+            gradient=lambda x: self._active(x),
             kind="piecewise",
             kink_locator=kink_locator,
             dim=dim,
@@ -318,22 +318,16 @@ class PiecewiseMaxObjective(ObjectiveModel):
         """Values of every piece, stacked on the last axis."""
         return np.stack([np.asarray(p[0](x), dtype=float) for p in self._pieces], axis=-1)
 
-    def _active(self, x, which: int) -> np.ndarray:
-        """Derivative `which` (1 gradient, 2 Hessian) of the active piece.
-
-        The tie rule evaluates the piece gradients only when some row ties
-        exactly."""
+    def _active(self, x) -> np.ndarray:
+        """Gradient of the active piece, row by row: the one of smallest
+        gradient norm among those at the max, the first among equals."""
         x = np.asarray(x, dtype=float)
         values = self._piece_values(x)
-        active = np.argmax(values, axis=-1)
+        grads = np.stack([np.asarray(p[1](x), dtype=float) for p in self._pieces])
+        norms = np.moveaxis((grads * grads).sum(axis=-1), 0, -1)
         top = values == values.max(axis=-1, keepdims=True)
-        tied = top.sum(axis=-1) > 1
-        if tied.any():
-            grads = np.stack([np.asarray(p[1](x), dtype=float) for p in self._pieces])
-            norms = np.moveaxis((grads * grads).sum(axis=-1), 0, -1)
-            active = np.where(tied, np.argmin(np.where(top, norms, np.inf), axis=-1), active)
-        derivs = np.stack([np.asarray(p[which](x), dtype=float) for p in self._pieces])
-        return derivs[(active, *np.indices(active.shape))]
+        active = np.argmin(np.where(top, norms, np.inf), axis=-1)
+        return grads[(active, *np.indices(active.shape))]
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         """Average gradient of the pieces within 1e-9 of the max at the point x,

@@ -8,7 +8,7 @@ import numpy as np
 
 from mofgd import DirectionResult, ObjectiveModel, solve_direction
 from mofgd.direction import _result_from
-from mofgd.fractional import NodeStack, _rule, _unit_rule, terminals
+from mofgd.fractional import NodeStack, _rule, terminals
 from mofgd.problems import _constant_hessian
 
 # Central-difference step for a second derivative obtained from first derivatives.
@@ -94,12 +94,12 @@ def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
     """Caputo derivative at x from h = f^(n); one call of h answers the base
     and the refined rule of the refinement check."""
     n, a_exp = _order_parts(order)
-    u, w = _rule(c, x, kinks, a_exp)
-    u_fine, w_fine = _rule(c, x, kinks, a_exp, refine=True)
-    hu = _eval(h, x - np.concatenate((u, u_fine)))
+    s, w, _ = _rule(c, x, kinks, a_exp)
+    s_fine, w_fine, _ = _rule(c, x, kinks, a_exp, refine=True)
+    hu = _eval(h, x - (x - c) * np.concatenate((s, s_fine)))
     scale = (x - c) ** (a_exp + 1.0) / math.gamma(n - order)
-    value = scale * float(w @ hu[:u.size])
-    check = scale * float(w_fine @ hu[u.size:])
+    value = scale * float(w @ hu[:s.size])
+    check = scale * float(w_fine @ hu[s.size:])
     err = abs(value - check)
     if err > 1e-9 * (1.0 + abs(check)):
         raise QuadratureAccuracyError(
@@ -322,34 +322,24 @@ def loop_adrs(front, reference) -> float:
 
 
 def _restriction(f, x: np.ndarray, i: int, lo: float, hi: float
-                 ) -> tuple[Callable, Callable, tuple[float, ...]]:
-    """Derivatives of t -> f(x with coordinate i set to t) and its kinks in
-    (lo, hi).  A derivative answers a 1-D array of abscissae with one stacked
-    gradient (Hessian) call of f; without a Hessian, g'' is a central
-    difference of g'."""
-    def points(t):
+                 ) -> tuple[Callable, tuple[float, ...]]:
+    """The derivative of t -> f(x with coordinate i set to t), which answers
+    a 1-D array of abscissae with one stacked gradient call of f, and the
+    restriction's kinks in (lo, hi)."""
+    def deriv(t):
         z = np.repeat(x[None, :], t.size, axis=0)
         z[:, i] = t
-        return z
+        return np.asarray(f.gradient(z), dtype=float)[:, i]
 
-    def deriv(t):
-        return np.asarray(f.gradient(points(t)), dtype=float)[:, i]
-
-    hess = getattr(f, "hessian", None)
-    if hess is None:
-        deriv2 = _central_difference(deriv)
-    else:
-        def deriv2(t):
-            return np.asarray(hess(points(t)), dtype=float)[:, i, i]
     locator = getattr(f, "kink_locator", None)
     kinks = () if locator is None else tuple(locator(x, i, lo, hi))
-    return deriv, deriv2, kinks
+    return deriv, kinks
 
 
 def caputo_gradient(f, x: np.ndarray, alpha: float, terminal) -> np.ndarray:
     """Coordinate-wise Caputo fractional gradient of order alpha at x.
 
-    f is an objective exposing value/gradient (and optionally hessian and
+    f is an objective exposing value/gradient (and optionally
     kink_locator); see mofgd.problems.ObjectiveModel.  Each coordinate runs
     the refinement check of caputo_derivative_1d, and one that does not
     lie above its terminal raises CaputoDomainError.
@@ -362,7 +352,7 @@ def caputo_gradient(f, x: np.ndarray, alpha: float, terminal) -> np.ndarray:
     for i in range(x.size):
         try:
             ci = _below(float(c[i]), x[i])
-            deriv, _, kinks = _restriction(f, x, i, ci, x[i])
+            deriv, kinks = _restriction(f, x, i, ci, x[i])
             out[i] = _checked_caputo(deriv, ci, x[i], kinks, alpha)
         except CaputoDomainError as exc:
             raise CaputoDomainError(f"coordinate {i}: {exc}") from exc
@@ -376,35 +366,114 @@ def caputo_gradient(f, x: np.ndarray, alpha: float, terminal) -> np.ndarray:
 def modified_fractional_gradient_loop(f, x: np.ndarray, alpha: float, beta: float,
                                       terminal) -> np.ndarray:
     """Reference for mofgd.modified_fractional_gradient: the same rule, the
-    same per-coordinate dots and the same degenerate coordinates, one
-    coordinate at a time, each with its own rule build and its own stacked
-    gradient and Hessian calls.  A coordinate at or below its terminal is
+    same by-parts form and the same degenerate coordinates, one coordinate
+    at a time, each with its own rule build and its own stacked gradient
+    call on x, its nodes and its terminal.  Coordinate i is
+
+        (1-alpha) [ w @ g'(tau) + beta (g'(x_i) - g'(c) - alpha (w/s) @ (g'(tau) - g'(x_i))) ],
+
+    with tau = x_i - (x_i - c) s.  A coordinate at or below its terminal is
     the classical partial f.gradient(x)[i], kinked f or not."""
     x = np.asarray(x, dtype=float)
     c = terminals(terminal, x.size)
     out = np.empty(x.size)
     for i in range(x.size):
-        ci = float(c[i])
-        if x[i] <= ci:
+        xi, ci = float(x[i]), float(c[i])
+        if xi <= ci:
             out[i] = np.asarray(f.gradient(x), dtype=float)[i]
             continue
-        deriv, deriv2, kinks = _restriction(f, x, i, ci, x[i])
-        if alpha == 1.0:
-            tau, w, pref = x[i:i + 1], np.ones(1), 1.0
-        else:
-            u, w = _rule(ci, x[i], kinks, -alpha)
-            tau, pref = x[i] - u, 1.0 - alpha
-        a_term = pref * float(w @ _eval(deriv, tau))
-        b_term = pref * (x[i] - ci) * float(w @ _eval(deriv2, tau))
-        out[i] = a_term + beta * b_term
+        deriv, kinks = _restriction(f, x, i, ci, xi)
+        s, w, _ = _rule(ci, xi, kinks, -alpha)
+        g = deriv(np.concatenate(([xi], xi - (xi - ci) * s, [ci])))
+        gx, nodes, gc = g[0], g[1:-1], g[-1]
+        by_parts = gx - gc - alpha * float((w / s) @ (nodes - gx))
+        out[i] = (1.0 - alpha) * (float(w @ nodes) + beta * by_parts)
     return out
+
+
+def hessian_form_gradient(f, x: np.ndarray, alpha: float, beta: float, terminal,
+                          nodes: int = 128) -> np.ndarray:
+    """The modified fractional gradient of a kink-free f in its Hessian form,
+
+        (1-alpha) (x_i-c)^(alpha-1) [ I1 + beta (x_i-c) I2 ],
+        I1 = int_c^{x_i} (x_i-tau)^(-alpha) g'(tau) dtau,
+        I2 = int_c^{x_i} (x_i-tau)^(-alpha) g''(tau) dtau,
+
+    with g'' read from the diagonal of f.hessian and both integrals taken by
+    scipy's `nodes`-node Gauss-Jacobi rule: an independent reference for
+    the by-parts form.  Every coordinate must lie above its terminal."""
+    from scipy.special import roots_jacobi
+
+    x = np.asarray(x, dtype=float)
+    c = terminals(terminal, x.size)
+    t, w = roots_jacobi(nodes, -alpha, 0.0)
+    s, w = 0.5 * (1.0 - t), 0.5 ** (1.0 - alpha) * w
+    out = np.empty(x.size)
+    for i in range(x.size):
+        length = x[i] - c[i]
+        z = np.repeat(x[None, :], nodes, axis=0)
+        z[:, i] = x[i] - length * s
+        first = np.asarray(f.gradient(z), dtype=float)[:, i]
+        second = np.asarray(f.hessian(z), dtype=float)[:, i, i]
+        out[i] = (1.0 - alpha) * (w @ first + beta * length * (w @ second))
+    return out
+
+
+def example3_modified_gradient(x: np.ndarray, alpha: float, beta: float,
+                               terminal) -> tuple[np.ndarray, list[bool]]:
+    """Example 3's modified fractional gradient in closed form, and which
+    coordinates have a kink in (c_i, x_i).
+
+    Along coordinate i, max(5 x1 + x2, x1^2 + x2^2) is linear or quadratic
+    between the roots of the pieces' difference, so g' = p0 + p1 tau on
+    each panel [a, b] and, with u = x_i - tau,
+
+        int_a^b (x_i-tau)^(-alpha) g' dtau = (p0 + p1 x_i) P(1-alpha) - p1 P(2-alpha),
+        P(e) = ((x_i-a)^e - (x_i-b)^e) / e,
+
+    and the order-(1+alpha) integral against dg' is the panels' p1 P(1-alpha)
+    plus (x_i - k)^(-alpha) J at each kink k where g' jumps by J.  Coordinate
+    i is (1-alpha) [(x_i-c)^(alpha-1) I1 + beta (x_i-c)^alpha I2]; one at or
+    below its terminal is NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    c = terminals(terminal, x.size)
+    out, kinked = np.full(2, np.nan), []
+    for i in range(2):
+        xi, ci, other = float(x[i]), float(c[i]), float(x[1 - i])
+        slope = 5.0 if i == 0 else 1.0
+        # lin(t) - quad(t) = -t^2 + slope t + (5 other or other) - other^2
+        shift = (other if i == 0 else 5.0 * other) - other ** 2
+        disc = slope * slope + 4.0 * shift
+        big = 0.5 * (slope + math.sqrt(max(disc, 0.0)))  # the root that does not cancel
+        kinks = [] if disc < 0.0 else [k for k in sorted((-shift / big, big)) if ci < k < xi]
+        kinked.append(bool(kinks))
+        if not xi > ci:
+            continue
+        edges = [ci] + kinks + [xi]
+        parts, i1, i2 = [], 0.0, 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            m = 0.5 * (lo + hi)
+            p0, p1 = (slope, 0.0) if -m * m + slope * m + shift >= 0.0 else (0.0, 2.0)
+            parts.append((p0, p1))
+            # ((x_i-lo)^e - (x_i-hi)^e) / e, without cancelling when hi is near lo
+            power = lambda e: (xi - lo) ** e * (
+                1.0 if hi == xi else -math.expm1(e * math.log((xi - hi) / (xi - lo)))) / e
+            i1 += (p0 + p1 * xi) * power(1.0 - alpha) - p1 * power(2.0 - alpha)
+            i2 += p1 * power(1.0 - alpha)
+        for k, (l0, l1), (r0, r1) in zip(kinks, parts[:-1], parts[1:]):
+            i2 += (xi - k) ** -alpha * ((r0 + r1 * k) - (l0 + l1 * k))
+        length = xi - ci
+        out[i] = (1.0 - alpha) * (length ** (alpha - 1.0) * i1 + beta * length ** alpha * i2)
+    return out, kinked
 
 
 def scattered_node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
     """Reference for mofgd.fractional.node_stack: every coordinate resolved
-    on numpy scalars, its nodes tau = x_i - u concatenated, and the stack
-    written by one fancy-index scatter into k copies of x.  A coordinate at
-    or below its terminal reads row 0, and below it adds a note."""
+    on numpy scalars, its nodes tau = x_i - (x_i - c_i) s and its terminal
+    c_i concatenated, and the stack written by one fancy-index scatter into
+    k copies of x.  A coordinate at or below its terminal reads row 0, and
+    below it adds a note."""
     x = np.asarray(x, dtype=float)
     terminal = terminals(terminal, x.size)
     coords, taus, owners, notes, start = [], [], [], [], 1
@@ -414,21 +483,14 @@ def scattered_node_stack(x: np.ndarray, alpha: float, terminal, locator=None) ->
             if x[i] < ci:
                 notes.append(f"degenerate coordinate: x = {float(x[i])} <= terminal {ci}; "
                              "classical partial derivative taken")
-            coords.append((0, 1, None, 0.0))
-            continue
-        if alpha == 1.0:
-            coords.append((0, 1, np.ones(1), x[i] - ci))
+            coords.append((0, 1, None, None))
             continue
         kinks = () if locator is None else tuple(locator(x, i, ci, x[i]))
-        if kinks:
-            u, w = _rule(ci, x[i], kinks, -alpha)
-        else:
-            u, w = _unit_rule(-alpha)
-            u = (x[i] - ci) * u
-        coords.append((start, start + u.size, w, x[i] - ci))
-        taus.append(x[i] - u)
+        s, w, v = _rule(ci, x[i], kinks, -alpha)
+        coords.append((start, start + s.size, w, v))
+        taus.append(np.append(x[i] - (x[i] - ci) * s, ci))
         owners.append(i)
-        start += u.size
+        start += s.size + 1
     z = np.repeat(x[None, :], start, axis=0)
     if taus:
         z[np.arange(1, start), np.repeat(owners, [tau.size for tau in taus])] = np.concatenate(taus)

@@ -615,6 +615,23 @@ experiment:
         capsys.readouterr()
         assert not (tmp_path / "refused").exists()
 
+    def test_classical_stage_with_gamma_exits_2(self, tmp_path, capsys):
+        """alpha = 1 is the classical stage, which takes gamma = 0 only: a
+        schedule pairing it with gamma = 0.1 is refused by its section
+        (exit 2) before any output directory is made."""
+        cfg = write_config(tmp_path, """
+instance: {name: example2}
+schedule:
+  alphas: [1.0]
+  gammas: [0.1]
+  iterations: [10]
+""")
+        out = tmp_path / "refused" / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: schedule: " in err and "alpha = 1.0" in err and "gamma = 0.1" in err
+        assert not (tmp_path / "refused").exists()
+
     @pytest.mark.parametrize("command, config, old, new, key", [
         ("pareto", "example2_pair", "terminal: 0.0", "terminal: .nan", "schedule.terminal"),
         ("pareto", "example2_pair", "terminal: 0.0", "terminal: .inf", "schedule.terminal"),

@@ -163,6 +163,16 @@ class TestStageSchedule:
         with pytest.raises(ValueError, match="terminal must be finite"):
             run_adaptive(objectives, np.ones(2), SolverConfig(), schedule)
 
+    @pytest.mark.parametrize("gamma", [0.1, 1e-12])
+    def test_classical_stage_takes_gamma_zero_only(self, gamma):
+        """alpha = 1 is the classical stage, whose merits are the raw
+        objectives: a gamma > 0 with it is refused, naming both values."""
+        with pytest.raises(ValueError, match=f"alpha = 1.0 .* gamma = {gamma}"):
+            Stage(alpha=1.0, gamma=gamma, iterations=10)
+        with pytest.raises(ValueError, match=f"alpha = 1.0 .* gamma = {gamma}"):
+            StageSchedule.from_gammas([0.5, 1.0], [0.2, gamma], [5, 5])
+        assert Stage(alpha=1.0, gamma=0.0, iterations=10).beta == 0.0
+
     def test_gammas(self):
         """A stage keeps its gamma as given and derives beta from it."""
         sched = StageSchedule.from_gammas([0.5, 0.7], [0.2, 0.0], [5, 5])
@@ -1366,8 +1376,8 @@ class TestSharedNodeStack:
 
 class TestSmoothStageCalls:
     """Each iterate of a smooth stage answers a kink-free objective with one
-    stacked gradient and one stacked Hessian call, and the merit gradient
-    that the Armijo slope reads is row 0 of that gradient call, x itself."""
+    stacked gradient call and reads no Hessian, and the merit gradient that
+    the Armijo slope reads is row 0 of that gradient call, x itself."""
 
     @staticmethod
     def recorded(obj, calls):
@@ -1398,13 +1408,42 @@ class TestSmoothStageCalls:
         assert trace.iterations > 1 and len(searched) == trace.iterations
         iterates = [r.x for r in trace.records] + [trace.final_x]
         for obj_calls in calls:
-            assert [(name, z.ndim) for name, z, _ in obj_calls] == (
-                [("gradient", 2), ("hessian", 2)] * len(iterates))
-            for (_, z, _), x in zip(obj_calls[::2], iterates):
+            assert [(name, z.ndim) for name, z, _ in obj_calls] == [("gradient", 2)] * len(iterates)
+            for (_, z, _), x in zip(obj_calls, iterates):
                 assert z[0].tobytes() == x.tobytes()
         for k, gradients in enumerate(searched):
             for j, obj_calls in enumerate(calls):
-                assert gradients[j].tobytes() == obj_calls[2 * k][2][0].tobytes()
+                assert gradients[j].tobytes() == obj_calls[k][2][0].tobytes()
+
+    def test_objective_without_hessian_runs_a_fractional_stage(self, monkeypatch):
+        """A smooth objective is a value and a gradient: with hessian=None a
+        fractional stage runs to the records of the same objectives with
+        Hessians, bit for bit, and each modified gradient makes exactly one
+        objective call, a stacked gradient call."""
+        calls = []
+
+        def counted(obj):
+            def gradient(x):
+                calls.append(np.ndim(x))
+                return obj.gradient(x)
+            return dataclasses.replace(obj, gradient=gradient, hessian=None, validate=False)
+
+        per_call = []
+
+        def spy(*args, **kwargs):
+            before = len(calls)
+            result = modified_fractional_gradient(*args, **kwargs)
+            per_call.append(calls[before:])
+            return result
+
+        monkeypatch.setattr(descent, "modified_fractional_gradient", spy)
+        args = (np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(), Stage(0.7, 0.05, 30), np.zeros(4))
+        without = run_single_stage([counted(obj) for obj in logistic_losses()], *args)
+        assert without.iterations > 1 and without.termination != "error"
+        assert len(per_call) == 3 * (without.iterations + 1)
+        assert per_call == [[2]] * len(per_call)
+        assert len(calls) == len(per_call)
+        assert record_bits(without) == record_bits(run_single_stage(logistic_losses(), *args))
 
 
 class TestClassicalStage:
@@ -1457,6 +1496,21 @@ class TestClassicalStage:
         # The counters see a fractional stage's calls.
         run_single_stage(objectives, x0, SolverConfig(), Stage(0.5, 0.0, 2), 0.0)
         assert {"modified_fractional_gradient", "node_stack"} <= set(calls)
+
+    @pytest.mark.parametrize("gamma, alphas", [(0.1, (0.3, 0.5, 0.9)),
+                                               (0.0, (0.3, 0.9, 1.0))])
+    def test_quadratic_stage_reads_gamma_not_alpha(self, gamma, alphas, monkeypatch):
+        """A quadratic stage runs on its merits, which take gamma alone: any
+        alpha with the same gamma gives bit-identical runs, the classical
+        alpha = 1 at gamma = 0 included, and none evaluates the quadrature."""
+        calls, _ = self.spy(monkeypatch)
+        objectives = random_quadratic_mop(4, 6, 2, seed=11).objectives()
+        c = np.array([0.5, -0.5, 0.0, 0.25])
+        runs = [record_bits(run_single_stage(objectives, np.full(4, 2.0), SolverConfig(),
+                                             Stage(alpha, gamma, 200), c))
+                for alpha in alphas]
+        assert runs[0][1] and all(run == runs[0] for run in runs[1:])
+        assert calls == []
 
 
 class TestMogdBaseline:

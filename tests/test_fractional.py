@@ -15,7 +15,6 @@ from mofgd.fixtures import example3_objective
 from mofgd.fractional import (
     JACOBI_NODES,
     LEGENDRE_NODES,
-    NodeStack,
     _gauss_rule,
     _rule,
     node_stack,
@@ -29,6 +28,8 @@ from oracles import (
     caputo_derivative_1d,
     caputo_derivative_poly,
     caputo_gradient,
+    example3_modified_gradient,
+    hessian_form_gradient,
     modified_fractional_gradient_loop,
     scattered_node_stack,
 )
@@ -185,7 +186,7 @@ class TestGaussRule:
     def test_duplicate_kink_splits_once(self):
         """A kink reported twice splits its panel once: a Jacobi panel and
         one Legendre panel, with no zero-width panel of zero weights."""
-        u, w = _rule(0.0, 3.0, (1.0, 1.0), -0.5)
+        u, w, _ = _rule(0.0, 3.0, (1.0, 1.0), -0.5)
         assert u.size == w.size == JACOBI_NODES + LEGENDRE_NODES
         assert np.all(w > 0.0)
         once = _rule(0.0, 3.0, (1.0,), -0.5)
@@ -193,21 +194,8 @@ class TestGaussRule:
 
 
 class TestKinkFreeAccuracy:
-    """The kink-free modified gradient against a 128-node Gauss-Jacobi rule."""
-
-    @staticmethod
-    def reference_stack(x, alpha):
-        """A NodeStack of scipy's 128-node rule on every coordinate, terminal 0."""
-        from scipy.special import roots_jacobi
-        t, w = roots_jacobi(128, -alpha, 0.0)
-        u, w = 0.5 * (1.0 - t), 0.5 ** (1.0 - alpha) * w
-        z = np.repeat(x[None], 1 + x.size * u.size, 0)
-        coords = []
-        for i, xi in enumerate(x):
-            start = 1 + i * u.size
-            z[start:start + u.size, i] = xi - xi * u
-            coords.append((start, start + u.size, w, xi))
-        return NodeStack(z, tuple(coords))
+    """The kink-free by-parts modified gradient against its Hessian form on
+    scipy's 128-node Gauss-Jacobi rule (`oracles.hessian_form_gradient`)."""
 
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
     def test_logistic_losses_match_128_nodes(self, alpha):
@@ -221,10 +209,52 @@ class TestKinkFreeAccuracy:
         for x in rng.uniform(0.01, 10.0, (100, 4)):
             for obj in losses:
                 got = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
-                want = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4),
-                                                    self.reference_stack(x, alpha))
+                want = hessian_form_gradient(obj, x, alpha, beta, np.zeros(4), nodes=128)
                 worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
         assert worst <= 1e-9
+
+
+class TestKinkedClosedForm:
+    """Example 3's kinked coordinates against the closed form of
+    `oracles.example3_modified_gradient`: its pieces are polynomials, so each
+    panel's integral is a sum of powers and each kink adds its jump."""
+
+    terminals = (np.zeros(2), np.array([-1.0, -1.0]), np.array([-0.5, 0.7]),
+                 np.array([-2.0, -3.0]))
+
+    def test_3000_seeded_points(self):
+        """x in [0.3, 4]^2, the four terminals and alpha in {0.5, 0.7, 0.9} in
+        turn, beta = 0.1 + order_shift(alpha): every coordinate above its
+        terminal is within 1e-10 of the reference, relative to
+        max(1, |reference|), and more than 3000 of them are kinked."""
+        obj = example3_objective()
+        kinked, worst = 0, 0.0
+        points = np.random.default_rng(37).uniform(0.3, 4.0, (3000, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # below-terminal notes
+            for k, x in enumerate(points):
+                c, alpha = self.terminals[k % 4], (0.5, 0.7, 0.9)[k % 3]
+                beta = 0.1 + order_shift(alpha)
+                got = modified_fractional_gradient(obj, x, alpha, beta, c)
+                want, has_kink = example3_modified_gradient(x, alpha, beta, c)
+                for i in np.flatnonzero(x > c):
+                    worst = max(worst, abs(got[i] - want[i]) / max(1.0, abs(want[i])))
+                    kinked += has_kink[i]
+        assert kinked > 3000
+        assert worst <= 1e-10
+
+    def test_kink_next_to_x(self):
+        """x = (0.3113, 1.8075), c = (-0.5, 0.7), alpha = 0.9, beta = 0: the
+        kink of coordinate 0 lies 7e-6 below x_0.  A 30-digit mpmath
+        evaluation of the closed form reads 1.86146074861526; a Legendre
+        panel uniform in u, not log u, read 1.817219."""
+        x, c = np.array([0.3113, 1.8075]), np.array([-0.5, 0.7])
+        got = modified_fractional_gradient(example3_objective(), x, 0.9, 0.0, c)
+        want, has_kink = example3_modified_gradient(x, 0.9, 0.0, c)
+        assert has_kink == [True, False]
+        assert 0.0 < x[0] - example3_objective().kink_locator(x, 0, c[0], x[0])[0] < 1e-5
+        assert got[0] == pytest.approx(1.86146074861526, rel=1e-12)
+        assert want[0] == pytest.approx(1.86146074861526, rel=1e-12)
 
 
 class TestCaputoPoly:
@@ -365,35 +395,52 @@ class TestModifiedFractionalGradient:
         np.testing.assert_allclose(got, fd, atol=1e-4)
 
     def test_piecewise_split_matches_composite_brute_force(self):
-        """Split-at-kink quadrature vs a dense substitution midpoint rule.
+        """Split-at-kink quadrature vs a dense substitution midpoint rule,
+        at points whose restrictions have kinks inside (c, x).
 
         Independent oracle: substitute u = (x - tau)^(1-alpha), which removes
         the singularity, and integrate the active-piece derivatives of
-        max(5x1+x2, x1^2+x2^2) with two million midpoint panels.
+        max(5x1+x2, x1^2+x2^2) with a million midpoint panels between each
+        pair of kinks.  The order-(1+alpha) integral is against dg', so it
+        adds each kink k's jump J of g' as (x - k)^(-alpha) J.
         """
         obj = example3_objective()
         alpha, beta = 0.5, 0.4333333333333333
-        x = np.array([3.0, 1.0])
-        got = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(2))
+        cases = ((np.array([4.0, 2.0]), np.array([-2.0, -2.0])),  # one kink each
+                 (np.array([6.0, 1.0]), np.array([-0.5, -0.5])))  # two kinks, none
+        jumps_seen = 0
+        for x, c in cases:
+            got = modified_fractional_gradient(obj, x, alpha, beta, c)
+            for i in range(2):
+                ci, xi = c[i], x[i]
 
-        for i in range(2):
-            c, xi = 0.0, x[i]
-            edges = np.linspace(0.0, (xi - c) ** (1 - alpha), 2_000_001)
-            du = edges[1] - edges[0]
-            u = edges[:-1] + 0.5 * du
-            tau = xi - u ** (1.0 / (1 - alpha))
-            if i == 0:
-                lin, quad = 5 * tau + x[1], tau ** 2 + x[1] ** 2
-                g1 = np.where(lin >= quad, 5.0, 2 * tau)
-            else:
-                lin, quad = 5 * x[0] + tau, x[0] ** 2 + tau ** 2
-                g1 = np.where(lin >= quad, 1.0, 2 * tau)
-            g2 = np.where(lin >= quad, 0.0, 2.0)
-            raw1 = g1.sum() * du / (1 - alpha)
-            raw2 = g2.sum() * du / (1 - alpha)
-            want = (1 - alpha) * (xi - c) ** (alpha - 1) * raw1 \
-                + beta * (1 - alpha) * (xi - c) ** alpha * raw2
-            assert got[i] == pytest.approx(want, abs=1e-7)
+                def pieces(tau):
+                    """Active piece's g' and g'' at tau, row by row."""
+                    z = np.repeat(x[None], np.size(tau), 0)
+                    z[:, i] = tau
+                    lin, quad = 5 * z[:, 0] + z[:, 1], z[:, 0] ** 2 + z[:, 1] ** 2
+                    return (np.where(lin >= quad, 5.0 if i == 0 else 1.0, 2 * z[:, i]),
+                            np.where(lin >= quad, 0.0, 2.0))
+
+                kinks = sorted(obj.kink_locator(x, i, ci, xi))
+                breaks = sorted({0.0, (xi - ci) ** (1 - alpha)}
+                                | {(xi - k) ** (1 - alpha) for k in kinks})
+                raw1 = raw2 = 0.0
+                for lo, hi in zip(breaks[:-1], breaks[1:]):
+                    edges = np.linspace(lo, hi, 1_000_001)
+                    du = edges[1] - edges[0]
+                    g1, g2 = pieces(xi - (edges[:-1] + 0.5 * du) ** (1.0 / (1 - alpha)))
+                    raw1 += g1.sum() * du / (1 - alpha)
+                    raw2 += g2.sum() * du / (1 - alpha)
+                for k in kinks:
+                    below, above = pieces(np.array([k - 1e-9, k + 1e-9]))[0]
+                    jump = above - below  # g' of the piece above k less that below it
+                    jumps_seen += abs(jump) > 1.0
+                    raw2 += (xi - k) ** -alpha * jump
+                want = (1 - alpha) * (xi - ci) ** (alpha - 1) * raw1 \
+                    + beta * (1 - alpha) * (xi - ci) ** alpha * raw2
+                assert got[i] == pytest.approx(want, abs=1e-7)
+        assert jumps_seen == 4
 
 
 class TestStackedEvaluation:
@@ -416,9 +463,10 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_objective_calls_per_gradient(self, n):
-        """One gradient and one Hessian call.  Row 0 is x, which coordinate 0
-        at its terminal and the last coordinate below it read; the others
-        own JACOBI_NODES rows each."""
+        """One gradient call, and the quadratic's Hessian is not read.  Row 0
+        is x, which coordinate 0 at its terminal and the last coordinate
+        below it read; the others own JACOBI_NODES rows and a terminal row
+        each."""
         mop = random_quadratic_mop(n, 8, 1, seed=5)
         calls = []
         obj = self.counted(quadratic_objective(mop.gram[0], mop.offsets[0]), calls)
@@ -427,8 +475,8 @@ class TestStackedEvaluation:
         terminal[0], terminal[-1] = x[0], x[-1] + 1.0
         with pytest.warns(RuntimeWarning, match="classical partial"):
             modified_fractional_gradient(obj, x, 0.5, 0.4, terminal)
-        rows = 1 + (n - 2) * JACOBI_NODES
-        assert calls == [("gradient", (rows, n)), ("hessian", (rows, n))]
+        rows = 1 + (n - 2) * (JACOBI_NODES + 1)
+        assert calls == [("gradient", (rows, n))]
 
     def test_kinked_coordinate_below_terminal_reads_row_zero(self):
         """A coordinate of example 3 below its terminal reads row 0, its
@@ -439,19 +487,26 @@ class TestStackedEvaluation:
         x = np.array([3.0, 1.0])
         with pytest.warns(RuntimeWarning, match="classical partial"):
             got = modified_fractional_gradient(obj, x, 0.5, 0.4, np.array([0.0, 5.0]))
-        rows = 1 + JACOBI_NODES
-        assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
+        rows = 1 + JACOBI_NODES + 1
+        assert calls == [("gradient", (rows, 2))]
         assert got[1] == example3_objective().gradient(x)[1]
 
     def test_kinked_coordinate_rows(self):
         """Example 3 at (6, 1): coordinate 0 has a kink at 5, so it owns a
-        Jacobi panel and a Legendre panel; kink-free coordinate 1 owns a
-        Jacobi panel."""
+        Jacobi panel, a Legendre panel and its terminal row; kink-free
+        coordinate 1 owns a Jacobi panel and its terminal row.  Row stop of
+        each coordinate is x with that coordinate at its terminal."""
         calls = []
         obj = self.counted(example3_objective(), calls)
-        modified_fractional_gradient(obj, np.array([6.0, 1.0]), 0.5, 0.4, np.zeros(2))
-        rows = 1 + 2 * JACOBI_NODES + LEGENDRE_NODES
-        assert calls == [("gradient", (rows, 2)), ("hessian", (rows, 2))]
+        x = np.array([6.0, 1.0])
+        modified_fractional_gradient(obj, x, 0.5, 0.4, np.zeros(2))
+        rows = 1 + 2 * (JACOBI_NODES + 1) + LEGENDRE_NODES
+        assert calls == [("gradient", (rows, 2))]
+        stack = node_stack(x, 0.5, np.zeros(2), obj.kink_locator)
+        assert stack.z.shape == (rows, 2)
+        for i, (start, stop, w, v) in enumerate(stack.coords):
+            assert stop - start == w.size == v.size
+            assert stack.z[stop].tolist() == [0.0 if j == i else x[j] for j in range(2)]
 
     def test_gradient_out_is_row_zero_of_the_stacked_call(self):
         """gradient_out receives row 0 of the one stacked gradient call: an
@@ -476,20 +531,36 @@ class TestStackedEvaluation:
                 assert out.tobytes() == point.tobytes()
             np.testing.assert_allclose(out, point, rtol=1e-14, atol=1e-14 * np.abs(point).max())
 
-    def test_missing_hessian_raises_below_order_one(self):
-        """f'' comes only from the objective's Hessian: without one, every
-        order raises ValueError, alpha = 1, beta = 0 included (a classical
-        stage takes its merits' gradients and calls no fractional
-        gradient)."""
+    def test_missing_hessian_is_never_read(self):
+        """The order-(1+alpha) term is taken by parts from gradients alone:
+        an objective without a Hessian gives the bits of the same objective
+        with one, at every order in (0, 1)."""
         import dataclasses
         from test_descent import logistic_losses
 
         obj = logistic_losses()[0]
         no_hessian = dataclasses.replace(obj, hessian=None, validate=False)
         x = np.array([0.5, 1.0, 2.5, 4.0])
-        for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (1.0, 0.5), (1.0, 0.0)):
-            with pytest.raises(ValueError, match="no Hessian"):
-                modified_fractional_gradient(no_hessian, x, alpha, beta, np.zeros(4))
+        for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (0.5, 0.4)):
+            got = modified_fractional_gradient(no_hessian, x, alpha, beta, np.zeros(4))
+            want = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, 1.5, -0.5])
+    def test_order_outside_zero_one_is_refused(self, alpha):
+        """alpha = 1 is the classical stage, which calls no fractional
+        gradient, so an order outside (0, 1) raises ValueError naming it,
+        with or without beta, before the objective or a node stack is
+        touched."""
+        calls = []
+        obj = self.counted(quadratic_objective(np.eye(4), np.zeros(4)), calls)
+        x = np.array([0.5, 1.0, 1.5, 2.0])
+        for beta in (0.5, 0.0):
+            with pytest.raises(ValueError, match=rf"alpha must lie in \(0, 1\), got {alpha}"):
+                modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            node_stack(x, alpha, np.zeros(4))
+        assert calls == []
 
 
 class TestBelowTerminal:
@@ -508,7 +579,7 @@ class TestBelowTerminal:
             at_terminal = node_stack(self.x, 0.5, self.x.copy(), locator)
         assert caught == []
         assert stack.notes == (self.note,)
-        assert stack.coords[1] == (0, 1, None, 0.0)
+        assert stack.coords[1] == (0, 1, None, None)
         assert at_terminal.notes == () and node_stack(self.x, 0.5, 0.0).notes == ()
 
     def test_kinked_and_kink_free_stacks_give_the_same_classical_partial(self):
@@ -533,9 +604,9 @@ class TestBelowTerminal:
 
 
 class TestColumnFills:
-    """node_stack fills each coordinate's column of k copies of x with one
-    slice assignment: the stack, coords and notes of the concatenate and
-    scatter construction, bit for bit."""
+    """node_stack fills each coordinate's column of k copies of x with its
+    nodes and its terminal row: the stack, coords and notes of the
+    concatenate and scatter construction, bit for bit."""
 
     @staticmethod
     def built(build, *args):
@@ -548,14 +619,15 @@ class TestColumnFills:
     @staticmethod
     def coord_bits(coords):
         return [(start, stop, None if w is None else w.tobytes(),
-                 np.float64(length).tobytes()) for start, stop, w, length in coords]
+                 None if v is None else v.tobytes()) for start, stop, w, v in coords]
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     def test_matches_scatter_reference(self, n, alpha):
         """Seeded x in [-3, 3]^n against scalar and vector terminals, one
         coordinate exactly at its terminal and others below it, with example
-        3's kink locator at n = 2."""
+        3's kink locator at n = 2.  At alpha = 1, the classical order, which
+        builds no stack, every case is refused."""
         locators = (None, example3_objective().kink_locator) if n == 2 else (None,)
         rng = np.random.default_rng(10 * n + int(10 * alpha))
         compared = 0
@@ -565,6 +637,11 @@ class TestColumnFills:
             vector[0] = x[0]
             for terminal in (-1.0, float(x[-1]), vector, list(vector)):
                 for locator in locators:
+                    if alpha == 1.0:
+                        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                            node_stack(x, alpha, terminal, locator)
+                        compared += 1
+                        continue
                     got, got_notes = self.built(node_stack, x, alpha, terminal, locator)
                     want, want_notes = self.built(scattered_node_stack, x, alpha, terminal,
                                                   locator)
@@ -577,25 +654,28 @@ class TestColumnFills:
 
     def test_gradient_from_the_reference_stack(self):
         """The float dots over the filled stack give the bits of the array
-        reduction of the scattered one."""
+        reduction of the scattered one: the order-alpha term w @ g' and the
+        by-parts term g'(x) - g'(c) - alpha (w/s) @ (g' - g'(x)), with g'(c)
+        from the row after each coordinate's nodes."""
         from test_descent import logistic_losses
 
         obj = logistic_losses()[0]
         rng = np.random.default_rng(3)
-        for alpha in (0.3, 0.7, 1.0):
+        for alpha in (0.3, 0.7, 0.9):
             x, c = rng.uniform(-3.0, 3.0, 4), rng.uniform(-3.0, 3.0, 4)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got = modified_fractional_gradient(obj, x, alpha, 0.4, c)
                 stack = scattered_node_stack(x, alpha, c)
             grads = obj.gradient(stack.z)
-            second = np.diagonal(obj.hessian(stack.z), axis1=1, axis2=2)
-            pref = 1.0 if alpha == 1.0 else 1.0 - alpha
             want = np.empty(4)
-            for i, (start, stop, w, length) in enumerate(stack.coords):
-                want[i] = grads[0, i] if w is None else (
-                    pref * float(w @ grads[start:stop, i])
-                    + 0.4 * (pref * length * float(w @ second[start:stop, i])))
+            for i, (start, stop, w, v) in enumerate(stack.coords):
+                gx, nodes = grads[0, i], grads[start:stop, i]
+                if w is None:
+                    want[i] = gx
+                    continue
+                by_parts = gx - grads[stop, i] - alpha * float(v @ (nodes - gx))
+                want[i] = (1.0 - alpha) * (float(w @ nodes) + 0.4 * by_parts)
             assert got.tobytes() == want.tobytes()
 
 
@@ -639,16 +719,6 @@ class TestLoopReference:
         with pytest.warns(RuntimeWarning, match="classical partial"):
             self.assert_matches_loop(example3_objective(), np.array([3.0, 1.0]), 0.5, 0.7,
                                      np.array([0.0, 5.0]))
-
-    def test_alpha_one_quadratic_reads_row_zero_for_every_coordinate(self):
-        """alpha = 1 with beta != 0: every coordinate's one node is x, so the
-        stack is row 0 alone."""
-        mop = random_quadratic_mop(4, 6, 1, seed=7)
-        calls = []
-        obj = TestStackedEvaluation.counted(quadratic_objective(mop.gram[0], mop.offsets[0]),
-                                            calls)
-        self.assert_matches_loop(obj, np.array([0.5, 1.0, 1.5, 2.0]), 1.0, 0.5, np.zeros(4))
-        assert calls[:2] == [("gradient", (1, 4)), ("hessian", (1, 4))]
 
 
 class TestTerminalLength:
