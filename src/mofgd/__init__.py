@@ -26,7 +26,7 @@ from .descent import (
     run_adaptive,
     run_single_stage,
 )
-from .fractional import modified_fractional_gradient
+from .fractional import modified_fractional_gradient, node_stack
 from .lab import (
     ExperimentSpec,
     StageErrorBound,

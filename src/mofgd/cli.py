@@ -179,7 +179,9 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     Sections: instance (a fixture name, or n, m_data, m and seed of a random
     quadratic), solver (sigma, r, epsilon, max_iterations, eta),
     schedule (alphas, gammas, iterations, terminal), experiment (method,
-    gamma_values, start_grid with lb, ub and count).  Every float, whether
+    gamma_values, start_grid with lb, ub and count).  alphas, gammas and
+    iterations describe one schedule, so they default together: a config
+    that gives any of them gives all three.  Every float, whether
     a key's value or a list's entry, is read by one rule (`_float`): a
     number or a numeric string such as 1e-4, never a bool.  n, m_data, m,
     seed, max_iterations, each of iterations and count are integers
@@ -230,15 +232,17 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
         raise ConfigError(f"solver: {exc}") from exc
 
     sch_doc = _section(doc.get("schedule", {}), "schedule")
-    alphas = _list(sch_doc.get("alphas", list(DEFAULT_ALPHAS)), "schedule.alphas")
-    iterations = _list(sch_doc.get("iterations", list(DEFAULT_ITERATIONS)),
-                       "schedule.iterations", read=_integer)
-    if len(iterations) != len(alphas):
-        raise ConfigError("schedule.iterations: length must match schedule.alphas")
-    gammas = _list(sch_doc.get("gammas", list(DEFAULT_GAMMAS[: len(alphas)])),
-                   "schedule.gammas")
-    if len(gammas) != len(alphas):
-        raise ConfigError("schedule.gammas: length must match schedule.alphas")
+    stage_defaults = {"alphas": list(DEFAULT_ALPHAS), "gammas": list(DEFAULT_GAMMAS),
+                      "iterations": list(DEFAULT_ITERATIONS)}
+    if stage_defaults.keys().isdisjoint(sch_doc):
+        sch_doc = {**stage_defaults, **sch_doc}
+    alphas, gammas = (_list(_need(sch_doc, key, "schedule"), f"schedule.{key}")
+                      for key in ("alphas", "gammas"))
+    iterations = _list(_need(sch_doc, "iterations", "schedule"), "schedule.iterations",
+                       read=_integer)
+    for key, values in (("iterations", iterations), ("gammas", gammas)):
+        if len(values) != len(alphas):
+            raise ConfigError(f"schedule.{key}: length must match schedule.alphas")
     terminal = _vec(sch_doc.get("terminal", 0.0), dim, "schedule.terminal")
     try:
         schedule = StageSchedule.from_gammas(alphas, gammas, iterations, terminal=terminal)
@@ -471,7 +475,7 @@ def _cmd_fixtures(writer: _Writer) -> tuple[int, dict]:
     obj3 = example3_objective()
     trace3 = run_adaptive([obj3], np.array([3.0, 3.0]),
                           SolverConfig(tolerance=1e-6, max_iterations=2000), default_schedule())
-    f3_hits = [r.k for r in trace3.records if r.f_values[0] <= 1e-3]
+    f3_hits = [k for k, r in enumerate(trace3.records) if r.f_values[0] <= 1e-3]
     frac_iters = f3_hits[0] if f3_hits else (
         trace3.iterations if obj3.value(trace3.final_x) <= 1e-3 else None
     )

@@ -38,13 +38,14 @@ direction input and the line-search test from it; a sweep builds every
 stage's merits once for all its starts (`schedule_setup`).
 Non-quadratic objectives use singular-quadrature gradients and raw values.
 The stage builds their quadrature node stacks (`fractional.node_stack`)
-once per iterate: one that every objective without a kink locator reads,
-built only if such an objective needs it, and one per objective with
-kinks.  A classical stage, alpha = 1, builds none: it takes gamma = 0, so
-every merit is its raw objective, the direction inputs are the merits'
-gradients for every kind, as in an all-quadratic stage, and the stage is
-the multi-objective steepest descent of Fliege and Svaiter (Math. Meth.
-Oper. Res. 51, 2000).  A quadratic stage reads gamma but not alpha.
+once per iterate: one per distinct kink locator, None for the kink-free
+objectives, built when the first objective with that locator needs it and
+read by every other.  A classical stage, alpha = 1, builds none: it takes
+gamma = 0, so every merit is its raw objective, the direction inputs are
+the merits' gradients for every kind, as in an all-quadratic stage, and
+the stage is the multi-objective steepest descent of Fliege and Svaiter
+(Math. Meth. Oper. Res. 51, 2000).  A quadratic stage reads gamma but not
+alpha.
 
 For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
 the merit it tests, which equals the subproblem's t bit for bit for
@@ -207,14 +208,14 @@ class StageSchedule:
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
-    """One accepted iteration at x.
+    """One accepted iteration at x, numbered by its position in
+    IterationTrace.records.
 
     values[j] is f_j(x) where the run already had it and None where it did
     not; merit[j] is then the objective that f_values evaluates at x on
     every read.  A record that knows every value needs no merit.
     """
 
-    k: int
     stage: int
     x: np.ndarray
     values: Sequence[Optional[float]]
@@ -271,7 +272,8 @@ class IterationTrace:
         return len(self.records)
 
     def to_csv(self, path, m: Optional[int] = None) -> None:
-        """Column order: k, s, eta, t, norm_d, f_1..f_m, x_1..x_n.
+        """Column order: k, s, eta, t, norm_d, f_1..f_m, x_1..x_n, with k a
+        record's position in records.
 
         m and n are read from the records.  A trace without records (a run
         that started at a critical point) writes the header alone, for the
@@ -290,9 +292,9 @@ class IterationTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for r in self.records:
+            for k, r in enumerate(self.records):
                 writer.writerow(
-                    [r.k, r.stage, repr(r.eta), repr(r.t_value), repr(r.norm_d)]
+                    [k, r.stage, repr(r.eta), repr(r.t_value), repr(r.norm_d)]
                     + [repr(v) for v in r.f_values.tolist()]
                     + [repr(v) for v in r.x.tolist()]
                 )
@@ -463,14 +465,14 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     Neither a record's x nor the terminal may be written into, since a
     record's f_values are evaluated at its x on every read.
 
-    In a fractional stage the kink-free non-quadratic objectives share one
-    node stack per iterate and each kinked one has its own, passed
-    positionally to `modified_fractional_gradient`; a coordinate below its
-    terminal adds its stack's note to trace.notes, so once per iterate for
-    the shared stack.  Every warning, such as an overflowing quadratic
-    matvec, reaches the caller's filters.  Every iterate is a new array
-    that nothing writes into, so the records and trace.final_x hold the
-    iterates themselves, not copies.
+    In a fractional stage each iterate builds one node stack per distinct
+    kink locator of the non-quadratic objectives (None for the kink-free
+    ones), on first use, and every objective with that locator reduces it;
+    a coordinate below its terminal adds its stack's note to trace.notes,
+    so once per iterate and locator.  Every warning, such as an
+    overflowing quadratic matvec, reaches the caller's filters.  Every
+    iterate is a new array that nothing writes into, so the records and
+    trace.final_x hold the iterates themselves, not copies.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = trace if trace is not None else IterationTrace()
@@ -479,13 +481,11 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     merit, hessians, offsets = (setup if setup is not None
                                 else _stage_setup(objectives, stage.gamma, terminal, x))
     # A classical stage's direction inputs are its merits' gradients, as a
-    # quadratic's are; the other kinds take fractional gradients, the
-    # kink-free ones sharing one node stack per iterate and a kinked one
-    # building its own.
+    # quadratic's are; the other kinds take fractional gradients, those
+    # with one kink locator sharing one node stack per iterate.
     classical = stage.alpha == 1.0
     others = [j for j, m in enumerate(merit) if m.kind != "quadratic"]
     fractional = [] if classical else [(j, objectives[j].kink_locator) for j in others]
-    shared_stack = any(locator is None for _, locator in fractional)
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
@@ -500,16 +500,13 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
                 merit_grads[j] = merit[j].gradient(x)
         elif fractional:
             grads = merit_grads.copy()
-            shared = node_stack(x, stage.alpha, terminal) if shared_stack else None
-            trace.notes.extend(shared.notes if shared else ())
+            stacks = {}
             for j, locator in fractional:
-                stack = shared
-                if locator is not None:
-                    stack = node_stack(x, stage.alpha, terminal, locator)
-                    trace.notes.extend(stack.notes)
+                if locator not in stacks:
+                    stacks[locator] = node_stack(x, stage.alpha, terminal, locator)
+                    trace.notes.extend(stacks[locator].notes)
                 grads[j] = modified_fractional_gradient(
-                    objectives[j], x, stage.alpha, stage.beta, terminal, stack,
-                    gradient_out=merit_grads[j])
+                    objectives[j], stacks[locator], stage.beta, gradient_out=merit_grads[j])
 
         try:
             direction = solve_direction(grads)
@@ -555,7 +552,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
             break
 
         trace.records.append(IterationRecord(
-            k=len(trace.records), stage=stage_index, x=x, values=values,
+            stage=stage_index, x=x, values=values,
             t_value=direction.t_value, norm_d=norm_d,
             eta=eta, backtracks=backtracks, merit=merit,
         ))

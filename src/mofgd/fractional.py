@@ -16,15 +16,17 @@ sees a smooth function.
 
 Gradients are taken coordinate-wise: coordinate i is the 1-D derivative of
 the restriction t -> f(x_1, ..., t, ..., x_n) with terminal c_i, at x_i.
-modified_fractional_gradient stacks x itself (row 0) and the nodes and the
-terminal point of every coordinate and answers them with one gradient call;
-row 0 is f's classical gradient at x, which the caller may take as well.
-alpha = 1 is the classical stage, which mofgd.descent decides and which
-calls none of this.  A coordinate at or below its terminal, x_i <= c_i,
-reads row 0: the classical partial, the limit of the cancelled form at
-x_i = c_i.  The stack (`node_stack`) depends on x, alpha, the terminal and
-the kink locator only, so a stage builds it once per iterate and shares it
-among its kink-free objectives; an objective with kinks needs its own.
+`node_stack` stacks x itself (row 0) and the nodes and the terminal point
+of every coordinate, for one order alpha, and modified_fractional_gradient
+answers a stack with one gradient call of f and reduces it at the stack's
+alpha; row 0 is f's classical gradient at x, which the caller may take as
+well.  alpha = 1 is the classical stage, which mofgd.descent decides and
+which calls none of this.  A coordinate at or below its terminal,
+x_i <= c_i, reads row 0: the classical partial, the limit of the cancelled
+form at x_i = c_i; its stack notes it, and nothing warns.  The stack
+depends on x, alpha, the terminal and the kink locator only, so a stage
+builds one per iterate for each distinct kink locator, None for the
+kink-free objectives, and hands it to every objective with that locator.
 `_rule(refine=True)` is the one-level refinement that the test oracles'
 accuracy check compares with.
 """
@@ -32,7 +34,6 @@ accuracy check compares with.
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -131,7 +132,8 @@ class NodeStack(NamedTuple):
     """The quadrature nodes of every coordinate at one x, for one order.
 
     z is the read-only (k, n) stack of points, and its row 0 is x itself.
-    Coordinate i reduces rows start:stop of it with weights w and the
+    alpha is the order in (0, 1) that the nodes and weights were built
+    for.  Coordinate i reduces rows start:stop of z with weights w and the
     by-parts weights v = w / s; row stop is x with x_i set to c_i.  A
     coordinate at or below its terminal reads row 0 with w and v None (its
     classical partial).  notes holds one line per coordinate below its
@@ -139,13 +141,9 @@ class NodeStack(NamedTuple):
     """
 
     z: np.ndarray
+    alpha: float
     coords: tuple[tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]], ...]
     notes: tuple[str, ...] = ()
-
-
-def _check_order(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha} (1 is the classical order)")
 
 
 def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
@@ -158,9 +156,10 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
     x_i < c_i adds a note; nothing warns.  Each coordinate is resolved on
     Python floats and fills its rows of its own column of k copies of x.
     The stack depends on neither beta nor the objective's values, so every
-    kink-free objective at x can share one.
+    objective at x with this kink locator can share one.
     """
-    _check_order(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha} (1 is the classical order)")
     x = np.asarray(x, dtype=float)
     terminal = terminals(terminal, x.size)
     coords, fills, notes, start = [], [], [], 1
@@ -184,17 +183,17 @@ def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack
         z[begin:stop, i] = tau
         z[stop, i] = ci
     z.flags.writeable = False
-    return NodeStack(z, tuple(coords), tuple(notes))
+    return NodeStack(z, alpha, tuple(coords), tuple(notes))
 
 
-def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
-                                 terminal, stack: Optional[NodeStack] = None, *,
+def modified_fractional_gradient(f, stack: NodeStack, beta: float, *,
                                  gradient_out: Optional[np.ndarray] = None) -> np.ndarray:
     """De-scaled modified fractional gradient combining orders alpha and 1+alpha.
 
-    alpha in (0, 1) is the base order (ValueError otherwise) and beta the
-    weight of the order-(1+alpha) term.  Coordinate i evaluates, with
-    c = terminal_i, restriction g and unit distances s = (x_i - tau)/(x_i - c),
+    stack is `node_stack(x, alpha, terminal, f.kink_locator)`, and alpha,
+    its order, is the base order; beta is the weight of the
+    order-(1+alpha) term.  Coordinate i evaluates, with c = terminal_i,
+    restriction g and unit distances s = (x_i - tau)/(x_i - c),
 
         (1-alpha) [ (x_i-c)^(alpha-1) I1 + beta (x_i-c)^alpha I2 ],
         I1 = int_c^{x_i} (x_i-tau)^(-alpha) g'(tau) dtau,
@@ -207,20 +206,11 @@ def modified_fractional_gradient(f, x: np.ndarray, alpha: float, beta: float,
     for a quadratic with Hessian H it is
     grad f(x) + (beta - (1-alpha)/(2-alpha)) diag(diag(H)) (x - c).
 
-    x, the nodes and the terminal rows of every coordinate form one (k, n)
-    stack, answered by one gradient call of f.  stack is
-    `node_stack(x, alpha, terminal, f.kink_locator)` when the caller has
-    built it, as the stage loop does once per iterate, and its notes are
-    the caller's to read; None builds it here and raises each of its notes
-    as a RuntimeWarning.  gradient_out, an n-vector, receives row 0 of the
+    The stack is answered by one gradient call of f; its notes are the
+    caller's to read.  gradient_out, an n-vector, receives row 0 of the
     stacked call: f's classical gradient at x.
     """
-    _check_order(alpha)
-    x = np.asarray(x, dtype=float)
-    if stack is None:
-        stack = node_stack(x, alpha, terminal, getattr(f, "kink_locator", None))
-        for note in stack.notes:
-            warnings.warn(note, RuntimeWarning, stacklevel=2)
+    alpha = stack.alpha
     grads = np.asarray(f.gradient(stack.z), dtype=float)
     if gradient_out is not None:
         gradient_out[...] = grads[0]

@@ -494,7 +494,7 @@ def scattered_node_stack(x: np.ndarray, alpha: float, terminal, locator=None) ->
     z = np.repeat(x[None, :], start, axis=0)
     if taus:
         z[np.arange(1, start), np.repeat(owners, [tau.size for tau in taus])] = np.concatenate(taus)
-    return NodeStack(z, tuple(coords), tuple(notes))
+    return NodeStack(z, alpha, tuple(coords), tuple(notes))
 
 
 def _pairs_by_sum(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from mofgd import (
     armijo_step,
     modified_fractional_gradient,
     mogd_baseline,
+    node_stack,
     quadratic_objective,
     random_quadratic_mop,
     run_adaptive,
@@ -87,8 +88,9 @@ def test_criterion_2_example1_classical_and_fractional_points():
     np.testing.assert_allclose(x_frac, EXAMPLE1_PAPER_POINT, atol=1e-6)
     obj = quadratic_objective(EXAMPLE1_MATRIX, EXAMPLE1_OFFSET)
     # x_frac lies just below c_rec in its first coordinate: its classical partial.
-    with pytest.warns(RuntimeWarning, match="degenerate coordinate"):
-        descaled = modified_fractional_gradient(obj, x_frac, 0.5, 0.0, c_rec)
+    stack = node_stack(x_frac, 0.5, c_rec)
+    assert [note.startswith("degenerate coordinate: ") for note in stack.notes] == [True]
+    descaled = modified_fractional_gradient(obj, stack, 0.0)
     assert np.linalg.norm(descaled) <= 1e-5
     separation = np.linalg.norm(x_frac - x_ref)
     assert separation > 1e-2
@@ -278,7 +280,8 @@ def test_criterion_8_armijo_contract():
     while checked < 1000:
         x = rng.uniform(0.3, 4.0, 2)
         alpha = float(rng.choice([0.5, 0.7, 0.9]))
-        grads = [modified_fractional_gradient(obj3, x, alpha, 0.5, np.zeros(2))]
+        stack = node_stack(x, alpha, np.zeros(2), obj3.kink_locator)
+        grads = [modified_fractional_gradient(obj3, stack, 0.5)]
         one_step([obj3], grads, x)
 
     assert checked == 1000

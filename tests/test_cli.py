@@ -96,6 +96,32 @@ schedule:
         with pytest.raises(ConfigError, match="schedule.*beta"):
             parse_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("schedule, missing", [
+        ("{alphas: [0.5, 0.9], iterations: [50, 100]}", "gammas"),
+        ("{alphas: [0.3, 0.5, 0.7, 0.9]}", "gammas"),
+        ("{alphas: [0.3, 0.5, 0.7, 0.9], gammas: [0.1, 0.05, 0.01, 0.0]}", "iterations"),
+        ("{gammas: [0.1, 0.0], iterations: [50, 100], terminal: 0.5}", "alphas"),
+    ], ids=["two_alphas_and_iterations", "four_alphas", "four_alphas_and_gammas",
+            "gammas_and_iterations"])
+    def test_stage_keys_are_given_together(self, tmp_path, schedule, missing):
+        """alphas, gammas and iterations default together or not at all: a
+        config that gives one of them and leaves another out is refused by
+        the missing key's name, not run on default gammas that never reach
+        0, nor refused by the length of a key it does not contain."""
+        cfg = write_config(tmp_path, f"instance: {{name: example2}}\nschedule: {schedule}\n")
+        with pytest.raises(ConfigError, match=rf"^schedule\.{missing}: missing required key$"):
+            parse_config(cfg)
+
+    def test_schedule_without_stage_keys_is_the_default_schedule(self, tmp_path):
+        """A schedule that gives none of the three takes all of the default
+        schedule, next to a terminal that it does give."""
+        from mofgd.fixtures import default_schedule
+
+        _, _, schedule = parse_config(write_config(
+            tmp_path, "instance: {name: example2}\nschedule: {terminal: 0.5}\n"))
+        assert schedule.stages == default_schedule().stages
+        assert schedule.terminal.tolist() == [0.5, 0.5]
+
     @pytest.mark.parametrize("path", ["configs/example2.yaml", "configs/example2_pair.yaml",
                                       "configs/paper_quadratic.yaml", "perfbench/probe_pair.yaml"])
     def test_shipped_configs_parse(self, path):

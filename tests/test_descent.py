@@ -27,8 +27,8 @@ from mofgd import (
 )
 from mofgd.cli import parse_config
 from mofgd.fixtures import default_schedule, example3_objective, fixture_objectives, pareto_pair
-from mofgd.fractional import NodeStack, modified_fractional_gradient
-from mofgd.problems import QuadraticGradient, regularized
+from mofgd.fractional import NodeStack, modified_fractional_gradient, node_stack
+from mofgd.problems import PiecewiseMaxObjective, QuadraticGradient, regularized
 from oracles import segment_min_norm
 
 REPO = Path(__file__).resolve().parents[1]
@@ -733,9 +733,9 @@ class TestRunSingleStage:
         a quadratic gradient's does from its one call, at set-up."""
         fractional = descent.modified_fractional_gradient
 
-        def warning_fractional(obj, x, *stage, **out):
+        def warning_fractional(*args, **out):
             warnings.warn("from the fractional gradient", RuntimeWarning)
-            return fractional(obj, x, *stage, **out)
+            return fractional(*args, **out)
 
         def warning_gradient(x):
             warnings.warn("from the quadratic gradient", RuntimeWarning)
@@ -926,7 +926,7 @@ class TestTraceExport:
         x = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1.0 / 3.0])
         values = [2.0 / 3.0, -1e-310, 1e300 * 3.0 ** 0.5]
         trace = descent.IterationTrace(records=[descent.IterationRecord(
-            k=0, stage=0, x=x, values=values, t_value=-0.5, norm_d=0.25, eta=1.0, backtracks=0)])
+            stage=0, x=x, values=values, t_value=-0.5, norm_d=0.25, eta=1.0, backtracks=0)])
         trace.to_csv(tmp_path / "trace.csv")
         row = (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")
         assert row[5:] == [repr(float(v)) for v in np.array(values)] + [repr(float(v)) for v in x]
@@ -1289,8 +1289,8 @@ class TestMeritSlope:
     def test_uphill_merit_slope_ends_as_model_mismatch(self, monkeypatch):
         """A direction input pointing uphill gives t < 0 but a positive merit
         slope: the stage ends with model_mismatch and notes the mismatch."""
-        def uphill(f, x, *stage, gradient_out):
-            gradient_out[...] = f.gradient(x)
+        def uphill(f, stack, beta, *, gradient_out):
+            gradient_out[...] = f.gradient(stack.z[0])
             return -gradient_out
 
         monkeypatch.setattr(descent, "modified_fractional_gradient", uphill)
@@ -1313,16 +1313,57 @@ def record_bits(trace):
 
 
 class TestSharedNodeStack:
-    """The stage builds one quadrature node stack per iterate and hands it to
-    every kink-free fractional gradient."""
+    """The stage builds one quadrature node stack per iterate for each
+    distinct kink locator, None for the kink-free objectives, and hands it
+    to every fractional gradient with that locator."""
 
     @staticmethod
-    def own_stacks(monkeypatch):
+    def own_stacks(monkeypatch, terminal, notes):
         """Make every fractional gradient drop the stack that the stage hands
-        it and build its own, which raises its notes as warnings."""
-        monkeypatch.setattr(descent, "modified_fractional_gradient",
-                            lambda f, x, alpha, beta, c, stack, **out:
-                            modified_fractional_gradient(f, x, alpha, beta, c, **out))
+        it and reduce one built for it alone, whose notes go to notes."""
+        def own(f, stack, beta, **out):
+            stack = node_stack(stack.z[0], stack.alpha, terminal, f.kink_locator)
+            notes.extend(stack.notes)
+            return modified_fractional_gradient(f, stack, beta, **out)
+
+        monkeypatch.setattr(descent, "modified_fractional_gradient", own)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the locator of every node_stack call and every stack that
+        a fractional gradient is handed."""
+        built, handed = [], []
+
+        def counted(x, alpha, terminal, locator=None):
+            built.append(locator)
+            return node_stack(x, alpha, terminal, locator)
+
+        def reduced(f, stack, beta, **out):
+            handed.append(stack)
+            return modified_fractional_gradient(f, stack, beta, **out)
+
+        monkeypatch.setattr(descent, "node_stack", counted)
+        monkeypatch.setattr(descent, "modified_fractional_gradient", reduced)
+        return built, handed
+
+    @staticmethod
+    def scaled_example3(scale, locator):
+        """scale times example 3, max(5 x1 + x2, x1^2 + x2^2), whose kinks
+        locator finds."""
+        return PiecewiseMaxObjective(
+            [(lambda x: scale * (5.0 * x[..., 0] + x[..., 1]),
+              lambda x: np.broadcast_to([5.0 * scale, scale], np.shape(x))),
+             (lambda x: scale * (x[..., 0] ** 2 + x[..., 1] ** 2),
+              lambda x: 2.0 * scale * np.asarray(x, dtype=float))],
+            dim=2, kink_locator=locator)
+
+    @staticmethod
+    def smooth_pair():
+        return [ObjectiveModel(lambda x, a=a: np.cosh(x - a).sum(axis=-1),
+                               lambda x, a=a: np.sinh(x - a),
+                               lambda x, a=a: np.cosh(x - a)[..., None] * np.eye(2),
+                               kind="smooth", dim=2)
+                for a in ([0.0, 1.0], [1.0, 0.0])]
 
     def test_records_match_per_objective_stacks_with_one_note_per_coordinate(self,
                                                                             monkeypatch):
@@ -1332,9 +1373,9 @@ class TestSharedNodeStack:
         args = (np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.2, 15),
                 np.array([-5.0, -5.0, -5.0, 5.0]))
         shared = run_single_stage(logistic_losses(), *args)
-        self.own_stacks(monkeypatch)
-        with pytest.warns(RuntimeWarning) as caught:
-            own = run_single_stage(logistic_losses(), *args)
+        own_notes = []
+        self.own_stacks(monkeypatch, args[3], own_notes)
+        own = run_single_stage(logistic_losses(), *args)
         assert shared.iterations > 0
         assert record_bits(shared) == record_bits(own)
         iterates = [r.x for r in shared.records] + [shared.final_x]
@@ -1344,25 +1385,14 @@ class TestSharedNodeStack:
             assert note == (f"degenerate coordinate: x = {x[3]} <= terminal 5.0; "
                             "classical partial derivative taken")
         assert own.notes == shared.notes
-        assert [str(w.message) for w in caught] == [note for note in degenerate for _ in range(3)]
+        assert own_notes == [note for note in degenerate for _ in range(3)]
 
     def test_kinked_objective_builds_its_own_stack(self, monkeypatch):
         """Next to two smooth objectives, which share one stack per iterate,
         an objective with a kink locator is handed a stack of its own."""
-        smooth = [ObjectiveModel(lambda x, a=a: np.cosh(x - a).sum(axis=-1),
-                                 lambda x, a=a: np.sinh(x - a),
-                                 lambda x, a=a: np.cosh(x - a)[..., None] * np.eye(2),
-                                 kind="smooth", dim=2)
-                  for a in ([0.0, 1.0], [1.0, 0.0])]
-        objectives = [example3_objective()] + smooth
+        objectives = [example3_objective()] + self.smooth_pair()
         args = (np.array([2.0, 1.5]), SolverConfig(), Stage(0.6, 0.1, 8), np.full(2, -1.0))
-        handed = []
-
-        def spy(f, x, alpha, beta, c, stack, **out):
-            handed.append(stack)
-            return modified_fractional_gradient(f, x, alpha, beta, c, stack, **out)
-
-        monkeypatch.setattr(descent, "modified_fractional_gradient", spy)
+        _, handed = self.spy(monkeypatch)
         shared = run_single_stage(objectives, *args)
         assert shared.iterations > 0
         assert len(handed) == 3 * (shared.iterations + 1)
@@ -1370,8 +1400,41 @@ class TestSharedNodeStack:
             assert isinstance(kinked, NodeStack) and kinked is not first
             assert isinstance(first, NodeStack) and second is first
             assert not first.z.flags.writeable and not kinked.z.flags.writeable
-        self.own_stacks(monkeypatch)
+        self.own_stacks(monkeypatch, args[3], [])
         assert record_bits(run_single_stage(objectives, *args)) == record_bits(shared)
+
+    def test_objectives_that_share_a_locator_share_one_stack(self, monkeypatch):
+        """Example 3 and twice example 3 have one kink locator: each iterate
+        builds one stack for both and one for the two smooth objectives, in
+        the order of first use, and notes the coordinate below its terminal
+        once per stack."""
+        example3 = example3_objective()
+        twice = self.scaled_example3(2.0, example3.kink_locator)
+        smooth = self.smooth_pair()
+        objectives = [example3, smooth[0], twice, smooth[1]]
+        built, handed = self.spy(monkeypatch)
+        trace = run_single_stage(objectives, np.array([2.0, 1.5]), SolverConfig(),
+                                 Stage(0.6, 0.1, 8), np.array([-1.0, 5.0]))
+        assert trace.iterations > 0 and trace.termination != "error"
+        iterates = trace.iterations + 1
+        assert built == [example3.kink_locator, None] * iterates
+        assert len(handed) == 4 * iterates
+        for kinked, first, kinked_again, second in zip(*[iter(handed)] * 4):
+            assert kinked_again is kinked and second is first and kinked is not first
+        degenerate = [note for note in trace.notes if note.startswith("degenerate")]
+        assert len(degenerate) == 2 * iterates
+
+    def test_distinct_locators_build_one_stack_each(self, monkeypatch):
+        """Example 3 and twice example 3 with two distinct, if equivalent,
+        kink locators: each iterate builds one stack for each."""
+        example3 = example3_objective()
+        copy = self.scaled_example3(2.0, lambda *args: example3.kink_locator(*args))
+        built, handed = self.spy(monkeypatch)
+        trace = run_single_stage([example3, copy], np.array([2.0, 1.5]), SolverConfig(),
+                                 Stage(0.6, 0.1, 8), np.full(2, -1.0))
+        assert trace.iterations > 0
+        assert built == [example3.kink_locator, copy.kink_locator] * (trace.iterations + 1)
+        assert all(a is not b for a, b in zip(handed[::2], handed[1::2]))
 
 
 class TestSmoothStageCalls:

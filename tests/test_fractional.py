@@ -35,6 +35,13 @@ from oracles import (
 )
 
 
+def gradient_at(f, x, alpha, beta, terminal, **out):
+    """f's modified fractional gradient at x, reduced from the stack that
+    node_stack builds for f's kink locator."""
+    return modified_fractional_gradient(f, node_stack(x, alpha, terminal, f.kink_locator),
+                                        beta, **out)
+
+
 def monomial(p):
     return UnivariateFunction(
         value=lambda t: np.asarray(t, dtype=float) ** p,
@@ -208,7 +215,7 @@ class TestKinkFreeAccuracy:
         losses, worst = logistic_losses(), 0.0
         for x in rng.uniform(0.01, 10.0, (100, 4)):
             for obj in losses:
-                got = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
+                got = gradient_at(obj, x, alpha, beta, np.zeros(4))
                 want = hessian_form_gradient(obj, x, alpha, beta, np.zeros(4), nodes=128)
                 worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
         assert worst <= 1e-9
@@ -230,16 +237,14 @@ class TestKinkedClosedForm:
         obj = example3_objective()
         kinked, worst = 0, 0.0
         points = np.random.default_rng(37).uniform(0.3, 4.0, (3000, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # below-terminal notes
-            for k, x in enumerate(points):
-                c, alpha = self.terminals[k % 4], (0.5, 0.7, 0.9)[k % 3]
-                beta = 0.1 + order_shift(alpha)
-                got = modified_fractional_gradient(obj, x, alpha, beta, c)
-                want, has_kink = example3_modified_gradient(x, alpha, beta, c)
-                for i in np.flatnonzero(x > c):
-                    worst = max(worst, abs(got[i] - want[i]) / max(1.0, abs(want[i])))
-                    kinked += has_kink[i]
+        for k, x in enumerate(points):
+            c, alpha = self.terminals[k % 4], (0.5, 0.7, 0.9)[k % 3]
+            beta = 0.1 + order_shift(alpha)
+            got = gradient_at(obj, x, alpha, beta, c)
+            want, has_kink = example3_modified_gradient(x, alpha, beta, c)
+            for i in np.flatnonzero(x > c):
+                worst = max(worst, abs(got[i] - want[i]) / max(1.0, abs(want[i])))
+                kinked += has_kink[i]
         assert kinked > 3000
         assert worst <= 1e-10
 
@@ -249,7 +254,7 @@ class TestKinkedClosedForm:
         evaluation of the closed form reads 1.86146074861526; a Legendre
         panel uniform in u, not log u, read 1.817219."""
         x, c = np.array([0.3113, 1.8075]), np.array([-0.5, 0.7])
-        got = modified_fractional_gradient(example3_objective(), x, 0.9, 0.0, c)
+        got = gradient_at(example3_objective(), x, 0.9, 0.0, c)
         want, has_kink = example3_modified_gradient(x, 0.9, 0.0, c)
         assert has_kink == [True, False]
         assert 0.0 < x[0] - example3_objective().kink_locator(x, 0, c[0], x[0])[0] < 1e-5
@@ -305,14 +310,15 @@ class TestCaputoGradient:
         with pytest.raises(CaputoDomainError, match="coordinate 1"):
             caputo_gradient(obj, np.array([1.0, 1.0]), 0.5, np.array([0.0, 5.0]))
 
-    def test_clamp_policy_warns_instead(self):
-        """The solver's gradient warns where the reference refuses the
-        terminal: its beta = 0 form takes the kink-free objective's
-        classical partial there and stays finite."""
+    def test_clamp_policy_notes_instead(self):
+        """The solver's stack notes the coordinate where the reference
+        refuses the terminal: its beta = 0 form takes the kink-free
+        objective's classical partial there and stays finite."""
         obj = quadratic_objective(np.eye(2), np.zeros(2))
         x = np.array([1.0, 1.0])
-        with pytest.warns(RuntimeWarning, match="classical partial"):
-            out = modified_fractional_gradient(obj, x, 0.5, 0.0, np.array([0.0, 5.0]))
+        stack = node_stack(x, 0.5, np.array([0.0, 5.0]))
+        assert len(stack.notes) == 1 and "classical partial" in stack.notes[0]
+        out = modified_fractional_gradient(obj, stack, 0.0)
         assert np.all(np.isfinite(out))
         assert out[1] == obj.gradient(x)[1]
 
@@ -324,7 +330,7 @@ class TestModifiedFractionalGradient:
         x = np.array([0.7, 1.3, 2.1])
         for j in range(2):
             obj = quadratic_objective(mop.gram[j], mop.offsets[j])
-            quad = modified_fractional_gradient(obj, x, 0.5, 0.9, np.zeros(3))
+            quad = gradient_at(obj, x, 0.5, 0.9, np.zeros(3))
             closed = (mop.gram[j] @ x + mop.offsets[j]
                       + (0.9 - 1.0 / 3.0) * mop.rtilde[j] ** 2 * x)
             np.testing.assert_allclose(quad, closed, atol=1e-9)
@@ -335,7 +341,7 @@ class TestModifiedFractionalGradient:
         obj = quadratic_objective(mop.gram[0], mop.offsets[0])
         x = np.array([0.5, 1.0, 1.5, 2.0])
         classical = mop.gram[0] @ x + mop.offsets[0]
-        got = modified_fractional_gradient(obj, x, 1.0 - 1e-3, 0.0, np.zeros(4))
+        got = gradient_at(obj, x, 1.0 - 1e-3, 0.0, np.zeros(4))
         assert np.linalg.norm(got - classical) <= 1e-6 * max(1.0, np.linalg.norm(classical)) * 5e3
 
     def test_x_equals_terminal(self):
@@ -343,12 +349,13 @@ class TestModifiedFractionalGradient:
         mop = random_quadratic_mop(3, 5, 1, seed=2)
         obj = quadratic_objective(mop.gram[0], mop.offsets[0])
         x = np.array([0.4, -0.3, 1.1])
-        got = modified_fractional_gradient(obj, x, 0.5, 0.7, x.copy())
+        got = gradient_at(obj, x, 0.5, 0.7, x.copy())
         np.testing.assert_allclose(got, mop.gram[0] @ x + mop.offsets[0], atol=1e-12)
 
     def test_below_kink_free_terminal_is_the_classical_partial(self):
         """beta != 0, a smooth objective: a coordinate below its terminal is
-        f's partial bit for bit, and warns once with its x and terminal.
+        f's partial bit for bit, and its stack notes it once with its x and
+        terminal.
         The gradient is elementwise, so a stacked row rounds as x alone."""
         from mofgd import ObjectiveModel
 
@@ -358,9 +365,9 @@ class TestModifiedFractionalGradient:
                              kind="smooth", dim=4)
         x = np.array([0.4, 1.3, 2.2, 3.1])
         c = np.array([0.0, 2.0, 0.0, 5.0])
-        with pytest.warns(RuntimeWarning) as caught:
-            got = modified_fractional_gradient(obj, x, 0.5, 0.8, c)
-        assert [str(w.message).split(";")[0] for w in caught] == [
+        stack = node_stack(x, 0.5, c)
+        got = modified_fractional_gradient(obj, stack, 0.8)
+        assert [note.split(";")[0] for note in stack.notes] == [
             f"degenerate coordinate: x = {x[i]} <= terminal {c[i]}" for i in (1, 3)]
         classical = obj.gradient(x)
         for i in (1, 3):
@@ -386,7 +393,7 @@ class TestModifiedFractionalGradient:
             kind="smooth",
         )
         x = np.array([0.9, 1.4])
-        got = modified_fractional_gradient(obj, x, 1.0 - 1e-4, 0.0, np.zeros(2))
+        got = gradient_at(obj, x, 1.0 - 1e-4, 0.0, np.zeros(2))
         h = 1e-6
         fd = np.array([
             (obj_value(x + np.array([h, 0.0])) - obj_value(x - np.array([h, 0.0]))) / (2 * h),
@@ -410,7 +417,7 @@ class TestModifiedFractionalGradient:
                  (np.array([6.0, 1.0]), np.array([-0.5, -0.5])))  # two kinks, none
         jumps_seen = 0
         for x, c in cases:
-            got = modified_fractional_gradient(obj, x, alpha, beta, c)
+            got = gradient_at(obj, x, alpha, beta, c)
             for i in range(2):
                 ci, xi = c[i], x[i]
 
@@ -473,8 +480,9 @@ class TestStackedEvaluation:
         x = np.linspace(0.5, 2.0, n)
         terminal = np.zeros(n)
         terminal[0], terminal[-1] = x[0], x[-1] + 1.0
-        with pytest.warns(RuntimeWarning, match="classical partial"):
-            modified_fractional_gradient(obj, x, 0.5, 0.4, terminal)
+        stack = node_stack(x, 0.5, terminal)
+        assert len(stack.notes) == 1 and "classical partial" in stack.notes[0]
+        modified_fractional_gradient(obj, stack, 0.4)
         rows = 1 + (n - 2) * (JACOBI_NODES + 1)
         assert calls == [("gradient", (rows, n))]
 
@@ -485,8 +493,9 @@ class TestStackedEvaluation:
         calls = []
         obj = self.counted(example3_objective(), calls)
         x = np.array([3.0, 1.0])
-        with pytest.warns(RuntimeWarning, match="classical partial"):
-            got = modified_fractional_gradient(obj, x, 0.5, 0.4, np.array([0.0, 5.0]))
+        stack = node_stack(x, 0.5, np.array([0.0, 5.0]), obj.kink_locator)
+        assert len(stack.notes) == 1 and "classical partial" in stack.notes[0]
+        got = modified_fractional_gradient(obj, stack, 0.4)
         rows = 1 + JACOBI_NODES + 1
         assert calls == [("gradient", (rows, 2))]
         assert got[1] == example3_objective().gradient(x)[1]
@@ -499,7 +508,7 @@ class TestStackedEvaluation:
         calls = []
         obj = self.counted(example3_objective(), calls)
         x = np.array([6.0, 1.0])
-        modified_fractional_gradient(obj, x, 0.5, 0.4, np.zeros(2))
+        gradient_at(obj, x, 0.5, 0.4, np.zeros(2))
         rows = 1 + 2 * (JACOBI_NODES + 1) + LEGENDRE_NODES
         assert calls == [("gradient", (rows, 2))]
         stack = node_stack(x, 0.5, np.zeros(2), obj.kink_locator)
@@ -523,7 +532,7 @@ class TestStackedEvaluation:
         x = np.array([0.4, 1.3, 2.2, 3.1])
         for obj in (cosh, logistic_losses()[1]):
             out = np.empty(4)
-            modified_fractional_gradient(obj, x, 0.5, 0.6, np.zeros(4), gradient_out=out)
+            gradient_at(obj, x, 0.5, 0.6, np.zeros(4), gradient_out=out)
             row = np.asarray(obj.gradient(node_stack(x, 0.5, np.zeros(4)).z))[0]
             assert out.tobytes() == row.tobytes()
             point = obj.gradient(x)
@@ -542,24 +551,21 @@ class TestStackedEvaluation:
         no_hessian = dataclasses.replace(obj, hessian=None, validate=False)
         x = np.array([0.5, 1.0, 2.5, 4.0])
         for alpha, beta in ((0.3, 0.8), (0.9, 0.0), (0.5, 0.4)):
-            got = modified_fractional_gradient(no_hessian, x, alpha, beta, np.zeros(4))
-            want = modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
+            got = gradient_at(no_hessian, x, alpha, beta, np.zeros(4))
+            want = gradient_at(obj, x, alpha, beta, np.zeros(4))
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 1.5, -0.5])
     def test_order_outside_zero_one_is_refused(self, alpha):
         """alpha = 1 is the classical stage, which calls no fractional
-        gradient, so an order outside (0, 1) raises ValueError naming it,
-        with or without beta, before the objective or a node stack is
-        touched."""
+        gradient, so node_stack refuses an order outside (0, 1) with a
+        ValueError naming it, before the kink locator is called, and no
+        stack exists for the gradient to reduce."""
         calls = []
-        obj = self.counted(quadratic_objective(np.eye(4), np.zeros(4)), calls)
         x = np.array([0.5, 1.0, 1.5, 2.0])
-        for beta in (0.5, 0.0):
+        for locator in (None, lambda *args: calls.append(args) or ()):
             with pytest.raises(ValueError, match=rf"alpha must lie in \(0, 1\), got {alpha}"):
-                modified_fractional_gradient(obj, x, alpha, beta, np.zeros(4))
-        with pytest.raises(ValueError, match="alpha must lie in"):
-            node_stack(x, alpha, np.zeros(4))
+                node_stack(x, alpha, np.zeros(4), locator)
         assert calls == []
 
 
@@ -587,20 +593,23 @@ class TestBelowTerminal:
         kink-free stack: the coordinate below its terminal is f's partial
         at x, bit for bit, in both."""
         obj = example3_objective()
-        kinked = modified_fractional_gradient(obj, self.x, 0.5, 0.4, self.c,
-                                              node_stack(self.x, 0.5, self.c, obj.kink_locator))
-        kink_free = modified_fractional_gradient(obj, self.x, 0.5, 0.4, self.c,
-                                                 node_stack(self.x, 0.5, self.c))
+        kinked = modified_fractional_gradient(
+            obj, node_stack(self.x, 0.5, self.c, obj.kink_locator), 0.4)
+        kink_free = modified_fractional_gradient(obj, node_stack(self.x, 0.5, self.c), 0.4)
         partial = obj.gradient(self.x)[1]
         assert np.float64(kinked[1]).tobytes() == np.float64(kink_free[1]).tobytes()
         assert kinked[1] == partial
 
-    def test_call_without_a_stack_warns_each_note(self):
-        """Built inside the call, the stack's notes are raised as
-        RuntimeWarnings, one per coordinate below its terminal."""
-        with pytest.warns(RuntimeWarning) as caught:
-            modified_fractional_gradient(example3_objective(), self.x, 0.5, 0.4, self.c)
-        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, self.note)]
+    def test_gradient_warns_nothing_and_its_stack_notes_each_coordinate(self):
+        """The stack's notes, one per coordinate below its terminal, are the
+        one report: reducing the stack raises no warning."""
+        obj = example3_objective()
+        stack = node_stack(self.x, 0.5, self.c, obj.kink_locator)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            modified_fractional_gradient(obj, stack, 0.4)
+        assert caught == []
+        assert stack.notes == (self.note,)
 
 
 class TestColumnFills:
@@ -646,6 +655,7 @@ class TestColumnFills:
                     want, want_notes = self.built(scattered_node_stack, x, alpha, terminal,
                                                   locator)
                     assert got.z.tobytes() == want.z.tobytes()
+                    assert got.alpha == want.alpha == alpha
                     assert got.z.shape == want.z.shape and not got.z.flags.writeable
                     assert self.coord_bits(got.coords) == self.coord_bits(want.coords)
                     assert got_notes == want_notes
@@ -663,10 +673,8 @@ class TestColumnFills:
         rng = np.random.default_rng(3)
         for alpha in (0.3, 0.7, 0.9):
             x, c = rng.uniform(-3.0, 3.0, 4), rng.uniform(-3.0, 3.0, 4)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                got = modified_fractional_gradient(obj, x, alpha, 0.4, c)
-                stack = scattered_node_stack(x, alpha, c)
+            got = gradient_at(obj, x, alpha, 0.4, c)
+            stack = scattered_node_stack(x, alpha, c)
             grads = obj.gradient(stack.z)
             want = np.empty(4)
             for i, (start, stop, w, v) in enumerate(stack.coords):
@@ -686,7 +694,7 @@ class TestLoopReference:
 
     @staticmethod
     def assert_matches_loop(obj, x, *stage):
-        got = modified_fractional_gradient(obj, x, *stage)
+        got = gradient_at(obj, x, *stage)
         want = modified_fractional_gradient_loop(obj, x, *stage)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -714,19 +722,16 @@ class TestLoopReference:
 
         obj = logistic_losses()[2]
         x = np.array([0.4, 1.3, 2.2, 3.1])
-        with pytest.warns(RuntimeWarning, match="classical partial"):
-            self.assert_matches_loop(obj, x, 0.5, 0.7, np.array([0.4, 2.0, 0.0, 3.1]))
-        with pytest.warns(RuntimeWarning, match="classical partial"):
-            self.assert_matches_loop(example3_objective(), np.array([3.0, 1.0]), 0.5, 0.7,
-                                     np.array([0.0, 5.0]))
+        self.assert_matches_loop(obj, x, 0.5, 0.7, np.array([0.4, 2.0, 0.0, 3.1]))
+        self.assert_matches_loop(example3_objective(), np.array([3.0, 1.0]), 0.5, 0.7,
+                                 np.array([0.0, 5.0]))
 
 
 class TestTerminalLength:
     @pytest.mark.parametrize("length", [2, 4])
     def test_length_other_than_one_or_n_is_refused(self, length):
-        obj = quadratic_objective(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match=f"terminal has length {length}, but x has length 3"):
-            modified_fractional_gradient(obj, np.ones(3), 0.5, 0.4, np.zeros(length))
+            node_stack(np.ones(3), 0.5, np.zeros(length))
 
     def test_run_adaptive_refuses_a_longer_terminal(self):
         from mofgd import SolverConfig, run_adaptive

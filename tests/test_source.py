@@ -26,6 +26,22 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src/mofgd: {found}"
 
 
+def test_no_module_imports_warnings():
+    """A coordinate below its terminal is reported in its node stack's notes
+    and nowhere else, so no module of the package imports warnings."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "warnings"
+                                                for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings"
+    ]
+    assert not found, f"warnings imports in src/mofgd: {found}"
+
+
 def _run(args, **kw):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)}
