@@ -24,7 +24,6 @@ from .descent import (
     StageSchedule,
     armijo_step,
     run_adaptive,
-    run_single_stage,
 )
 from .fractional import modified_fractional_gradient, node_stack
 from .lab import (

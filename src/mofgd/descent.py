@@ -9,7 +9,9 @@ segments, each continuing from the previous stage's final point, with one
 fixed terminal c.  Stage s takes beta_s = gamma_s + (1-alpha_s)/(2-alpha_s)
 (`Stage.beta`, the one place beta is formed), so that it induces the
 regularizer weight gamma_s.
-Callers pass raw objectives; the stage adds the regularizer.
+Callers pass raw objectives; the stage adds the regularizer.  Every run is
+`run_adaptive` on a schedule, a one-stage run on a one-stage schedule, and
+`run_single_stage` is its loop over one stage.
 
 Every stage but the last stops early, at the first iterate with
 
@@ -33,9 +35,10 @@ gradient of the stage-regularized merit
 
     f_j(x) + gamma_s/2 * sum_i H_ii (x_i - c_i)^2,
 
-so the stage builds that merit once (`problems.regularized`) and takes the
-direction input and the line-search test from it; a sweep builds every
-stage's merits once for all its starts (`schedule_setup`).
+so the stage takes the direction input and the line-search test from that
+merit (`problems.regularized`).  `schedule_setup` is the one place a
+stage's merits are built: once per run, before its first iterate, and once
+for all the starts of a sweep.
 Non-quadratic objectives use singular-quadrature gradients and raw values.
 The stage builds their quadrature node stacks (`fractional.node_stack`)
 once per iterate: one per distinct kink locator, None for the kink-free
@@ -82,6 +85,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Optional, Sequence
 
@@ -100,7 +104,6 @@ __all__ = [
     "StageReport",
     "IterationTrace",
     "armijo_step",
-    "run_single_stage",
     "run_adaptive",
     "schedule_setup",
 ]
@@ -110,6 +113,13 @@ MAX_BACKTRACKS = 60
 
 class LineSearchError(RuntimeError):
     """No Armijo-acceptable step within 60 halvings (gradient/model mismatch)."""
+
+
+def _check_count(value, name: str) -> None:
+    """ValueError naming name unless value is a positive integer; a bool
+    or a float, even a whole one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +147,7 @@ class SolverConfig:
             raise ValueError(f"backtrack ratio must lie in (0, 1), got {self.backtrack}")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        _check_count(self.max_iterations, "max_iterations")
         if not 0.0 < self.eta < 2.0:
             raise ValueError(f"eta must lie in (0, 2), got {self.eta}")
 
@@ -165,8 +174,7 @@ class Stage:
         if self.alpha == 1.0 and self.gamma != 0.0:
             raise ValueError(f"stage alpha = {self.alpha} is the classical stage, which takes "
                              f"gamma = 0, got gamma = {self.gamma}")
-        if self.iterations < 1:
-            raise ValueError("stage iteration count must be positive")
+        _check_count(self.iterations, "stage iterations")
 
     @property
     def beta(self) -> float:
@@ -199,9 +207,10 @@ class StageSchedule:
     def from_gammas(cls, alphas: Sequence[float], gammas: Sequence[float],
                     iterations: Sequence[int], terminal=None) -> "StageSchedule":
         """Build stages from the three sequences, which must be equally
-        long; ValueError otherwise."""
+        long; ValueError otherwise.  Each count is handed to its Stage as
+        given, so a count that is not an integer is refused there."""
         stages = tuple(
-            Stage(a, float(g), int(k)) for a, g, k in zip(alphas, gammas, iterations, strict=True)
+            Stage(a, float(g), k) for a, g, k in zip(alphas, gammas, iterations, strict=True)
         )
         return cls(stages=stages, terminal=terminal)
 
@@ -316,15 +325,15 @@ class IterationTrace:
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 d: np.ndarray, t: float, cfg: SolverConfig,
                 values: list[Optional[float]], gradients: Sequence[np.ndarray],
-                hessians: Optional[np.ndarray] = None) -> tuple[float, np.ndarray, int, list]:
+                hessians: np.ndarray) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     d is the direction and t the merit slope max_j grad f_j(x)^T d, which
     must be negative (ValueError otherwise).
     gradients are grad f_j(x), which the caller has already evaluated, and
     values[j] is f_j(x) or None.  hessians is the A of
-    `problems.quadratic_stack(objectives, x)`, which a stage builds once;
-    None builds it here.  The slopes
+    `problems.quadratic_stack(objectives, x)`, which `schedule_setup`
+    builds once per stage.  The slopes
     s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
     dots (`_slopes_and_curvatures`).  A quadratic f_j with q_j > 0 is
     tested on its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t,
@@ -340,8 +349,6 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     """
     if not t < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
-    if hessians is None:
-        hessians = quadratic_stack(objectives, x)[0]
     slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
     for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
@@ -391,77 +398,62 @@ def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
             ((d @ hessians)[:, None, :] @ d).ravel().tolist())
 
 
-def _stage_setup(objectives, gamma: float, terminal, x: np.ndarray
-                 ) -> tuple[tuple[ObjectiveModel, ...], np.ndarray, np.ndarray]:
-    """The stage merit of each objective (quadratics gain the pull of weight
-    gamma) and the (A, B) of their `problems.quadratic_stack` at x, which
-    holds at every x."""
-    merit = tuple(regularized(obj, gamma, terminal) if obj.kind == "quadratic" else obj
-                  for obj in objectives)
-    return (merit, *quadratic_stack(merit, x))
-
-
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
                    n: int) -> tuple[np.ndarray, list]:
-    """The schedule's terminal c as an n-vector (zeros when omitted;
-    ValueError unless finite and of length 1 or n) and each stage's
-    `_stage_setup`: what `run_adaptive` builds before its first iterate.  It reads only the
-    objectives, the gammas and c, so a sweep builds it once for all starts.
+    """Every stage's set-up, the one that `run_adaptive` builds before its
+    first iterate: the schedule's terminal c as an n-vector (zeros when
+    omitted; ValueError unless finite and of length 1 or n) and, per stage,
+    its merits and their `problems.quadratic_stack` (A, B).  A quadratic's
+    merit gains the pull of weight gamma_s about c (`problems.regularized`);
+    every other objective is its own merit.  The stack is read at c and
+    holds at every x.  The set-up reads only the objectives, the gammas and
+    c, so a sweep builds it once for all starts.
     """
     c = terminals(0.0 if schedule.terminal is None else schedule.terminal, n)
     if not np.isfinite(c).all():
         raise ValueError(f"terminal must be finite, got {schedule.terminal}")
-    return c, [_stage_setup(objectives, stage.gamma, c, c) for stage in schedule.stages]
+    setups = []
+    for stage in schedule.stages:
+        merit = tuple(regularized(obj, stage.gamma, c) if obj.kind == "quadratic" else obj
+                      for obj in objectives)
+        setups.append((merit, *quadratic_stack(merit, c)))
+    return c, setups
 
 
-def run_single_stage(objectives: Sequence[ObjectiveModel],
-                     x0: np.ndarray,
-                     cfg: SolverConfig,
-                     stage: Stage,
-                     terminal,
-                     stage_index: int = 0,
-                     trace: Optional[IterationTrace] = None,
-                     gamma_drop: float = 0.0,
-                     setup: Optional[tuple] = None) -> IterationTrace:
-    """Iterate x <- x + eta*d for up to stage.iterations Armijo steps or
-    until ||d|| < tolerance.
+def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: SolverConfig,
+                     stage: Stage, terminal: np.ndarray, stage_index: int,
+                     trace: IterationTrace, gamma_drop: float, setup: tuple) -> IterationTrace:
+    """Stage stage_index of a `run_adaptive` run: iterate x <- x + eta*d
+    from x0 for up to stage.iterations Armijo steps or until ||d|| is below
+    the stop tolerance, appending records and one StageReport to trace,
+    which it returns.
 
     The stop tolerance is max(cfg.tolerance, gamma_drop * ||d_0||), with
-    ||d_0|| the ||d|| at the first iterate; gamma_drop is the fall
-    gamma_s - gamma_{s+1} that `run_adaptive` passes, and its default 0
-    stops at cfg.tolerance.  The run appends one StageReport to
-    trace.stages.
+    ||d_0|| the ||d|| at the first iterate and gamma_drop the fall
+    gamma_s - gamma_{s+1} that `run_adaptive` passes (0 stops at
+    cfg.tolerance).  terminal is the schedule's checked n-vector c, and
+    setup the stage's merits and their (A, B) from `schedule_setup`.
 
-    objectives are raw; the stage adds the regularizer itself, centred on
-    terminal, the lower terminal c (a scalar or an n-vector).  Each
-    quadratic objective becomes its stage merit with weight stage.gamma
-    (see `_stage_setup`), whose gradient is the direction input, whose
-    exact expansion the line search tests and whose values the trace's f
-    columns record; in an all-quadratic stage the Armijo slope is therefore
-    the subproblem's t, bit for bit.  So it is in a classical stage
+    objectives are raw.  Each quadratic one's merit carries the stage's
+    pull; its gradient is the direction input, its exact expansion is what
+    the line search tests and its values are what the trace's f columns
+    record, so in an all-quadratic stage the Armijo slope is the
+    subproblem's t, bit for bit.  So it is in a classical stage
     (stage.alpha = 1, decided here once), whose other merits' direction
     inputs are their gradients.  In a fractional stage the other kinds
     take the singular-quadrature gradients of order stage.alpha and weight
     stage.beta and raw values, and the Armijo slope comes from the merit
-    gradients.  Each iterate
-    forms the quadratic merits' gradients as A @ x + B and evaluates each
-    other merit's gradient at x once; in a fractional stage it is the
-    row-0 gradient that `modified_fractional_gradient` writes into its
-    gradient_out.
-    It hands `armijo_step` the values that the previous line search
+    gradients.  Each iterate forms the quadratic merits' gradients as
+    A @ x + B and evaluates each other merit's gradient at x once; in a
+    fractional stage it is the row-0 gradient that
+    `modified_fractional_gradient` writes into its gradient_out.
+    It hands `armijo_step` A and the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
     search evaluates the ones it tests.  The record keeps those values and
     the stage's merits, and evaluates the rest whenever its f_values are
     read.  So a quadratic stage calls no gradient and, while curvatures
     are positive, no value, and a smooth stage evaluates each value once
-    per point.  setup is the stage's merits and their
-    `problems.quadratic_stack` (A, B), whose A every `armijo_step` reads,
-    as `schedule_setup` builds them once per sweep; None builds them here,
-    with one Hessian and one gradient call per quadratic merit (and, at
-    gamma > 0, `problems.regularized`'s one Hessian and one gradient call
-    per quadratic objective).  Records
-    are numbered by their position in trace.records, so a trace passed in
-    continues its numbering.
+    per point.  Records are numbered by their position in trace.records.
     Neither a record's x nor the terminal may be written into, since a
     record's f_values are evaluated at its x on every read.
 
@@ -473,13 +465,15 @@ def run_single_stage(objectives: Sequence[ObjectiveModel],
     overflowing quadratic matvec, reaches the caller's filters.  Every
     iterate is a new array that nothing writes into, so the records and
     trace.final_x hold the iterates themselves, not copies.
+
+    perfbench's tracer wraps this function by name in this module and
+    counts a stage's iterations from its cfg and trace arguments and the
+    trace it returns.
     """
     x = np.asarray(x0, dtype=float).copy()
-    trace = trace if trace is not None else IterationTrace()
     start = trace.iterations
     tolerance = cfg.tolerance
-    merit, hessians, offsets = (setup if setup is not None
-                                else _stage_setup(objectives, stage.gamma, terminal, x))
+    merit, hessians, offsets = setup
     # A classical stage's direction inputs are its merits' gradients, as a
     # quadratic's are; the other kinds take fractional gradients, those
     # with one kink locator sharing one node stack per iterate.
@@ -568,28 +562,35 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
                  cfg: SolverConfig,
                  schedule: StageSchedule,
                  setup: Optional[tuple] = None) -> IterationTrace:
-    """Run the stages of a schedule sequentially, chaining the iterates.
+    """Run the stages of a schedule sequentially, chaining the iterates; a
+    one-stage run is the schedule StageSchedule((stage,), terminal).
 
     objectives are raw; each stage adds its own regularizer, centred on the
     schedule's fixed terminal c (zeros(n) when omitted), the c that
-    `tikhonov_solve` and the verify runs use.  setup is
+    `tikhonov_solve` and the verify runs use.  x0 must be a finite vector
+    of each objective's dim, and setup is
     `schedule_setup(objectives, schedule, x0.size)`, which a sweep builds
-    once for all its starts; None builds it here.  A terminal whose length
-    is neither 1 nor n raises ValueError there, for every objective kind,
-    before any stage runs.  Each stage but the last passes its fall
-    gamma_s - gamma_{s+1}, where positive, to `run_single_stage` as
+    once for all its starts; None builds it here.  So an x0 of another
+    length or with a non-finite entry, and a terminal that is not finite
+    or whose length is neither 1 nor n, raise ValueError before any stage
+    runs.  Each stage is one `run_single_stage` on its set-up.  Each stage
+    but the last passes its fall gamma_s - gamma_{s+1}, where positive, as
     gamma_drop (the stop rule of the module docstring); the others stop at
-    cfg.tolerance.
+    cfg.tolerance.  The run stops at the first stage that ends in error.
     """
     x = np.asarray(x0, dtype=float)
-    c, stage_setups = setup if setup is not None else schedule_setup(objectives, schedule, x.size)
+    finite = np.isfinite(x).all()
+    for obj in objectives:
+        if not finite or x.shape != (obj.dim,):
+            raise ValueError(f"x0 must be a finite vector of dim {obj.dim}, got {x}")
+    c, stage_setups = setup or schedule_setup(objectives, schedule, x.size)
     gammas = schedule.gammas
     trace = IterationTrace()
     for s, stage in enumerate(schedule.stages):
         drop = gammas[s] - gammas[s + 1] if s + 1 < len(gammas) else 0.0
-        run_single_stage(objectives, x, cfg, stage, c, stage_index=s,
-                         trace=trace, gamma_drop=max(drop, 0.0), setup=stage_setups[s])
+        run_single_stage(objectives, x, cfg, stage, c, s, trace, max(drop, 0.0),
+                         stage_setups[s])
         x = trace.final_x
         if trace.termination == "error":
-            return trace
+            break
     return trace

@@ -183,7 +183,7 @@ def per_objective_quadratic_stage(merits: Sequence[ObjectiveModel], x0, sigma: f
     direction comes from `solve_direction`; the run stops at ||d|| <
     tolerance or t >= 0, or after `iterations` steps.  Returns one
     (x, eta, t, ||d||, backtracks) per step: the records of an
-    all-quadratic `run_single_stage` with its stacked products.
+    all-quadratic one-stage `run_adaptive` with its stacked products.
     """
     x = np.asarray(x0, dtype=float)
     steps = []

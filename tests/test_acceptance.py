@@ -25,7 +25,7 @@ from mofgd import (
     verify_rate_theorem5,
     verify_staged_theorem6,
 )
-from mofgd.problems import regularized
+from mofgd.problems import quadratic_stack, regularized
 from mofgd.fixtures import (
     EXAMPLE1_FRACTIONAL_ALPHA,
     EXAMPLE1_MATRIX,
@@ -248,7 +248,8 @@ def test_criterion_8_armijo_contract():
         f0 = [obj.value(x) for obj in objectives]
         eta, x_next, backtracks, _ = armijo_step(objectives, x,
                                                  direction.direction, direction.t_value, cfg, f0,
-                                                 [obj.gradient(x) for obj in objectives])
+                                                 [obj.gradient(x) for obj in objectives],
+                                                 quadratic_stack(objectives, x)[0])
         for j, obj in enumerate(objectives):
             assert obj.value(x_next) <= f0[j] + cfg.sigma * eta * direction.t_value + 1e-12
         assert backtracks <= 60

@@ -22,7 +22,6 @@ from mofgd import (
     quadratic_objective,
     random_quadratic_mop,
     run_adaptive,
-    run_single_stage,
     solve_direction,
 )
 from mofgd.cli import parse_config
@@ -37,6 +36,18 @@ REPO = Path(__file__).resolve().parents[1]
 def classical(iterations):
     """The alpha = 1, gamma = 0 stage: classical steepest descent."""
     return Stage(1.0, 0.0, iterations)
+
+
+def one_stage(objectives, x0, cfg, stage, terminal):
+    """A one-stage run: `run_adaptive` on the schedule (stage,) with terminal."""
+    return run_adaptive(objectives, x0, cfg, StageSchedule((stage,), terminal))
+
+
+def stage_setup(objectives, stage, terminal):
+    """The merits and their (A, B) that `schedule_setup` builds for the
+    one-stage schedule (stage,) with terminal."""
+    schedule = StageSchedule((stage,), terminal)
+    return descent.schedule_setup(objectives, schedule, objectives[0].dim)[1][0]
 
 
 def logistic_losses():
@@ -142,6 +153,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+    def test_max_iterations_is_an_integer(self, count):
+        """A float, even a whole one, a bool or a string is refused by name
+        when the config is built, not when a run reaches range()."""
+        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
+            SolverConfig(max_iterations=count)
+        assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
+
 
 class TestStageSchedule:
     def test_beta_lower_bound_enforced(self):
@@ -162,6 +181,18 @@ class TestStageSchedule:
             descent.schedule_setup(objectives, schedule, 2)
         with pytest.raises(ValueError, match="terminal must be finite"):
             run_adaptive(objectives, np.ones(2), SolverConfig(), schedule)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, False])
+    def test_iteration_counts_are_integers(self, count):
+        """A stage's count is an integer when built: a float, even a whole
+        one, or a bool is refused by name, and from_gammas hands its counts
+        on unchanged, so 2.5 is refused there too, not truncated to 2."""
+        with pytest.raises(ValueError, match="stage iterations must be a positive integer"):
+            Stage(0.5, 0.1, count)
+        with pytest.raises(ValueError, match="stage iterations must be a positive integer"):
+            StageSchedule.from_gammas([0.5], [0.1], [count])
+        assert Stage(0.5, 0.1, np.int64(3)).iterations == 3
+        assert StageSchedule.from_gammas([0.5], [0.1], [np.int64(3)]).stages[0].iterations == 3
 
     @pytest.mark.parametrize("gamma", [0.1, 1e-12])
     def test_classical_stage_takes_gamma_zero_only(self, gamma):
@@ -212,7 +243,7 @@ class TestArmijoStep:
         cfg = SolverConfig(sigma=0.4)
         eta, x_next, backtracks, trial_values = armijo_step(
             [obj], x, direction.direction, direction.t_value, cfg,
-            [obj.value(x)], [obj.gradient(x)])
+            [obj.value(x)], [obj.gradient(x)], problems.quadratic_stack([obj], x)[0])
         assert eta == 1.0
         assert trial_values == [None]  # tested on its expansion
         assert backtracks == 0
@@ -230,7 +261,8 @@ class TestArmijoStep:
             if direction.norm < 1e-9:
                 continue
             eta, x_next, _, _ = armijo_step(objs, x, direction.direction, direction.t_value, cfg,
-                                            [obj.value(x) for obj in objs], grads)
+                                            [obj.value(x) for obj in objs], grads,
+                                            problems.quadratic_stack(objs, x)[0])
             for j, obj in enumerate(objs):
                 assert obj.value(x_next) <= obj.value(x) + cfg.sigma * eta * direction.t_value + 1e-12
                 assert obj.value(x_next) <= obj.value(x)
@@ -258,7 +290,8 @@ class TestArmijoStep:
                 continue
             eta, _, backtracks, _ = armijo_step(merit, x,
                                                 direction.direction, direction.t_value, cfg,
-                                                [m.value(x) for m in merit], grads)
+                                                [m.value(x) for m in merit], grads,
+                                                problems.quadratic_stack(merit, x)[0])
             eta_ok = 2.0 * (1 - cfg.sigma) * (-direction.t_value) / (em * direction.norm ** 2)
             bound = 0 if eta_ok >= 1 else int(np.ceil(np.log(eta_ok) / np.log(cfg.backtrack)))
             assert backtracks <= bound + 1
@@ -272,7 +305,8 @@ class TestArmijoStep:
         bad = solve_direction([np.zeros(2)])
         with pytest.raises(ValueError, match="descent"):
             armijo_step([obj], np.ones(2), bad.direction, bad.t_value, SolverConfig(),
-                        [obj.value(np.ones(2))], [obj.gradient(np.ones(2))])
+                        [obj.value(np.ones(2))], [obj.gradient(np.ones(2))],
+                        problems.quadratic_stack([obj], np.ones(2))[0])
 
     def test_inconsistent_direction_fails_line_search(self):
         """A steep ascent direction with a fake negative t exhausts the halvings.
@@ -285,7 +319,8 @@ class TestArmijoStep:
         x = np.array([1.0, 0.0])
         with pytest.raises(LineSearchError):
             armijo_step([obj], x, np.array([1e6, 0.0]), -1e12,
-                        SolverConfig(), [obj.value(x)], [obj.gradient(x)])
+                        SolverConfig(), [obj.value(x)], [obj.gradient(x)],
+                        problems.quadratic_stack([obj], x)[0])
 
     @pytest.mark.parametrize("reg", ["diag", "outer"])
     @pytest.mark.parametrize("n", [2, 20, 100])
@@ -303,7 +338,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             eta, x_next, backtracks, _ = armijo_step(merit, x,
                                                      direction.direction, direction.t_value, cfg,
-                                                     [m.value(x) for m in merit], grads)
+                                                     [m.value(x) for m in merit], grads,
+                                                     problems.quadratic_stack(merit, x)[0])
             ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(merit, x, direction, cfg)
             assert margin > 1e-10
             assert (eta, backtracks) == (ref_eta, ref_backtracks)
@@ -327,7 +363,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             eta, x_next, backtracks, trial_values = armijo_step(
                 objectives, x,
-                direction.direction, direction.t_value, cfg, [obj.value(x) for obj in raw], grads)
+                direction.direction, direction.t_value, cfg, [obj.value(x) for obj in raw], grads,
+                problems.quadratic_stack(objectives, x)[0])
             assert not quad_calls and smooth_calls
             # The smooth objective's value at the accepted step comes back.
             assert trial_values == [None, raw[1].value(x_next)]
@@ -355,7 +392,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             eta, _, backtracks, _ = armijo_step(objectives, x,
                                                 direction.direction, direction.t_value, cfg,
-                                                [obj.value(x) for obj in objectives], grads)
+                                                [obj.value(x) for obj in objectives], grads,
+                                                problems.quadratic_stack(objectives, x)[0])
             assert eta == backtrack ** backtracks
             counts.add(backtracks)
         assert max(counts) > 0
@@ -383,7 +421,8 @@ class TestArmijoStep:
                 continue
             eta, x_next, backtracks, _ = armijo_step(merit, x,
                                                      direction.direction, direction.t_value, cfg,
-                                                     [m.value(x) for m in merit], grads)
+                                                     [m.value(x) for m in merit], grads,
+                                                     problems.quadratic_stack(merit, x)[0])
             ref_eta, ref_next, ref_backtracks = scanned_expansions(merit, x, direction, cfg,
                                                                    grads)
             assert (eta, backtracks) == (ref_eta, ref_backtracks)
@@ -417,15 +456,16 @@ class TestArmijoStep:
                                     multipliers=np.ones(1), kkt_residual=0.0, theta=0.0,
                                     norm=1.0)
         values, gradients = [obj.value(x)], [obj.gradient(x)]
+        hessians = problems.quadratic_stack([obj], x)[0]
         reference = scanned_expansions([obj], x, direction, cfg, gradients)
         if accepted is None:
             assert reference is None
             with pytest.raises(LineSearchError):
-                armijo_step([obj], x,
-                            direction.direction, direction.t_value, cfg, values, gradients)
+                armijo_step([obj], x, direction.direction, direction.t_value, cfg, values,
+                            gradients, hessians)
             return
         eta, x_next, backtracks, _ = armijo_step([obj], x, direction.direction, direction.t_value,
-                                                 cfg, values, gradients)
+                                                 cfg, values, gradients, hessians)
         assert (eta, x_next.tolist(), backtracks) == (reference[0], reference[1].tolist(),
                                                       accepted)
 
@@ -477,9 +517,9 @@ class TestStackedProducts:
         cfg = SolverConfig(tolerance=1e-9)
         merits = [regularized(obj, 0.3, c, reg) for obj in mop.objectives()]
         if reg == "diag":
-            trace = run_single_stage(mop.objectives(), x0, cfg, Stage(0.5, 0.3, 80), c)
+            trace = one_stage(mop.objectives(), x0, cfg, Stage(0.5, 0.3, 80), c)
         else:
-            trace = run_single_stage(merits, x0, cfg, classical(80), c)
+            trace = one_stage(merits, x0, cfg, classical(80), c)
         assert trace.iterations > 10
         assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
 
@@ -517,19 +557,19 @@ class TestStackedProducts:
         cfg = SolverConfig(tolerance=1e-9)
         plain = self.quadratics("plain", mop, c)[0]
         objectives, calls = self.quadratics(variant, mop, c)
-        merits, a, b = descent._stage_setup(objectives, stage.gamma, c, c)
+        merits, a, b = stage_setup(objectives, stage, c)
         if variant == "fortran":
-            merits = descent._stage_setup(plain, stage.gamma, c, c)[0]
+            merits = stage_setup(plain, stage, c)[0]
         assert [len(k) for k in calls] == [1, 1]
         for x in np.random.default_rng(5).uniform(-3.0, 3.0, (20, 5)):
             assert (a @ x + b).tobytes() == np.array([m.gradient(x) for m in merits]).tobytes()
         objectives, calls = self.quadratics(variant, mop, c)
-        trace = run_single_stage(objectives, x0, cfg, stage, c)
+        trace = one_stage(objectives, x0, cfg, stage, c)
         assert trace.iterations > 10
         assert [len(k) for k in calls] == [1, 1]
         assert self.steps(trace) == self.reference(merits, x0, cfg, 80)
         if variant != "twice_regularized":
-            expected = run_single_stage(plain, x0, cfg, stage, c)
+            expected = one_stage(plain, x0, cfg, stage, c)
             assert self.steps(trace) == self.steps(expected)
             assert trace.final_x.tobytes() == expected.final_x.tobytes()
             assert trace.final_multipliers.tobytes() == expected.final_multipliers.tobytes()
@@ -554,7 +594,7 @@ class TestStackedProducts:
                       quadratic_objective(np.zeros((3, 3)), np.array([1.0, -0.5, 0.2])),
                       quadratic_objective(-0.05 * np.eye(3), np.array([-0.3, 0.4, 0.1]))]
         x0, cfg = np.array([2.0, -1.5, 1.0]), SolverConfig(tolerance=1e-9)
-        trace = run_single_stage(objectives, x0, cfg, classical(40), 0.0)
+        trace = one_stage(objectives, x0, cfg, classical(40), 0.0)
         assert trace.iterations > 5
         assert all(r.values[0] is None and None not in r.values[1:] for r in trace.records)
         assert self.steps(trace) == self.reference(objectives, x0, cfg, 40)
@@ -565,14 +605,14 @@ class TestStackedProducts:
         Hessian the line search does not read."""
         raw = random_quadratic_mop(4, 6, 2, seed=5).objectives()
         counted = [counting_calls(obj, "hessian") for obj in raw]
-        trace = run_single_stage([obj for obj, _ in counted], np.full(4, 2.0),
-                                 SolverConfig(tolerance=1e-9), classical(50), 0.0)
+        trace = one_stage([obj for obj, _ in counted], np.full(4, 2.0),
+                          SolverConfig(tolerance=1e-9), classical(50), 0.0)
         assert trace.iterations > 5
         assert [len(calls) for _, calls in counted] == [1, 1]
         quadratic, calls = counting_calls(quadratic_objective(np.eye(4), np.zeros(4)), "hessian")
         smooth, smooth_calls = counting_calls(logistic_losses()[0], "hessian")
-        trace = run_single_stage([quadratic, smooth], np.full(4, 2.0), SolverConfig(),
-                                 classical(5), 0.0)
+        trace = one_stage([quadratic, smooth], np.full(4, 2.0), SolverConfig(),
+                          classical(5), 0.0)
         assert trace.iterations == 5
         assert (len(calls), len(smooth_calls)) == (1, 0)
 
@@ -583,7 +623,7 @@ class TestStackedProducts:
         smooth = logistic_losses()
         a, b = problems.quadratic_stack(smooth, np.ones(4))
         assert (a.tobytes(), b.tobytes()) == (bytes(3 * 16 * 8), bytes(3 * 4 * 8))
-        assert not descent._stage_setup(smooth, 0.1, np.zeros(4), np.zeros(4))[1].any()
+        assert not stage_setup(smooth, Stage(0.5, 0.1, 1), np.zeros(4))[1].any()
         mixed, _ = problems.quadratic_stack(
             [quadratic_objective(np.eye(4), np.zeros(4)), smooth[0]], np.ones(4))
         assert mixed.shape == (2, 4, 4) and not mixed[1].any()
@@ -610,14 +650,14 @@ class TestStackedProducts:
         """A smooth stage's line searches, and a mixed quadratic-and-smooth
         stage's, form the slope and curvature products once per search."""
         counts = self.count_products(monkeypatch)
-        trace = run_single_stage(logistic_losses(), np.array([1.0, 5.0, 2.0, 8.0]),
-                                 SolverConfig(), Stage(0.5, 0.1, 20), np.zeros(4))
+        trace = one_stage(logistic_losses(), np.array([1.0, 5.0, 2.0, 8.0]),
+                          SolverConfig(), Stage(0.5, 0.1, 20), np.zeros(4))
         assert trace.iterations > 1
         assert counts == {"armijo": trace.iterations, "products": trace.iterations}
         counts["armijo"] = counts["products"] = 0
         mixed = [quadratic_objective(np.eye(4), np.zeros(4))] + logistic_losses()[:2]
-        trace = run_single_stage(mixed, np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.1, 20),
-                                 np.zeros(4))
+        trace = one_stage(mixed, np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.1, 20),
+                          np.zeros(4))
         assert trace.iterations > 1
         assert counts == {"armijo": trace.iterations, "products": trace.iterations}
 
@@ -633,7 +673,8 @@ class TestStackedProducts:
             direction = solve_direction(gradients)
             assert direction.t_value < 0.0
             eta, x_next, backtracks, trial = armijo_step(
-                merits, x, direction.direction, direction.t_value, cfg, [None] * 3, gradients)
+                merits, x, direction.direction, direction.t_value, cfg, [None] * 3, gradients,
+                problems.quadratic_stack(merits, x)[0])
             eta0, x_next0, backtracks0, _ = evaluated_armijo(merits, x, direction, cfg)
             assert (eta, backtracks) == (eta0, backtracks0)
             assert x_next.tobytes() == x_next0.tobytes()
@@ -645,7 +686,7 @@ class TestRunSingleStage:
         mop = random_quadratic_mop(3, 5, 1, seed=7)
         objs = mop.objectives()
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(objs, mop.x_star, cfg, classical(50), 0.0)
+        trace = one_stage(objs, mop.x_star, cfg, classical(50), 0.0)
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
 
@@ -662,7 +703,7 @@ class TestRunSingleStage:
         obj = mop.objectives()[0]
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-8)
         x0 = np.array([2.0, -1.0, 0.5])
-        trace = run_single_stage([obj], x0, cfg, classical(100), 0.0)
+        trace = one_stage([obj], x0, cfg, classical(100), 0.0)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -688,7 +729,7 @@ class TestRunSingleStage:
         objs = mop.objectives()
         cfg = SolverConfig(sigma=0.1, backtrack=0.5, tolerance=1e-7)
         x0 = np.array([1.5, -0.5, 2.0])
-        trace = run_single_stage(objs, x0, cfg, classical(200), 0.0)
+        trace = one_stage(objs, x0, cfg, classical(200), 0.0)
 
         x = x0.copy()
         reference = [x.copy()]
@@ -720,7 +761,7 @@ class TestRunSingleStage:
         monkeypatch.setattr(descent, "solve_direction", no_descent)
         mop = random_quadratic_mop(3, 5, 2, seed=3)
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(mop.objectives(), np.ones(3), cfg, classical(40), 0.0)
+        trace = one_stage(mop.objectives(), np.ones(3), cfg, classical(40), 0.0)
         assert trace.termination == "tolerance"
         assert trace.iterations == 0
         grads = [mop.objectives()[j].gradient(np.ones(3)) for j in range(2)]
@@ -746,8 +787,8 @@ class TestRunSingleStage:
         quadratic = dataclasses.replace(raw, gradient=warning_gradient, validate=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            trace = run_single_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
-                                     SolverConfig(), Stage(0.5, 0.0, 3), 0.0)
+            trace = one_stage([quadratic, logistic_losses()[0]], np.full(4, 2.0),
+                              SolverConfig(), Stage(0.5, 0.0, 3), 0.0)
         assert trace.iterations == 3
         assert [str(w.message) for w in caught] == (
             ["from the quadratic gradient"] + ["from the fractional gradient"] * 4)
@@ -759,7 +800,7 @@ class TestRunSingleStage:
         objectives = [quadratic_objective(np.diag(h), np.zeros(2))
                       for h in ([1e200, 0.0], [0.0, 1e200])]
         with np.errstate(all="ignore"):
-            trace = run_single_stage(objectives, np.ones(2), SolverConfig(), classical(10), 0.0)
+            trace = one_stage(objectives, np.ones(2), SolverConfig(), classical(10), 0.0)
         assert trace.termination == "error"
         assert "gradient scale" in trace.error
         assert trace.iterations == 0
@@ -779,8 +820,8 @@ class TestRunSingleStage:
             return result
 
         monkeypatch.setattr(descent, "solve_direction", failing_third)
-        trace = run_single_stage(pareto_pair(), np.array([2.0, 2.0]), SolverConfig(),
-                                 classical(50), 0.0)
+        trace = one_stage(pareto_pair(), np.array([2.0, 2.0]), SolverConfig(),
+                          classical(50), 0.0)
         assert (trace.termination, trace.iterations) == ("error", 2)
         assert not np.array_equal(trace.final_x, trace.records[-1].x)
         assert trace.final_norm_d is None and trace.final_multipliers is None
@@ -792,8 +833,8 @@ class TestRunSingleStage:
         object.__setattr__(bad, "gradient", lambda x: -1e6 * x)  # steep ascent
         object.__setattr__(bad, "hessian", lambda x: -1e6 * np.eye(2))
         cfg = SolverConfig(tolerance=1e-10)
-        trace = run_single_stage([bad], np.array([1.0, 1.0]), cfg,
-                                 classical(50), 0.0)
+        trace = one_stage([bad], np.array([1.0, 1.0]), cfg,
+                          classical(50), 0.0)
         assert trace.termination == "error"
         assert "halvings" in trace.error
 
@@ -819,8 +860,8 @@ class TestRunSingleStage:
                             lambda self, x: gradient_calls.append(1) or gradient_call(self, x))
         raw = random_quadratic_mop(5, 8, 2, seed=21).objectives()
         plain = [counting_calls(obj, "value") for obj in raw]
-        trace = run_single_stage([obj for obj, _ in plain], np.full(5, 3.0),
-                                 SolverConfig(tolerance=1e-8), frac, np.zeros(5))
+        trace = one_stage([obj for obj, _ in plain], np.full(5, 3.0),
+                          SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.iterations > 0
         assert len(gradient_calls) == len(raw) * (2 if frac.gamma else 1)
         assert not any(values for _, values in plain)
@@ -832,12 +873,12 @@ class TestRunSingleStage:
             obj, grads = counting_calls(obj, "gradient")
             counted.append((obj, values, grads))
         objectives = [obj for obj, *_ in counted]
-        merit, *_ = descent._stage_setup(objectives, frac.gamma, np.zeros(5), np.zeros(5))
+        merit, *_ = stage_setup(objectives, frac, np.zeros(5))
         assert all(np.linalg.eigvalsh(m.hessian(np.zeros(5)))[0] > 0.0 for m in merit)
         for _, _, grads in counted:
             grads.clear()
-        trace = run_single_stage(objectives, np.full(5, 3.0),
-                                 SolverConfig(tolerance=1e-8), frac, np.zeros(5))
+        trace = one_stage(objectives, np.full(5, 3.0),
+                          SolverConfig(tolerance=1e-8), frac, np.zeros(5))
         assert trace.termination == ("max_iter" if k_max == 7 else "tolerance")
         assert trace.iterations > 0
         assert TestStackedProducts.steps(trace) == stacked_steps
@@ -878,8 +919,8 @@ class TestRunSingleStage:
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
         raw = logistic_losses()
         objectives = [counted(j, obj) for j, obj in enumerate(raw)]
-        trace = run_single_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
-                                 Stage(0.5, 0.1, 30), np.zeros(4))
+        trace = one_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
+                          Stage(0.5, 0.1, 30), np.zeros(4))
         assert trace.iterations > 1
         for j in range(len(objectives)):
             points = [x.tobytes() for i, x, _ in calls if i == j]
@@ -897,8 +938,8 @@ class TestTraceExport:
     def test_csv_columns_and_reproducibility(self, tmp_path):
         mop = random_quadratic_mop(3, 5, 2, seed=3)
         cfg = SolverConfig(tolerance=1e-6)
-        trace = run_single_stage(mop.objectives(), np.ones(3), cfg,
-                                 classical(40), 0.0)
+        trace = one_stage(mop.objectives(), np.ones(3), cfg,
+                          classical(40), 0.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         trace.to_csv(p1)
         trace.to_csv(p2)
@@ -911,8 +952,8 @@ class TestTraceExport:
         given the objective count; without it the trace cannot name its f
         columns."""
         mop = random_quadratic_mop(3, 5, 2, seed=3)
-        trace = run_single_stage(mop.objectives(), np.ones(3), SolverConfig(tolerance=1e3),
-                                 classical(40), 0.0)
+        trace = one_stage(mop.objectives(), np.ones(3), SolverConfig(tolerance=1e3),
+                          classical(40), 0.0)
         assert trace.iterations == 0 and trace.termination == "tolerance"
         with pytest.raises(ValueError, match="without records"):
             trace.to_csv(tmp_path / "trace.csv")
@@ -937,22 +978,38 @@ class TestTraceExport:
     def test_monotone_objectives_along_trace(self):
         mop = random_quadratic_mop(4, 6, 2, seed=5)
         cfg = SolverConfig(tolerance=1e-8)
-        trace = run_single_stage(mop.objectives(), np.full(4, 2.0), cfg,
-                                 classical(200), 0.0)
+        trace = one_stage(mop.objectives(), np.full(4, 2.0), cfg,
+                          classical(200), 0.0)
         f = np.array([r.f_values for r in trace.records])
         assert np.all(np.diff(f, axis=0) <= 1e-12)
 
 
 class TestRunAdaptive:
-    def test_single_stage_schedule_equals_run_single_stage(self):
-        mop = random_quadratic_mop(3, 5, 2, seed=8)
-        objs = mop.objectives()
-        cfg = SolverConfig(tolerance=1e-9)
-        sched = StageSchedule(stages=(Stage(1.0, 0.0, 60),), terminal=np.zeros(3))
-        t1 = run_adaptive(objs, np.ones(3), cfg, sched)
-        t2 = run_single_stage(objs, np.ones(3), cfg, classical(60), 0.0)
-        assert t1.iterations == t2.iterations
-        np.testing.assert_allclose(t1.final_x, t2.final_x, atol=1e-12)
+    @pytest.mark.parametrize("x0", [
+        np.ones(3), np.ones((1, 2)), np.array([1.0, math.nan]), np.array([math.inf, 1.0]),
+    ], ids=["length_3", "matrix", "nan", "inf"])
+    def test_x0_refused_before_any_stage(self, x0, monkeypatch):
+        """An x0 that is not a finite vector of the objectives' dim is
+        refused by name before any stage runs, with or without a set-up
+        built beforehand."""
+        stages = []
+        monkeypatch.setattr(descent, "run_single_stage", lambda *args: stages.append(args))
+        objectives, schedule = pareto_pair(), default_schedule()
+        for setup in (None, descent.schedule_setup(objectives, schedule, 2)):
+            with pytest.raises(ValueError, match="x0 must be a finite vector of dim 2"):
+                run_adaptive(objectives, x0, SolverConfig(), schedule, setup)
+        assert stages == []
+
+    @pytest.mark.parametrize("stage", [classical(5), Stage(0.5, 0.1, 5)])
+    @pytest.mark.parametrize("terminal, match", [
+        (math.nan, "terminal must be finite"),
+        (np.zeros(3), "terminal has length 3, but x has length 2"),
+    ], ids=["nan", "length_3"])
+    def test_one_stage_run_refuses_a_bad_terminal(self, stage, terminal, match):
+        """A one-stage run checks its terminal as every schedule does, also
+        in a classical stage, which reads no terminal."""
+        with pytest.raises(ValueError, match=match):
+            one_stage(pareto_pair(), np.ones(2), SolverConfig(), stage, terminal)
 
     def test_iterates_are_not_shared(self):
         """Records and final_x hold the iterates without copies, so no two of
@@ -1111,9 +1168,10 @@ class TestRunAdaptive:
         cfg = SolverConfig(tolerance=1e-6)
         trace = run_adaptive(objectives, x0, cfg, schedule)
         reference, x = descent.IterationTrace(), x0
+        c, setups = descent.schedule_setup(objectives, schedule, 4)
         for s, stage in enumerate(schedule.stages):
-            x = run_single_stage(objectives, x, cfg, stage, c, stage_index=s,
-                                 trace=reference).final_x
+            x = descent.run_single_stage(objectives, x, cfg, stage, c, s, reference, 0.0,
+                                         setups[s]).final_x
         assert [s.tolerance for s in trace.stages] == [cfg.tolerance] * 3
         assert trace.stages == reference.stages
         assert len(trace.records) == len(reference.records)
@@ -1174,9 +1232,9 @@ class TestStageMerit:
         recovered from beta."""
         objectives, c, x0 = pareto_pair(), np.zeros(2), np.array([2.0, 3.0])
         cfg = SolverConfig(tolerance=1e-10)
-        staged = run_single_stage(objectives, x0, cfg, Stage(0.5, 0.1, 200), c)
+        staged = one_stage(objectives, x0, cfg, Stage(0.5, 0.1, 200), c)
         merits = [regularized(obj, 0.1, c) for obj in objectives]
-        reference = run_single_stage(merits, x0, cfg, Stage(1.0, 0.0, 200), c)
+        reference = one_stage(merits, x0, cfg, Stage(1.0, 0.0, 200), c)
         assert staged.termination == reference.termination == "tolerance"
         assert staged.iterations == reference.iterations > 1
         for got, want in zip(staged.records, reference.records):
@@ -1295,8 +1353,8 @@ class TestMeritSlope:
 
         monkeypatch.setattr(descent, "modified_fractional_gradient", uphill)
         objectives = logistic_losses()
-        trace = run_single_stage(objectives, np.full(4, 2.0), SolverConfig(),
-                                 Stage(0.5, 0.0, 10), np.zeros(4))
+        trace = one_stage(objectives, np.full(4, 2.0), SolverConfig(),
+                          Stage(0.5, 0.0, 10), np.zeros(4))
         assert trace.termination == "model_mismatch"
         assert trace.iterations == 0
         assert any(n.startswith("model_mismatch") and "||g - grad merit||" in n
@@ -1372,10 +1430,10 @@ class TestSharedNodeStack:
         and one note per iterate instead of one per objective."""
         args = (np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.2, 15),
                 np.array([-5.0, -5.0, -5.0, 5.0]))
-        shared = run_single_stage(logistic_losses(), *args)
+        shared = one_stage(logistic_losses(), *args)
         own_notes = []
         self.own_stacks(monkeypatch, args[3], own_notes)
-        own = run_single_stage(logistic_losses(), *args)
+        own = one_stage(logistic_losses(), *args)
         assert shared.iterations > 0
         assert record_bits(shared) == record_bits(own)
         iterates = [r.x for r in shared.records] + [shared.final_x]
@@ -1393,7 +1451,7 @@ class TestSharedNodeStack:
         objectives = [example3_objective()] + self.smooth_pair()
         args = (np.array([2.0, 1.5]), SolverConfig(), Stage(0.6, 0.1, 8), np.full(2, -1.0))
         _, handed = self.spy(monkeypatch)
-        shared = run_single_stage(objectives, *args)
+        shared = one_stage(objectives, *args)
         assert shared.iterations > 0
         assert len(handed) == 3 * (shared.iterations + 1)
         for kinked, first, second in zip(*[iter(handed)] * 3):
@@ -1401,7 +1459,7 @@ class TestSharedNodeStack:
             assert isinstance(first, NodeStack) and second is first
             assert not first.z.flags.writeable and not kinked.z.flags.writeable
         self.own_stacks(monkeypatch, args[3], [])
-        assert record_bits(run_single_stage(objectives, *args)) == record_bits(shared)
+        assert record_bits(one_stage(objectives, *args)) == record_bits(shared)
 
     def test_objectives_that_share_a_locator_share_one_stack(self, monkeypatch):
         """Example 3 and twice example 3 have one kink locator: each iterate
@@ -1413,8 +1471,8 @@ class TestSharedNodeStack:
         smooth = self.smooth_pair()
         objectives = [example3, smooth[0], twice, smooth[1]]
         built, handed = self.spy(monkeypatch)
-        trace = run_single_stage(objectives, np.array([2.0, 1.5]), SolverConfig(),
-                                 Stage(0.6, 0.1, 8), np.array([-1.0, 5.0]))
+        trace = one_stage(objectives, np.array([2.0, 1.5]), SolverConfig(),
+                          Stage(0.6, 0.1, 8), np.array([-1.0, 5.0]))
         assert trace.iterations > 0 and trace.termination != "error"
         iterates = trace.iterations + 1
         assert built == [example3.kink_locator, None] * iterates
@@ -1430,8 +1488,8 @@ class TestSharedNodeStack:
         example3 = example3_objective()
         copy = self.scaled_example3(2.0, lambda *args: example3.kink_locator(*args))
         built, handed = self.spy(monkeypatch)
-        trace = run_single_stage([example3, copy], np.array([2.0, 1.5]), SolverConfig(),
-                                 Stage(0.6, 0.1, 8), np.full(2, -1.0))
+        trace = one_stage([example3, copy], np.array([2.0, 1.5]), SolverConfig(),
+                          Stage(0.6, 0.1, 8), np.full(2, -1.0))
         assert trace.iterations > 0
         assert built == [example3.kink_locator, copy.kink_locator] * (trace.iterations + 1)
         assert all(a is not b for a, b in zip(handed[::2], handed[1::2]))
@@ -1466,8 +1524,8 @@ class TestSmoothStageCalls:
             return armijo(merit, x, d, t, cfg, values, gradients, hessians)
 
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
-        trace = run_single_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
-                                 Stage(0.5, 0.1, 20), np.zeros(4))
+        trace = one_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
+                          Stage(0.5, 0.1, 20), np.zeros(4))
         assert trace.iterations > 1 and len(searched) == trace.iterations
         iterates = [r.x for r in trace.records] + [trace.final_x]
         for obj_calls in calls:
@@ -1501,12 +1559,12 @@ class TestSmoothStageCalls:
 
         monkeypatch.setattr(descent, "modified_fractional_gradient", spy)
         args = (np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(), Stage(0.7, 0.05, 30), np.zeros(4))
-        without = run_single_stage([counted(obj) for obj in logistic_losses()], *args)
+        without = one_stage([counted(obj) for obj in logistic_losses()], *args)
         assert without.iterations > 1 and without.termination != "error"
         assert len(per_call) == 3 * (without.iterations + 1)
         assert per_call == [[2]] * len(per_call)
         assert len(calls) == len(per_call)
-        assert record_bits(without) == record_bits(run_single_stage(logistic_losses(), *args))
+        assert record_bits(without) == record_bits(one_stage(logistic_losses(), *args))
 
 
 class TestClassicalStage:
@@ -1551,13 +1609,13 @@ class TestClassicalStage:
                                               np.array([-1.0, 0.5])), example3_objective()]
             x0 = np.array([3.0, 2.0])
         calls, slopes = self.spy(monkeypatch)
-        trace = run_single_stage(objectives, x0, SolverConfig(), classical(30), 0.0)
+        trace = one_stage(objectives, x0, SolverConfig(), classical(30), 0.0)
         assert trace.iterations > 0 and trace.termination != "error"
         assert calls == []
         assert len(slopes) == trace.iterations
         assert all(slope == t for slope, t in slopes)
         # The counters see a fractional stage's calls.
-        run_single_stage(objectives, x0, SolverConfig(), Stage(0.5, 0.0, 2), 0.0)
+        one_stage(objectives, x0, SolverConfig(), Stage(0.5, 0.0, 2), 0.0)
         assert {"modified_fractional_gradient", "node_stack"} <= set(calls)
 
     @pytest.mark.parametrize("gamma, alphas", [(0.1, (0.3, 0.5, 0.9)),
@@ -1569,8 +1627,8 @@ class TestClassicalStage:
         calls, _ = self.spy(monkeypatch)
         objectives = random_quadratic_mop(4, 6, 2, seed=11).objectives()
         c = np.array([0.5, -0.5, 0.0, 0.25])
-        runs = [record_bits(run_single_stage(objectives, np.full(4, 2.0), SolverConfig(),
-                                             Stage(alpha, gamma, 200), c))
+        runs = [record_bits(one_stage(objectives, np.full(4, 2.0), SolverConfig(),
+                                      Stage(alpha, gamma, 200), c))
                 for alpha in alphas]
         assert runs[0][1] and all(run == runs[0] for run in runs[1:])
         assert calls == []

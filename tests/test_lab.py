@@ -17,6 +17,7 @@ from mofgd import (
     comparison_table,
     mogd_baseline,
     random_quadratic_mop,
+    run_adaptive,
     solve_direction,
     subgradient_baseline,
     tikhonov_solve,
@@ -631,8 +632,8 @@ class TestComparisonTable:
             merit = [regularized(obj, gamma, c, "diag") for obj in objectives]
             baseline = mogd_baseline(merit, x0, cfg)
             for alpha in (0.5, 0.9):
-                stage = descent.run_single_stage(objectives, x0, cfg,
-                                                 descent.Stage(alpha, gamma, cfg.max_iterations), c)
+                schedule = StageSchedule((descent.Stage(alpha, gamma, cfg.max_iterations),), c)
+                stage = run_adaptive(objectives, x0, cfg, schedule)
                 assert bits(stage) == bits(baseline), (gamma, alpha)
             row = next(r for r in rows if r["gamma"] == gamma and r["method"] == "moaocfgd")
             assert (row["iterations"], row["termination"]) == (baseline.iterations,

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -122,3 +123,86 @@ def test_ledger_names_exist_in_the_package():
         if obj is None:
             missing.append(name)
     assert not missing, f"ledger rows without a construct in src/mofgd: {missing}"
+
+
+# Tracer layers whose function the package no longer has; the traced
+# benchmark run reports them as missing.
+DEAD_TRACER_TARGETS = {("mofgd.problems", "quadratic_effective_gradient")}
+
+# The functions whose traced calls give perfbench's per-layer counts.
+TRACER_SEAMS = (("mofgd.descent", "run_single_stage"), ("mofgd.descent", "armijo_step"),
+                ("mofgd.direction", "solve_direction"),
+                ("mofgd.fractional", "modified_fractional_gradient"))
+
+
+def _tracer_targets():
+    """FUNCTIONS and TO_CSV of perfbench/tracer.py, read from its source
+    without importing it."""
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text())
+    found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("FUNCTIONS", "TO_CSV")}
+    return found["FUNCTIONS"], found["TO_CSV"]
+
+
+def test_tracer_targets_exist_in_the_package():
+    """Every function and method that perfbench's tracer wraps is still
+    where it looks, so no traced layer silently reads zero calls."""
+    functions, (module, cls, attribute, _) = _tracer_targets()
+    assert set(TRACER_SEAMS) <= {(m, a) for m, a, _ in functions}
+    missing = [f"{m}.{a}" for m, a, _ in functions
+               if (m, a) not in DEAD_TRACER_TARGETS
+               and not callable(getattr(importlib.import_module(m), a, None))]
+    assert not missing, f"tracer targets without a function in src/mofgd: {missing}"
+    assert callable(getattr(getattr(importlib.import_module(module), cls), attribute))
+
+
+def test_tracer_seams_are_looked_up_at_call_time(monkeypatch):
+    """Wrappers put into every mofgd module that binds a seam, as the tracer
+    puts its own, see every call of a two-stage fractional run: the seams
+    are looked up through module globals at call time.  run_single_stage
+    binds cfg and trace by name and returns the trace, and armijo_step
+    returns its backtrack count third."""
+    import numpy as np
+
+    from mofgd.descent import SolverConfig, StageSchedule, run_adaptive
+    from mofgd.fixtures import example3_objective
+
+    seen = {}
+    originals = {}
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "mofgd" or name.startswith("mofgd."))]
+    for module_name, attribute in TRACER_SEAMS:
+        original = originals[attribute] = getattr(importlib.import_module(module_name), attribute)
+
+        def wrapper(*args, original=original, calls=seen.setdefault(attribute, []), **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+
+    cfg = SolverConfig()
+    schedule = StageSchedule.from_gammas([0.5, 0.7], [0.1, 0.0], [20, 20], terminal=0.0)
+    trace = run_adaptive([example3_objective()], np.array([3.0, 2.0]), cfg, schedule)
+    assert [s.termination for s in trace.stages] == ["tolerance", "tolerance"]
+    assert all(s.iterations > 0 for s in trace.stages)
+
+    signature = inspect.signature(originals["run_single_stage"])
+    assert len(seen["run_single_stage"]) == 2
+    for args, kwargs, result in seen["run_single_stage"]:
+        bound = signature.bind(*args, **kwargs).arguments
+        assert bound["cfg"] is cfg and bound["trace"] is result is trace
+
+    assert len(seen["armijo_step"]) == trace.iterations
+    for (_, _, result), record in zip(seen["armijo_step"], trace.records):
+        eta, _, backtracks, _ = result
+        assert backtracks == record.backtracks and eta == cfg.backtrack ** backtracks
+
+    # One direction solve and one fractional gradient per iterate.
+    iterates = trace.iterations + len(trace.stages)
+    assert len(seen["solve_direction"]) == len(seen["modified_fractional_gradient"]) == iterates
