@@ -184,8 +184,13 @@ class Stage:
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Sequence of (alpha_s, gamma_s, k_s) with one fixed terminal (zeros when
-    None), kept as a read-only copy of the caller's array."""
+    """Sequence of (alpha_s, gamma_s, k_s) with one fixed terminal.
+
+    A terminal other than None is kept as `fractional.terminals` returns it
+    for its own length, a read-only vector of its own, so a NaN or an
+    infinite entry is refused here, as `Stage` refuses a non-finite gamma.
+    None stays None, and the set-up reads it as zeros(n).
+    """
 
     stages: tuple[Stage, ...]
     terminal: Optional[np.ndarray] = None
@@ -195,9 +200,8 @@ class StageSchedule:
             raise ValueError("schedule needs at least one stage")
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.terminal is not None:
-            t = np.array(self.terminal, dtype=float)
-            t.flags.writeable = False
-            object.__setattr__(self, "terminal", t)
+            object.__setattr__(self, "terminal",
+                               terminals(self.terminal, np.size(self.terminal)))
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -401,17 +405,15 @@ def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
                    n: int) -> tuple[np.ndarray, list]:
     """Every stage's set-up, the one that `run_adaptive` builds before its
-    first iterate: the schedule's terminal c as an n-vector (zeros when
-    omitted; ValueError unless finite and of length 1 or n) and, per stage,
-    its merits and their `problems.quadratic_stack` (A, B).  A quadratic's
-    merit gains the pull of weight gamma_s about c (`problems.regularized`);
-    every other objective is its own merit.  The stack is read at c and
-    holds at every x.  The set-up reads only the objectives, the gammas and
-    c, so a sweep builds it once for all starts.
+    first iterate: the schedule's terminal c as `fractional.terminals`
+    reads it for n (zeros when None; ValueError unless of length 1 or n)
+    and, per stage, its merits and their `problems.quadratic_stack`
+    (A, B).  A quadratic's merit gains the pull of weight gamma_s about c
+    (`problems.regularized`); every other objective is its own merit.  The
+    stack is read at c and holds at every x.  The set-up reads only the
+    objectives, the gammas and c, so a sweep builds it once for all starts.
     """
-    c = terminals(0.0 if schedule.terminal is None else schedule.terminal, n)
-    if not np.isfinite(c).all():
-        raise ValueError(f"terminal must be finite, got {schedule.terminal}")
+    c = terminals(schedule.terminal, n)
     setups = []
     for stage in schedule.stages:
         merit = tuple(regularized(obj, stage.gamma, c) if obj.kind == "quadratic" else obj
@@ -571,12 +573,13 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
     of each objective's dim, and setup is
     `schedule_setup(objectives, schedule, x0.size)`, which a sweep builds
     once for all its starts; None builds it here.  So an x0 of another
-    length or with a non-finite entry, and a terminal that is not finite
-    or whose length is neither 1 nor n, raise ValueError before any stage
-    runs.  Each stage is one `run_single_stage` on its set-up.  Each stage
-    but the last passes its fall gamma_s - gamma_{s+1}, where positive, as
-    gamma_drop (the stop rule of the module docstring); the others stop at
-    cfg.tolerance.  The run stops at the first stage that ends in error.
+    length or with a non-finite entry, and a terminal whose length is
+    neither 1 nor n, raise ValueError before any stage runs; the schedule
+    has refused a non-finite terminal when it was built.  Each stage is one
+    `run_single_stage` on its set-up.  Each stage but the last passes its
+    fall gamma_s - gamma_{s+1}, where positive, as gamma_drop (the stop rule
+    of the module docstring); the others stop at cfg.tolerance.  The run
+    stops at the first stage that ends in error.
     """
     x = np.asarray(x0, dtype=float)
     finite = np.isfinite(x).all()

@@ -34,6 +34,7 @@ accuracy check compares with.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,12 +57,24 @@ def order_shift(alpha: float) -> float:
 
 
 def terminals(terminal, n: int) -> np.ndarray:
-    """The terminal c broadcast to n coordinates (ValueError unless of length 1 or n)."""
-    c = np.atleast_1d(np.asarray(terminal, dtype=float))
-    if c.size not in (1, n):
+    """The Caputo terminal c as a read-only n-vector of its own: the one rule.
+
+    None is zeros(n), and a single entry is repeated n times.  Any other
+    length, and a NaN or an infinite entry, raise ValueError.  The
+    schedule, its set-up, the merits, the node stacks and every Tikhonov
+    system read their terminal through it and keep the copy it returns,
+    so writing into the caller's array later changes none of them.
+    """
+    c = np.array(0.0 if terminal is None else terminal, dtype=float).reshape(-1)
+    if c.size == 1 and n != 1:
+        c = c.repeat(n)
+    if c.size != n:
         raise ValueError(f"terminal has length {c.size}, but x has length {n}; "
                          f"give one terminal or {n}")
-    return np.broadcast_to(c, (n,))
+    if not all(map(math.isfinite, c.tolist())):
+        raise ValueError(f"terminal must be finite, got {terminal}")
+    c.flags.writeable = False
+    return c
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,14 +162,16 @@ class NodeStack(NamedTuple):
 def node_stack(x: np.ndarray, alpha: float, terminal, locator=None) -> NodeStack:
     """Nodes of the order-alpha modified fractional gradient at x.
 
-    alpha lies in (0, 1) and terminal is a scalar or an n-vector
-    (ValueError otherwise).  locator is the objective's kink_locator, or
-    None for a kink-free objective, whose coordinates scale the unit rule.
-    A coordinate with x_i <= c_i reads row 0, kinked or not, and one with
-    x_i < c_i adds a note; nothing warns.  Each coordinate is resolved on
-    Python floats and fills its rows of its own column of k copies of x.
-    The stack depends on neither beta nor the objective's values, so every
-    objective at x with this kink locator can share one.
+    alpha lies in (0, 1) (ValueError otherwise), and terminal is read by
+    `terminals`: None is zeros, and a terminal whose length is neither 1
+    nor n, or with a non-finite entry, raises ValueError.  locator is the
+    objective's kink_locator, or None for a kink-free objective, whose
+    coordinates scale the unit rule.  A coordinate with x_i <= c_i reads
+    row 0, kinked or not, and one with x_i < c_i adds a note; nothing
+    warns.  Each coordinate is resolved on Python floats and fills its rows
+    of its own column of k copies of x.  The stack depends on neither beta
+    nor the objective's values, so every objective at x with this kink
+    locator can share one.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha} (1 is the classical order)")

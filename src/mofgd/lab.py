@@ -21,10 +21,12 @@ from .descent import (
     SolverConfig,
     Stage,
     StageSchedule,
+    _check_count,
     run_adaptive,
     schedule_setup,
 )
 from .fixtures import fixture_objectives
+from .fractional import terminals
 from .problems import (
     ObjectiveModel,
     PiecewiseMaxObjective,
@@ -62,7 +64,9 @@ class ExperimentSpec:
     instance is a QuadraticMop or a named analytic fixture ("example1",
     "example2", "example2_pair", "example3_nonsmooth").  start_grid is
     (lb, ub, count): count points uniformly subdividing the segment lb -> ub,
-    whose ends are vectors of one length (ValueError otherwise).
+    whose ends are vectors of one length, and count a positive integer, as
+    a stage's iterations are (`descent._check_count`).  gamma_values must
+    be finite and nonnegative, as a `Stage`'s gamma.  ValueError otherwise.
     method is "moaocfgd" (the staged schedule) or "mogd" (classical descent).
     """
 
@@ -81,12 +85,12 @@ class ExperimentSpec:
         if lb.ndim != 1 or lb.shape != ub.shape:
             raise ValueError(f"start_grid lb and ub must be vectors of one length, "
                              f"got shapes {lb.shape} and {ub.shape}")
-        if count < 1:
-            raise ValueError("start_grid count must be >= 1")
+        _check_count(count, "start_grid count")
         if not np.all(lb < ub):
             raise ValueError("start_grid lower bound must be below the upper bound")
-        if any(g < 0 for g in self.gamma_values):
-            raise ValueError("gamma values must be nonnegative")
+        if not all(0.0 <= g < math.inf for g in self.gamma_values):
+            raise ValueError(f"gamma values must be nonnegative and finite, "
+                             f"got {self.gamma_values}")
         object.__setattr__(self, "start_grid", (lb, ub, int(count)))
         object.__setattr__(self, "gamma_values", tuple(float(g) for g in self.gamma_values))
 
@@ -202,7 +206,8 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, gamma: float, ter
     """Frozen-multiplier fixed-step run checked against the closed-form solution.
 
     The run descends on the merits of the `tikhonov_solve` system for the
-    regularizer weight gamma (ValueError when negative) and the terminal,
+    regularizer weight gamma (ValueError unless finite and nonnegative) and
+    the terminal c, which `fractional.terminals` reads (zeros when None),
     taking up to k_max steps of size cfg.eta / sigma_max, where sigma_max
     is that system's largest singular value; of cfg it reads only eta.  It stops
     once ||d|| < sigma_min stop_error, which puts the error to x_Tik below
@@ -255,13 +260,14 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, gamma: float, ter
 
 
 def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
-                           cfg: SolverConfig, x0: Optional[np.ndarray] = None
-                           ) -> tuple[StageErrorBound, dict]:
+                           cfg: SolverConfig) -> tuple[StageErrorBound, dict]:
     """Staged frozen-multiplier run checked against the stage error recursion.
 
-    Stage s takes its k_s steps of size cfg.eta / sigma_max, where
-    sigma_max is that of the stage's `tikhonov_solve` system at uniform
-    multipliers and the schedule's terminal; of cfg it reads only eta.
+    The run starts at the least-squares solution plus a seeded standard
+    normal draw.  Stage s takes its k_s steps of size cfg.eta / sigma_max,
+    where sigma_max is that of the stage's `tikhonov_solve` system at
+    uniform multipliers and the schedule's terminal c, read by
+    `fractional.terminals` (zeros when None); of cfg it reads only eta.
     Measures epsilon_s (start-of-stage distance to the stage's regularized
     solution), e_s (drift between consecutive regularized solutions), the
     per-stage contraction factors, and the instance constants B_max and C;
@@ -270,13 +276,12 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     """
     m = mop.n_objectives
     lam = np.full(m, 1.0 / m)
-    c = schedule.terminal if schedule.terminal is not None else np.zeros(mop.dim)
+    c = terminals(schedule.terminal, mop.dim)
     gammas = schedule.gammas
     iterations = tuple(s.iterations for s in schedule.stages)
     x_star = mop.least_squares_solution()
 
-    rng = np.random.default_rng(1)
-    x = (x_star + rng.normal(0, 1.0, mop.dim)) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = x_star + np.random.default_rng(1).normal(0, 1.0, mop.dim)
 
     sols = [tikhonov_solve(mop, g, lam, c) for g in gammas]
     eps, rates, Rs, stage_end_err = [], [], [], []
@@ -422,11 +427,13 @@ def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig,
     Individual run failures are recorded (appended to `failures` as
     (start_index, reason) when a list is passed) and excluded, never fatal;
     a sweep that cannot run at all (a "moaocfgd" spec without a schedule,
-    or a terminal of the wrong length) raises ValueError before any start
-    runs.  jobs > 1 runs contiguous chunks of starts in worker processes,
-    each building the objectives and the sweep's set-up once, and gathers
-    them in start order, so the front is the same for every jobs.
+    a terminal of the wrong length, or a jobs that is not a positive
+    integer) raises ValueError before any start runs.  jobs > 1 runs
+    contiguous chunks of starts in worker processes, each building the
+    objectives and the sweep's set-up once, and gathers them in start
+    order, so the front is the same for every jobs.
     """
+    _check_count(jobs, "jobs")
     indices = np.arange(spec.start_grid[2])
     jobs = min(jobs, indices.size)
     if jobs == 1:
@@ -476,10 +483,12 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
 
     For a quadratic, a fractional stage of weight gamma is classical descent
     on its diagonal-regularized merit, bit for bit, whatever its order, so
-    both rows run `mogd_baseline`.  A row's merits and condition number are
-    those of its regularizer's `tikhonov_solve` at uniform multipliers;
-    final_error is the distance to the Tikhonov solution at the run's
-    final multipliers (uniform when its last direction solve failed).
+    both rows run `mogd_baseline`.  Both regularizers are centred on
+    c = 0; the table reads no schedule.  A row's merits and condition
+    number are those of its regularizer's `tikhonov_solve` at uniform
+    multipliers; final_error is the distance to the Tikhonov solution at
+    the run's final multipliers (uniform when its last direction solve
+    failed).
     """
     m = mop.n_objectives
     uniform = np.full(m, 1.0 / m)

@@ -33,6 +33,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .fractional import terminals
+
 __all__ = [
     "SingularSystemError",
     "ObjectiveModel",
@@ -255,17 +257,19 @@ def regularized(obj: ObjectiveModel, gamma: float, c, reg: str = "diag") -> Obje
     H + gamma R is built once, here, and is also the merit's constant
     Hessian: for "diag" a copy of H with gamma h added to its diagonal, so
     the off-diagonal entries keep H's bits, and for "outer" the sum
-    H + gamma r r^T.  The merit keeps its own read-only copy of c,
-    broadcast to an n-vector, so writing into the caller's array later
-    changes neither its value nor its gradient.
+    H + gamma r r^T.  c is read by `fractional.terminals` at every gamma
+    (None is zeros; ValueError for a length other than 1 or n and for a
+    non-finite entry), and the merit keeps the copy it returns, so writing
+    into the caller's array later changes neither its value nor its
+    gradient.
     """
     if reg not in ("diag", "outer"):
         raise ValueError(f"unknown regularizer {reg!r}")
     if obj.kind != "quadratic":
         raise ValueError("only quadratic objectives take a Tikhonov pull")
+    c = terminals(c, obj.dim)
     if gamma == 0.0:
         return obj
-    c = _read_only(np.array(np.broadcast_to(np.asarray(c, dtype=float), (obj.dim,))))
     hess = np.asarray(obj.hessian(c), dtype=float)
     h = hess.diagonal()
     if reg == "diag":
@@ -439,7 +443,7 @@ def random_quadratic_mop(n: int, m_data: int, m: int, seed: int) -> QuadraticMop
 
 
 def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
-                   terminal: np.ndarray, regularizer: str = "diag") -> TikhonovSolution:
+                   terminal, regularizer: str = "diag") -> TikhonovSolution:
     """Critical point of the multiplier-weighted stage merit.
 
     With merit_j = regularized(f_j, gamma, c, regularizer), the weighted
@@ -447,14 +451,16 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     S = sum_j lambda_j merit_j.hessian(c), so its critical point is the one
     Newton step x_tik = c - S^{-1} sum_j lambda_j grad merit_j(c).  The
     returned a_matrix is S, the system the fixed-step runs use, with its
-    extreme singular values from one SVD.
+    extreme singular values from one SVD.  gamma must be finite and
+    nonnegative, as a `Stage`'s, and the terminal c is read by
+    `fractional.terminals` (None is zeros); ValueError otherwise.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     lam = np.asarray(multipliers, dtype=float)
     if lam.shape != (mop.n_objectives,) or lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError("multipliers must lie on the unit simplex")
-    c = np.broadcast_to(np.asarray(terminal, dtype=float), (mop.dim,))
+    c = terminals(terminal, mop.dim)
     merit = tuple(regularized(obj, gamma, c, regularizer) for obj in mop.objectives())
 
     def weighted_gradient(x):

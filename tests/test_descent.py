@@ -175,8 +175,14 @@ class TestStageSchedule:
 
     @pytest.mark.parametrize("terminal", [math.nan, [0.0, math.inf]])
     def test_non_finite_terminal_refused_before_any_stage(self, terminal):
+        """The schedule refuses a non-finite terminal when it is built, as
+        a stage refuses a non-finite gamma; the set-up, which reads the
+        terminal through the same rule, refuses one written past it."""
         objectives = fixture_objectives("example2")
-        schedule = default_schedule(terminal=terminal)
+        with pytest.raises(ValueError, match="terminal must be finite"):
+            default_schedule(terminal=terminal)
+        schedule = default_schedule()
+        object.__setattr__(schedule, "terminal", np.array(terminal, dtype=float))
         with pytest.raises(ValueError, match="terminal must be finite"):
             descent.schedule_setup(objectives, schedule, 2)
         with pytest.raises(ValueError, match="terminal must be finite"):

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from mofgd import (
+    SolverConfig,
+    Stage,
+    StageSchedule,
     modified_fractional_gradient,
     quadratic_objective,
     random_quadratic_mop,
+    run_adaptive,
+    tikhonov_solve,
+    verify_rate_theorem5,
+    verify_staged_theorem6,
 )
 from mofgd.fixtures import example3_objective
 from mofgd.fractional import (
@@ -19,7 +26,9 @@ from mofgd.fractional import (
     _rule,
     node_stack,
     order_shift,
+    terminals,
 )
+from mofgd.problems import regularized
 from oracles import (
     CaputoDomainError,
     QuadratureAccuracyError,
@@ -761,3 +770,64 @@ class TestTerminalLength:
         read at its first entry."""
         with pytest.raises(ValueError, match="terminal has length 3, but x has length 1"):
             caputo_derivative_1d(monomial(2), 1.0, 0.5, [0.0, 5.0, 7.0])
+
+
+# Every entry point that takes a terminal, on one instance with n = 2, each
+# returning an array that its terminal moves.
+TERMINAL_MOP = random_quadratic_mop(2, 4, 2, seed=3)
+UNIFORM = np.full(2, 0.5)
+TERMINAL_ENTRY_POINTS = {
+    "node_stack": lambda c: node_stack(np.array([1.0, 2.0]), 0.5, c).z,
+    "run_adaptive": lambda c: run_adaptive(
+        TERMINAL_MOP.objectives(), np.full(2, 2.0), SolverConfig(),
+        StageSchedule((Stage(0.5, 0.1, 5),), c)).final_x,
+    "regularized": lambda c: regularized(
+        TERMINAL_MOP.objectives()[0], 0.1, c).gradient(np.array([0.3, -0.7])),
+    "tikhonov_solve": lambda c: tikhonov_solve(TERMINAL_MOP, 0.1, UNIFORM, c).x_tik,
+    "verify_rate_theorem5": lambda c: verify_rate_theorem5(
+        TERMINAL_MOP, SolverConfig(), 0.1, c, UNIFORM, k_max=20).errors,
+    "verify_staged_theorem6": lambda c: np.array(verify_staged_theorem6(
+        TERMINAL_MOP, StageSchedule.from_gammas([0.5, 0.7], [0.1, 0.0], [5, 5], c),
+        SolverConfig())[0].epsilon),
+}
+
+
+class TestTerminalRule:
+    """`terminals` decides what a terminal is wherever one is taken."""
+
+    @pytest.mark.parametrize("entry", TERMINAL_ENTRY_POINTS)
+    @pytest.mark.parametrize("terminal, match", [
+        (None, None),
+        (math.nan, "terminal must be finite"),
+        ([0.0, math.inf], "terminal must be finite"),
+        (np.zeros(3), "terminal has length 3, but x has length 2"),
+    ], ids=["none", "nan", "inf", "length_3"])
+    def test_every_entry_point_reads_the_rule(self, entry, terminal, match):
+        """None is zeros, bit for bit, and a non-finite entry or a length
+        other than 1 or n is refused with the rule's message."""
+        call = TERMINAL_ENTRY_POINTS[entry]
+        if match is None:
+            got = call(terminal)
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, call(np.zeros(2)))
+        else:
+            with pytest.raises(ValueError, match=match):
+                call(terminal)
+
+    @pytest.mark.parametrize("terminal", [math.nan, [0.0, -math.inf]], ids=["nan", "inf"])
+    def test_schedule_refuses_a_non_finite_terminal_and_keeps_none(self, terminal):
+        with pytest.raises(ValueError, match="terminal must be finite"):
+            StageSchedule((Stage(0.5, 0.1, 5),), terminal)
+        assert StageSchedule((Stage(0.5, 0.1, 5),)).terminal is None
+
+    @pytest.mark.parametrize("terminal", [0.5, [0.5], np.full(3, 0.5)],
+                             ids=["scalar", "one", "n"])
+    def test_the_rule_returns_a_read_only_contiguous_copy(self, terminal):
+        """A single entry is repeated, not broadcast: the result owns
+        contiguous memory, so no stride-0 view reaches a merit's products."""
+        caller = np.array(terminal, dtype=float)
+        c = terminals(caller, 3)
+        assert c.tolist() == [0.5] * 3
+        assert c.flags.c_contiguous and not c.flags.writeable
+        caller[...] = 1.0
+        assert c.tolist() == [0.5] * 3

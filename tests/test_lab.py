@@ -247,6 +247,21 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="start_grid"):
             ExperimentSpec("example2", start_grid=((1.0, 1.0), (2.0, 2.0, 2.0), 3))
 
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_start_count_is_a_positive_integer(self, count):
+        """The count is refused as a stage's iterations are: 2.5 is not
+        truncated to 2, nor True read as 1."""
+        with pytest.raises(ValueError, match="start_grid count must be a positive integer"):
+            ExperimentSpec("example2", start_grid=((1.0, 1.0), (2.0, 2.0), count))
+        grid = ExperimentSpec("example2", start_grid=((1.0, 1.0), (2.0, 2.0), np.int64(3)))
+        assert grid.start_grid[2] == 3 and grid.starts().shape == (3, 2)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1])
+    def test_gamma_values_are_finite_and_nonnegative(self, gamma):
+        """A NaN or infinite gamma value is refused, as a stage's gamma is."""
+        with pytest.raises(ValueError, match="gamma values must be nonnegative and finite"):
+            ExperimentSpec("example2", gamma_values=(0.1, gamma))
+
 
 class TestParetoSweep:
     def test_single_start(self):
@@ -372,6 +387,18 @@ class TestParetoSweep:
         with pytest.raises(ValueError, match=message):
             pareto_sweep(ExperimentSpec("example2_pair", schedule=schedule), SWEEP_CFG,
                          failures=failures, jobs=jobs)
+        assert failures == [] and runs == []
+
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, True])
+    def test_jobs_is_a_positive_integer(self, monkeypatch, jobs):
+        """A jobs that is not a positive integer is refused by name before
+        any start runs, not by numpy's array_split or a TypeError."""
+        runs = []
+        monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
+        failures = []
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            pareto_sweep(ExperimentSpec("example2_pair", schedule=default_schedule()),
+                         SWEEP_CFG, failures=failures, jobs=jobs)
         assert failures == [] and runs == []
 
     @staticmethod

@@ -502,6 +502,14 @@ class TestTikhonovSolve:
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-10
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.5])
+    def test_gamma_is_finite_and_nonnegative(self, gamma):
+        """A NaN or infinite gamma is refused by name, as a stage's is,
+        rather than surfacing as a singular system."""
+        mop = random_quadratic_mop(3, 5, 2, seed=21)
+        with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
+            tikhonov_solve(mop, gamma, np.array([0.5, 0.5]), np.zeros(3))
+
     def test_singular_at_gamma_zero(self):
         """Rank-deficient Gram sum with gamma = 0 raises a singularity error."""
         W = np.zeros((3, 2))

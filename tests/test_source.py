@@ -1,7 +1,9 @@
 """Source-level guards over the mofgd package."""
 
 import ast
+import contextlib
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mofgd.cli import COMMANDS
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "mofgd"
@@ -76,12 +80,18 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command", [
-    ["fixtures"],
-    ["solve", "--config", str(REPO / "configs" / "example2.yaml")],
-])
+# The shipped config each CLI command runs on; fixtures reads none.
+SHIPPED_CONFIGS = {"solve": "example2.yaml", "pareto": "example2_pair.yaml",
+                   "compare": "paper_quadratic.yaml", "verify-t5": "paper_quadratic.yaml",
+                   "verify-t6": "paper_quadratic.yaml", "fixtures": None}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_cli_runs_without_scipy(command, tmp_path):
-    out = _run(["-c", BLOCKED_SCIPY_CLI, *command, "--out", str(tmp_path / "out")],
+    """Every command runs on its shipped config with scipy blocked."""
+    config = SHIPPED_CONFIGS[command]
+    args = [] if config is None else ["--config", str(REPO / "configs" / config)]
+    out = _run(["-c", BLOCKED_SCIPY_CLI, command, *args, "--out", str(tmp_path / "out")],
                cwd=tmp_path)
     assert out.returncode == 0, out.stderr
 
@@ -94,6 +104,25 @@ def test_building_fixture_objectives_loads_no_numpy_random():
             "print([m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')])")
     out = _run(["-c", code], check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_perfbench_workloads_prepare_and_set_up(monkeypatch):
+    """Every benchmark workload's untimed prepare and its set-up, under a
+    timer that times nothing, run against the package: they unpack three
+    values from parse_config on the shipped configs and build each
+    workload's objectives, frac_smooth's as
+    ObjectiveModel(value, gradient, hessian, kind=..., dim=...).  The module
+    is loaded from its source without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert set(workloads.WORKLOADS) == {"pareto_pair", "compare_n100", "frac_smooth",
+                                        "theory_checks"}
+    for workload in workloads.WORKLOADS.values():
+        assert workload.prepare(REPO, 1)["key"]
+        workload.setup(REPO, 1, lambda *names: contextlib.nullcontext())
 
 
 def _ledger_names():
