@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -322,20 +323,30 @@ def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     return (0 if ok else 1), {"solve": payload}
 
 
+def _starts_summary(ends: list) -> dict:
+    """How a sweep's starts ended: the count of each termination, and the
+    largest final ||d|| over the starts that have one (None if none has)."""
+    return {"terminations": dict(sorted(Counter(t for t, _ in ends).items())),
+            "max_final_norm_d": max((n for _, n in ends if n is not None), default=None)}
+
+
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     failures: list = []
-    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs)
+    ends: dict = {spec.method: []}
+    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs, ends=ends[spec.method])
     _write_front(writer, f"front_{spec.method}.csv", front)
     baseline_front = []
     if spec.method == "moaocfgd":
+        ends["mogd"] = []
         baseline_front = pareto_sweep(replace(spec, method="mogd"), solver, failures=failures,
-                                      jobs=jobs)
+                                      jobs=jobs, ends=ends["mogd"])
         _write_front(writer, "front_mogd.csv", baseline_front)
     payload = {
         "front_size": len(front),
         "max_norm_d": max((p.norm_d for p in front), default=0.0),
         "criticality_tolerance": solver.tolerance,
         "failed_starts": [{"start_index": i, "reason": r} for i, r in failures],
+        "starts": {method: _starts_summary(e) for method, e in ends.items()},
     }
     if front and baseline_front:
         reference = nondominated_filter(list(front) + list(baseline_front))

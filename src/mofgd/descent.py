@@ -63,8 +63,10 @@ evaluated values.  The set-up reads each quadratic merit's constant
 Hessian A_j and gradient at 0, B_j, once into one read-only stack
 (`problems.quadratic_stack`, zeros for the other kinds).  Each iterate
 forms the quadratic merits' gradients as A @ x + B, however their
-gradients are written, and each line search forms its m slopes and m
-curvatures as row dots, which round as the per-objective products do.
+gradients are written.  Each line search of a stage with a quadratic
+merit forms its m slopes and m curvatures as row dots, which round as
+the per-objective products do; a stage without one forms none, since
+every curvature would be 0.
 
 Per iteration each other merit's gradient at x is evaluated once: in a
 fractional stage a smooth or piecewise one's is row 0, x itself, of its
@@ -329,7 +331,7 @@ class IterationTrace:
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 d: np.ndarray, t: float, cfg: SolverConfig,
                 values: list[Optional[float]], gradients: Sequence[np.ndarray],
-                hessians: np.ndarray) -> tuple[float, np.ndarray, int, list]:
+                hessians: Optional[np.ndarray]) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     d is the direction and t the merit slope max_j grad f_j(x)^T d, which
@@ -337,7 +339,9 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     gradients are grad f_j(x), which the caller has already evaluated, and
     values[j] is f_j(x) or None.  hessians is the A of
     `problems.quadratic_stack(objectives, x)`, which `schedule_setup`
-    builds once per stage.  The slopes
+    builds once per stage, or None when no objective is quadratic, as
+    `run_single_stage` passes it: every q_j is then 0, as on the stack's
+    zeros, and no product is formed.  Otherwise the slopes
     s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
     dots (`_slopes_and_curvatures`).  A quadratic f_j with q_j > 0 is
     tested on its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t,
@@ -353,7 +357,10 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     """
     if not t < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
-    slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
+    if hessians is None:
+        slopes = curvatures = [0.0] * len(objectives)
+    else:
+        slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
     for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
         if q > 0.0:
@@ -449,7 +456,8 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     A @ x + B and evaluates each other merit's gradient at x once; in a
     fractional stage it is the row-0 gradient that
     `modified_fractional_gradient` writes into its gradient_out.
-    It hands `armijo_step` A and the values that the previous line search
+    It hands `armijo_step` A, or None in a stage without a quadratic merit
+    (decided once per stage), and the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
     search evaluates the ones it tests.  The record keeps those values and
     the stage's merits, and evaluates the rest whenever its f_values are
@@ -481,6 +489,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     # with one kink locator sharing one node stack per iterate.
     classical = stage.alpha == 1.0
     others = [j for j, m in enumerate(merit) if m.kind != "quadratic"]
+    # With no quadratic merit every curvature is 0, so the line search
+    # takes no stack and forms no products.
+    search_hessians = None if len(others) == len(merit) else hessians
     fractional = [] if classical else [(j, objectives[j].kink_locator) for j in others]
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
@@ -541,7 +552,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
 
         try:
             eta, x_next, backtracks, trial_values = armijo_step(
-                merit, x, direction.direction, slope, cfg, values, merit_grads, hessians)
+                merit, x, direction.direction, slope, cfg, values, merit_grads, search_hessians)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)

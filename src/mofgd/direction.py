@@ -6,15 +6,18 @@ The primal subproblem
 
 is solved through its dual: minimize 1/2 ||sum_j lambda_j g_j||^2 over the
 unit simplex, then d = -sum_j lambda_j g_j and t = max_j g_j^T d.  The dual
-is solved exactly for every m, one solver per regime: m = 1 is d = -g;
-m = 2 is the min-norm point of a segment in closed form, solved and checked
-in one function (`_solve_pair`) on the four entries of G G^T, the two
-slopes and the two weights, since every iteration of a two-objective run
-makes this call; m >= 3 is one non-negative least-squares problem in the
+is solved exactly for every m, one solver per regime: m = 2 is the
+min-norm point of a segment in closed form, solved and checked in one
+function (`_solve_pair`) on the four entries of G G^T, the two slopes and
+the two weights, since every iteration of a two-objective run makes this
+call; every other m is one non-negative least-squares problem in the
 unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
 method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
 Python floats, so its cost does not depend on n; the one product G G^T
-(`_gram_scale`) serves the solve and its gap check.  A result stores ||d||,
+(`_gram_scale`) serves the solve and its gap check.  The loop's first
+vertex, lambda = e_0, is tested for before the loop, on the loop's own
+floats (`_vertex_step`): m = 1 always stops there (d = -g), and so does
+most of a three-objective run.  A result stores ||d||,
 from the d^T d that theta adds, so a stage reads it without another
 product.  A solve that fails its checks raises DirectionAccuracyError, a
 RuntimeError whose message names the failed check; the stage keeps only
@@ -193,6 +196,32 @@ def _nnls_weights(gram: list[list[float]], scale: float) -> np.ndarray:
     return np.array(mu) / sum(mu)
 
 
+def _vertex_step(gram: list[list[float]], scale: float) -> tuple[Optional[np.ndarray], float]:
+    """(e_0, its scaled gap) where `_nnls_weights` would stop at its first
+    vertex, and (None, nan) where it would go on.
+
+    The active-set loop enters column 0 first, at mu_0 = 1 / M_00, and
+    stops there when no free w_i = 1 - M_i0 mu_0 exceeds NNLS_TOL, with
+    lambda = e_0.  This is that test on the loop's own floats, so it
+    returns e_0 exactly where the loop does, ties and near-ties included,
+    without the loop's Python (for a finite scale; any other fails the
+    solve whatever the weights).  The gap is `_dual_gap` at e_0, read off
+    Kn e_0, column 0 of Kn = gram / scale: its entry 0 less its least
+    entry.  m = 1 has no free w, so it always stops here.  Every other
+    answer is left to the loop.  It reaches a vertex e_j, j > 0, only
+    through a face that holds column 0, and near a tie it can end at
+    another vertex than the row of least norm, or on a face with a tiny
+    second weight, so no test on one row gives its bits.
+    """
+    col = [row[0] / scale for row in gram]
+    mu = 1.0 / (col[0] + 1.0)
+    if any(1.0 - (k + 1.0) * mu > NNLS_TOL for k in col[1:]):
+        return None, math.nan
+    lam = np.zeros(len(gram))
+    lam[0] = 1.0
+    return lam, col[0] - min(col)
+
+
 def _passive_solve(M: list[list[float]], passive: list[int]) -> Optional[list[float]]:
     """z with z_P solving M_PP z_P = 1 and zeros elsewhere, by Gaussian
     elimination of the symmetric positive definite M_PP; None when a pivot
@@ -217,10 +246,12 @@ def _passive_solve(M: list[list[float]], passive: list[int]) -> Optional[list[fl
 def solve_direction(gradients) -> DirectionResult:
     """Solve the direction subproblem for a list of m gradient n-vectors.
 
-    The dual is solved exactly by m: m=1 is d = -g; m=2 is the segment
-    closed form (`_solve_pair`); m >= 3 is one non-negative least-squares
-    solve.  Raises ValueError if a gradient entry is not finite, which is
-    looked for only when the sum of squares of G is not finite.  Raises
+    The dual is solved exactly by m: m=2 is the segment closed form
+    (`_solve_pair`); any other m is one non-negative least-squares solve,
+    whose first vertex e_0 (always, for m=1: d = -g) is tested for before
+    its loop runs (`_vertex_step`).  Raises ValueError if a gradient entry
+    is not finite, which is looked for only when the sum of squares of G
+    is not finite.  Raises
     DirectionAccuracyError if the gradient scale is not
     finite (a squared gradient norm overflowed), the scaled gap is not at
     most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
@@ -235,8 +266,10 @@ def solve_direction(gradients) -> DirectionResult:
         result, scale, gap = _solve_pair(G)
     else:
         gram, scale = _gram_scale(G)
-        lam = np.ones(1) if G.shape[0] == 1 else _nnls_weights(gram, scale)
-        gap = _dual_gap(gram, scale, lam)
+        lam, gap = _vertex_step(gram, scale)
+        if lam is None:
+            lam = _nnls_weights(gram, scale)
+            gap = _dual_gap(gram, scale, lam)
         result = _result_from(G, lam)
     if not math.isfinite(scale):
         raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite")

@@ -371,7 +371,7 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
 
 
 def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
-                  ) -> tuple[list[FrontPoint], list[tuple[int, str]]]:
+                  ) -> tuple[list[FrontPoint], list[tuple[int, str]], list[tuple]]:
     """Run the chosen method from the starts with the given indices.
 
     Every start is one `run_adaptive` call.  "moaocfgd" runs the spec's
@@ -384,8 +384,9 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     are scored together: each objective's value is one call on the stack
     of their final points, whose rows have the bits of one call per point;
     should that call raise, every scored run fails with its message.
-    Returns the front points of the scored runs and the (start_index,
-    reason) of those that failed, both in start order.
+    Returns the front points of the scored runs, the (start_index, reason)
+    of those that failed, and every start's (termination, final ||d||),
+    all in start order; a run that raised ended ("error", None).
     """
     objectives = spec.objectives()
     starts = spec.starts()
@@ -397,35 +398,41 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
         schedule = spec.schedule
     setup = schedule_setup(objectives, schedule, starts.shape[1])
     finals, failures = [], []  # (start_index, final x, final ||d||) of the runs without error
+    ends = []
     for idx in map(int, indices):
         try:
             trace = run_adaptive(objectives, starts[idx], cfg, schedule, setup)
         except Exception as exc:
             failures.append((idx, str(exc)))
+            ends.append(("error", None))
             continue
+        ends.append((trace.termination, trace.final_norm_d))
         if trace.termination == "error":
             failures.append((idx, trace.error or "run error"))
         else:
             finals.append((idx, trace.final_x, float(trace.final_norm_d)))
     if not finals:
-        return [], failures
+        return [], failures, ends
     X = np.array([x for _, x, _ in finals])
     try:
         rows = np.stack([obj.value(X) for obj in objectives], axis=1)
     except Exception as exc:
-        return [], sorted(failures + [(idx, str(exc)) for idx, _, _ in finals])
+        return [], sorted(failures + [(idx, str(exc)) for idx, _, _ in finals]), ends
     points = [FrontPoint(objectives=row, start_index=idx, norm_d=norm_d)
               for row, (idx, _, norm_d) in zip(rows, finals)]
-    return points, failures
+    return points, failures, ends
 
 
 def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig,
-                 failures: Optional[list] = None, jobs: int = 1) -> list[FrontPoint]:
+                 failures: Optional[list] = None, jobs: int = 1,
+                 ends: Optional[list] = None) -> list[FrontPoint]:
     """Run the chosen method from every start with the solver settings cfg
     and return the sorted nondominated subset of final objective vectors.
 
     Individual run failures are recorded (appended to `failures` as
     (start_index, reason) when a list is passed) and excluded, never fatal;
+    when `ends` is a list, every start's (termination, final ||d||) is
+    appended to it in start order, ("error", None) for a run that raised;
     a sweep that cannot run at all (a "moaocfgd" spec without a schedule,
     a terminal of the wrong length, or a jobs that is not a positive
     integer) raises ValueError before any start runs.  jobs > 1 runs
@@ -446,8 +453,10 @@ def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_starts, [spec] * jobs, [cfg] * jobs, chunks))
     if failures is not None:
-        failures.extend(f for _, part_failures in parts for f in part_failures)
-    return nondominated_filter([p for points, _ in parts for p in points])
+        failures.extend(f for _, part_failures, _ in parts for f in part_failures)
+    if ends is not None:
+        ends.extend(e for *_, part_ends in parts for e in part_ends)
+    return nondominated_filter([p for points, *_ in parts for p in points])
 
 
 def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:

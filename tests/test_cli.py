@@ -1,6 +1,7 @@
 """Tests for config parsing and the command-line workflows."""
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -546,6 +547,50 @@ experiment:
         failed = summary["pareto"]["failed_starts"]
         assert [f["start_index"] for f in failed] == list(range(100)) * 2
         assert {f["reason"] for f in failed} == {"run failed"}
+        ended = {"terminations": {"error": 100}, "max_final_norm_d": None}
+        assert summary["pareto"]["starts"] == {"moaocfgd": ended, "mogd": ended}
+
+    def test_pareto_counts_how_every_shipped_start_ended(self, tmp_path):
+        """On example2_pair.yaml every start of both methods ends at the
+        tolerance, and the counts and the largest final ||d|| are the same
+        for --jobs 1 and 2."""
+        config = str(REPO / "configs" / "example2_pair.yaml")
+        starts = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(RunManifest("pareto", config, str(out), jobs=jobs)) == 0
+            payload = json.loads((out / "summary.json").read_text())["pareto"]
+            starts.append(payload["starts"])
+            for method in ("moaocfgd", "mogd"):
+                assert payload["starts"][method]["terminations"] == {"tolerance": 100}
+                assert payload["starts"][method]["max_final_norm_d"] < payload["criticality_tolerance"]
+            assert payload["starts"]["moaocfgd"]["max_final_norm_d"] >= payload["max_norm_d"]
+        assert starts[0] == starts[1]
+
+    def test_pareto_counts_terminations_over_all_starts(self, tmp_path, monkeypatch):
+        """The counts take every start, front point or not, and the largest
+        final ||d|| skips the error runs that solved no direction at their
+        final point."""
+        def starts(ends):
+            cycle = itertools.cycle(ends)
+
+            def stub(objectives, x0, cfg, schedule, setup):
+                trace = IterationTrace()
+                trace.final_x = x0
+                trace.termination, trace.final_norm_d = next(cycle)
+                return trace
+
+            monkeypatch.setattr("mofgd.lab.run_adaptive", stub)
+            out = tmp_path / f"pareto{len(list(tmp_path.iterdir()))}"
+            run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out)))
+            return json.loads((out / "summary.json").read_text())["pareto"]["starts"]
+
+        ended = {"terminations": {"error": 50, "max_iter": 25, "tolerance": 25},
+                 "max_final_norm_d": 0.5}
+        assert starts([("tolerance", 1e-6), ("max_iter", 0.25), ("error", None),
+                       ("error", 0.5)]) == {"moaocfgd": ended, "mogd": ended}
+        assert starts([("tolerance", 1e-6), ("max_iter", 0.25), ("error", None),
+                       ("error", None)])["mogd"]["max_final_norm_d"] == 0.25
 
     def test_pareto_on_exactly_critical_starts_exits_0(self, tmp_path, monkeypatch):
         """Runs that end at ||d|| = 0.0 pass the criticality check and write

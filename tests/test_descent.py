@@ -1,6 +1,7 @@
 """Tests for the Armijo line search, single-stage runs and the staged driver."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -653,14 +654,16 @@ class TestStackedProducts:
         return counts
 
     def test_every_line_search_forms_its_products_once(self, monkeypatch):
-        """A smooth stage's line searches, and a mixed quadratic-and-smooth
-        stage's, form the slope and curvature products once per search."""
+        """A smooth stage's line searches, fractional or classical, form no
+        slope and curvature products, since every curvature would be 0; a
+        mixed quadratic-and-smooth stage's form them once per search."""
         counts = self.count_products(monkeypatch)
-        trace = one_stage(logistic_losses(), np.array([1.0, 5.0, 2.0, 8.0]),
-                          SolverConfig(), Stage(0.5, 0.1, 20), np.zeros(4))
-        assert trace.iterations > 1
-        assert counts == {"armijo": trace.iterations, "products": trace.iterations}
-        counts["armijo"] = counts["products"] = 0
+        for stage in (Stage(0.5, 0.1, 20), classical(20)):
+            trace = one_stage(logistic_losses(), np.array([1.0, 5.0, 2.0, 8.0]),
+                              SolverConfig(), stage, np.zeros(4))
+            assert trace.iterations > 1
+            assert counts == {"armijo": trace.iterations, "products": 0}
+            counts["armijo"] = 0
         mixed = [quadratic_objective(np.eye(4), np.zeros(4))] + logistic_losses()[:2]
         trace = one_stage(mixed, np.full(4, 2.0), SolverConfig(), Stage(0.5, 0.1, 20),
                           np.zeros(4))
@@ -668,23 +671,27 @@ class TestStackedProducts:
         assert counts == {"armijo": trace.iterations, "products": trace.iterations}
 
     def test_smooth_line_search_equals_the_one_with_zero_curvatures(self):
-        """On smooth merits, the zero Hessian stack's curvatures 0 send every
-        merit to its values, so the step is the reference search's on
-        evaluated values: eta, x_next, backtracks and trial values, bit for
-        bit."""
+        """On smooth merits, the zero Hessian stack's curvatures 0, and the
+        None that a stage without a quadratic merit passes, send every merit
+        to its values, so the step is the reference search's on evaluated
+        values: eta, x_next, backtracks and trial values, bit for bit."""
         merits = logistic_losses()
         cfg = SolverConfig()
-        for x in (np.array([1.0, 5.0, 2.0, 8.0]), np.full(4, 0.3), np.array([-2.0, 1.0, 0.5, 3.0])):
+        points = (np.array([1.0, 5.0, 2.0, 8.0]), np.full(4, 0.3), np.array([-2.0, 1.0, 0.5, 3.0]))
+        for x, zeros in itertools.product(points, (True, False)):
             gradients = np.array([m.gradient(x) for m in merits])
             direction = solve_direction(gradients)
             assert direction.t_value < 0.0
+            hessians = problems.quadratic_stack(merits, x)[0] if zeros else None
+            values = [None] * 3
             eta, x_next, backtracks, trial = armijo_step(
-                merits, x, direction.direction, direction.t_value, cfg, [None] * 3, gradients,
-                problems.quadratic_stack(merits, x)[0])
+                merits, x, direction.direction, direction.t_value, cfg, values, gradients,
+                hessians)
             eta0, x_next0, backtracks0, _ = evaluated_armijo(merits, x, direction, cfg)
             assert (eta, backtracks) == (eta0, backtracks0)
             assert x_next.tobytes() == x_next0.tobytes()
             assert trial == [m.value(x_next0) for m in merits]
+            assert values == [m.value(x) for m in merits]
 
 
 class TestRunSingleStage:
@@ -1571,6 +1578,32 @@ class TestSmoothStageCalls:
         assert per_call == [[2]] * len(per_call)
         assert len(calls) == len(per_call)
         assert record_bits(without) == record_bits(one_stage(logistic_losses(), *args))
+
+    def test_active_set_loop_runs_only_off_a_vertex(self, monkeypatch):
+        """In a staged run on the three losses most solves end at a vertex,
+        and `_nnls_weights` runs only for the solves that do not."""
+        import mofgd.direction as direction
+
+        loops, solves = [], []
+        nnls, solve = direction._nnls_weights, descent.solve_direction
+
+        def spy_nnls(gram, scale):
+            loops.append(nnls(gram, scale))
+            return loops[-1]
+
+        def spy_solve(gradients):
+            solves.append(solve(gradients))
+            return solves[-1]
+
+        monkeypatch.setattr(direction, "_nnls_weights", spy_nnls)
+        monkeypatch.setattr(descent, "solve_direction", spy_solve)
+        x0 = np.random.default_rng(1).uniform(1.01, 10.0, 4)
+        trace = run_adaptive(logistic_losses(), x0, SolverConfig(),
+                             default_schedule(terminal=np.zeros(4)))
+        assert trace.termination != "error"
+        off_vertex = [r.multipliers for r in solves if np.count_nonzero(r.multipliers) > 1]
+        assert len(solves) > 2 * len(off_vertex) > 0
+        assert [lam.tobytes() for lam in loops] == [lam.tobytes() for lam in off_vertex]
 
 
 class TestClassicalStage:

@@ -393,6 +393,87 @@ class TestArrayReference:
             assert bits(r.theta) == bits(r.t_value + 0.5 * float(d @ d))
 
 
+def loop_solve(G):
+    """The m != 2 solve with the weights of the active-set loop alone: the
+    result, and whether it passes the gap and KKT checks."""
+    gram, scale = direction._gram_scale(G)
+    lam = direction._nnls_weights(gram, scale)
+    result = direction._result_from(G, lam)
+    return result, (direction._dual_gap(gram, scale, lam) <= direction.GAP_FAIL
+                    and result.kkt_residual <= 1e-8 * scale)
+
+
+def tie_gradients(rng, m, n):
+    """m gradients in n, drawn so that e_0 is often the minimizer and ties
+    are common: independent rows, rows leaning on row 0, duplicate rows,
+    rows of equal norm (sign flips of one row), near-duplicates, and
+    orthogonal ties, rows i that copy row j on the axes where row j is
+    nonzero and add other axes, so that K_ij == K_jj.  Scaled by 1e-6 to
+    1e6, with row factors within a decade in half of the draws."""
+    kind = rng.integers(6)
+    G = rng.standard_normal((m, n))
+    j = rng.integers(m)
+    if kind == 1:
+        G[1:] = G[0] * (1.0 + rng.uniform(0.0, 1.0, (m - 1, 1))) + 0.1 * G[1:]
+    elif kind == 2:
+        G[rng.integers(m)] = G[j]
+    elif kind == 3:
+        G = G[j] * rng.choice([-1.0, 1.0], size=(m, n))
+    elif kind == 4:
+        G = G[j] * (1.0 + 10.0 ** -rng.uniform(8.0, 16.0, (m, 1)))
+    elif kind == 5:
+        k = rng.integers(1, n + 1)
+        G[j, k:] = 0.0
+        G[:, :k] = G[j, :k]
+    if rng.random() < 0.5:
+        G *= 10.0 ** rng.uniform(-1.0, 1.0, (m, 1))
+    return 10.0 ** rng.uniform(-6.0, 6.0) * G
+
+
+class TestVertexStep:
+    """A solve that stops at the loop's first vertex, e_0, skips the loop
+    and returns what the loop gives, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 6])
+    def test_solve_equals_the_loop_bit_for_bit(self, m):
+        """Over seeded draws with n = 1..8 and every kind of tie, the solve's
+        lambda, d, t, theta, norm and KKT residual have the bytes of the
+        loop's, and it raises where the loop's weights fail a check."""
+        rng = np.random.default_rng(42 + m)
+        steps = 0
+        for _ in range(1500):
+            G = tie_gradients(rng, m, int(rng.integers(1, 9)))
+            expected, ok = loop_solve(G)
+            gram, scale = direction._gram_scale(G)
+            steps += direction._vertex_step(gram, scale)[0] is not None
+            if not ok:
+                with pytest.raises(DirectionAccuracyError):
+                    solve_direction(G)
+                continue
+            r = solve_direction(G)
+            for field in dataclasses.fields(r):
+                assert bits(getattr(r, field.name)) == bits(getattr(expected, field.name))
+        assert steps == 1500 if m == 1 else steps > 250
+
+    def test_vertex_gap_is_the_loops(self):
+        """The gap read off column 0 is `_dual_gap` at e_0."""
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            G = tie_gradients(rng, int(rng.integers(3, 7)), int(rng.integers(1, 9)))
+            gram, scale = direction._gram_scale(G)
+            lam, gap = direction._vertex_step(gram, scale)
+            if lam is not None:
+                assert gap == direction._dual_gap(gram, scale, lam)
+
+    def test_other_vertices_go_to_the_loop(self):
+        """The loop reaches e_j, j > 0, through a face holding column 0, so
+        the step leaves such a solve to it; the loop's answer is e_1."""
+        G = np.array([[2.0, 0.0], [1.0, 0.0], [1.5, 3.0]])
+        gram, scale = direction._gram_scale(G)
+        assert direction._vertex_step(gram, scale) == (None, pytest.approx(math.nan, nan_ok=True))
+        assert bits(solve_direction(G).multipliers) == bits([0.0, 1.0, 0.0])
+
+
 class TestLargeM:
     """m > 6 goes through the same non-negative least-squares solve as 3 <= m <= 6."""
 
