@@ -330,23 +330,35 @@ def _starts_summary(ends: list) -> dict:
             "max_final_norm_d": max((n for _, n in ends if n is not None), default=None)}
 
 
+def _weights_summary(front: list[FrontPoint]) -> Optional[dict]:
+    """Each lambda_j's smallest and largest value over a front's points,
+    the weights that its starts reach (None for an empty front)."""
+    if not front:
+        return None
+    lam = np.array([p.multipliers for p in front])
+    return {"min": lam.min(axis=0).tolist(), "max": lam.max(axis=0).tolist()}
+
+
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     failures: list = []
     ends: dict = {spec.method: []}
     front = pareto_sweep(spec, solver, failures=failures, jobs=jobs, ends=ends[spec.method])
     _write_front(writer, f"front_{spec.method}.csv", front)
+    weights = {spec.method: _weights_summary(front)}
     baseline_front = []
     if spec.method == "moaocfgd":
         ends["mogd"] = []
         baseline_front = pareto_sweep(replace(spec, method="mogd"), solver, failures=failures,
                                       jobs=jobs, ends=ends["mogd"])
         _write_front(writer, "front_mogd.csv", baseline_front)
+        weights["mogd"] = _weights_summary(baseline_front)
     payload = {
         "front_size": len(front),
         "max_norm_d": max((p.norm_d for p in front), default=0.0),
         "criticality_tolerance": solver.tolerance,
         "failed_starts": [{"start_index": i, "reason": r} for i, r in failures],
         "starts": {method: _starts_summary(e) for method, e in ends.items()},
+        "weights": weights,
     }
     if front and baseline_front:
         reference = nondominated_filter(list(front) + list(baseline_front))

@@ -221,14 +221,18 @@ class StageSchedule:
         return cls(stages=stages, terminal=terminal)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IterationRecord:
     """One accepted iteration at x, numbered by its position in
     IterationTrace.records.
 
     values[j] is f_j(x) where the run already had it and None where it did
     not; merit[j] is then the objective that f_values evaluates at x on
-    every read.  A record that knows every value needs no merit.
+    every read.  A record that knows every value needs no merit.  Nothing
+    writes to a record, as nothing writes to its x.  It is slotted but not
+    frozen: a frozen dataclass sets each field through object.__setattr__,
+    which more than doubles the cost of the build that every accepted step
+    makes.
     """
 
     stage: int
@@ -246,12 +250,13 @@ class IterationRecord:
                          for j, v in enumerate(self.values)])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StageReport:
     """How one stage run ended: the records it added, its termination, the
     stop tolerance it used and the trace's final ||d|| at its end (None
     while no stage of the trace has solved a direction, and after a
-    direction error)."""
+    direction error).  Nothing writes to a report; like the other records
+    it is slotted and not frozen."""
 
     stage: int
     iterations: int

@@ -49,7 +49,7 @@ class DirectionAccuracyError(RuntimeError):
     its bound; the message names which."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DirectionResult:
     """Subproblem solution (t, d, lambda) with verification data.
 
@@ -58,6 +58,10 @@ class DirectionResult:
     stationarity d = -sum lambda_j g_j, feasibility g_j^T d <= t, and
     complementary slackness.  norm is ||d||, sqrt(d^T d) from the d^T d
     that theta adds: the bits of np.linalg.norm of a contiguous vector.
+    Nothing writes to a result, as nothing writes to the arrays it holds.
+    It is slotted but not frozen: a frozen dataclass sets each field
+    through object.__setattr__, which more than doubles the cost of the
+    build that every direction solve makes.
     """
 
     t_value: float
@@ -246,7 +250,9 @@ def _passive_solve(M: list[list[float]], passive: list[int]) -> Optional[list[fl
 def solve_direction(gradients) -> DirectionResult:
     """Solve the direction subproblem for a list of m gradient n-vectors.
 
-    The dual is solved exactly by m: m=2 is the segment closed form
+    gradients is read as one float array, (m, n); a single vector is the
+    one row of a (1, n) array, the shape np.atleast_2d would give.  The
+    dual is solved exactly by m: m=2 is the segment closed form
     (`_solve_pair`); any other m is one non-negative least-squares solve,
     whose first vertex e_0 (always, for m=1: d = -g) is tested for before
     its loop runs (`_vertex_step`).  Raises ValueError if a gradient entry
@@ -257,7 +263,9 @@ def solve_direction(gradients) -> DirectionResult:
     most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
     scale; a NaN fails every bound.
     """
-    G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    G = np.asarray(gradients, dtype=float)
+    if G.ndim < 2:
+        G = G.reshape(1, -1)
     # A finite sum of squares proves every entry finite.  It is checked
     # before G G^T, where an inf times a zero would warn.
     if not math.isfinite(np.vdot(G, G)) and not np.isfinite(G).all():

@@ -150,9 +150,14 @@ class RateReport:
 
 @dataclass(frozen=True)
 class FrontPoint:
+    """A start's final point on a front: its objective vector, start index,
+    final ||d|| and the multipliers of the direction solved there, which
+    at a Pareto-critical point are the weights it reaches."""
+
     objectives: np.ndarray
     start_index: int
     norm_d: float
+    multipliers: np.ndarray
 
 
 def _classical_schedule(cfg: SolverConfig) -> StageSchedule:
@@ -397,7 +402,8 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     else:
         schedule = spec.schedule
     setup = schedule_setup(objectives, schedule, starts.shape[1])
-    finals, failures = [], []  # (start_index, final x, final ||d||) of the runs without error
+    # (start_index, final x, final ||d||, final multipliers) of the runs without error
+    finals, failures = [], []
     ends = []
     for idx in map(int, indices):
         try:
@@ -410,16 +416,17 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
         if trace.termination == "error":
             failures.append((idx, trace.error or "run error"))
         else:
-            finals.append((idx, trace.final_x, float(trace.final_norm_d)))
+            finals.append((idx, trace.final_x, float(trace.final_norm_d),
+                           trace.final_multipliers))
     if not finals:
         return [], failures, ends
-    X = np.array([x for _, x, _ in finals])
+    X = np.array([x for _, x, _, _ in finals])
     try:
         rows = np.stack([obj.value(X) for obj in objectives], axis=1)
     except Exception as exc:
-        return [], sorted(failures + [(idx, str(exc)) for idx, _, _ in finals]), ends
-    points = [FrontPoint(objectives=row, start_index=idx, norm_d=norm_d)
-              for row, (idx, _, norm_d) in zip(rows, finals)]
+        return [], sorted(failures + [(idx, str(exc)) for idx, *_ in finals]), ends
+    points = [FrontPoint(objectives=row, start_index=idx, norm_d=norm_d, multipliers=lam)
+              for row, (idx, _, norm_d, lam) in zip(rows, finals)]
     return points, failures, ends
 
 

@@ -305,6 +305,10 @@ class PiecewiseMaxObjective(ObjectiveModel):
     there.
     kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
     piece changes along coordinate i (see ObjectiveModel).
+    The piece values are one np.array of the pieces' answers, transposed to
+    put the pieces last, and the subgradient sums its gradients row by row
+    in piece order: the bits of np.stack and np.mean, without their Python
+    wrapping around every step of a kinked run.
     """
 
     def __init__(self, pieces: Sequence[tuple[Callable, Callable]], dim: int,
@@ -320,7 +324,7 @@ class PiecewiseMaxObjective(ObjectiveModel):
 
     def _piece_values(self, x) -> np.ndarray:
         """Values of every piece, stacked on the last axis."""
-        return np.stack([np.asarray(p[0](x), dtype=float) for p in self._pieces], axis=-1)
+        return np.array([p[0](x) for p in self._pieces], dtype=float).T
 
     def _active(self, x) -> np.ndarray:
         """Gradient of the active piece, row by row: the one of smallest
@@ -338,7 +342,8 @@ class PiecewiseMaxObjective(ObjectiveModel):
         a convex combination of the active gradients."""
         vals = self._piece_values(x)
         active = np.nonzero(vals >= vals.max() - 1e-9)[0]
-        return np.mean([np.asarray(self._pieces[i][1](x), dtype=float) for i in active], axis=0)
+        grads = [np.asarray(self._pieces[i][1](x), dtype=float) for i in active]
+        return sum(grads[1:], grads[0]) / len(grads)
 
 
 @dataclass(frozen=True)

@@ -575,3 +575,25 @@ def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
                 best_w = np.concatenate((prefix[k], [a[k], rem[k] - a[k]]))
     lam = best_w.astype(float) / grid_resolution
     return _result_from(G, lam)
+
+
+def stacked_piecewise(pieces, x) -> tuple[np.ndarray, np.ndarray]:
+    """The max of pieces and its active gradient at a point or a (k, n)
+    stack, on `np.stack`: each piece's values stacked on the last axis, the
+    active piece taken row by row as the one of smallest gradient norm
+    among those at the max, the first among equals."""
+    x = np.asarray(x, dtype=float)
+    values = np.stack([np.asarray(p[0](x), dtype=float) for p in pieces], axis=-1)
+    grads = np.stack([np.asarray(p[1](x), dtype=float) for p in pieces])
+    norms = np.moveaxis((grads * grads).sum(axis=-1), 0, -1)
+    top = values == values.max(axis=-1, keepdims=True)
+    active = np.argmin(np.where(top, norms, np.inf), axis=-1)
+    return values.max(axis=-1), grads[(active, *np.indices(active.shape))]
+
+
+def mean_subgradient(pieces, x: np.ndarray) -> np.ndarray:
+    """`np.mean` of the gradients of the pieces within 1e-9 of the max at
+    the point x."""
+    vals = np.stack([np.asarray(p[0](x), dtype=float) for p in pieces], axis=-1)
+    active = np.nonzero(vals >= vals.max() - 1e-9)[0]
+    return np.mean([np.asarray(pieces[i][1](x), dtype=float) for i in active], axis=0)

@@ -549,6 +549,26 @@ experiment:
         assert {f["reason"] for f in failed} == {"run failed"}
         ended = {"terminations": {"error": 100}, "max_final_norm_d": None}
         assert summary["pareto"]["starts"] == {"moaocfgd": ended, "mogd": ended}
+        assert summary["pareto"]["weights"] == {"moaocfgd": None, "mogd": None}
+
+    def test_pareto_reports_the_weights_each_front_reaches(self, tmp_path):
+        """On example2_pair.yaml each front's smallest and largest lambda_1
+        round to the ranges measured against the exact front's weights,
+        lambda_2 is 1 - lambda_1 at both ends, and the report is the same
+        for --jobs 1 and 2."""
+        config = str(REPO / "configs" / "example2_pair.yaml")
+        weights = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(RunManifest("pareto", config, str(out), jobs=jobs)) == 0
+            weights.append(json.loads((out / "summary.json").read_text())["pareto"]["weights"])
+        assert weights[0] == weights[1]
+        ranges = {method: [round(w["min"][0], 3), round(w["max"][0], 3)]
+                  for method, w in weights[0].items()}
+        assert ranges == {"moaocfgd": [0.016, 0.845], "mogd": [0.040, 0.922]}
+        for w in weights[0].values():
+            assert w["min"][1] == pytest.approx(1.0 - w["max"][0], abs=1e-15)
+            assert w["max"][1] == pytest.approx(1.0 - w["min"][0], abs=1e-15)
 
     def test_pareto_counts_how_every_shipped_start_ended(self, tmp_path):
         """On example2_pair.yaml every start of both methods ends at the
@@ -578,6 +598,8 @@ experiment:
                 trace = IterationTrace()
                 trace.final_x = x0
                 trace.termination, trace.final_norm_d = next(cycle)
+                if trace.final_norm_d is not None:
+                    trace.final_multipliers = np.array([0.5, 0.5])
                 return trace
 
             monkeypatch.setattr("mofgd.lab.run_adaptive", stub)
@@ -602,6 +624,7 @@ experiment:
             runs.append(len(schedule.stages))
             trace = IterationTrace()
             trace.termination, trace.final_x, trace.final_norm_d = "tolerance", x0, 0.0
+            trace.final_multipliers = np.array([1.0, 0.0])
             return trace
 
         monkeypatch.setattr("mofgd.lab.run_adaptive", critical)
@@ -614,6 +637,8 @@ experiment:
 
         summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
         assert summary["pareto"]["max_norm_d"] == 0.0
+        reached = {"min": [1.0, 0.0], "max": [1.0, 0.0]}
+        assert summary["pareto"]["weights"] == {"moaocfgd": reached, "mogd": reached}
 
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"

@@ -150,6 +150,25 @@ class TestVerifyRateTheorem5:
         assert np.linalg.norm(rep.final_x - sol.x_tik) <= 1e-6
         assert np.all(rep.ratios[5:] < 1.0)
 
+    def test_errors_have_the_bits_of_linalg_norm(self, monkeypatch):
+        """errors[k] is np.linalg.norm(x_k - x_Tik) for every iterate x_k, by
+        bytes."""
+        runs = []
+
+        def recorded(*args):
+            runs.append(fixed_steps(*args))
+            return runs[-1]
+
+        fixed_steps = lab._frozen_fixed_steps
+        monkeypatch.setattr(lab, "_frozen_fixed_steps", recorded)
+        for gamma, x0 in ((self.gamma, None), (0.3, np.full(5, 3.0))):
+            rep = verify_rate_theorem5(self.mop, SolverConfig(eta=1.0), gamma, self.c,
+                                       self.lam, x0=x0)
+            x_tik = tikhonov_solve(self.mop, gamma, self.lam, self.c).x_tik
+            want = np.array([np.linalg.norm(x - x_tik) for x in runs[-1]])
+            assert len(want) > 10
+            assert rep.errors.tobytes() == want.tobytes()
+
     def test_eta_outside_zero_two_rejected(self):
         """A fixed step of eta / sigma_max diverges for eta >= 2, so it is refused."""
         with pytest.raises(ValueError, match="eta"):
@@ -484,7 +503,8 @@ def reference_nondominated_filter(points):
 
 
 def front_points(F):
-    return [lab.FrontPoint(objectives=np.array(f, dtype=float), start_index=i, norm_d=0.0)
+    return [lab.FrontPoint(objectives=np.array(f, dtype=float), start_index=i, norm_d=0.0,
+                           multipliers=np.full(len(f), 1.0 / len(f)))
             for i, f in enumerate(F)]
 
 

@@ -31,7 +31,7 @@ from mofgd.problems import (
     quadratic_stack,
     regularized,
 )
-from oracles import dense_regularized
+from oracles import dense_regularized, mean_subgradient, stacked_piecewise
 from test_descent import logistic_losses
 
 
@@ -51,6 +51,21 @@ def _stack_cases():
         ("oracle_dense_outer", dense_regularized(quad, 0.3, c, "outer")),
         ("oracle_logistic", logistic_losses()[0]),
     ]
+
+
+def bits(value):
+    value = np.asarray(value, dtype=float)
+    return value.shape, value.tobytes()
+
+
+def l1_norm() -> PiecewiseMaxObjective:
+    """|x1| + |x2| as the max of its four pieces s1 x1 + s2 x2, kinked
+    where a coordinate is 0."""
+    pieces = [(lambda x, s=s: x[..., 0] * s[0] + x[..., 1] * s[1],
+               lambda x, s=s: np.broadcast_to(s, np.shape(x)))
+              for s in ([1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0])]
+    return PiecewiseMaxObjective(pieces, dim=2,
+                                 kink_locator=lambda x, i, lo, hi: (0.0,) if lo < 0.0 < hi else ())
 
 
 class TestObjectiveModel:
@@ -224,6 +239,31 @@ class TestStackContract:
         np.testing.assert_array_equal(obj.subgradient(np.zeros(2)), [2.5, 0.5])
         x = np.array([3.0, 1.0])
         np.testing.assert_array_equal(obj.subgradient(x), obj.gradient(x))
+
+    @pytest.mark.parametrize("name", ["example3", "l1"])
+    def test_piecewise_has_the_bits_of_stack_and_mean(self, name):
+        """value, gradient and subgradient have the bits of the np.stack and
+        np.mean forms, at single points and on (k, n) stacks, with exact
+        ties and with 1 to 4 pieces within 1e-9 of the max."""
+        obj = example3_objective() if name == "example3" else l1_norm()
+        rng = np.random.default_rng(11)
+        points = [[0.0, 0.0], [5.0, 0.0], [0.0, 1.0], [0.5, 0.5], [3.0, 1.0], [1.0, 2.0],
+                  [1.0, 0.0], [1e-10, 0.0], [3e-10, 4e-10], [-2.5, 1e-12]]
+        points = np.vstack([points, rng.uniform(-3.0, 3.0, (20, 2))])
+        counts = set()
+        for x in points:
+            value, gradient = stacked_piecewise(obj._pieces, x)
+            assert bits(obj.value(x)) == bits(value)
+            assert bits(obj.gradient(x)) == bits(gradient)
+            assert bits(obj.subgradient(x)) == bits(mean_subgradient(obj._pieces, x))
+            values = np.array([p[0](x) for p in obj._pieces])
+            counts.add(int((values >= values.max() - 1e-9).sum()))
+        assert counts == ({1, 2} if name == "example3" else {1, 2, 3, 4})
+        for k in (1, 2, 7):
+            z = points[:k] if k < 7 else points[-7:]
+            value, gradient = stacked_piecewise(obj._pieces, z)
+            assert bits(obj.value(z)) == bits(value)
+            assert bits(obj.gradient(z)) == bits(gradient)
 
 
 class TestRegularized:

@@ -235,3 +235,31 @@ def test_tracer_seams_are_looked_up_at_call_time(monkeypatch):
     # One direction solve and one fractional gradient per iterate.
     iterates = trace.iterations + len(trace.stages)
     assert len(seen["solve_direction"]) == len(seen["modified_fractional_gradient"]) == iterates
+
+
+# Functions that run once or more per solver step, and numpy helpers whose
+# Python-level wrapping costs more than their arithmetic at the step's sizes.
+STEP_FUNCTIONS = {"direction.py": ("solve_direction", "_solve_pair"),
+                  "descent.py": ("armijo_step",),
+                  "problems.py": ("_piece_values", "subgradient")}
+STEP_FREE_HELPERS = {"atleast_2d", "stack", "mean"}
+
+
+def test_step_functions_call_no_numpy_wrapper_helper():
+    """The per-step functions reach the step's arrays without np.atleast_2d,
+    np.stack or np.mean: each wraps microseconds of Python around work
+    that a reshape, np.array or a sum does with the same bits."""
+    found, seen = [], set()
+    for module, names in STEP_FUNCTIONS.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add((module, node.name))
+                found += [f"{module}:{call.lineno} {node.name} calls np.{call.func.attr}"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                          and isinstance(call.func.value, ast.Name)
+                          and call.func.value.id == "np"
+                          and call.func.attr in STEP_FREE_HELPERS]
+    assert seen == {(m, n) for m, names in STEP_FUNCTIONS.items() for n in names}
+    assert not found, found
