@@ -50,13 +50,17 @@ the stage is the multi-objective steepest descent of Fliege and Svaiter
 (Math. Meth. Oper. Res. 51, 2000).  A quadratic stage reads gamma but not
 alpha.
 
-For every kind, the Armijo test uses the slope max_j grad merit_j(x)^T d of
-the merit it tests, which equals the subproblem's t bit for bit for
-quadratics.  A stage whose t < 0 meets a merit slope >= 0 ends as
-"model_mismatch".  A quadratic merit with curvature q_j = d^T H_j d > 0
-along d is tested on its exact expansion
+For every kind, the Armijo test reads the slopes s_j = grad merit_j(x)^T d
+of the merits it tests, and their max is its slope.  In an all-quadratic
+or a classical stage the direction inputs are the merit gradients, so the
+slopes are the subproblem's own, the rows of its one product G d, and the
+slope is its t, bit for bit; a fractional stage forms them as the rows of
+one product of its merit gradients with d.  A stage whose t < 0 meets a
+merit slope >= 0 (or NaN) ends as "model_mismatch".  A quadratic merit
+with curvature q_j = d^T H_j d > 0 along d is tested on its exact
+expansion
 
-    eta s_j + eta^2 q_j / 2 <= sigma eta slope,   s_j = grad merit_j(x)^T d,
+    eta s_j + eta^2 q_j / 2 <= sigma eta slope,
 
 which needs no value evaluation; every other merit is tested on its
 evaluated values.  The set-up reads each quadratic merit's constant
@@ -64,9 +68,9 @@ Hessian A_j and gradient at 0, B_j, once into one read-only stack
 (`problems.quadratic_stack`, zeros for the other kinds).  Each iterate
 forms the quadratic merits' gradients as A @ x + B, however their
 gradients are written.  Each line search of a stage with a quadratic
-merit forms its m slopes and m curvatures as row dots, which round as
-the per-objective products do; a stage without one forms none, since
-every curvature would be 0.
+merit forms its m curvatures as the rows of the one product (d @ A) d; a
+stage without one forms none, since every curvature would be 0.  The 61
+trials (eta, sigma eta, eta^2 / 2) of a (sigma, r) pair are built once.
 
 Per iteration each other merit's gradient at x is evaluated once: in a
 fractional stage a smooth or piecewise one's is row 0, x itself, of its
@@ -78,14 +82,15 @@ accepted step, which the next iteration reuses.  A record keeps the values
 the stage had and the stage's merits, and evaluates the others when its
 f_values are read, so a quadratic stage with positive curvatures evaluates
 no value while it runs.  In an all-quadratic or a classical stage the
-merit gradients are the direction inputs and the slope is t, so neither is
-formed a second time.  The trace notes take the stacks' notes, one per
-coordinate below its terminal.
+merit gradients are the direction inputs and the slopes and t are the
+subproblem's, so none of them is formed a second time.  The trace notes
+take the stacks' notes, one per coordinate below its terminal.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -335,25 +340,25 @@ class IterationTrace:
 
 def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
                 d: np.ndarray, t: float, cfg: SolverConfig,
-                values: list[Optional[float]], gradients: Sequence[np.ndarray],
+                values: list[Optional[float]], slopes: Sequence[float],
                 hessians: Optional[np.ndarray]) -> tuple[float, np.ndarray, int, list]:
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
-    d is the direction and t the merit slope max_j grad f_j(x)^T d, which
-    must be negative (ValueError otherwise).
-    gradients are grad f_j(x), which the caller has already evaluated, and
-    values[j] is f_j(x) or None.  hessians is the A of
-    `problems.quadratic_stack(objectives, x)`, which `schedule_setup`
-    builds once per stage, or None when no objective is quadratic, as
-    `run_single_stage` passes it: every q_j is then 0, as on the stack's
-    zeros, and no product is formed.  Otherwise the slopes
-    s_j = gradients[j]^T d and curvatures q_j = d^T H_j d are stacked row
-    dots (`_slopes_and_curvatures`).  A quadratic f_j with q_j > 0 is
-    tested on its exact expansion eta s_j + eta^2 q_j / 2 <= sigma eta t,
-    so none of its values is evaluated.  Every other objective (smooth,
-    piecewise, or a quadratic with q_j <= 0) is tested on its evaluated
-    values, and only at trial steps that pass the expansions; where its
-    values[j] is None, f_j(x) is evaluated here and written into values.
+    d is the direction, slopes[j] is s_j = grad f_j(x)^T d, which the
+    caller has already formed, and t is their max, the merit slope, which
+    must be negative (ValueError otherwise).  values[j] is f_j(x) or None.
+    hessians is the A of `problems.quadratic_stack(objectives, x)`, which
+    `schedule_setup` builds once per stage, or None when no objective is
+    quadratic, as `run_single_stage` passes it: every q_j is then 0, as on
+    the stack's zeros, and no product is formed.  Otherwise the curvatures
+    q_j = d^T H_j d are the rows of the one product (d @ A) d.  A quadratic
+    f_j with q_j > 0 is tested on its exact expansion
+    eta s_j + eta^2 q_j / 2 <= sigma eta t, so none of its values is
+    evaluated.  Every other objective (smooth, piecewise, or a quadratic
+    with q_j <= 0) is tested on its evaluated values, and only at trial
+    steps that pass the expansions; where its values[j] is None, f_j(x) is
+    evaluated here and written into values.  The trials are `_trials` of
+    (cfg.sigma, cfg.backtrack), built once per pair.
 
     Returns (eta, x_next, backtrack_count, trial_values), where
     trial_values[j] is f_j(x_next) for an objective tested on its values and
@@ -363,9 +368,9 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     if not t < 0.0:
         raise ValueError("line search requires a descent direction (t < 0)")
     if hessians is None:
-        slopes = curvatures = [0.0] * len(objectives)
+        curvatures = [0.0] * len(objectives)
     else:
-        slopes, curvatures = _slopes_and_curvatures(np.asarray(gradients), hessians, d)
+        curvatures = (d @ hessians).dot(d).tolist()
     expanded, evaluated = [], []  # (s_j, q_j) and (j, f_j, f_j(x))
     for j, (obj, s, q) in enumerate(zip(objectives, slopes, curvatures)):
         if q > 0.0:
@@ -374,11 +379,8 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
             if values[j] is None:
                 values[j] = obj.value(x)
             evaluated.append((j, obj, values[j]))
-    sigma, ratio = cfg.sigma, cfg.backtrack
-    for backtracks in range(MAX_BACKTRACKS + 1):
-        eta = ratio ** backtracks
-        bound = sigma * eta * t
-        half_eta2 = 0.5 * eta ** 2
+    for backtracks, (eta, sigma_eta, half_eta2) in enumerate(_trials(cfg.sigma, cfg.backtrack)):
+        bound = sigma_eta * t
         for s, q in expanded:
             if not eta * s + half_eta2 * q <= bound:
                 break
@@ -397,21 +399,13 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     )
 
 
-def _slopes_and_curvatures(gradients: np.ndarray, hessians: np.ndarray,
-                           d: np.ndarray) -> tuple[list[float], list[float]]:
-    """The slopes g_j^T d and the curvatures d^T H_j d for the rows g_j of
-    gradients and the matrices H_j of hessians, as row dots.
-
-    Each row of a stacked product R[:, None, :] @ d is its own dot, so the
-    row dots of gradients and of d @ hessians have the bits of
-    float(g_j @ d) and float(d @ H_j @ d), which the tests pin.  The rows
-    of gradients @ d do not: a matrix-vector product can differ in the last
-    bit, which would move the steps that pass only by rounding.  One
-    stacked product per operand costs less than m row views and m
-    `ndarray.dot` calls for the m of a multi-objective problem.
-    """
-    return ((gradients[:, None, :] @ d).ravel().tolist(),
-            ((d @ hessians)[:, None, :] @ d).ravel().tolist())
+@functools.cache
+def _trials(sigma: float, ratio: float) -> tuple[tuple[float, float, float], ...]:
+    """The 61 trials (eta, sigma eta, eta^2 / 2) of the scan, eta = ratio^k
+    for k = 0..60, built once per (sigma, ratio).  The bound sigma eta t is
+    formed left to right, so (sigma eta) t has its bits."""
+    return tuple((eta, sigma * eta, 0.5 * eta ** 2)
+                 for eta in (ratio ** k for k in range(MAX_BACKTRACKS + 1)))
 
 
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
@@ -451,15 +445,16 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     objectives are raw.  Each quadratic one's merit carries the stage's
     pull; its gradient is the direction input, its exact expansion is what
     the line search tests and its values are what the trace's f columns
-    record, so in an all-quadratic stage the Armijo slope is the
-    subproblem's t, bit for bit.  So it is in a classical stage
-    (stage.alpha = 1, decided here once), whose other merits' direction
-    inputs are their gradients.  In a fractional stage the other kinds
-    take the singular-quadrature gradients of order stage.alpha and weight
-    stage.beta and raw values, and the Armijo slope comes from the merit
-    gradients.  Each iterate forms the quadratic merits' gradients as
-    A @ x + B and evaluates each other merit's gradient at x once; in a
-    fractional stage it is the row-0 gradient that
+    record, so in an all-quadratic stage the Armijo slopes are the
+    subproblem's own and the slope is its t, bit for bit.  So they are in
+    a classical stage (stage.alpha = 1, decided here once), whose other
+    merits' direction inputs are their gradients.  In a fractional stage
+    the other kinds take the singular-quadrature gradients of order
+    stage.alpha and weight stage.beta and raw values, and the Armijo
+    slopes are the rows of one product of the merit gradients with d,
+    whose max is the slope.  Each iterate forms the quadratic merits'
+    gradients as A @ x + B and evaluates each other merit's gradient at x
+    once; in a fractional stage it is the row-0 gradient that
     `modified_fractional_gradient` writes into its gradient_out.
     It hands `armijo_step` A, or None in a stage without a quadratic merit
     (decided once per stage), and the values that the previous line search
@@ -540,10 +535,15 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
         if norm_d < tolerance or not direction.t_value < 0.0:
             trace.termination = "tolerance"
             break
-        # Armijo tests the merit, so its slope is max_j grad merit_j^T d,
-        # which is t where the direction inputs are the merit gradients.
-        slope = (direction.t_value if grads is merit_grads
-                 else float((merit_grads @ direction.direction).max()))
+        # Armijo tests the merit, so its slopes are grad merit_j^T d and its
+        # slope their max: the subproblem's own slopes and t where the
+        # direction inputs are the merit gradients, one product otherwise.
+        # numpy's max keeps a NaN, which ends the stage below.
+        if grads is merit_grads:
+            slopes, slope = direction.slopes, direction.t_value
+        else:
+            products = merit_grads @ direction.direction
+            slopes, slope = products.tolist(), float(products.max())
         if not slope < 0.0:
             trace.termination = "model_mismatch"
             trace.notes.append(
@@ -557,7 +557,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
 
         try:
             eta, x_next, backtracks, trial_values = armijo_step(
-                merit, x, direction.direction, slope, cfg, values, merit_grads, search_hessians)
+                merit, x, direction.direction, slope, cfg, values, slopes, search_hessians)
         except (LineSearchError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)

@@ -17,11 +17,14 @@ Python floats, so its cost does not depend on n; the one product G G^T
 (`_gram_scale`) serves the solve and its gap check.  The loop's first
 vertex, lambda = e_0, is tested for before the loop, on the loop's own
 floats (`_vertex_step`): m = 1 always stops there (d = -g), and so does
-most of a three-objective run.  A result stores ||d||,
-from the d^T d that theta adds, so a stage reads it without another
-product.  A solve that fails its checks raises DirectionAccuracyError, a
-RuntimeError whose message names the failed check; the stage keeps only
-that message as the trace's error.
+most of a three-objective run.  Where the loop's answer fails the gap
+check, as for nearly collinear gradients whose minimizer is a vertex, the
+vertex of least norm is tried (`_least_norm_vertex`).  A result stores
+||d||, from the d^T d that theta adds, and the m slopes G d, whose max is
+t, so a stage and its line search read them without another product.  A
+solve that fails its checks raises DirectionAccuracyError, a RuntimeError
+whose message names the failed check; the stage keeps only that message
+as the trace's error.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class DirectionResult:
     stationarity d = -sum lambda_j g_j, feasibility g_j^T d <= t, and
     complementary slackness.  norm is ||d||, sqrt(d^T d) from the d^T d
     that theta adds: the bits of np.linalg.norm of a contiguous vector.
+    slopes are the m floats g_j^T d, the rows of the one matrix-vector
+    product G d, and t is their max, bit for bit; the line search of a
+    stage whose direction inputs are its merit gradients reads them as its
+    own slopes.
     Nothing writes to a result, as nothing writes to the arrays it holds.
     It is slotted but not frozen: a frozen dataclass sets each field
     through object.__setattr__, which more than doubles the cost of the
@@ -70,6 +77,7 @@ class DirectionResult:
     kkt_residual: float
     theta: float
     norm: float
+    slopes: list[float]
 
 
 def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
@@ -93,7 +101,7 @@ def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
     dd = float(d.dot(d))
     return DirectionResult(t_value=t, direction=d, multipliers=lam,
                            kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
-                           norm=math.sqrt(dd))
+                           norm=math.sqrt(dd), slopes=slopes)
 
 
 def _dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
@@ -140,7 +148,8 @@ def _solve_pair(G: np.ndarray) -> tuple[DirectionResult, float, float]:
     w1 = 1.0 if den == 0.0 else min(1.0, max(0.0, -float(diff.dot(g2)) / den))
     w2 = 1.0 - w1
     d = np.array([-w1, -w2]).dot(G)
-    s1, s2 = G.dot(d).tolist()
+    slopes = G.dot(d).tolist()
+    s1, s2 = slopes
     dd = float(d.dot(d))
     t = max(s1, s2)
     comp = max(abs(w1 * (s1 - t)), abs(w2 * (s2 - t)))
@@ -148,7 +157,7 @@ def _solve_pair(G: np.ndarray) -> tuple[DirectionResult, float, float]:
     n1, n2 = (k11 * w1 + k12 * w2) / scale, (k21 * w1 + k22 * w2) / scale
     result = DirectionResult(t_value=t, direction=d, multipliers=np.array([w1, w2]),
                              kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
-                             norm=math.sqrt(dd))
+                             norm=math.sqrt(dd), slopes=slopes)
     return result, scale, w1 * n1 + w2 * n2 - min(n1, n2)
 
 
@@ -226,6 +235,27 @@ def _vertex_step(gram: list[list[float]], scale: float) -> tuple[Optional[np.nda
     return lam, col[0] - min(col)
 
 
+def _least_norm_vertex(G: np.ndarray, gram: list[list[float]], scale: float,
+                       result: DirectionResult, gap: float) -> tuple[DirectionResult, float]:
+    """The vertex e_j of least K_jj (the lowest j on ties) with its scaled
+    gap, where it passes the gap and KKT checks of `solve_direction`, and
+    (result, gap) as given where it does not.
+
+    For nearly collinear gradients the active-set loop refuses the column
+    of a shorter gradient, whose pivot falls below NNLS_TOL, and stops at
+    a vertex that fails the gap check, while the least-norm vertex is the
+    minimizer.  Only an answer that fails the gap check is retried here,
+    so every solve that passes keeps its bits.
+    """
+    j = min(range(len(gram)), key=lambda i: gram[i][i])
+    lam = np.zeros(len(gram))
+    lam[j] = 1.0
+    vertex, vertex_gap = _result_from(G, lam), _dual_gap(gram, scale, lam)
+    if vertex_gap <= GAP_FAIL and vertex.kkt_residual <= 1e-8 * scale:
+        return vertex, vertex_gap
+    return result, gap
+
+
 def _passive_solve(M: list[list[float]], passive: list[int]) -> Optional[list[float]]:
     """z with z_P solving M_PP z_P = 1 and zeros elsewhere, by Gaussian
     elimination of the symmetric positive definite M_PP; None when a pivot
@@ -261,7 +291,10 @@ def solve_direction(gradients) -> DirectionResult:
     DirectionAccuracyError if the gradient scale is not
     finite (a squared gradient norm overflowed), the scaled gap is not at
     most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
-    scale; a NaN fails every bound.
+    scale; a NaN fails every bound.  For m != 2 an answer whose gap fails
+    gives way to the vertex of least norm where that vertex passes both
+    checks (`_least_norm_vertex`); where it does not, the solve raises on
+    the first answer's gap.
     """
     G = np.asarray(gradients, dtype=float)
     if G.ndim < 2:
@@ -279,6 +312,8 @@ def solve_direction(gradients) -> DirectionResult:
             lam = _nnls_weights(gram, scale)
             gap = _dual_gap(gram, scale, lam)
         result = _result_from(G, lam)
+        if not gap <= GAP_FAIL:
+            result, gap = _least_norm_vertex(G, gram, scale, result, gap)
     if not math.isfinite(scale):
         raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite")
     if not gap <= GAP_FAIL:

@@ -152,8 +152,9 @@ def segment_min_norm(g1, g2) -> DirectionResult:
     On the line p(l) = l g1 + (1 - l) g2, ||p(l)||^2 is smallest at
     l* = -g2^T (g1 - g2) / ||g1 - g2||^2.  The minimizer over [0, 1] is l*
     when it lies inside, and otherwise the endpoint of smaller norm (g1
-    first on a tie).  Then d = -p(l), t = max_j g_j^T d and theta = t +
-    ||d||^2 / 2; the KKT residual is not computed (NaN).
+    first on a tie).  Then d = -p(l), the slopes g_j^T d are per-row dots,
+    t is their max and theta = t + ||d||^2 / 2; the KKT residual is not
+    computed (NaN).
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
@@ -165,18 +166,27 @@ def segment_min_norm(g1, g2) -> DirectionResult:
             candidates.append(interior)
     lam1 = min(candidates, key=lambda lam: float(np.linalg.norm(lam * g1 + (1.0 - lam) * g2)))
     d = -(lam1 * g1 + (1.0 - lam1) * g2)
-    t = max(float(g1 @ d), float(g2 @ d))
+    slopes = [float(g1 @ d), float(g2 @ d)]
+    t = max(slopes)
     return DirectionResult(t_value=t, direction=d, multipliers=np.array([lam1, 1.0 - lam1]),
                            kkt_residual=float("nan"), theta=t + 0.5 * float(d @ d),
-                           norm=float(np.linalg.norm(d)))
+                           norm=float(np.linalg.norm(d)), slopes=slopes)
+
+
+def matvec_rows(rows, d: np.ndarray) -> list[float]:
+    """The entries of R d for the rows R stacked into one array, from one
+    matrix-vector product: the rounding of the slopes g_j^T d and the
+    curvatures (d^T H_j) d that a line search reads."""
+    return (np.array(rows, dtype=float) @ d).tolist()
 
 
 def per_objective_quadratic_stage(merits: Sequence[ObjectiveModel], x0, sigma: float,
                                   backtrack: float, tolerance: float,
                                   iterations: int) -> list[tuple]:
-    """Classical descent on quadratic merits whose line search forms each
-    slope g_j^T d and curvature d^T H_j d as its own product, fetches H_j at
-    every iterate and scans eta = 1, r, r^2, ... from eta = 1.
+    """Classical descent on quadratic merits whose line search calls each
+    gradient and fetches each H_j at every iterate, forms the slopes
+    g_j^T d and the curvatures d^T H_j d as the rows of one product each
+    (`matvec_rows`) and scans eta = 1, r, r^2, ... from eta = 1.
 
     A merit with q_j > 0 is tested on its exact expansion eta s_j +
     eta^2 q_j / 2 <= sigma eta t, every other merit on its values.  The
@@ -194,7 +204,7 @@ def per_objective_quadratic_stage(merits: Sequence[ObjectiveModel], x0, sigma: f
         norm = float(np.linalg.norm(d))
         if norm < tolerance or not t < 0.0:
             break
-        terms = [(float(g @ d), float(d @ m.hessian(x) @ d)) for m, g in zip(merits, grads)]
+        terms = list(zip(matvec_rows(grads, d), matvec_rows([d @ m.hessian(x) for m in merits], d)))
         for backtracks in range(61):
             eta = backtrack ** backtracks
             bound = sigma * eta * t
@@ -225,16 +235,17 @@ def per_objective_fixed_steps(merit: Sequence[ObjectiveModel], lam: np.ndarray, 
     return xs
 
 
-def loop_result_checks(G: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
-    """(t, kkt_residual, theta) of `direction._result_from` by its general
-    loops over the m slopes and weights, for any m."""
+def loop_result_checks(G: np.ndarray, lam: np.ndarray) -> tuple[float, float, float, list]:
+    """(t, kkt_residual, theta, slopes) of `direction._result_from` by its
+    general loops over the m slopes and weights, for any m; the slopes are
+    the rows of G d."""
     d = -G.T @ lam
     slopes = (G @ d).tolist()
     weights = lam.tolist()
     t = max(slopes)
     comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
     simplex = max(abs(sum(weights) - 1.0), -min(weights))
-    return t, max(comp, simplex), t + 0.5 * float(d @ d)
+    return t, max(comp, simplex), t + 0.5 * float(d @ d), slopes
 
 
 def loop_dual_gap(gram: list[list[float]], scale: float, lam: np.ndarray) -> float:
@@ -261,10 +272,10 @@ def composed_pair_solve(G: np.ndarray) -> tuple[DirectionResult, float, float]:
     K = G @ G.T
     scale = max(1.0, float(K.trace()) / 2)
     lam = segment_weights(G[0], G[1])
-    t, kkt, theta = loop_result_checks(G, lam)
+    t, kkt, theta, slopes = loop_result_checks(G, lam)
     d = G.T @ -lam
     result = DirectionResult(t_value=t, direction=d, multipliers=lam, kkt_residual=kkt,
-                             theta=theta, norm=math.sqrt(float(d @ d)))
+                             theta=theta, norm=math.sqrt(float(d @ d)), slopes=slopes)
     return result, scale, loop_dual_gap(K.tolist(), scale, lam)
 
 

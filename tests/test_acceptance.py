@@ -248,7 +248,7 @@ def test_criterion_8_armijo_contract():
         f0 = [obj.value(x) for obj in objectives]
         eta, x_next, backtracks, _ = armijo_step(objectives, x,
                                                  direction.direction, direction.t_value, cfg, f0,
-                                                 [obj.gradient(x) for obj in objectives],
+                                                 direction.slopes,
                                                  quadratic_stack(objectives, x)[0])
         for j, obj in enumerate(objectives):
             assert obj.value(x_next) <= f0[j] + cfg.sigma * eta * direction.t_value + 1e-12

@@ -30,7 +30,7 @@ from mofgd.cli import parse_config
 from mofgd.fixtures import default_schedule, example3_objective, fixture_objectives, pareto_pair
 from mofgd.fractional import NodeStack, modified_fractional_gradient, node_stack
 from mofgd.problems import PiecewiseMaxObjective, QuadraticGradient, regularized
-from oracles import segment_min_norm
+from oracles import matvec_rows, segment_min_norm
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -108,11 +108,14 @@ def scanned_expansions(objectives, x, direction, cfg, gradients):
     first eta in {1, r, r^2, ...}, tried one by one from eta = 1, with
     eta s_j + eta^2 q_j / 2 <= sigma eta t for all j.
 
-    Returns (eta, x_next, backtracks), or None when no trial passes.
+    The slopes g_j^T d are the rows of one product of the stacked
+    gradients with d, and the curvatures d^T H_j d the rows of one product
+    of the stacked d^T H_j, each H_j fetched from its objective.  Returns
+    (eta, x_next, backtracks), or None when no trial passes.
     """
     d, t = direction.direction, direction.t_value
-    terms = [(float(g @ d), float(d @ obj.hessian(x) @ d))
-             for obj, g in zip(objectives, gradients)]
+    terms = list(zip(matvec_rows(gradients, d),
+                     matvec_rows([d @ obj.hessian(x) for obj in objectives], d)))
     for backtracks in range(descent.MAX_BACKTRACKS + 1):
         eta = cfg.backtrack ** backtracks
         if all(eta * s + 0.5 * eta ** 2 * q <= cfg.sigma * eta * t for s, q in terms):
@@ -251,7 +254,7 @@ class TestArmijoStep:
         cfg = SolverConfig(sigma=0.4)
         eta, x_next, backtracks, trial_values = armijo_step(
             [obj], x, direction.direction, direction.t_value, cfg,
-            [obj.value(x)], [obj.gradient(x)], problems.quadratic_stack([obj], x)[0])
+            [obj.value(x)], direction.slopes, problems.quadratic_stack([obj], x)[0])
         assert eta == 1.0
         assert trial_values == [None]  # tested on its expansion
         assert backtracks == 0
@@ -269,7 +272,7 @@ class TestArmijoStep:
             if direction.norm < 1e-9:
                 continue
             eta, x_next, _, _ = armijo_step(objs, x, direction.direction, direction.t_value, cfg,
-                                            [obj.value(x) for obj in objs], grads,
+                                            [obj.value(x) for obj in objs], direction.slopes,
                                             problems.quadratic_stack(objs, x)[0])
             for j, obj in enumerate(objs):
                 assert obj.value(x_next) <= obj.value(x) + cfg.sigma * eta * direction.t_value + 1e-12
@@ -298,7 +301,7 @@ class TestArmijoStep:
                 continue
             eta, _, backtracks, _ = armijo_step(merit, x,
                                                 direction.direction, direction.t_value, cfg,
-                                                [m.value(x) for m in merit], grads,
+                                                [m.value(x) for m in merit], direction.slopes,
                                                 problems.quadratic_stack(merit, x)[0])
             eta_ok = 2.0 * (1 - cfg.sigma) * (-direction.t_value) / (em * direction.norm ** 2)
             bound = 0 if eta_ok >= 1 else int(np.ceil(np.log(eta_ok) / np.log(cfg.backtrack)))
@@ -313,7 +316,7 @@ class TestArmijoStep:
         bad = solve_direction([np.zeros(2)])
         with pytest.raises(ValueError, match="descent"):
             armijo_step([obj], np.ones(2), bad.direction, bad.t_value, SolverConfig(),
-                        [obj.value(np.ones(2))], [obj.gradient(np.ones(2))],
+                        [obj.value(np.ones(2))], bad.slopes,
                         problems.quadratic_stack([obj], np.ones(2))[0])
 
     def test_inconsistent_direction_fails_line_search(self):
@@ -324,10 +327,10 @@ class TestArmijoStep:
         accept by rounding, which is exactly why 60 halvings signal a bug.
         """
         obj = quadratic_objective(np.eye(2), np.zeros(2))
-        x = np.array([1.0, 0.0])
+        x, d = np.array([1.0, 0.0]), np.array([1e6, 0.0])
         with pytest.raises(LineSearchError):
-            armijo_step([obj], x, np.array([1e6, 0.0]), -1e12,
-                        SolverConfig(), [obj.value(x)], [obj.gradient(x)],
+            armijo_step([obj], x, d, -1e12,
+                        SolverConfig(), [obj.value(x)], [float(obj.gradient(x) @ d)],
                         problems.quadratic_stack([obj], x)[0])
 
     @pytest.mark.parametrize("reg", ["diag", "outer"])
@@ -346,7 +349,7 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             eta, x_next, backtracks, _ = armijo_step(merit, x,
                                                      direction.direction, direction.t_value, cfg,
-                                                     [m.value(x) for m in merit], grads,
+                                                     [m.value(x) for m in merit], direction.slopes,
                                                      problems.quadratic_stack(merit, x)[0])
             ref_eta, ref_next, ref_backtracks, margin = evaluated_armijo(merit, x, direction, cfg)
             assert margin > 1e-10
@@ -371,7 +374,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             eta, x_next, backtracks, trial_values = armijo_step(
                 objectives, x,
-                direction.direction, direction.t_value, cfg, [obj.value(x) for obj in raw], grads,
+                direction.direction, direction.t_value, cfg, [obj.value(x) for obj in raw],
+                direction.slopes,
                 problems.quadratic_stack(objectives, x)[0])
             assert not quad_calls and smooth_calls
             # The smooth objective's value at the accepted step comes back.
@@ -400,7 +404,8 @@ class TestArmijoStep:
             direction = solve_direction(grads)
             eta, _, backtracks, _ = armijo_step(objectives, x,
                                                 direction.direction, direction.t_value, cfg,
-                                                [obj.value(x) for obj in objectives], grads,
+                                                [obj.value(x) for obj in objectives],
+                                                direction.slopes,
                                                 problems.quadratic_stack(objectives, x)[0])
             assert eta == backtrack ** backtracks
             counts.add(backtracks)
@@ -429,7 +434,7 @@ class TestArmijoStep:
                 continue
             eta, x_next, backtracks, _ = armijo_step(merit, x,
                                                      direction.direction, direction.t_value, cfg,
-                                                     [m.value(x) for m in merit], grads,
+                                                     [m.value(x) for m in merit], direction.slopes,
                                                      problems.quadratic_stack(merit, x)[0])
             ref_eta, ref_next, ref_backtracks = scanned_expansions(merit, x, direction, cfg,
                                                                    grads)
@@ -454,15 +459,15 @@ class TestArmijoStep:
     ])
     def test_trials_decided_by_rounding(self, s, q, t, backtrack, sigma, accepted):
         """Steps that pass only by rounding are found as the scan from eta = 1
-        finds them: f = q x^2 / 2 + s x at x = 0 along d = 1, so s_j = s and
-        q_j = q."""
+        finds them: f = q x^2 / 2 + s x at x = 0 along d = 1, so the slope
+        that the direction hands over is s_j = s, and q_j = q."""
         from mofgd.direction import DirectionResult
         obj = quadratic_objective(np.array([[q]]), np.array([s]))
         x = np.zeros(1)
         cfg = SolverConfig(sigma=sigma, backtrack=backtrack)
         direction = DirectionResult(t_value=t, direction=np.ones(1),
                                     multipliers=np.ones(1), kkt_residual=0.0, theta=0.0,
-                                    norm=1.0)
+                                    norm=1.0, slopes=[s])
         values, gradients = [obj.value(x)], [obj.gradient(x)]
         hessians = problems.quadratic_stack([obj], x)[0]
         reference = scanned_expansions([obj], x, direction, cfg, gradients)
@@ -470,35 +475,41 @@ class TestArmijoStep:
             assert reference is None
             with pytest.raises(LineSearchError):
                 armijo_step([obj], x, direction.direction, direction.t_value, cfg, values,
-                            gradients, hessians)
+                            direction.slopes, hessians)
             return
         eta, x_next, backtracks, _ = armijo_step([obj], x, direction.direction, direction.t_value,
-                                                 cfg, values, gradients, hessians)
+                                                 cfg, values, direction.slopes, hessians)
         assert (eta, x_next.tolist(), backtracks) == (reference[0], reference[1].tolist(),
                                                       accepted)
 
 
 class TestStackedProducts:
-    """A line search forms its slopes and curvatures in one stacked product,
-    with the bits of the per-objective products, from the quadratic merits'
-    Hessians that its stage stacks once."""
+    """A line search reads its slopes from the direction it searches along,
+    the rows of the one product G d whose max is t, and forms its
+    curvatures as the rows of the one product (d @ A) d, from the quadratic
+    merits' Hessians that its stage stacks once."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 100])
     def test_stacked_products_match_per_objective_products(self, m, n):
-        """The assumption the stacked products rest on, pinned on seeded
-        draws over twelve decades.  If it fails on some numpy or BLAS,
-        `_slopes_and_curvatures` must form one product per objective on the
-        stacked Hessians rather than accept moved bits."""
+        """The rule the line search and its references share, pinned on
+        seeded draws over twelve decades: the direction's slopes are the
+        rows of G d, with t their max, bit for bit, and the rows of the
+        stacked d @ A have the bits of the per-objective d @ H_j, so the
+        curvatures (d @ A) d are `matvec_rows` of the per-objective rows,
+        which the references form from Hessians fetched one by one."""
         rng = np.random.default_rng(100 * m + n)
         for _ in range(300):
             scale = 10.0 ** rng.uniform(-6.0, 6.0, size=3)
             A = rng.standard_normal((m, n, n))
             hessians = np.array([scale[0] * (H + H.T) for H in A])
             G = scale[1] * rng.standard_normal((m, n))
+            direction = solve_direction(G)
+            assert direction.slopes == matvec_rows(G, direction.direction)
+            assert (np.float64(direction.t_value).tobytes()
+                    == np.float64(max(direction.slopes)).tobytes())
             d = scale[2] * rng.standard_normal(n)
-            assert descent._slopes_and_curvatures(G, hessians, d) == (
-                [float(g @ d) for g in G], [float(d @ H @ d) for H in hessians])
+            assert (d @ hessians).dot(d).tolist() == matvec_rows([d @ H for H in hessians], d)
 
     @staticmethod
     def steps(trace):
@@ -638,20 +649,17 @@ class TestStackedProducts:
 
     @staticmethod
     def count_products(monkeypatch):
-        """Counts of line searches and of `_slopes_and_curvatures` calls."""
+        """Counts of line searches and of those handed a Hessian stack, the
+        ones that form the curvature product."""
         counts = {"armijo": 0, "products": 0}
-        armijo, products = descent.armijo_step, descent._slopes_and_curvatures
+        armijo = descent.armijo_step
 
         def spy_armijo(*args):
             counts["armijo"] += 1
+            counts["products"] += args[-1] is not None
             return armijo(*args)
 
-        def spy_products(*args):
-            counts["products"] += 1
-            return products(*args)
-
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
-        monkeypatch.setattr(descent, "_slopes_and_curvatures", spy_products)
         return counts
 
     def test_every_line_search_forms_its_products_once(self, monkeypatch):
@@ -686,7 +694,7 @@ class TestStackedProducts:
             hessians = problems.quadratic_stack(merits, x)[0] if zeros else None
             values = [None] * 3
             eta, x_next, backtracks, trial = armijo_step(
-                merits, x, direction.direction, direction.t_value, cfg, values, gradients,
+                merits, x, direction.direction, direction.t_value, cfg, values, direction.slopes,
                 hessians)
             eta0, x_next0, backtracks0, _ = evaluated_armijo(merits, x, direction, cfg)
             assert (eta, backtracks) == (eta0, backtracks0)
@@ -1268,10 +1276,10 @@ class TestStageMerit:
             seen["grads"] = np.array(grads, dtype=float)
             return solve(grads)
 
-        def spy_armijo(merit, x, d, t, cfg, values, gradients, hessians):
+        def spy_armijo(merit, x, d, t, cfg, values, slopes, hessians):
             # The stage hands over its quadratic merits' Hessians, stacked once.
             np.testing.assert_array_equal(hessians, [m.hessian(x) for m in merit])
-            result = armijo(merit, x, d, t, cfg, values, gradients, hessians)
+            result = armijo(merit, x, d, t, cfg, values, slopes, hessians)
             checks.append((list(merit), np.array(x), seen["grads"], result[2]))
             return result
 
@@ -1342,9 +1350,9 @@ class TestMeritSlope:
             solved["t"] = result.t_value
             return result
 
-        def spy_armijo(merit, x, d, t, cfg, values, gradients, hessians):
+        def spy_armijo(merit, x, d, t, cfg, values, slopes, hessians):
             checks.append((list(merit), np.array(x), d, t, solved["t"]))
-            return armijo(merit, x, d, t, cfg, values, gradients, hessians)
+            return armijo(merit, x, d, t, cfg, values, slopes, hessians)
 
         monkeypatch.setattr(descent, "solve_direction", spy_solve)
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
@@ -1377,6 +1385,44 @@ class TestMeritSlope:
             assert slope == pytest.approx(fd, rel=1e-5, abs=1e-8)
             compared += 1
         assert compared >= len(checks) // 2 > 0
+
+    @pytest.mark.parametrize("kind", ["quadratic", "classical_smooth", "fractional_smooth",
+                                      "mixed"])
+    def test_slope_is_the_max_of_the_slopes(self, kind, monkeypatch):
+        """Every line search tests the slope max_j s_j of the slopes it is
+        handed, bit for bit, one per merit.  Where the direction inputs are
+        the merit gradients, in an all-quadratic and in a classical stage,
+        those are the subproblem's own slopes and t."""
+        searched, solved = [], {}
+        solve, armijo = descent.solve_direction, descent.armijo_step
+
+        def spy_solve(grads):
+            solved["result"] = solve(grads)
+            return solved["result"]
+
+        def spy_armijo(merit, x, d, t, cfg, values, slopes, hessians):
+            searched.append((len(merit), t, slopes, solved["result"]))
+            return armijo(merit, x, d, t, cfg, values, slopes, hessians)
+
+        monkeypatch.setattr(descent, "solve_direction", spy_solve)
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        x0, stage = np.full(4, 2.0), Stage(0.5, 0.1, 30)
+        if kind == "quadratic":
+            objectives = random_quadratic_mop(4, 6, 3, seed=8).objectives()
+        elif kind == "classical_smooth":
+            objectives, stage = logistic_losses(), classical(30)
+        elif kind == "fractional_smooth":
+            objectives = logistic_losses()
+        else:
+            objectives = [quadratic_objective(np.eye(4), np.zeros(4))] + logistic_losses()[:2]
+        trace = one_stage(objectives, x0, SolverConfig(), stage, np.zeros(4))
+        assert trace.termination != "error"
+        assert len(searched) == trace.iterations > 1
+        for m, t, slopes, result in searched:
+            assert len(slopes) == m
+            assert np.float64(t).tobytes() == np.float64(max(slopes)).tobytes()
+            if kind in ("quadratic", "classical_smooth"):
+                assert slopes is result.slopes and t == result.t_value
 
     def test_logistic_stage_outcomes(self):
         """Each stage's (iterations, termination) of the logistic run from
@@ -1593,9 +1639,9 @@ class TestSmoothStageCalls:
         searched = []
         armijo = descent.armijo_step
 
-        def spy_armijo(merit, x, d, t, cfg, values, gradients, hessians):
-            searched.append(np.array(gradients))
-            return armijo(merit, x, d, t, cfg, values, gradients, hessians)
+        def spy_armijo(merit, x, d, t, cfg, values, slopes, hessians):
+            searched.append((d, t, slopes))
+            return armijo(merit, x, d, t, cfg, values, slopes, hessians)
 
         monkeypatch.setattr(descent, "armijo_step", spy_armijo)
         trace = one_stage(objectives, np.array([1.0, 5.0, 2.0, 8.0]), SolverConfig(),
@@ -1606,9 +1652,10 @@ class TestSmoothStageCalls:
             assert [(name, z.ndim) for name, z, _ in obj_calls] == [("gradient", 2)] * len(iterates)
             for (_, z, _), x in zip(obj_calls, iterates):
                 assert z[0].tobytes() == x.tobytes()
-        for k, gradients in enumerate(searched):
-            for j, obj_calls in enumerate(calls):
-                assert gradients[j].tobytes() == obj_calls[k][2][0].tobytes()
+        # The slopes are the rows of one product of the row-0 gradients with d.
+        for k, (d, t, slopes) in enumerate(searched):
+            assert slopes == matvec_rows([obj_calls[k][2][0] for obj_calls in calls], d)
+            assert t == max(slopes)
 
     def test_objective_without_hessian_runs_a_fractional_stage(self, monkeypatch):
         """A smooth objective is a value and a gradient: with hessian=None a

@@ -474,6 +474,73 @@ class TestVertexStep:
         assert bits(solve_direction(G).multipliers) == bits([0.0, 1.0, 0.0])
 
 
+def collinear_gradients(rng):
+    """m = 3..6 gradients along one unit vector in n = 1..8, whose lengths
+    lie within a relative 1e-9 to 1e-5 of each other, scaled by 1e-3 to
+    1e3."""
+    m, n = int(rng.integers(3, 7)), int(rng.integers(1, 9))
+    v = rng.standard_normal(n)
+    spread = 10.0 ** rng.uniform(-9.0, -5.0)
+    lengths = 10.0 ** rng.uniform(-3.0, 3.0) * (1.0 + spread * rng.uniform(-1.0, 1.0, m))
+    return lengths[:, None] * (v / np.linalg.norm(v))
+
+
+def least_norm_vertex(G):
+    """e_j for the row of least squared norm, the lowest j on ties."""
+    lam = np.zeros(len(G))
+    lam[np.argmin(np.diag(G @ G.T))] = 1.0
+    return lam
+
+
+class TestCollinearVertex:
+    """Where the active-set loop's answer fails the gap check, as it does
+    for nearly collinear gradients whose minimizer is a vertex, the solve
+    tries the vertex of least norm; every other solve keeps its bits."""
+
+    def test_reported_triple(self):
+        """The scalar gradients whose loop stops at e_0 with a scaled gap of
+        6.627e-08 solve to e_1, whose gap is 0."""
+        G = np.array([[6.0356627], [6.0356623], [6.0356634]])
+        gram, scale = direction._gram_scale(G)
+        assert direction._vertex_step(gram, scale)[0] is None
+        lam = direction._nnls_weights(gram, scale)
+        assert bits(lam) == bits([1.0, 0.0, 0.0])
+        assert f"{direction._dual_gap(gram, scale, lam):.3e}" == "6.627e-08"
+        r = solve_direction(G)
+        assert bits(r.multipliers) == bits([0.0, 1.0, 0.0])
+        assert direction._dual_gap(gram, scale, r.multipliers) == 0.0
+        assert r.kkt_residual <= 1e-8 * scale
+
+    def test_seeded_collinear_draws(self):
+        """10,000 seeded draws: no solve raises.  A solve whose loop answer
+        passes the gap check returns it, bit for bit, and every other one
+        returns the vertex of least norm."""
+        rng = np.random.default_rng(2026)
+        retried = 0
+        for _ in range(10_000):
+            G = collinear_gradients(rng)
+            gram, scale = direction._gram_scale(G)
+            lam, gap = direction._vertex_step(gram, scale)
+            if lam is None:
+                lam = direction._nnls_weights(gram, scale)
+                gap = direction._dual_gap(gram, scale, lam)
+            r = solve_direction(G)
+            if gap <= direction.GAP_FAIL:
+                assert bits(r.multipliers) == bits(lam)
+            else:
+                retried += 1
+                assert bits(r.multipliers) == bits(least_norm_vertex(G))
+        assert retried > 100
+
+    def test_a_failing_vertex_raises_the_loop_gap(self, monkeypatch):
+        """Where the vertex fails too, the solve raises on the loop's own
+        gap, as it did before the vertex was tried."""
+        monkeypatch.setattr(direction, "_nnls_weights",
+                            lambda gram, scale: np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(DirectionAccuracyError, match=r"^scaled duality gap 5\.000e-01 above"):
+            solve_direction(np.eye(3))
+
+
 class TestLargeM:
     """m > 6 goes through the same non-negative least-squares solve as 3 <= m <= 6."""
 

@@ -29,10 +29,11 @@ def assert_matches_loops(G, lam):
     assert bits(scale) == bits(max(1.0, float((G @ G.T).trace()) / 2))
     assert bits(direction._dual_gap(gram, scale, lam)) == bits(loop_dual_gap(gram, scale, lam))
     result = direction._result_from(G, lam)
-    t, kkt, theta = loop_result_checks(G, lam)
+    t, kkt, theta, slopes = loop_result_checks(G, lam)
     assert bits(result.t_value) == bits(t)
     assert bits(result.kkt_residual) == bits(kkt)
     assert bits(result.theta) == bits(theta)
+    assert bits(result.slopes) == bits(slopes)
 
 
 def assert_pair_matches_composition(G):

@@ -263,3 +263,37 @@ def test_step_functions_call_no_numpy_wrapper_helper():
                           and call.func.attr in STEP_FREE_HELPERS]
     assert seen == {(m, n) for m, names in STEP_FUNCTIONS.items() for n in names}
     assert not found, found
+
+
+# The functions that run once or more per Armijo step of a stage.
+ARMIJO_STEP_FUNCTIONS = {"direction.py": ("solve_direction", "_solve_pair", "_result_from"),
+                         "descent.py": ("armijo_step", "run_single_stage")}
+
+
+def _stacks_rows(node) -> bool:
+    """Whether node indexes with a None axis, as R[:, None, :] does."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(i, ast.Constant) and i.value is None for i in index)
+
+
+def test_line_search_reads_the_direction_slopes_and_one_curvature_product():
+    """A line search reads the slopes that its direction was solved with
+    and forms its curvatures as the rows of one matrix-vector product:
+    `descent._slopes_and_curvatures` is gone, and no step function forms
+    a stacked row product R[:, None, :] @ v."""
+    import mofgd.descent as descent
+
+    assert not hasattr(descent, "_slopes_and_curvatures")
+    found, seen = [], set()
+    for module, names in ARMIJO_STEP_FUNCTIONS.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add((module, node.name))
+                found += [f"{module}:{op.lineno} {node.name}" for op in ast.walk(node)
+                          if isinstance(op, ast.BinOp) and isinstance(op.op, ast.MatMult)
+                          and (_stacks_rows(op.left) or _stacks_rows(op.right))]
+    assert seen == {(m, n) for m, names in ARMIJO_STEP_FUNCTIONS.items() for n in names}
+    assert not found, found
