@@ -186,8 +186,9 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     a key's value or a list's entry, is read by one rule (`_float`): a
     number or a numeric string such as 1e-4, never a bool.  n, m_data, m,
     seed, max_iterations, each of iterations and count are integers
-    (`_integer`).  Any other key, and a NaN, an infinity or a bool where a
-    number goes, is a ConfigError that names it as <section>.<key>.
+    (`_integer`).  Any other key, a NaN, an infinity or a bool where a
+    number goes, and an empty gamma_values, is a ConfigError that names it
+    as <section>.<key>.
     """
     path = Path(path)
     if not path.exists():
@@ -257,6 +258,8 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
     count = _integer(grid_doc.get("count", DEFAULT_START_COUNT), "experiment.start_grid.count")
     gamma_values = tuple(_list(exp_doc.get("gamma_values", list(PAPER_GAMMA_VALUES)),
                                "experiment.gamma_values"))
+    if not gamma_values:  # compare would write a table without rows
+        raise ConfigError("experiment.gamma_values: expected at least one value, got []")
     try:
         spec = ExperimentSpec(
             instance=instance,

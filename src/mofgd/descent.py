@@ -4,6 +4,17 @@ One iteration at x: evaluate the per-objective (fractional) gradients, solve
 the direction subproblem for (t, d, lambda), stop if ||d|| < tolerance, pick
 a step by Armijo backtracking over {1, r, r^2, ...} and move to x + eta*d.
 
+A kinked (piecewise) merit's gradient is that of its largest piece, which
+alone would let d ascend another piece active at a kink.  So each of its
+other pieces within `problems.ACTIVE_TOLERANCE` of the max at x
+(`PiecewiseMaxObjective.active_gradients`) adds its classical gradient as
+one more row of the subproblem, and the multipliers of those rows are
+summed into the merit's, so the reported lambda keeps length m.  At a
+minimizer of the max the hull of the rows holds 0, and the stage stops at
+the tolerance; this is the epsilon-active set of the bundle and
+subgradient-sampling descent methods (Kiwiel, LNM 1133, 1985; Gebken and
+Peitz, JOTA 2021).  A stage without a piecewise merit adds no row.
+
 Stages: a schedule of (alpha_s, gamma_s, k_s) triples runs the iteration in
 segments, each continuing from the previous stage's final point, with one
 fixed terminal c.  Stage s takes beta_s = gamma_s + (1-alpha_s)/(2-alpha_s)
@@ -51,11 +62,13 @@ the stage is the multi-objective steepest descent of Fliege and Svaiter
 alpha.
 
 For every kind, the Armijo test reads the slopes s_j = grad merit_j(x)^T d
-of the merits it tests, and their max is its slope.  In an all-quadratic
-or a classical stage the direction inputs are the merit gradients, so the
-slopes are the subproblem's own, the rows of its one product G d, and the
-slope is its t, bit for bit; a fractional stage forms them as the rows of
-one product of its merit gradients with d.  A stage whose t < 0 meets a
+of the merits it tests, and the max over them and over a kinked merit's
+extra rows is its slope, so a kinked merit is tested against the largest
+slope of its active pieces.  In an all-quadratic or a classical stage the
+direction inputs are the merit gradients, so the slopes are the
+subproblem's own, the rows of its one product G d, and the slope is its t,
+bit for bit; a fractional stage forms them as the rows of one product of
+its merit gradients and extra rows with d.  A stage whose t < 0 meets a
 merit slope >= 0 (or NaN) ends as "model_mismatch".  A quadratic merit
 with curvature q_j = d^T H_j d > 0 along d is tested on its exact
 expansion
@@ -345,8 +358,10 @@ def armijo_step(objectives: Sequence[ObjectiveModel], x: np.ndarray,
     """First eta in {1, r, r^2, ...} with f_j(x + eta d) <= f_j(x) + sigma*eta*t for all j.
 
     d is the direction, slopes[j] is s_j = grad f_j(x)^T d, which the
-    caller has already formed, and t is their max, the merit slope, which
-    must be negative (ValueError otherwise).  values[j] is f_j(x) or None.
+    caller has already formed (entries past the m objectives', a kinked
+    merit's extra rows, are not read), and t is the max of all of them, the
+    merit slope, which must be negative (ValueError otherwise).  values[j]
+    is f_j(x) or None.
     hessians is the A of `problems.quadratic_stack(objectives, x)`, which
     `schedule_setup` builds once per stage, or None when no objective is
     quadratic, as `run_single_stage` passes it: every q_j is then 0, as on
@@ -467,6 +482,15 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     Neither a record's x nor the terminal may be written into, since a
     record's f_values are evaluated at its x on every read.
 
+    Which merits are piecewise is decided here once.  At each iterate the
+    stage appends, for each of them, the classical gradients of its pieces
+    other than the largest within `problems.ACTIVE_TOLERANCE` of its max
+    at x (`PiecewiseMaxObjective.active_gradients`) as extra rows of both
+    the direction inputs and the merit gradients.  So the Armijo slope is
+    the max over all rows, and trace.final_multipliers sums each extra
+    row's multiplier into its merit's, keeping length m.  A stage without
+    a piecewise merit adds no row.
+
     In a fractional stage each iterate builds one node stack per distinct
     kink locator of the non-quadratic objectives (None for the kink-free
     ones), on first use, and every objective with that locator reduces it;
@@ -493,6 +517,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     # takes no stack and forms no products.
     search_hessians = None if len(others) == len(merit) else hessians
     fractional = [] if classical else [(j, objectives[j].kink_locator) for j in others]
+    piecewise = [j for j, m in enumerate(merit) if m.kind == "piecewise"]
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
     trace.termination = "max_iter"
@@ -514,6 +539,18 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
                     trace.notes.extend(stacks[locator].notes)
                 grads[j] = modified_fractional_gradient(
                     objectives[j], stacks[locator], stage.beta, gradient_out=merit_grads[j])
+        # A kinked merit's other active pieces enter as rows of their own,
+        # their classical gradients in both arrays; owners[i] is the merit
+        # of extra row i.
+        owners, rows = [], []
+        for j in piecewise:
+            near = merit[j].active_gradients(x)[1:]
+            owners += [j] * len(near)
+            rows.extend(near)
+        if rows:
+            merits_are_inputs = grads is merit_grads
+            merit_grads = np.concatenate((merit_grads, rows))
+            grads = merit_grads if merits_are_inputs else np.concatenate((grads, rows))
 
         try:
             direction = solve_direction(grads)
@@ -530,6 +567,9 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
         trace.final_x = x
         trace.final_norm_d = norm_d
         trace.final_multipliers = direction.multipliers
+        if owners:  # each extra row's multiplier is summed into its merit's
+            trace.final_multipliers = np.bincount([*range(len(merit)), *owners],
+                                                  direction.multipliers)
         # t >= 0: the subproblem finds no descent direction to its precision,
         # so x is critical even if ||d|| is still above the tolerance.
         if norm_d < tolerance or not direction.t_value < 0.0:

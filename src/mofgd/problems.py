@@ -52,6 +52,12 @@ _FD_CHECK_STEP = 1e-6
 _FD_CHECK_TOL = 1e-5
 # Candidate points the check scans for 10 whose stencil has no located kink.
 _FD_CHECK_CANDIDATES = 1000
+# A piece of a PiecewiseMaxObjective is active at x when its value lies
+# within this of the max.  It is SolverConfig's default stop tolerance on
+# ||d||: with it, descent on |x1| + |x2| and on example 3 stops at the
+# tolerance at the minimizer, while 1e-9 leaves one |x1| + |x2| run in
+# model_mismatch with two of the four pieces 6e-9 below the max.
+ACTIVE_TOLERANCE = 1e-6
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -298,17 +304,15 @@ class PiecewiseMaxObjective(ObjectiveModel):
 
     Pieces are (value, gradient) pairs that answer a (k, n) stack with (k,)
     and (k, n).  The value of the max is the largest piece value, and its
-    gradient is that of the active piece, row by row: the largest, and
-    among pieces tied for it exactly, the one with the smallest gradient
-    norm (the first among equals).  So a tied piece whose gradient
-    vanishes, as the quadratic's does at example 3's minimizer, is active
-    there.
-    kink_locator (x, i, lo, hi) -> kink abscissae locates where the active
+    gradient is that of the largest piece, row by row, the first of pieces
+    tied for it.  One rule says which pieces are active at a point x: those
+    within ACTIVE_TOLERANCE of the max (`active_gradients`).  A stage puts
+    every active piece's gradient into its direction subproblem, and
+    `subgradient` averages them.
+    kink_locator (x, i, lo, hi) -> kink abscissae locates where the largest
     piece changes along coordinate i (see ObjectiveModel).
     The piece values are one np.array of the pieces' answers, transposed to
-    put the pieces last, and the subgradient sums its gradients row by row
-    in piece order: the bits of np.stack and np.mean, without their Python
-    wrapping around every step of a kinked run.
+    put the pieces last.
     """
 
     def __init__(self, pieces: Sequence[tuple[Callable, Callable]], dim: int,
@@ -327,23 +331,27 @@ class PiecewiseMaxObjective(ObjectiveModel):
         return np.array([p[0](x) for p in self._pieces], dtype=float).T
 
     def _active(self, x) -> np.ndarray:
-        """Gradient of the active piece, row by row: the one of smallest
-        gradient norm among those at the max, the first among equals."""
-        x = np.asarray(x, dtype=float)
+        """Gradient of the largest piece, row by row: the row-wise argmax."""
+        top = self._piece_values(x).argmax(axis=-1)
+        grads = np.array([p[1](x) for p in self._pieces], dtype=float)
+        return np.take_along_axis(grads, top[None, ..., None], axis=0)[0]
+
+    def active_gradients(self, x: np.ndarray) -> np.ndarray:
+        """The gradients at the point x of the pieces within ACTIVE_TOLERANCE
+        of the max, as the rows of a (k, n) array: first the largest
+        piece's, the row `gradient` answers, then the others in piece order."""
         values = self._piece_values(x)
-        grads = np.stack([np.asarray(p[1](x), dtype=float) for p in self._pieces])
-        norms = np.moveaxis((grads * grads).sum(axis=-1), 0, -1)
-        top = values == values.max(axis=-1, keepdims=True)
-        active = np.argmin(np.where(top, norms, np.inf), axis=-1)
-        return grads[(active, *np.indices(active.shape))]
+        top = int(values.argmax())
+        near = values >= values[top] - ACTIVE_TOLERANCE
+        near[top] = False
+        return np.array([self._pieces[i][1](x) for i in [top, *np.flatnonzero(near).tolist()]],
+                        dtype=float)
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
-        """Average gradient of the pieces within 1e-9 of the max at the point x,
-        a convex combination of the active gradients."""
-        vals = self._piece_values(x)
-        active = np.nonzero(vals >= vals.max() - 1e-9)[0]
-        grads = [np.asarray(self._pieces[i][1](x), dtype=float) for i in active]
-        return sum(grads[1:], grads[0]) / len(grads)
+        """Mean of `active_gradients(x)`, a convex combination of the active
+        gradients at the point x."""
+        grads = self.active_gradients(x)
+        return grads.sum(axis=0) / len(grads)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 from mofgd import DirectionResult, ObjectiveModel, solve_direction
 from mofgd.direction import _result_from
 from mofgd.fractional import NodeStack, _rule, terminals
-from mofgd.problems import _constant_hessian
+from mofgd.problems import ACTIVE_TOLERANCE, _constant_hessian
 
 # Central-difference step for a second derivative obtained from first derivatives.
 FD2_STEP = 1e-5
@@ -589,22 +589,20 @@ def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
 
 
 def stacked_piecewise(pieces, x) -> tuple[np.ndarray, np.ndarray]:
-    """The max of pieces and its active gradient at a point or a (k, n)
-    stack, on `np.stack`: each piece's values stacked on the last axis, the
-    active piece taken row by row as the one of smallest gradient norm
-    among those at the max, the first among equals."""
+    """The max of pieces and its gradient at a point or a (k, n) stack, on
+    `np.stack`: each piece's values stacked on the last axis, and the
+    gradient of the largest piece taken row by row, the first of pieces
+    tied for the max (the row-wise argmax)."""
     x = np.asarray(x, dtype=float)
     values = np.stack([np.asarray(p[0](x), dtype=float) for p in pieces], axis=-1)
     grads = np.stack([np.asarray(p[1](x), dtype=float) for p in pieces])
-    norms = np.moveaxis((grads * grads).sum(axis=-1), 0, -1)
-    top = values == values.max(axis=-1, keepdims=True)
-    active = np.argmin(np.where(top, norms, np.inf), axis=-1)
-    return values.max(axis=-1), grads[(active, *np.indices(active.shape))]
+    top = values.argmax(axis=-1)
+    return values.max(axis=-1), grads[(top, *np.indices(top.shape))]
 
 
 def mean_subgradient(pieces, x: np.ndarray) -> np.ndarray:
-    """`np.mean` of the gradients of the pieces within 1e-9 of the max at
-    the point x."""
+    """`np.mean` of the gradients of the pieces within ACTIVE_TOLERANCE of
+    the max at the point x."""
     vals = np.stack([np.asarray(p[0](x), dtype=float) for p in pieces], axis=-1)
-    active = np.nonzero(vals >= vals.max() - 1e-9)[0]
+    active = np.nonzero(vals >= vals.max() - ACTIVE_TOLERANCE)[0]
     return np.mean([np.asarray(pieces[i][1](x), dtype=float) for i in active], axis=0)

@@ -650,7 +650,9 @@ experiment:
         assert summary["fixtures"]["example3"]["ok"]
         assert summary["fixtures"]["example3"]["termination"] == "tolerance"
         assert list(summary["fixtures"]["example3"])[-2:] == ["ok", "termination"]
-        assert (out / "fixtures_report.txt").exists()
+        report = (out / "fixtures_report.txt").read_text().splitlines()
+        assert "example3: fractional 3 vs subgradient 90 iterations" in report
+        assert any(line.startswith("example2: staged value -2.333333 at ") for line in report)
 
     def test_fixtures_fails_an_example3_run_that_ended_in_error(self, tmp_path, monkeypatch):
         """An example 3 run that ends in error fails its check and the
@@ -737,6 +739,8 @@ schedule:
         ("pareto", "example2_pair", "r: 0.5", "r: -.inf", "solver.r"),
         ("compare", "paper_quadratic", "gamma_values: [0.15, 0.25, 0.5, 0.75, 1.0, 10.0]",
          "gamma_values: [.nan, 0.25]", "experiment.gamma_values"),
+        ("compare", "paper_quadratic", "gamma_values: [0.15, 0.25, 0.5, 0.75, 1.0, 10.0]",
+         "gamma_values: []", "experiment.gamma_values"),
         ("compare", "paper_quadratic", "ub: 10.0", "ub: .inf", "experiment.start_grid.ub"),
         ("solve", "example2", "terminal: 0.0", "terminal: .nan", "schedule.terminal"),
         ("solve", "example2", "terminal: 0.0", "terminal: [0.0, .nan]", "schedule.terminal"),
@@ -745,9 +749,9 @@ schedule:
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, command, config, old, new, key):
         """A NaN, an infinity or an integer beyond the float range where a
-        config takes a number is refused by its key (exit 2) before any
-        output directory is made, not run into failed starts or a
-        traceback."""
+        config takes a number, and an empty list of gamma values, are
+        refused by their key (exit 2) before any output directory is made,
+        not run into failed starts, a table without rows or a traceback."""
         text = (REPO / "configs" / f"{config}.yaml").read_text()
         assert text.count(old) == 1
         cfg = write_config(tmp_path, text.replace(old, new))

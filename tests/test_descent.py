@@ -52,6 +52,17 @@ def stage_setup(objectives, stage, terminal):
     return descent.schedule_setup(objectives, schedule, objectives[0].dim)[1][0]
 
 
+def l1_norm(center=(0.0, 0.0)) -> PiecewiseMaxObjective:
+    """|x1 - a1| + |x2 - a2| as the max of its four pieces
+    s1 (x1 - a1) + s2 (x2 - a2), kinked where a coordinate is a_i."""
+    a = np.asarray(center, dtype=float)
+    pieces = [(lambda x, s=s: (x[..., 0] - a[0]) * s[0] + (x[..., 1] - a[1]) * s[1],
+               lambda x, s=s: np.broadcast_to(s, np.shape(x)))
+              for s in ([1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0])]
+    return PiecewiseMaxObjective(
+        pieces, dim=2, kink_locator=lambda x, i, lo, hi: (a[i],) if lo < a[i] < hi else ())
+
+
 def logistic_losses():
     """Three regularized logistic losses in n=4, vectorized over the last axis."""
     def logistic(features, labels, mu=0.1):
@@ -1479,6 +1490,71 @@ class TestMeritSlope:
         assert trace.iterations == 0
         assert any(n.startswith("model_mismatch") and "||g - grad merit||" in n
                    for n in trace.notes)
+
+
+class TestActivePieceRows:
+    """A piecewise merit's other pieces within ACTIVE_TOLERANCE of its max
+    enter the direction subproblem as rows of their own.  With the largest
+    piece alone, each run below ended in error at its minimizer, its line
+    search failing after 60 halvings; with the rows it stops there at the
+    tolerance."""
+
+    @staticmethod
+    def assert_stops_at_minimizer(trace, objectives, f_bound):
+        assert trace.termination == "tolerance", trace.error
+        assert [s.termination for s in trace.stages] == ["tolerance"] * len(trace.stages)
+        assert all(obj.value(trace.final_x) <= f_bound for obj in objectives)
+        # The extra rows' multipliers are folded into their merits'.
+        lam = trace.final_multipliers
+        assert lam.shape == (len(objectives),) and lam.min() >= 0.0
+        assert abs(lam.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("terminal", [0.0, -1.0])
+    @pytest.mark.parametrize("x0", [(3.0, 2.0), (2.5, -1.3)])
+    def test_default_schedule_on_l1_stops_at_its_minimizer(self, terminal, x0):
+        obj = l1_norm()
+        trace = run_adaptive([obj], np.array(x0), SolverConfig(),
+                             default_schedule(terminal=terminal))
+        self.assert_stops_at_minimizer(trace, [obj], 1e-6)
+
+    def test_mogd_baseline_on_l1_stops_at_its_minimizer(self):
+        obj = l1_norm()
+        trace = mogd_baseline([obj], np.array([2.5, -1.3]), SolverConfig())
+        self.assert_stops_at_minimizer(trace, [obj], 1e-6)
+
+    @pytest.mark.parametrize("terminal,last_alpha", [
+        (-1.0, 0.6), (-1.0, 0.9), ((-0.5, 0.7), 0.6), ((-2.0, -3.0), 0.6)])
+    def test_example3_below_its_kink_stops_at_its_minimizer(self, terminal, last_alpha):
+        obj = example3_objective()
+        schedule = StageSchedule.from_gammas((0.5, last_alpha), (0.1, 0.0), (20, 20),
+                                             terminal=terminal)
+        trace = run_adaptive([obj], np.array([3.0, 2.0]), SolverConfig(), schedule)
+        self.assert_stops_at_minimizer(trace, [obj], 1e-12)
+
+    def test_rows_join_the_subproblem_and_the_line_search_slope(self, monkeypatch):
+        """mogd on |x| and |x - (1, 0.5)|, whose Pareto set is the box the
+        two centres span: some subproblems see more rows than the m = 2
+        objectives, each line search's t is the max of all the rows'
+        slopes, and the run ends on the box with m multipliers."""
+        solve, armijo, solved = descent.solve_direction, descent.armijo_step, []
+
+        def spy_solve(grads):
+            solved.append(solve(grads))
+            return solved[-1]
+
+        def spy_armijo(merit, x, d, t, cfg, values, slopes, hessians):
+            assert t == solved[-1].t_value == max(solved[-1].slopes)
+            return armijo(merit, x, d, t, cfg, values, slopes, hessians)
+
+        monkeypatch.setattr(descent, "solve_direction", spy_solve)
+        monkeypatch.setattr(descent, "armijo_step", spy_armijo)
+        objectives = [l1_norm(), l1_norm((1.0, 0.5))]
+        trace = mogd_baseline(objectives, np.array([-1.0, 2.0]), SolverConfig(tolerance=1e-5))
+        assert max(len(r.slopes) for r in solved) > 2
+        assert trace.termination == "tolerance"
+        np.testing.assert_allclose(sum(obj.value(trace.final_x) for obj in objectives), 1.5)
+        lam = trace.final_multipliers
+        assert lam.shape == (2,) and abs(lam.sum() - 1.0) <= 1e-12
 
 
 def record_bits(trace):

@@ -26,13 +26,14 @@ from mofgd.fixtures import (
 )
 from mofgd.problems import (
     _FD_CHECK_CANDIDATES,
+    ACTIVE_TOLERANCE,
     PiecewiseMaxObjective,
     _check_points,
     quadratic_stack,
     regularized,
 )
 from oracles import dense_regularized, mean_subgradient, stacked_piecewise
-from test_descent import logistic_losses
+from test_descent import l1_norm, logistic_losses
 
 
 def _stack_cases():
@@ -56,16 +57,6 @@ def _stack_cases():
 def bits(value):
     value = np.asarray(value, dtype=float)
     return value.shape, value.tobytes()
-
-
-def l1_norm() -> PiecewiseMaxObjective:
-    """|x1| + |x2| as the max of its four pieces s1 x1 + s2 x2, kinked
-    where a coordinate is 0."""
-    pieces = [(lambda x, s=s: x[..., 0] * s[0] + x[..., 1] * s[1],
-               lambda x, s=s: np.broadcast_to(s, np.shape(x)))
-              for s in ([1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0])]
-    return PiecewiseMaxObjective(pieces, dim=2,
-                                 kink_locator=lambda x, i, lo, hi: (0.0,) if lo < 0.0 < hi else ())
 
 
 class TestObjectiveModel:
@@ -212,20 +203,44 @@ class TestStackContract:
                            gradient=lambda x: np.array([2.0 * x[0], 2.0 * x[1]]),
                            kind="smooth")
 
-    def test_exact_ties_take_the_smallest_gradient(self):
-        """Pieces tied for the max exactly give the gradient of the one with
-        the smallest gradient norm, row by row: the quadratic's at the origin
-        and at (0, 1), the linear piece's at (5, 0), where the quadratic's
-        would be (10, 0)."""
+    def test_exact_ties_take_the_first_piece(self):
+        """Pieces tied for the max exactly give the first one's gradient, row
+        by row (the row-wise argmax): the linear piece's (5, 1) at the
+        origin, at (5, 0) and at (0, 1), where the quadratic's is (0, 0),
+        (10, 0) and (0, 2).  Both pieces are active there, and
+        active_gradients lists the linear piece's gradient first; at
+        (0.5, 0.5) the quadratic lies 2.5 below the max and stays out."""
         obj = example3_objective()
-        np.testing.assert_array_equal(obj.gradient(np.zeros(2)), [0.0, 0.0])
+        np.testing.assert_array_equal(obj.gradient(np.zeros(2)), [5.0, 1.0])
         z = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        np.testing.assert_array_equal(obj.gradient(z), [[0.0, 0.0], [5.0, 1.0], [0.0, 2.0],
-                                                        [5.0, 1.0]])
+        np.testing.assert_array_equal(obj.gradient(z), [[5.0, 1.0]] * 4)
+        for x, quadratic in zip(z, ([0.0, 0.0], [10.0, 0.0], [0.0, 2.0])):
+            np.testing.assert_array_equal(obj.active_gradients(x), [[5.0, 1.0], quadratic])
+        np.testing.assert_array_equal(obj.active_gradients(z[3]), [[5.0, 1.0]])
+
+    def test_active_gradients_hold_the_pieces_within_the_tolerance(self):
+        """|x1| + |x2| near its kinks: the rows are the largest piece's
+        gradient, then the other pieces' within ACTIVE_TOLERANCE of the max
+        in piece order, and subgradient is their mean.  A piece further
+        below the max stays out."""
+        obj = l1_norm()
+        tol = ACTIVE_TOLERANCE
+        cases = [
+            ((0.4 * tol, 0.0), [[1, 1], [1, -1], [-1, 1], [-1, -1]]),  # all within 0.8 tol
+            ((0.6 * tol, 0.0), [[1, 1], [1, -1]]),  # the others 1.2 tol below
+            ((-1.0, 0.25 * tol), [[-1, 1], [-1, -1]]),
+            ((-1.0, -0.25 * tol), [[-1, -1], [-1, 1]]),  # the largest first
+            ((2.0, 3.0), [[1, 1]]),
+        ]
+        for x, rows in cases:
+            x = np.array(x)
+            np.testing.assert_array_equal(obj.active_gradients(x), rows)
+            np.testing.assert_array_equal(obj.active_gradients(x)[0], obj.gradient(x))
+            np.testing.assert_array_equal(obj.subgradient(x), np.mean(rows, axis=0))
 
     def test_exact_ties_of_equal_gradient_norms_take_the_first(self):
-        """max(x1, x2) on the diagonal: both gradients have norm 1, so the
-        first piece's (1, 0) is taken."""
+        """max(x1, x2) on the diagonal: the first piece's (1, 0) is taken,
+        as at every exact tie, whatever the gradient norms."""
         pieces = [(lambda x, i=i: x[..., i],
                    lambda x, i=i: np.broadcast_to(np.eye(2)[i], np.shape(x))) for i in (0, 1)]
         obj = PiecewiseMaxObjective(
@@ -244,11 +259,11 @@ class TestStackContract:
     def test_piecewise_has_the_bits_of_stack_and_mean(self, name):
         """value, gradient and subgradient have the bits of the np.stack and
         np.mean forms, at single points and on (k, n) stacks, with exact
-        ties and with 1 to 4 pieces within 1e-9 of the max."""
+        ties and with 1 to 4 pieces within ACTIVE_TOLERANCE of the max."""
         obj = example3_objective() if name == "example3" else l1_norm()
         rng = np.random.default_rng(11)
         points = [[0.0, 0.0], [5.0, 0.0], [0.0, 1.0], [0.5, 0.5], [3.0, 1.0], [1.0, 2.0],
-                  [1.0, 0.0], [1e-10, 0.0], [3e-10, 4e-10], [-2.5, 1e-12]]
+                  [1.0, 0.0], [1e-10, 0.0], [3e-7, 4e-7], [-2.5, 1e-12]]
         points = np.vstack([points, rng.uniform(-3.0, 3.0, (20, 2))])
         counts = set()
         for x in points:
@@ -257,7 +272,7 @@ class TestStackContract:
             assert bits(obj.gradient(x)) == bits(gradient)
             assert bits(obj.subgradient(x)) == bits(mean_subgradient(obj._pieces, x))
             values = np.array([p[0](x) for p in obj._pieces])
-            counts.add(int((values >= values.max() - 1e-9).sum()))
+            counts.add(int((values >= values.max() - ACTIVE_TOLERANCE).sum()))
         assert counts == ({1, 2} if name == "example3" else {1, 2, 3, 4})
         for k in (1, 2, 7):
             z = points[:k] if k < 7 else points[-7:]

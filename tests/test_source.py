@@ -297,3 +297,29 @@ def test_line_search_reads_the_direction_slopes_and_one_curvature_product():
                           and (_stacks_rows(op.left) or _stacks_rows(op.right))]
     assert seen == {(m, n) for m, names in ARMIJO_STEP_FUNCTIONS.items() for n in names}
     assert not found, found
+
+
+def test_one_active_piece_rule():
+    """Which pieces of a piecewise-max objective are active is one rule:
+    `problems.ACTIVE_TOLERANCE` is assigned once in the package, no
+    `PiecewiseMaxObjective` method holds a float literal of its own, and
+    `_active` is a plain argmax, with no tie rule's norms, argmin, where or
+    indices."""
+    assigned = [f"{path.name}:{node.lineno}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "ACTIVE_TOLERANCE"
+                        for t in node.targets)]
+    assert len(assigned) == 1 and assigned[0].startswith("problems.py:"), assigned
+    tree = ast.parse((PACKAGE / "problems.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "PiecewiseMaxObjective")
+    floats = [node.lineno for node in ast.walk(cls)
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert not floats, f"float literals in PiecewiseMaxObjective at lines {floats}"
+    active = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_active")
+    attributes = {node.attr for node in ast.walk(active) if isinstance(node, ast.Attribute)}
+    assert "argmax" in attributes
+    assert not attributes & {"argmin", "where", "indices", "moveaxis", "norm"}, attributes
