@@ -272,8 +272,8 @@ class IterationRecord:
 class StageReport:
     """How one stage run ended: the records it added, its termination, the
     stop tolerance it used and the trace's final ||d|| at its end (None
-    while no stage of the trace has solved a direction, and after a
-    direction error).  Nothing writes to a report; like the other records
+    while no stage of the trace has solved a direction, and after a failed
+    solve).  Nothing writes to a report; like the other records
     it is slotted and not frozen."""
 
     stage: int
@@ -293,7 +293,8 @@ class IterationTrace:
     (see error).  It is the last stage's; stages holds one StageReport per
     stage run, in order.  final_norm_d and final_multipliers are the ||d||
     and the subproblem multipliers of the direction solved at final_x;
-    both are None when that solve failed (a direction error).
+    both are None when that solve failed (a direction error, or a gradient
+    that is not finite).
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -554,7 +555,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
 
         try:
             direction = solve_direction(grads)
-        except DirectionAccuracyError as exc:
+        except (DirectionAccuracyError, ValueError) as exc:
             trace.termination = "error"
             trace.error = str(exc)
             trace.final_x = x

@@ -13,25 +13,26 @@ the two weights, since every iteration of a two-objective run makes this
 call; every other m is one non-negative least-squares problem in the
 unnormalized weights mu = s lambda, solved by Lawson & Hanson's active-set
 method on its m x m normal equations K / scale + 1 1^T, K = G G^T, in
-Python floats, so its cost does not depend on n; the one product G G^T
-(`_gram_scale`) serves the solve and its gap check.  The loop's first
-vertex, lambda = e_0, is tested for before the loop, on the loop's own
-floats (`_vertex_step`): m = 1 always stops there (d = -g), and so does
-most of a three-objective run.  Where the loop's answer fails the gap
-check, as for nearly collinear gradients whose minimizer is a vertex, the
-vertex of least norm is tried (`_least_norm_vertex`).  A result stores
-||d||, from the d^T d that theta adds, and the m slopes G d, whose max is
-t, so a stage and its line search read them without another product.  A
-solve that fails its checks raises DirectionAccuracyError, a RuntimeError
-whose message names the failed check; the stage keeps only that message
-as the trace's error.
+Python floats, so its cost does not depend on n.  That solve reads the
+rows by norm, so the order of the objectives changes neither its answer
+nor its cost.  The min-norm point can be a vertex only at the shortest
+gradient, which is tested for first on the caller's G G^T
+(`_vertex_step`): m = 1 always stops there (d = -g), and so does most of
+a three-objective run.  Only off that vertex does the loop run, on the
+rows sorted by norm and their own G G^T.  Either way the answer is formed
+on the sorted rows, and its weights and slopes are put back in row
+order.  A result stores ||d||, from the d^T d that theta adds, and the m
+slopes g_j^T d, whose max is t, so a stage and its line search read them
+without another product.  A solve that fails its checks raises
+DirectionAccuracyError, a RuntimeError whose message names the failed
+check; the stage keeps only that message as the trace's error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,10 +62,11 @@ class DirectionResult:
     stationarity d = -sum lambda_j g_j, feasibility g_j^T d <= t, and
     complementary slackness.  norm is ||d||, sqrt(d^T d) from the d^T d
     that theta adds: the bits of np.linalg.norm of a contiguous vector.
-    slopes are the m floats g_j^T d, the rows of the one matrix-vector
-    product G d, and t is their max, bit for bit; the line search of a
-    stage whose direction inputs are its merit gradients reads them as its
-    own slopes.
+    slopes are the m floats g_j^T d in row order, and t is their max, bit
+    for bit.  For m = 2 they are the rows of the one matrix-vector product
+    G d; for any other m, the rows of that product on the rows sorted by
+    norm, put back in row order.  The line search of a stage whose
+    direction inputs are its merit gradients reads them as its own slopes.
     Nothing writes to a result, as nothing writes to the arrays it holds.
     It is slotted but not frozen: a frozen dataclass sets each field
     through object.__setattr__, which more than doubles the cost of the
@@ -80,26 +82,30 @@ class DirectionResult:
     slopes: list[float]
 
 
-def _result_from(G: np.ndarray, lam: np.ndarray) -> DirectionResult:
-    """(t, d, lambda) for the weights lam, with its KKT residual and theta.
+def _result_from(rows: np.ndarray, lam: np.ndarray, order: Sequence[int]) -> DirectionResult:
+    """(t, d, lambda) for the weights lam of rows, the gradients G[order],
+    with its KKT residual and theta; the multipliers and slopes are put
+    back in the row order of G.
 
     The m slopes and weights are few, so the residual is computed on Python
-    floats.  Stationarity d + sum lambda_j g_j = 0 and feasibility
-    g_j^T d <= t hold by construction (t is the largest slope), which leaves
-    complementary slackness and the simplex constraints.  d is G^T (-lam):
-    rounding is symmetric in sign, so it has the bits of -(G^T lam) but for
-    the sign of an exact zero, without the copy that negating G^T makes.
-    d^T d is `ndarray.dot`, the BLAS dot of d @ d, bit for bit, without the
-    matmul dispatch.
+    floats, in the order of rows.  Stationarity d + sum lambda_j g_j = 0
+    and feasibility g_j^T d <= t hold by construction (t is the largest
+    slope), which leaves complementary slackness and the simplex
+    constraints.  d is rows^T (-lam): rounding is symmetric in sign, so it
+    has the bits of -(rows^T lam) but for the sign of an exact zero,
+    without the copy that negating rows^T makes.  d^T d is `ndarray.dot`,
+    the BLAS dot of d @ d, bit for bit, without the matmul dispatch.
     """
-    d = G.T @ -lam
-    slopes = (G @ d).tolist()
-    weights = lam.tolist()
-    t = max(slopes)
-    comp = max(abs(w * (s - t)) for w, s in zip(weights, slopes))
-    simplex = max(abs(sum(weights) - 1.0), -min(weights))
+    d = rows.T @ -lam
+    products, ordered = (rows @ d).tolist(), lam.tolist()
+    t = max(products)
+    comp = max(abs(w * (s - t)) for w, s in zip(ordered, products))
+    simplex = max(abs(sum(ordered) - 1.0), -min(ordered))
     dd = float(d.dot(d))
-    return DirectionResult(t_value=t, direction=d, multipliers=lam,
+    slopes, weights = [0.0] * len(order), [0.0] * len(order)
+    for k, j in enumerate(order):
+        slopes[j], weights[j] = products[k], ordered[k]
+    return DirectionResult(t_value=t, direction=d, multipliers=np.array(weights),
                            kkt_residual=max(comp, simplex), theta=t + 0.5 * dd,
                            norm=math.sqrt(dd), slopes=slopes)
 
@@ -209,51 +215,29 @@ def _nnls_weights(gram: list[list[float]], scale: float) -> np.ndarray:
     return np.array(mu) / sum(mu)
 
 
-def _vertex_step(gram: list[list[float]], scale: float) -> tuple[Optional[np.ndarray], float]:
-    """(e_0, its scaled gap) where `_nnls_weights` would stop at its first
-    vertex, and (None, nan) where it would go on.
+def _vertex_step(gram: list[list[float]], scale: float,
+                 j: int) -> tuple[Optional[np.ndarray], float]:
+    """(e_0, the scaled gap of e_j) where the active-set loop on the rows
+    sorted by norm, whose first is row j, would stop at its first vertex,
+    and (None, nan) where it would go on.
 
-    The active-set loop enters column 0 first, at mu_0 = 1 / M_00, and
-    stops there when no free w_i = 1 - M_i0 mu_0 exceeds NNLS_TOL, with
-    lambda = e_0.  This is that test on the loop's own floats, so it
-    returns e_0 exactly where the loop does, ties and near-ties included,
-    without the loop's Python (for a finite scale; any other fails the
-    solve whatever the weights).  The gap is `_dual_gap` at e_0, read off
-    Kn e_0, column 0 of Kn = gram / scale: its entry 0 less its least
-    entry.  m = 1 has no free w, so it always stops here.  Every other
-    answer is left to the loop.  It reaches a vertex e_j, j > 0, only
-    through a face that holds column 0, and near a tie it can end at
-    another vertex than the row of least norm, or on a face with a tiny
-    second weight, so no test on one row gives its bits.
+    j is the shortest gradient, the least K_jj (the lowest j on ties): the
+    only vertex whose point can be the min-norm point, since that point is
+    no longer than any g_i.  The loop enters its first column first, at
+    mu_j = 1 / M_jj, and stops there when no free w_i = 1 - M_ij mu_j
+    exceeds NNLS_TOL.  This is that test on the caller's Gram floats; w_j
+    itself is a rounding of zero, far below NNLS_TOL, so it never passes.
+    The gap is `_dual_gap` at e_j, read off column j of Kn = gram / scale:
+    its entry j less its least entry.  m = 1 has no free w, so it always
+    stops here.
     """
-    col = [row[0] / scale for row in gram]
-    mu = 1.0 / (col[0] + 1.0)
-    if any(1.0 - (k + 1.0) * mu > NNLS_TOL for k in col[1:]):
+    col = [row[j] / scale for row in gram]
+    mu = 1.0 / (col[j] + 1.0)
+    if any(1.0 - (k + 1.0) * mu > NNLS_TOL for k in col):
         return None, math.nan
     lam = np.zeros(len(gram))
     lam[0] = 1.0
-    return lam, col[0] - min(col)
-
-
-def _least_norm_vertex(G: np.ndarray, gram: list[list[float]], scale: float,
-                       result: DirectionResult, gap: float) -> tuple[DirectionResult, float]:
-    """The vertex e_j of least K_jj (the lowest j on ties) with its scaled
-    gap, where it passes the gap and KKT checks of `solve_direction`, and
-    (result, gap) as given where it does not.
-
-    For nearly collinear gradients the active-set loop refuses the column
-    of a shorter gradient, whose pivot falls below NNLS_TOL, and stops at
-    a vertex that fails the gap check, while the least-norm vertex is the
-    minimizer.  Only an answer that fails the gap check is retried here,
-    so every solve that passes keeps its bits.
-    """
-    j = min(range(len(gram)), key=lambda i: gram[i][i])
-    lam = np.zeros(len(gram))
-    lam[j] = 1.0
-    vertex, vertex_gap = _result_from(G, lam), _dual_gap(gram, scale, lam)
-    if vertex_gap <= GAP_FAIL and vertex.kkt_residual <= 1e-8 * scale:
-        return vertex, vertex_gap
-    return result, gap
+    return lam, col[j] - min(col)
 
 
 def _passive_solve(M: list[list[float]], passive: list[int]) -> Optional[list[float]]:
@@ -283,18 +267,19 @@ def solve_direction(gradients) -> DirectionResult:
     gradients is read as one float array, (m, n); a single vector is the
     one row of a (1, n) array, the shape np.atleast_2d would give.  The
     dual is solved exactly by m: m=2 is the segment closed form
-    (`_solve_pair`); any other m is one non-negative least-squares solve,
-    whose first vertex e_0 (always, for m=1: d = -g) is tested for before
-    its loop runs (`_vertex_step`).  Raises ValueError if a gradient entry
-    is not finite, which is looked for only when the sum of squares of G
-    is not finite.  Raises
-    DirectionAccuracyError if the gradient scale is not
-    finite (a squared gradient norm overflowed), the scaled gap is not at
-    most 1e-8, or the KKT residual is not at most 1e-8 at the gradient
-    scale; a NaN fails every bound.  For m != 2 an answer whose gap fails
-    gives way to the vertex of least norm where that vertex passes both
-    checks (`_least_norm_vertex`); where it does not, the solve raises on
-    the first answer's gap.
+    (`_solve_pair`); any other m is one non-negative least-squares solve on
+    the rows sorted by K_jj (the lowest j first on ties), whose answer is
+    the vertex of the shortest gradient (always, for m=1: d = -g) where
+    `_vertex_step` finds it on G G^T, and the active-set loop's on the
+    sorted rows' own G G^T otherwise.  The multipliers and slopes are in
+    the row order of G, and for gradients of distinct norms a permutation
+    of the rows permutes them and keeps the bits of d, t and ||d||.
+    Raises ValueError if a gradient entry is not finite, which is looked
+    for only when the sum of squares of G is not finite.  Raises
+    DirectionAccuracyError if the gradient scale is not finite (a squared
+    gradient norm overflowed), the scaled gap is not at most 1e-8, or the
+    KKT residual is not at most 1e-8 at the gradient scale; a NaN fails
+    every bound.
     """
     G = np.asarray(gradients, dtype=float)
     if G.ndim < 2:
@@ -307,13 +292,14 @@ def solve_direction(gradients) -> DirectionResult:
         result, scale, gap = _solve_pair(G)
     else:
         gram, scale = _gram_scale(G)
-        lam, gap = _vertex_step(gram, scale)
+        order = sorted(range(len(gram)), key=lambda i: gram[i][i])
+        rows = G.take(order, axis=0)
+        lam, gap = _vertex_step(gram, scale, order[0])
         if lam is None:
+            gram, scale = _gram_scale(rows)
             lam = _nnls_weights(gram, scale)
             gap = _dual_gap(gram, scale, lam)
-        result = _result_from(G, lam)
-        if not gap <= GAP_FAIL:
-            result, gap = _least_norm_vertex(G, gram, scale, result, gap)
+        result = _result_from(rows, lam, order)
     if not math.isfinite(scale):
         raise DirectionAccuracyError(f"gradient scale {scale:.3e} is not finite")
     if not gap <= GAP_FAIL:

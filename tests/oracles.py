@@ -180,6 +180,25 @@ def matvec_rows(rows, d: np.ndarray) -> list[float]:
     return (np.array(rows, dtype=float) @ d).tolist()
 
 
+def norm_order(G: np.ndarray) -> np.ndarray:
+    """The order in which the m != 2 direction solve reads the rows of G:
+    by the diagonal of G G^T, the lowest index first on ties."""
+    return np.argsort(np.diag(G @ G.T), kind="stable")
+
+
+def solve_slopes(rows, d: np.ndarray) -> list[float]:
+    """The slopes of a direction solve on rows along its d: `matvec_rows`
+    for m = 2, and for any other m the rows of the one product on the rows
+    in `norm_order`, put back in row order."""
+    G = np.array(rows, dtype=float)
+    if len(G) == 2:
+        return matvec_rows(G, d)
+    order = norm_order(G)
+    slopes = np.empty(len(G))
+    slopes[order] = G[order] @ d
+    return slopes.tolist()
+
+
 def per_objective_quadratic_stage(merits: Sequence[ObjectiveModel], x0, sigma: float,
                                   backtrack: float, tolerance: float,
                                   iterations: int) -> list[tuple]:
@@ -564,7 +583,7 @@ def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be positive")
     if m == 1:
-        return _result_from(G, np.ones(1))
+        return _result_from(G, np.ones(1), [0])
     e = G[-2] - G[-1]
     ee = float(e @ e)
     best_val, best_w = np.inf, None
@@ -585,7 +604,7 @@ def brute_force_direction(gradients, grid_resolution: int) -> DirectionResult:
                 best_val = float(vals[k])
                 best_w = np.concatenate((prefix[k], [a[k], rem[k] - a[k]]))
     lam = best_w.astype(float) / grid_resolution
-    return _result_from(G, lam)
+    return _result_from(G, lam, range(m))
 
 
 def stacked_piecewise(pieces, x) -> tuple[np.ndarray, np.ndarray]:

@@ -312,6 +312,29 @@ class TestRunCommands:
         f = fixture_objectives("example2")[0]
         assert solve["final_f"] == [f.value(np.array(solve["final_x"]))]
 
+    def test_solve_with_an_overflowing_gradient_exits_1(self, tmp_path, capsys):
+        """A start whose gradient overflows ends its first stage in error:
+        exit 1, a header-only trace.csv and a summary with that termination
+        and the solve's message, and no traceback.  The overflow itself
+        still warns."""
+        text = (REPO / "configs" / "example2.yaml").read_text()
+        old = "    lb: 1.0\n    ub: 2.0\n"
+        assert text.count(old) == 1
+        cfg = write_config(tmp_path, text.replace(old, "    lb: 1.0e308\n    ub: 1.5e308\n"))
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning) as warned:
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert any("overflow" in str(w.message) for w in warned)
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "trace.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["k", "s", "eta", "t", "norm_d", "f_1", "x_1", "x_2"]]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["exit_code"] == 1
+        solve = summary["solve"]
+        assert (solve["termination"], solve["error"]) == ("error", "gradients must be finite")
+        assert solve["final_norm_d"] is None and solve["final_x"] == [1e308, 1e308]
+        assert [(s["iterations"], s["termination"]) for s in solve["stages"]] == [(0, "error")]
+
     def test_solve_from_a_critical_start(self, tmp_path):
         """A start whose first ||d|| already meets epsilon: exit 0, a
         header-only trace.csv and a summary with 0 iterations ending at the

@@ -30,7 +30,7 @@ from mofgd.cli import parse_config
 from mofgd.fixtures import default_schedule, example3_objective, fixture_objectives, pareto_pair
 from mofgd.fractional import NodeStack, modified_fractional_gradient, node_stack
 from mofgd.problems import PiecewiseMaxObjective, QuadraticGradient, regularized
-from oracles import matvec_rows, segment_min_norm
+from oracles import matvec_rows, norm_order, segment_min_norm, solve_slopes
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -505,7 +505,8 @@ class TestStackedProducts:
     def test_stacked_products_match_per_objective_products(self, m, n):
         """The rule the line search and its references share, pinned on
         seeded draws over twelve decades: the direction's slopes are the
-        rows of G d, with t their max, bit for bit, and the rows of the
+        rows of one product G d (on the rows sorted by norm for m != 2,
+        `solve_slopes`), with t their max, bit for bit, and the rows of the
         stacked d @ A have the bits of the per-objective d @ H_j, so the
         curvatures (d @ A) d are `matvec_rows` of the per-objective rows,
         which the references form from Hessians fetched one by one."""
@@ -516,7 +517,7 @@ class TestStackedProducts:
             hessians = np.array([scale[0] * (H + H.T) for H in A])
             G = scale[1] * rng.standard_normal((m, n))
             direction = solve_direction(G)
-            assert direction.slopes == matvec_rows(G, direction.direction)
+            assert direction.slopes == solve_slopes(G, direction.direction)
             assert (np.float64(direction.t_value).tobytes()
                     == np.float64(max(direction.slopes)).tobytes())
             d = scale[2] * rng.standard_normal(n)
@@ -1042,26 +1043,46 @@ class TestTraceExport:
 
 class TestObjectiveOrder:
     """The abstract's claim that the method needs no ordering information of
-    the objectives.  It holds to rounding: the bits of a run depend on the
-    order in which the direction solve meets the gradients."""
+    the objectives.  For three or more objectives it holds bit for bit, as
+    the direction solve reads its rows by norm; the m = 2 solve holds it to
+    rounding, as it meets its two gradients in the order given."""
 
     @staticmethod
     def stage_ends(trace):
         return [(s.iterations, s.termination) for s in trace.stages]
 
-    def test_every_order_of_the_smooth_losses_runs_alike(self):
+    @staticmethod
+    def run_bytes(trace, order):
+        """Each record's x, t, ||d|| and eta, the final x and the final
+        multipliers, these in the order of the objectives before order
+        permuted them, as bytes."""
+        lam = np.empty(len(order))
+        lam[list(order)] = trace.final_multipliers
+        return (np.array([[*r.x, r.t_value, r.norm_d, r.eta] for r in trace.records]).tobytes()
+                + trace.final_x.tobytes() + lam.tobytes())
+
+    def test_every_order_of_the_smooth_losses_runs_alike(self, monkeypatch):
         """From 10 seeded starts on [1.01, 10]^4, all six orders of the three
-        logistic losses take the same iterations and end the same way in
-        every stage, and end within 1e-12 of each other (1.3e-14 measured)."""
+        logistic losses give one run bit for bit, end every stage alike,
+        and run the active-set loop as often."""
+        import mofgd.direction as direction
+
+        loops, nnls = [], direction._nnls_weights
+        monkeypatch.setattr(direction, "_nnls_weights",
+                            lambda gram, scale: loops.append(1) or nnls(gram, scale))
         losses, schedule = logistic_losses(), default_schedule(terminal=np.zeros(4))
-        for seed in range(1, 11):
-            x0 = np.random.default_rng(seed).uniform(1.01, 10.0, size=4)
-            reference = run_adaptive(losses, x0, SolverConfig(), schedule)
-            assert reference.iterations > 0
-            for order in itertools.permutations(range(3)):
-                trace = run_adaptive([losses[j] for j in order], x0, SolverConfig(), schedule)
-                assert self.stage_ends(trace) == self.stage_ends(reference)
-                assert np.abs(trace.final_x - reference.final_x).max() <= 1e-12
+        starts = [np.random.default_rng(seed).uniform(1.01, 10.0, size=4) for seed in range(1, 11)]
+        runs = {}
+        for order in itertools.permutations(range(3)):
+            loops.clear()
+            traces = [run_adaptive([losses[j] for j in order], x0, SolverConfig(), schedule)
+                      for x0 in starts]
+            assert all(trace.iterations > 0 for trace in traces)
+            runs[order] = ([self.stage_ends(trace) for trace in traces],
+                           [self.run_bytes(trace, order) for trace in traces], len(loops))
+        reference = runs[(0, 1, 2)]
+        assert reference[2] > 0
+        assert all(run == reference for run in runs.values())
 
     def test_reversed_pair_runs_alike(self):
         """The reversed pareto pair from (3, 2) takes the same 7 iterations
@@ -1075,6 +1096,38 @@ class TestObjectiveOrder:
         assert np.abs(reverse.final_x - forward.final_x).max() <= 1e-15
         np.testing.assert_allclose(reverse.final_multipliers[::-1], forward.final_multipliers,
                                    rtol=0.0, atol=1e-12)
+
+
+def overflowing_pair():
+    """f_1 = exp(x_1^2) + x_2^2, whose gradient overflows at x_1 = 30, and
+    f_2 = ||x||^2."""
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(x[..., 0] ** 2) + x[..., 1] ** 2
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([2.0 * x[..., 0] * np.exp(x[..., 0] ** 2), 2.0 * x[..., 1]], axis=-1)
+
+    return [ObjectiveModel(value, gradient, kind="smooth", dim=2),
+            quadratic_objective(2.0 * np.eye(2), np.zeros(2))]
+
+
+class TestNonFiniteGradient:
+    """A gradient that overflows ends its stage in error, with the message
+    of the solve that refused it, as a failed solve does."""
+
+    @pytest.mark.parametrize("stage", [classical(5), Stage(0.5, 0.1, 5)],
+                             ids=["classical", "fractional"])
+    def test_overflowing_gradient_ends_the_stage_in_error(self, stage):
+        x0 = np.array([30.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = one_stage(overflowing_pair(), x0, SolverConfig(), stage, np.zeros(2))
+        assert (trace.termination, trace.error) == ("error", "gradients must be finite")
+        assert trace.final_norm_d is None and trace.final_multipliers is None
+        assert trace.records == [] and trace.final_x.tolist() == x0.tolist()
+        assert [(s.iterations, s.termination, s.final_norm_d)
+                for s in trace.stages] == [(0, "error", None)]
 
 
 class TestRunAdaptive:
@@ -1730,7 +1783,7 @@ class TestSmoothStageCalls:
                 assert z[0].tobytes() == x.tobytes()
         # The slopes are the rows of one product of the row-0 gradients with d.
         for k, (d, t, slopes) in enumerate(searched):
-            assert slopes == matvec_rows([obj_calls[k][2][0] for obj_calls in calls], d)
+            assert slopes == solve_slopes([obj_calls[k][2][0] for obj_calls in calls], d)
             assert t == max(slopes)
 
     def test_objective_without_hessian_runs_a_fractional_stage(self, monkeypatch):
@@ -1765,7 +1818,8 @@ class TestSmoothStageCalls:
 
     def test_active_set_loop_runs_only_off_a_vertex(self, monkeypatch):
         """In a staged run on the three losses most solves end at a vertex,
-        and `_nnls_weights` runs only for the solves that do not."""
+        and `_nnls_weights` runs only for the solves that do not, on their
+        rows sorted by norm."""
         import mofgd.direction as direction
 
         loops, solves = [], []
@@ -1776,8 +1830,8 @@ class TestSmoothStageCalls:
             return loops[-1]
 
         def spy_solve(gradients):
-            solves.append(solve(gradients))
-            return solves[-1]
+            solves.append((np.array(gradients), solve(gradients)))
+            return solves[-1][1]
 
         monkeypatch.setattr(direction, "_nnls_weights", spy_nnls)
         monkeypatch.setattr(descent, "solve_direction", spy_solve)
@@ -1785,9 +1839,13 @@ class TestSmoothStageCalls:
         trace = run_adaptive(logistic_losses(), x0, SolverConfig(),
                              default_schedule(terminal=np.zeros(4)))
         assert trace.termination != "error"
-        off_vertex = [r.multipliers for r in solves if np.count_nonzero(r.multipliers) > 1]
+        off_vertex = [(G, r.multipliers) for G, r in solves
+                      if np.count_nonzero(r.multipliers) > 1]
         assert len(solves) > 2 * len(off_vertex) > 0
-        assert [lam.tobytes() for lam in loops] == [lam.tobytes() for lam in off_vertex]
+        # The loop runs on the rows sorted by norm, so its weights are the
+        # multipliers in that order.
+        assert ([lam.tobytes() for lam in loops]
+                == [lam[norm_order(G)].tobytes() for G, lam in off_vertex])
 
 
 class TestClassicalStage:

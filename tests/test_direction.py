@@ -13,7 +13,7 @@ from mofgd import (
     DirectionAccuracyError,
     solve_direction,
 )
-from oracles import brute_force_direction, segment_min_norm, segment_weights
+from oracles import brute_force_direction, norm_order, segment_min_norm, segment_weights
 
 
 def random_gradients(rng, m, n, scale=1.0):
@@ -34,7 +34,7 @@ def patch_statistics(monkeypatch, gap=None, kkt=None):
         return with_kkt(result), scale, exact_gap if gap is None else gap
 
     monkeypatch.setattr(direction, "_solve_pair", solve_pair)
-    monkeypatch.setattr(direction, "_result_from", lambda G, lam: with_kkt(result_from(G, lam)))
+    monkeypatch.setattr(direction, "_result_from", lambda *args: with_kkt(result_from(*args)))
     if gap is not None:
         monkeypatch.setattr(direction, "_dual_gap", lambda *args: gap)
 
@@ -267,8 +267,8 @@ class TestIndependentBranchOracles:
         K = scaled_gram(G)
         gram, scale = direction._gram_scale(G)
         closed = segment_min_norm(G[0], G[1])
-        nnls = direction._result_from(G, direction._nnls_weights(gram, scale))
-        enum = direction._result_from(G, enumerate_supports(K))
+        nnls = direction._result_from(G, direction._nnls_weights(gram, scale), [0, 1])
+        enum = direction._result_from(G, enumerate_supports(K), [0, 1])
         for other in (nnls, enum):
             assert abs(0.5 * other.norm ** 2 - 0.5 * closed.norm ** 2) <= 1e-12
             assert other.kkt_residual <= 1e-8
@@ -345,16 +345,20 @@ class TestArrayReference:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("n", [2, 100])
     def test_matches_array_formulas(self, m, n):
+        """For m != 2 the formulas read the rows sorted by norm, and the
+        weights go back to row order."""
         rng = np.random.default_rng(10 * m + n)
         for exponent in range(-100, 101, 10):
             G = 10.0 ** exponent * rng.standard_normal((m, n))
-            K = G @ G.T
+            order = norm_order(G) if m != 2 else np.arange(2)
+            rows = G[order]
+            K = rows @ rows.T
             scale = max(1.0, float(K.trace()) / m)
             lam = (np.ones(1) if m == 1 else segment_weights(G[0], G[1]) if m == 2
                    else direction._nnls_weights(K.tolist(), scale))
-            t, d, kkt, theta = array_result(G, lam)
+            t, d, kkt, theta = array_result(rows, lam)
             r = solve_direction(G)
-            assert bits(r.multipliers) == bits(lam)
+            assert bits(r.multipliers[order]) == bits(lam)
             assert bits(r.direction) == bits(d)
             assert bits(r.t_value) == bits(t)
             assert bits(r.theta) == bits(theta)
@@ -363,13 +367,13 @@ class TestArrayReference:
             # order: a few roundings of terms no larger than 1 and max |K| / scale.
             eps = np.finfo(float).eps
             assert abs(r.kkt_residual - kkt) <= m * eps
-            gram, gram_scale = direction._gram_scale(G)
-            # The solve's Gram is the G G^T that _nnls_weights once formed
+            gram, gram_scale = direction._gram_scale(rows)
+            # The loop's Gram is the G G^T that _nnls_weights once formed
             # itself, so lam above is the G-based form's, bit for bit.
             assert bits(gram) == bits(K) and bits(gram_scale) == bits(scale)
             gap_terms = np.abs(K).max() / scale
             assert abs(direction._dual_gap(gram, gram_scale, lam)
-                       - array_gap(G, lam)) <= 4 * m * eps * gap_terms
+                       - array_gap(rows, lam)) <= 4 * m * eps * gap_terms
 
 
     @pytest.mark.parametrize("n", [2, 100])
@@ -394,11 +398,14 @@ class TestArrayReference:
 
 
 def loop_solve(G):
-    """The m != 2 solve with the weights of the active-set loop alone: the
-    result, and whether it passes the gap and KKT checks."""
-    gram, scale = direction._gram_scale(G)
+    """The m != 2 solve with the weights of the active-set loop alone, run on
+    the rows sorted by norm and their own Gram matrix: the result, and
+    whether it passes the gap and KKT checks."""
+    order = norm_order(G)
+    rows = G[order]
+    gram, scale = direction._gram_scale(rows)
     lam = direction._nnls_weights(gram, scale)
-    result = direction._result_from(G, lam)
+    result = direction._result_from(rows, lam, order)
     return result, (direction._dual_gap(gram, scale, lam) <= direction.GAP_FAIL
                     and result.kkt_residual <= 1e-8 * scale)
 
@@ -430,22 +437,36 @@ def tie_gradients(rng, m, n):
     return 10.0 ** rng.uniform(-6.0, 6.0) * G
 
 
+def spy_loops(monkeypatch):
+    """A list that records the arguments of every `_nnls_weights` call."""
+    loops, nnls = [], direction._nnls_weights
+
+    def spy(gram, scale):
+        loops.append((gram, scale))
+        return nnls(gram, scale)
+
+    monkeypatch.setattr(direction, "_nnls_weights", spy)
+    return loops
+
+
 class TestVertexStep:
-    """A solve that stops at the loop's first vertex, e_0, skips the loop
-    and returns what the loop gives, bit for bit."""
+    """A solve whose answer is the vertex of the shortest gradient skips the
+    loop and returns what the loop on the rows sorted by norm gives, bit
+    for bit."""
 
     @pytest.mark.parametrize("m", [1, 3, 4, 5, 6])
     def test_solve_equals_the_loop_bit_for_bit(self, m):
         """Over seeded draws with n = 1..8 and every kind of tie, the solve's
-        lambda, d, t, theta, norm and KKT residual have the bytes of the
-        loop's, and it raises where the loop's weights fail a check."""
+        lambda, d, t, theta, norm, KKT residual and slopes have the bytes
+        of the loop's on the rows sorted by norm, and it raises where the
+        loop's weights fail a check."""
         rng = np.random.default_rng(42 + m)
         steps = 0
         for _ in range(1500):
             G = tie_gradients(rng, m, int(rng.integers(1, 9)))
             expected, ok = loop_solve(G)
             gram, scale = direction._gram_scale(G)
-            steps += direction._vertex_step(gram, scale)[0] is not None
+            steps += direction._vertex_step(gram, scale, norm_order(G)[0])[0] is not None
             if not ok:
                 with pytest.raises(DirectionAccuracyError):
                     solve_direction(G)
@@ -456,22 +477,31 @@ class TestVertexStep:
         assert steps == 1500 if m == 1 else steps > 250
 
     def test_vertex_gap_is_the_loops(self):
-        """The gap read off column 0 is `_dual_gap` at e_0."""
+        """The gap read off column j of the shortest row is `_dual_gap` at
+        e_j, and the weights are e_0 of the rows sorted by norm."""
         rng = np.random.default_rng(7)
         for _ in range(2000):
             G = tie_gradients(rng, int(rng.integers(3, 7)), int(rng.integers(1, 9)))
             gram, scale = direction._gram_scale(G)
-            lam, gap = direction._vertex_step(gram, scale)
+            j = norm_order(G)[0]
+            lam, gap = direction._vertex_step(gram, scale, j)
             if lam is not None:
-                assert gap == direction._dual_gap(gram, scale, lam)
+                assert bits(lam) == bits(np.eye(len(G))[0])
+                assert gap == direction._dual_gap(gram, scale, np.eye(len(G))[j])
 
-    def test_other_vertices_go_to_the_loop(self):
-        """The loop reaches e_j, j > 0, through a face holding column 0, so
-        the step leaves such a solve to it; the loop's answer is e_1."""
+    def test_the_shortest_vertex_skips_the_loop(self, monkeypatch):
+        """The min-norm point of these rows is the shortest row, (1, 0).
+        Listed in any of the six orders, it is found by the step, with a
+        zero gap, and no loop runs."""
         G = np.array([[2.0, 0.0], [1.0, 0.0], [1.5, 3.0]])
-        gram, scale = direction._gram_scale(G)
-        assert direction._vertex_step(gram, scale) == (None, pytest.approx(math.nan, nan_ok=True))
-        assert bits(solve_direction(G).multipliers) == bits([0.0, 1.0, 0.0])
+        loops = spy_loops(monkeypatch)
+        for order in itertools.permutations(range(3)):
+            rows = G[list(order)]
+            gram, scale = direction._gram_scale(rows)
+            j = order.index(1)
+            assert direction._vertex_step(gram, scale, j)[1] == 0.0
+            assert bits(solve_direction(rows).multipliers) == bits(np.eye(3)[j])
+        assert loops == []
 
 
 def collinear_gradients(rng):
@@ -485,60 +515,82 @@ def collinear_gradients(rng):
     return lengths[:, None] * (v / np.linalg.norm(v))
 
 
-def least_norm_vertex(G):
-    """e_j for the row of least squared norm, the lowest j on ties."""
-    lam = np.zeros(len(G))
-    lam[np.argmin(np.diag(G @ G.T))] = 1.0
-    return lam
-
-
 class TestCollinearVertex:
-    """Where the active-set loop's answer fails the gap check, as it does
-    for nearly collinear gradients whose minimizer is a vertex, the solve
-    tries the vertex of least norm; every other solve keeps its bits."""
+    """For nearly collinear gradients the minimizer is the vertex of the
+    shortest gradient.  The active-set loop can miss it, as it refuses the
+    column of a shorter gradient whose pivot falls below NNLS_TOL, but the
+    vertex step finds it before any loop runs."""
 
     def test_reported_triple(self):
-        """The scalar gradients whose loop stops at e_0 with a scaled gap of
-        6.627e-08 solve to e_1, whose gap is 0."""
+        """The scalar gradients on whose rows, in the order given, the loop
+        stops at e_0 with a scaled gap of 6.627e-08 solve to e_1, the
+        shortest, through the vertex step, with a gap of 0."""
         G = np.array([[6.0356627], [6.0356623], [6.0356634]])
         gram, scale = direction._gram_scale(G)
-        assert direction._vertex_step(gram, scale)[0] is None
         lam = direction._nnls_weights(gram, scale)
         assert bits(lam) == bits([1.0, 0.0, 0.0])
         assert f"{direction._dual_gap(gram, scale, lam):.3e}" == "6.627e-08"
+        assert norm_order(G).tolist() == [1, 0, 2]
+        step, gap = direction._vertex_step(gram, scale, 1)
+        assert step is not None and gap == 0.0
         r = solve_direction(G)
         assert bits(r.multipliers) == bits([0.0, 1.0, 0.0])
         assert direction._dual_gap(gram, scale, r.multipliers) == 0.0
         assert r.kkt_residual <= 1e-8 * scale
 
-    def test_seeded_collinear_draws(self):
-        """10,000 seeded draws: no solve raises.  A solve whose loop answer
-        passes the gap check returns it, bit for bit, and every other one
-        returns the vertex of least norm."""
+    def test_seeded_collinear_draws(self, monkeypatch):
+        """10,000 seeded draws: no solve raises, each returns the vertex of
+        the shortest gradient, and no loop runs."""
+        loops = spy_loops(monkeypatch)
         rng = np.random.default_rng(2026)
-        retried = 0
         for _ in range(10_000):
             G = collinear_gradients(rng)
-            gram, scale = direction._gram_scale(G)
-            lam, gap = direction._vertex_step(gram, scale)
-            if lam is None:
-                lam = direction._nnls_weights(gram, scale)
-                gap = direction._dual_gap(gram, scale, lam)
             r = solve_direction(G)
-            if gap <= direction.GAP_FAIL:
-                assert bits(r.multipliers) == bits(lam)
-            else:
-                retried += 1
-                assert bits(r.multipliers) == bits(least_norm_vertex(G))
-        assert retried > 100
+            assert bits(r.multipliers) == bits(np.eye(len(G))[norm_order(G)[0]])
+        assert loops == []
 
     def test_a_failing_vertex_raises_the_loop_gap(self, monkeypatch):
-        """Where the vertex fails too, the solve raises on the loop's own
-        gap, as it did before the vertex was tried."""
+        """An answer of the loop that fails the gap check raises on its own
+        gap: no other answer is tried."""
         monkeypatch.setattr(direction, "_nnls_weights",
                             lambda gram, scale: np.array([0.5, 0.5, 0.0]))
         with pytest.raises(DirectionAccuracyError, match=r"^scaled duality gap 5\.000e-01 above"):
             solve_direction(np.eye(3))
+
+
+def distinct_norm_gradients(rng, m, n):
+    """m gradients in n of distinct norms, scaled by 1e-6 to 1e6: independent
+    rows in half of the draws, and in the other half rows that lean on one
+    direction with lengths within a factor 2, so that the shortest row's
+    vertex is often the answer."""
+    G = rng.standard_normal((m, n))
+    if rng.random() < 0.5:
+        G = rng.standard_normal(n) * (1.0 + rng.uniform(0.0, 1.0, (m, 1))) + 0.1 * G
+    return 10.0 ** rng.uniform(-6.0, 6.0) * G
+
+
+class TestRowOrder:
+    """The m != 2 solve does not depend on the order of the objectives."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 100])
+    def test_a_permutation_of_the_rows_permutes_the_answer(self, n):
+        """Over seeded draws with m = 3..6, solving the rows in a random
+        order gives the multipliers and slopes of the rows as drawn in that
+        order, and d, t, ||d||, theta and the KKT residual with the same
+        bits, on vertex and on loop answers."""
+        rng = np.random.default_rng(n)
+        vertices = 0
+        for _ in range(750):
+            m = int(rng.integers(3, 7))
+            G = distinct_norm_gradients(rng, m, n)
+            p = rng.permutation(m)
+            r, q = solve_direction(G), solve_direction(G[p])
+            assert bits(q.multipliers) == bits(r.multipliers[p])
+            assert bits(q.slopes) == bits(np.array(r.slopes)[p])
+            for name in ("direction", "t_value", "norm", "theta", "kkt_residual"):
+                assert bits(getattr(q, name)) == bits(getattr(r, name))
+            vertices += np.count_nonzero(r.multipliers) == 1
+        assert 100 < vertices < 650
 
 
 class TestLargeM:

@@ -28,7 +28,7 @@ def assert_matches_loops(G, lam):
     gram, scale = direction._gram_scale(G)
     assert bits(scale) == bits(max(1.0, float((G @ G.T).trace()) / 2))
     assert bits(direction._dual_gap(gram, scale, lam)) == bits(loop_dual_gap(gram, scale, lam))
-    result = direction._result_from(G, lam)
+    result = direction._result_from(G, lam, [0, 1])
     t, kkt, theta, slopes = loop_result_checks(G, lam)
     assert bits(result.t_value) == bits(t)
     assert bits(result.kkt_residual) == bits(kkt)
