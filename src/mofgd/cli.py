@@ -2,8 +2,9 @@
 
 Commands
 --------
-solve      run the staged fractional method from the first grid start
-pareto     sweep all starts, emit the nondominated fronts
+solve      run experiment.method from the first grid start
+pareto     sweep all starts with experiment.method, emit the nondominated
+           fronts (and the mogd baseline's front for moaocfgd)
 compare    gamma-comparison table (outer vs diagonal regularizer)
 verify-t5  linear-rate check against the closed-form regularized solution
 verify-t6  staged error-bound recursion check
@@ -12,6 +13,10 @@ fixtures   reproduction report for the three analytic examples (reads no
 
 Every other command reads its instance, including a random instance's
 seed, its solver settings and its schedule from --config alone.
+experiment.method picks the schedule that solve and pareto run
+(`_method_schedule`): moaocfgd the config's schedule, mogd the one
+classical stage of `mogd_baseline`.  compare, verify-t5 and verify-t6 run
+no method and read the config's schedule.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Artifacts are byte-reproducible given the config and the BLAS thread
@@ -30,7 +35,7 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -61,6 +66,7 @@ from .lab import (
     PAPER_GAMMA_VALUES,
     ExperimentSpec,
     FrontPoint,
+    _classical_schedule,
     adrs,
     comparison_table,
     mogd_baseline,
@@ -266,7 +272,6 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, StageSchedule]:
             gamma_values=gamma_values,
             start_grid=(lb, ub, count),
             method=str(exp_doc.get("method", ExperimentSpec.method)),
-            schedule=schedule,
         )
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from exc
@@ -296,11 +301,23 @@ class _Writer:
             fh.write(text)
 
     def write_summary(self, payload: dict) -> None:
+        """summary.json as strict JSON: a non-finite float is written as null."""
         payload = dict(payload)
         payload["written_files"] = sorted(set(self.files))
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
         with open(self.out_dir / "summary.json", "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(_finite(payload), fh, indent=1, allow_nan=False)
+
+
+def _finite(value):
+    """value with every non-finite float, nested at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -315,9 +332,17 @@ def _write_front(writer: _Writer, name: str, front: list[FrontPoint]) -> None:
                      ([_fmt(v) for v in p.objectives] + [p.start_index] for p in front))
 
 
+def _method_schedule(method: str, solver: SolverConfig,
+                     schedule: StageSchedule) -> StageSchedule:
+    """The schedule that experiment.method runs: moaocfgd the config's
+    schedule, mogd the one classical stage of `mogd_baseline`."""
+    return schedule if method == "moaocfgd" else _classical_schedule(solver)
+
+
 def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     objectives = spec.objectives()
-    trace = run_adaptive(objectives, spec.starts()[0], solver, schedule)
+    trace = run_adaptive(objectives, spec.starts()[0], solver,
+                         _method_schedule(spec.method, solver, schedule))
     trace.to_csv(writer.path("trace.csv"), m=len(objectives))
     payload = trace.summary()
     # The raw objectives at final_x, not a stage merit at an earlier iterate.
@@ -343,35 +368,29 @@ def _weights_summary(front: list[FrontPoint]) -> Optional[dict]:
 
 
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
+    """The front of experiment.method and, for moaocfgd, the mogd
+    baseline's front, which both score against their union."""
     failures: list = []
-    ends: dict = {spec.method: []}
-    front = pareto_sweep(spec, solver, failures=failures, jobs=jobs, ends=ends[spec.method])
-    _write_front(writer, f"front_{spec.method}.csv", front)
-    weights = {spec.method: _weights_summary(front)}
-    baseline_front = []
-    if spec.method == "moaocfgd":
-        ends["mogd"] = []
-        baseline_front = pareto_sweep(replace(spec, method="mogd"), solver, failures=failures,
-                                      jobs=jobs, ends=ends["mogd"])
-        _write_front(writer, "front_mogd.csv", baseline_front)
-        weights["mogd"] = _weights_summary(baseline_front)
+    ends, fronts = {}, {}
+    for method in (spec.method, "mogd") if spec.method == "moaocfgd" else (spec.method,):
+        ends[method] = []
+        fronts[method] = pareto_sweep(spec, solver, _method_schedule(method, solver, schedule),
+                                      failures=failures, jobs=jobs, ends=ends[method])
+        _write_front(writer, f"front_{method}.csv", fronts[method])
+    front = fronts[spec.method]
     payload = {
         "front_size": len(front),
         "max_norm_d": max((p.norm_d for p in front), default=0.0),
         "criticality_tolerance": solver.tolerance,
         "failed_starts": [{"start_index": i, "reason": r} for i, r in failures],
         "starts": {method: _starts_summary(e) for method, e in ends.items()},
-        "weights": weights,
+        "weights": {method: _weights_summary(f) for method, f in fronts.items()},
     }
-    if front and baseline_front:
-        reference = nondominated_filter(list(front) + list(baseline_front))
-        payload["adrs"] = {
-            spec.method: adrs([p.objectives for p in front],
-                              [p.objectives for p in reference]),
-            "mogd": adrs([p.objectives for p in baseline_front],
-                         [p.objectives for p in reference]),
-            "normalization": "per-objective range of the union reference front",
-        }
+    if len(fronts) == 2 and all(fronts.values()):
+        reference = [p.objectives for p in nondominated_filter(front + fronts["mogd"])]
+        payload["adrs"] = {method: adrs([p.objectives for p in f], reference)
+                           for method, f in fronts.items()}
+        payload["adrs"]["normalization"] = "per-objective range of the union reference front"
     # An empty front (every start failed) verifies nothing.
     ok = bool(front) and all(p.norm_d < solver.tolerance * 10 for p in front)
     return (0 if ok else 1), {"pareto": payload}

@@ -20,9 +20,10 @@ segments, each continuing from the previous stage's final point, with one
 fixed terminal c.  Stage s takes beta_s = gamma_s + (1-alpha_s)/(2-alpha_s)
 (`Stage.beta`, the one place beta is formed), so that it induces the
 regularizer weight gamma_s.
-Callers pass raw objectives; the stage adds the regularizer.  Every run is
+Callers pass raw objectives; the set-up adds the regularizer.  Every run is
 `run_adaptive` on a schedule, a one-stage run on a one-stage schedule, and
-`run_single_stage` is its loop over one stage.
+`run_single_stage` is its loop over one stage, which reads that stage's
+set-up alone.
 
 Every stage but the last stops early, at the first iterate with
 
@@ -48,8 +49,8 @@ gradient of the stage-regularized merit
 
 so the stage takes the direction input and the line-search test from that
 merit (`problems.regularized`).  `schedule_setup` is the one place a
-stage's merits are built: once per run, before its first iterate, and once
-for all the starts of a sweep.
+stage's merits, terminal and stop rule are built: once per run, before its
+first iterate, and once for all the starts of a sweep.
 Non-quadratic objectives use singular-quadrature gradients and raw values.
 The stage builds their quadrature node stacks (`fractional.node_stack`)
 once per iterate: one per distinct kink locator, None for the kink-free
@@ -425,53 +426,58 @@ def _trials(sigma: float, ratio: float) -> tuple[tuple[float, float, float], ...
 
 
 def schedule_setup(objectives: Sequence[ObjectiveModel], schedule: StageSchedule,
-                   n: int) -> tuple[np.ndarray, list]:
+                   n: int) -> list[tuple]:
     """Every stage's set-up, the one that `run_adaptive` builds before its
-    first iterate: the schedule's terminal c as `fractional.terminals`
-    reads it for n (zeros when None; ValueError unless of length 1 or n)
-    and, per stage, its merits and their `problems.quadratic_stack`
-    (A, B).  A quadratic's merit gains the pull of weight gamma_s about c
-    (`problems.regularized`); every other objective is its own merit.  The
-    stack is read at c and holds at every x.  The set-up reads only the
-    objectives, the gammas and c, so a sweep builds it once for all starts.
+    first iterate: per stage, everything the stage reads besides x0, cfg,
+    the Stage and the trace.  That is (merit, A, B, c, gamma_drop): its
+    merits, their `problems.quadratic_stack` (A, B), the schedule's
+    terminal c as `fractional.terminals` reads it for n (zeros when None;
+    ValueError unless of length 1 or n), and the stage's fall
+    max(gamma_s - gamma_{s+1}, 0), 0 for the last stage (the stop rule of
+    the module docstring).  A quadratic's merit gains the pull of weight
+    gamma_s about c (`problems.regularized`); every other objective is its
+    own merit, the objective itself.  The stack is read at c and holds at
+    every x.  The set-up reads only the objectives, the gammas and c, so a
+    sweep builds it once for all starts.
     """
     c = terminals(schedule.terminal, n)
+    gammas = schedule.gammas
     setups = []
-    for stage in schedule.stages:
+    for s, stage in enumerate(schedule.stages):
         merit = tuple(regularized(obj, stage.gamma, c) if obj.kind == "quadratic" else obj
                       for obj in objectives)
-        setups.append((merit, *quadratic_stack(merit, c)))
-    return c, setups
+        drop = max(gammas[s] - gammas[s + 1], 0.0) if s + 1 < len(gammas) else 0.0
+        setups.append((merit, *quadratic_stack(merit, c), c, drop))
+    return setups
 
 
-def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: SolverConfig,
-                     stage: Stage, terminal: np.ndarray, stage_index: int,
-                     trace: IterationTrace, gamma_drop: float, setup: tuple) -> IterationTrace:
+def run_single_stage(x0: np.ndarray, cfg: SolverConfig, stage: Stage, stage_index: int,
+                     trace: IterationTrace, setup: tuple) -> IterationTrace:
     """Stage stage_index of a `run_adaptive` run: iterate x <- x + eta*d
     from x0 for up to stage.iterations Armijo steps or until ||d|| is below
     the stop tolerance, appending records and one StageReport to trace,
     which it returns.
 
-    The stop tolerance is max(cfg.tolerance, gamma_drop * ||d_0||), with
-    ||d_0|| the ||d|| at the first iterate and gamma_drop the fall
-    gamma_s - gamma_{s+1} that `run_adaptive` passes (0 stops at
-    cfg.tolerance).  terminal is the schedule's checked n-vector c, and
-    setup the stage's merits and their (A, B) from `schedule_setup`.
+    setup is the stage's (merit, A, B, c, gamma_drop) from
+    `schedule_setup`, which the stage reads alone.  The stop tolerance is
+    max(cfg.tolerance, gamma_drop * ||d_0||), with ||d_0|| the ||d|| at
+    the first iterate (a gamma_drop of 0 stops at cfg.tolerance).
 
-    objectives are raw.  Each quadratic one's merit carries the stage's
-    pull; its gradient is the direction input, its exact expansion is what
-    the line search tests and its values are what the trace's f columns
-    record, so in an all-quadratic stage the Armijo slopes are the
-    subproblem's own and the slope is its t, bit for bit.  So they are in
-    a classical stage (stage.alpha = 1, decided here once), whose other
-    merits' direction inputs are their gradients.  In a fractional stage
-    the other kinds take the singular-quadrature gradients of order
-    stage.alpha and weight stage.beta and raw values, and the Armijo
-    slopes are the rows of one product of the merit gradients with d,
-    whose max is the slope.  Each iterate forms the quadratic merits'
-    gradients as A @ x + B and evaluates each other merit's gradient at x
-    once; in a fractional stage it is the row-0 gradient that
-    `modified_fractional_gradient` writes into its gradient_out.
+    Each quadratic merit carries the stage's pull; its gradient is the
+    direction input, its exact expansion is what the line search tests
+    and its values are what the trace's f columns record, so in an
+    all-quadratic stage the Armijo slopes are the subproblem's own and the
+    slope is its t, bit for bit.  So they are in a classical stage
+    (stage.alpha = 1, decided here once), whose other merits' direction
+    inputs are their gradients.  In a fractional stage each other merit,
+    which is its objective, takes the singular-quadrature gradient of
+    order stage.alpha and weight stage.beta on its own kink locator, and
+    raw values, and the Armijo slopes are the rows of one product of the
+    merit gradients with d, whose max is the slope.  Each iterate forms
+    the quadratic merits' gradients as A @ x + B and evaluates each other
+    merit's gradient at x once; in a fractional stage it is the row-0
+    gradient that `modified_fractional_gradient` writes into its
+    gradient_out.
     It hands `armijo_step` A, or None in a stage without a quadratic merit
     (decided once per stage), and the values that the previous line search
     evaluated at its accepted step, None for the others, and the line
@@ -508,7 +514,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     x = np.asarray(x0, dtype=float).copy()
     start = trace.iterations
     tolerance = cfg.tolerance
-    merit, hessians, offsets = setup
+    merit, hessians, offsets, terminal, gamma_drop = setup
     # A classical stage's direction inputs are its merits' gradients, as a
     # quadratic's are; the other kinds take fractional gradients, those
     # with one kink locator sharing one node stack per iterate.
@@ -517,7 +523,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
     # With no quadratic merit every curvature is 0, so the line search
     # takes no stack and forms no products.
     search_hessians = None if len(others) == len(merit) else hessians
-    fractional = [] if classical else [(j, objectives[j].kink_locator) for j in others]
+    fractional = [] if classical else [(j, merit[j].kink_locator) for j in others]
     piecewise = [j for j, m in enumerate(merit) if m.kind == "piecewise"]
 
     values = [None] * len(merit)  # merit values at x from the accepted trial
@@ -539,7 +545,7 @@ def run_single_stage(objectives: Sequence[ObjectiveModel], x0: np.ndarray, cfg: 
                     stacks[locator] = node_stack(x, stage.alpha, terminal, locator)
                     trace.notes.extend(stacks[locator].notes)
                 grads[j] = modified_fractional_gradient(
-                    objectives[j], stacks[locator], stage.beta, gradient_out=merit_grads[j])
+                    merit[j], stacks[locator], stage.beta, gradient_out=merit_grads[j])
         # A kinked merit's other active pieces enter as rows of their own,
         # their classical gradients in both arrays; owners[i] is the merit
         # of extra row i.
@@ -620,7 +626,7 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
                  x0: np.ndarray,
                  cfg: SolverConfig,
                  schedule: StageSchedule,
-                 setup: Optional[tuple] = None) -> IterationTrace:
+                 setup: Optional[list] = None) -> IterationTrace:
     """Run the stages of a schedule sequentially, chaining the iterates; a
     one-stage run is the schedule StageSchedule((stage,), terminal).
 
@@ -633,24 +639,18 @@ def run_adaptive(objectives: Sequence[ObjectiveModel],
     length or with a non-finite entry, and a terminal whose length is
     neither 1 nor n, raise ValueError before any stage runs; the schedule
     has refused a non-finite terminal when it was built.  Each stage is one
-    `run_single_stage` on its set-up.  Each stage but the last passes its
-    fall gamma_s - gamma_{s+1}, where positive, as gamma_drop (the stop rule
-    of the module docstring); the others stop at cfg.tolerance.  The run
-    stops at the first stage that ends in error.
+    `run_single_stage` on its own set-up.  The run stops at the first
+    stage that ends in error.
     """
     x = np.asarray(x0, dtype=float)
     finite = np.isfinite(x).all()
     for obj in objectives:
         if not finite or x.shape != (obj.dim,):
             raise ValueError(f"x0 must be a finite vector of dim {obj.dim}, got {x}")
-    c, stage_setups = setup or schedule_setup(objectives, schedule, x.size)
-    gammas = schedule.gammas
+    setup = setup or schedule_setup(objectives, schedule, x.size)
     trace = IterationTrace()
     for s, stage in enumerate(schedule.stages):
-        drop = gammas[s] - gammas[s + 1] if s + 1 < len(gammas) else 0.0
-        run_single_stage(objectives, x, cfg, stage, c, s, trace, max(drop, 0.0),
-                         stage_setups[s])
-        x = trace.final_x
+        x = run_single_stage(x, cfg, stage, s, trace, setup[s]).final_x
         if trace.termination == "error":
             break
     return trace

@@ -27,8 +27,6 @@ form at x_i = c_i; its stack notes it, and nothing warns.  The stack
 depends on x, alpha, the terminal and the kink locator only, so a stage
 builds one per iterate for each distinct kink locator, None for the
 kink-free objectives, and hands it to every objective with that locator.
-`_rule(refine=True)` is the one-level refinement that the test oracles'
-accuracy check compares with.
 """
 
 from __future__ import annotations
@@ -99,8 +97,8 @@ def _gauss_rule(a_exp: float) -> tuple[np.ndarray, np.ndarray]:
     return t, 2.0 ** (a + 1.0) / (a + 1.0) * v[0] ** 2
 
 
-def _rule(c: float, x: float, kinks: Sequence[float], a_exp: float,
-          refine: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rule(c: float, x: float, kinks: Sequence[float],
+          a_exp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit nodes s, weights w and by-parts weights w / s of
     int_c^x (x - tau)^a_exp h(tau) dtau.
 
@@ -112,14 +110,11 @@ def _rule(c: float, x: float, kinks: Sequence[float], a_exp: float,
     the kernel exactly; the others take Gauss-Legendre uniformly in log s,
     where the kernel is entire, so a kink next to x costs no accuracy.
     Panels are split once at the distance of each distinct kink in (c, x).
-    refine=True halves every panel once (the accuracy estimate).
     """
     length = x - c
     # A set, not np.unique: its first call imports numpy.ma, about 1.5 MB.
     splits = np.array(sorted({x - k for k in kinks if c < k < x})) / length
     breaks = np.concatenate(([0.0], splits, [1.0]))
-    if refine:
-        breaks = np.union1d(breaks, 0.5 * (breaks[:-1] + breaks[1:]))
     t, w = _gauss_rule(a_exp)
     half = 0.5 * breaks[1]
     nodes, weights = [half * (1.0 - t)], [half ** (a_exp + 1.0) * w]

@@ -59,7 +59,7 @@ DUPLICATE_RTOL = 1e-5  # relative part of the duplicate test; see nondominated_f
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: instance, regularizers, starts, method, schedule.
+    """One experiment: instance, regularizers, starts and method.
 
     instance is a QuadraticMop or a named analytic fixture ("example1",
     "example2", "example2_pair", "example3_nonsmooth").  start_grid is
@@ -67,14 +67,14 @@ class ExperimentSpec:
     whose ends are vectors of one length, and count a positive integer, as
     a stage's iterations are (`descent._check_count`).  gamma_values must
     be finite and nonnegative, as a `Stage`'s gamma.  ValueError otherwise.
-    method is "moaocfgd" (the staged schedule) or "mogd" (classical descent).
+    method is "moaocfgd" (the staged schedule) or "mogd" (classical
+    descent); the CLI maps it to the schedule that a run is handed.
     """
 
     instance: Union[QuadraticMop, str]
     gamma_values: tuple[float, ...] = PAPER_GAMMA_VALUES
     start_grid: tuple = ((DEFAULT_START_LB,) * 2, (DEFAULT_START_UB,) * 2, DEFAULT_START_COUNT)
     method: str = "moaocfgd"
-    schedule: Optional[StageSchedule] = None
 
     def __post_init__(self):
         if self.method not in ("moaocfgd", "mogd"):
@@ -169,8 +169,8 @@ def _classical_schedule(cfg: SolverConfig) -> StageSchedule:
 def mogd_baseline(objectives: Sequence[ObjectiveModel], x0: np.ndarray,
                   cfg: SolverConfig) -> IterationTrace:
     """Classical multi-objective steepest descent (Fliege and Svaiter, 2000):
-    `run_adaptive` on `_classical_schedule(cfg)`, the schedule of a "mogd"
-    sweep's starts."""
+    `run_adaptive` on `_classical_schedule(cfg)`, the schedule that the
+    "mogd" method runs."""
     return run_adaptive(objectives, x0, cfg, _classical_schedule(cfg))
 
 
@@ -375,32 +375,25 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
     return sorted((points[i] for i in candidates[keep]), key=lambda p: tuple(p.objectives))
 
 
-def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
+def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, schedule: StageSchedule, indices
                   ) -> tuple[list[FrontPoint], list[tuple[int, str]], list[tuple]]:
-    """Run the chosen method from the starts with the given indices.
+    """Run schedule from the starts with the given indices.
 
-    Every start is one `run_adaptive` call.  "moaocfgd" runs the spec's
-    schedule (ValueError when it has none); "mogd" runs
-    `_classical_schedule(cfg)`, so each of its runs is `mogd_baseline`'s.
-    The objectives are `spec.objectives()`, built once per call.  The
-    schedule's `schedule_setup` (its terminal check, every stage's merits
-    and their quadratic stack) is built once, before any start runs, and
-    every run reads it; a failing set-up raises.  The runs that ended without error
-    are scored together: each objective's value is one call on the stack
-    of their final points, whose rows have the bits of one call per point;
-    should that call raise, every scored run fails with its message.
+    Every start is one `run_adaptive` call on schedule.  The objectives
+    are `spec.objectives()`, built once per call.  The schedule's
+    `schedule_setup` (its terminal check, every stage's merits, their
+    quadratic stack and stop rule) is built once, before any start runs,
+    and every run reads it; a failing set-up raises.  The runs that ended
+    without error are scored together: each objective's value is one call
+    on the stack of their final points, whose rows have the bits of one
+    call per point; should that call raise, every scored run fails with
+    its message.
     Returns the front points of the scored runs, the (start_index, reason)
     of those that failed, and every start's (termination, final ||d||),
     all in start order; a run that raised ended ("error", None).
     """
     objectives = spec.objectives()
     starts = spec.starts()
-    if spec.method == "mogd":
-        schedule = _classical_schedule(cfg)
-    elif spec.schedule is None:
-        raise ValueError("moaocfgd sweep needs a schedule")
-    else:
-        schedule = spec.schedule
     setup = schedule_setup(objectives, schedule, starts.shape[1])
     # (start_index, final x, final ||d||, final multipliers) of the runs without error
     finals, failures = [], []
@@ -430,35 +423,36 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, indices
     return points, failures, ends
 
 
-def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig,
+def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig, schedule: StageSchedule,
                  failures: Optional[list] = None, jobs: int = 1,
                  ends: Optional[list] = None) -> list[FrontPoint]:
-    """Run the chosen method from every start with the solver settings cfg
+    """Run schedule from every start of spec with the solver settings cfg
     and return the sorted nondominated subset of final objective vectors.
 
     Individual run failures are recorded (appended to `failures` as
     (start_index, reason) when a list is passed) and excluded, never fatal;
     when `ends` is a list, every start's (termination, final ||d||) is
     appended to it in start order, ("error", None) for a run that raised;
-    a sweep that cannot run at all (a "moaocfgd" spec without a schedule,
-    a terminal of the wrong length, or a jobs that is not a positive
-    integer) raises ValueError before any start runs.  jobs > 1 runs
-    contiguous chunks of starts in worker processes, each building the
-    objectives and the sweep's set-up once, and gathers them in start
-    order, so the front is the same for every jobs.
+    a sweep that cannot run at all (a terminal of the wrong length, or a
+    jobs that is not a positive integer) raises ValueError before any
+    start runs.  jobs > 1 hands the schedule to worker processes, each
+    running contiguous chunks of starts and building the objectives and
+    the sweep's set-up once, and gathers them in start order, so the front
+    is the same for every jobs.
     """
     _check_count(jobs, "jobs")
     indices = np.arange(spec.start_grid[2])
     jobs = min(jobs, indices.size)
     if jobs == 1:
-        parts = [_sweep_starts(spec, cfg, indices)]
+        parts = [_sweep_starts(spec, cfg, schedule, indices)]
     else:
         # Imported here so that importing mofgd does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = np.array_split(indices, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sweep_starts, [spec] * jobs, [cfg] * jobs, chunks))
+            parts = list(pool.map(_sweep_starts, [spec] * jobs, [cfg] * jobs,
+                                  [schedule] * jobs, chunks))
     if failures is not None:
         failures.extend(f for _, part_failures, _ in parts for f in part_failures)
     if ends is not None:

@@ -8,7 +8,7 @@ import numpy as np
 
 from mofgd import DirectionResult, ObjectiveModel, solve_direction
 from mofgd.direction import _result_from
-from mofgd.fractional import NodeStack, _rule, terminals
+from mofgd.fractional import NodeStack, _gauss_rule, _rule, terminals
 from mofgd.problems import ACTIVE_TOLERANCE, _constant_hessian
 
 # Central-difference step for a second derivative obtained from first derivatives.
@@ -89,13 +89,34 @@ def _order_parts(order: float) -> tuple[int, float]:
     return n, n - order - 1.0
 
 
+def _refined_rule(c: float, x: float, kinks: Sequence[float],
+                  a_exp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit nodes s and weights w of `fractional._rule` with every panel
+    halved once: the panel touching s = 0 keeps the Gauss-Jacobi rule, and
+    each other panel (p, q) the Gauss-Legendre rule uniform in log s."""
+    length = x - c
+    splits = np.array(sorted({x - k for k in kinks if c < k < x})) / length
+    breaks = np.concatenate(([0.0], splits, [1.0]))
+    breaks = np.union1d(breaks, 0.5 * (breaks[:-1] + breaks[1:]))
+    t, w = _gauss_rule(a_exp)
+    half = 0.5 * breaks[1]
+    nodes, weights = [half * (1.0 - t)], [half ** (a_exp + 1.0) * w]
+    t, w = _gauss_rule(0.0)
+    for p, q in zip(breaks[1:-1], breaks[2:]):
+        half = 0.5 * np.log(q / p)
+        s = p * np.exp(half * (1.0 + t))
+        nodes.append(s)
+        weights.append(half * w * s ** (a_exp + 1.0))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _checked_caputo(h: Callable, c: float, x: float, kinks: Sequence[float],
                     order: float) -> float:
     """Caputo derivative at x from h = f^(n); one call of h answers the base
-    and the refined rule of the refinement check."""
+    rule and the refined rule of the refinement check."""
     n, a_exp = _order_parts(order)
     s, w, _ = _rule(c, x, kinks, a_exp)
-    s_fine, w_fine, _ = _rule(c, x, kinks, a_exp, refine=True)
+    s_fine, w_fine = _refined_rule(c, x, kinks, a_exp)
     hu = _eval(h, x - (x - c) * np.concatenate((s, s_fine)))
     scale = (x - c) ** (a_exp + 1.0) / math.gamma(n - order)
     value = scale * float(w @ hu[:s.size])

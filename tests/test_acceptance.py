@@ -311,10 +311,9 @@ def test_criterion_9_comparison_table():
 
 def test_criterion_10_pareto_front_criticality():
     """Every nondominated point of a 100-start sweep satisfies ||d|| < 1e-4."""
-    spec = ExperimentSpec(instance="example2_pair", schedule=default_schedule(),
-                          start_grid=((-2.0, -3.0), (2.0, 1.0), 100))
+    spec = ExperimentSpec(instance="example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 100))
     cfg = SolverConfig(tolerance=1e-5, max_iterations=3000)
-    front = pareto_sweep(spec, cfg)
+    front = pareto_sweep(spec, cfg, default_schedule())
     assert len(front) >= 2
     worst = max(p.norm_d for p in front)
     assert worst < 1e-4

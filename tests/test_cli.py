@@ -312,15 +312,20 @@ class TestRunCommands:
         f = fixture_objectives("example2")[0]
         assert solve["final_f"] == [f.value(np.array(solve["final_x"]))]
 
+    @staticmethod
+    def overflow_config(tmp_path):
+        """example2.yaml started at (1e308, 1e308), where the gradient overflows."""
+        text = (REPO / "configs" / "example2.yaml").read_text()
+        old = "    lb: 1.0\n    ub: 2.0\n"
+        assert text.count(old) == 1
+        return write_config(tmp_path, text.replace(old, "    lb: 1.0e308\n    ub: 1.5e308\n"))
+
     def test_solve_with_an_overflowing_gradient_exits_1(self, tmp_path, capsys):
         """A start whose gradient overflows ends its first stage in error:
         exit 1, a header-only trace.csv and a summary with that termination
         and the solve's message, and no traceback.  The overflow itself
         still warns."""
-        text = (REPO / "configs" / "example2.yaml").read_text()
-        old = "    lb: 1.0\n    ub: 2.0\n"
-        assert text.count(old) == 1
-        cfg = write_config(tmp_path, text.replace(old, "    lb: 1.0e308\n    ub: 1.5e308\n"))
+        cfg = self.overflow_config(tmp_path)
         out = tmp_path / "run"
         with pytest.warns(RuntimeWarning) as warned:
             assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
@@ -334,6 +339,38 @@ class TestRunCommands:
         assert (solve["termination"], solve["error"]) == ("error", "gradients must be finite")
         assert solve["final_norm_d"] is None and solve["final_x"] == [1e308, 1e308]
         assert [(s["iterations"], s["termination"]) for s in solve["stages"]] == [(0, "error")]
+
+    def test_overflowing_summary_is_strict_json(self, tmp_path):
+        """The overflowing run's final objective is not finite: summary.json
+        writes it as null, and a parser that refuses NaN and Infinity reads
+        the file."""
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning):
+            assert main(["solve", "--config", str(self.overflow_config(tmp_path)),
+                         "--out", str(out)]) == 1
+
+        def refuse(token):
+            raise ValueError(f"summary.json holds {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["solve"]["termination"] == "error"
+        assert summary["solve"]["final_f"] == [None]
+
+    def test_solve_runs_the_schedule_its_method_names(self, tmp_path):
+        """method: mogd runs the one classical stage of mogd_baseline: one
+        stage report, and its trace.csv is mogd_baseline's, byte for byte."""
+        text = (REPO / "configs" / "example2.yaml").read_text()
+        assert text.count("method: moaocfgd") == 1
+        cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: mogd"))
+        out = tmp_path / "run"
+        assert run(RunManifest("solve", str(cfg), str(out))) == 0
+        stages = json.loads((out / "summary.json").read_text())["solve"]["stages"]
+        assert [(s["stage"], s["termination"]) for s in stages] == [(0, "tolerance")]
+        spec, solver, _ = parse_config(cfg)
+        objectives = spec.objectives()
+        mogd_baseline(objectives, spec.starts()[0], solver).to_csv(tmp_path / "baseline.csv",
+                                                                   m=len(objectives))
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "baseline.csv").read_bytes()
 
     def test_solve_from_a_critical_start(self, tmp_path):
         """A start whose first ||d|| already meets epsilon: exit 0, a
@@ -503,6 +540,21 @@ experiment:
         assert run(RunManifest("pareto", str(cfg), str(serial), jobs=1)) == 0
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
             assert (serial / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_pareto_with_mogd_writes_the_mogd_front_alone(self, tmp_path):
+        """method: mogd sweeps once: front_mogd.csv alone, byte-identical to
+        the baseline front of the moaocfgd run, and no ADRS."""
+        text = (REPO / "configs" / "example2_pair.yaml").read_text()
+        assert text.count("method: moaocfgd") == 1
+        cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: mogd"))
+        out, staged = tmp_path / "mogd", tmp_path / "moaocfgd"
+        assert run(RunManifest("pareto", str(cfg), str(out))) == 0
+        assert run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"),
+                               str(staged))) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["written_files"] == ["front_mogd.csv"]
+        assert list(summary["pareto"]["starts"]) == ["mogd"] and "adrs" not in summary["pareto"]
+        assert (out / "front_mogd.csv").read_bytes() == (staged / "front_mogd.csv").read_bytes()
 
     def test_pareto_on_example3_writes_both_fronts(self, tmp_path):
         """The nonsmooth fixture sweeps both methods like any instance: both

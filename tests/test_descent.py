@@ -49,7 +49,7 @@ def stage_setup(objectives, stage, terminal):
     """The merits and their (A, B) that `schedule_setup` builds for the
     one-stage schedule (stage,) with terminal."""
     schedule = StageSchedule((stage,), terminal)
-    return descent.schedule_setup(objectives, schedule, objectives[0].dim)[1][0]
+    return descent.schedule_setup(objectives, schedule, objectives[0].dim)[0][:3]
 
 
 def l1_norm(center=(0.0, 0.0)) -> PiecewiseMaxObjective:
@@ -254,6 +254,58 @@ class TestStageSchedule:
         """Mismatched sequences raise instead of dropping stages."""
         with pytest.raises(ValueError):
             StageSchedule.from_gammas(alphas, gammas, iterations)
+
+
+def softplus_sum() -> ObjectiveModel:
+    """sum_i log(1 + exp(x_i)) in n = 2: a smooth objective without kinks."""
+    return ObjectiveModel(lambda x: np.logaddexp(0.0, np.asarray(x, dtype=float)).sum(axis=-1),
+                          lambda x: 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float))),
+                          kind="smooth", dim=2)
+
+
+class TestScheduleSetup:
+    """A stage reads its set-up alone: schedule_setup hands each stage its
+    merits, their (A, B), the checked terminal and its gamma drop."""
+
+    SCHEDULE = StageSchedule.from_gammas([0.5, 0.7, 0.9, 1.0], [0.1, 0.01, 0.05, 0.0],
+                                         [15, 15, 15, 30], terminal=-1.0)
+
+    @staticmethod
+    def mixed():
+        """A quadratic, a smooth and a piecewise objective in n = 2."""
+        return [quadratic_objective(np.diag([2.0, 1.0]), np.array([1.0, -1.0])),
+                softplus_sum(), l1_norm((0.5, -0.5))]
+
+    def test_a_non_quadratic_merit_is_its_objective(self):
+        """In every stage, merit j is objective j itself whenever objective
+        j is not quadratic, so the stage needs no objectives of its own;
+        each set-up holds the schedule's checked terminal, and each stage's
+        drop is max(gamma_s - gamma_{s+1}, 0), 0 for the last stage."""
+        objectives = self.mixed()
+        setups = descent.schedule_setup(objectives, self.SCHEDULE, 2)
+        assert len(setups) == len(self.SCHEDULE.stages)
+        for merit, a, b, c, drop in setups:
+            assert [m.kind for m in merit] == ["quadratic", "smooth", "piecewise"]
+            assert merit[1] is objectives[1] and merit[2] is objectives[2]
+            assert not a[1:].any() and not b[1:].any()
+            assert c.tolist() == [-1.0, -1.0] and not c.flags.writeable
+        assert [setup[4] for setup in setups] == [0.1 - 0.01, 0.0, 0.05, 0.0]
+
+    def test_run_adaptive_chains_the_stages_on_their_set_ups(self):
+        """run_adaptive is the chain of run_single_stage calls on the
+        stages' set-ups, bit for bit, for the mixed objectives, from a start
+        where every stage iterates and a coordinate passes below the
+        terminal."""
+        objectives, x0, cfg = self.mixed(), np.array([3.0, -2.0]), SolverConfig(tolerance=1e-6)
+        trace = run_adaptive(objectives, x0, cfg, self.SCHEDULE)
+        reference, x = descent.IterationTrace(), x0
+        for s, (stage, setup) in enumerate(zip(self.SCHEDULE.stages,
+                                               descent.schedule_setup(objectives,
+                                                                      self.SCHEDULE, 2))):
+            x = descent.run_single_stage(x, cfg, stage, s, reference, setup).final_x
+        assert all(s.iterations > 0 for s in trace.stages) and trace.notes
+        assert record_bits(trace) == record_bits(reference)
+        assert trace.notes == reference.notes
 
 
 class TestArmijoStep:
@@ -1305,8 +1357,9 @@ class TestRunAdaptive:
 
     @pytest.mark.parametrize("gammas", [(0.0, 0.01, 0.1), (0.05, 0.05, 0.05)])
     def test_schedule_whose_gamma_does_not_fall_stops_every_stage_at_tolerance(self, gammas):
-        """Without a fall in gamma, run_adaptive is the chain of stages run at
-        cfg.tolerance, bit for bit."""
+        """Without a fall in gamma, every stage's set-up has gamma_drop 0,
+        and run_adaptive is the chain of stages, each run on its set-up
+        with gamma_drop 0, at cfg.tolerance, bit for bit."""
         objectives = random_quadratic_mop(4, 6, 2, seed=5).objectives()
         c, x0 = np.zeros(4), np.full(4, 2.0)
         schedule = StageSchedule.from_gammas([0.5, 0.7, 0.9], gammas, [30, 30, 60],
@@ -1314,10 +1367,11 @@ class TestRunAdaptive:
         cfg = SolverConfig(tolerance=1e-6)
         trace = run_adaptive(objectives, x0, cfg, schedule)
         reference, x = descent.IterationTrace(), x0
-        c, setups = descent.schedule_setup(objectives, schedule, 4)
+        setups = descent.schedule_setup(objectives, schedule, 4)
+        assert [setup[4] for setup in setups] == [0.0] * 3
         for s, stage in enumerate(schedule.stages):
-            x = descent.run_single_stage(objectives, x, cfg, stage, c, s, reference, 0.0,
-                                         setups[s]).final_x
+            x = descent.run_single_stage(x, cfg, stage, s, reference,
+                                         (*setups[s][:4], 0.0)).final_x
         assert [s.tolerance for s in trace.stages] == [cfg.tolerance] * 3
         assert trace.stages == reference.stages
         assert len(trace.records) == len(reference.records)

@@ -284,9 +284,8 @@ class TestExperimentSpec:
 
 class TestParetoSweep:
     def test_single_start(self):
-        spec = ExperimentSpec(instance="example2_pair", schedule=default_schedule(),
-                              start_grid=((1.0, 1.0), (2.0, 2.0), 1))
-        front = pareto_sweep(spec, SWEEP_CFG)
+        spec = ExperimentSpec(instance="example2_pair", start_grid=((1.0, 1.0), (2.0, 2.0), 1))
+        front = pareto_sweep(spec, SWEEP_CFG, default_schedule())
         assert len(front) <= 1
 
     def test_wrapped_models_take_the_path_of_plain_ones(self, monkeypatch):
@@ -298,12 +297,12 @@ class TestParetoSweep:
         by `regularized`.  The objectives' construction checks are not
         counted."""
         spec, cfg, schedule = parse_config(REPO / "configs" / "example2_pair.yaml")
-        specs = (spec, dataclasses.replace(spec, method="mogd"))
         m = len(spec.objectives())
 
         def fronts():
             return [[(p.objectives.tobytes(), p.start_index, p.norm_d)
-                     for p in pareto_sweep(s, cfg)] for s in specs]
+                     for p in pareto_sweep(spec, cfg, s)]
+                    for s in (schedule, lab._classical_schedule(cfg))]
 
         expected = fronts()
         calls, building = Counter(), []
@@ -335,9 +334,8 @@ class TestParetoSweep:
 
     def test_duplicates_collapse(self):
         """All starts of a single-objective problem land on one minimizer."""
-        spec = ExperimentSpec(instance="example2", schedule=default_schedule(),
-                              start_grid=((0.0, 0.0), (2.0, 2.0), 5))
-        front = pareto_sweep(spec, SWEEP_CFG)
+        spec = ExperimentSpec(instance="example2", start_grid=((0.0, 0.0), (2.0, 2.0), 5))
+        front = pareto_sweep(spec, SWEEP_CFG, default_schedule())
         assert len(front) == 1
 
     def test_exactly_critical_start_reports_zero_norm(self):
@@ -346,7 +344,8 @@ class TestParetoSweep:
         spec = ExperimentSpec(QuadraticMop((eye, 2.0 * eye), (np.zeros(2), np.zeros(2))),
                               start_grid=((-1.0, -1.0), (1.0, 1.0), 3), method="mogd")
         failures = []
-        front = pareto_sweep(spec, SWEEP_CFG, failures=failures)
+        front = pareto_sweep(spec, SWEEP_CFG, lab._classical_schedule(SWEEP_CFG),
+                             failures=failures)
         assert failures == []
         assert front and [p.norm_d for p in front] == [0.0] * len(front)
 
@@ -374,38 +373,48 @@ class TestParetoSweep:
 
         monkeypatch.setattr(descent, "regularized", counting_regularized)
         monkeypatch.setattr(lab, "fixture_objectives", counted_objectives)
-        schedule = default_schedule()
+        cfg = SolverConfig(tolerance=1e-5)
+        schedule = default_schedule() if method == "moaocfgd" else lab._classical_schedule(cfg)
         counts = []
         for count in (5, 20):
             calls.clear()
-            spec = ExperimentSpec("example2_pair", schedule=schedule, method=method,
-                                  start_grid=((-2.0, -3.0), (2.0, 1.0), count))
+            spec = ExperimentSpec("example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), count))
             failures = []
-            assert pareto_sweep(spec, SolverConfig(tolerance=1e-5), failures=failures)
+            assert pareto_sweep(spec, cfg, schedule, failures=failures)
             assert failures == []
             counts.append(dict(calls))
-        stages = len(schedule.stages) if method == "moaocfgd" else 1
+        stages = len(schedule.stages)
         assert counts[0] == counts[1]
         assert counts[0]["regularized"] == 2 * stages
         # A gamma > 0 merit fetches the raw Hessian once; a gamma = 0 stage
         # stacks the raw Hessians.
         assert counts[0]["hessian"] == 2 * stages
 
+    def test_workers_run_the_schedule_they_are_handed(self):
+        """jobs = 2 pickles the handed one-stage classical schedule to its
+        workers: the front, the failures and the ends are those of the mogd
+        sweep with jobs = 1, bit for bit."""
+        spec = ExperimentSpec("example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 12))
+        handed = StageSchedule((descent.Stage(1.0, 0.0, SWEEP_CFG.max_iterations),))
+        runs = []
+        for jobs, schedule in ((1, lab._classical_schedule(SWEEP_CFG)), (2, handed)):
+            failures, ends = [], []
+            front = pareto_sweep(spec, SWEEP_CFG, schedule, failures=failures, jobs=jobs,
+                                 ends=ends)
+            runs.append(([(p.objectives.tobytes(), p.start_index, p.norm_d,
+                           p.multipliers.tobytes()) for p in front], failures, ends))
+        assert runs[0][0] and runs[0] == runs[1]
+
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("schedule, message", [
-        (None, "needs a schedule"),
-        (default_schedule(terminal=np.zeros(3)), "terminal has length 3"),
-    ])
-    def test_unrunnable_sweep_raises_before_any_start(self, monkeypatch, jobs, schedule,
-                                                      message):
-        """A staged sweep without a schedule, or with a terminal of the wrong
-        length, raises ValueError once instead of failing every start."""
+    def test_unrunnable_sweep_raises_before_any_start(self, monkeypatch, jobs):
+        """A sweep on a schedule whose terminal has the wrong length raises
+        ValueError once instead of failing every start."""
         runs = []
         monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
         failures = []
-        with pytest.raises(ValueError, match=message):
-            pareto_sweep(ExperimentSpec("example2_pair", schedule=schedule), SWEEP_CFG,
-                         failures=failures, jobs=jobs)
+        with pytest.raises(ValueError, match="terminal has length 3"):
+            pareto_sweep(ExperimentSpec("example2_pair"), SWEEP_CFG,
+                         default_schedule(terminal=np.zeros(3)), failures=failures, jobs=jobs)
         assert failures == [] and runs == []
 
     @pytest.mark.parametrize("jobs", [0, -1, 2.5, True])
@@ -416,15 +425,13 @@ class TestParetoSweep:
         monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
         failures = []
         with pytest.raises(ValueError, match="jobs must be a positive integer"):
-            pareto_sweep(ExperimentSpec("example2_pair", schedule=default_schedule()),
-                         SWEEP_CFG, failures=failures, jobs=jobs)
+            pareto_sweep(ExperimentSpec("example2_pair"), SWEEP_CFG, default_schedule(),
+                         failures=failures, jobs=jobs)
         assert failures == [] and runs == []
 
     @staticmethod
-    def per_start_values(spec, cfg, objectives, index):
+    def per_start_values(spec, cfg, schedule, objectives, index):
         """obj.value at the final x of the start's own run, one call per objective."""
-        schedule = (spec.schedule if spec.method == "moaocfgd"
-                    else StageSchedule((descent.Stage(1.0, 0.0, cfg.max_iterations),)))
         final_x = descent.run_adaptive(objectives, spec.starts()[index], cfg, schedule).final_x
         return [obj.value(final_x) for obj in objectives]
 
@@ -439,21 +446,22 @@ class TestParetoSweep:
             instance = random_quadratic_mop(3, 5, 2, seed=21)
             schedule = default_schedule(terminal=np.zeros(3))
             grid = ((-2.0, -2.0, -2.0), (2.0, 1.0, 3.0), 12)
-        spec = ExperimentSpec(instance, schedule=schedule, method=method, start_grid=grid)
+        spec = ExperimentSpec(instance, start_grid=grid)
         cfg = SolverConfig(tolerance=1e-5, max_iterations=2000)
-        front = pareto_sweep(spec, cfg)
+        if method == "mogd":
+            schedule = StageSchedule((descent.Stage(1.0, 0.0, cfg.max_iterations),))
+        front = pareto_sweep(spec, cfg, schedule)
         objectives = spec.objectives()
         assert front
         for p in front:
             assert p.objectives.tobytes() == np.array(
-                self.per_start_values(spec, cfg, objectives, p.start_index)).tobytes()
+                self.per_start_values(spec, cfg, schedule, objectives, p.start_index)).tobytes()
 
     def test_a_stacked_value_that_raises_fails_every_scored_start(self, monkeypatch):
         """Unvalidated objectives whose value reads one point only make the
         stacked call raise: every run that ended without error fails with
         its message, in start order, and the sweep does not raise."""
-        spec = ExperimentSpec("example2_pair", schedule=default_schedule(),
-                              start_grid=((-2.0, -3.0), (2.0, 1.0), 12))
+        spec = ExperimentSpec("example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 12))
 
         def one_point(value):
             def evaluate(x):
@@ -467,15 +475,14 @@ class TestParetoSweep:
             dataclasses.replace(obj, value=one_point(obj.value), validate=False)
             for obj in build(self)])
         failures = []
-        assert pareto_sweep(spec, SWEEP_CFG, failures=failures) == []
+        assert pareto_sweep(spec, SWEEP_CFG, default_schedule(), failures=failures) == []
         assert failures == [(i, "one point only") for i in range(12)]
 
     def test_example2_pair_front(self):
         """100 starts trace the efficient curve; every point is critical."""
-        spec = ExperimentSpec(instance="example2_pair", schedule=default_schedule(),
-                              start_grid=((-2.0, -3.0), (2.0, 1.0), 100))
+        spec = ExperimentSpec(instance="example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 100))
         cfg = SolverConfig(tolerance=1e-5, max_iterations=3000)
-        front = pareto_sweep(spec, cfg)
+        front = pareto_sweep(spec, cfg, default_schedule())
         assert len(front) >= 10
         for p in front:
             assert p.norm_d < 1e-4
