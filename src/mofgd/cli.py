@@ -18,6 +18,11 @@ experiment.method picks the schedule that solve and pareto run
 classical stage of `mogd_baseline`.  compare, verify-t5 and verify-t6 run
 no method and read the config's schedule.
 
+--jobs sets pareto's sweep worker processes; pareto is the only command
+that starts workers, so every other command takes --jobs 1 alone.  `main`
+passes argparse's values straight to `run(command, config_path,
+output_dir, force=False, jobs=1)`, which tests call directly.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Artifacts are byte-reproducible given the config and the BLAS thread
 count: the mogd rows of comparison.csv come from ill-conditioned runs that
@@ -35,7 +40,6 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -78,7 +82,7 @@ from .lab import (
 )
 from .problems import QuadraticMop, random_quadratic_mop, save_mop
 
-__all__ = ["RunManifest", "ConfigError", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "parse_config", "run", "main"]
 
 COMMANDS = ("solve", "pareto", "compare", "verify-t5", "verify-t6", "fixtures")
 NEEDS_MOP = ("compare", "verify-t5", "verify-t6")  # need a random quadratic instance
@@ -90,21 +94,6 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: Optional[str]
-    output_dir: str
-    force: bool = False
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"command: unknown command {self.command!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
 
 
 # The keys each config section accepts; parse_config refuses any other, so a
@@ -540,46 +529,58 @@ def _cmd_fixtures(writer: _Writer) -> tuple[int, dict]:
     return (0 if ok else 1), {"fixtures": checks}
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one command; returns the process exit code."""
-    out_dir = Path(manifest.output_dir)
-    if out_dir.exists() and any(out_dir.iterdir()) and not manifest.force:
+def run(command: str, config_path: Optional[str], output_dir: str, force: bool = False,
+        jobs: int = 1) -> int:
+    """Execute one command; returns the process exit code.
+
+    An unknown command, a jobs below 1, and a jobs other than 1 for any
+    command but pareto (the only one that starts workers) raise ConfigError
+    before the file system is touched.
+    """
+    if command not in COMMANDS:
+        raise ConfigError(f"command: unknown command {command!r}")
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+    if jobs > 1 and command != "pareto":
+        raise ConfigError(f"jobs: only pareto starts workers, so {command} takes 1, got {jobs}")
+    out_dir = Path(output_dir)
+    if out_dir.exists() and any(out_dir.iterdir()) and not force:
         print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
         return 2
 
     # The config and the instance the command needs are checked first, so a
     # refused run creates no directory.
-    fixtures = manifest.command == "fixtures"
-    if fixtures != (manifest.config_path is None):
+    fixtures = command == "fixtures"
+    if fixtures != (config_path is None):
         print("error: fixtures takes no --config" if fixtures
               else "error: --config is required for this command", file=sys.stderr)
         return 2
     if not fixtures:
-        spec, solver, schedule = parse_config(manifest.config_path)
-        if manifest.command in NEEDS_MOP and not isinstance(spec.instance, QuadraticMop):
-            raise ConfigError(f"experiment: {manifest.command} needs a random quadratic instance")
+        spec, solver, schedule = parse_config(config_path)
+        if command in NEEDS_MOP and not isinstance(spec.instance, QuadraticMop):
+            raise ConfigError(f"experiment: {command} needs a random quadratic instance")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(out_dir)
     started = time.perf_counter()
-    if manifest.command == "solve":
+    if command == "solve":
         code, payload = _cmd_solve(spec, solver, schedule, writer)
-    elif manifest.command == "pareto":
-        code, payload = _cmd_pareto(spec, solver, schedule, writer, manifest.jobs)
-    elif manifest.command == "compare":
+    elif command == "pareto":
+        code, payload = _cmd_pareto(spec, solver, schedule, writer, jobs)
+    elif command == "compare":
         code, payload = _cmd_compare(spec, solver, schedule, writer)
-    elif manifest.command == "verify-t5":
+    elif command == "verify-t5":
         code, payload = _cmd_verify_t5(spec, solver, schedule, writer)
-    elif manifest.command == "verify-t6":
+    elif command == "verify-t6":
         code, payload = _cmd_verify_t6(spec, solver, schedule, writer)
     else:
         code, payload = _cmd_fixtures(writer)
 
     payload.update({
-        "command": manifest.command,
+        "command": command,
         "exit_code": code,
         "wall_seconds": time.perf_counter() - started,
-        "config": manifest.config_path,
+        "config": config_path,
     })
     writer.write_summary(payload)
     return code
@@ -594,15 +595,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="YAML experiment config")
     parser.add_argument("--out", default="runs/latest", help="output directory")
     parser.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
-    parser.add_argument("--jobs", type=int, default=1, help="pareto sweep worker processes")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="pareto sweep worker processes (every other command takes 1)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        manifest = RunManifest(command=args.command, config_path=args.config,
-                               output_dir=args.out, force=args.force, jobs=args.jobs)
-        return run(manifest)
+        return run(args.command, args.config, args.out, args.force, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -224,6 +224,11 @@ class StageSchedule:
             object.__setattr__(self, "terminal",
                                terminals(self.terminal, np.size(self.terminal)))
 
+    def __reduce__(self):
+        # Unpickled through the constructor, so the terminal is read-only
+        # again: pickle does not keep numpy's writeable flag.
+        return type(self), (self.stages, self.terminal)
+
     @property
     def gammas(self) -> tuple[float, ...]:
         return tuple(s.gamma for s in self.stages)

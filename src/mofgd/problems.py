@@ -75,14 +75,16 @@ class ObjectiveModel:
     fractional gradient evaluates x and the quadrature nodes of all
     coordinates in one stacked gradient call.
 
-    kind is "quadratic", "smooth", or "piecewise".  "quadratic" declares one
-    consistent quadratic: a constant symmetric Hessian H with
-    f(x + u) = f(x) + grad f(x)^T u + u^T H u / 2 exactly, which the Armijo
-    line search uses in place of evaluated values.  Piecewise objectives
-    must carry a kink_locator with signature (x, i, lo, hi) ->
-    kink_abscissae giving the non-differentiability points of the
-    coordinate-i restriction inside (lo, hi).  The fractional gradient
-    splits its quadrature there and has no other way to find a kink.
+    kind is "quadratic", "smooth", or "piecewise".  "piecewise" is
+    PiecewiseMaxObjective's alone, since a stage reads its active pieces
+    (`active_gradients`).  "quadratic" declares one consistent quadratic:
+    a constant symmetric Hessian H with f(x + u) = f(x) + grad f(x)^T u
+    + u^T H u / 2 exactly, which the Armijo line search uses in place of
+    evaluated values.  Piecewise objectives must carry a kink_locator with
+    signature (x, i, lo, hi) -> kink_abscissae giving the
+    non-differentiability points of the coordinate-i restriction inside
+    (lo, hi).  The fractional gradient splits its quadrature there and has
+    no other way to find a kink.
 
     The gradient is validated against central finite differences of the
     value at construction, on 10 deterministic points (`_check_points`;
@@ -111,6 +113,9 @@ class ObjectiveModel:
             raise ValueError("quadratic objectives must provide a Hessian")
         if self.kind == "piecewise" and self.kink_locator is None:
             raise ValueError("piecewise objectives must provide a kink_locator")
+        if self.kind == "piecewise" and not isinstance(self, PiecewiseMaxObjective):
+            raise ValueError("a piecewise objective must be a PiecewiseMaxObjective, "
+                             "whose active pieces a stage reads")
         if self.validate:
             self._check_gradient()
 

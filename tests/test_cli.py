@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mofgd.cli import ConfigError, RunManifest, main, parse_config, run
+from mofgd.cli import ConfigError, main, parse_config, run
 from mofgd.descent import IterationTrace, SolverConfig, run_adaptive
 from mofgd.fixtures import FIXTURE_NAMES, fixture_objectives
 from mofgd.lab import ExperimentSpec, mogd_baseline
@@ -288,7 +288,7 @@ class TestRunCommands:
     def test_solve_writes_trace_and_summary(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "run"
-        code = run(RunManifest("solve", str(cfg), str(out)))
+        code = run("solve", str(cfg), str(out))
         assert code == 0
         assert (out / "trace.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
@@ -301,7 +301,7 @@ class TestRunCommands:
         """summary.json's stages add up to the run and end with the last
         stage at epsilon; final_f is the raw objective at final_x."""
         out = tmp_path / "run"
-        assert run(RunManifest("solve", str(REPO / "configs" / "example2.yaml"), str(out))) == 0
+        assert run("solve", str(REPO / "configs" / "example2.yaml"), str(out)) == 0
         solve = json.loads((out / "summary.json").read_text())["solve"]
         stages = solve["stages"]
         assert [s["stage"] for s in stages] == [0, 1, 2]
@@ -363,7 +363,7 @@ class TestRunCommands:
         assert text.count("method: moaocfgd") == 1
         cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: mogd"))
         out = tmp_path / "run"
-        assert run(RunManifest("solve", str(cfg), str(out))) == 0
+        assert run("solve", str(cfg), str(out)) == 0
         stages = json.loads((out / "summary.json").read_text())["solve"]["stages"]
         assert [(s["stage"], s["termination"]) for s in stages] == [(0, "tolerance")]
         spec, solver, _ = parse_config(cfg)
@@ -395,15 +395,15 @@ class TestRunCommands:
         out = tmp_path / "run"
         out.mkdir()
         (out / "junk.txt").write_text("x")
-        assert run(RunManifest("solve", str(cfg), str(out))) == 2
-        assert run(RunManifest("solve", str(cfg), str(out), force=True)) == 0
+        assert run("solve", str(cfg), str(out)) == 2
+        assert run("solve", str(cfg), str(out), force=True) == 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert run(RunManifest("solve", str(cfg), str(out))) == 0
+            assert run("solve", str(cfg), str(out)) == 0
             outs.append((out / "trace.csv").read_bytes())
         assert outs[0] == outs[1]
 
@@ -411,12 +411,12 @@ class TestRunCommands:
         assert main(["frobnicate", "--out", "x"]) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
-        assert run(RunManifest("solve", None, str(tmp_path / "o"))) == 2
+        assert run("solve", None, str(tmp_path / "o")) == 2
 
     def test_verify_t5_small_instance(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
         out = tmp_path / "t5"
-        code = run(RunManifest("verify-t5", str(cfg), str(out)))
+        code = run("verify-t5", str(cfg), str(out))
         summary = json.loads((out / "summary.json").read_text())
         assert code == 0, summary
         assert summary["verify_t5"]["monotone_geometric"]
@@ -438,7 +438,7 @@ class TestRunCommands:
         text = SMALL_QUADRATIC.replace("max_iterations: 500", "max_iterations: 40").replace(
             "iterations: [400]", "iterations: [400]\n  terminal: 0.5")
         out = tmp_path / "t5"
-        run(RunManifest("verify-t5", str(write_config(tmp_path, text)), str(out)))
+        run("verify-t5", str(write_config(tmp_path, text)), str(out))
         np.testing.assert_array_equal(terminals, [np.full(8, 0.5)])
         assert gammas == [0.05]
         rows = (out / "rate_errors.csv").read_text().splitlines()
@@ -452,7 +452,7 @@ class TestRunCommands:
         )
         cfg = write_config(tmp_path, text)
         out = tmp_path / "t6"
-        code = run(RunManifest("verify-t6", str(cfg), str(out)))
+        code = run("verify-t6", str(cfg), str(out))
         summary = json.loads((out / "summary.json").read_text())
         assert code == 0, summary
         assert summary["verify_t6"]["recursion_ok"]
@@ -462,7 +462,7 @@ class TestRunCommands:
     def test_compare_emits_table(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
         out = tmp_path / "cmp"
-        code = run(RunManifest("compare", str(cfg), str(out)))
+        code = run("compare", str(cfg), str(out))
         assert (out / "comparison.csv").exists()
         header = (out / "comparison.csv").read_text().splitlines()[0]
         assert header == ("gamma,method,condition_number,iterations,wall_seconds,final_error,"
@@ -481,7 +481,7 @@ class TestRunCommands:
 
         monkeypatch.setattr("mofgd.cli.comparison_table", table)
         out = tmp_path / "cmp"
-        run(RunManifest("compare", str(write_config(tmp_path, SMALL_QUADRATIC)), str(out)))
+        run("compare", str(write_config(tmp_path, SMALL_QUADRATIC)), str(out))
         with open(out / "comparison.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["termination"] for r in rows] == ["max_iter", "tolerance"] + ["tolerance"] * 2
@@ -505,7 +505,7 @@ class TestRunCommands:
 
         monkeypatch.setattr("mofgd.cli.comparison_table", table)
         out = tmp_path / "cmp"
-        code = run(RunManifest("compare", str(write_config(tmp_path, SMALL_QUADRATIC)), str(out)))
+        code = run("compare", str(write_config(tmp_path, SMALL_QUADRATIC)), str(out))
         payload = json.loads((out / "summary.json").read_text())["compare"]
         assert payload["gamma_count"] == 2
         if fractional_fewer:
@@ -529,7 +529,7 @@ experiment:
 """
         cfg = write_config(tmp_path, text)
         out = tmp_path / "pareto"
-        code = run(RunManifest("pareto", str(cfg), str(out), jobs=2))
+        code = run("pareto", str(cfg), str(out), jobs=2)
         assert code == 0
         assert (out / "front_moaocfgd.csv").exists()
         assert (out / "front_mogd.csv").exists()
@@ -537,7 +537,7 @@ experiment:
         assert summary["written_files"] == ["front_moaocfgd.csv", "front_mogd.csv"]
         assert "adrs" in summary["pareto"]
         serial = tmp_path / "pareto_serial"
-        assert run(RunManifest("pareto", str(cfg), str(serial), jobs=1)) == 0
+        assert run("pareto", str(cfg), str(serial), jobs=1) == 0
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
             assert (serial / name).read_bytes() == (out / name).read_bytes(), name
 
@@ -548,9 +548,8 @@ experiment:
         assert text.count("method: moaocfgd") == 1
         cfg = write_config(tmp_path, text.replace("method: moaocfgd", "method: mogd"))
         out, staged = tmp_path / "mogd", tmp_path / "moaocfgd"
-        assert run(RunManifest("pareto", str(cfg), str(out))) == 0
-        assert run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"),
-                               str(staged))) == 0
+        assert run("pareto", str(cfg), str(out)) == 0
+        assert run("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(staged)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["written_files"] == ["front_mogd.csv"]
         assert list(summary["pareto"]["starts"]) == ["mogd"] and "adrs" not in summary["pareto"]
@@ -562,7 +561,7 @@ experiment:
         is reported."""
         cfg = write_config(tmp_path, "instance: {name: example3_nonsmooth}\n")
         out = tmp_path / "pareto"
-        assert run(RunManifest("pareto", str(cfg), str(out))) == 0
+        assert run("pareto", str(cfg), str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["written_files"] == ["front_moaocfgd.csv", "front_mogd.csv"]
         assert summary["pareto"]["failed_starts"] == []
@@ -586,7 +585,7 @@ experiment:
                 f"instance: {instance}\nsolver: {{epsilon: 1.0e-5}}\n"
                 "experiment: {start_grid: {lb: 1.0, ub: 2.0, count: 5}}\n"))
         out = tmp_path / "pareto"
-        assert run(RunManifest("pareto", str(cfg), str(out))) == 0
+        assert run("pareto", str(cfg), str(out)) == 0
         spec, solver, schedule = parse_config(cfg)
         objectives, starts = spec.objectives(), spec.starts()
         for name in ("front_moaocfgd.csv", "front_mogd.csv"):
@@ -613,7 +612,7 @@ experiment:
         monkeypatch.setattr("mofgd.lab.run_adaptive", fail)
         out = tmp_path / "pareto"
         config = str(REPO / "configs" / "example2_pair.yaml")
-        assert run(RunManifest("pareto", config, str(out))) == 1
+        assert run("pareto", config, str(out)) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["exit_code"] == 1
         assert summary["pareto"]["front_size"] == 0
@@ -635,7 +634,7 @@ experiment:
         weights = []
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
-            assert run(RunManifest("pareto", config, str(out), jobs=jobs)) == 0
+            assert run("pareto", config, str(out), jobs=jobs) == 0
             weights.append(json.loads((out / "summary.json").read_text())["pareto"]["weights"])
         assert weights[0] == weights[1]
         ranges = {method: [round(w["min"][0], 3), round(w["max"][0], 3)]
@@ -653,7 +652,7 @@ experiment:
         starts = []
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
-            assert run(RunManifest("pareto", config, str(out), jobs=jobs)) == 0
+            assert run("pareto", config, str(out), jobs=jobs) == 0
             payload = json.loads((out / "summary.json").read_text())["pareto"]
             starts.append(payload["starts"])
             for method in ("moaocfgd", "mogd"):
@@ -679,7 +678,7 @@ experiment:
 
             monkeypatch.setattr("mofgd.lab.run_adaptive", stub)
             out = tmp_path / f"pareto{len(list(tmp_path.iterdir()))}"
-            run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out)))
+            run("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out))
             return json.loads((out / "summary.json").read_text())["pareto"]["starts"]
 
         ended = {"terminations": {"error": 50, "max_iter": 25, "tolerance": 25},
@@ -704,7 +703,7 @@ experiment:
 
         monkeypatch.setattr("mofgd.lab.run_adaptive", critical)
         out = tmp_path / "pareto"
-        assert run(RunManifest("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out))) == 0
+        assert run("pareto", str(REPO / "configs" / "example2_pair.yaml"), str(out)) == 0
         assert runs == [3] * 100 + [1] * 100
 
         def refuse(token):
@@ -717,7 +716,7 @@ experiment:
 
     def test_fixtures_report(self, tmp_path):
         out = tmp_path / "fx"
-        code = run(RunManifest("fixtures", None, str(out)))
+        code = run("fixtures", None, str(out))
         summary = json.loads((out / "summary.json").read_text())
         assert code == 0, summary
         assert summary["fixtures"]["example1"]["ok"]
@@ -740,7 +739,7 @@ experiment:
 
         monkeypatch.setattr("mofgd.cli.run_adaptive", erring)
         out = tmp_path / "fx"
-        assert run(RunManifest("fixtures", None, str(out))) == 1
+        assert run("fixtures", None, str(out)) == 1
         example3 = json.loads((out / "summary.json").read_text())["fixtures"]["example3"]
         assert example3["fractional_iterations_to_1e-3"] < example3["subgradient_iterations_to_1e-3"]
         assert (example3["ok"], example3["termination"]) == (False, "error")
@@ -834,3 +833,47 @@ schedule:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: {key}: expected " in capsys.readouterr().err
         assert not (tmp_path / "refused").exists()
+
+
+# The shipped config each command runs on; fixtures reads none.
+SHIPPED_CONFIGS = {"solve": "example2.yaml", "pareto": "example2_pair.yaml",
+                   "compare": "paper_quadratic.yaml", "verify-t5": "paper_quadratic.yaml",
+                   "verify-t6": "paper_quadratic.yaml", "fixtures": None}
+
+
+def shipped_args(command, out):
+    config = SHIPPED_CONFIGS[command]
+    return [command, *([] if config is None else ["--config", str(REPO / "configs" / config)]),
+            "--out", str(out)]
+
+
+class TestJobs:
+    """pareto is the only command that starts workers: every command runs
+    with --jobs 1, and any other command refuses more than one worker."""
+
+    @pytest.mark.parametrize("command", list(SHIPPED_CONFIGS))
+    def test_every_command_runs_with_one_job(self, command, tmp_path):
+        assert main(shipped_args(command, tmp_path / "out") + ["--jobs", "1"]) == 0
+        assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, jobs", [
+        ("compare", "2"), ("solve", "2"), ("verify-t5", "2"), ("verify-t6", "2"),
+        ("fixtures", "2"), ("pareto", "0")])
+    def test_refused_jobs_exits_2_and_makes_no_directory(self, command, jobs, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        assert main(shipped_args(command, out) + ["--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_refuses_before_touching_the_output(self, tmp_path):
+        """run raises ConfigError for an unknown command or a refused jobs,
+        naming it, before it makes or reads the output directory."""
+        config = str(REPO / "configs" / "paper_quadratic.yaml")
+        with pytest.raises(ConfigError, match="^command: unknown command 'frobnicate'$"):
+            run("frobnicate", config, str(tmp_path / "a"))
+        with pytest.raises(ConfigError, match="^jobs: only pareto starts workers"):
+            run("compare", config, str(tmp_path / "b"), jobs=2)
+        with pytest.raises(ConfigError, match="^jobs: must be >= 1, got 0$"):
+            run("pareto", config, str(tmp_path / "c"), jobs=0)
+        assert list(tmp_path.iterdir()) == []

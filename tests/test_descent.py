@@ -245,6 +245,17 @@ class TestStageSchedule:
         c[0] = 1.0
         assert sched.terminal[0] == 0.0
 
+    def test_terminal_stays_read_only_through_pickle(self):
+        """pareto --jobs N pickles its schedule to the workers: the schedule
+        comes back through its constructor, so the terminal keeps its
+        values and stays read-only, and a None terminal stays None."""
+        sched = default_schedule(terminal=np.array([0.5, -1.0]))
+        back = pickle.loads(pickle.dumps(sched))
+        assert back.stages == sched.stages
+        np.testing.assert_array_equal(back.terminal, sched.terminal)
+        assert not back.terminal.flags.writeable
+        assert pickle.loads(pickle.dumps(default_schedule())).terminal is None
+
     @pytest.mark.parametrize("alphas, gammas, iterations", [
         ([0.5, 0.7, 0.9], [0.1, 0.0], [5, 5, 5]),
         ([0.5, 0.7], [0.1, 0.01, 0.0], [5, 5, 5]),

@@ -470,11 +470,12 @@ class TestStackedEvaluation:
                 return fn(x)
             return inner
 
+        # The fractional gradient reads the kinks from its node stack, not
+        # the kind, and a piecewise kind is PiecewiseMaxObjective's alone.
         from mofgd import ObjectiveModel
         hessian = None if obj.hessian is None else wrap("hessian", obj.hessian)
-        kind = "smooth" if obj.kink_locator is None else "piecewise"
         return ObjectiveModel(wrap("value", obj.value), wrap("gradient", obj.gradient),
-                              hessian, kind=kind, kink_locator=obj.kink_locator, dim=obj.dim,
+                              hessian, kind="smooth", kink_locator=obj.kink_locator, dim=obj.dim,
                               validate=False)
 
     @pytest.mark.parametrize("n", [2, 4, 6])

@@ -111,6 +111,16 @@ class TestObjectiveModel:
                            gradient=lambda x: np.sign(x) * (np.abs(x) == np.abs(x).max()),
                            kind="piecewise")
 
+    def test_plain_piecewise_kind_is_refused(self):
+        """A stage reads a piecewise objective's active pieces, which only
+        PiecewiseMaxObjective has, so |x1| + |x2| declared as a plain
+        piecewise ObjectiveModel is refused when built, not at the first
+        iterate of a run."""
+        with pytest.raises(ValueError, match="PiecewiseMaxObjective"):
+            ObjectiveModel(value=lambda x: np.abs(x).sum(axis=-1),
+                           gradient=lambda x: np.sign(x), kind="piecewise", dim=2,
+                           kink_locator=lambda x, i, lo, hi: (0.0,) if lo < 0.0 < hi else ())
+
     def test_quadratic_objective_roundtrip(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([-1.0, 0.5])
@@ -151,8 +161,11 @@ class TestStackContract:
         at each of its 10 points, in one value call."""
         calls = []
         obj = example3_objective() if kind == "piecewise" else logistic_losses()[0]
-        ObjectiveModel(lambda x: calls.append(np.shape(x)) or obj.value(x), obj.gradient,
-                       obj.hessian, kind=kind, kink_locator=obj.kink_locator, dim=obj.dim)
+        value = obj.value
+        # The built objective's check, run again on a value that records each
+        # call (a piecewise kind is PiecewiseMaxObjective's alone).
+        object.__setattr__(obj, "value", lambda x: calls.append(np.shape(x)) or value(x))
+        obj._check_gradient()
         assert calls == [(10 * 2 * obj.dim, obj.dim)]
 
     def test_point_only_value_is_refused_at_construction(self):
