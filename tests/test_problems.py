@@ -160,13 +160,18 @@ class TestStackContract:
         """The finite-difference check evaluates its whole stencil, 2 n rows
         at each of its 10 points, in one value call."""
         calls = []
-        obj = example3_objective() if kind == "piecewise" else logistic_losses()[0]
-        value = obj.value
-        # The built objective's check, run again on a value that records each
-        # call (a piecewise kind is PiecewiseMaxObjective's alone).
-        object.__setattr__(obj, "value", lambda x: calls.append(np.shape(x)) or value(x))
-        obj._check_gradient()
-        assert calls == [(10 * 2 * obj.dim, obj.dim)]
+        if kind == "smooth":
+            obj = logistic_losses()[0]
+            ObjectiveModel(lambda x: calls.append(np.shape(x)) or obj.value(x), obj.gradient,
+                           obj.hessian, kind=kind, kink_locator=obj.kink_locator, dim=obj.dim)
+            assert calls == [(10 * 2 * obj.dim, obj.dim)]
+        else:
+            # Each value call of the max, and its gradient's row-wise argmax,
+            # reads every piece once: the 10 points, then the stencil.
+            (value, gradient), other = example3_objective()._pieces
+            counting = lambda x: calls.append(np.shape(x)) or value(x)
+            PiecewiseMaxObjective([(counting, gradient), other], 2, _example3_kinks)
+            assert calls == [(10, 2), (10 * 2 * 2, 2)]
 
     def test_point_only_value_is_refused_at_construction(self):
         """A value that reduces a whole stack to one number is refused."""
