@@ -24,6 +24,9 @@ passes argparse's values straight to `run(command, config_path,
 output_dir, force=False, jobs=1)`, which tests call directly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+`run` raises ConfigError for every refusal, before any directory is made,
+and `main` alone turns it into exit 2; a command stopped by a
+SingularSystemError exits 1 with its summary.json.
 Artifacts are byte-reproducible given the config and the BLAS thread
 count: the mogd rows of comparison.csv come from ill-conditioned runs that
 amplify last-bit rounding, so they change with it.  Wall-clock timings and
@@ -80,7 +83,7 @@ from .lab import (
     verify_rate_theorem5,
     verify_staged_theorem6,
 )
-from .problems import QuadraticMop, random_quadratic_mop, save_mop
+from .problems import QuadraticMop, SingularSystemError, random_quadratic_mop, save_mop
 
 __all__ = ["ConfigError", "parse_config", "run", "main"]
 
@@ -343,8 +346,8 @@ def _cmd_solve(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 def _starts_summary(ends: list) -> dict:
     """How a sweep's starts ended: the count of each termination, and the
     largest final ||d|| over the starts that have one (None if none has)."""
-    return {"terminations": dict(sorted(Counter(t for t, _ in ends).items())),
-            "max_final_norm_d": max((n for _, n in ends if n is not None), default=None)}
+    return {"terminations": dict(sorted(Counter(t for t, _, _ in ends).items())),
+            "max_final_norm_d": max((n for _, n, _ in ends if n is not None), default=None)}
 
 
 def _weights_summary(front: list[FrontPoint]) -> Optional[dict]:
@@ -358,20 +361,21 @@ def _weights_summary(front: list[FrontPoint]) -> Optional[dict]:
 
 def _cmd_pareto(spec, solver, schedule, writer: _Writer, jobs: int) -> tuple[int, dict]:
     """The front of experiment.method and, for moaocfgd, the mogd
-    baseline's front, which both score against their union."""
-    failures: list = []
+    baseline's front, which both score against their union.  A failed
+    start is reported with the method whose sweep it failed in."""
     ends, fronts = {}, {}
     for method in (spec.method, "mogd") if spec.method == "moaocfgd" else (spec.method,):
-        ends[method] = []
-        fronts[method] = pareto_sweep(spec, solver, _method_schedule(method, solver, schedule),
-                                      failures=failures, jobs=jobs, ends=ends[method])
+        fronts[method], ends[method] = pareto_sweep(
+            spec, solver, _method_schedule(method, solver, schedule), jobs)
         _write_front(writer, f"front_{method}.csv", fronts[method])
     front = fronts[spec.method]
     payload = {
         "front_size": len(front),
         "max_norm_d": max((p.norm_d for p in front), default=0.0),
         "criticality_tolerance": solver.tolerance,
-        "failed_starts": [{"start_index": i, "reason": r} for i, r in failures],
+        "failed_starts": [{"method": method, "start_index": i, "reason": error}
+                          for method, e in ends.items()
+                          for i, (_, _, error) in enumerate(e) if error is not None],
         "starts": {method: _starts_summary(e) for method, e in ends.items()},
         "weights": {method: _weights_summary(f) for method, f in fronts.items()},
     }
@@ -440,7 +444,7 @@ def _cmd_verify_t5(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
 
 
 def _cmd_verify_t6(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
-    bound, report = verify_staged_theorem6(spec.instance, schedule, solver)
+    bound = verify_staged_theorem6(spec.instance, schedule, solver)
     writer.write_csv(
         "stage_bounds.csv",
         ["stage", "gamma", "iterations", "rate", "R", "epsilon", "e_next", "bound"],
@@ -453,14 +457,14 @@ def _cmd_verify_t6(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     payload = {
         "B_max": bound.b_max,
         "C": bound.c_const,
-        "recursion_ok": report["recursion_ok"],
-        "lipschitz_ok": report["lipschitz_ok"],
-        "bound_ok": report["bound_ok"],
-        "final_error": report["final_error"],
-        "final_bound_ok": report["final_bound_ok"],
+        "recursion_ok": bound.recursion_ok,
+        "lipschitz_ok": bound.lipschitz_ok,
+        "bound_ok": bound.bound_ok,
+        "final_error": bound.final_error,
+        "final_bound_ok": bound.final_bound_ok,
     }
-    ok = report["recursion_ok"] and report["lipschitz_ok"] and report["bound_ok"] and (
-        report["final_bound_ok"] in (True, None)
+    ok = bound.recursion_ok and bound.lipschitz_ok and bound.bound_ok and (
+        bound.final_bound_ok in (True, None)
     )
     return (0 if ok else 1), {"verify_t6": payload}
 
@@ -531,11 +535,16 @@ def _cmd_fixtures(writer: _Writer) -> tuple[int, dict]:
 
 def run(command: str, config_path: Optional[str], output_dir: str, force: bool = False,
         jobs: int = 1) -> int:
-    """Execute one command; returns the process exit code.
+    """Execute one command; returns the process exit code, 0 or 1.
 
-    An unknown command, a jobs below 1, and a jobs other than 1 for any
-    command but pareto (the only one that starts workers) raise ConfigError
-    before the file system is touched.
+    Every refusal raises ConfigError, whose message starts with the field
+    it names, before any directory is made: an unknown command, a jobs
+    below 1, a jobs other than 1 for any command but pareto (the only one
+    that starts workers), a non-empty output directory without force
+    (out), a config given to fixtures or missing for another command
+    (--config), and an invalid config or instance.  A command stopped by a
+    SingularSystemError exits 1 with its message under the summary's
+    error.
     """
     if command not in COMMANDS:
         raise ConfigError(f"command: unknown command {command!r}")
@@ -545,16 +554,14 @@ def run(command: str, config_path: Optional[str], output_dir: str, force: bool =
         raise ConfigError(f"jobs: only pareto starts workers, so {command} takes 1, got {jobs}")
     out_dir = Path(output_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        print(f"error: output directory {out_dir} is not empty (use --force)", file=sys.stderr)
-        return 2
+        raise ConfigError(f"out: output directory {out_dir} is not empty (use --force)")
 
     # The config and the instance the command needs are checked first, so a
     # refused run creates no directory.
     fixtures = command == "fixtures"
     if fixtures != (config_path is None):
-        print("error: fixtures takes no --config" if fixtures
-              else "error: --config is required for this command", file=sys.stderr)
-        return 2
+        raise ConfigError("--config: fixtures takes none" if fixtures
+                          else f"--config: {command} requires one")
     if not fixtures:
         spec, solver, schedule = parse_config(config_path)
         if command in NEEDS_MOP and not isinstance(spec.instance, QuadraticMop):
@@ -563,18 +570,21 @@ def run(command: str, config_path: Optional[str], output_dir: str, force: bool =
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _Writer(out_dir)
     started = time.perf_counter()
-    if command == "solve":
-        code, payload = _cmd_solve(spec, solver, schedule, writer)
-    elif command == "pareto":
-        code, payload = _cmd_pareto(spec, solver, schedule, writer, jobs)
-    elif command == "compare":
-        code, payload = _cmd_compare(spec, solver, schedule, writer)
-    elif command == "verify-t5":
-        code, payload = _cmd_verify_t5(spec, solver, schedule, writer)
-    elif command == "verify-t6":
-        code, payload = _cmd_verify_t6(spec, solver, schedule, writer)
-    else:
-        code, payload = _cmd_fixtures(writer)
+    try:
+        if command == "solve":
+            code, payload = _cmd_solve(spec, solver, schedule, writer)
+        elif command == "pareto":
+            code, payload = _cmd_pareto(spec, solver, schedule, writer, jobs)
+        elif command == "compare":
+            code, payload = _cmd_compare(spec, solver, schedule, writer)
+        elif command == "verify-t5":
+            code, payload = _cmd_verify_t5(spec, solver, schedule, writer)
+        elif command == "verify-t6":
+            code, payload = _cmd_verify_t6(spec, solver, schedule, writer)
+        else:
+            code, payload = _cmd_fixtures(writer)
+    except SingularSystemError as exc:
+        code, payload = 1, {"error": str(exc)}
 
     payload.update({
         "command": command,

@@ -4,7 +4,9 @@ Reproduces the quadratic benchmark study: classical-gradient baselines, the
 linear-rate check against the closed-form Tikhonov solution, the staged
 error-bound recursion, Pareto-front sweeps from a grid of starts, the
 gamma-comparison table, and the average-distance-from-reference-set (ADRS)
-front metric.
+front metric.  Each check and sweep returns its whole outcome:
+`verify_staged_theorem6` one `StageErrorBound` with its verdicts, and
+`pareto_sweep` the front with every start's end.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .problems import (
     ObjectiveModel,
     PiecewiseMaxObjective,
     QuadraticMop,
+    SingularSystemError,
     quadratic_stack,
     tikhonov_solve,
 )
@@ -109,12 +112,16 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class StageErrorBound:
-    """Per-stage quantities of the staged error recursion.
+    """Per-stage quantities of the staged error recursion and its verdicts.
 
     rates[s] is the per-iteration contraction of the squared error at stage
     s; R[s] = rates[s]^(k_s/2) is the per-stage factor, so the recursion
     epsilon_{s+1} <= R_s epsilon_s + e_s chains stage starts.  bound[s] is
-    the recursion unrolled from epsilon_1.
+    the recursion unrolled from epsilon_1.  end_errors[s] is the distance
+    from stage s's last iterate to the least-squares solution x*, and
+    final_error the last of them.  The verdicts are those that
+    `verify_staged_theorem6` documents; final_bound_ok is None when the
+    last gamma is 0, which bounds nothing.
     """
 
     gammas: tuple[float, ...]
@@ -126,6 +133,15 @@ class StageErrorBound:
     bound: tuple[float, ...]
     b_max: float
     c_const: float
+    end_errors: tuple[float, ...]
+    recursion_ok: bool
+    lipschitz_ok: bool
+    bound_ok: bool
+    final_bound_ok: Optional[bool]
+
+    @property
+    def final_error(self) -> float:
+        return self.end_errors[-1]
 
 
 @dataclass(frozen=True)
@@ -265,7 +281,7 @@ def verify_rate_theorem5(mop: QuadraticMop, cfg: SolverConfig, gamma: float, ter
 
 
 def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
-                           cfg: SolverConfig) -> tuple[StageErrorBound, dict]:
+                           cfg: SolverConfig) -> StageErrorBound:
     """Staged frozen-multiplier run checked against the stage error recursion.
 
     The run starts at the least-squares solution plus a seeded standard
@@ -276,11 +292,19 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     Measures epsilon_s (start-of-stage distance to the stage's regularized
     solution), e_s (drift between consecutive regularized solutions), the
     per-stage contraction factors, and the instance constants B_max and C;
-    validates epsilon_{s+1} <= R_s epsilon_s + e_s + 1e-8 and
-    e_s <= C |gamma_s - gamma_{s+1}| at every stage.
+    its verdicts are epsilon_{s+1} <= R_s epsilon_s + e_s + 1e-8
+    (recursion_ok) and e_s <= C |gamma_s - gamma_{s+1}| (lipschitz_ok) at
+    every stage, epsilon_s within the unrolled bound (bound_ok), and a
+    final error within 1.1 C gamma_last (final_bound_ok).  A weighted Gram
+    sum that is not positive definite bounds nothing: SingularSystemError,
+    as `tikhonov_solve` raises for a singular system, before any step.
     """
     m = mop.n_objectives
     lam = np.full(m, 1.0 / m)
+    eigs = np.linalg.eigvalsh(sum(lam[j] * mop.gram[j] for j in range(m)))
+    if eigs[0] <= 0:
+        raise SingularSystemError(
+            "weighted Gram sum is singular: the staged bound needs it positive definite")
     c = terminals(schedule.terminal, mop.dim)
     gammas = schedule.gammas
     iterations = tuple(s.iterations for s in schedule.stages)
@@ -289,7 +313,7 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     x = x_star + np.random.default_rng(1).normal(0, 1.0, mop.dim)
 
     sols = [tikhonov_solve(mop, g, lam, c) for g in gammas]
-    eps, rates, Rs, stage_end_err = [], [], [], []
+    eps, rates, Rs, end_errors = [], [], [], []
     for s, k_s in enumerate(iterations):
         eps.append(float(np.linalg.norm(x - sols[s].x_tik)))
         rho = max(abs(1.0 - cfg.eta), abs(1.0 - cfg.eta / sols[s].kappa))
@@ -297,15 +321,11 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
         Rs.append(rho ** k_s)
         x = _frozen_fixed_steps(sols[s].merits, lam, cfg.eta / sols[s].sigma_max,
                                 x, 1e-300, k_s)[-1]
-        stage_end_err.append(float(np.linalg.norm(x - x_star)))
+        end_errors.append(float(np.linalg.norm(x - x_star)))
 
     e = [float(np.linalg.norm(sols[s].x_tik - sols[s + 1].x_tik))
          for s in range(len(gammas) - 1)]
 
-    sys0 = sum(lam[j] * mop.gram[j] for j in range(m))
-    eigs = np.linalg.eigvalsh(sys0)
-    if eigs[0] <= 0:
-        raise ValueError("staged bound needs a positive definite weighted Gram sum")
     b_max = 1.0 / float(eigs[0])
     c_const = (b_max ** 2
                * float(np.linalg.norm(sum(mop.gram), 2))
@@ -316,29 +336,17 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     for s in range(len(gammas) - 1):
         bound.append(Rs[s] * bound[s] + e[s])
 
-    recursion_ok = all(
-        eps[s + 1] <= Rs[s] * eps[s] + e[s] + 1e-8 for s in range(len(gammas) - 1)
-    )
-    lipschitz_ok = all(
-        e[s] <= c_const * abs(gammas[s] - gammas[s + 1]) + 1e-12 for s in range(len(e))
-    )
-    bound_ok = all(eps[s] <= bound[s] + 1e-8 for s in range(len(eps)))
-    final_error = stage_end_err[-1]
-    final_bound_ok = (final_error <= 1.1 * c_const * gammas[-1]) if gammas[-1] > 0 else None
-
-    report = {
-        "recursion_ok": recursion_ok,
-        "lipschitz_ok": lipschitz_ok,
-        "bound_ok": bound_ok,
-        "final_error": final_error,
-        "final_bound_ok": final_bound_ok,
-        "stage_end_error_to_x_star": stage_end_err,
-    }
     return StageErrorBound(
         gammas=tuple(gammas), iterations=iterations, rates=tuple(rates),
         R=tuple(Rs), epsilon=tuple(eps), e=tuple(e), bound=tuple(bound),
-        b_max=b_max, c_const=c_const,
-    ), report
+        b_max=b_max, c_const=c_const, end_errors=tuple(end_errors),
+        recursion_ok=all(eps[s + 1] <= Rs[s] * eps[s] + e[s] + 1e-8
+                         for s in range(len(gammas) - 1)),
+        lipschitz_ok=all(e[s] <= c_const * abs(gammas[s] - gammas[s + 1]) + 1e-12
+                         for s in range(len(e))),
+        bound_ok=all(eps[s] <= bound[s] + 1e-8 for s in range(len(eps))),
+        final_bound_ok=(end_errors[-1] <= 1.1 * c_const * gammas[-1]) if gammas[-1] > 0 else None,
+    )
 
 
 def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
@@ -376,7 +384,7 @@ def nondominated_filter(points: list[FrontPoint]) -> list[FrontPoint]:
 
 
 def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, schedule: StageSchedule, indices
-                  ) -> tuple[list[FrontPoint], list[tuple[int, str]], list[tuple]]:
+                  ) -> tuple[list[FrontPoint], list[tuple]]:
     """Run schedule from the starts with the given indices.
 
     Every start is one `run_adaptive` call on schedule.  The objectives
@@ -388,57 +396,59 @@ def _sweep_starts(spec: ExperimentSpec, cfg: SolverConfig, schedule: StageSchedu
     on the stack of their final points, whose rows have the bits of one
     call per point; should that call raise, every scored run fails with
     its message.
-    Returns the front points of the scored runs, the (start_index, reason)
-    of those that failed, and every start's (termination, final ||d||),
-    all in start order; a run that raised ended ("error", None).
+    Returns the front points of the scored runs and every start's end, in
+    start order (see `pareto_sweep`).
     """
     objectives = spec.objectives()
     starts = spec.starts()
     setup = schedule_setup(objectives, schedule, starts.shape[1])
-    # (start_index, final x, final ||d||, final multipliers) of the runs without error
-    finals, failures = [], []
-    ends = []
-    for idx in map(int, indices):
+    indices = [int(i) for i in indices]
+    # ends[k] is the end of start indices[k]; finals holds the (k, final x,
+    # final ||d||, final multipliers) of the runs without error.
+    ends, finals = [], []
+    for k, idx in enumerate(indices):
         try:
             trace = run_adaptive(objectives, starts[idx], cfg, schedule, setup)
         except Exception as exc:
-            failures.append((idx, str(exc)))
-            ends.append(("error", None))
+            ends.append(("error", None, str(exc)))
             continue
-        ends.append((trace.termination, trace.final_norm_d))
-        if trace.termination == "error":
-            failures.append((idx, trace.error or "run error"))
-        else:
-            finals.append((idx, trace.final_x, float(trace.final_norm_d),
+        failed = trace.termination == "error"
+        ends.append((trace.termination, trace.final_norm_d,
+                     (trace.error or "run error") if failed else None))
+        if not failed:
+            finals.append((k, trace.final_x, float(trace.final_norm_d),
                            trace.final_multipliers))
     if not finals:
-        return [], failures, ends
+        return [], ends
     X = np.array([x for _, x, _, _ in finals])
     try:
         rows = np.stack([obj.value(X) for obj in objectives], axis=1)
     except Exception as exc:
-        return [], sorted(failures + [(idx, str(exc)) for idx, *_ in finals]), ends
-    points = [FrontPoint(objectives=row, start_index=idx, norm_d=norm_d, multipliers=lam)
-              for row, (idx, _, norm_d, lam) in zip(rows, finals)]
-    return points, failures, ends
+        for k, *_ in finals:
+            ends[k] = (*ends[k][:2], str(exc))
+        return [], ends
+    points = [FrontPoint(objectives=row, start_index=indices[k], norm_d=norm_d, multipliers=lam)
+              for row, (k, _, norm_d, lam) in zip(rows, finals)]
+    return points, ends
 
 
 def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig, schedule: StageSchedule,
-                 failures: Optional[list] = None, jobs: int = 1,
-                 ends: Optional[list] = None) -> list[FrontPoint]:
-    """Run schedule from every start of spec with the solver settings cfg
-    and return the sorted nondominated subset of final objective vectors.
+                 jobs: int = 1) -> tuple[list[FrontPoint], list[tuple]]:
+    """Run schedule from every start of spec with the solver settings cfg;
+    return the sorted nondominated subset of final objective vectors and
+    every start's end.
 
-    Individual run failures are recorded (appended to `failures` as
-    (start_index, reason) when a list is passed) and excluded, never fatal;
-    when `ends` is a list, every start's (termination, final ||d||) is
-    appended to it in start order, ("error", None) for a run that raised;
-    a sweep that cannot run at all (a terminal of the wrong length, or a
+    ends[i] is start i's (termination, final ||d||, error).  error is the
+    message when the run raised (its end is ("error", None, message)),
+    when it ended "error", or when the value call that scores it raised
+    (it keeps its own termination); otherwise None, and the start is
+    scored.  A failed start is excluded from the front, never fatal; a
+    sweep that cannot run at all (a terminal of the wrong length, or a
     jobs that is not a positive integer) raises ValueError before any
     start runs.  jobs > 1 hands the schedule to worker processes, each
     running contiguous chunks of starts and building the objectives and
     the sweep's set-up once, and gathers them in start order, so the front
-    is the same for every jobs.
+    and the ends are the same for every jobs.
     """
     _check_count(jobs, "jobs")
     indices = np.arange(spec.start_grid[2])
@@ -453,11 +463,8 @@ def pareto_sweep(spec: ExperimentSpec, cfg: SolverConfig, schedule: StageSchedul
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_starts, [spec] * jobs, [cfg] * jobs,
                                   [schedule] * jobs, chunks))
-    if failures is not None:
-        failures.extend(f for _, part_failures, _ in parts for f in part_failures)
-    if ends is not None:
-        ends.extend(e for *_, part_ends in parts for e in part_ends)
-    return nondominated_filter([p for points, *_ in parts for p in points])
+    return (nondominated_filter([p for points, _ in parts for p in points]),
+            [end for _, ends in parts for end in ends])
 
 
 def adrs(front: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:

@@ -171,11 +171,11 @@ def test_criterion_5_theorem6_staged_bound():
         sched = StageSchedule.from_gammas([0.5] * 4, gammas, [400] * 4,
                                           terminal=np.zeros(5))
         cfg = SolverConfig(eta=1.0, max_iterations=400)
-        bound, rep = verify_staged_theorem6(mop, sched, cfg)
+        bound = verify_staged_theorem6(mop, sched, cfg)
         for s in range(3):
             assert bound.epsilon[s + 1] <= bound.R[s] * bound.epsilon[s] + bound.e[s] + 1e-8
-        assert rep["final_error"] <= 1.1 * bound.c_const * gammas[-1]
-        assert rep["lipschitz_ok"]
+        assert bound.final_error <= 1.1 * bound.c_const * gammas[-1]
+        assert bound.lipschitz_ok
     report(5, "5 instances: recursion, Lipschitz drift and final C*gamma bound hold")
 
 
@@ -313,7 +313,7 @@ def test_criterion_10_pareto_front_criticality():
     """Every nondominated point of a 100-start sweep satisfies ||d|| < 1e-4."""
     spec = ExperimentSpec(instance="example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 100))
     cfg = SolverConfig(tolerance=1e-5, max_iterations=3000)
-    front = pareto_sweep(spec, cfg, default_schedule())
+    front, _ = pareto_sweep(spec, cfg, default_schedule())
     assert len(front) >= 2
     worst = max(p.norm_d for p in front)
     assert worst < 1e-4

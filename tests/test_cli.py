@@ -35,6 +35,18 @@ experiment:
   start_grid: {lb: 1.0, ub: 2.0, count: 1}
 """
 
+# n = 5 with two objectives of two data columns each: the Gram sum has rank
+# at most 4, so every gamma = 0 system is singular.
+SINGULAR_QUADRATIC = """
+instance: {n: 5, m_data: 2, m: 2, seed: 3}
+schedule:
+  alphas: [0.5, 0.9]
+  gammas: [0.1, 0.0]
+  iterations: [20, 20]
+experiment:
+  gamma_values: [0.0, 0.5]
+"""
+
 SMALL_QUADRATIC = """
 instance: {n: 8, m_data: 8, m: 2, seed: 3}
 solver: {sigma: 0.1, r: 0.5, epsilon: 1.0e-4, max_iterations: 500, eta: 1.0}
@@ -395,8 +407,30 @@ class TestRunCommands:
         out = tmp_path / "run"
         out.mkdir()
         (out / "junk.txt").write_text("x")
-        assert run("solve", str(cfg), str(out)) == 2
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert run("solve", str(cfg), str(out), force=True) == 0
+
+    def test_run_raises_for_a_nonempty_output(self, tmp_path):
+        """run refuses a non-empty directory without force as it refuses
+        everything else: a ConfigError naming out and --force, which leaves
+        the directory's file as it was."""
+        cfg = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "junk.txt").write_text("x")
+        with pytest.raises(ConfigError, match=r"^out: .* is not empty \(use --force\)$"):
+            run("solve", str(cfg), str(out))
+        assert [p.name for p in out.iterdir()] == ["junk.txt"]
+        assert (out / "junk.txt").read_text() == "x"
+
+    @pytest.mark.parametrize("command, config", [
+        ("fixtures", REPO / "configs" / "example2.yaml"), ("solve", None)])
+    def test_run_raises_for_a_config_it_cannot_take(self, tmp_path, command, config):
+        """A --config given to fixtures, or missing for another command, is
+        a ConfigError naming --config, raised before any directory is made."""
+        with pytest.raises(ConfigError, match="^--config: "):
+            run(command, None if config is None else str(config), str(tmp_path / "out"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
@@ -411,7 +445,7 @@ class TestRunCommands:
         assert main(["frobnicate", "--out", "x"]) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
-        assert run("solve", None, str(tmp_path / "o")) == 2
+        assert main(["solve", "--out", str(tmp_path / "o")]) == 2
 
     def test_verify_t5_small_instance(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
@@ -458,6 +492,21 @@ class TestRunCommands:
         assert summary["verify_t6"]["recursion_ok"]
         with open(out / "stage_bounds.csv") as fh:
             assert [row["gamma"] for row in csv.DictReader(fh)] == ["0.5", "0.1", "0.01", "0.001"]
+
+    @pytest.mark.parametrize("command", ["compare", "verify-t6"])
+    def test_singular_instance_exits_1_with_its_summary(self, tmp_path, capsys, command):
+        """On an instance whose Gram sum has rank at most 4 < n = 5, the
+        gamma = 0 solves of compare and the staged bound of verify-t6 meet a
+        singular system: each run exits 1 with a summary naming it under
+        error, and prints no traceback."""
+        cfg = write_config(tmp_path, SINGULAR_QUADRATIC)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["command"], summary["exit_code"]) == (command, 1)
+        assert "singular" in summary["error"]
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
 
     def test_compare_emits_table(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)
@@ -624,6 +673,27 @@ experiment:
         ended = {"terminations": {"error": 100}, "max_final_norm_d": None}
         assert summary["pareto"]["starts"] == {"moaocfgd": ended, "mogd": ended}
         assert summary["pareto"]["weights"] == {"moaocfgd": None, "mogd": None}
+
+    def test_pareto_names_the_method_of_a_failed_start(self, tmp_path, monkeypatch):
+        """Both sweeps run the same starts, so a failed start is reported
+        with the method whose sweep it failed in: here start 5 of the mogd
+        baseline alone."""
+        config = REPO / "configs" / "example2_pair.yaml"
+        fifth = parse_config(config)[0].starts()[5]
+
+        def fail_mogd_start_5(objectives, x0, cfg, schedule, setup):
+            if len(schedule.stages) == 1 and np.array_equal(x0, fifth):
+                raise RuntimeError("start 5 failed")
+            return run_adaptive(objectives, x0, cfg, schedule, setup)
+
+        monkeypatch.setattr("mofgd.lab.run_adaptive", fail_mogd_start_5)
+        out = tmp_path / "pareto"
+        assert run("pareto", str(config), str(out)) == 0
+        payload = json.loads((out / "summary.json").read_text())["pareto"]
+        assert payload["failed_starts"] == [
+            {"method": "mogd", "start_index": 5, "reason": "start 5 failed"}]
+        assert payload["starts"]["mogd"]["terminations"] == {"error": 1, "tolerance": 99}
+        assert payload["starts"]["moaocfgd"]["terminations"] == {"tolerance": 100}
 
     def test_pareto_reports_the_weights_each_front_reaches(self, tmp_path):
         """On example2_pair.yaml each front's smallest and largest lambda_1
@@ -848,13 +918,20 @@ def shipped_args(command, out):
 
 
 class TestJobs:
-    """pareto is the only command that starts workers: every command runs
-    with --jobs 1, and any other command refuses more than one worker."""
+    """pareto is the only command that starts workers: every command takes
+    --jobs 1, and any other command refuses more than one worker."""
 
     @pytest.mark.parametrize("command", list(SHIPPED_CONFIGS))
-    def test_every_command_runs_with_one_job(self, command, tmp_path):
-        assert main(shipped_args(command, tmp_path / "out") + ["--jobs", "1"]) == 0
-        assert (tmp_path / "out" / "summary.json").exists()
+    def test_every_command_runs_with_one_job(self, command, tmp_path, capsys):
+        """Every command accepts --jobs 1: into a non-empty --out it exits 2
+        naming out, not jobs, so run passed its jobs checks and ran nothing."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "junk.txt").write_text("x")
+        assert main(shipped_args(command, out) + ["--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ")
+        assert [p.name for p in out.iterdir()] == ["junk.txt"]
 
     @pytest.mark.parametrize("command, jobs", [
         ("compare", "2"), ("solve", "2"), ("verify-t5", "2"), ("verify-t6", "2"),

@@ -789,7 +789,7 @@ TERMINAL_ENTRY_POINTS = {
         TERMINAL_MOP, SolverConfig(), 0.1, c, UNIFORM, k_max=20).errors,
     "verify_staged_theorem6": lambda c: np.array(verify_staged_theorem6(
         TERMINAL_MOP, StageSchedule.from_gammas([0.5, 0.7], [0.1, 0.0], [5, 5], c),
-        SolverConfig())[0].epsilon),
+        SolverConfig()).epsilon),
 }
 
 

@@ -185,14 +185,14 @@ class TestVerifyStagedTheorem6:
         sched = StageSchedule.from_gammas([0.5] * 4, [0.5, 0.1, 0.01, 0.001],
                                           [400] * 4, terminal=np.zeros(5))
         cfg = SolverConfig(eta=1.0, max_iterations=400)
-        bound, report = verify_staged_theorem6(mop, sched, cfg)
-        assert report["recursion_ok"]
-        assert report["lipschitz_ok"]
-        assert report["bound_ok"]
-        assert report["final_bound_ok"]
+        bound = verify_staged_theorem6(mop, sched, cfg)
+        assert bound.recursion_ok
+        assert bound.lipschitz_ok
+        assert bound.bound_ok
+        assert bound.final_bound_ok
         assert bound.b_max > 0 and bound.c_const > 0
         # error decreases toward the unregularized truth as gamma shrinks
-        errs = report["stage_end_error_to_x_star"]
+        errs = bound.end_errors
         assert errs[-1] < errs[0]
 
     def test_constant_schedule_plateaus_at_bias(self):
@@ -202,12 +202,12 @@ class TestVerifyStagedTheorem6:
         sched = StageSchedule.from_gammas([0.5] * 3, [gamma] * 3, [300] * 3,
                                           terminal=np.zeros(5))
         cfg = SolverConfig(eta=1.0, max_iterations=300)
-        bound, report = verify_staged_theorem6(mop, sched, cfg)
+        bound = verify_staged_theorem6(mop, sched, cfg)
         lam = np.full(2, 0.5)
         bias = np.linalg.norm(
             tikhonov_solve(mop, gamma, lam, np.zeros(5)).x_tik - mop.x_star)
-        assert report["final_error"] == pytest.approx(bias, abs=1e-6)
-        assert report["final_error"] <= bound.c_const * gamma * 1.1
+        assert bound.final_error == pytest.approx(bias, abs=1e-6)
+        assert bound.final_error <= bound.c_const * gamma * 1.1
 
 
 class TestFrozenFixedSteps:
@@ -285,7 +285,7 @@ class TestExperimentSpec:
 class TestParetoSweep:
     def test_single_start(self):
         spec = ExperimentSpec(instance="example2_pair", start_grid=((1.0, 1.0), (2.0, 2.0), 1))
-        front = pareto_sweep(spec, SWEEP_CFG, default_schedule())
+        front, _ = pareto_sweep(spec, SWEEP_CFG, default_schedule())
         assert len(front) <= 1
 
     def test_wrapped_models_take_the_path_of_plain_ones(self, monkeypatch):
@@ -301,7 +301,7 @@ class TestParetoSweep:
 
         def fronts():
             return [[(p.objectives.tobytes(), p.start_index, p.norm_d)
-                     for p in pareto_sweep(spec, cfg, s)]
+                     for p in pareto_sweep(spec, cfg, s)[0]]
                     for s in (schedule, lab._classical_schedule(cfg))]
 
         expected = fronts()
@@ -335,7 +335,7 @@ class TestParetoSweep:
     def test_duplicates_collapse(self):
         """All starts of a single-objective problem land on one minimizer."""
         spec = ExperimentSpec(instance="example2", start_grid=((0.0, 0.0), (2.0, 2.0), 5))
-        front = pareto_sweep(spec, SWEEP_CFG, default_schedule())
+        front, _ = pareto_sweep(spec, SWEEP_CFG, default_schedule())
         assert len(front) == 1
 
     def test_exactly_critical_start_reports_zero_norm(self):
@@ -343,10 +343,8 @@ class TestParetoSweep:
         eye = np.eye(2)
         spec = ExperimentSpec(QuadraticMop((eye, 2.0 * eye), (np.zeros(2), np.zeros(2))),
                               start_grid=((-1.0, -1.0), (1.0, 1.0), 3), method="mogd")
-        failures = []
-        front = pareto_sweep(spec, SWEEP_CFG, lab._classical_schedule(SWEEP_CFG),
-                             failures=failures)
-        assert failures == []
+        front, ends = pareto_sweep(spec, SWEEP_CFG, lab._classical_schedule(SWEEP_CFG))
+        assert [error for *_, error in ends] == [None] * 3
         assert front and [p.norm_d for p in front] == [0.0] * len(front)
 
     @pytest.mark.parametrize("method", ["moaocfgd", "mogd"])
@@ -379,9 +377,9 @@ class TestParetoSweep:
         for count in (5, 20):
             calls.clear()
             spec = ExperimentSpec("example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), count))
-            failures = []
-            assert pareto_sweep(spec, cfg, schedule, failures=failures)
-            assert failures == []
+            front, ends = pareto_sweep(spec, cfg, schedule)
+            assert front
+            assert [error for *_, error in ends] == [None] * count
             counts.append(dict(calls))
         stages = len(schedule.stages)
         assert counts[0] == counts[1]
@@ -392,17 +390,15 @@ class TestParetoSweep:
 
     def test_workers_run_the_schedule_they_are_handed(self):
         """jobs = 2 pickles the handed one-stage classical schedule to its
-        workers: the front, the failures and the ends are those of the mogd
-        sweep with jobs = 1, bit for bit."""
+        workers: the front and the ends are those of the mogd sweep with
+        jobs = 1, bit for bit."""
         spec = ExperimentSpec("example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 12))
         handed = StageSchedule((descent.Stage(1.0, 0.0, SWEEP_CFG.max_iterations),))
         runs = []
         for jobs, schedule in ((1, lab._classical_schedule(SWEEP_CFG)), (2, handed)):
-            failures, ends = [], []
-            front = pareto_sweep(spec, SWEEP_CFG, schedule, failures=failures, jobs=jobs,
-                                 ends=ends)
+            front, ends = pareto_sweep(spec, SWEEP_CFG, schedule, jobs=jobs)
             runs.append(([(p.objectives.tobytes(), p.start_index, p.norm_d,
-                           p.multipliers.tobytes()) for p in front], failures, ends))
+                           p.multipliers.tobytes()) for p in front], ends))
         assert runs[0][0] and runs[0] == runs[1]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -411,11 +407,10 @@ class TestParetoSweep:
         ValueError once instead of failing every start."""
         runs = []
         monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
-        failures = []
         with pytest.raises(ValueError, match="terminal has length 3"):
             pareto_sweep(ExperimentSpec("example2_pair"), SWEEP_CFG,
-                         default_schedule(terminal=np.zeros(3)), failures=failures, jobs=jobs)
-        assert failures == [] and runs == []
+                         default_schedule(terminal=np.zeros(3)), jobs=jobs)
+        assert runs == []
 
     @pytest.mark.parametrize("jobs", [0, -1, 2.5, True])
     def test_jobs_is_a_positive_integer(self, monkeypatch, jobs):
@@ -423,11 +418,10 @@ class TestParetoSweep:
         any start runs, not by numpy's array_split or a TypeError."""
         runs = []
         monkeypatch.setattr(lab, "run_adaptive", lambda *args: runs.append(args))
-        failures = []
         with pytest.raises(ValueError, match="jobs must be a positive integer"):
             pareto_sweep(ExperimentSpec("example2_pair"), SWEEP_CFG, default_schedule(),
-                         failures=failures, jobs=jobs)
-        assert failures == [] and runs == []
+                         jobs=jobs)
+        assert runs == []
 
     @staticmethod
     def per_start_values(spec, cfg, schedule, objectives, index):
@@ -450,7 +444,7 @@ class TestParetoSweep:
         cfg = SolverConfig(tolerance=1e-5, max_iterations=2000)
         if method == "mogd":
             schedule = StageSchedule((descent.Stage(1.0, 0.0, cfg.max_iterations),))
-        front = pareto_sweep(spec, cfg, schedule)
+        front, _ = pareto_sweep(spec, cfg, schedule)
         objectives = spec.objectives()
         assert front
         for p in front:
@@ -474,15 +468,16 @@ class TestParetoSweep:
         monkeypatch.setattr(ExperimentSpec, "objectives", lambda self: [
             dataclasses.replace(obj, value=one_point(obj.value), validate=False)
             for obj in build(self)])
-        failures = []
-        assert pareto_sweep(spec, SWEEP_CFG, default_schedule(), failures=failures) == []
-        assert failures == [(i, "one point only") for i in range(12)]
+        front, ends = pareto_sweep(spec, SWEEP_CFG, default_schedule())
+        assert front == []
+        assert [error for *_, error in ends] == ["one point only"] * 12
+        assert "error" not in {termination for termination, *_ in ends}
 
     def test_example2_pair_front(self):
         """100 starts trace the efficient curve; every point is critical."""
         spec = ExperimentSpec(instance="example2_pair", start_grid=((-2.0, -3.0), (2.0, 1.0), 100))
         cfg = SolverConfig(tolerance=1e-5, max_iterations=3000)
-        front = pareto_sweep(spec, cfg, default_schedule())
+        front, _ = pareto_sweep(spec, cfg, default_schedule())
         assert len(front) >= 10
         for p in front:
             assert p.norm_d < 1e-4
