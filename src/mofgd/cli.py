@@ -26,7 +26,10 @@ output_dir, force=False, jobs=1)`, which tests call directly.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 `run` raises ConfigError for every refusal, before any directory is made,
 and `main` alone turns it into exit 2; a command stopped by a
-SingularSystemError exits 1 with its summary.json.
+SingularSystemError exits 1 with its summary.json.  compare is not
+stopped by one: a row whose Tikhonov system is singular reads termination
+singular and condition number inf, the other rows still run, and the run
+writes its table and exits 1 with a summary whose error names those rows.
 Artifacts are byte-reproducible given the config and the BLAS thread
 count: the mogd rows of comparison.csv come from ill-conditioned runs that
 amplify last-bit rounding, so they change with it.  Wall-clock timings and
@@ -400,7 +403,10 @@ def _cmd_compare(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
     save_mop(spec.instance, writer.path("instance.json"))
     finite = all(np.isfinite(r["condition_number"]) for r in rows)
     pairs = [(_row(rows, g, "mogd"), _row(rows, g, "moaocfgd")) for g in spec.gamma_values]
-    won = sum(fr["iterations"] <= gd["iterations"] for gd, fr in pairs)
+    singular = [f"gamma {_fmt(r['gamma'])} {r['method']}" for r in rows
+                if r["termination"] == "singular"]
+    won = sum(fr["iterations"] <= gd["iterations"] for gd, fr in pairs
+              if "singular" not in (gd["termination"], fr["termination"]))
     payload = {
         "condition_numbers_finite": finite,
         "fractional_iteration_wins": won,
@@ -413,7 +419,9 @@ def _cmd_compare(spec, solver, schedule, writer: _Writer) -> tuple[int, dict]:
                  "which a fractional stage of weight gamma is for a quadratic"),
     }
     ok = finite and won >= max(1, 2 * len(spec.gamma_values) // 3)
-    return (0 if ok else 1), {"compare": payload}
+    # A singular row's condition number is inf, so ok is False and the run exits 1.
+    error = {"error": f"singular system in rows {', '.join(singular)}"} if singular else {}
+    return (0 if ok else 1), {"compare": payload, **error}
 
 
 def _row(rows, gamma, method):
@@ -544,7 +552,8 @@ def run(command: str, config_path: Optional[str], output_dir: str, force: bool =
     (out), a config given to fixtures or missing for another command
     (--config), and an invalid config or instance.  A command stopped by a
     SingularSystemError exits 1 with its message under the summary's
-    error.
+    error; compare reports its singular rows there instead (see the
+    module docstring).
     """
     if command not in COMMANDS:
         raise ConfigError(f"command: unknown command {command!r}")

@@ -284,9 +284,14 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
                            cfg: SolverConfig) -> StageErrorBound:
     """Staged frozen-multiplier run checked against the stage error recursion.
 
-    The run starts at the least-squares solution plus a seeded standard
-    normal draw.  Stage s takes its k_s steps of size cfg.eta / sigma_max,
-    where sigma_max is that of the stage's `tikhonov_solve` system at
+    One gamma = 0 `tikhonov_solve` at uniform multipliers and the
+    schedule's terminal c comes first.  It refuses an instance whose
+    weighted Gram sum is singular by the solve's one rank rule, raising
+    SingularSystemError before any step; otherwise B_max is 1 / sigma_min
+    of its system, and its x_tik is x* when the instance stores no ground
+    truth.  The run starts at x* plus a seeded standard normal draw.
+    Stage s takes its k_s steps of size cfg.eta / sigma_max, where
+    sigma_max is that of the stage's `tikhonov_solve` system at
     uniform multipliers and the schedule's terminal c, read by
     `fractional.terminals` (zeros when None); of cfg it reads only eta.
     Measures epsilon_s (start-of-stage distance to the stage's regularized
@@ -295,20 +300,14 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     its verdicts are epsilon_{s+1} <= R_s epsilon_s + e_s + 1e-8
     (recursion_ok) and e_s <= C |gamma_s - gamma_{s+1}| (lipschitz_ok) at
     every stage, epsilon_s within the unrolled bound (bound_ok), and a
-    final error within 1.1 C gamma_last (final_bound_ok).  A weighted Gram
-    sum that is not positive definite bounds nothing: SingularSystemError,
-    as `tikhonov_solve` raises for a singular system, before any step.
+    final error within 1.1 C gamma_last (final_bound_ok).
     """
-    m = mop.n_objectives
-    lam = np.full(m, 1.0 / m)
-    eigs = np.linalg.eigvalsh(sum(lam[j] * mop.gram[j] for j in range(m)))
-    if eigs[0] <= 0:
-        raise SingularSystemError(
-            "weighted Gram sum is singular: the staged bound needs it positive definite")
+    lam = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
     c = terminals(schedule.terminal, mop.dim)
     gammas = schedule.gammas
     iterations = tuple(s.iterations for s in schedule.stages)
-    x_star = mop.least_squares_solution()
+    unregularized = tikhonov_solve(mop, 0.0, lam, c)
+    x_star = unregularized.x_tik if mop.x_star is None else mop.x_star
 
     x = x_star + np.random.default_rng(1).normal(0, 1.0, mop.dim)
 
@@ -326,7 +325,7 @@ def verify_staged_theorem6(mop: QuadraticMop, schedule: StageSchedule,
     e = [float(np.linalg.norm(sols[s].x_tik - sols[s + 1].x_tik))
          for s in range(len(gammas) - 1)]
 
-    b_max = 1.0 / float(eigs[0])
+    b_max = 1.0 / unregularized.sigma_min
     c_const = (b_max ** 2
                * float(np.linalg.norm(sum(mop.gram), 2))
                * float(np.linalg.norm(sum(mop.rtilde)) ** 2)
@@ -505,7 +504,13 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
     number are those of its regularizer's `tikhonov_solve` at uniform
     multipliers; final_error is the distance to the Tikhonov solution at
     the run's final multipliers (uniform when its last direction solve
-    failed).
+    failed).  A row whose system at uniform multipliers is singular
+    (`tikhonov_solve` raises SingularSystemError) runs nothing and reads
+    termination "singular", condition_number inf, iterations 0,
+    wall_seconds 0 and final_error nan; the other rows still run.  A run
+    that ends at multipliers whose system is singular, such as a vertex of
+    the simplex on a rank-deficient objective, has no one Tikhonov
+    solution there: it keeps its termination and reads final_error nan.
     """
     m = mop.n_objectives
     uniform = np.full(m, 1.0 / m)
@@ -513,17 +518,26 @@ def comparison_table(mop: QuadraticMop, gamma_values: Sequence[float],
     rows = []
     for gamma in gamma_values:
         for method, reg in (("mogd", "outer"), ("moaocfgd", "diag")):
-            system = tikhonov_solve(mop, gamma, uniform, c, regularizer=reg)
+            try:
+                system = tikhonov_solve(mop, gamma, uniform, c, regularizer=reg)
+            except SingularSystemError:
+                rows.append({"gamma": gamma, "method": method, "condition_number": math.inf,
+                             "iterations": 0, "wall_seconds": 0.0, "final_error": math.nan,
+                             "termination": "singular"})
+                continue
             t0 = time.perf_counter()
             trace = mogd_baseline(system.merits, x0, cfg)
             wall = time.perf_counter() - t0
             lam_final = uniform if trace.final_multipliers is None else trace.final_multipliers
-            sol = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg)
+            try:
+                x_tik = tikhonov_solve(mop, gamma, lam_final, c, regularizer=reg).x_tik
+            except SingularSystemError:  # no one Tikhonov solution at lam_final
+                x_tik = math.nan
             rows.append({
                 "gamma": gamma, "method": method,
                 "condition_number": system.kappa,
                 "iterations": trace.iterations, "wall_seconds": wall,
-                "final_error": float(np.linalg.norm(trace.final_x - sol.x_tik)),
+                "final_error": float(np.linalg.norm(trace.final_x - x_tik)),
                 "termination": trace.termination,
             })
     return rows

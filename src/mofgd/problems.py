@@ -61,7 +61,10 @@ ACTIVE_TOLERANCE = 1e-6
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """Regularized normal equations are singular (gamma = 0 with a rank-deficient Gram sum)."""
+    """A Tikhonov system that `tikhonov_solve` refuses: numerically singular
+    by its one rank rule (a gamma = 0 system with a rank-deficient Gram sum,
+    or one with a non-finite entry), or solved to a non-finite or inaccurate
+    point."""
 
 
 @dataclass(frozen=True)
@@ -416,33 +419,21 @@ class QuadraticMop:
             for W, y, A, b in zip(self.factors, self.targets, self.gram, self.offsets)
         ]
 
-    def least_squares_solution(self) -> np.ndarray:
-        """The stored ground truth, or the unregularized normal-equations solution."""
-        if self.x_star is not None:
-            return self.x_star
-        S = sum(self.gram)
-        rhs = sum(W @ y for W, y in zip(self.factors, self.targets))
-        try:
-            return np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("unregularized Gram sum is singular") from exc
-
 
 @dataclass(frozen=True)
 class TikhonovSolution:
     """Critical point of the weighted stage merit, with the regularized
-    merits it weights, its system matrix and that matrix's extreme singular
-    values."""
+    merits it weights and the extreme singular values of its system, which
+    `tikhonov_solve`'s rank rule keeps sigma_min > 0."""
 
     x_tik: np.ndarray
     merits: tuple[ObjectiveModel, ...]
-    a_matrix: np.ndarray
     sigma_max: float
     sigma_min: float
 
     @property
     def kappa(self) -> float:
-        return self.sigma_max / self.sigma_min if self.sigma_min > 0 else float("inf")
+        return self.sigma_max / self.sigma_min
 
 
 def random_quadratic_mop(n: int, m_data: int, m: int, seed: int) -> QuadraticMop:
@@ -467,11 +458,18 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     With merit_j = regularized(f_j, gamma, c, regularizer), the weighted
     merit sum_j lambda_j merit_j is quadratic with Hessian
     S = sum_j lambda_j merit_j.hessian(c), so its critical point is the one
-    Newton step x_tik = c - S^{-1} sum_j lambda_j grad merit_j(c).  The
-    returned a_matrix is S, the system the fixed-step runs use, with its
-    extreme singular values from one SVD.  gamma must be finite and
-    nonnegative, as a `Stage`'s, and the terminal c is read by
-    `fractional.terminals` (None is zeros); ValueError otherwise.
+    Newton step x_tik = c - S^{-1} sum_j lambda_j grad merit_j(c).
+
+    This is the one place a Tikhonov system is judged singular.  One SVD
+    of S, taken before the solve, gives its extreme singular values, and
+    S is refused with SingularSystemError unless sigma_min > n eps
+    sigma_max, the default tolerance of numpy's matrix_rank (Golub and
+    Van Loan, Matrix Computations, 5.4.1); a NaN fails the test, and a
+    system with a non-finite entry is tested as NaN, without its SVD.  A
+    non-finite x_tik or a residual above 1e-8 (1 + ||x_tik||) is refused
+    as well.  gamma must be finite and nonnegative, as a `Stage`'s, and
+    the terminal c is read by `fractional.terminals` (None is zeros);
+    ValueError otherwise.
     """
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
@@ -485,12 +483,12 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
         return sum(w * m.gradient(x) for w, m in zip(lam, merit))
 
     system = sum(w * m.hessian(c) for w, m in zip(lam, merit))
-    try:
-        shift = np.linalg.solve(system, weighted_gradient(c))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "regularized system is singular (gamma = 0 with rank-deficient Gram sum?)"
-        ) from exc
+    # numpy's SVD does not converge on a NaN; a non-finite system's NaN fails the test.
+    sigma = np.linalg.svd(system, compute_uv=False) if np.isfinite(system).all() else [np.nan]
+    if not sigma[-1] > mop.dim * np.finfo(float).eps * sigma[0]:
+        raise SingularSystemError(f"regularized system is singular: sigma_min {sigma[-1]:.3e} "
+                                  f"is not above n eps sigma_max (sigma_max {sigma[0]:.3e})")
+    shift = np.linalg.solve(system, weighted_gradient(c))
     if not np.all(np.isfinite(shift)):
         raise SingularSystemError("regularized system solve produced non-finite values")
     x_tik = c - shift
@@ -499,9 +497,8 @@ def tikhonov_solve(mop: QuadraticMop, gamma: float, multipliers: np.ndarray,
     if residual > 1e-8 * (1.0 + np.linalg.norm(x_tik)):
         raise SingularSystemError(f"normal-equation residual {residual:.3e} too large")
 
-    sigma = np.linalg.svd(system, compute_uv=False)
-    return TikhonovSolution(x_tik=x_tik, merits=merit, a_matrix=system,
-                            sigma_max=float(sigma[0]), sigma_min=float(sigma[-1]))
+    return TikhonovSolution(x_tik=x_tik, merits=merit, sigma_max=float(sigma[0]),
+                            sigma_min=float(sigma[-1]))
 
 
 _FORMAT_TAG = "mofgd-quadratic-mop/1"

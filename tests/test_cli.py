@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -498,7 +499,8 @@ class TestRunCommands:
         """On an instance whose Gram sum has rank at most 4 < n = 5, the
         gamma = 0 solves of compare and the staged bound of verify-t6 meet a
         singular system: each run exits 1 with a summary naming it under
-        error, and prints no traceback."""
+        error, and prints no traceback.  verify-t6 writes nothing else;
+        compare still writes its table and its instance."""
         cfg = write_config(tmp_path, SINGULAR_QUADRATIC)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -506,7 +508,33 @@ class TestRunCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["command"], summary["exit_code"]) == (command, 1)
         assert "singular" in summary["error"]
-        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        written = {"compare": ["comparison.csv", "instance.json", "summary.json"],
+                   "verify-t6": ["summary.json"]}[command]
+        assert sorted(p.name for p in out.iterdir()) == written
+        assert summary["written_files"] == written[:-1]
+
+    def test_compare_reports_singular_rows_and_runs_the_others(self, tmp_path):
+        """compare on the singular instance: both gamma = 0 rows are
+        singular (condition number inf, no iterations, final_error nan) and
+        the error names them, while both gamma = 0.5 rows run to the
+        tolerance.  The mogd run ends at the vertex lambda = (1, 0), whose
+        outer-regularized system has rank at most 3, so its final_error is
+        nan too."""
+        cfg = write_config(tmp_path, SINGULAR_QUADRATIC)
+        out = tmp_path / "out"
+        assert run("compare", str(cfg), str(out)) == 1
+        with open(out / "comparison.csv", newline="") as fh:
+            rows = [(r["gamma"], r["method"], r["condition_number"], r["iterations"],
+                     r["final_error"], r["termination"]) for r in csv.DictReader(fh)]
+        assert rows[:2] == [("0.0", method, "inf", "0", "nan", "singular")
+                            for method in ("mogd", "moaocfgd")]
+        assert [(g, m, t) for g, m, *_, t in rows[2:]] == [
+            ("0.5", "mogd", "tolerance"), ("0.5", "moaocfgd", "tolerance")]
+        assert all(math.isfinite(float(r[2])) and int(r[3]) > 0 for r in rows[2:])
+        assert (rows[2][4], math.isfinite(float(rows[3][4]))) == ("nan", True)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "singular system in rows gamma 0.0 mogd, gamma 0.0 moaocfgd"
+        assert summary["compare"]["condition_numbers_finite"] is False
 
     def test_compare_emits_table(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUADRATIC)

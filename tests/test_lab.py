@@ -209,6 +209,34 @@ class TestVerifyStagedTheorem6:
         assert bound.final_error == pytest.approx(bias, abs=1e-6)
         assert bound.final_error <= bound.c_const * gamma * 1.1
 
+    def test_b_max_is_read_from_the_unregularized_solve(self):
+        """B_max is 1 / sigma_min of the gamma = 0 `tikhonov_solve` system at
+        uniform multipliers, bit for bit, on the shipped paper instance."""
+        spec, cfg, schedule = parse_config(REPO / "configs" / "paper_quadratic.yaml")
+        mop = spec.instance
+        bound = verify_staged_theorem6(mop, schedule, cfg)
+        lam = np.full(mop.n_objectives, 1.0 / mop.n_objectives)
+        assert bound.b_max == 1.0 / tikhonov_solve(mop, 0.0, lam, schedule.terminal).sigma_min
+
+    def test_instance_without_ground_truth_reads_the_unregularized_solution(self):
+        """A hand-built instance with x_star None bounds the errors to the
+        gamma = 0 solution at uniform multipliers: the run is the one on the
+        same instance with that point stored as its x_star."""
+        rng = np.random.default_rng(8)
+        ws = (rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (4, 6)))
+        ys = (rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6))
+        sched = StageSchedule.from_gammas([0.5] * 3, [0.5, 0.05, 0.0], [300] * 3,
+                                          terminal=np.zeros(4))
+        cfg = SolverConfig(eta=1.0, max_iterations=300)
+        mop = QuadraticMop(factors=ws, targets=ys)
+        bound = verify_staged_theorem6(mop, sched, cfg)
+        x_star = tikhonov_solve(mop, 0.0, np.full(2, 0.5), np.zeros(4)).x_tik
+        stored = verify_staged_theorem6(QuadraticMop(factors=ws, targets=ys, x_star=x_star),
+                                        sched, cfg)
+        assert bound == stored
+        assert bound.recursion_ok and bound.bound_ok
+        assert bound.final_error < 1e-6
+
 
 class TestFrozenFixedSteps:
     """The verify runs' fixed steps evaluate the merit gradients as one

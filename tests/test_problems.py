@@ -562,7 +562,7 @@ class TestTikhonovSolve:
                            x_star=np.ones(2))
         sol = tikhonov_solve(mop, 1.0, np.array([1.0]), np.zeros(2))
         np.testing.assert_allclose(sol.x_tik, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(sol.a_matrix, 2.0 * np.eye(2))
+        np.testing.assert_allclose(sol.merits[0].hessian(np.zeros(2)), 2.0 * np.eye(2))
         assert sol.kappa == pytest.approx(1.0)
 
     def test_monotone_shrink_toward_terminal(self):
@@ -593,6 +593,27 @@ class TestTikhonovSolve:
         with pytest.raises(SingularSystemError):
             tikhonov_solve(mop, 0.0, np.array([1.0]), np.zeros(3))
 
+    def test_every_weight_of_a_rank_deficient_sum_is_refused(self):
+        """Two objectives of two data columns each in n = 5: the Gram sum
+        has rank at most 4, so at gamma = 0 the rank rule refuses the
+        system at every weight lambda_1 = 0.01, ..., 0.99, whatever LU's
+        rounding would let through."""
+        mop = random_quadratic_mop(5, 2, 2, seed=3)
+        for k in range(1, 100):
+            with pytest.raises(SingularSystemError, match="sigma_min"):
+                tikhonov_solve(mop, 0.0, np.array([k / 100, 1 - k / 100]), np.zeros(5))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_overflowing_system_is_refused(self, gamma):
+        """A Gram entry that overflows to inf is refused with
+        SingularSystemError, whatever gamma: not with a bare LinAlgError
+        from numpy's SVD, nor as a NaN solution."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mop = QuadraticMop(factors=(np.array([[1e200, 0.0], [0.0, 1.0]]),),
+                               targets=(np.ones(2),))
+            with pytest.raises(SingularSystemError):
+                tikhonov_solve(mop, gamma, np.array([1.0]), np.zeros(2))
+
     def test_residual_check_raises_typed_error(self, monkeypatch):
         """An inaccurate inner solve trips the residual check, even under -O."""
         mop = random_quadratic_mop(4, 6, 2, seed=17)
@@ -610,7 +631,8 @@ class TestTikhonovSolve:
             sols[reg] = tikhonov_solve(mop, 0.5, lam, c, regularizer=reg)
             merit = [regularized(o, 0.5, c, reg) for o in mop.objectives()]
             system = sum(w * m.hessian(c) for w, m in zip(lam, merit))
-            assert np.array_equal(sols[reg].a_matrix, system)
+            solved = sum(w * m.hessian(c) for w, m in zip(lam, sols[reg].merits))
+            assert np.array_equal(solved, system)
         assert not np.allclose(sols["diag"].x_tik, sols["outer"].x_tik)
 
     def test_critical_point_without_common_zero(self):
@@ -633,9 +655,11 @@ class TestTikhonovSolve:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        sol = tikhonov_solve(mop, 0.5, np.array([0.5, 0.5]), np.zeros(4))
+        lam, c = np.array([0.5, 0.5]), np.zeros(4)
+        sol = tikhonov_solve(mop, 0.5, lam, c)
         assert len(calls) == 1
-        sigma = svd(sol.a_matrix, compute_uv=False)
+        system = sum(w * m.hessian(c) for w, m in zip(lam, sol.merits))
+        sigma = svd(system, compute_uv=False)
         assert (sol.sigma_min, sol.sigma_max, sol.kappa) == (
             float(sigma[-1]), float(sigma[0]), float(sigma[0]) / float(sigma[-1]))
 
